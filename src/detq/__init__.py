@@ -12,6 +12,7 @@ from .gmm import (
     WEIGHT_TOTAL,
     CdfTable,
     GmmParams,
+    apportion,
     build_cdf_table,
     gmm_pmf,
     gmm_pmf_field,
@@ -36,13 +37,15 @@ from .harness import (
     run_float_stack,
 )
 from .intops import (
+    SUBNETS,
     AccumulatorOverflowError,
     EntropyStack,
     QTensor,
+    hyper_features,
     leaky_relu_int,
     linear_softmax_field,
     linear_softmax_int,
-    masked_conv_forward,
+    priors_from_features,
     qconv_forward,
     requantize,
     round_shift,
@@ -55,9 +58,11 @@ from .quantize import (
     REFERENCE_DEFAULTS,
     QConvLayer,
     WeightRangeError,
+    accumulator_bound,
     adjust_shift_for_bias,
     ceil_log2,
     derive_weight_shift,
+    quantize_activation_tensor,
     quantize_layer,
     quantize_value,
     round_half_away,

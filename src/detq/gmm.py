@@ -21,6 +21,7 @@ __all__ = [
     "GmmParams",
     "CdfTable",
     "sigma_min_for",
+    "apportion",
     "table_digest",
     "std_normal_cdf_fixed",
     "gmm_pmf",
@@ -54,27 +55,11 @@ def _div_round_half_away(num, den):
     return np.where(num < 0, -q, q)
 
 
-def std_normal_cdf_fixed(z, frac_bits: int = GRID_FRAC_BITS):
-    """Phi(z) in Q16 from the checked-in table; z is fixed point.
-
-    z is clamped to +-6.  On the native Q6 grid this is a direct lookup;
-    finer inputs are linearly interpolated between grid entries with
-    half-away integer rounding.
-    """
-    if frac_bits < GRID_FRAC_BITS:
-        raise ValueError("frac_bits below the table grid resolution")
-    z = np.asarray(z, dtype=np.int64)
-    span = Z_LIMIT << frac_bits
-    t = np.clip(z, -span, span) + span
-    shift = frac_bits - GRID_FRAC_BITS
-    if shift == 0:
-        out = _PHI[t]
-    else:
-        i = t >> shift
-        f = t & ((1 << shift) - 1)
-        lo = _PHI[i]
-        hi = _PHI[np.minimum(i + 1, len(_PHI) - 1)]
-        out = lo + (((hi - lo) * f + (1 << (shift - 1))) >> shift)
+def std_normal_cdf_fixed(z):
+    """Phi(z) in Q16 by direct lookup; z is fixed point on the table's Q6
+    grid and is clamped to +-6."""
+    t = np.clip(np.asarray(z, dtype=np.int64), -_SPAN, _SPAN) + _SPAN
+    out = _PHI[t]
     return out if out.ndim else int(out)
 
 
@@ -224,17 +209,16 @@ class CdfTable:
         )
 
 
-def _largest_remainder(raw: np.ndarray, target: int) -> np.ndarray:
-    """Apportion `target` units proportionally to raw, ties to lower index."""
-    tot = int(raw.sum())
-    base = raw * target // tot
-    rem = raw * target % tot
-    left = target - int(base.sum())
-    extra = np.zeros_like(base)
-    if left:
-        order = np.argsort(-rem, kind="stable")
-        extra[order[:left]] = 1
-    return base + extra
+def apportion(base, rem, target: int):
+    """Largest-remainder rounding along axis 0.
+
+    base holds the floored shares and rem their remainders; the
+    target - sum(base) units still missing go one each to the largest
+    remainders, ties to the lower index.
+    """
+    left = target - base.sum(axis=0)
+    rank = np.argsort(np.argsort(-rem, axis=0, kind="stable"), axis=0, kind="stable")
+    return base + (rank < left)
 
 
 def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
@@ -264,7 +248,8 @@ def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
     cum = np.asarray(cum, dtype=np.int64)
     cum[0] = 0
     cum[-1] = CDF_TOTAL
-    raw = np.diff(cum)
-    freq = 1 + _largest_remainder(raw, CDF_TOTAL - s)
+    raw = np.diff(cum)  # sums to CDF_TOTAL
+    target = CDF_TOTAL - s
+    freq = 1 + apportion(raw * target // CDF_TOTAL, raw * target % CDF_TOTAL, target)
     cf = np.concatenate([[0], np.cumsum(freq)])
     return CdfTable(v_min=v_min, v_max=v_max, cf=cf)

@@ -19,6 +19,7 @@ from .gmm import (
     CDF_TOTAL,
     WEIGHT_TOTAL,
     GmmParams,
+    apportion,
     build_cdf_table,
     gmm_pmf_field,
     sigma_min_for,
@@ -28,12 +29,12 @@ from .intops import (
     LEAKY_SHIFT,
     ORDERS,
     EntropyStack,
-    QTensor,
     _ordered_sum,
-    _run_chain,
+    hyper_features,
+    priors_from_features,
     run_entropy_stack,
 )
-from .quantize import quantize_layer, round_half_away
+from .quantize import quantize_activation_tensor, quantize_layer, round_half_away
 from .rc import rc_decode, rc_encode
 from .tensors import ConvLayerF, im2col
 
@@ -260,26 +261,6 @@ def run_float_stack(
     return FloatPriors(weights=weights, means=means, scales=scales)
 
 
-def _apportion_weights_q15(weights: np.ndarray) -> np.ndarray:
-    """Float mixture weights (3, ...) -> positive Q15 integers, total 2^15.
-
-    Mirrors the integer softmax apportionment: floor of 1 per component,
-    remainder by largest fractional part.
-    """
-    target = WEIGHT_TOTAL - 3
-    scaled = np.asarray(weights, dtype=np.float64) * target
-    base = np.floor(scaled).astype(np.int64)
-    rem = scaled - base
-    left = target - base.sum(axis=0)
-    order = np.argsort(-rem, axis=0, kind="stable")
-    rank = np.empty_like(order)
-    comp = np.arange(3).reshape((3,) + (1,) * (weights.ndim - 1))
-    np.put_along_axis(
-        rank, order, np.broadcast_to(comp, weights.shape).copy(), axis=0
-    )
-    return 1 + base + (rank < left)
-
-
 def discretize_priors(priors: FloatPriors, scale_exp: int) -> GmmParams:
     """Fixed-point GmmParams from float priors (the "float priors" path).
 
@@ -291,7 +272,12 @@ def discretize_priors(priors: FloatPriors, scale_exp: int) -> GmmParams:
     means = round_half_away(np.asarray(priors.means, np.float64) * unit).astype(np.int64)
     scales = round_half_away(np.asarray(priors.scales, np.float64) * unit).astype(np.int64)
     scales = np.maximum(scales, sigma_min_for(scale_exp))
-    weights = _apportion_weights_q15(priors.weights)
+    # floor of 1 per component, the rest by largest remainder, as in the
+    # integer linearized softmax
+    target = WEIGHT_TOTAL - 3
+    scaled = np.asarray(priors.weights, dtype=np.float64) * target
+    base = np.floor(scaled).astype(np.int64)
+    weights = 1 + apportion(base, scaled - base, target)
     return GmmParams(weights=weights, means=means, scales=scales, scale_exp=scale_exp)
 
 
@@ -307,22 +293,15 @@ def make_stack_pair(fstack: EntropyStackF) -> StackPair:
     return StackPair(float_stack=fstack, quant_stack=fstack.quantize())
 
 
-def _quantize_input(values: np.ndarray, p: int, n_i: int) -> QTensor:
-    lim = (1 << (n_i - 1)) - 1
-    q = round_half_away(np.asarray(values, np.float64) * math.ldexp(1.0, p))
-    return QTensor(data=np.clip(q, -lim, lim).astype(np.int64), scale_exp=p, bit_depth=n_i)
+def _quantize_for(chain, x):
+    """x quantized at the chain's input grid; None when the chain is absent."""
+    return quantize_activation_tensor(x, chain[0].spec) if chain else None
 
 
 def _int_priors(stacks: StackPair, latent, hyper, order: str) -> GmmParams:
     qs = stacks.quant_stack
-    latent_q = None
-    if qs.context:
-        spec = qs.context[0].spec
-        latent_q = _quantize_input(latent, spec.p_in, spec.n_i)
-    hyper_q = None
-    if qs.hyperdecoder:
-        spec = qs.hyperdecoder[0].spec
-        hyper_q = _quantize_input(hyper, spec.p_in, spec.n_i)
+    latent_q = _quantize_for(qs.context, latent)
+    hyper_q = _quantize_for(qs.hyperdecoder, hyper)
     return run_entropy_stack(latent_q, hyper_q, qs, order=order)
 
 
@@ -359,26 +338,12 @@ def _dec_params_fn(stacks: StackPair, hyper, variant: BackendVariant):
     """Decoder-side prior regeneration as a function of the latent canvas."""
     if variant.mode == "int":
         qs = stacks.quant_stack
-        hyper_feat = None
-        if qs.hyperdecoder:
-            spec = qs.hyperdecoder[0].spec
-            hyper_q = _quantize_input(hyper, spec.p_in, spec.n_i)
-            hyper_feat = _run_chain(hyper_q, qs.hyperdecoder, variant.order, True)
+        hyper_q = _quantize_for(qs.hyperdecoder, hyper)
+        hyper_feat = hyper_features(hyper_q, qs, variant.order)
 
         def params_of(canvas):
-            feats = []
-            if hyper_feat is not None:
-                feats.append(hyper_feat)
-            if qs.context:
-                spec = qs.context[0].spec
-                ctx_in = _quantize_input(canvas, spec.p_in, spec.n_i)
-                feats.append(_run_chain(ctx_in, qs.context, variant.order, True))
-            fused = QTensor(
-                data=np.concatenate([f.data for f in feats], axis=0),
-                scale_exp=feats[0].scale_exp,
-                bit_depth=16,
-            )
-            return _gather_forward(qs, fused, variant.order)
+            latent_q = _quantize_for(qs.context, canvas)
+            return priors_from_features(hyper_feat, latent_q, qs, variant.order)
 
         return params_of
 
@@ -389,24 +354,6 @@ def _dec_params_fn(stacks: StackPair, hyper, variant: BackendVariant):
         return discretize_priors(priors, fstack.head_scale_exp)
 
     return params_of_float
-
-
-def _gather_forward(stack: EntropyStack, fused: QTensor, order: str) -> GmmParams:
-    """Gather + head on precomputed fused features (mirrors run_entropy_stack)."""
-    from .intops import _layer_step, linear_softmax_field
-
-    x = fused
-    for i, layer in enumerate(stack.gather[:-1]):
-        nxt = stack.gather[i + 1].spec.n_i
-        x = _layer_step(x, layer, nxt, order, True)
-    head_out = _layer_step(x, stack.head, 16, order, True, activation=False)
-    p_e = stack.head_scale_exp
-    c = stack.latent_channels
-    y = head_out.data.reshape(c, 9, *head_out.data.shape[1:])
-    weights = linear_softmax_field(y[:, 0:3].transpose(1, 0, 2, 3), p_e)
-    means = y[:, 3:6].transpose(1, 0, 2, 3)
-    scales = np.maximum(y[:, 6:9].transpose(1, 0, 2, 3), stack.sigma_min)
-    return GmmParams(weights=weights, means=means, scales=scales, scale_exp=p_e)
 
 
 def roundtrip_experiment(
@@ -625,6 +572,7 @@ def calibrate_shifts(
 
     report = CalibrationReport(layers=[], passes=passes)
     best = objective()
+    decided = {}  # junction -> objective of its latest decision
     for pass_no in range(1, passes + 1):
         for junction in fstack.junctions():
             best_p = fstack.junction_p(junction)
@@ -636,6 +584,7 @@ def calibrate_shifts(
                     best_obj = obj
                     best_p = p
             fstack.set_junction_p(junction, best_p)
+            decided[junction] = best_obj
             best = min(best, best_obj)
             report.trace.append(
                 {
@@ -654,7 +603,7 @@ def calibrate_shifts(
                     "index": i,
                     "p": c.p_in,
                     "n_i": c.n_i,
-                    "objective": best,
+                    "objective": decided.get((name, i), best),
                 }
             )
     return report

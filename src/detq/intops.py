@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import GmmParams
+from .gmm import GmmParams, apportion, sigma_min_for
 from .quantize import QConvLayer
 from .tensors import ShapeError, im2col
 
 __all__ = [
+    "SUBNETS",
     "QTensor",
     "EntropyStack",
     "AccumulatorOverflowError",
@@ -28,15 +29,19 @@ __all__ = [
     "clamp_input",
     "round_shift",
     "qconv_forward",
-    "masked_conv_forward",
     "requantize",
     "leaky_relu_int",
     "linear_softmax_int",
     "linear_softmax_field",
+    "hyper_features",
+    "priors_from_features",
     "run_entropy_stack",
 ]
 
 ORDERS = ("seq", "rev", "tree")
+
+# The entropy subnetworks, in evaluation and serialization order.
+SUBNETS = ("hyperdecoder", "context", "gather")
 
 # LeakyReLU negative slope 41/4096 ~= 0.01 as a dyadic rational.
 LEAKY_NUM = 41
@@ -44,11 +49,7 @@ LEAKY_SHIFT = 12
 
 
 class AccumulatorOverflowError(ArithmeticError):
-    """An accumulator partial or final value left the 32-bit range.
-
-    This signals a quantizer bug: the shift derivation is supposed to make
-    overflow impossible.
-    """
+    """A requantize left shift pushed a value past the 32-bit range."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,18 +122,12 @@ def _ordered_sum(products: np.ndarray, order: str) -> np.ndarray:
     raise ValueError(f"unknown accumulation order {order!r}")
 
 
-def qconv_forward(
-    x: QTensor,
-    layer: QConvLayer,
-    order: str = "seq",
-    check_overflow: bool = True,
-) -> np.ndarray:
+def qconv_forward(x: QTensor, layer: QConvLayer, order: str = "seq") -> np.ndarray:
     """Exact integer cross-correlation plus bias; returns (n, h, w) int64.
 
-    With check_overflow, the sum of absolute products plus |bias| is
-    verified against the 32-bit limit; this bounds every partial sum in
-    every summation order, so a violation means the static guarantee was
-    broken.
+    QConvLayer holds sum|w| * x_max + |b| within 32 bits, and the input is
+    checked against x_max here, so no partial sum in any order can
+    overflow.  Masked (causal) layers carry their zeroes in the weights.
     """
     c, h, w = x.shape
     if c != layer.in_channels:
@@ -145,31 +140,8 @@ def qconv_forward(
     cols = im2col(x.data, layer.kernel)  # (h*w, m*K*K)
     wmat = layer.w_q.reshape(-1, layer.out_channels)
     products = cols[:, :, None] * wmat[None, :, :]
-    if check_overflow:
-        worst = np.abs(products).sum(axis=1) + np.abs(layer.b_q)[None, :]
-        if worst.size and int(worst.max()) > (1 << 31) - 1:
-            raise AccumulatorOverflowError(
-                "accumulator bound violated: worst-case partial sum "
-                f"{int(worst.max())} exceeds 2^31-1"
-            )
     acc = _ordered_sum(products, order) + layer.b_q[None, :]
     return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)
-
-
-def masked_conv_forward(
-    x: QTensor,
-    layer: QConvLayer,
-    order: str = "seq",
-    check_overflow: bool = True,
-) -> np.ndarray:
-    """Causal context convolution; the layer must carry the mask flag.
-
-    The causal zeroes live in the quantized weights, so this is the plain
-    integer convolution plus a flag check.
-    """
-    if not layer.mask:
-        raise ValueError("masked_conv_forward requires a masked layer")
-    return qconv_forward(x, layer, order=order, check_overflow=check_overflow)
 
 
 def requantize(
@@ -219,15 +191,7 @@ def linear_softmax_field(z: np.ndarray, scale_exp: int) -> np.ndarray:
     target = (1 << 15) - 3
     n = np.maximum((1 << scale_exp) + z, 1)
     denom = n.sum(axis=0)
-    base = n * target // denom
-    rem = n * target % denom
-    left = target - base.sum(axis=0)
-    # stable argsort on -rem ranks equal remainders by component index
-    order = np.argsort(-rem, axis=0, kind="stable")
-    rank = np.empty_like(order)
-    comp_idx = np.arange(3).reshape((3,) + (1,) * (z.ndim - 1))
-    np.put_along_axis(rank, order, np.broadcast_to(comp_idx, z.shape).copy(), axis=0)
-    return 1 + base + (rank < left)
+    return 1 + apportion(n * target // denom, n * target % denom, target)
 
 
 def linear_softmax_int(z, scale_exp: int):
@@ -252,16 +216,11 @@ class EntropyStack:
     latent_channels: int
 
     def __post_init__(self):
-        object.__setattr__(self, "hyperdecoder", tuple(self.hyperdecoder))
-        object.__setattr__(self, "context", tuple(self.context))
-        object.__setattr__(self, "gather", tuple(self.gather))
+        for name in SUBNETS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.gather) != 7:
             raise ShapeError("gather subnetwork must have exactly 7 layers")
-        for name, chain in (
-            ("hyperdecoder", self.hyperdecoder),
-            ("context", self.context),
-            ("gather", self.gather),
-        ):
+        for name, chain in self.chains():
             for a, b in zip(chain, chain[1:]):
                 if a.out_channels != b.in_channels:
                     raise ShapeError(f"{name}: channel mismatch between layers")
@@ -289,6 +248,9 @@ class EntropyStack:
         if self.gather[-1].out_channels != 9 * self.latent_channels:
             raise ShapeError("head must emit 9 channels per latent channel")
 
+    def chains(self):
+        return tuple((name, getattr(self, name)) for name in SUBNETS)
+
     @property
     def head(self) -> QConvLayer:
         return self.gather[-1]
@@ -297,67 +259,69 @@ class EntropyStack:
     def head_scale_exp(self) -> int:
         return self.gather[-1].spec.p_out
 
-    @property
-    def sigma_min(self) -> int:
-        return max(1, 1 << max(self.head_scale_exp - 4, 0))
 
-
-def _layer_step(x, layer, next_bits, order, check_overflow, activation=True):
-    xc = clamp_input(x, layer.spec.n_i)
-    if layer.mask:
-        acc = masked_conv_forward(xc, layer, order, check_overflow)
-    else:
-        acc = qconv_forward(xc, layer, order, check_overflow)
+def _layer_step(x, layer, next_bits, order, activation=True):
+    acc = qconv_forward(clamp_input(x, layer.spec.n_i), layer, order)
     q = requantize(acc, layer, p_next=layer.spec.p_out, out_bits=next_bits)
     return leaky_relu_int(q) if activation else q
 
 
-def _run_chain(x, chain, order, check_overflow):
+def _run_chain(x, chain, order):
     for i, layer in enumerate(chain):
         next_bits = chain[i + 1].spec.n_i if i + 1 < len(chain) else 16
-        x = _layer_step(x, layer, next_bits, order, check_overflow)
+        x = _layer_step(x, layer, next_bits, order)
     return x
 
 
-def run_entropy_stack(
-    latent_context: QTensor,
-    hyper_latent: QTensor,
+def hyper_features(
+    hyper_latent: QTensor | None, stack: EntropyStack, order: str = "seq"
+) -> QTensor | None:
+    """Hyperdecoder output, or None for a stack without a hyperdecoder.
+
+    It does not depend on the latent, so a decoder computes it once.
+    """
+    if not stack.hyperdecoder:
+        return None
+    return _run_chain(hyper_latent, stack.hyperdecoder, order)
+
+
+def priors_from_features(
+    hyper_feat: QTensor | None,
+    latent_context: QTensor | None,
     stack: EntropyStack,
     order: str = "seq",
-    check_overflow: bool = True,
+) -> GmmParams:
+    """Context -> fuse with hyper features -> gather -> GMM head.
+
+    The head's 9 channels per latent channel become Q15 mixture weights
+    (linearized softmax), means, and scales floored at sigma_min_for.
+    """
+    feats = [] if hyper_feat is None else [hyper_feat.data]
+    if stack.context:
+        feats.append(_run_chain(latent_context, stack.context, order).data)
+    # both chains end at the gather input grid (checked by EntropyStack)
+    x = QTensor(np.concatenate(feats, axis=0), stack.gather[0].spec.p_in)
+    for i, layer in enumerate(stack.gather[:-1]):
+        x = _layer_step(x, layer, stack.gather[i + 1].spec.n_i, order)
+    head_out = _layer_step(x, stack.head, 16, order, activation=False)
+    p_e = stack.head_scale_exp
+    y = head_out.data.reshape(stack.latent_channels, 9, *head_out.shape[1:])
+    weights = linear_softmax_field(y[:, 0:3].transpose(1, 0, 2, 3), p_e)
+    means = y[:, 3:6].transpose(1, 0, 2, 3)
+    scales = np.maximum(y[:, 6:9].transpose(1, 0, 2, 3), sigma_min_for(p_e))
+    return GmmParams(weights=weights, means=means, scales=scales, scale_exp=p_e)
+
+
+def run_entropy_stack(
+    latent_context: QTensor | None,
+    hyper_latent: QTensor | None,
+    stack: EntropyStack,
+    order: str = "seq",
 ) -> GmmParams:
     """Full integer entropy inference: hyperdecoder + context -> gather -> GMM.
 
     Inputs must already be quantized at the first layers' input grids.
     The output is a pure function of the inputs and the stack bits.
     """
-    feats = []
-    if stack.hyperdecoder:
-        feats.append(_run_chain(hyper_latent, stack.hyperdecoder, order, check_overflow))
-    if stack.context:
-        feats.append(_run_chain(latent_context, stack.context, order, check_overflow))
-    if len(feats) == 2 and feats[0].scale_exp != feats[1].scale_exp:
-        raise ShapeError("fused features disagree on scale")
-    fused = QTensor(
-        data=np.concatenate([f.data for f in feats], axis=0),
-        scale_exp=feats[0].scale_exp,
-        bit_depth=16,
-    )
-    x = fused
-    for i, layer in enumerate(stack.gather[:-1]):
-        nxt = stack.gather[i + 1].spec.n_i
-        x = _layer_step(x, layer, nxt, order, check_overflow)
-    head_out = _layer_step(
-        x, stack.head, 16, order, check_overflow, activation=False
-    )
-    p_e = stack.head_scale_exp
-    c = stack.latent_channels
-    y = head_out.data.reshape(c, 9, *head_out.data.shape[1:])
-    z = y[:, 0:3].transpose(1, 0, 2, 3)
-    means = y[:, 3:6].transpose(1, 0, 2, 3)
-    scales = y[:, 6:9].transpose(1, 0, 2, 3)
-    weights = linear_softmax_field(z, p_e)
-    scales = np.maximum(scales, stack.sigma_min)
-    return GmmParams(
-        weights=weights, means=means, scales=scales, scale_exp=p_e
-    )
+    hyper_feat = hyper_features(hyper_latent, stack, order)
+    return priors_from_features(hyper_feat, latent_context, stack, order)

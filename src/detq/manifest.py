@@ -17,8 +17,8 @@ import pathlib
 import numpy as np
 
 from .harness import EntropyStackF, LayerCfg
-from .intops import EntropyStack
-from .quantize import ACCUM_BITS, LayerQuantSpec, QConvLayer
+from .intops import SUBNETS, EntropyStack
+from .quantize import ACCUM_BITS, LayerQuantSpec, QConvLayer, WeightRangeError
 from .tensors import ConvLayerF
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 FORMAT = "detq-model"
 VERSION = 1
 
-_SUBNETS = ("hyperdecoder", "context", "gather")
+_INT_KEYS = ("m", "k", "n", "n_i", "p_in", "p_out")
 
 
 class ManifestError(ValueError):
@@ -70,17 +70,49 @@ def _write(manifest_path, doc, blob: bytes):
     manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _check_schema(doc):
+    """Types, ranges and subnetwork names of a manifest document."""
+    if doc.get("dtype") not in ("float32", "int16"):
+        raise ManifestError("dtype must be float32 or int16")
+    if type(doc.get("latent_channels")) is not int or doc["latent_channels"] < 1:
+        raise ManifestError("latent_channels must be a positive integer")
+    subnets = doc.get("subnetworks")
+    if not isinstance(subnets, dict) or not set(subnets) <= set(SUBNETS):
+        raise ManifestError(f"subnetworks must be an object keyed by {SUBNETS}")
+    for name, entries in subnets.items():
+        if not isinstance(entries, list):
+            raise ManifestError(f"{name}: expected a list of layers")
+        for i, e in enumerate(entries):
+            if not (
+                isinstance(e, dict)
+                and all(type(e.get(key)) is int for key in _INT_KEYS)
+                and type(e.get("mask")) is bool
+                and min(e["m"], e["k"], e["n"]) >= 1
+            ):
+                raise ManifestError(
+                    f"{name}[{i}]: needs positive integer m, k, n, integer "
+                    "n_i, p_in, p_out and boolean mask"
+                )
+    if len(subnets.get("gather", [])) != 7:
+        raise ManifestError("gather subnetwork must have exactly 7 layers")
+
+
 def _read(manifest_path):
     manifest_path = pathlib.Path(manifest_path)
     try:
         doc = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ManifestError(f"cannot read manifest: {e}") from e
-    if doc.get("format") != FORMAT or doc.get("version") != VERSION:
+    if (
+        not isinstance(doc, dict)
+        or doc.get("format") != FORMAT
+        or doc.get("version") != VERSION
+    ):
         raise ManifestError("not a recognized model manifest")
+    _check_schema(doc)
     try:
         blob = _blob_path(manifest_path, doc["blob"]).read_bytes()
-    except (OSError, KeyError) as e:
+    except (OSError, KeyError, TypeError) as e:
         raise ManifestError(f"cannot read blob: {e}") from e
     if hashlib.sha256(blob).hexdigest() != doc.get("blob_sha256"):
         raise ManifestError("blob digest mismatch")
@@ -122,7 +154,7 @@ def load_float_model(manifest_path) -> EntropyStackF:
     off = 0
     chains = {}
     cfgs = {}
-    for name in _SUBNETS:
+    for name in SUBNETS:
         layers, layer_cfgs = [], []
         for e in doc["subnetworks"].get(name, []):
             m, k, n = e["m"], e["k"], e["n"]
@@ -165,11 +197,7 @@ def save_quantized_model(manifest_path, stack: EntropyStack):
         "subnetworks": {},
     }
     parts = []
-    for name, chain in (
-        ("hyperdecoder", stack.hyperdecoder),
-        ("context", stack.context),
-        ("gather", stack.gather),
-    ):
+    for name, chain in stack.chains():
         entries = []
         for lyr in chain:
             cfg = LayerCfg(n_i=lyr.spec.n_i, p_in=lyr.spec.p_in, p_out=lyr.spec.p_out)
@@ -195,9 +223,9 @@ def load_quantized_model(manifest_path) -> EntropyStack:
         raise ManifestError(f"expected an int16 model, got {doc['dtype']}")
     off = 0
     chains = {}
-    for name in _SUBNETS:
+    for name in SUBNETS:
         layers = []
-        for e in doc["subnetworks"].get(name, []):
+        for i, e in enumerate(doc["subnetworks"].get(name, [])):
             m, k, n = e["m"], e["k"], e["n"]
             wn, bn = m * k * k * n * 2, n * 4
             if off + wn + bn > len(blob):
@@ -206,25 +234,22 @@ def load_quantized_model(manifest_path) -> EntropyStack:
             b = np.frombuffer(blob, "<i4", count=n, offset=off + wn)
             off += wn + bn
             shifts = e.get("channel_shifts")
-            if shifts is None or len(shifts) != n:
+            if not isinstance(shifts, list) or len(shifts) != n:
                 raise ManifestError("quantized layer missing per-channel shifts")
             spec = LayerQuantSpec(
                 n_i=e["n_i"], p_in=e["p_in"], p_out=e["p_out"], k=np.asarray(shifts)
             )
-            layers.append(
-                QConvLayer(
+            try:
+                layer = QConvLayer(
                     w_q=w.astype(np.int64).reshape(m, k, k, n),
                     b_q=b.astype(np.int64),
                     spec=spec,
                     mask=e["mask"],
                 )
-            )
+            except WeightRangeError as err:
+                raise WeightRangeError(f"{name}[{i}]: {err}") from err
+            layers.append(layer)
         chains[name] = layers
     if off != len(blob):
         raise ManifestError("blob longer than manifest shapes require")
-    return EntropyStack(
-        hyperdecoder=chains["hyperdecoder"],
-        context=chains["context"],
-        gather=chains["gather"],
-        latent_channels=doc["latent_channels"],
-    )
+    return EntropyStack(**chains, latent_channels=doc["latent_channels"])

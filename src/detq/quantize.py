@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensors import ConvLayerF
+from .tensors import ConvLayerF, FloatTensor
 
 __all__ = [
     "K_MAX",
@@ -30,6 +30,7 @@ __all__ = [
     "ceil_log2",
     "quantize_value",
     "quantize_activation_tensor",
+    "accumulator_bound",
     "derive_weight_shift",
     "adjust_shift_for_bias",
     "quantize_layer",
@@ -52,7 +53,8 @@ REFERENCE_DEFAULTS = {
 
 
 class WeightRangeError(ValueError):
-    """A quantized weight or bias does not fit its integer register."""
+    """A quantized weight or bias does not fit its integer register, or the
+    layer's worst-case accumulator does not fit 32 bits."""
 
 
 def round_half_away(x):
@@ -111,9 +113,24 @@ class LayerQuantSpec:
         object.__setattr__(self, "k", k)
 
 
+def accumulator_bound(w_q, b_q, n_i: int) -> np.ndarray:
+    """Per-channel worst-case |accumulator|: sum|w| * (2^(n_i-1)-1) + |b|.
+
+    w_q is (..., n) and b_q is (n,).  The sign-matched extreme input attains
+    the bound, and it bounds every partial sum in every summation order.
+    """
+    w = np.abs(np.asarray(w_q, dtype=np.int64))
+    x_max = (1 << (n_i - 1)) - 1
+    return w.reshape(-1, w.shape[-1]).sum(axis=0) * x_max + np.abs(b_q)
+
+
 @dataclass(frozen=True, eq=False)
 class QConvLayer:
-    """Quantized convolution layer: int16-valued weights, wide-int bias."""
+    """Quantized convolution layer: int16-valued weights, wide-int bias.
+
+    Construction enforces the static overflow bound, so every layer, built
+    or loaded, accumulates in 32 bits for any input within its n_i bits.
+    """
 
     w_q: np.ndarray  # (m, K, K, n) int64, entries within int16
     b_q: np.ndarray  # (n,) int64
@@ -125,8 +142,14 @@ class QConvLayer:
         b = np.asarray(self.b_q, dtype=np.int64)
         if np.abs(w).max(initial=0) > INT16_MAX:
             raise WeightRangeError("quantized weights exceed int16 range")
-        if np.abs(b).max(initial=0) > (1 << (self.spec.n_a - 1)) - 1:
+        acc_max = (1 << (self.spec.n_a - 1)) - 1
+        if np.abs(b).max(initial=0) > acc_max:
             raise WeightRangeError("quantized bias exceeds accumulator range")
+        worst = int(accumulator_bound(w, b, self.spec.n_i).max(initial=0))
+        if worst > acc_max:
+            raise WeightRangeError(
+                f"accumulator bound violated: worst case {worst} exceeds 2^31-1"
+            )
         object.__setattr__(self, "w_q", w)
         object.__setattr__(self, "b_q", b)
 
@@ -194,13 +217,18 @@ def quantize_layer(
     extreme input plus bias) provably fits n_a bits.
     """
     m, kk, _, n = layer.weights.shape
-    x_max = (1 << (n_i - 1)) - 1
     acc_max = (1 << (n_a - 1)) - 1
     eq14_budget = 1 << (n_a - n_i)
 
     w_q = np.zeros((m, kk, kk, n), dtype=np.int64)
     b_q = np.zeros(n, dtype=np.int64)
     ks = np.zeros(n, dtype=np.int64)
+
+    def fits(wq, bq):
+        # |bq| alone first: before the shift is lowered it can exceed int64
+        return abs(bq) <= acc_max and (
+            accumulator_bound(wq[..., None], bq, n_i)[0] <= acc_max
+        )
 
     for j in range(n):
         col = layer.weights[:, :, :, j]
@@ -223,14 +251,13 @@ def quantize_layer(
         bq = int(round_half_away(bias * math.ldexp(1.0, k + p_in)))
         # Rounding can push the channel a hair past the static budget;
         # lower the shift until the worst-case accumulator provably fits.
-        while k > 0 and (
-            int(np.abs(wq).sum()) > eq14_budget
-            or int(np.abs(wq).sum()) * x_max + abs(bq) > acc_max
-        ):
+        ok = fits(wq, bq)
+        while k > 0 and (int(np.abs(wq).sum()) > eq14_budget or not ok):
             k -= 1
             wq = _quantize_channel(col, k)
             bq = int(round_half_away(bias * math.ldexp(1.0, k + p_in)))
-        if int(np.abs(wq).sum()) * x_max + abs(bq) > acc_max:
+            ok = fits(wq, bq)
+        if not ok:
             raise WeightRangeError(
                 f"{name}: channel {j}: cannot satisfy accumulator bound"
             )
@@ -246,7 +273,7 @@ def quantize_activation_tensor(x, spec: LayerQuantSpec) -> "QTensor":
     """Elementwise activation quantization at the layer's input grid."""
     from .intops import QTensor
 
-    data = np.asarray(x.data if hasattr(x, "data") else x, dtype=np.float64)
+    data = np.asarray(x.data if isinstance(x, FloatTensor) else x, dtype=np.float64)
     lim = (1 << (spec.n_i - 1)) - 1
     q = round_half_away(data * math.ldexp(1.0, spec.p_in))
     q = np.clip(q, -lim, lim).astype(np.int64)

@@ -153,22 +153,12 @@ class RangeDecoder:
             self.range <<= 8
 
 
-def _table_at(tables, i, prefix):
-    if callable(tables):
-        return tables(i, prefix)
-    return tables[i]
-
-
 def rc_encode(symbols, tables, shape=(0, 0, 0)) -> Bitstream:
-    """Encode a symbol sequence, one CdfTable per symbol.
-
-    `tables` is a sequence or a callable (index, prefix) -> CdfTable; the
-    callable form matches the autoregressive decoder contract.
-    """
+    """Encode a symbol sequence, one CdfTable per symbol."""
     symbols = [int(s) for s in symbols]
     enc = RangeEncoder()
     for i, s in enumerate(symbols):
-        table = _table_at(tables, i, symbols[:i])
+        table = tables[i]
         if not table.contains(s):
             raise ValueError(
                 f"symbol {s} at {i} outside table range "
@@ -188,8 +178,4 @@ def rc_decode(stream: Bitstream, tables, n: int | None = None) -> list:
     if n is None:
         n = stream.count
     dec = RangeDecoder(stream.payload, n)
-    out: list[int] = []
-    for i in range(n):
-        table = _table_at(tables, i, out)
-        out.append(dec.decode(table))
-    return out
+    return [dec.decode(tables[i]) for i in range(n)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -86,6 +87,42 @@ def test_quantize_unrepresentable_channel_diagnosed(tmp_path, capsys):
 
 def test_verify_pass(model):
     assert main(["verify", str(model)]) == 0
+
+
+def test_verify_tampered_bound_fails(model, tmp_path, capsys):
+    q = tmp_path / "q.json"
+    assert main(["quantize", str(model), "--out", str(q)]) == 0
+    doc = json.loads(q.read_text())
+    first = doc["subnetworks"]["hyperdecoder"][0]
+    n_w = first["m"] * first["k"] ** 2 * first["n"]
+    blob = q.with_suffix(".bin")
+    raw = bytearray(blob.read_bytes())
+    raw[: 2 * n_w] = np.full(n_w, 32767, "<i2").tobytes()  # int16-max weights
+    blob.write_bytes(raw)
+    doc["blob_sha256"] = hashlib.sha256(raw).hexdigest()
+    q.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(q)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL overflow bound" in out and "hyperdecoder[0]" in out
+
+
+def _rewrite(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_verify_layer_missing_key_is_input_error(model, capsys):
+    _rewrite(model, lambda doc: doc["subnetworks"]["gather"][0].pop("p_in"))
+    assert main(["verify", str(model)]) == 2
+    assert "gather[0]" in capsys.readouterr().err
+
+
+def test_verify_malformed_subnetworks_is_input_error(model, capsys):
+    _rewrite(model, lambda doc: doc.update(subnetworks=[1, 2]))
+    assert main(["verify", str(model)]) == 2
+    assert "subnetworks" in capsys.readouterr().err
 
 
 def test_roundtrip_matches_library_call(model, data, capsys):

@@ -55,15 +55,6 @@ def test_phi_fixed_examples():
     assert std_normal_cdf_fixed(32) == 45316
 
 
-def test_phi_interpolation_between_grid_points():
-    # Q8 input halfway between two Q6 grid entries
-    lo = std_normal_cdf_fixed(32)
-    hi = std_normal_cdf_fixed(33)
-    mid = std_normal_cdf_fixed((32 * 4 + 2), frac_bits=8)
-    assert min(lo, hi) <= mid <= max(lo, hi)
-    assert abs(mid - (lo + hi) / 2) <= 1
-
-
 def test_phi_clamps_beyond_six_sigma():
     assert std_normal_cdf_fixed(10_000) == 65535
     assert std_normal_cdf_fixed(-10_000) == 1

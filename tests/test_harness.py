@@ -216,6 +216,31 @@ def test_calibrate_descends_and_picks_conditional_argmin():
     assert rep.trace[0]["p"] == best_p
 
 
+def test_calibrate_layer_objective_is_its_last_decision():
+    grid = (8, 9, 10)
+    fs, cal = calib_case(seed=7)
+    replay = copy.deepcopy(fs)
+    rep = calibrate_shifts(fs, cal, grid=grid, passes=2)
+
+    def objective(stack):
+        pair = make_stack_pair(stack)
+        return sum(
+            int_cross_entropy_bits(latent, _int_priors(pair, latent, hyper, "seq"))
+            for latent, hyper in cal
+        )
+
+    # replay the decisions; each one's objective is that of the stack it leaves
+    decided = {}
+    for t in rep.trace:
+        replay.set_junction_p(t["junction"], t["p"])
+        if t["pass"] == rep.passes:
+            decided[t["junction"]] = objective(replay)
+    assert len(decided) == len(rep.layers)
+    for entry in rep.layers:
+        junction = (entry["subnetwork"], entry["index"])
+        assert entry["objective"] == pytest.approx(decided[junction], rel=1e-12)
+
+
 def test_calibrate_rejects_empty_set():
     fs, _ = calib_case()
     with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,7 +9,6 @@ from detq.intops import (
     leaky_relu_int,
     linear_softmax_field,
     linear_softmax_int,
-    masked_conv_forward,
     qconv_forward,
     requantize,
     round_shift,
@@ -112,19 +110,12 @@ def test_identity_layer_scalar_product():
     np.testing.assert_array_equal(acc[0], x.data[0] * lyr.w_q[0, 0, 0, 0])
 
 
-def test_masked_conv_requires_mask_flag():
-    lyr = qlayer(np.ones((1, 3, 3, 1)) * 0.1)
-    x = QTensor(np.zeros((1, 3, 3), dtype=np.int64), 8, 16)
-    with pytest.raises(ValueError):
-        masked_conv_forward(x, lyr)
-
-
 def test_masked_conv_causality_perturbation_sweep():
     rng = np.random.default_rng(9)
     lyr = qlayer(rng.normal(size=(1, 3, 3, 2)), b=rng.normal(size=2), mask=True)
     h = w = 4
     x = rng.integers(-200, 200, size=(1, h, w))
-    base = masked_conv_forward(QTensor(x, 8, 16), lyr)
+    base = qconv_forward(QTensor(x, 8, 16), lyr)
     for y in range(h):
         for xx in range(w):
             for yy in range(h):
@@ -133,7 +124,7 @@ def test_masked_conv_causality_perturbation_sweep():
                         continue  # only perturb t and later positions
                     pert = x.copy()
                     pert[0, yy, xs] += 50
-                    out = masked_conv_forward(QTensor(pert, 8, 16), lyr)
+                    out = qconv_forward(QTensor(pert, 8, 16), lyr)
                     assert np.all(out[:, y, xx] == base[:, y, xx])
 
 

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from detq.quantize import (
     K_MAX,
+    LayerQuantSpec,
+    QConvLayer,
     WeightRangeError,
+    accumulator_bound,
     adjust_shift_for_bias,
     ceil_log2,
     derive_weight_shift,
@@ -17,7 +20,7 @@ from detq.quantize import (
     quantize_value,
     round_half_away,
 )
-from detq.tensors import ConvLayerF
+from detq.tensors import ConvLayerF, FloatTensor
 
 from oracles import (
     adjust_shift_for_bias_oracle,
@@ -149,6 +152,20 @@ def test_unrepresentable_weight_rejected():
         quantize_layer(layer(np.full((1, 1, 1, 1), 1e9)), n_i=16, p_in=8, p_out=8)
 
 
+def test_qconv_layer_enforces_accumulator_bound():
+    # three int16-max taps: 3 * 32767 * (2^15 - 1) > 2^31 - 1 at 16-bit input
+    w = np.full((3, 1, 1, 2), 32767)
+    w[:, :, :, 1] = 1
+    b = np.array([0, 5])
+    spec16 = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0, 0])
+    assert list(accumulator_bound(w, b, 16)) == [3 * 32767 * 32767, 3 * 32767 + 5]
+    with pytest.raises(WeightRangeError, match="accumulator bound"):
+        QConvLayer(w_q=w, b_q=b, spec=spec16)
+    # the same weights fit at 9-bit input: 3 * 32767 * 255 < 2^31 - 1
+    spec9 = LayerQuantSpec(n_i=9, p_in=8, p_out=8, k=[0, 0])
+    QConvLayer(w_q=w, b_q=b, spec=spec9)
+
+
 # --- quantize_activation_tensor ------------------------------------------
 
 
@@ -168,3 +185,17 @@ def test_activation_tensor_matches_elementwise_oracle():
     got = quantize_activation_tensor(x, q.spec)
     for idx in np.ndindex(*x.shape):
         assert got.data[idx] == quantize_value_oracle(x[idx], 8, 9)
+
+
+def test_activation_tensor_input_forms_agree():
+    rng = np.random.default_rng(8)
+    q = quantize_layer(layer(np.ones((1, 1, 1, 1)) * 0.5), n_i=9, p_in=8, p_out=8)
+    x = rng.normal(0, 2, size=(2, 3, 4))
+    want = quantize_activation_tensor(x, q.spec).data
+    for form in (FloatTensor(x), x.tolist()):
+        np.testing.assert_array_equal(quantize_activation_tensor(form, q.spec).data, want)
+    ints = rng.integers(-8, 9, size=(2, 3, 4))
+    strided = np.repeat(ints, 2, axis=2)[:, :, ::2]  # non-contiguous view
+    for form in (ints, ints.astype(np.int32), strided):
+        got = quantize_activation_tensor(form, q.spec).data
+        np.testing.assert_array_equal(got, np.clip(ints * 256, -255, 255))

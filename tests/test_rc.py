@@ -114,26 +114,6 @@ def test_roundtrip_per_position_tables():
     assert rc_decode(s, tables) == syms
 
 
-def test_callable_table_supplier():
-    rng = np.random.default_rng(3)
-    t = random_table(rng, 8)
-    syms = list(rng.integers(0, 8, 100))
-
-    calls = []
-
-    def supplier(i, prefix):
-        calls.append((i, tuple(prefix)))
-        return t
-
-    s = rc_encode(syms, supplier)
-    got = rc_decode(s, supplier)
-    assert got == syms
-    # the decoder saw exactly its own decoded prefix at each step
-    dec_calls = calls[len(syms):]
-    for i, prefix in dec_calls:
-        assert list(prefix) == syms[:i]
-
-
 # --- compression quality --------------------------------------------------
 
 
