@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,7 +29,7 @@ from .manifest import (
     model_dtype,
     save_quantized_model,
 )
-from .quantize import WeightRangeError
+from .quantize import WeightRangeError, accumulator_bound
 from .tensors import ShapeError
 
 EXIT_OK = 0
@@ -101,6 +102,11 @@ def cmd_verify(args) -> int:
             print(f"FAIL overflow bound: {e}")
             print("verify: FAIL")
             return EXIT_FAIL
+    for name, chain in stack.chains():
+        for i, lyr in enumerate(chain):
+            worst = int(accumulator_bound(lyr.w_q, lyr.b_q, lyr.spec.n_i).max())
+            bits = 31 - math.log2(worst) if worst else math.inf
+            print(f"{name}[{i}] headroom {bits:.2f} bits")
     ok = True
     h = w = 6
     outs = []

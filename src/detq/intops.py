@@ -6,6 +6,12 @@ statically by the shift derivation, and per-channel fused rescaling via
 arithmetic shifts with half-away-from-zero rounding.  Because every
 accumulation is exact, the result is bit-identical for any summation
 order; the `order` argument exists to demonstrate that.
+
+The convolution runs as a float64 BLAS GEMM, and that is exact too.
+QConvLayer enforces sum|w| * x_max + |b| <= 2^31 - 1, so every product
+and every partial sum, taken in any order, is an integer of magnitude
+below 2^31 < 2^53: float64 represents each one exactly, whatever
+summation order, blocking or FMA use the BLAS library picks.
 """
 
 from __future__ import annotations
@@ -47,6 +53,10 @@ SUBNETS = ("hyperdecoder", "context", "gather")
 LEAKY_NUM = 41
 LEAKY_SHIFT = 12
 
+# qconv_forward splits the taps into this many contiguous blocks; `order`
+# folds the blocks' GEMM partials.
+CONV_BLOCKS = 8
+
 
 class AccumulatorOverflowError(ArithmeticError):
     """A requantize left shift pushed a value past the 32-bit range."""
@@ -84,34 +94,33 @@ def clamp_input(x: QTensor, n_i: int) -> QTensor:
     )
 
 
-def round_shift(v, s: int):
+def round_shift(v, s):
     """Scale by 2^-s with half-away rounding (s > 0) or left shift (s <= 0).
 
-    Left shifts that could push values past 31 bits raise, since a real
-    32-bit register would wrap.
+    s is an int or an integer array broadcast against v.  Left shifts that
+    could push values past 31 bits raise, since a real 32-bit register
+    would wrap.
     """
     v = np.asarray(v, dtype=np.int64)
-    if s > 0:
-        r = (np.abs(v) + (1 << (s - 1))) >> s
-        return np.where(v < 0, -r, r)
-    if s == 0:
-        return v.copy()
-    out = v << (-s)
-    if out.size and int(np.abs(out).max()) > (1 << 31) - 1:
+    s = np.asarray(s, dtype=np.int64)
+    right = np.maximum(s, 0)
+    r = (np.abs(v) + ((1 << right) >> 1)) >> right
+    out = np.where(v < 0, -r, r) << np.maximum(-s, 0)
+    if np.any(s < 0) and np.any((s < 0) & (np.abs(out) > (1 << 31) - 1)):
         raise AccumulatorOverflowError(
-            f"left shift by {-s} exceeds the 32-bit range"
+            f"left shift by up to {int(-s.min())} exceeds the 32-bit range"
         )
     return out
 
 
-def _ordered_sum(products: np.ndarray, order: str) -> np.ndarray:
-    """Reduce (P, T, n) products over T in the requested order."""
+def _ordered_sum(terms: np.ndarray, order: str) -> np.ndarray:
+    """Reduce (P, T, n) terms over axis 1 in the requested order."""
     if order == "seq":
-        return np.cumsum(products, axis=1)[:, -1, :]
+        return np.cumsum(terms, axis=1)[:, -1, :]
     if order == "rev":
-        return np.cumsum(products[:, ::-1, :], axis=1)[:, -1, :]
+        return np.cumsum(terms[:, ::-1, :], axis=1)[:, -1, :]
     if order == "tree":
-        arr = products
+        arr = terms
         while arr.shape[1] > 1:
             t = arr.shape[1]
             even = arr[:, 0 : t - t % 2 : 2, :] + arr[:, 1:t:2, :]
@@ -127,7 +136,11 @@ def qconv_forward(x: QTensor, layer: QConvLayer, order: str = "seq") -> np.ndarr
 
     QConvLayer holds sum|w| * x_max + |b| within 32 bits, and the input is
     checked against x_max here, so no partial sum in any order can
-    overflow.  Masked (causal) layers carry their zeroes in the weights.
+    overflow, and each one is an integer below 2^53 that float64 holds
+    exactly.  The T = m*K*K taps are split into min(T, CONV_BLOCKS)
+    contiguous blocks (the last zero-filled); one batched float64 GEMM
+    sums each block, and `order` selects how the block partials are
+    folded.  Masked (causal) layers carry their zeroes in the weights.
     """
     c, h, w = x.shape
     if c != layer.in_channels:
@@ -138,10 +151,19 @@ def qconv_forward(x: QTensor, layer: QConvLayer, order: str = "seq") -> np.ndarr
     if x.data.size and np.abs(x.data).max() > lim:
         raise ValueError("input not clamped to the layer's bit depth")
     cols = im2col(x.data, layer.kernel)  # (h*w, m*K*K)
-    wmat = layer.w_q.reshape(-1, layer.out_channels)
-    products = cols[:, :, None] * wmat[None, :, :]
-    acc = _ordered_sum(products, order) + layer.b_q[None, :]
-    return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)
+    p, t = cols.shape
+    n = layer.out_channels
+    nb = min(t, CONV_BLOCKS)
+    span = -(-t // nb)
+    a = np.zeros((p, nb * span))
+    a[:, :t] = cols
+    wmat = np.zeros((nb * span, n))
+    wmat[:t] = layer.w_q.reshape(t, n)
+    partials = np.matmul(
+        a.reshape(p, nb, span).transpose(1, 0, 2), wmat.reshape(nb, span, n)
+    )  # (nb, h*w, n)
+    acc = _ordered_sum(partials.transpose(1, 0, 2), order).astype(np.int64) + layer.b_q
+    return acc.reshape(h, w, n).transpose(2, 0, 1)
 
 
 def requantize(
@@ -156,10 +178,8 @@ def requantize(
     output is at 2^-p_next, so each channel shifts by k_j + p_in - p_next.
     """
     acc = np.asarray(acc, dtype=np.int64)
-    out = np.empty_like(acc)
-    for j in range(acc.shape[0]):
-        s = int(layer.spec.k[j]) + layer.spec.p_in - p_next
-        out[j] = round_shift(acc[j], s)
+    s = layer.spec.k + (layer.spec.p_in - p_next)
+    out = round_shift(acc, s.reshape((-1,) + (1,) * (acc.ndim - 1)))
     lim = (1 << (out_bits - 1)) - 1
     return QTensor(
         data=np.clip(out, -lim, lim), scale_exp=p_next, bit_depth=out_bits

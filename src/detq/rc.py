@@ -22,6 +22,7 @@ into already-emitted bytes.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -59,6 +60,13 @@ class Bitstream:
     def to_bytes(self) -> bytes:
         if len(self.shape) != 3:
             raise StreamFormatError("shape must be (c, h, w)")
+        fields = [("count", self.count, 32)]
+        fields += [("dimension", d, 16) for d in self.shape]
+        for name, v, bits in fields:
+            if not (isinstance(v, numbers.Integral) and 0 <= v < 1 << bits):
+                raise StreamFormatError(
+                    f"{name} {v!r} does not fit the header's unsigned {bits}-bit field"
+                )
         head = MAGIC + struct.pack(">BI3H", VERSION, self.count, *self.shape)
         return head + self.payload
 

@@ -7,7 +7,11 @@ independently written implementation.
 
 from fractions import Fraction
 
+import numpy as np
+
+from detq.intops import _ordered_sum
 from detq.phi_table import GRID_FRAC_BITS, PHI_TABLE_Q16, Z_LIMIT
+from detq.tensors import im2col
 
 K_MAX = 14
 
@@ -133,3 +137,14 @@ def conv2d_oracle(x, weights, bias):
                             if 0 <= yy < h and 0 <= xs < w:
                                 out[j][y][xx] += x[i][yy][xs] * weights[i][dy][dx][j]
     return out
+
+
+def qconv_oracle(x, layer, order):
+    """Per-tap int64 convolution: the (P, T, n) products tensor reduced over
+    the T = m*K*K taps by intops' ordered sum.  Returns (n, h, w)."""
+    c, h, w = x.shape
+    cols = im2col(x.data, layer.kernel)
+    wmat = layer.w_q.reshape(-1, layer.out_channels)
+    products = cols[:, :, None] * wmat[None, :, :]
+    acc = _ordered_sum(products, order) + layer.b_q[None, :]
+    return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from detq.harness import (
     roundtrip_experiment,
 )
 from detq.manifest import load_float_model, load_quantized_model, save_float_model
+from detq.quantize import accumulator_bound
 from detq.tensors import ConvLayerF
 
 
@@ -85,8 +87,13 @@ def test_quantize_unrepresentable_channel_diagnosed(tmp_path, capsys):
     assert "hyperdecoder[0]" in err and "channel 2" in err
 
 
-def test_verify_pass(model):
+def test_verify_pass(model, capsys):
     assert main(["verify", str(model)]) == 0
+    out = capsys.readouterr().out
+    for name, chain in load_float_model(model).quantize().chains():
+        for i, lyr in enumerate(chain):
+            worst = accumulator_bound(lyr.w_q, lyr.b_q, lyr.spec.n_i).max()
+            assert f"{name}[{i}] headroom {31 - math.log2(worst):.2f} bits\n" in out
 
 
 def test_verify_tampered_bound_fails(model, tmp_path, capsys):

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from detq.intops import (
     ORDERS,
+    AccumulatorOverflowError,
     QTensor,
     clamp_input,
     leaky_relu_int,
@@ -13,11 +17,11 @@ from detq.intops import (
     requantize,
     round_shift,
 )
-from detq.quantize import quantize_layer
+from detq.quantize import LayerQuantSpec, QConvLayer, accumulator_bound, quantize_layer
 from detq.tensors import ConvLayerF
 from detq.harness import make_stack_pair, random_stack, random_latent, _int_priors
 
-from oracles import round_shift_oracle, softmax_oracle
+from oracles import qconv_oracle, round_shift_oracle, softmax_oracle
 
 
 def qlayer(w, b=None, mask=False, n_i=16, p_in=8, p_out=8):
@@ -47,6 +51,21 @@ def test_round_shift_examples():
 @given(st.integers(-(2**30), 2**30), st.integers(0, 20))
 def test_round_shift_matches_oracle(v, s):
     assert int(round_shift(v, s)) == round_shift_oracle(v, s)
+
+
+# shifts from -8 to 20, with |v| small enough that left shifts stay in 31 bits
+_shift_pairs = st.integers(-8, 20).flatmap(
+    lambda s: st.tuples(
+        st.integers(-(2**30 >> max(-s, 0)), 2**30 >> max(-s, 0)), st.just(s)
+    )
+)
+
+
+@given(st.lists(_shift_pairs, min_size=1, max_size=32))
+def test_round_shift_array_shifts_match_oracle(pairs):
+    v, s = (np.array(col) for col in zip(*pairs))
+    got = round_shift(v, s)
+    assert got.tolist() == [round_shift_oracle(a, b) for a, b in pairs]
 
 
 def test_leaky_examples():
@@ -137,6 +156,73 @@ def test_conv_order_invariance_single_layer():
     np.testing.assert_array_equal(outs[0], outs[2])
 
 
+@pytest.mark.parametrize(
+    "m,k,mask,n_i",
+    [
+        (2, 1, False, 16),  # T = 2 < 8, 1x1
+        (5, 1, False, 16),  # T = 5 < 8, 1x1
+        (16, 1, False, 16),  # T = 16, two taps per block, 1x1
+        (12, 1, False, 16),  # T = 12, zero-filled tail block, 1x1
+        (1, 3, False, 16),  # T = 9
+        (3, 3, False, 16),  # T = 27
+        (1, 3, True, 9),  # masked 3x3
+        (2, 5, True, 9),  # masked 5x5, T = 50
+    ],
+)
+def test_qconv_matches_per_tap_oracle(m, k, mask, n_i):
+    rng = np.random.default_rng(100 * m + k)
+    lyr = qlayer(
+        rng.normal(size=(m, k, k, 3)) * 0.5, b=rng.normal(size=3), mask=mask, n_i=n_i
+    )
+    lim = (1 << (n_i - 1)) - 1
+    x = QTensor(rng.integers(-lim, lim + 1, size=(m, 5, 6)), 8, n_i)
+    for order in ORDERS:
+        np.testing.assert_array_equal(
+            qconv_forward(x, lyr, order), qconv_oracle(x, lyr, order)
+        )
+
+
+def test_qconv_exact_at_accumulator_bound():
+    # sum|w| * x_max + |b| = 2 * 32767^2 + 131069 = 2^31 - 1 exactly
+    w = np.array([32767, -32767]).reshape(2, 1, 1, 1)
+    spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0])
+    lyr = QConvLayer(w_q=w, b_q=np.array([131069]), spec=spec)
+    assert accumulator_bound(lyr.w_q, lyr.b_q, 16)[0] == (1 << 31) - 1
+    sign = np.random.default_rng(15).choice([-1, 1], size=(3, 4))
+    x = QTensor(np.stack([32767 * sign, -32767 * sign]), 8, 16)
+    want = 2 * 32767**2 * sign + 131069
+    for order in ORDERS:
+        acc = qconv_forward(x, lyr, order)
+        np.testing.assert_array_equal(acc[0], want)
+        np.testing.assert_array_equal(acc, qconv_oracle(x, lyr, order))
+    assert acc.max() == (1 << 31) - 1
+
+
+def test_codec_width_layer_runs_in_bounded_memory():
+    # 192 -> 384 channels, 5x5, 16x16: the (P, T, n) products tensor would
+    # take 3.8 GB
+    rng = np.random.default_rng(16)
+    lyr = qlayer(rng.normal(size=(192, 5, 5, 384)) * 0.05, b=rng.normal(size=384))
+    x = QTensor(rng.integers(-32767, 32768, size=(192, 16, 16)), 8, 16)
+    outs = []
+    for order in ORDERS:
+        tracemalloc.start()
+        try:
+            outs.append(qconv_forward(x, lyr, order))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"{order}: traced peak {peak / 2**20:.1f} MiB"
+    np.testing.assert_array_equal(outs[0], outs[1])
+    np.testing.assert_array_equal(outs[0], outs[2])
+    xp = np.pad(x.data, ((0, 0), (2, 2), (2, 2)))
+    for j, y, xx in zip(*(rng.integers(0, hi, size=16) for hi in (384, 16, 16))):
+        taps = xp[:, y : y + 5, xx : xx + 5].ravel().tolist()
+        wts = lyr.w_q[..., j].ravel().tolist()
+        want = sum(a * b for a, b in zip(taps, wts)) + int(lyr.b_q[j])
+        assert int(outs[0][j, y, xx]) == want
+
+
 def test_conv_purity():
     rng = np.random.default_rng(11)
     lyr = qlayer(rng.normal(size=(2, 3, 3, 2)))
@@ -162,6 +248,42 @@ def test_requantize_fused_scaling_accuracy():
         exact = acc[j] / 2.0 ** (int(lyr.spec.k[j]) + 8)
         got = out.data[j] / 2.0**10
         assert np.all(np.abs(exact - got) <= 2.0**-11 + 1e-15)
+
+
+def _requantize_loop(acc, layer, p_next, out_bits=16):
+    """requantize as one scalar-shift round_shift call per channel."""
+    out = np.empty_like(acc)
+    for j in range(acc.shape[0]):
+        out[j] = round_shift(acc[j], int(layer.spec.k[j]) + layer.spec.p_in - p_next)
+    lim = (1 << (out_bits - 1)) - 1
+    return np.clip(out, -lim, lim)
+
+
+def _shift_layer(k, p_in):
+    spec = LayerQuantSpec(n_i=16, p_in=p_in, p_out=8, k=k)
+    return QConvLayer(w_q=np.zeros((1, 1, 1, len(k))), b_q=np.zeros(len(k)), spec=spec)
+
+
+def test_requantize_mixed_shifts_match_channel_loop():
+    lyr = _shift_layer([0, 3, 7, 15, 1], p_in=5)  # shifts -3, 0, 4, 12, -2
+    acc = np.random.default_rng(17).integers(-(2**14), 2**14, size=(5, 3, 4))
+    acc[:, 0, 0] = [4, 4, 8, 2048, -2]  # exact halves round away from zero
+    for out_bits in (9, 16):
+        got = requantize(acc, lyr, p_next=8, out_bits=out_bits)
+        np.testing.assert_array_equal(
+            got.data, _requantize_loop(acc, lyr, 8, out_bits)
+        )
+
+
+def test_requantize_left_shift_overflow_still_raises():
+    lyr = _shift_layer([0, 15], p_in=2)  # shifts -6, 9
+    acc = np.zeros((2, 2, 2), dtype=np.int64)
+    acc[1] = 1 << 40  # right-shifted channel: no left-shift overflow
+    requantize(acc, lyr, p_next=8)
+    acc[0, 1, 1] = 1 << 26  # 2^32 after the left shift
+    for fn in (requantize, _requantize_loop):
+        with pytest.raises(AccumulatorOverflowError):
+            fn(acc, lyr, 8)
 
 
 # --- full stack -----------------------------------------------------------

@@ -38,6 +38,20 @@ def test_header_roundtrip():
     assert back == s
 
 
+def test_header_field_ranges():
+    top = Bitstream(count=2**32 - 1, shape=(65535, 1, 65535), payload=b"")
+    assert Bitstream.from_bytes(top.to_bytes()) == top
+    for count, shape in [
+        (1, (1, 70000, 1)),
+        (2**32, (1, 1, 1)),
+        (-1, (1, 1, 1)),
+        (1, (1, -1, 1)),
+        (1, (1, 2.0, 1)),
+    ]:
+        with pytest.raises(StreamFormatError):
+            Bitstream(count=count, shape=shape, payload=b"").to_bytes()
+
+
 def test_bad_magic_and_truncation():
     s = Bitstream(count=1, shape=(1, 1, 1), payload=b"").to_bytes()
     with pytest.raises(StreamFormatError):
