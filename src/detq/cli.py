@@ -91,6 +91,16 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _random_input(chain, rng):
+    """Random 6x6 QTensor on the chain's input grid; None for an empty chain."""
+    if not chain:
+        return None
+    spec = chain[0].spec
+    lim = (1 << (spec.n_i - 1)) - 1
+    data = rng.integers(-lim, lim + 1, (chain[0].in_channels, 6, 6))
+    return QTensor(data, spec.p_in, spec.n_i)
+
+
 def cmd_verify(args) -> int:
     if model_dtype(args.model) == "float32":
         stack = load_float_model(args.model).quantize()
@@ -108,27 +118,11 @@ def cmd_verify(args) -> int:
             bits = 31 - math.log2(worst) if worst else math.inf
             print(f"{name}[{i}] headroom {bits:.2f} bits")
     ok = True
-    h = w = 6
     outs = []
     for order in ("seq", "rev", "tree"):
         rng = np.random.default_rng(args.seed)
-        latent = hyper = None
-        if stack.context:
-            spec = stack.context[0].spec
-            lim = (1 << (spec.n_i - 1)) - 1
-            latent = QTensor(
-                rng.integers(-lim, lim + 1, (stack.context[0].in_channels, h, w)),
-                spec.p_in,
-                spec.n_i,
-            )
-        if stack.hyperdecoder:
-            spec = stack.hyperdecoder[0].spec
-            lim = (1 << (spec.n_i - 1)) - 1
-            hyper = QTensor(
-                rng.integers(-lim, lim + 1, (stack.hyperdecoder[0].in_channels, h, w)),
-                spec.p_in,
-                spec.n_i,
-            )
+        latent = _random_input(stack.context, rng)
+        hyper = _random_input(stack.hyperdecoder, rng)
         try:
             outs.append(run_entropy_stack(latent, hyper, stack, order=order).tobytes())
         except AccumulatorOverflowError as e:

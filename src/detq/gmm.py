@@ -3,7 +3,8 @@
 Everything downstream of the checked-in Phi table is exact integer
 arithmetic, so identical GmmParams bits produce identical CdfTable bits on
 any platform.  Probabilities are Q16 (total 2^16), mixture weights Q15
-(total 2^15).
+(total 2^15).  Both the pmf and the CDF-table builder take a whole
+parameter field and evaluate it in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "apportion",
     "table_digest",
     "std_normal_cdf_fixed",
-    "gmm_pmf",
     "gmm_pmf_field",
     "build_cdf_table",
 ]
@@ -97,7 +97,7 @@ class GmmParams:
         return self.weights.shape[1:]
 
     def element(self, idx) -> "GmmParams":
-        """Single-element view: GmmParams with shape (3,)."""
+        """Sub-field view: idx indexes the field axes (integers or slices)."""
         sel = (slice(None),) + tuple(idx)
         return GmmParams(
             weights=self.weights[sel],
@@ -131,19 +131,11 @@ def _mixture_cdf_q16(t_fp, weights, means, scales):
     return out - (tie & (out & 1))
 
 
-def gmm_pmf(v: int, params: GmmParams) -> int:
-    """Q16 probability of integer symbol v under a single-element mixture."""
-    if params.weights.shape != (3,):
-        raise ValueError("gmm_pmf expects a single element; use gmm_pmf_field")
-    half = 1 << (params.scale_exp - 1)
-    w, mu, sg = params.weights, params.means, params.scales
-    hi = int(_mixture_cdf_q16((v << params.scale_exp) + half, w, mu, sg))
-    lo = int(_mixture_cdf_q16((v << params.scale_exp) - half, w, mu, sg))
-    return hi - lo
-
-
 def gmm_pmf_field(symbols, params: GmmParams):
-    """Vectorized gmm_pmf: symbols shaped like the parameter field."""
+    """Q16 probability of each integer symbol under its element's mixture.
+
+    symbols is shaped like the parameter field (a 0-d field takes a scalar).
+    """
     v = np.asarray(symbols, dtype=np.int64)
     if v.shape != params.field_shape:
         raise ValueError("symbol field shape must match the parameter field")
@@ -221,15 +213,14 @@ def apportion(base, rem, target: int):
     return base + (rank < left)
 
 
-def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
-    """Monotone integer CDF table for one element's mixture.
+def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> list[CdfTable]:
+    """Monotone integer CDF tables, one per element of the field, in C order.
 
-    Tail mass beyond [v_min, v_max] is folded into the boundary symbols;
-    frequencies are renormalized to total 2^16 with a floor of 1 per
-    symbol via largest-remainder apportionment.
+    All elements are evaluated in one vectorized pass.  Tail mass beyond
+    [v_min, v_max] is folded into the boundary symbols; frequencies are
+    renormalized to total 2^16 with a floor of 1 per symbol via
+    largest-remainder apportionment.
     """
-    if params.weights.shape != (3,):
-        raise ValueError("build_cdf_table expects a single element")
     if v_min > v_max:
         raise ValueError("empty symbol range")
     s = v_max - v_min + 1
@@ -239,17 +230,15 @@ def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
     bounds = (
         (np.arange(v_min, v_max + 2, dtype=np.int64) << params.scale_exp) - half
     )
-    cum = _mixture_cdf_q16(
-        bounds[None, :],
-        params.weights[:, None],
-        params.means[:, None],
-        params.scales[:, None],
+    w, mu, sg = (
+        a.reshape(3, 1, -1) for a in (params.weights, params.means, params.scales)
     )
-    cum = np.asarray(cum, dtype=np.int64)
+    cum = _mixture_cdf_q16(bounds[:, None], w, mu, sg)  # (S+1, N)
     cum[0] = 0
     cum[-1] = CDF_TOTAL
-    raw = np.diff(cum)  # sums to CDF_TOTAL
+    raw = np.diff(cum, axis=0)  # each column sums to CDF_TOTAL
     target = CDF_TOTAL - s
     freq = 1 + apportion(raw * target // CDF_TOTAL, raw * target % CDF_TOTAL, target)
-    cf = np.concatenate([[0], np.cumsum(freq)])
-    return CdfTable(v_min=v_min, v_max=v_max, cf=cf)
+    cf = np.zeros((freq.shape[1], s + 1), dtype=np.int64)
+    cf[:, 1:] = np.cumsum(freq, axis=0).T
+    return [CdfTable(v_min=v_min, v_max=v_max, cf=row) for row in cf]

@@ -35,7 +35,7 @@ from .intops import (
     run_entropy_stack,
 )
 from .quantize import quantize_activation_tensor, quantize_layer, round_half_away
-from .rc import rc_decode, rc_encode
+from .rc import RangeDecoder, rc_decode, rc_encode
 from .tensors import ConvLayerF, im2col
 
 __all__ = [
@@ -190,19 +190,6 @@ class FloatPriors:
     means: np.ndarray
     scales: np.ndarray
 
-    def max_reldiff(self, other: "FloatPriors") -> float:
-        worst = 0.0
-        for a, b in (
-            (self.weights, other.weights),
-            (self.means, other.means),
-            (self.scales, other.scales),
-        ):
-            a64 = np.asarray(a, dtype=np.float64)
-            b64 = np.asarray(b, dtype=np.float64)
-            denom = np.maximum(np.maximum(np.abs(a64), np.abs(b64)), 1e-30)
-            worst = max(worst, float(np.max(np.abs(a64 - b64) / denom)))
-        return worst
-
 
 def conv_ordered_float(x: np.ndarray, layer: ConvLayerF, order: str) -> np.ndarray:
     """float32 convolution with an explicit accumulation order.
@@ -318,20 +305,16 @@ def run_backend(stacks: StackPair, latent, hyper, variant: BackendVariant) -> Gm
     return discretize_priors(priors, stacks.float_stack.head_scale_exp)
 
 
-def _raster_elements(shape):
-    c, h, w = shape
-    for y in range(h):
-        for x in range(w):
-            for ch in range(c):
-                yield ch, y, x
+def _raster(a):
+    """A (c, h, w) array flattened in coding order: raster position, then channel."""
+    return np.asarray(a).transpose(1, 2, 0).ravel()
 
 
 def field_tables(params: GmmParams, v_min: int, v_max: int):
-    """Per-element CDF tables in decode order (raster position, then channel)."""
-    return [
-        build_cdf_table(params.element(idx), v_min, v_max)
-        for idx in _raster_elements(params.field_shape)
-    ]
+    """Per-element CDF tables in coding order (see _raster)."""
+    tables = build_cdf_table(params, v_min, v_max)
+    order = _raster(np.arange(len(tables)).reshape(params.field_shape))
+    return [tables[i] for i in order]
 
 
 def _dec_params_fn(stacks: StackPair, hyper, variant: BackendVariant):
@@ -379,45 +362,35 @@ def roundtrip_experiment(
 
     enc_params = run_backend(stacks, latent, hyper, enc)
     stream = rc_encode(
-        [latent[idx] for idx in _raster_elements(latent.shape)],
-        field_tables(enc_params, v_min, v_max),
-        shape=latent.shape,
+        _raster(latent), field_tables(enc_params, v_min, v_max), shape=latent.shape
     )
 
+    # Without a context model the priors do not depend on the canvas, so
+    # they are computed once; with one, after every decoded position.
     params_of = _dec_params_fn(stacks, hyper, dec)
     has_context = bool(stacks.quant_stack.context)
-    if not has_context:
-        dec_params = params_of(np.zeros_like(latent))
-        decoded = rc_decode(stream, field_tables(dec_params, v_min, v_max))
-        canvas = np.zeros_like(latent)
-        for sym, idx in zip(decoded, _raster_elements(latent.shape)):
-            canvas[idx] = sym
-    else:
-        from .rc import RangeDecoder
+    canvas = np.zeros_like(latent)
+    dec_params = params_of(canvas)
+    decoder = RangeDecoder(stream.payload, stream.count)
+    _, h, w = latent.shape
+    for y in range(h):
+        for x in range(w):
+            pos = dec_params.element((slice(None), y, x))
+            tables = build_cdf_table(pos, v_min, v_max)
+            canvas[:, y, x] = [decoder.decode(t) for t in tables]
+            if has_context:
+                dec_params = params_of(canvas)
+    return _report(_raster(latent), _raster(canvas), enc_params, dec_params)
 
-        canvas = np.zeros_like(latent)
-        decoder = RangeDecoder(stream.payload, stream.count)
-        c, h, w = latent.shape
-        for y in range(h):
-            for x in range(w):
-                pos_params = params_of(canvas)
-                for ch in range(c):
-                    table = build_cdf_table(
-                        pos_params.element((ch, y, x)), v_min, v_max
-                    )
-                    canvas[ch, y, x] = decoder.decode(table)
-        dec_params = params_of(canvas)
 
-    true_seq = [int(latent[idx]) for idx in _raster_elements(latent.shape)]
-    got_seq = [int(canvas[idx]) for idx in _raster_elements(latent.shape)]
-    first = next(
-        (i for i, (a, b) in enumerate(zip(true_seq, got_seq)) if a != b), None
-    )
-    reldiff = _params_max_reldiff(enc_params, dec_params)
+def _report(sent, got, enc_params: GmmParams, dec_params: GmmParams):
+    """Interop outcome of coding-order symbol sequences sent and got."""
+    diff = np.flatnonzero(np.asarray(sent) != np.asarray(got))
+    first = int(diff[0]) if diff.size else None
     return InteropReport(
-        decoded_equal=(first is None),
+        decoded_equal=first is None,
         first_mismatch=first,
-        prior_max_reldiff=reldiff,
+        prior_max_reldiff=_params_max_reldiff(enc_params, dec_params),
     )
 
 
@@ -480,15 +453,11 @@ def boundary_failure_demo(
         )
 
     v_min, v_max = -DEFAULT_SYMBOL_BOUND, DEFAULT_SYMBOL_BOUND
-    seq = [int(symbols[idx]) for idx in _raster_elements(symbols.shape)]
-    stream = rc_encode(seq, field_tables(enc_params, v_min, v_max), shape=symbols.shape)
-    decoded = rc_decode(stream, field_tables(dec_params, v_min, v_max))
-    first = next((i for i, (a, b) in enumerate(zip(seq, decoded)) if a != b), None)
-    return InteropReport(
-        decoded_equal=(first is None),
-        first_mismatch=first,
-        prior_max_reldiff=_params_max_reldiff(enc_params, dec_params),
-    )
+    sent = _raster(symbols)
+    tables = field_tables(enc_params, v_min, v_max)
+    stream = rc_encode(sent, tables, shape=symbols.shape)
+    got = rc_decode(stream, field_tables(dec_params, v_min, v_max))
+    return _report(sent, got, enc_params, dec_params)
 
 
 # ---------------------------------------------------------------------------

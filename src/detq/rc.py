@@ -176,14 +176,12 @@ def rc_encode(symbols, tables, shape=(0, 0, 0)) -> Bitstream:
     return Bitstream(count=len(symbols), shape=tuple(shape), payload=enc.finish())
 
 
-def rc_decode(stream: Bitstream, tables, n: int | None = None) -> list:
+def rc_decode(stream: Bitstream, tables) -> list:
     """Inverse of rc_encode given bit-identical tables.
 
-    With a differing table at position t the output may diverge from t
-    onward; that divergence is exactly the cross-device decode failure the
-    interop harness measures.
+    Decodes stream.count symbols.  With a differing table at position t the
+    output may diverge from t onward; that divergence is exactly the
+    cross-device decode failure the interop harness measures.
     """
-    if n is None:
-        n = stream.count
-    dec = RangeDecoder(stream.payload, n)
-    return [dec.decode(tables[i]) for i in range(n)]
+    dec = RangeDecoder(stream.payload, stream.count)
+    return [dec.decode(tables[i]) for i in range(stream.count)]

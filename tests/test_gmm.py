@@ -9,7 +9,6 @@ from detq.gmm import (
     CdfTable,
     GmmParams,
     build_cdf_table,
-    gmm_pmf,
     gmm_pmf_field,
     sigma_min_for,
     std_normal_cdf_fixed,
@@ -72,7 +71,7 @@ def test_phi_table_exactly_antisymmetric():
 def test_pmf_single_gaussian_center():
     # Phi(0.5) - Phi(-0.5) ~ 0.382925 -> 25096 in Q16
     p = single_gaussian(0, 256, scale_exp=8)
-    assert gmm_pmf(0, p) == 25096
+    assert gmm_pmf_field(0, p) == 25096
 
 
 def test_pmf_symmetry():
@@ -83,7 +82,7 @@ def test_pmf_symmetry():
         scale_exp=8,
     )
     for v in range(0, 6):
-        assert gmm_pmf(v, p) == gmm_pmf(-v, p)
+        assert gmm_pmf_field(v, p) == gmm_pmf_field(-v, p)
 
 
 def test_pmf_degenerate_mixture_equals_single_gaussian():
@@ -96,12 +95,12 @@ def test_pmf_degenerate_mixture_equals_single_gaussian():
     )
     p1 = single_gaussian(37, 300)
     for v in range(-4, 5):
-        assert gmm_pmf(v, p3) == gmm_pmf(v, p1)
+        assert gmm_pmf_field(v, p3) == gmm_pmf_field(v, p1)
 
 
 def test_pmf_unimodal_around_mean():
     p = single_gaussian(0, 256)
-    vals = [gmm_pmf(v, p) for v in range(0, 8)]
+    vals = [gmm_pmf_field(v, p) for v in range(0, 8)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -122,7 +121,13 @@ def test_pmf_field_matches_scalar():
     symbols = rng.integers(-5, 6, shape)
     field = gmm_pmf_field(symbols, params)
     for idx in np.ndindex(*shape):
-        assert field[idx] == gmm_pmf(int(symbols[idx]), params.element(idx))
+        sel = (slice(None),) + idx
+        w, mu, sg = params.weights[sel], params.means[sel], params.scales[sel]
+        t = int(symbols[idx]) << 8
+        want = mixture_cdf_oracle(t + 128, w, mu, sg) - mixture_cdf_oracle(
+            t - 128, w, mu, sg
+        )
+        assert field[idx] == want
 
 
 def test_mixture_cdf_matches_oracle():
@@ -140,7 +145,7 @@ def test_mixture_cdf_matches_oracle():
         want = mixture_cdf_oracle(
             (v << 8) + 128, p.weights, p.means, p.scales
         ) - mixture_cdf_oracle((v << 8) - 128, p.weights, p.means, p.scales)
-        assert gmm_pmf(v, p) == want
+        assert gmm_pmf_field(v, p) == want
 
 
 # --- params validation ----------------------------------------------------
@@ -182,7 +187,7 @@ def test_table_validation():
 
 def test_interval_inverse_of_symbol_lookup():
     p = single_gaussian(0, 256)
-    t = build_cdf_table(p, -8, 8)
+    [t] = build_cdf_table(p, -8, 8)
     for v in range(-8, 9):
         lo, hi = t.interval(v)
         assert t.symbol_for_cum(lo) == v
@@ -199,7 +204,7 @@ def test_build_table_postconditions():
             scales=rng.integers(16, 2000, 3),
             scale_exp=8,
         )
-        t = build_cdf_table(p, -8, 8)
+        [t] = build_cdf_table(p, -8, 8)
         assert t.cf[0] == 0 and t.cf[-1] == CDF_TOTAL
         assert np.all(np.diff(t.cf) >= 1)
 
@@ -215,7 +220,7 @@ def test_build_table_matches_independent_oracle():
             scales=rng.integers(20, 1200, 3),
             scale_exp=8,
         )
-        t = build_cdf_table(p, -8, 8)
+        [t] = build_cdf_table(p, -8, 8)
         want = cdf_table_oracle(
             [int(v) for v in p.weights],
             [int(v) for v in p.means],
@@ -236,7 +241,7 @@ def test_symmetric_params_near_mirror():
         scales=np.array([256, 512, 128]),
         scale_exp=8,
     )
-    t = build_cdf_table(p, -8, 8)
+    [t] = build_cdf_table(p, -8, 8)
     s = t.num_symbols
     for i in range(s + 1):
         assert abs(int(t.cf[i]) + int(t.cf[s - i]) - CDF_TOTAL) <= 1

@@ -9,6 +9,7 @@ from detq.harness import (
     calibrate_shifts,
     conv_ordered_float,
     discretize_priors,
+    field_tables,
     float_cross_entropy_bits,
     int_cross_entropy_bits,
     make_stack_pair,
@@ -19,8 +20,10 @@ from detq.harness import (
     run_float_stack,
     _int_priors,
 )
-from detq.gmm import WEIGHT_TOTAL
+from detq.gmm import WEIGHT_TOTAL, GmmParams, sigma_min_for
 from detq.tensors import ConvLayerF
+
+from oracles import cdf_table_oracle
 
 
 def fixture_pair(seed=21, **kw):
@@ -80,6 +83,42 @@ def test_discretize_priors_weights_positive_and_normalized():
 
 
 # --- roundtrips -----------------------------------------------------------
+
+
+def test_field_tables_match_oracle_in_coding_order():
+    # every element distinct, so a wrong order or mixed-up columns shows
+    rng = np.random.default_rng(8)
+    shape = (2, 3, 4)
+    w1 = rng.integers(0, WEIGHT_TOTAL + 1, shape)
+    w2 = rng.integers(0, WEIGHT_TOTAL + 1, shape) % (WEIGHT_TOTAL - w1 + 1)
+    weights = np.stack([w1, w2, WEIGHT_TOTAL - w1 - w2])
+    weights[:, 0, 0, 0] = [WEIGHT_TOTAL, 0, 0]  # zero-weight components
+    weights[:, 1, 2, 3] = [0, WEIGHT_TOTAL // 2, WEIGHT_TOTAL // 2]
+    means = rng.integers(-900, 900, (3,) + shape)
+    means[:, 0, 1, 2] = [5000, -5000, 3000]  # beyond the +-6 sigma Phi clamp
+    scales = rng.integers(20, 1200, (3,) + shape)
+    scales[:, 0, 1, 2] = [200, 300, 100]
+    scales[:, 1, 0, 1] = sigma_min_for(8)
+    params = GmmParams(weights=weights, means=means, scales=scales, scale_exp=8)
+
+    tables = field_tables(params, -8, 8)
+    assert len(tables) == 24
+    # coding order: raster position, then channel
+    for table, (y, x, ch) in zip(tables, np.ndindex(3, 4, 2)):
+        sel = (slice(None), ch, y, x)
+        want = cdf_table_oracle(
+            [int(v) for v in weights[sel]],
+            [int(v) for v in means[sel]],
+            [int(v) for v in scales[sel]],
+            8,
+            -8,
+            8,
+        )
+        np.testing.assert_array_equal(table.cf, want)
+
+    empty = np.zeros((3, 1, 0, 0), dtype=np.int64)
+    params = GmmParams(weights=empty, means=empty, scales=empty, scale_exp=8)
+    assert field_tables(params, -8, 8) == []
 
 
 def test_int_roundtrip_all_variant_pairs():
