@@ -54,7 +54,6 @@ from .quantize import (
     ACCUM_BITS,
     K_MAX,
     LayerQuantSpec,
-    REFERENCE_DEFAULTS,
     QConvLayer,
     WeightRangeError,
     accumulator_bound,

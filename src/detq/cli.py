@@ -145,9 +145,8 @@ def cmd_roundtrip(args) -> int:
             stacks,
             latent,
             hyper,
-            BackendVariant("enc", args.enc_variant),
-            BackendVariant("dec", args.dec_variant),
-            prior_mode=args.mode,
+            BackendVariant("enc", args.enc_variant, args.mode),
+            BackendVariant("dec", args.dec_variant, args.mode),
         )
         print(f"case {i}:")
         print(report.to_text(), end="")

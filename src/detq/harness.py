@@ -28,11 +28,11 @@ from .intops import (
     LEAKY_NUM,
     LEAKY_SHIFT,
     ORDERS,
+    SUBNETS,
     EntropyStack,
     _ordered_sum,
     hyper_features,
     priors_from_features,
-    run_entropy_stack,
 )
 from .quantize import quantize_activation_tensor, quantize_layer, round_half_away
 from .rc import RangeDecoder, rc_decode, rc_encode
@@ -48,6 +48,7 @@ __all__ = [
     "conv_ordered_float",
     "run_float_stack",
     "discretize_priors",
+    "prior_fn",
     "run_backend",
     "field_tables",
     "roundtrip_experiment",
@@ -61,6 +62,9 @@ __all__ = [
 ]
 
 DEFAULT_SYMBOL_BOUND = 8
+
+# EntropyStackF field holding each subnetwork's LayerCfg list
+CFG_FIELDS = dict(zip(SUBNETS, ("hyper_cfg", "context_cfg", "gather_cfg")))
 
 _LEAKY_SLOPE = np.float32(LEAKY_NUM) / np.float32(1 << LEAKY_SHIFT)
 
@@ -117,11 +121,7 @@ class EntropyStackF:
     latent_channels: int
 
     def chains(self):
-        return (
-            ("hyperdecoder", self.hyperdecoder, self.hyper_cfg),
-            ("context", self.context, self.context_cfg),
-            ("gather", self.gather, self.gather_cfg),
-        )
+        return tuple((name, getattr(self, name), self._cfg(name)) for name in SUBNETS)
 
     @property
     def head_scale_exp(self) -> int:
@@ -139,11 +139,7 @@ class EntropyStackF:
         return out
 
     def _cfg(self, name):
-        return {
-            "hyperdecoder": self.hyper_cfg,
-            "context": self.context_cfg,
-            "gather": self.gather_cfg,
-        }[name]
+        return getattr(self, CFG_FIELDS[name])
 
     def junction_p(self, junction) -> int:
         name, i = junction
@@ -162,22 +158,16 @@ class EntropyStackF:
                 self.context_cfg[-1].p_out = p
 
     def quantize(self) -> EntropyStack:
-        def quant_chain(name, layers, cfgs):
-            return [
-                quantize_layer(
-                    lyr,
-                    n_i=c.n_i,
-                    p_in=c.p_in,
-                    p_out=c.p_out,
-                    name=f"{name}[{i}]",
-                )
-                for i, (lyr, c) in enumerate(zip(layers, cfgs))
-            ]
-
         return EntropyStack(
-            hyperdecoder=quant_chain("hyperdecoder", self.hyperdecoder, self.hyper_cfg),
-            context=quant_chain("context", self.context, self.context_cfg),
-            gather=quant_chain("gather", self.gather, self.gather_cfg),
+            **{
+                name: [
+                    quantize_layer(
+                        lyr, n_i=c.n_i, p_in=c.p_in, p_out=c.p_out, name=f"{name}[{i}]"
+                    )
+                    for i, (lyr, c) in enumerate(zip(layers, cfgs))
+                ]
+                for name, layers, cfgs in self.chains()
+            },
             latent_channels=self.latent_channels,
         )
 
@@ -285,24 +275,29 @@ def _quantize_for(chain, x):
     return quantize_activation_tensor(x, chain[0].spec) if chain else None
 
 
-def _int_priors(stacks: StackPair, latent, hyper, order: str) -> GmmParams:
-    qs = stacks.quant_stack
-    latent_q = _quantize_for(qs.context, latent)
-    hyper_q = _quantize_for(qs.hyperdecoder, hyper)
-    return run_entropy_stack(latent_q, hyper_q, qs, order=order)
+def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
+    """Priors one simulated device computes, as a function of the latent canvas.
+
+    The hyper-only work runs once, here.  Integer mode is bit-identical
+    across variants; float mode may differ at the ulp level between
+    accumulation orders, and those differences can survive discretization.
+    """
+    order = variant.order
+    if variant.mode == "int":
+        qs = stacks.quant_stack
+        hyper_feat = hyper_features(_quantize_for(qs.hyperdecoder, hyper), qs, order)
+        return lambda canvas: priors_from_features(
+            hyper_feat, _quantize_for(qs.context, canvas), qs, order
+        )
+    fs = stacks.float_stack
+    return lambda canvas: discretize_priors(
+        run_float_stack(fs, canvas, hyper, order), fs.head_scale_exp
+    )
 
 
 def run_backend(stacks: StackPair, latent, hyper, variant: BackendVariant) -> GmmParams:
-    """Priors as computed on one simulated device.
-
-    Integer mode is bit-identical across variants; float mode may differ
-    at the ulp level between accumulation orders, and those differences
-    can survive discretization.
-    """
-    if variant.mode == "int":
-        return _int_priors(stacks, latent, hyper, variant.order)
-    priors = run_float_stack(stacks.float_stack, latent, hyper, variant.order)
-    return discretize_priors(priors, stacks.float_stack.head_scale_exp)
+    """Priors of a whole latent as computed on one simulated device."""
+    return prior_fn(stacks, hyper, variant)(latent)
 
 
 def _raster(a):
@@ -317,57 +312,32 @@ def field_tables(params: GmmParams, v_min: int, v_max: int):
     return [tables[i] for i in order]
 
 
-def _dec_params_fn(stacks: StackPair, hyper, variant: BackendVariant):
-    """Decoder-side prior regeneration as a function of the latent canvas."""
-    if variant.mode == "int":
-        qs = stacks.quant_stack
-        hyper_q = _quantize_for(qs.hyperdecoder, hyper)
-        hyper_feat = hyper_features(hyper_q, qs, variant.order)
-
-        def params_of(canvas):
-            latent_q = _quantize_for(qs.context, canvas)
-            return priors_from_features(hyper_feat, latent_q, qs, variant.order)
-
-        return params_of
-
-    fstack = stacks.float_stack
-
-    def params_of_float(canvas):
-        priors = run_float_stack(fstack, canvas, hyper, variant.order)
-        return discretize_priors(priors, fstack.head_scale_exp)
-
-    return params_of_float
-
-
 def roundtrip_experiment(
     stacks: StackPair,
     latent,
     hyper,
     enc_variant: BackendVariant,
     dec_variant: BackendVariant,
-    prior_mode: str = "int",
-    symbol_bound: int = DEFAULT_SYMBOL_BOUND,
 ) -> InteropReport:
     """Encode latents with priors from one device, decode on another.
 
-    The decoder regenerates priors autoregressively from its own decoded
+    Each device computes priors in its variant's mode and order.  The
+    decoder regenerates priors autoregressively from its own decoded
     symbols, exactly as a real decoder must.
     """
     latent = np.asarray(latent, dtype=np.int64)
-    v_min, v_max = -symbol_bound, symbol_bound
+    v_min, v_max = -DEFAULT_SYMBOL_BOUND, DEFAULT_SYMBOL_BOUND
     if latent.min(initial=0) < v_min or latent.max(initial=0) > v_max:
         raise ValueError("latent symbols outside the coder alphabet")
-    enc = BackendVariant(enc_variant.id, enc_variant.order, prior_mode)
-    dec = BackendVariant(dec_variant.id, dec_variant.order, prior_mode)
 
-    enc_params = run_backend(stacks, latent, hyper, enc)
+    enc_params = run_backend(stacks, latent, hyper, enc_variant)
     stream = rc_encode(
         _raster(latent), field_tables(enc_params, v_min, v_max), shape=latent.shape
     )
 
     # Without a context model the priors do not depend on the canvas, so
     # they are computed once; with one, after every decoded position.
-    params_of = _dec_params_fn(stacks, hyper, dec)
+    params_of = prior_fn(stacks, hyper, dec_variant)
     has_context = bool(stacks.quant_stack.context)
     canvas = np.zeros_like(latent)
     dec_params = params_of(canvas)
@@ -472,12 +442,6 @@ class CalibrationReport:
     final_objective: float = math.inf
     passes: int = 0
 
-    def pass_objectives(self):
-        out = {}
-        for entry in self.trace:
-            out[entry["pass"]] = entry["objective"]
-        return [out[k] for k in sorted(out)]
-
 
 def int_cross_entropy_bits(latent, params: GmmParams) -> float:
     """Total bits of the latent symbols under integer-pipeline priors."""
@@ -525,6 +489,7 @@ def calibrate_shifts(
     if not calib_tensors:
         raise ValueError("calibration set is empty")
     grid = tuple(sorted(int(p) for p in grid))
+    device = BackendVariant("calibration")
 
     def objective() -> float:
         try:
@@ -533,9 +498,7 @@ def calibrate_shifts(
             return math.inf
         total = 0.0
         for latent, hyper in calib_tensors:
-            params = _int_priors(
-                StackPair(fstack, stack), latent, hyper, "seq"
-            )
+            params = run_backend(StackPair(fstack, stack), latent, hyper, device)
             total += int_cross_entropy_bits(latent, params)
         return total
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pathlib
 
 import numpy as np
 
-from .harness import EntropyStackF, LayerCfg
+from .harness import CFG_FIELDS, EntropyStackF, LayerCfg
 from .intops import SUBNETS, EntropyStack
 from .quantize import ACCUM_BITS, LayerQuantSpec, QConvLayer, WeightRangeError
 from .tensors import ConvLayerF
@@ -35,6 +36,9 @@ VERSION = 1
 
 _INT_KEYS = ("m", "k", "n", "n_i", "p_in", "p_out")
 
+# little-endian (weights, biases) blob dtypes of each model dtype
+_BLOB_DTYPES = {"float32": ("<f4", "<f4"), "int16": ("<i2", "<i4")}
+
 
 class ManifestError(ValueError):
     """Inconsistent, malformed, or missing manifest/blob data."""
@@ -45,35 +49,10 @@ def _blob_path(manifest_path: pathlib.Path, entry: str) -> pathlib.Path:
     return p if p.is_absolute() else manifest_path.parent / p
 
 
-def _layer_entry(m, k, n, mask, cfg: LayerCfg, shifts=None):
-    entry = {
-        "m": int(m),
-        "k": int(k),
-        "n": int(n),
-        "mask": bool(mask),
-        "n_i": int(cfg.n_i),
-        "p_in": int(cfg.p_in),
-        "p_out": int(cfg.p_out),
-    }
-    if shifts is not None:
-        entry["channel_shifts"] = [int(v) for v in shifts]
-    return entry
-
-
-def _write(manifest_path, doc, blob: bytes):
-    manifest_path = pathlib.Path(manifest_path)
-    blob_name = manifest_path.stem + ".bin"
-    doc = dict(doc)
-    doc["blob"] = blob_name
-    doc["blob_sha256"] = hashlib.sha256(blob).hexdigest()
-    (manifest_path.parent / blob_name).write_bytes(blob)
-    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _check_schema(doc):
     """Types, ranges and subnetwork names of a manifest document."""
-    if doc.get("dtype") not in ("float32", "int16"):
-        raise ManifestError("dtype must be float32 or int16")
+    if doc.get("dtype") not in _BLOB_DTYPES:
+        raise ManifestError(f"dtype must be {' or '.join(_BLOB_DTYPES)}")
     if type(doc.get("latent_channels")) is not int or doc["latent_channels"] < 1:
         raise ManifestError("latent_channels must be a positive integer")
     subnets = doc.get("subnetworks")
@@ -92,6 +71,15 @@ def _check_schema(doc):
                 raise ManifestError(
                     f"{name}[{i}]: needs positive integer m, k, n, integer "
                     "n_i, p_in, p_out and boolean mask"
+                )
+            shifts = e.get("channel_shifts")
+            if doc["dtype"] == "int16" and not (
+                isinstance(shifts, list)
+                and len(shifts) == e["n"]
+                and all(type(v) is int for v in shifts)
+            ):
+                raise ManifestError(
+                    f"{name}[{i}]: channel_shifts must be a list of {e['n']} integers"
                 )
     if len(subnets.get("gather", [])) != 7:
         raise ManifestError("gather subnetwork must have exactly 7 layers")
@@ -125,131 +113,119 @@ def model_dtype(manifest_path) -> str:
     return doc["dtype"]
 
 
-def save_float_model(manifest_path, stack: EntropyStackF):
+def _save(manifest_path, dtype: str, latent_channels: int, layers):
+    """Write a manifest and its blob.
+
+    layers yields (subnetwork, weights, bias, mask, cfg, extra) in SUBNETS
+    order; cfg carries n_i, p_in and p_out, and extra holds any further
+    JSON fields of the layer entry.
+    """
+    w_dt, b_dt = _BLOB_DTYPES[dtype]
+    subnets = {name: [] for name in SUBNETS}
+    parts = []
+    for name, w, b, mask, cfg, extra in layers:
+        m, k, _, n = w.shape
+        subnets[name].append(
+            {"m": m, "k": k, "n": n, "mask": bool(mask), **extra}
+            | {key: int(getattr(cfg, key)) for key in ("n_i", "p_in", "p_out")}
+        )
+        parts += [w.astype(w_dt).tobytes(), b.astype(b_dt).tobytes()]
+    manifest_path = pathlib.Path(manifest_path)
+    blob = b"".join(parts)
     doc = {
         "format": FORMAT,
         "version": VERSION,
-        "dtype": "float32",
+        "dtype": dtype,
         "n_a": ACCUM_BITS,
-        "latent_channels": stack.latent_channels,
-        "subnetworks": {},
+        "latent_channels": latent_channels,
+        "subnetworks": subnets,
+        "blob": manifest_path.stem + ".bin",
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
-    parts = []
-    for name, layers, cfgs in stack.chains():
-        entries = []
-        for lyr, cfg in zip(layers, cfgs):
-            entries.append(
-                _layer_entry(lyr.in_channels, lyr.kernel, lyr.out_channels, lyr.mask, cfg)
-            )
-            parts.append(lyr.weights.astype("<f4").tobytes())
-            parts.append(lyr.bias.astype("<f4").tobytes())
-        doc["subnetworks"][name] = entries
-    _write(manifest_path, doc, b"".join(parts))
+    (manifest_path.parent / doc["blob"]).write_bytes(blob)
+    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_float_model(manifest_path) -> EntropyStackF:
+def _load(manifest_path, dtype: str):
+    """Latent channels and {subnetwork: [(entry, weights, bias)]} of a model.
+
+    Weights are (m, k, k, n) and biases (n,) views of the blob in its
+    stored dtype.
+    """
     doc, blob = _read(manifest_path)
-    if doc["dtype"] != "float32":
-        raise ManifestError(f"expected a float32 model, got {doc['dtype']}")
+    if doc["dtype"] != dtype:
+        raise ManifestError(f"expected a {dtype} model, got {doc['dtype']}")
+    w_dt, b_dt = (np.dtype(t) for t in _BLOB_DTYPES[dtype])
     off = 0
     chains = {}
-    cfgs = {}
     for name in SUBNETS:
-        layers, layer_cfgs = [], []
+        chains[name] = []
         for e in doc["subnetworks"].get(name, []):
-            m, k, n = e["m"], e["k"], e["n"]
-            wn, bn = m * k * k * n * 4, n * 4
+            shape = (e["m"], e["k"], e["k"], e["n"])
+            wn, bn = math.prod(shape) * w_dt.itemsize, e["n"] * b_dt.itemsize
             if off + wn + bn > len(blob):
                 raise ManifestError("blob shorter than manifest shapes require")
-            w = np.frombuffer(blob, "<f4", count=m * k * k * n, offset=off)
-            b = np.frombuffer(blob, "<f4", count=n, offset=off + wn)
+            w = np.frombuffer(blob, w_dt, count=math.prod(shape), offset=off)
+            b = np.frombuffer(blob, b_dt, count=e["n"], offset=off + wn)
+            chains[name].append((e, w.reshape(shape), b))
             off += wn + bn
-            layers.append(
-                ConvLayerF(
-                    weights=w.astype(np.float64).reshape(m, k, k, n),
-                    bias=b.astype(np.float64),
-                    mask=e["mask"],
-                )
-            )
-            layer_cfgs.append(LayerCfg(n_i=e["n_i"], p_in=e["p_in"], p_out=e["p_out"]))
-        chains[name] = layers
-        cfgs[name] = layer_cfgs
     if off != len(blob):
         raise ManifestError("blob longer than manifest shapes require")
-    return EntropyStackF(
-        hyperdecoder=chains["hyperdecoder"],
-        context=chains["context"],
-        gather=chains["gather"],
-        hyper_cfg=cfgs["hyperdecoder"],
-        context_cfg=cfgs["context"],
-        gather_cfg=cfgs["gather"],
-        latent_channels=doc["latent_channels"],
+    return doc["latent_channels"], chains
+
+
+def save_float_model(manifest_path, stack: EntropyStackF):
+    _save(
+        manifest_path,
+        "float32",
+        stack.latent_channels,
+        (
+            (name, lyr.weights, lyr.bias, lyr.mask, cfg, {})
+            for name, layers, cfgs in stack.chains()
+            for lyr, cfg in zip(layers, cfgs)
+        ),
     )
 
 
+def load_float_model(manifest_path) -> EntropyStackF:
+    latent_channels, chains = _load(manifest_path, "float32")
+    fields = {}
+    for name, entries in chains.items():
+        fields[name] = [ConvLayerF(weights=w, bias=b, mask=e["mask"]) for e, w, b in entries]
+        fields[CFG_FIELDS[name]] = [
+            LayerCfg(n_i=e["n_i"], p_in=e["p_in"], p_out=e["p_out"]) for e, _, _ in entries
+        ]
+    return EntropyStackF(**fields, latent_channels=latent_channels)
+
+
 def save_quantized_model(manifest_path, stack: EntropyStack):
-    doc = {
-        "format": FORMAT,
-        "version": VERSION,
-        "dtype": "int16",
-        "n_a": ACCUM_BITS,
-        "latent_channels": stack.latent_channels,
-        "subnetworks": {},
-    }
-    parts = []
-    for name, chain in stack.chains():
-        entries = []
-        for lyr in chain:
-            cfg = LayerCfg(n_i=lyr.spec.n_i, p_in=lyr.spec.p_in, p_out=lyr.spec.p_out)
-            entries.append(
-                _layer_entry(
-                    lyr.in_channels,
-                    lyr.kernel,
-                    lyr.out_channels,
-                    lyr.mask,
-                    cfg,
-                    shifts=lyr.spec.k,
-                )
-            )
-            parts.append(lyr.w_q.astype("<i2").tobytes())
-            parts.append(lyr.b_q.astype("<i4").tobytes())
-        doc["subnetworks"][name] = entries
-    _write(manifest_path, doc, b"".join(parts))
+    _save(
+        manifest_path,
+        "int16",
+        stack.latent_channels,
+        (
+            (name, lyr.w_q, lyr.b_q, lyr.mask, lyr.spec,
+             {"channel_shifts": [int(v) for v in lyr.spec.k]})
+            for name, chain in stack.chains()
+            for lyr in chain
+        ),
+    )
 
 
 def load_quantized_model(manifest_path) -> EntropyStack:
-    doc, blob = _read(manifest_path)
-    if doc["dtype"] != "int16":
-        raise ManifestError(f"expected an int16 model, got {doc['dtype']}")
-    off = 0
-    chains = {}
-    for name in SUBNETS:
-        layers = []
-        for i, e in enumerate(doc["subnetworks"].get(name, [])):
-            m, k, n = e["m"], e["k"], e["n"]
-            wn, bn = m * k * k * n * 2, n * 4
-            if off + wn + bn > len(blob):
-                raise ManifestError("blob shorter than manifest shapes require")
-            w = np.frombuffer(blob, "<i2", count=m * k * k * n, offset=off)
-            b = np.frombuffer(blob, "<i4", count=n, offset=off + wn)
-            off += wn + bn
-            shifts = e.get("channel_shifts")
-            if not isinstance(shifts, list) or len(shifts) != n:
-                raise ManifestError("quantized layer missing per-channel shifts")
-            spec = LayerQuantSpec(
-                n_i=e["n_i"], p_in=e["p_in"], p_out=e["p_out"], k=np.asarray(shifts)
-            )
+    latent_channels, chains = _load(manifest_path, "int16")
+    layers = {}
+    for name, entries in chains.items():
+        layers[name] = []
+        for i, (e, w, b) in enumerate(entries):
             try:
-                layer = QConvLayer(
-                    w_q=w.astype(np.int64).reshape(m, k, k, n),
-                    b_q=b.astype(np.int64),
-                    spec=spec,
-                    mask=e["mask"],
+                spec = LayerQuantSpec(
+                    n_i=e["n_i"], p_in=e["p_in"], p_out=e["p_out"], k=e["channel_shifts"]
                 )
+            except ValueError as err:
+                raise ManifestError(f"{name}[{i}]: {err}") from err
+            try:
+                layers[name].append(QConvLayer(w_q=w, b_q=b, spec=spec, mask=e["mask"]))
             except WeightRangeError as err:
                 raise WeightRangeError(f"{name}[{i}]: {err}") from err
-            layers.append(layer)
-        chains[name] = layers
-    if off != len(blob):
-        raise ManifestError("blob longer than manifest shapes require")
-    return EntropyStack(**chains, latent_channels=doc["latent_channels"])
+    return EntropyStack(**layers, latent_channels=latent_channels)

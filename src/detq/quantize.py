@@ -22,7 +22,6 @@ __all__ = [
     "K_MAX",
     "INT16_MAX",
     "ACCUM_BITS",
-    "REFERENCE_DEFAULTS",
     "LayerQuantSpec",
     "QConvLayer",
     "WeightRangeError",
@@ -41,15 +40,8 @@ __all__ = [
 K_MAX = 14
 INT16_MAX = (1 << 15) - 1
 ACCUM_BITS = 32
-
-# Per-subnetwork activation parameters of the reference 16-bit codec:
-# (p, N_I) for context / hyperdecoder / gather layers.
-REFERENCE_DEFAULTS = {
-    "context": {"p": 8, "n_i": 9},
-    "hyperdecoder": {"p": 8, "n_i": 16},
-    "gather_1_2": {"p": 8, "n_i": 16},
-    "gather_3_7": {"p": 10, "n_i": 16},
-}
+# Widest right shift round_shift rounds correctly: 1 << 63 wraps in int64.
+MAX_RIGHT_SHIFT = 62
 
 
 class WeightRangeError(ValueError):
@@ -90,27 +82,27 @@ class LayerQuantSpec:
     """Per-layer quantization parameters.
 
     n_i: input bit depth; p_in / p_out: activation shift exponents for this
-    layer's input and the next layer's input; n_a: accumulator width;
-    k: per-output-channel weight shift exponents.
+    layer's input and the next layer's input; k: per-output-channel weight
+    shift exponents.  Requantization shifts channel j right by
+    k_j + p_in - p_out, and int64 half-away rounding is exact up to
+    MAX_RIGHT_SHIFT.
     """
 
     n_i: int
     p_in: int
     p_out: int
     k: np.ndarray
-    n_a: int = ACCUM_BITS
 
     def __post_init__(self):
         if not 2 <= self.n_i <= 16:
             raise ValueError(f"n_i out of range: {self.n_i}")
-        if self.n_a != ACCUM_BITS:
-            raise ValueError("only 32-bit accumulators are supported")
         if not (0 <= self.p_in <= 15 and 0 <= self.p_out <= 15):
             raise ValueError("p must be in [0, 15]")
-        k = np.asarray(self.k, dtype=np.int64)
-        if np.any(k < 0):
-            raise ValueError("negative channel shift")
-        object.__setattr__(self, "k", k)
+        k = np.asarray(self.k)
+        k_max = MAX_RIGHT_SHIFT - self.p_in + self.p_out
+        if k.size and not (k.min() >= 0 and k.max() <= k_max):
+            raise ValueError(f"channel shifts must lie in [0, {k_max}]")
+        object.__setattr__(self, "k", k.astype(np.int64))
 
 
 def accumulator_bound(w_q, b_q, n_i: int) -> np.ndarray:
@@ -142,7 +134,7 @@ class QConvLayer:
         b = np.asarray(self.b_q, dtype=np.int64)
         if np.abs(w).max(initial=0) > INT16_MAX:
             raise WeightRangeError("quantized weights exceed int16 range")
-        acc_max = (1 << (self.spec.n_a - 1)) - 1
+        acc_max = (1 << (ACCUM_BITS - 1)) - 1
         if np.abs(b).max(initial=0) > acc_max:
             raise WeightRangeError("quantized bias exceeds accumulator range")
         worst = int(accumulator_bound(w, b, self.spec.n_i).max(initial=0))
@@ -205,7 +197,6 @@ def quantize_layer(
     n_i: int,
     p_in: int,
     p_out: int,
-    n_a: int = ACCUM_BITS,
     name: str = "layer",
 ) -> QConvLayer:
     """Quantize one convolution layer with per-channel weight shifts.
@@ -214,11 +205,14 @@ def quantize_layer(
     scaled weights do not fit int16, the shift is capped at K_MAX; if they
     still do not fit, the layer is rejected.  As a final safety net the
     shift is lowered until the worst-case accumulator value (sign-matched
-    extreme input plus bias) provably fits n_a bits.
+    extreme input plus bias) provably fits ACCUM_BITS bits.  Shifts are
+    capped so that requantize never shifts right by more than
+    MAX_RIGHT_SHIFT.
     """
     m, kk, _, n = layer.weights.shape
-    acc_max = (1 << (n_a - 1)) - 1
-    eq14_budget = 1 << (n_a - n_i)
+    acc_max = (1 << (ACCUM_BITS - 1)) - 1
+    eq14_budget = 1 << (ACCUM_BITS - n_i)
+    k_cap = MAX_RIGHT_SHIFT - p_in + p_out
 
     w_q = np.zeros((m, kk, kk, n), dtype=np.int64)
     b_q = np.zeros(n, dtype=np.int64)
@@ -233,9 +227,9 @@ def quantize_layer(
     for j in range(n):
         col = layer.weights[:, :, :, j]
         bias = float(layer.bias[j])
-        k = derive_weight_shift(col, n_a, n_i)
+        k = min(derive_weight_shift(col, ACCUM_BITS, n_i), k_cap)
         if bias != 0.0:
-            k = adjust_shift_for_bias(k, bias, p_in, n_a)
+            k = adjust_shift_for_bias(k, bias, p_in)
             k = max(k, 0)
         wq = _quantize_channel(col, k)
         if np.abs(wq).max(initial=0) > INT16_MAX:
@@ -265,7 +259,7 @@ def quantize_layer(
         b_q[j] = bq
         ks[j] = k
 
-    spec = LayerQuantSpec(n_i=n_i, p_in=p_in, p_out=p_out, k=ks, n_a=n_a)
+    spec = LayerQuantSpec(n_i=n_i, p_in=p_in, p_out=p_out, k=ks)
     return QConvLayer(w_q=w_q, b_q=b_q, spec=spec, mask=layer.mask)
 
 

@@ -72,7 +72,6 @@ class ConvLayerF:
 
     weights: np.ndarray
     bias: np.ndarray
-    stride: int = 1
     mask: bool = False
 
     def __post_init__(self):
@@ -84,8 +83,6 @@ class ConvLayerF:
             raise ShapeError(f"kernel size must be odd, got {w.shape[1]}")
         if b.shape != (w.shape[3],):
             raise ShapeError(f"bias must have length {w.shape[3]}, got {b.shape}")
-        if self.stride != 1:
-            raise ShapeError("only stride 1 is supported")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("layer parameters contain non-finite values")
         if self.mask:
@@ -145,7 +142,7 @@ class DiffReport:
         )
 
 
-def compare_tensors(a: FloatTensor, b: FloatTensor, tol: float = 0.0) -> DiffReport:
+def compare_tensors(a: FloatTensor, b: FloatTensor) -> DiffReport:
     """Elementwise max absolute / relative difference with its location.
 
     Relative difference uses max(|a|, |b|) as denominator and is 0 where

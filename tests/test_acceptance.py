@@ -29,8 +29,8 @@ from detq.harness import (
     random_latent,
     random_stack,
     roundtrip_experiment,
+    run_backend,
     run_float_stack,
-    _int_priors,
 )
 from detq.intops import linear_softmax_int
 from detq.quantize import (
@@ -87,7 +87,7 @@ def test_criterion_2_order_invariance():
         latent = random_latent(rng, (1, 4, 4))
         hyper = rng.normal(size=(2, 4, 4))
         outs = [
-            _int_priors(pair, latent, hyper, order).tobytes()
+            run_backend(pair, latent, hyper, BackendVariant(order, order)).tobytes()
             for order in ("seq", "rev", "tree")
         ]
         if not (outs[0] == outs[1] == outs[2]):
@@ -109,9 +109,8 @@ def test_criterion_3_roundtrip_exactness():
                     pair,
                     latent,
                     hyper,
-                    BackendVariant("e", eo),
-                    BackendVariant("d", do),
-                    prior_mode="int",
+                    BackendVariant("e", eo, "int"),
+                    BackendVariant("d", do, "int"),
                 )
                 if not rep.decoded_equal:
                     errors += 1
@@ -136,7 +135,7 @@ def test_criterion_5_quantization_fidelity():
         pair = make_stack_pair(fs)
         latent = random_latent(rng, (1, 6, 6))
         hyper = rng.normal(size=(2, 6, 6))
-        params = _int_priors(pair, latent, hyper, "seq")
+        params = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
         priors = run_float_stack(fs, latent, hyper, "seq")
         int_bits += int_cross_entropy_bits(latent, params)
         float_bits += float_cross_entropy_bits(latent, priors, fs.head_scale_exp)

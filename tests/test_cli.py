@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from detq import cli
 from detq.cli import main
 from detq.harness import (
     BackendVariant,
@@ -14,7 +15,12 @@ from detq.harness import (
     random_stack,
     roundtrip_experiment,
 )
-from detq.manifest import load_float_model, load_quantized_model, save_float_model
+from detq.manifest import (
+    ManifestError,
+    load_float_model,
+    load_quantized_model,
+    save_float_model,
+)
 from detq.quantize import accumulator_bound
 from detq.tensors import ConvLayerF
 
@@ -120,6 +126,29 @@ def _rewrite(path, edit):
     path.write_text(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "shift",
+    [1.5, True, "3", None, 10**20, -1, "p_out - p_in + 63"],
+)
+def test_verify_malformed_channel_shift_is_input_error(model, tmp_path, shift, capsys):
+    q = tmp_path / "q.json"
+    assert main(["quantize", str(model), "--out", str(q)]) == 0
+
+    def edit(doc):
+        layer = doc["subnetworks"]["gather"][0]
+        if shift == "p_out - p_in + 63":  # one past the widest exact right shift
+            layer["channel_shifts"][0] = layer["p_out"] - layer["p_in"] + 63
+        else:
+            layer["channel_shifts"][0] = shift
+
+    _rewrite(q, edit)
+    with pytest.raises(ManifestError, match=r"gather\[0\]"):
+        load_quantized_model(q)
+    capsys.readouterr()
+    assert main(["verify", str(q)]) == 2
+    assert "gather[0]" in capsys.readouterr().err
+
+
 def test_verify_layer_missing_key_is_input_error(model, capsys):
     _rewrite(model, lambda doc: doc["subnetworks"]["gather"][0].pop("p_in"))
     assert main(["verify", str(model)]) == 2
@@ -132,7 +161,16 @@ def test_verify_malformed_subnetworks_is_input_error(model, capsys):
     assert "subnetworks" in capsys.readouterr().err
 
 
-def test_roundtrip_matches_library_call(model, data, capsys):
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_roundtrip_matches_library_call(model, data, mode, capsys, monkeypatch):
+    # the mode reaches the library only through the two variants
+    seen = []
+
+    def spy(stacks, latent, hyper, enc, dec):
+        seen.append((enc.mode, dec.mode))
+        return roundtrip_experiment(stacks, latent, hyper, enc, dec)
+
+    monkeypatch.setattr(cli, "roundtrip_experiment", spy)
     rc = main(
         [
             "roundtrip",
@@ -143,10 +181,9 @@ def test_roundtrip_matches_library_call(model, data, capsys):
             "--dec-variant",
             "tree",
             "--mode",
-            "int",
+            mode,
         ]
     )
-    assert rc == 0
     out = capsys.readouterr().out
     fs = load_float_model(model)
     with np.load(data) as z:
@@ -155,11 +192,12 @@ def test_roundtrip_matches_library_call(model, data, capsys):
         make_stack_pair(fs),
         latent,
         hyper,
-        BackendVariant("e", "seq"),
-        BackendVariant("d", "tree"),
-        prior_mode="int",
+        BackendVariant("e", "seq", mode),
+        BackendVariant("d", "tree", mode),
     )
+    assert seen == [(mode, mode)]
     assert want.to_text() in out
+    assert rc == (0 if want.decoded_equal else 1)
 
 
 def test_calibrate_matches_library_call(model, data, tmp_path, capsys):

@@ -23,7 +23,7 @@ from detq.harness import (
     random_stack,
     run_backend,
     run_float_stack,
-    _dec_params_fn,
+    prior_fn,
 )
 from detq.intops import linear_softmax_field
 from detq.manifest import save_quantized_model
@@ -89,7 +89,7 @@ def _case(name, seed, tmp, **kw):
     canvas = latent.copy()
     canvas[:, 3:, :] = 0
     for mode in ("int", "float"):
-        params_of = _dec_params_fn(pair, hyper, BackendVariant("d", "tree", mode))
+        params_of = prior_fn(pair, hyper, BackendVariant("d", "tree", mode))
         out[f"decoder.{mode}"] = _sha(params_of(canvas).tobytes())
     return {f"{name}.{k}": v for k, v in out.items()}
 

@@ -18,7 +18,6 @@ from detq.harness import (
     roundtrip_experiment,
     run_backend,
     run_float_stack,
-    _int_priors,
 )
 from detq.gmm import WEIGHT_TOTAL, GmmParams, sigma_min_for
 from detq.tensors import ConvLayerF
@@ -138,9 +137,8 @@ def test_float_roundtrip_same_variant():
         pair,
         latent,
         hyper,
-        BackendVariant("e", "seq"),
-        BackendVariant("d", "seq"),
-        prior_mode="float",
+        BackendVariant("e", "seq", "float"),
+        BackendVariant("d", "seq", "float"),
     )
     assert rep.decoded_equal
 
@@ -235,7 +233,7 @@ def test_calibrate_descends_and_picks_conditional_argmin():
         pair = make_stack_pair(stack)
         for latent, hyper in cal:
             total += int_cross_entropy_bits(
-                latent, _int_priors(pair, latent, hyper, "seq")
+                latent, run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
             )
         return total
 
@@ -264,7 +262,9 @@ def test_calibrate_layer_objective_is_its_last_decision():
     def objective(stack):
         pair = make_stack_pair(stack)
         return sum(
-            int_cross_entropy_bits(latent, _int_priors(pair, latent, hyper, "seq"))
+            int_cross_entropy_bits(
+                latent, run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
+            )
             for latent, hyper in cal
         )
 
@@ -288,7 +288,7 @@ def test_calibrate_rejects_empty_set():
 
 def test_cross_entropy_helpers_consistent():
     pair, latent, hyper = fixture_pair(seed=8)
-    params = _int_priors(pair, latent, hyper, "seq")
+    params = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
     ib = int_cross_entropy_bits(latent, params)
     pri = run_float_stack(pair.float_stack, latent, hyper, "seq")
     fb = float_cross_entropy_bits(latent, pri, pair.float_stack.head_scale_exp)

@@ -19,7 +19,13 @@ from detq.intops import (
 )
 from detq.quantize import LayerQuantSpec, QConvLayer, accumulator_bound, quantize_layer
 from detq.tensors import ConvLayerF
-from detq.harness import make_stack_pair, random_stack, random_latent, _int_priors
+from detq.harness import (
+    BackendVariant,
+    make_stack_pair,
+    random_latent,
+    random_stack,
+    run_backend,
+)
 
 from oracles import qconv_oracle, round_shift_oracle, softmax_oracle
 
@@ -300,7 +306,9 @@ def test_zero_stack_uniform_weights_zero_means():
                 mask=lyr.mask,
             )
     pair = make_stack_pair(fs)
-    params = _int_priors(pair, np.zeros((1, 4, 4)), np.zeros((2, 4, 4)), "seq")
+    params = run_backend(
+        pair, np.zeros((1, 4, 4)), np.zeros((2, 4, 4)), BackendVariant("seq", "seq")
+    )
     assert np.all(params.means == 0)
     np.testing.assert_array_equal(
         np.unique(params.weights.sum(axis=0)), [1 << 15]
@@ -313,7 +321,9 @@ def test_stack_deterministic_and_order_invariant():
     pair = make_stack_pair(random_stack(rng))
     latent = random_latent(rng, (1, 5, 5))
     hyper = rng.normal(size=(2, 5, 5))
-    outs = [_int_priors(pair, latent, hyper, o).tobytes() for o in ORDERS]
+    outs = [
+        run_backend(pair, latent, hyper, BackendVariant(o, o)).tobytes() for o in ORDERS
+    ]
     assert outs[0] == outs[1] == outs[2]
-    again = _int_priors(pair, latent, hyper, "seq").tobytes()
+    again = run_backend(pair, latent, hyper, BackendVariant("seq", "seq")).tobytes()
     assert again == outs[0]

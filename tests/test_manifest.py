@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from detq.harness import make_stack_pair, random_stack, _int_priors, random_latent
+from detq.harness import (
+    BackendVariant,
+    make_stack_pair,
+    random_latent,
+    random_stack,
+    run_backend,
+)
 from detq.manifest import (
     ManifestError,
     load_float_model,
@@ -38,12 +44,12 @@ def test_quantized_roundtrip_bit_exact(tmp_path, fstack):
     rng = np.random.default_rng(0)
     latent = random_latent(rng, (1, 4, 4))
     hyper = rng.normal(size=(2, 4, 4))
-    a = _int_priors(pair, latent, hyper, "seq")
+    a = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
 
     class P:
         quant_stack = back
 
-    b = _int_priors(P, latent, hyper, "seq")
+    b = run_backend(P, latent, hyper, BackendVariant("seq", "seq"))
     assert a.tobytes() == b.tobytes()
 
 

@@ -20,6 +20,7 @@ from detq.quantize import (
     quantize_value,
     round_half_away,
 )
+from detq.intops import QTensor, qconv_forward, requantize
 from detq.tensors import ConvLayerF, FloatTensor
 
 from oracles import (
@@ -145,6 +146,15 @@ def test_channel_sum_within_accumulator_budget():
         sums = np.abs(q.w_q).sum(axis=(0, 1, 2))
         x_max = (1 << (n_i - 1)) - 1
         assert np.all(sums * x_max + np.abs(q.b_q) <= (1 << 31) - 1)
+
+
+def test_tiny_weights_keep_requantize_shift_exact():
+    # sum|w| = 2^-47.5 derives k = 63, one past the widest exact right shift
+    lyr = layer(np.full((1, 3, 3, 1), 2.0**-47.5 / 9))
+    q = quantize_layer(lyr, n_i=16, p_in=8, p_out=8)
+    assert q.spec.k[0] == 62
+    x = QTensor(np.full((1, 2, 2), 32767), 8, 16)
+    np.testing.assert_array_equal(requantize(qconv_forward(x, q), q, 8).data, 0)
 
 
 def test_unrepresentable_weight_rejected():
