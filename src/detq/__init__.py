@@ -66,6 +66,6 @@ from .quantize import (
     round_half_away,
 )
 from .rc import Bitstream, RangeDecoder, RangeEncoder, StreamFormatError, rc_decode, rc_encode
-from .tensors import ConvLayerF, DiffReport, FloatTensor, ShapeError, compare_tensors, conv2d_float
+from .tensors import ConvLayerF, FloatTensor, ShapeError
 
 __version__ = "0.1.0"

@@ -33,6 +33,8 @@ from .intops import (
     _ordered_sum,
     hyper_features,
     priors_from_features,
+    run_entropy_stack,
+    split_head,
 )
 from .quantize import quantize_activation_tensor, quantize_layer, round_half_away
 from .rc import RangeDecoder, rc_decode, rc_encode
@@ -110,7 +112,11 @@ class LayerCfg:
 
 @dataclass
 class EntropyStackF:
-    """Float entropy stack plus per-layer quantization configuration."""
+    """Float entropy stack plus per-layer quantization configuration.
+
+    Its arithmetic for the intops topology is float32: conv_ordered_float,
+    LeakyReLU, and a float softmax and sigma floor giving FloatPriors.
+    """
 
     hyperdecoder: list
     context: list
@@ -157,6 +163,21 @@ class EntropyStackF:
             if self.context_cfg:
                 self.context_cfg[-1].p_out = p
 
+    def layer_step(self, x, layer, after, order, activation=True):
+        x = conv_ordered_float(x, layer, order)
+        return _leaky_float(x) if activation else x
+
+    def fuse(self, feats) -> np.ndarray:
+        return np.concatenate(feats, axis=0)
+
+    def decode_head(self, y: np.ndarray) -> FloatPriors:
+        p_e = self.head_scale_exp
+        z, means, scales = split_head(y, self.latent_channels)
+        unit = np.float32(math.ldexp(1.0, -p_e))
+        nums = np.maximum(np.float32(1.0) + z, unit)
+        scales = np.maximum(scales, np.float32(sigma_min_for(p_e) * unit))
+        return FloatPriors(nums / nums.sum(axis=0, keepdims=True), means, scales)
+
     def quantize(self) -> EntropyStack:
         return EntropyStack(
             **{
@@ -187,8 +208,9 @@ def conv_ordered_float(x: np.ndarray, layer: ConvLayerF, order: str) -> np.ndarr
     This is the stand-in for device-dependent float kernels: the result
     depends on the order at the ulp level.
     """
+    x = np.asarray(x, dtype=np.float32)
     c, h, w = x.shape
-    cols = im2col(np.asarray(x, dtype=np.float32), layer.kernel).astype(np.float32)
+    cols = im2col(x, layer.kernel)
     wmat = layer.weights.reshape(-1, layer.out_channels).astype(np.float32)
     products = cols[:, :, None] * wmat[None, :, :]
     acc = _ordered_sum(products, order) + layer.bias.astype(np.float32)
@@ -205,37 +227,9 @@ def run_float_stack(
     hyper: np.ndarray,
     order: str = "seq",
 ) -> FloatPriors:
-    """Float32 reference inference of the full entropy stack."""
-
-    def chain(x, layers, last_act=True):
-        for i, lyr in enumerate(layers):
-            x = conv_ordered_float(x, lyr, order)
-            if last_act or i + 1 < len(layers):
-                x = _leaky_float(x)
-        return x
-
-    feats = []
-    if stack.hyperdecoder:
-        feats.append(chain(np.asarray(hyper, np.float32), stack.hyperdecoder))
-    if stack.context:
-        feats.append(chain(np.asarray(latent, np.float32), stack.context))
-    x = np.concatenate(feats, axis=0)
-    for lyr in stack.gather[:-1]:
-        x = _leaky_float(conv_ordered_float(x, lyr, order))
-    y = conv_ordered_float(x, stack.gather[-1], order)
-
-    c = stack.latent_channels
-    p_e = stack.head_scale_exp
-    y = y.reshape(c, 9, *y.shape[1:])
-    z = y[:, 0:3].transpose(1, 0, 2, 3)
-    means = y[:, 3:6].transpose(1, 0, 2, 3)
-    scales = y[:, 6:9].transpose(1, 0, 2, 3)
-    unit = np.float32(math.ldexp(1.0, -p_e))
-    nums = np.maximum(np.float32(1.0) + z, unit)
-    weights = nums / nums.sum(axis=0, keepdims=True)
-    sigma_floor = np.float32(sigma_min_for(p_e) * math.ldexp(1.0, -p_e))
-    scales = np.maximum(scales, sigma_floor)
-    return FloatPriors(weights=weights, means=means, scales=scales)
+    """Float32 reference inference of the full entropy stack, on raw inputs:
+    the intops topology in EntropyStackF's arithmetic."""
+    return run_entropy_stack(latent, hyper, stack, order)
 
 
 def discretize_priors(priors: FloatPriors, scale_exp: int) -> GmmParams:
@@ -290,8 +284,9 @@ def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
             hyper_feat, _quantize_for(qs.context, canvas), qs, order
         )
     fs = stacks.float_stack
+    hyper_feat = hyper_features(hyper, fs, order)
     return lambda canvas: discretize_priors(
-        run_float_stack(fs, canvas, hyper, order), fs.head_scale_exp
+        priors_from_features(hyper_feat, canvas, fs, order), fs.head_scale_exp
     )
 
 
@@ -494,7 +489,7 @@ def calibrate_shifts(
     def objective() -> float:
         try:
             stack = fstack.quantize()
-        except Exception:
+        except ValueError:
             return math.inf
         total = 0.0
         for latent, hyper in calib_tensors:

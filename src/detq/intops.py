@@ -7,6 +7,10 @@ arithmetic shifts with half-away-from-zero rounding.  Because every
 accumulation is exact, the result is bit-identical for any summation
 order; the `order` argument exists to demonstrate that.
 
+The stack topology (hyper_features, priors_from_features) exists once,
+here; the stack passed in supplies the arithmetic (layer step, fuse, head
+decode): integer for EntropyStack, float32 for harness.EntropyStackF.
+
 The convolution runs as a float64 BLAS GEMM, and that is exact too.
 QConvLayer enforces sum|w| * x_max + |b| <= 2^31 - 1, so every product
 and every partial sum, taken in any order, is an integer of magnitude
@@ -42,6 +46,7 @@ __all__ = [
     "hyper_features",
     "priors_from_features",
     "run_entropy_stack",
+    "split_head",
 ]
 
 ORDERS = ("seq", "rev", "tree")
@@ -272,76 +277,71 @@ class EntropyStack:
         return tuple((name, getattr(self, name)) for name in SUBNETS)
 
     @property
-    def head(self) -> QConvLayer:
-        return self.gather[-1]
-
-    @property
     def head_scale_exp(self) -> int:
         return self.gather[-1].spec.p_out
 
+    def layer_step(self, x, layer, after, order, activation=True):
+        """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU."""
+        next_bits = after.spec.n_i if after is not None else 16
+        acc = qconv_forward(clamp_input(x, layer.spec.n_i), layer, order)
+        q = requantize(acc, layer, p_next=layer.spec.p_out, out_bits=next_bits)
+        return leaky_relu_int(q) if activation else q
 
-def _layer_step(x, layer, next_bits, order, activation=True):
-    acc = qconv_forward(clamp_input(x, layer.spec.n_i), layer, order)
-    q = requantize(acc, layer, p_next=layer.spec.p_out, out_bits=next_bits)
-    return leaky_relu_int(q) if activation else q
+    def fuse(self, feats) -> QTensor:
+        # both chains end at the gather input grid (checked in __post_init__)
+        return QTensor(
+            np.concatenate([f.data for f in feats], axis=0), self.gather[0].spec.p_in
+        )
+
+    def decode_head(self, y: QTensor) -> GmmParams:
+        p_e = self.head_scale_exp
+        z, means, scales = split_head(y.data, self.latent_channels)
+        scales = np.maximum(scales, sigma_min_for(p_e))
+        return GmmParams(linear_softmax_field(z, p_e), means, scales, p_e)
 
 
-def _run_chain(x, chain, order):
-    for i, layer in enumerate(chain):
-        next_bits = chain[i + 1].spec.n_i if i + 1 < len(chain) else 16
-        x = _layer_step(x, layer, next_bits, order)
+def _run_chain(x, chain, stack, order, last_act=True):
+    """Run layers in order; the last one skips its activation unless last_act."""
+    for layer, after in zip(chain, (*chain[1:], None)):
+        x = stack.layer_step(x, layer, after, order, after is not None or last_act)
     return x
 
 
-def hyper_features(
-    hyper_latent: QTensor | None, stack: EntropyStack, order: str = "seq"
-) -> QTensor | None:
+def split_head(y: np.ndarray, latent_channels: int):
+    """Weight logits, means and scales, each (3, c, h, w), of a (9c, h, w) head."""
+    y = y.reshape(latent_channels, 9, *y.shape[1:]).transpose(1, 0, 2, 3)
+    return y[0:3], y[3:6], y[6:9]
+
+
+def hyper_features(hyper_latent, stack, order="seq"):
     """Hyperdecoder output, or None for a stack without a hyperdecoder.
 
     It does not depend on the latent, so a decoder computes it once.
     """
     if not stack.hyperdecoder:
         return None
-    return _run_chain(hyper_latent, stack.hyperdecoder, order)
+    return _run_chain(hyper_latent, stack.hyperdecoder, stack, order)
 
 
-def priors_from_features(
-    hyper_feat: QTensor | None,
-    latent_context: QTensor | None,
-    stack: EntropyStack,
-    order: str = "seq",
-) -> GmmParams:
+def priors_from_features(hyper_feat, latent_context, stack, order="seq"):
     """Context -> fuse with hyper features -> gather -> GMM head.
 
-    The head's 9 channels per latent channel become Q15 mixture weights
-    (linearized softmax), means, and scales floored at sigma_min_for.
+    An EntropyStack's head gives Q15 mixture weights (linearized softmax),
+    means, and scales floored at sigma_min_for, as GmmParams.
     """
-    feats = [] if hyper_feat is None else [hyper_feat.data]
+    feats = [] if hyper_feat is None else [hyper_feat]
     if stack.context:
-        feats.append(_run_chain(latent_context, stack.context, order).data)
-    # both chains end at the gather input grid (checked by EntropyStack)
-    x = QTensor(np.concatenate(feats, axis=0), stack.gather[0].spec.p_in)
-    for i, layer in enumerate(stack.gather[:-1]):
-        x = _layer_step(x, layer, stack.gather[i + 1].spec.n_i, order)
-    head_out = _layer_step(x, stack.head, 16, order, activation=False)
-    p_e = stack.head_scale_exp
-    y = head_out.data.reshape(stack.latent_channels, 9, *head_out.shape[1:])
-    weights = linear_softmax_field(y[:, 0:3].transpose(1, 0, 2, 3), p_e)
-    means = y[:, 3:6].transpose(1, 0, 2, 3)
-    scales = np.maximum(y[:, 6:9].transpose(1, 0, 2, 3), sigma_min_for(p_e))
-    return GmmParams(weights=weights, means=means, scales=scales, scale_exp=p_e)
+        feats.append(_run_chain(latent_context, stack.context, stack, order))
+    y = _run_chain(stack.fuse(feats), stack.gather, stack, order, last_act=False)
+    return stack.decode_head(y)
 
 
-def run_entropy_stack(
-    latent_context: QTensor | None,
-    hyper_latent: QTensor | None,
-    stack: EntropyStack,
-    order: str = "seq",
-) -> GmmParams:
-    """Full integer entropy inference: hyperdecoder + context -> gather -> GMM.
+def run_entropy_stack(latent_context, hyper_latent, stack, order="seq"):
+    """Full entropy inference: hyperdecoder + context -> gather -> priors.
 
-    Inputs must already be quantized at the first layers' input grids.
-    The output is a pure function of the inputs and the stack bits.
+    For an EntropyStack the inputs must already be quantized at the first
+    layers' input grids, and the GmmParams output is a pure function of
+    the inputs and the stack bits.
     """
     hyper_feat = hyper_features(hyper_latent, stack, order)
     return priors_from_features(hyper_feat, latent_context, stack, order)

@@ -53,6 +53,8 @@ def _check_schema(doc):
     """Types, ranges and subnetwork names of a manifest document."""
     if doc.get("dtype") not in _BLOB_DTYPES:
         raise ManifestError(f"dtype must be {' or '.join(_BLOB_DTYPES)}")
+    if type(doc.get("n_a")) is not int or doc["n_a"] != ACCUM_BITS:
+        raise ManifestError(f"n_a must be {ACCUM_BITS}, the accumulator width")
     if type(doc.get("latent_channels")) is not int or doc["latent_channels"] < 1:
         raise ManifestError("latent_channels must be a positive integer")
     subnets = doc.get("subnetworks")

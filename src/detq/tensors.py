@@ -1,4 +1,4 @@
-"""Float tensor containers, reference convolution, and comparison utilities.
+"""Float tensor containers, the causal mask, and im2col.
 
 The canonical layout everywhere in this package is channel-major, row-major:
 activations are (channels, height, width), convolution weights are
@@ -8,17 +8,14 @@ convolutions are supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "FloatTensor",
     "ConvLayerF",
-    "DiffReport",
     "ShapeError",
-    "conv2d_float",
-    "compare_tensors",
     "causal_mask",
 ]
 
@@ -114,48 +111,3 @@ def im2col(data: np.ndarray, k: int) -> np.ndarray:
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
     # win: (c, h, w, k, k) -> (h, w, c, k, k) -> (h*w, c*k*k)
     return win.transpose(1, 2, 0, 3, 4).reshape(h * w, c * k * k)
-
-
-def conv2d_float(inp: FloatTensor, layer: ConvLayerF) -> FloatTensor:
-    """Reference cross-correlation plus bias, zero same-padding, stride 1."""
-    c, h, w = inp.shape
-    if c != layer.in_channels:
-        raise ShapeError(
-            f"input has {c} channels, layer expects {layer.in_channels}"
-        )
-    cols = im2col(inp.data, layer.kernel)
-    wmat = layer.weights.reshape(-1, layer.out_channels)
-    out = cols @ wmat + layer.bias
-    return FloatTensor(out.reshape(h, w, layer.out_channels).transpose(2, 0, 1))
-
-
-@dataclass(frozen=True, eq=False)
-class DiffReport:
-    max_abs: float
-    max_rel: float
-    argmax_index: tuple
-
-    def __str__(self):
-        return (
-            f"max_abs={self.max_abs:.6g} max_rel={self.max_rel:.6g} "
-            f"at {self.argmax_index}"
-        )
-
-
-def compare_tensors(a: FloatTensor, b: FloatTensor) -> DiffReport:
-    """Elementwise max absolute / relative difference with its location.
-
-    Relative difference uses max(|a|, |b|) as denominator and is 0 where
-    both values are 0.
-    """
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = np.abs(a.data - b.data)
-    denom = np.maximum(np.abs(a.data), np.abs(b.data))
-    rel = np.divide(diff, denom, out=np.zeros_like(diff), where=denom > 0)
-    idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    return DiffReport(
-        max_abs=float(diff.max()),
-        max_rel=float(rel.max()),
-        argmax_index=tuple(int(i) for i in idx),
-    )

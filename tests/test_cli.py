@@ -149,6 +149,22 @@ def test_verify_malformed_channel_shift_is_input_error(model, tmp_path, shift, c
     assert "gather[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda doc: doc.update(n_a=16), lambda doc: doc.update(n_a="32"), lambda doc: doc.pop("n_a")],
+    ids=["16", "string", "missing"],
+)
+def test_verify_wrong_accumulator_width_is_input_error(model, tmp_path, edit, capsys):
+    q = tmp_path / "q.json"
+    assert main(["quantize", str(model), "--out", str(q)]) == 0
+    _rewrite(q, edit)
+    with pytest.raises(ManifestError, match="n_a"):
+        load_quantized_model(q)
+    capsys.readouterr()
+    assert main(["verify", str(q)]) == 2
+    assert "n_a" in capsys.readouterr().err
+
+
 def test_verify_layer_missing_key_is_input_error(model, capsys):
     _rewrite(model, lambda doc: doc["subnetworks"]["gather"][0].pop("p_in"))
     assert main(["verify", str(model)]) == 2

@@ -1,8 +1,10 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 
+from detq import harness
 from detq.harness import (
     BackendVariant,
     boundary_failure_demo,
@@ -143,6 +145,42 @@ def test_float_roundtrip_same_variant():
     assert rep.decoded_equal
 
 
+def test_float_roundtrip_runs_hyperdecoder_once_per_side(monkeypatch):
+    # the hyperdecoder does not see the latent, so each side runs it once
+    # however many canvases the decoder evaluates
+    rng = np.random.default_rng(12)
+    pair = make_stack_pair(random_stack(rng))
+    latent = random_latent(rng, (1, 8, 8))
+    hyper = rng.normal(size=(2, 8, 8))
+    hyper_layers = {id(lyr) for lyr in pair.float_stack.hyperdecoder}
+    calls = {"enc": 0, "dec": 0}
+    side = ["dec"]
+    conv, backend = harness.conv_ordered_float, harness.run_backend
+
+    def counting_conv(x, layer, order):
+        calls[side[0]] += id(layer) in hyper_layers
+        return conv(x, layer, order)
+
+    def encoder_backend(*args):  # roundtrip_experiment's encoder side
+        side[0] = "enc"
+        try:
+            return backend(*args)
+        finally:
+            side[0] = "dec"
+
+    monkeypatch.setattr(harness, "conv_ordered_float", counting_conv)
+    monkeypatch.setattr(harness, "run_backend", encoder_backend)
+    rep = roundtrip_experiment(
+        pair,
+        latent,
+        hyper,
+        BackendVariant("e", "seq", "float"),
+        BackendVariant("d", "seq", "float"),
+    )
+    assert rep.decoded_equal
+    assert calls == {"enc": 2, "dec": 2}
+
+
 def test_roundtrip_without_context_model():
     rng = np.random.default_rng(33)
     fs = random_stack(rng, with_context=False)
@@ -278,6 +316,30 @@ def test_calibrate_layer_objective_is_its_last_decision():
     for entry in rep.layers:
         junction = (entry["subnetwork"], entry["index"])
         assert entry["objective"] == pytest.approx(decided[junction], rel=1e-12)
+
+
+def test_calibrate_propagates_programming_errors(monkeypatch):
+    fs, cal = calib_case()
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(harness, "quantize_layer", broken)
+    with pytest.raises(TypeError, match="injected"):
+        calibrate_shifts(fs, cal, grid=(9,), passes=1)
+
+
+def test_calibrate_scores_unquantizable_point_inf():
+    # p = 16 is outside LayerQuantSpec's range at every junction
+    fs, cal = calib_case()
+    initial = [fs.junction_p(j) for j in fs.junctions()]
+    rep = calibrate_shifts(fs, cal, grid=(16,), passes=1)
+    assert all(entry["objective"] == math.inf for entry in rep.layers)
+    assert [fs.junction_p(j) for j in fs.junctions()] == initial
+    assert np.isfinite(rep.final_objective)
+    rep = calibrate_shifts(fs, cal, grid=(9, 16), passes=1)
+    assert all(entry["p"] == 9 for entry in rep.layers)
+    assert np.isfinite(rep.final_objective)
 
 
 def test_calibrate_rejects_empty_set():

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from detq.tensors import (
-    ConvLayerF,
-    FloatTensor,
-    ShapeError,
-    causal_mask,
-    compare_tensors,
-    conv2d_float,
-)
+from detq.harness import conv_ordered_float
+from detq.intops import ORDERS, QTensor, qconv_forward
+from detq.quantize import LayerQuantSpec, QConvLayer
+from detq.tensors import ConvLayerF, FloatTensor, ShapeError, causal_mask
 
 from oracles import conv2d_oracle
 
@@ -21,37 +17,39 @@ def layer(w, b=None, mask=False):
 
 
 def test_identity_kernel_passthrough():
-    x = FloatTensor(np.arange(12, dtype=np.float64).reshape(1, 3, 4))
-    lyr = layer(np.ones((1, 1, 1, 1)))
-    out = conv2d_float(x, lyr)
-    np.testing.assert_array_equal(out.data, x.data)
+    x = np.arange(12, dtype=np.float64).reshape(1, 3, 4)
+    out = conv_ordered_float(x, layer(np.ones((1, 1, 1, 1))), "seq")
+    np.testing.assert_array_equal(out, x)
 
 
 def test_bias_broadcast():
-    x = FloatTensor(np.random.default_rng(0).normal(size=(2, 3, 3)))
+    x = np.random.default_rng(0).normal(size=(2, 3, 3))
     lyr = layer(np.zeros((2, 3, 3, 4)), b=[1.0, -2.0, 0.5, 3.0])
-    out = conv2d_float(x, lyr)
+    out = conv_ordered_float(x, lyr, "seq")
     for j, c in enumerate([1.0, -2.0, 0.5, 3.0]):
-        np.testing.assert_array_equal(out.data[j], np.full((3, 3), c))
+        np.testing.assert_array_equal(out[j], np.full((3, 3), c))
 
 
 def test_ones_kernel_center_and_corner():
-    x = FloatTensor(np.ones((1, 3, 3)))
-    out = conv2d_float(x, layer(np.ones((1, 3, 3, 1))))
-    assert out.data[0, 1, 1] == 9.0
-    assert out.data[0, 0, 0] == 4.0
+    out = conv_ordered_float(np.ones((1, 3, 3)), layer(np.ones((1, 3, 3, 1))), "seq")
+    assert out[0, 1, 1] == 9.0
+    assert out[0, 0, 0] == 4.0
 
 
 def test_conv_matches_naive_oracle():
+    # conv2d_oracle loops over taps, so this checks im2col too (qconv_oracle uses it)
     rng = np.random.default_rng(42)
-    for _ in range(5):
-        c, n, k, h, w = 2, 3, rng.choice([1, 3, 5]), 4, 5
-        x = rng.normal(size=(c, h, w))
-        wgt = rng.normal(size=(c, k, k, n))
-        b = rng.normal(size=n)
-        got = conv2d_float(FloatTensor(x), layer(wgt, b)).data
-        want = np.array(conv2d_oracle(x.tolist(), wgt.tolist(), b.tolist()))
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for k in (1, 3, 5):
+        c, n, h, w = 2, 3, 4, 5
+        x = rng.integers(-32767, 32768, size=(c, h, w))
+        wgt = rng.integers(-300, 301, size=(c, k, k, n))
+        b = rng.integers(-10**6, 10**6, size=n)
+        spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0] * n)
+        lyr = QConvLayer(w_q=wgt, b_q=b, spec=spec)
+        want = conv2d_oracle(x.tolist(), wgt.tolist(), b.tolist())
+        for order in ORDERS:
+            got = qconv_forward(QTensor(x, 8), lyr, order)
+            assert got.tolist() == want
 
 
 def test_causal_mask_strictly_prior():
@@ -77,28 +75,3 @@ def test_shape_validation():
         layer(np.zeros((1, 2, 2, 1)))  # even kernel
     with pytest.raises(ValueError):
         FloatTensor(np.array([[[np.nan]]]))
-
-
-def test_compare_tensors_identical():
-    a = FloatTensor(np.ones((1, 2, 2)))
-    rep = compare_tensors(a, a)
-    assert rep.max_abs == 0.0
-
-
-def test_compare_tensors_single_offset():
-    a = np.zeros((1, 2, 2))
-    b = a.copy()
-    b[0, 1, 0] = 0.5
-    rep = compare_tensors(FloatTensor(a), FloatTensor(b))
-    assert rep.max_abs == 0.5
-    assert rep.argmax_index == (0, 1, 0)
-
-
-def test_compare_tensors_matches_bruteforce():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 3, 3))
-    b = rng.normal(size=(2, 3, 3))
-    rep = compare_tensors(FloatTensor(a), FloatTensor(b))
-    diff = np.abs(a - b)
-    assert rep.max_abs == diff.max()
-    assert rep.argmax_index == np.unravel_index(diff.argmax(), diff.shape)
