@@ -33,7 +33,6 @@ from .harness import (
     random_latent,
     random_stack,
     roundtrip_experiment,
-    run_float_stack,
 )
 from .intops import (
     SUBNETS,
@@ -43,7 +42,6 @@ from .intops import (
     hyper_features,
     leaky_relu_int,
     linear_softmax_field,
-    linear_softmax_int,
     priors_from_features,
     qconv_forward,
     requantize,
@@ -60,12 +58,11 @@ from .quantize import (
     adjust_shift_for_bias,
     ceil_log2,
     derive_weight_shift,
-    quantize_activation_tensor,
     quantize_layer,
     quantize_value,
     round_half_away,
 )
 from .rc import Bitstream, RangeDecoder, RangeEncoder, StreamFormatError, rc_decode, rc_encode
-from .tensors import ConvLayerF, FloatTensor, ShapeError
+from .tensors import ConvLayerF, ShapeError
 
 __version__ = "0.1.0"

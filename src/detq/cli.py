@@ -38,7 +38,10 @@ EXIT_INPUT = 2
 
 
 def _load_data(path):
-    """Load latent/hyper pairs from an .npz: latent_0, hyper_0, latent_1, ..."""
+    """Load latent/hyper pairs from an .npz: latent_0, hyper_0, latent_1, ...
+
+    Latents are symbols, so each entry must be a finite whole number.
+    """
     try:
         with np.load(path) as z:
             pairs = []
@@ -46,7 +49,12 @@ def _load_data(path):
             while f"latent_{i}" in z:
                 if f"hyper_{i}" not in z:
                     raise ManifestError(f"hyper_{i} missing from {path}")
-                pairs.append((z[f"latent_{i}"], z[f"hyper_{i}"]))
+                latent = z[f"latent_{i}"]
+                if latent.dtype.kind not in "iuf" or not np.all(
+                    np.isfinite(latent) & (latent == np.trunc(latent))
+                ):
+                    raise ManifestError(f"latent_{i} must hold finite integers")
+                pairs.append((latent, z[f"hyper_{i}"]))
                 i += 1
     except (OSError, ValueError, KeyError) as e:
         raise ManifestError(f"cannot read data file {path}: {e}") from e
@@ -155,8 +163,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_demo_failure(args) -> int:
-    f = boundary_failure_demo(prior_mode="float", perturb=True)
-    i = boundary_failure_demo(prior_mode="int", perturb=True)
+    f = boundary_failure_demo(prior_mode="float")
+    i = boundary_failure_demo(prior_mode="int")
     print("float priors, 1-ulp perturbed decoder:")
     print(f.to_text(), end="")
     print("integer priors, same perturbation:")

@@ -6,6 +6,11 @@ integer pipeline is provably order-invariant, so the same variants leave
 its priors bit-identical.  Encode-on-A / decode-on-B experiments then show
 that float priors can break entropy decoding while integer priors
 round-trip exactly.
+
+A device in integer mode quantizes its raw latent and hyper latent with
+quantize.quantize_value, which rejects non-finite values; float mode
+feeds them to EntropyStackF as they are.  The float reference oracle is
+intops.run_entropy_stack on an EntropyStackF.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from .intops import (
     ORDERS,
     SUBNETS,
     EntropyStack,
+    QTensor,
     _ordered_sum,
     hyper_features,
     priors_from_features,
-    run_entropy_stack,
     split_head,
 )
-from .quantize import quantize_activation_tensor, quantize_layer, round_half_away
+from .quantize import quantize_layer, quantize_value, round_half_away
 from .rc import RangeDecoder, rc_decode, rc_encode
 from .tensors import ConvLayerF, im2col
 
@@ -48,7 +53,6 @@ __all__ = [
     "EntropyStackF",
     "FloatPriors",
     "conv_ordered_float",
-    "run_float_stack",
     "discretize_priors",
     "prior_fn",
     "run_backend",
@@ -221,17 +225,6 @@ def _leaky_float(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, x, (x * _LEAKY_SLOPE).astype(np.float32))
 
 
-def run_float_stack(
-    stack: EntropyStackF,
-    latent: np.ndarray,
-    hyper: np.ndarray,
-    order: str = "seq",
-) -> FloatPriors:
-    """Float32 reference inference of the full entropy stack, on raw inputs:
-    the intops topology in EntropyStackF's arithmetic."""
-    return run_entropy_stack(latent, hyper, stack, order)
-
-
 def discretize_priors(priors: FloatPriors, scale_exp: int) -> GmmParams:
     """Fixed-point GmmParams from float priors (the "float priors" path).
 
@@ -266,7 +259,10 @@ def make_stack_pair(fstack: EntropyStackF) -> StackPair:
 
 def _quantize_for(chain, x):
     """x quantized at the chain's input grid; None when the chain is absent."""
-    return quantize_activation_tensor(x, chain[0].spec) if chain else None
+    if not chain:
+        return None
+    spec = chain[0].spec
+    return QTensor(quantize_value(x, spec.p_in, spec.n_i), spec.p_in, spec.n_i)
 
 
 def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
@@ -394,9 +390,7 @@ def _demo_field():
     return priors, symbols
 
 
-def boundary_failure_demo(
-    prior_mode: str = "float", perturb: bool = True
-) -> InteropReport:
+def boundary_failure_demo(prior_mode: str = "float") -> InteropReport:
     """Reproduce the decode-failure phenomenon deterministically.
 
     One scale value sits within one float ulp of a fixed-point rounding
@@ -408,7 +402,7 @@ def boundary_failure_demo(
     priors, symbols = _demo_field()
     enc_params = discretize_priors(priors, p_e)
 
-    if prior_mode == "int" or not perturb:
+    if prior_mode == "int":
         dec_params = enc_params
     else:
         pert_scales = priors.scales.copy()
@@ -444,9 +438,7 @@ def int_cross_entropy_bits(latent, params: GmmParams) -> float:
     return float(np.sum(-np.log2(pmf / CDF_TOTAL)))
 
 
-def float_cross_entropy_bits(
-    latent, priors: FloatPriors, scale_exp: int, symbol_bound: int = DEFAULT_SYMBOL_BOUND
-) -> float:
+def float_cross_entropy_bits(latent, priors: FloatPriors, scale_exp: int) -> float:
     """Total bits under float priors, folded over the same finite alphabet."""
     latent = np.asarray(latent, dtype=np.int64)
     erf = np.vectorize(math.erf)
@@ -458,12 +450,9 @@ def float_cross_entropy_bits(
         phi = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
         return (np.asarray(priors.weights, np.float64) * phi).sum(axis=0)
 
-    hi = np.where(
-        latent >= symbol_bound, 1.0, mix_cdf(latent[None].astype(np.float64) + 0.5)
-    )
-    lo = np.where(
-        latent <= -symbol_bound, 0.0, mix_cdf(latent[None].astype(np.float64) - 0.5)
-    )
+    bound = DEFAULT_SYMBOL_BOUND
+    hi = np.where(latent >= bound, 1.0, mix_cdf(latent[None].astype(np.float64) + 0.5))
+    lo = np.where(latent <= -bound, 0.0, mix_cdf(latent[None].astype(np.float64) - 0.5))
     pmf = np.maximum(hi - lo, 1.0 / CDF_TOTAL)
     return float(np.sum(-np.log2(pmf)))
 

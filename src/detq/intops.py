@@ -1,11 +1,13 @@
 """Fused integer convolution pipeline for the entropy subnetworks.
 
-All arithmetic after activation quantization is exact integer arithmetic:
-int16-range operands, 32-bit accumulators whose overflow is excluded
-statically by the shift derivation, and per-channel fused rescaling via
-arithmetic shifts with half-away-from-zero rounding.  Because every
-accumulation is exact, the result is bit-identical for any summation
-order; the `order` argument exists to demonstrate that.
+Inputs arrive as QTensors already on the first layer's input grid
+(harness quantizes raw activations with quantize.quantize_value, the one
+activation quantizer).  All arithmetic from there on is exact integer
+arithmetic: int16-range operands, 32-bit accumulators whose overflow is
+excluded statically by the shift derivation, and per-channel fused
+rescaling via arithmetic shifts with half-away-from-zero rounding.
+Because every accumulation is exact, the result is bit-identical for any
+summation order; the `order` argument exists to demonstrate that.
 
 The stack topology (hyper_features, priors_from_features) exists once,
 here; the stack passed in supplies the arithmetic (layer step, fuse, head
@@ -41,7 +43,6 @@ __all__ = [
     "qconv_forward",
     "requantize",
     "leaky_relu_int",
-    "linear_softmax_int",
     "linear_softmax_field",
     "hyper_features",
     "priors_from_features",
@@ -80,7 +81,8 @@ class QTensor:
         if arr.ndim != 3:
             raise ShapeError(f"expected (c, h, w) tensor, got shape {arr.shape}")
         lim = (1 << (self.bit_depth - 1)) - 1
-        if arr.size and np.abs(arr).max() > lim:
+        # min and max, not np.abs: abs(-2^63) wraps to a negative int64
+        if arr.size and (arr.min() < -lim or arr.max() > lim):
             raise ValueError(
                 f"entry exceeds {self.bit_depth}-bit range (+-{lim})"
             )
@@ -171,23 +173,19 @@ def qconv_forward(x: QTensor, layer: QConvLayer, order: str = "seq") -> np.ndarr
     return acc.reshape(h, w, n).transpose(2, 0, 1)
 
 
-def requantize(
-    acc: np.ndarray,
-    layer: QConvLayer,
-    p_next: int,
-    out_bits: int = 16,
-) -> QTensor:
+def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> QTensor:
     """Fused rescale of an accumulator to the next layer's input grid.
 
     acc represents real values at scale 2^-(k_j + p_in) per channel j; the
-    output is at 2^-p_next, so each channel shifts by k_j + p_in - p_next.
+    output is at 2^-p_out, so each channel shifts by k_j + p_in - p_out.
     """
     acc = np.asarray(acc, dtype=np.int64)
-    s = layer.spec.k + (layer.spec.p_in - p_next)
+    spec = layer.spec
+    s = spec.k + (spec.p_in - spec.p_out)
     out = round_shift(acc, s.reshape((-1,) + (1,) * (acc.ndim - 1)))
     lim = (1 << (out_bits - 1)) - 1
     return QTensor(
-        data=np.clip(out, -lim, lim), scale_exp=p_next, bit_depth=out_bits
+        data=np.clip(out, -lim, lim), scale_exp=spec.p_out, bit_depth=out_bits
     )
 
 
@@ -204,6 +202,8 @@ def leaky_relu_int(x: QTensor) -> QTensor:
 def linear_softmax_field(z: np.ndarray, scale_exp: int) -> np.ndarray:
     """Linearized Softmax over axis 0 of a (3, ...) integer array.
 
+    A (3,) array gives the weights of one mixture.
+
     exp(z) is replaced by its first-order approximation 1 + z in fixed
     point, floored at one unit to stay positive.  Every component gets a
     floor weight of 1; the remaining 2^15 - 3 units are apportioned by
@@ -217,14 +217,6 @@ def linear_softmax_field(z: np.ndarray, scale_exp: int) -> np.ndarray:
     n = np.maximum((1 << scale_exp) + z, 1)
     denom = n.sum(axis=0)
     return 1 + apportion(n * target // denom, n * target % denom, target)
-
-
-def linear_softmax_int(z, scale_exp: int):
-    """Length-3 convenience wrapper around linear_softmax_field."""
-    z = np.asarray(z, dtype=np.int64)
-    if z.shape != (3,):
-        raise ShapeError("expected exactly 3 mixture logits")
-    return linear_softmax_field(z, scale_exp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +276,7 @@ class EntropyStack:
         """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU."""
         next_bits = after.spec.n_i if after is not None else 16
         acc = qconv_forward(clamp_input(x, layer.spec.n_i), layer, order)
-        q = requantize(acc, layer, p_next=layer.spec.p_out, out_bits=next_bits)
+        q = requantize(acc, layer, out_bits=next_bits)
         return leaky_relu_int(q) if activation else q
 
     def fuse(self, feats) -> QTensor:

@@ -224,10 +224,10 @@ def load_quantized_model(manifest_path) -> EntropyStack:
                 spec = LayerQuantSpec(
                     n_i=e["n_i"], p_in=e["p_in"], p_out=e["p_out"], k=e["channel_shifts"]
                 )
-            except ValueError as err:
-                raise ManifestError(f"{name}[{i}]: {err}") from err
-            try:
                 layers[name].append(QConvLayer(w_q=w, b_q=b, spec=spec, mask=e["mask"]))
             except WeightRangeError as err:
                 raise WeightRangeError(f"{name}[{i}]: {err}") from err
+            except ValueError as err:
+                # a malformed shift or a masked layer that is not causal
+                raise ManifestError(f"{name}[{i}]: {err}") from err
     return EntropyStack(**layers, latent_channels=latent_channels)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensors import ConvLayerF, FloatTensor
+from .tensors import ConvLayerF, causal_mask
 
 __all__ = [
     "K_MAX",
@@ -28,7 +28,6 @@ __all__ = [
     "round_half_away",
     "ceil_log2",
     "quantize_value",
-    "quantize_activation_tensor",
     "accumulator_bound",
     "derive_weight_shift",
     "adjust_shift_for_bias",
@@ -68,13 +67,20 @@ def ceil_log2(x) -> int:
     return e
 
 
-def quantize_value(x: float, p: int, b: int) -> int:
-    """clamp(round(x * 2^p), -(2^(b-1)-1), 2^(b-1)-1), half away from zero."""
+def quantize_value(x, p: int, b: int):
+    """clamp(round(x * 2^p), -(2^(b-1)-1), 2^(b-1)-1), half away from zero.
+
+    The one activation quantizer.  Works elementwise: an int for a scalar,
+    an int64 array for an array.  Non-finite input raises ValueError.
+    """
     if b < 2:
         raise ValueError("bit depth must be at least 2")
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("activation contains non-finite values")
     lim = (1 << (b - 1)) - 1
-    q = int(round_half_away(float(x) * math.ldexp(1.0, p)))
-    return max(-lim, min(lim, q))
+    q = np.clip(round_half_away(x * math.ldexp(1.0, p)), -lim, lim).astype(np.int64)
+    return q if q.ndim else int(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +127,9 @@ class QConvLayer:
     """Quantized convolution layer: int16-valued weights, wide-int bias.
 
     Construction enforces the static overflow bound, so every layer, built
-    or loaded, accumulates in 32 bits for any input within its n_i bits.
+    or loaded, accumulates in 32 bits for any input within its n_i bits,
+    and causality: a masked layer has zero weights at every tap that
+    causal_mask zeroes.
     """
 
     w_q: np.ndarray  # (m, K, K, n) int64, entries within int16
@@ -134,6 +142,8 @@ class QConvLayer:
         b = np.asarray(self.b_q, dtype=np.int64)
         if np.abs(w).max(initial=0) > INT16_MAX:
             raise WeightRangeError("quantized weights exceed int16 range")
+        if self.mask and np.any(w[:, causal_mask(w.shape[1]) == 0]):
+            raise ValueError("masked layer has non-zero weights at non-causal taps")
         acc_max = (1 << (ACCUM_BITS - 1)) - 1
         if np.abs(b).max(initial=0) > acc_max:
             raise WeightRangeError("quantized bias exceeds accumulator range")
@@ -261,14 +271,3 @@ def quantize_layer(
 
     spec = LayerQuantSpec(n_i=n_i, p_in=p_in, p_out=p_out, k=ks)
     return QConvLayer(w_q=w_q, b_q=b_q, spec=spec, mask=layer.mask)
-
-
-def quantize_activation_tensor(x, spec: LayerQuantSpec) -> "QTensor":
-    """Elementwise activation quantization at the layer's input grid."""
-    from .intops import QTensor
-
-    data = np.asarray(x.data if isinstance(x, FloatTensor) else x, dtype=np.float64)
-    lim = (1 << (spec.n_i - 1)) - 1
-    q = round_half_away(data * math.ldexp(1.0, spec.p_in))
-    q = np.clip(q, -lim, lim).astype(np.int64)
-    return QTensor(data=q, scale_exp=spec.p_in, bit_depth=spec.n_i)

@@ -1,4 +1,4 @@
-"""Float tensor containers, the causal mask, and im2col.
+"""The float convolution layer, the causal mask, and im2col.
 
 The canonical layout everywhere in this package is channel-major, row-major:
 activations are (channels, height, width), convolution weights are
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FloatTensor",
     "ConvLayerF",
     "ShapeError",
     "causal_mask",
@@ -22,25 +21,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Raised when tensor / layer geometries do not line up."""
-
-
-@dataclass(frozen=True, eq=False)
-class FloatTensor:
-    """Real-valued activation tensor, shape (channels, height, width)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeError(f"expected (c, h, w) tensor, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor contains non-finite values")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def shape(self):
-        return self.data.shape
 
 
 def causal_mask(k: int) -> np.ndarray:

@@ -30,9 +30,8 @@ from detq.harness import (
     random_stack,
     roundtrip_experiment,
     run_backend,
-    run_float_stack,
 )
-from detq.intops import linear_softmax_int
+from detq.intops import linear_softmax_field, run_entropy_stack
 from detq.quantize import (
     adjust_shift_for_bias,
     derive_weight_shift,
@@ -118,8 +117,8 @@ def test_criterion_3_roundtrip_exactness():
 
 
 def test_criterion_4_failure_reproduction():
-    f = boundary_failure_demo(prior_mode="float", perturb=True)
-    i = boundary_failure_demo(prior_mode="int", perturb=True)
+    f = boundary_failure_demo(prior_mode="float")
+    i = boundary_failure_demo(prior_mode="int")
     _verdict(4, "float fails / integer succeeds", (not f.decoded_equal) and i.decoded_equal)
 
 
@@ -136,7 +135,7 @@ def test_criterion_5_quantization_fidelity():
         latent = random_latent(rng, (1, 6, 6))
         hyper = rng.normal(size=(2, 6, 6))
         params = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
-        priors = run_float_stack(fs, latent, hyper, "seq")
+        priors = run_entropy_stack(latent, hyper, fs, "seq")
         int_bits += int_cross_entropy_bits(latent, params)
         float_bits += float_cross_entropy_bits(latent, priors, fs.head_scale_exp)
         unit = math.ldexp(1.0, -params.scale_exp)
@@ -198,7 +197,7 @@ def test_criterion_8_linearized_softmax():
     for _ in range(10_000):
         p = int(rng.integers(4, 13))
         z = [int(v) for v in rng.integers(-(1 << 14), 1 << 14, size=3)]
-        got = linear_softmax_int(z, p)
+        got = linear_softmax_field(z, p)
         ok &= bool(np.all(got > 0))
         ok &= int(got.sum()) == (1 << 15)
         ok &= tuple(int(v) for v in got) == softmax_oracle(z, p)

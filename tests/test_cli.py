@@ -165,6 +165,27 @@ def test_verify_wrong_accumulator_width_is_input_error(model, tmp_path, edit, ca
     assert "n_a" in capsys.readouterr().err
 
 
+def test_verify_non_causal_masked_layer_is_input_error(model, tmp_path, capsys):
+    q = tmp_path / "q.json"
+    assert main(["quantize", str(model), "--out", str(q)]) == 0
+    doc = json.loads(q.read_text())
+    entries = [e for name in ("hyperdecoder", "context") for e in doc["subnetworks"][name]]
+    assert entries[-1]["mask"]  # context[0]
+    w_off = sum(2 * e["m"] * e["k"] ** 2 * e["n"] + 4 * e["n"] for e in entries[:-1])
+    centre = (entries[-1]["k"] ** 2 // 2) * entries[-1]["n"]  # (0, c, c, 0) in (m, k, k, n)
+    blob = q.with_suffix(".bin")
+    raw = bytearray(blob.read_bytes())
+    raw[w_off + 2 * centre : w_off + 2 * centre + 2] = np.int16(1).tobytes()
+    blob.write_bytes(raw)
+    doc["blob_sha256"] = hashlib.sha256(raw).hexdigest()
+    q.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=r"context\[0\].*non-causal"):
+        load_quantized_model(q)
+    capsys.readouterr()
+    assert main(["verify", str(q)]) == 2
+    assert "context[0]" in capsys.readouterr().err
+
+
 def test_verify_layer_missing_key_is_input_error(model, capsys):
     _rewrite(model, lambda doc: doc["subnetworks"]["gather"][0].pop("p_in"))
     assert main(["verify", str(model)]) == 2
@@ -240,6 +261,31 @@ def test_calibrate_matches_library_call(model, data, tmp_path, capsys):
         )
     assert doc["final_objective_bits"] == pytest.approx(want.final_objective)
     assert doc["layers"] == want.layers
+
+
+@pytest.mark.parametrize(
+    "array, value, message",
+    [
+        ("hyper_0", np.nan, "non-finite"),
+        ("latent_0", np.nan, "latent_0 must hold finite integers"),
+        ("latent_0", np.inf, "latent_0 must hold finite integers"),
+        ("latent_0", 0.5, "latent_0 must hold finite integers"),
+    ],
+    ids=["hyper-nan", "latent-nan", "latent-inf", "latent-half"],
+)
+@pytest.mark.parametrize("command", ["roundtrip", "calibrate"])
+def test_non_finite_or_fractional_data_is_input_error(
+    model, data, tmp_path, command, array, value, message, capsys
+):
+    with np.load(data) as z:
+        arrays = {k: z[k].astype(np.float64) for k in z.files}
+    arrays[array][0, 1, 2] = value
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    extra = ["--out", str(tmp_path / "r.json"), "--passes", "1"] if command == "calibrate" else []
+    capsys.readouterr()
+    assert main([command, str(model), str(bad), *extra]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_demo_failure_exit_zero(capsys):

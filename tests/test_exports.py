@@ -27,3 +27,18 @@ def test_package_imports_resolve():
     assert names
     for name in names:
         assert hasattr(detq, name), name
+
+
+def test_no_imports_inside_functions():
+    # module-level imports only, so every dependency shows at the top of its file
+    src = pathlib.Path(detq.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert not found, found

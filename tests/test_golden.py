@@ -22,10 +22,9 @@ from detq.harness import (
     random_latent,
     random_stack,
     run_backend,
-    run_float_stack,
     prior_fn,
 )
-from detq.intops import linear_softmax_field
+from detq.intops import linear_softmax_field, run_entropy_stack
 from detq.manifest import save_quantized_model
 from detq.rc import rc_encode
 
@@ -82,7 +81,7 @@ def _case(name, seed, tmp, **kw):
     symbols = [int(v) for v in latent.transpose(1, 2, 0).ravel()]
     out["bitstream"] = _sha(rc_encode(symbols, tables, shape=latent.shape).to_bytes())
 
-    priors = run_float_stack(fs, latent, hyper, "seq")
+    priors = run_entropy_stack(latent, hyper, fs, "seq")
     out["float_priors"] = _sha(discretize_priors(priors, fs.head_scale_exp).tobytes())
 
     # decoder-side prior regeneration on a partly decoded canvas
@@ -104,7 +103,7 @@ def _all_digests(tmp):
     out["softmax.ties"] = _sha(linear_softmax_field(z, 10).tobytes())
 
     for mode in ("float", "int"):
-        rep = boundary_failure_demo(prior_mode=mode, perturb=True)
+        rep = boundary_failure_demo(prior_mode=mode)
         out[f"demo.{mode}"] = _sha(rep.to_text().encode())
     return out
 

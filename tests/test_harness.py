@@ -19,9 +19,9 @@ from detq.harness import (
     random_stack,
     roundtrip_experiment,
     run_backend,
-    run_float_stack,
 )
 from detq.gmm import WEIGHT_TOTAL, GmmParams, sigma_min_for
+from detq.intops import run_entropy_stack
 from detq.tensors import ConvLayerF
 
 from oracles import cdf_table_oracle
@@ -51,6 +51,13 @@ def test_int_mode_byte_identical_across_variants():
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_int_mode_rejects_non_finite_hyper_latent():
+    pair, latent, hyper = fixture_pair()
+    hyper[1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run_backend(pair, latent, hyper, BackendVariant("a", "seq", "int"))
+
+
 def test_float_cancellation_orders_differ():
     # f32 sequential: (2^24 + 1) - 2^24 = 0; reversed: (-2^24 + 1) + 2^24 = 1
     lyr = ConvLayerF(weights=np.ones((3, 1, 1, 1)), bias=np.zeros(1))
@@ -75,9 +82,8 @@ def test_float_vs_int_priors_close_on_random_stack():
 
 def test_discretize_priors_weights_positive_and_normalized():
     rng = np.random.default_rng(3)
-    pri = run_float_stack(
-        random_stack(rng), np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), "seq"
-    )
+    fs = random_stack(rng)  # drawn before the hyper latent
+    pri = run_entropy_stack(np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), fs, "seq")
     q = discretize_priors(pri, 10)
     assert np.all(q.weights > 0)
     assert np.all(q.weights.sum(axis=0) == WEIGHT_TOTAL)
@@ -218,11 +224,6 @@ def test_demo_integer_priors_roundtrip():
     assert rep.decoded_equal and rep.first_mismatch is None
 
 
-def test_demo_zero_perturbation_control():
-    rep = boundary_failure_demo(perturb=False)
-    assert rep.decoded_equal
-
-
 def test_report_text_format():
     txt = boundary_failure_demo().to_text()
     assert "decoded_equal=false" in txt
@@ -352,7 +353,7 @@ def test_cross_entropy_helpers_consistent():
     pair, latent, hyper = fixture_pair(seed=8)
     params = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
     ib = int_cross_entropy_bits(latent, params)
-    pri = run_float_stack(pair.float_stack, latent, hyper, "seq")
+    pri = run_entropy_stack(latent, hyper, pair.float_stack, "seq")
     fb = float_cross_entropy_bits(latent, pri, pair.float_stack.head_scale_exp)
     assert ib > 0 and fb > 0
     assert abs(ib - fb) / fb < 0.05

@@ -12,7 +12,6 @@ from detq.intops import (
     clamp_input,
     leaky_relu_int,
     linear_softmax_field,
-    linear_softmax_int,
     qconv_forward,
     requantize,
     round_shift,
@@ -45,6 +44,14 @@ def test_clamp_examples():
     x = QTensor(np.array([[[100, 300, -300]]]), 8, 16)
     out = clamp_input(x, 9)
     np.testing.assert_array_equal(out.data, [[[100, 255, -255]]])
+
+
+def test_qtensor_range_check_includes_int64_min():
+    QTensor(np.full((1, 1, 1), -32767), 8, 16)
+    # np.abs(-2^63) is -2^63, so an abs-based check would let it through
+    for v in (-32768, np.iinfo(np.int64).min):
+        with pytest.raises(ValueError, match="16-bit range"):
+            QTensor(np.full((1, 1, 1), v), 8, 16)
 
 
 def test_round_shift_examples():
@@ -85,12 +92,12 @@ def test_leaky_examples():
 
 def test_softmax_uniform_thirds():
     np.testing.assert_array_equal(
-        linear_softmax_int([0, 0, 0], 8), [10923, 10923, 10922]
+        linear_softmax_field([0, 0, 0], 8), [10923, 10923, 10922]
     )
 
 
 def test_softmax_guard_floors_numerator():
-    w = linear_softmax_int([0, -(1 << 10), -(1 << 12)], 10)
+    w = linear_softmax_field([0, -(1 << 10), -(1 << 12)], 10)
     assert np.all(w > 0)
     assert w.sum() == 1 << 15
     assert tuple(int(v) for v in w) == softmax_oracle([0, -(1 << 10), -(1 << 12)], 10)
@@ -98,12 +105,12 @@ def test_softmax_guard_floors_numerator():
 
 def test_softmax_spread_example():
     z = [1 << 10, 0, -(1 << 10)]
-    np.testing.assert_array_equal(linear_softmax_int(z, 10), softmax_oracle(z, 10))
+    np.testing.assert_array_equal(linear_softmax_field(z, 10), softmax_oracle(z, 10))
 
 
 @given(st.lists(st.integers(-(2**15), 2**15), min_size=3, max_size=3), st.integers(4, 12))
 def test_softmax_matches_rational_oracle(z, p):
-    got = linear_softmax_int(z, p)
+    got = linear_softmax_field(z, p)
     assert tuple(int(v) for v in got) == softmax_oracle(z, p)
     assert got.sum() == 1 << 15 and np.all(got > 0)
 
@@ -114,7 +121,7 @@ def test_softmax_field_matches_scalar():
     field = linear_softmax_field(z, 10)
     for idx in np.ndindex(2, 4, 4):
         sel = (slice(None),) + idx
-        np.testing.assert_array_equal(field[sel], linear_softmax_int(z[sel], 10))
+        np.testing.assert_array_equal(field[sel], linear_softmax_field(z[sel], 10))
 
 
 # --- integer convolution --------------------------------------------------
@@ -249,18 +256,19 @@ def test_requantize_fused_scaling_accuracy():
     lyr = qlayer(rng.normal(size=(2, 1, 1, 3)), b=rng.normal(size=3), p_in=8, p_out=10)
     x = QTensor(rng.integers(-1000, 1000, size=(2, 3, 3)), 8, 16)
     acc = qconv_forward(x, lyr)
-    out = requantize(acc, lyr, p_next=10)
+    out = requantize(acc, lyr)
     for j in range(3):
         exact = acc[j] / 2.0 ** (int(lyr.spec.k[j]) + 8)
         got = out.data[j] / 2.0**10
         assert np.all(np.abs(exact - got) <= 2.0**-11 + 1e-15)
 
 
-def _requantize_loop(acc, layer, p_next, out_bits=16):
+def _requantize_loop(acc, layer, out_bits=16):
     """requantize as one scalar-shift round_shift call per channel."""
+    spec = layer.spec
     out = np.empty_like(acc)
     for j in range(acc.shape[0]):
-        out[j] = round_shift(acc[j], int(layer.spec.k[j]) + layer.spec.p_in - p_next)
+        out[j] = round_shift(acc[j], int(spec.k[j]) + spec.p_in - spec.p_out)
     lim = (1 << (out_bits - 1)) - 1
     return np.clip(out, -lim, lim)
 
@@ -275,21 +283,19 @@ def test_requantize_mixed_shifts_match_channel_loop():
     acc = np.random.default_rng(17).integers(-(2**14), 2**14, size=(5, 3, 4))
     acc[:, 0, 0] = [4, 4, 8, 2048, -2]  # exact halves round away from zero
     for out_bits in (9, 16):
-        got = requantize(acc, lyr, p_next=8, out_bits=out_bits)
-        np.testing.assert_array_equal(
-            got.data, _requantize_loop(acc, lyr, 8, out_bits)
-        )
+        got = requantize(acc, lyr, out_bits=out_bits)
+        np.testing.assert_array_equal(got.data, _requantize_loop(acc, lyr, out_bits))
 
 
 def test_requantize_left_shift_overflow_still_raises():
     lyr = _shift_layer([0, 15], p_in=2)  # shifts -6, 9
     acc = np.zeros((2, 2, 2), dtype=np.int64)
     acc[1] = 1 << 40  # right-shifted channel: no left-shift overflow
-    requantize(acc, lyr, p_next=8)
+    requantize(acc, lyr)
     acc[0, 1, 1] = 1 << 26  # 2^32 after the left shift
     for fn in (requantize, _requantize_loop):
         with pytest.raises(AccumulatorOverflowError):
-            fn(acc, lyr, 8)
+            fn(acc, lyr)
 
 
 # --- full stack -----------------------------------------------------------

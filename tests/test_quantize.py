@@ -15,13 +15,12 @@ from detq.quantize import (
     adjust_shift_for_bias,
     ceil_log2,
     derive_weight_shift,
-    quantize_activation_tensor,
     quantize_layer,
     quantize_value,
     round_half_away,
 )
 from detq.intops import QTensor, qconv_forward, requantize
-from detq.tensors import ConvLayerF, FloatTensor
+from detq.tensors import ConvLayerF
 
 from oracles import (
     adjust_shift_for_bias_oracle,
@@ -45,6 +44,17 @@ def test_quantize_value_examples():
     assert quantize_value(0.0, 5, 16) == 0
     assert quantize_value(1.0, 8, 16) == 256
     assert quantize_value(200.0, 8, 9) == 255  # 51200 clamps to 2^8 - 1
+    assert type(quantize_value(np.float64(1.0), 8, 16)) is int
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quantize_value_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize_value(bad, 8, 16)
+    x = np.zeros((1, 2, 2))
+    x[0, 1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        quantize_value(x, 8, 16)
 
 
 @given(
@@ -154,7 +164,7 @@ def test_tiny_weights_keep_requantize_shift_exact():
     q = quantize_layer(lyr, n_i=16, p_in=8, p_out=8)
     assert q.spec.k[0] == 62
     x = QTensor(np.full((1, 2, 2), 32767), 8, 16)
-    np.testing.assert_array_equal(requantize(qconv_forward(x, q), q, 8).data, 0)
+    np.testing.assert_array_equal(requantize(qconv_forward(x, q), q).data, 0)
 
 
 def test_unrepresentable_weight_rejected():
@@ -176,36 +186,42 @@ def test_qconv_layer_enforces_accumulator_bound():
     QConvLayer(w_q=w, b_q=b, spec=spec9)
 
 
-# --- quantize_activation_tensor ------------------------------------------
+def test_qconv_layer_enforces_causality():
+    spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0])
+    w = np.zeros((1, 3, 3, 1), dtype=np.int64)
+    w[0, 0, :, 0] = w[0, 1, 0, 0] = 7  # every strictly-prior tap
+    QConvLayer(w_q=w, b_q=[0], spec=spec, mask=True)
+    for tap in [(1, 1), (1, 2), (2, 0), (2, 2)]:  # the centre and later taps
+        bad = w.copy()
+        bad[(0, *tap, 0)] = 1
+        QConvLayer(w_q=bad, b_q=[0], spec=spec)  # unmasked layers may use any tap
+        with pytest.raises(ValueError, match="non-causal"):
+            QConvLayer(w_q=bad, b_q=[0], spec=spec, mask=True)
+
+
+# --- activation quantization of tensors ----------------------------------
 
 
 def test_activation_tensor_examples():
-    q = quantize_layer(layer(np.ones((1, 1, 1, 1)) * 0.5), n_i=16, p_in=8, p_out=8)
-    spec = q.spec
-    zeros = quantize_activation_tensor(np.zeros((1, 2, 2)), spec)
-    assert np.all(zeros.data == 0)
-    ones = quantize_activation_tensor(np.ones((1, 2, 2)), spec)
-    assert np.all(ones.data == 256)
+    assert np.all(quantize_value(np.zeros((1, 2, 2)), 8, 16) == 0)
+    ones = quantize_value(np.ones((1, 2, 2)), 8, 16)
+    assert ones.dtype == np.int64 and np.all(ones == 256)
 
 
 def test_activation_tensor_matches_elementwise_oracle():
     rng = np.random.default_rng(7)
-    q = quantize_layer(layer(np.ones((1, 1, 1, 1)) * 0.5), n_i=9, p_in=8, p_out=8)
     x = rng.normal(0, 2, size=(2, 3, 3))
-    got = quantize_activation_tensor(x, q.spec)
+    got = quantize_value(x, 8, 9)
     for idx in np.ndindex(*x.shape):
-        assert got.data[idx] == quantize_value_oracle(x[idx], 8, 9)
+        assert got[idx] == quantize_value_oracle(x[idx], 8, 9)
 
 
 def test_activation_tensor_input_forms_agree():
     rng = np.random.default_rng(8)
-    q = quantize_layer(layer(np.ones((1, 1, 1, 1)) * 0.5), n_i=9, p_in=8, p_out=8)
     x = rng.normal(0, 2, size=(2, 3, 4))
-    want = quantize_activation_tensor(x, q.spec).data
-    for form in (FloatTensor(x), x.tolist()):
-        np.testing.assert_array_equal(quantize_activation_tensor(form, q.spec).data, want)
+    np.testing.assert_array_equal(quantize_value(x.tolist(), 8, 9), quantize_value(x, 8, 9))
     ints = rng.integers(-8, 9, size=(2, 3, 4))
     strided = np.repeat(ints, 2, axis=2)[:, :, ::2]  # non-contiguous view
     for form in (ints, ints.astype(np.int32), strided):
-        got = quantize_activation_tensor(form, q.spec).data
+        got = quantize_value(form, 8, 9)
         np.testing.assert_array_equal(got, np.clip(ints * 256, -255, 255))

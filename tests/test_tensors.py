@@ -3,8 +3,8 @@ import pytest
 
 from detq.harness import conv_ordered_float
 from detq.intops import ORDERS, QTensor, qconv_forward
-from detq.quantize import LayerQuantSpec, QConvLayer
-from detq.tensors import ConvLayerF, FloatTensor, ShapeError, causal_mask
+from detq.quantize import LayerQuantSpec, QConvLayer, quantize_value
+from detq.tensors import ConvLayerF, ShapeError, causal_mask
 
 from oracles import conv2d_oracle
 
@@ -70,8 +70,8 @@ def test_masked_layer_zeroes_center_and_future():
 
 def test_shape_validation():
     with pytest.raises(ShapeError):
-        FloatTensor(np.zeros((3, 3)))
+        ConvLayerF(np.zeros((3, 3)), np.zeros(3))
     with pytest.raises(ShapeError):
         layer(np.zeros((1, 2, 2, 1)))  # even kernel
     with pytest.raises(ValueError):
-        FloatTensor(np.array([[[np.nan]]]))
+        quantize_value(np.array([[[np.nan]]]), 8, 16)
