@@ -58,7 +58,7 @@ def _div_round_half_away(num, den):
 def std_normal_cdf_fixed(z):
     """Phi(z) in Q16 by direct lookup; z is fixed point on the table's Q6
     grid and is clamped to +-6."""
-    t = np.clip(np.asarray(z, dtype=np.int64), -_SPAN, _SPAN) + _SPAN
+    t = np.minimum(np.maximum(np.asarray(z, dtype=np.int64), -_SPAN), _SPAN) + _SPAN
     out = _PHI[t]
     return out if out.ndim else int(out)
 

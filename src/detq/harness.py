@@ -9,8 +9,13 @@ round-trip exactly.
 
 A device in integer mode quantizes its raw latent and hyper latent with
 quantize.quantize_value, which rejects non-finite values; float mode
-feeds them to EntropyStackF as they are.  The float reference oracle is
+feeds them to EntropyStackF as they are, once it has checked that
+float32 holds the hyper latent.  The float reference oracle is
 intops.run_entropy_stack on an EntropyStackF.
+
+The decoder of a stack with a context model computes each position's
+priors from its causal window of the symbols decoded so far, so a
+roundtrip costs time linear in the number of positions.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .intops import (
     EntropyStack,
     QTensor,
     _ordered_sum,
+    causal_window,
     hyper_features,
     priors_from_features,
     split_head,
@@ -73,6 +79,7 @@ DEFAULT_SYMBOL_BOUND = 8
 CFG_FIELDS = dict(zip(SUBNETS, ("hyper_cfg", "context_cfg", "gather_cfg")))
 
 _LEAKY_SLOPE = np.float32(LEAKY_NUM) / np.float32(1 << LEAKY_SHIFT)
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -268,22 +275,40 @@ def _quantize_for(chain, x):
 def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
     """Priors one simulated device computes, as a function of the latent canvas.
 
-    The hyper-only work runs once, here.  Integer mode is bit-identical
-    across variants; float mode may differ at the ulp level between
-    accumulation orders, and those differences can survive discretization.
+    The callable takes the canvas and, optionally, one position at = (y, x).
+    Given a position it returns that position's priors alone, a (c, 1, 1)
+    field computed from its causal window (intops.causal_window), so their
+    cost does not grow with the canvas; they equal the whole-canvas priors
+    at (y, x) byte for byte.  The hyper-only work runs once, here.  Integer
+    mode is bit-identical across variants; float mode may differ at the ulp
+    level between accumulation orders, and those differences can survive
+    discretization.
     """
     order = variant.order
     if variant.mode == "int":
-        qs = stacks.quant_stack
-        hyper_feat = hyper_features(_quantize_for(qs.hyperdecoder, hyper), qs, order)
-        return lambda canvas: priors_from_features(
-            hyper_feat, _quantize_for(qs.context, canvas), qs, order
-        )
-    fs = stacks.float_stack
-    hyper_feat = hyper_features(hyper, fs, order)
-    return lambda canvas: discretize_priors(
-        priors_from_features(hyper_feat, canvas, fs, order), fs.head_scale_exp
-    )
+        stack = stacks.quant_stack
+        hyper_feat = hyper_features(_quantize_for(stack.hyperdecoder, hyper), stack, order)
+
+        def priors(context, at):
+            ctx = _quantize_for(stack.context, context)
+            return priors_from_features(hyper_feat, ctx, stack, order, at)
+
+    else:
+        stack = stacks.float_stack
+        # float32 would hold such a value as inf or NaN, and the priors as
+        # garbage; the comparison is false for NaN too
+        if stack.hyperdecoder and not np.all(np.abs(np.asarray(hyper, float)) <= _F32_MAX):
+            raise ValueError("hyper latent has non-finite values or values beyond float32")
+        hyper_feat = hyper_features(hyper, stack, order)
+
+        def priors(context, at):
+            raw = priors_from_features(hyper_feat, context, stack, order, at)
+            return discretize_priors(raw, stack.head_scale_exp)
+
+    def params_of(canvas, at=None):
+        return priors(canvas if at is None else causal_window(canvas, stack, at), at)
+
+    return params_of
 
 
 def run_backend(stacks: StackPair, latent, hyper, variant: BackendVariant) -> GmmParams:
@@ -314,7 +339,8 @@ def roundtrip_experiment(
 
     Each device computes priors in its variant's mode and order.  The
     decoder regenerates priors autoregressively from its own decoded
-    symbols, exactly as a real decoder must.
+    symbols, exactly as a real decoder must; the report compares the
+    encoder's prior field with the one the decoder assembled.
     """
     latent = np.asarray(latent, dtype=np.int64)
     v_min, v_max = -DEFAULT_SYMBOL_BOUND, DEFAULT_SYMBOL_BOUND
@@ -326,21 +352,29 @@ def roundtrip_experiment(
         _raster(latent), field_tables(enc_params, v_min, v_max), shape=latent.shape
     )
 
-    # Without a context model the priors do not depend on the canvas, so
-    # they are computed once; with one, after every decoded position.
+    # With a context model each position's priors come from its causal
+    # window of the symbols decoded so far; without one they do not depend
+    # on the canvas, and one pass gives every position's tables.
     params_of = prior_fn(stacks, hyper, dec_variant)
     has_context = bool(stacks.quant_stack.context)
     canvas = np.zeros_like(latent)
-    dec_params = params_of(canvas)
+    c, h, w = latent.shape
+    if has_context:
+        fields = np.zeros((3, 3, c, h, w), dtype=np.int64)  # weights, means, scales
+    else:
+        dec_params = params_of(canvas)
+        tables = field_tables(dec_params, v_min, v_max)
     decoder = RangeDecoder(stream.payload, stream.count)
-    _, h, w = latent.shape
-    for y in range(h):
-        for x in range(w):
-            pos = dec_params.element((slice(None), y, x))
-            tables = build_cdf_table(pos, v_min, v_max)
-            canvas[:, y, x] = [decoder.decode(t) for t in tables]
-            if has_context:
-                dec_params = params_of(canvas)
+    for i, (y, x) in enumerate(np.ndindex(h, w)):
+        if has_context:
+            pos = params_of(canvas, (y, x))
+            fields[..., y : y + 1, x : x + 1] = pos.weights, pos.means, pos.scales
+            here = build_cdf_table(pos, v_min, v_max)
+        else:
+            here = tables[i * c : (i + 1) * c]
+        canvas[:, y, x] = [decoder.decode(t) for t in here]
+    if has_context:
+        dec_params = GmmParams(*fields, stacks.quant_stack.head_scale_exp)
     return _report(_raster(latent), _raster(canvas), enc_params, dec_params)
 
 
@@ -438,7 +472,7 @@ def int_cross_entropy_bits(latent, params: GmmParams) -> float:
     return float(np.sum(-np.log2(pmf / CDF_TOTAL)))
 
 
-def float_cross_entropy_bits(latent, priors: FloatPriors, scale_exp: int) -> float:
+def float_cross_entropy_bits(latent, priors: FloatPriors) -> float:
     """Total bits under float priors, folded over the same finite alphabet."""
     latent = np.asarray(latent, dtype=np.int64)
     erf = np.vectorize(math.erf)

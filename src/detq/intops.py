@@ -18,6 +18,13 @@ QConvLayer enforces sum|w| * x_max + |b| <= 2^31 - 1, so every product
 and every partial sum, taken in any order, is an integer of magnitude
 below 2^31 < 2^53: float64 represents each one exactly, whatever
 summation order, blocking or FMA use the BLAS library picks.
+
+Exactness also makes autoregressive decoding linear in the canvas size.
+Every context layer is causal and gather is 1x1, so a position's priors
+depend only on its hyper features and on its causal window of the canvas
+(causal_window); priors_from_features(..., at=(y, x)) runs the context
+chain on that window and gather and head on the one pixel, and the result
+equals the whole-canvas priors at (y, x) bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmm import GmmParams, apportion, sigma_min_for
-from .quantize import QConvLayer
+from .quantize import QConvLayer, exceeds
 from .tensors import ShapeError, im2col
 
 __all__ = [
@@ -45,6 +52,8 @@ __all__ = [
     "leaky_relu_int",
     "linear_softmax_field",
     "hyper_features",
+    "context_reach",
+    "causal_window",
     "priors_from_features",
     "run_entropy_stack",
     "split_head",
@@ -58,10 +67,6 @@ SUBNETS = ("hyperdecoder", "context", "gather")
 # LeakyReLU negative slope 41/4096 ~= 0.01 as a dyadic rational.
 LEAKY_NUM = 41
 LEAKY_SHIFT = 12
-
-# qconv_forward splits the taps into this many contiguous blocks; `order`
-# folds the blocks' GEMM partials.
-CONV_BLOCKS = 8
 
 
 class AccumulatorOverflowError(ArithmeticError):
@@ -81,8 +86,7 @@ class QTensor:
         if arr.ndim != 3:
             raise ShapeError(f"expected (c, h, w) tensor, got shape {arr.shape}")
         lim = (1 << (self.bit_depth - 1)) - 1
-        # min and max, not np.abs: abs(-2^63) wraps to a negative int64
-        if arr.size and (arr.min() < -lim or arr.max() > lim):
+        if exceeds(arr, lim):
             raise ValueError(
                 f"entry exceeds {self.bit_depth}-bit range (+-{lim})"
             )
@@ -94,7 +98,13 @@ class QTensor:
 
 
 def clamp_input(x: QTensor, n_i: int) -> QTensor:
-    """Clamp entries to +-(2^(n_i-1)-1); scale is unchanged."""
+    """Clamp entries to +-(2^(n_i-1)-1); scale is unchanged.
+
+    A tensor whose bit depth is at most n_i is already within range and
+    is returned as it is.
+    """
+    if x.bit_depth <= n_i:
+        return x
     lim = (1 << (n_i - 1)) - 1
     return QTensor(
         data=np.clip(x.data, -lim, lim), scale_exp=x.scale_exp, bit_depth=n_i
@@ -111,12 +121,16 @@ def round_shift(v, s):
     v = np.asarray(v, dtype=np.int64)
     s = np.asarray(s, dtype=np.int64)
     right = np.maximum(s, 0)
-    r = (np.abs(v) + ((1 << right) >> 1)) >> right
-    out = np.where(v < 0, -r, r) << np.maximum(-s, 0)
-    if np.any(s < 0) and np.any((s < 0) & (np.abs(out) > (1 << 31) - 1)):
-        raise AccumulatorOverflowError(
-            f"left shift by up to {int(-s.min())} exceeds the 32-bit range"
-        )
+    half = (1 << right) >> 1  # 0 where right is 0: nothing to round there
+    # floor((v + half) / 2^right) rounds ties up; v >> 63 is -1 below zero,
+    # and one less added there rounds them down, so ties go away from zero
+    out = (v + half + ((v >> 63) & -np.minimum(half, 1))) >> right
+    if s.min(initial=0) < 0:
+        out = out << np.maximum(-s, 0)
+        if np.any((s < 0) & (np.abs(out) > (1 << 31) - 1)):
+            raise AccumulatorOverflowError(
+                f"left shift by up to {int(-s.min())} exceeds the 32-bit range"
+            )
     return out
 
 
@@ -144,31 +158,25 @@ def qconv_forward(x: QTensor, layer: QConvLayer, order: str = "seq") -> np.ndarr
     QConvLayer holds sum|w| * x_max + |b| within 32 bits, and the input is
     checked against x_max here, so no partial sum in any order can
     overflow, and each one is an integer below 2^53 that float64 holds
-    exactly.  The T = m*K*K taps are split into min(T, CONV_BLOCKS)
-    contiguous blocks (the last zero-filled); one batched float64 GEMM
-    sums each block, and `order` selects how the block partials are
-    folded.  Masked (causal) layers carry their zeroes in the weights.
+    exactly.  The T = m*K*K taps are split into the contiguous blocks of
+    layer.weight_blocks; one batched float64 GEMM sums each block, and
+    `order` selects how the block partials are folded.  Masked (causal)
+    layers carry their zeroes in the weights.
     """
     c, h, w = x.shape
     if c != layer.in_channels:
         raise ShapeError(
             f"input has {c} channels, layer expects {layer.in_channels}"
         )
-    lim = (1 << (layer.spec.n_i - 1)) - 1
-    if x.data.size and np.abs(x.data).max() > lim:
+    if exceeds(x.data, (1 << (layer.spec.n_i - 1)) - 1):
         raise ValueError("input not clamped to the layer's bit depth")
     cols = im2col(x.data, layer.kernel)  # (h*w, m*K*K)
+    wblocks = layer.weight_blocks
+    nb, span, n = wblocks.shape
     p, t = cols.shape
-    n = layer.out_channels
-    nb = min(t, CONV_BLOCKS)
-    span = -(-t // nb)
     a = np.zeros((p, nb * span))
     a[:, :t] = cols
-    wmat = np.zeros((nb * span, n))
-    wmat[:t] = layer.w_q.reshape(t, n)
-    partials = np.matmul(
-        a.reshape(p, nb, span).transpose(1, 0, 2), wmat.reshape(nb, span, n)
-    )  # (nb, h*w, n)
+    partials = np.matmul(a.reshape(p, nb, span).transpose(1, 0, 2), wblocks)
     acc = _ordered_sum(partials.transpose(1, 0, 2), order).astype(np.int64) + layer.b_q
     return acc.reshape(h, w, n).transpose(2, 0, 1)
 
@@ -181,21 +189,22 @@ def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> QTe
     """
     acc = np.asarray(acc, dtype=np.int64)
     spec = layer.spec
-    s = spec.k + (spec.p_in - spec.p_out)
-    out = round_shift(acc, s.reshape((-1,) + (1,) * (acc.ndim - 1)))
+    out = round_shift(acc, spec.shift.reshape((-1,) + (1,) * (acc.ndim - 1)))
     lim = (1 << (out_bits - 1)) - 1
     return QTensor(
-        data=np.clip(out, -lim, lim), scale_exp=spec.p_out, bit_depth=out_bits
+        data=np.minimum(np.maximum(out, -lim), lim),
+        scale_exp=spec.p_out,
+        bit_depth=out_bits,
     )
 
 
 def leaky_relu_int(x: QTensor) -> QTensor:
     """Integer LeakyReLU with negative slope 41/4096."""
-    neg = round_shift(x.data * LEAKY_NUM, LEAKY_SHIFT)
+    # the scaled value lies between 0 and x, so the larger of the two is x
+    # at or above zero and the scaled value below it
+    scaled = round_shift(x.data * LEAKY_NUM, LEAKY_SHIFT)
     return QTensor(
-        data=np.where(x.data >= 0, x.data, neg),
-        scale_exp=x.scale_exp,
-        bit_depth=x.bit_depth,
+        data=np.maximum(x.data, scaled), scale_exp=x.scale_exp, bit_depth=x.bit_depth
     )
 
 
@@ -315,15 +324,55 @@ def hyper_features(hyper_latent, stack, order="seq"):
     return _run_chain(hyper_latent, stack.hyperdecoder, stack, order)
 
 
-def priors_from_features(hyper_feat, latent_context, stack, order="seq"):
+def context_reach(stack) -> int:
+    """How many rows and columns a context output reaches back: sum of K//2."""
+    return sum(layer.kernel // 2 for layer in stack.context)
+
+
+def causal_window(canvas, stack, at):
+    """The part of a (c, h, w) canvas that position at = (y, x)'s priors read.
+
+    Rows max(0, y - R)..y and columns max(0, x - R)..x + R, clipped to the
+    canvas, with R = context_reach(stack): the receptive field of a causal
+    context chain, cut off below row y.
+    """
+    y, x = at
+    r = context_reach(stack)
+    return canvas[:, max(0, y - r) : y + 1, max(0, x - r) : x + r + 1]
+
+
+def _pixel(t, y, x):
+    """Position (y, x) of a (c, h, w) QTensor or array, as (c, 1, 1)."""
+    if isinstance(t, QTensor):
+        return QTensor(t.data[:, y : y + 1, x : x + 1], t.scale_exp, t.bit_depth)
+    return t[:, y : y + 1, x : x + 1]
+
+
+def priors_from_features(hyper_feat, latent_context, stack, order="seq", at=None):
     """Context -> fuse with hyper features -> gather -> GMM head.
 
     An EntropyStack's head gives Q15 mixture weights (linearized softmax),
     means, and scales floored at sigma_min_for, as GmmParams.
+
+    With at = (y, x) only that position's priors are computed, as a
+    (c, 1, 1) field: latent_context is then its causal_window, the context
+    chain runs on the window, and fuse, gather and head run on the one
+    pixel.  The context layers are causal and every output position is
+    summed on its own, so the result equals the whole-canvas priors at
+    (y, x) bit for bit, in float32 too.
     """
-    feats = [] if hyper_feat is None else [hyper_feat]
+    if at is not None and any(layer.kernel != 1 for layer in stack.gather):
+        raise ShapeError("priors of one position need 1x1 gather layers")
+    feats = []
+    if hyper_feat is not None:
+        feats.append(hyper_feat if at is None else _pixel(hyper_feat, *at))
     if stack.context:
-        feats.append(_run_chain(latent_context, stack.context, stack, order))
+        ctx = _run_chain(latent_context, stack.context, stack, order)
+        if at is not None:
+            # where the position sits in its window
+            r = context_reach(stack)
+            ctx = _pixel(ctx, min(at[0], r), min(at[1], r))
+        feats.append(ctx)
     y = _run_chain(stack.fuse(feats), stack.gather, stack, order, last_act=False)
     return stack.decode_head(y)
 

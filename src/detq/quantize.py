@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "QConvLayer",
     "WeightRangeError",
     "round_half_away",
+    "exceeds",
     "ceil_log2",
     "quantize_value",
     "accumulator_bound",
@@ -41,6 +43,9 @@ INT16_MAX = (1 << 15) - 1
 ACCUM_BITS = 32
 # Widest right shift round_shift rounds correctly: 1 << 63 wraps in int64.
 MAX_RIGHT_SHIFT = 62
+# The convolution sums a layer's taps in at most this many contiguous
+# blocks, one GEMM each, and folds the block partials in the requested order.
+CONV_BLOCKS = 8
 
 
 class WeightRangeError(ValueError):
@@ -51,6 +56,12 @@ class WeightRangeError(ValueError):
 def round_half_away(x):
     """Round to nearest integer, ties away from zero.  Works on arrays."""
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def exceeds(arr: np.ndarray, lim: int) -> bool:
+    """Whether an int64 array has an entry outside [-lim, lim]."""
+    # abs(-2^63) wraps to -2^63 itself, which read as unsigned is 2^63 > lim
+    return arr.size > 0 and np.abs(arr).view(np.uint64).max() > lim
 
 
 def ceil_log2(x) -> int:
@@ -79,7 +90,8 @@ def quantize_value(x, p: int, b: int):
     if not np.isfinite(x).all():
         raise ValueError("activation contains non-finite values")
     lim = (1 << (b - 1)) - 1
-    q = np.clip(round_half_away(x * math.ldexp(1.0, p)), -lim, lim).astype(np.int64)
+    q = np.minimum(np.maximum(round_half_away(x * math.ldexp(1.0, p)), -lim), lim)
+    q = q.astype(np.int64)
     return q if q.ndim else int(q)
 
 
@@ -110,6 +122,11 @@ class LayerQuantSpec:
             raise ValueError(f"channel shifts must lie in [0, {k_max}]")
         object.__setattr__(self, "k", k.astype(np.int64))
 
+    @cached_property
+    def shift(self) -> np.ndarray:
+        """Per-channel requantization right shift k_j + p_in - p_out."""
+        return self.k + (self.p_in - self.p_out)
+
 
 def accumulator_bound(w_q, b_q, n_i: int) -> np.ndarray:
     """Per-channel worst-case |accumulator|: sum|w| * (2^(n_i-1)-1) + |b|.
@@ -129,7 +146,9 @@ class QConvLayer:
     Construction enforces the static overflow bound, so every layer, built
     or loaded, accumulates in 32 bits for any input within its n_i bits,
     and causality: a masked layer has zero weights at every tap that
-    causal_mask zeroes.
+    causal_mask zeroes.  The layer holds w_q and b_q as read-only views,
+    so both hold for its lifetime unless the caller writes to the arrays
+    it passed in.
     """
 
     w_q: np.ndarray  # (m, K, K, n) int64, entries within int16
@@ -138,14 +157,17 @@ class QConvLayer:
     mask: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.w_q, dtype=np.int64)
-        b = np.asarray(self.b_q, dtype=np.int64)
-        if np.abs(w).max(initial=0) > INT16_MAX:
+        # read-only views: a write through the layer would void the checks
+        # below and the cached weight_blocks
+        w = np.asarray(self.w_q, dtype=np.int64).view()
+        b = np.asarray(self.b_q, dtype=np.int64).view()
+        w.flags.writeable = b.flags.writeable = False
+        if exceeds(w, INT16_MAX):
             raise WeightRangeError("quantized weights exceed int16 range")
         if self.mask and np.any(w[:, causal_mask(w.shape[1]) == 0]):
             raise ValueError("masked layer has non-zero weights at non-causal taps")
         acc_max = (1 << (ACCUM_BITS - 1)) - 1
-        if np.abs(b).max(initial=0) > acc_max:
+        if exceeds(b, acc_max):
             raise WeightRangeError("quantized bias exceeds accumulator range")
         worst = int(accumulator_bound(w, b, self.spec.n_i).max(initial=0))
         if worst > acc_max:
@@ -166,6 +188,22 @@ class QConvLayer:
     @property
     def out_channels(self) -> int:
         return self.w_q.shape[3]
+
+    @cached_property
+    def weight_blocks(self) -> np.ndarray:
+        """w_q as float64 GEMM operands, (blocks, span, n), built on first use.
+
+        The T = m*K*K taps, flattened in (m, K, K) order, fill at most
+        CONV_BLOCKS contiguous blocks of equal span; the last block is
+        zero-filled.
+        """
+        n = self.out_channels
+        t = self.in_channels * self.kernel**2
+        span = -(-t // min(t, CONV_BLOCKS))
+        blocks = -(-t // span)
+        out = np.zeros((blocks * span, n))
+        out[:t] = self.w_q.reshape(t, n)
+        return out.reshape(blocks, span, n)
 
 
 def derive_weight_shift(w_col, n_a: int = ACCUM_BITS, n_i: int = 16) -> int:

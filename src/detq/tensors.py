@@ -84,10 +84,17 @@ def im2col(data: np.ndarray, k: int) -> np.ndarray:
     """Zero-padded sliding windows of (c, h, w) data as (h*w, c*k*k).
 
     Column order matches (m, K, K, n) weights flattened over (m, K, K).
+    For k = 1 that is the data reshaped and transposed, with no padding.
     """
     c, h, w = data.shape
+    if k == 1:
+        return data.reshape(c, h * w).T
     pad = k // 2
-    xp = np.pad(data, ((0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    # win: (c, h, w, k, k) -> (h, w, c, k, k) -> (h*w, c*k*k)
-    return win.transpose(1, 2, 0, 3, 4).reshape(h * w, c * k * k)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=data.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = data
+    # the (h, w, c, k, k) windows of xp; the last one ends at xp's last entry
+    sc, sy, sx = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (h, w, c, k, k), (sy, sx, sc, sy, sx), writeable=False
+    )
+    return win.reshape(h * w, c * k * k)

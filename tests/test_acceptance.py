@@ -137,7 +137,7 @@ def test_criterion_5_quantization_fidelity():
         params = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
         priors = run_entropy_stack(latent, hyper, fs, "seq")
         int_bits += int_cross_entropy_bits(latent, params)
-        float_bits += float_cross_entropy_bits(latent, priors, fs.head_scale_exp)
+        float_bits += float_cross_entropy_bits(latent, priors)
         unit = math.ldexp(1.0, -params.scale_exp)
         for emitted, ref in (
             (params.means, priors.means),

@@ -288,6 +288,20 @@ def test_non_finite_or_fractional_data_is_input_error(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e40])
+def test_float_mode_hyper_latent_float32_cannot_hold_is_input_error(
+    model, data, tmp_path, value, capsys
+):
+    with np.load(data) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["hyper_0"][1, 2, 0] = value
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    capsys.readouterr()
+    assert main(["roundtrip", str(model), str(bad), "--mode", "float"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_demo_failure_exit_zero(capsys):
     assert main(["demo-failure"]) == 0
     out = capsys.readouterr().out

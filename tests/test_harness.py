@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from detq import harness
+from detq import harness, intops
 from detq.harness import (
     BackendVariant,
+    LayerCfg,
     boundary_failure_demo,
     calibrate_shifts,
     conv_ordered_float,
@@ -15,6 +16,7 @@ from detq.harness import (
     float_cross_entropy_bits,
     int_cross_entropy_bits,
     make_stack_pair,
+    prior_fn,
     random_latent,
     random_stack,
     roundtrip_experiment,
@@ -58,6 +60,14 @@ def test_int_mode_rejects_non_finite_hyper_latent():
         run_backend(pair, latent, hyper, BackendVariant("a", "seq", "int"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e40])
+def test_float_mode_rejects_hyper_latent_float32_cannot_hold(bad):
+    pair, latent, hyper = fixture_pair()
+    hyper[0, 3, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        run_backend(pair, latent, hyper, BackendVariant("a", "seq", "float"))
+
+
 def test_float_cancellation_orders_differ():
     # f32 sequential: (2^24 + 1) - 2^24 = 0; reversed: (-2^24 + 1) + 2^24 = 1
     lyr = ConvLayerF(weights=np.ones((3, 1, 1, 1)), bias=np.zeros(1))
@@ -87,6 +97,104 @@ def test_discretize_priors_weights_positive_and_normalized():
     q = discretize_priors(pri, 10)
     assert np.all(q.weights > 0)
     assert np.all(q.weights.sum(axis=0) == WEIGHT_TOTAL)
+
+
+# --- priors of one position ------------------------------------------------
+
+
+def two_layer_context_pair(rng, latent_channels):
+    """Stack pair whose context chain is a masked 3x3 then a masked 5x5
+    layer, so a position's causal window reaches R = 1 + 2 = 3 back."""
+    fs = random_stack(rng, latent_channels=latent_channels)
+    hidden = fs.context[0].out_channels
+    w = rng.normal(0.0, 1.0 / math.sqrt(25 * hidden), size=(hidden, 5, 5, hidden))
+    fs.context.append(ConvLayerF(w, rng.normal(0.0, 0.05, hidden), mask=True))
+    fs.context_cfg[0].p_out = fs.context_cfg[0].p_in
+    fs.context_cfg.append(LayerCfg(n_i=16, p_in=fs.context_cfg[0].p_in, p_out=10))
+    return make_stack_pair(fs)
+
+
+@pytest.mark.parametrize("mode", ["int", "float"])
+@pytest.mark.parametrize("order", ["seq", "rev", "tree"])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 2, 7), (1, 6, 5), (2, 5, 8)])
+def test_position_priors_equal_whole_canvas_priors(mode, order, shape):
+    rng = np.random.default_rng(sum(shape))
+    pair = two_layer_context_pair(rng, shape[0])
+    assert intops.context_reach(pair.quant_stack) == 3
+    # a full canvas: the symbols at and after each position must not matter
+    canvas = random_latent(rng, shape)
+    hyper = rng.normal(size=(2, *shape[1:]))
+    params_of = prior_fn(pair, hyper, BackendVariant("d", order, mode))
+    full = params_of(canvas)
+    for y, x in np.ndindex(shape[1:]):
+        want = full.element((slice(None), slice(y, y + 1), slice(x, x + 1)))
+        got = params_of(canvas, (y, x))
+        assert got.field_shape == (shape[0], 1, 1)
+        assert got.tobytes() == want.tobytes(), (y, x)
+
+
+def test_causal_window_is_clipped_receptive_field():
+    pair = two_layer_context_pair(np.random.default_rng(4), 1)
+    canvas = np.arange(9 * 10).reshape(1, 9, 10)
+    stack = pair.quant_stack
+    np.testing.assert_array_equal(
+        intops.causal_window(canvas, stack, (5, 4)), canvas[:, 2:6, 1:8]
+    )
+    np.testing.assert_array_equal(
+        intops.causal_window(canvas, stack, (1, 8)), canvas[:, 0:2, 5:10]
+    )
+
+
+def test_decoder_runs_gather_once_per_position(monkeypatch):
+    rng = np.random.default_rng(12)
+    pair = make_stack_pair(random_stack(rng))
+    latent = random_latent(rng, (1, 8, 8))
+    hyper = rng.normal(size=(2, 8, 8))
+    gather = {id(lyr) for lyr in pair.quant_stack.gather}
+    positions = {"enc": 0, "dec": 0}
+    side = ["dec"]
+    conv, backend = intops.qconv_forward, harness.run_backend
+
+    def counting_conv(x, layer, order):
+        if id(layer) in gather:
+            positions[side[0]] += x.shape[1] * x.shape[2]
+        return conv(x, layer, order)
+
+    def encoder_backend(*args):  # roundtrip_experiment's encoder side
+        side[0] = "enc"
+        try:
+            return backend(*args)
+        finally:
+            side[0] = "dec"
+
+    monkeypatch.setattr(intops, "qconv_forward", counting_conv)
+    monkeypatch.setattr(harness, "run_backend", encoder_backend)
+    rep = roundtrip_experiment(
+        pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "tree")
+    )
+    assert rep.decoded_equal and rep.prior_max_reldiff == 0.0
+    # rerunning gather on the whole canvas after every position costs 7*hw*(hw+1)
+    assert positions == {"enc": 7 * 8 * 8, "dec": 7 * 8 * 8}
+
+
+def test_decoder_without_context_builds_tables_in_one_call(monkeypatch):
+    rng = np.random.default_rng(33)
+    pair = make_stack_pair(random_stack(rng, latent_channels=2, with_context=False))
+    latent = random_latent(rng, (2, 4, 5))
+    hyper = rng.normal(size=(2, 4, 5))
+    calls = []
+    build = harness.build_cdf_table
+
+    def counting_build(params, v_min, v_max):
+        calls.append(params.field_shape)
+        return build(params, v_min, v_max)
+
+    monkeypatch.setattr(harness, "build_cdf_table", counting_build)
+    rep = roundtrip_experiment(
+        pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "rev")
+    )
+    assert rep.decoded_equal and rep.prior_max_reldiff == 0.0
+    assert calls == [(2, 4, 5), (2, 4, 5)]  # one whole field per side
 
 
 # --- roundtrips -----------------------------------------------------------
@@ -354,7 +462,7 @@ def test_cross_entropy_helpers_consistent():
     params = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
     ib = int_cross_entropy_bits(latent, params)
     pri = run_entropy_stack(latent, hyper, pair.float_stack, "seq")
-    fb = float_cross_entropy_bits(latent, pri, pair.float_stack.head_scale_exp)
+    fb = float_cross_entropy_bits(latent, pri)
     assert ib > 0 and fb > 0
     assert abs(ib - fb) / fb < 0.05
 

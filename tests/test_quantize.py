@@ -199,6 +199,29 @@ def test_qconv_layer_enforces_causality():
             QConvLayer(w_q=bad, b_q=[0], spec=spec, mask=True)
 
 
+def test_qconv_layer_range_check_includes_int64_min():
+    # np.abs(-2^63) is -2^63, so an abs-based check would let both through
+    spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0])
+    int64_min = np.iinfo(np.int64).min
+    with pytest.raises(WeightRangeError, match="int16 range"):
+        QConvLayer(w_q=np.full((1, 1, 1, 1), int64_min), b_q=[0], spec=spec)
+    with pytest.raises(WeightRangeError, match="accumulator range"):
+        QConvLayer(w_q=np.zeros((1, 1, 1, 1)), b_q=[int64_min], spec=spec)
+    with pytest.raises(WeightRangeError, match="int16 range"):
+        QConvLayer(w_q=np.full((1, 1, 1, 1), -32768), b_q=[0], spec=spec)
+
+
+def test_qconv_layer_weights_are_read_only():
+    # the overflow bound and the cached GEMM operands hold only while they stay
+    lyr = quantize_layer(layer(np.full((2, 1, 1, 1), 0.5)), n_i=16, p_in=8, p_out=8)
+    blocks = lyr.weight_blocks
+    for arr in (lyr.w_q, lyr.b_q):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    assert lyr.weight_blocks is blocks
+    np.testing.assert_array_equal(blocks.reshape(-1)[:2], lyr.w_q.reshape(-1))
+
+
 # --- activation quantization of tensors ----------------------------------
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,11 @@ def test_ones_kernel_center_and_corner():
 
 
 def test_conv_matches_naive_oracle():
-    # conv2d_oracle loops over taps, so this checks im2col too (qconv_oracle uses it)
+    # conv2d_oracle loops over taps, so this checks im2col too (qconv_oracle uses it);
+    # the later canvases are as small as a causal window, narrower than the kernel
     rng = np.random.default_rng(42)
-    for k in (1, 3, 5):
-        c, n, h, w = 2, 3, 4, 5
+    for k, (c, h, w) in itertools.product((1, 3, 5), ((2, 4, 5), (1, 1, 1), (1, 2, 7))):
+        n = 3
         x = rng.integers(-32767, 32768, size=(c, h, w))
         wgt = rng.integers(-300, 301, size=(c, k, k, n))
         b = rng.integers(-10**6, 10**6, size=n)
