@@ -5,11 +5,19 @@ arithmetic, so identical GmmParams bits produce identical CdfTable bits on
 any platform.  Probabilities are Q16 (total 2^16), mixture weights Q15
 (total 2^15).  Both the pmf and the CDF-table builder take a whole
 parameter field and evaluate it in one vectorized pass.
+
+A CdfTable holds its entries as a tuple of Python ints and checks them
+once, in its constructor, whoever builds it; the range coder's lookups
+(interval, and a bisect in symbol_for_cum) then read plain ints, with no
+numpy object per symbol.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,29 +155,34 @@ def gmm_pmf_field(symbols, params: GmmParams):
     return hi - lo
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class CdfTable:
     """Cumulative frequencies over [v_min, v_max], total exactly 2^16.
 
-    cf has length S+1 with cf[0] = 0, cf[S] = 2^16, strictly increasing
-    (every symbol gets frequency >= 1).
+    cf is a tuple of S+1 Python ints with cf[0] = 0, cf[S] = 2^16, strictly
+    increasing (every symbol gets frequency >= 1).  The constructor takes
+    any integer sequence, copies it into that tuple and checks the copy, so
+    the coder's lookups read plain ints that are the checked entries.
     """
 
     v_min: int
     v_max: int
-    cf: np.ndarray
+    cf: tuple
 
-    def __post_init__(self):
-        cf = np.asarray(self.cf, dtype=np.int64)
-        s = self.v_max - self.v_min + 1
-        if self.v_min > self.v_max:
+    def __init__(self, v_min: int, v_max: int, cf):
+        # set each field once: the table is built per latent element
+        v_min, v_max = operator.index(v_min), operator.index(v_max)
+        cf = tuple(map(operator.index, cf))
+        if v_min > v_max:
             raise ValueError("empty symbol range")
-        if cf.shape != (s + 1,):
+        if len(cf) != v_max - v_min + 2:
             raise ValueError("cumulative array length must be range size + 1")
         if cf[0] != 0 or cf[-1] != CDF_TOTAL:
             raise ValueError("cumulative frequencies must span [0, 2^16]")
-        if np.any(np.diff(cf) < 1):
+        if not all(map(operator.lt, cf, cf[1:])):
             raise ValueError("cumulative frequencies must be strictly increasing")
+        object.__setattr__(self, "v_min", v_min)
+        object.__setattr__(self, "v_max", v_max)
         object.__setattr__(self, "cf", cf)
 
     @property
@@ -184,21 +197,17 @@ class CdfTable:
         if not self.contains(symbol):
             raise ValueError(f"symbol {symbol} outside [{self.v_min}, {self.v_max}]")
         i = symbol - self.v_min
-        return int(self.cf[i]), int(self.cf[i + 1])
+        return self.cf[i], self.cf[i + 1]
 
     def symbol_for_cum(self, cum: int) -> int:
         """Symbol whose interval contains the cumulative value."""
         if not 0 <= cum < CDF_TOTAL:
             raise ValueError("cumulative value out of range")
-        i = int(np.searchsorted(self.cf, cum, side="right")) - 1
-        return self.v_min + i
+        return self.v_min + bisect.bisect_right(self.cf, cum) - 1
 
     def tobytes(self) -> bytes:
-        return (
-            np.int64(self.v_min).tobytes()
-            + np.int64(self.v_max).tobytes()
-            + np.ascontiguousarray(self.cf).tobytes()
-        )
+        """v_min, v_max and cf as little-endian int64."""
+        return struct.pack(f"<{len(self.cf) + 2}q", self.v_min, self.v_max, *self.cf)
 
 
 def apportion(base, rem, target: int):
@@ -241,4 +250,4 @@ def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> list[CdfTable]
     freq = 1 + apportion(raw * target // CDF_TOTAL, raw * target % CDF_TOTAL, target)
     cf = np.zeros((freq.shape[1], s + 1), dtype=np.int64)
     cf[:, 1:] = np.cumsum(freq, axis=0).T
-    return [CdfTable(v_min=v_min, v_max=v_max, cf=row) for row in cf]
+    return [CdfTable(v_min, v_max, row) for row in cf.tolist()]

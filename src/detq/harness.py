@@ -240,13 +240,18 @@ def discretize_priors(priors: FloatPriors, scale_exp: int) -> GmmParams:
     cross a rounding boundary here and change the tables.
     """
     unit = math.ldexp(1.0, scale_exp)
-    means = round_half_away(np.asarray(priors.means, np.float64) * unit).astype(np.int64)
-    scales = round_half_away(np.asarray(priors.scales, np.float64) * unit).astype(np.int64)
-    scales = np.maximum(scales, sigma_min_for(scale_exp))
+    target = WEIGHT_TOTAL - 3
+    means, scales, scaled = (
+        np.asarray(f, np.float64) * k
+        for f, k in ((priors.means, unit), (priors.scales, unit), (priors.weights, target))
+    )
+    # NaN fails the comparison too; past 2^63 the int64 casts below are undefined
+    if not all(np.all(np.abs(a) < 2.0**63) for a in (means, scales, scaled)):
+        raise ValueError("float priors have non-finite values or exceed int64 fixed point")
+    means = round_half_away(means).astype(np.int64)
+    scales = np.maximum(round_half_away(scales).astype(np.int64), sigma_min_for(scale_exp))
     # floor of 1 per component, the rest by largest remainder, as in the
     # integer linearized softmax
-    target = WEIGHT_TOTAL - 3
-    scaled = np.asarray(priors.weights, dtype=np.float64) * target
     base = np.floor(scaled).astype(np.int64)
     weights = 1 + apportion(base, scaled - base, target)
     return GmmParams(weights=weights, means=means, scales=scales, scale_exp=scale_exp)

@@ -140,7 +140,7 @@ class RangeDecoder:
     def decode(self, table: CdfTable) -> int:
         r = self.range // CDF_TOTAL
         dv = (self.code - self.low) // r
-        cum = max(0, min(int(dv), CDF_TOTAL - 1))
+        cum = max(0, min(dv, CDF_TOTAL - 1))
         sym = table.symbol_for_cum(cum)
         lo, hi = table.interval(sym)
         self.low += r * lo
@@ -161,12 +161,17 @@ class RangeDecoder:
             self.range <<= 8
 
 
+def _check_count(count: int, tables) -> None:
+    if len(tables) != count:
+        raise ValueError(f"{count} symbols but {len(tables)} tables; one table per symbol")
+
+
 def rc_encode(symbols, tables, shape=(0, 0, 0)) -> Bitstream:
     """Encode a symbol sequence, one CdfTable per symbol."""
     symbols = [int(s) for s in symbols]
+    _check_count(len(symbols), tables)
     enc = RangeEncoder()
-    for i, s in enumerate(symbols):
-        table = tables[i]
+    for i, (s, table) in enumerate(zip(symbols, tables)):
         if not table.contains(s):
             raise ValueError(
                 f"symbol {s} at {i} outside table range "
@@ -183,5 +188,6 @@ def rc_decode(stream: Bitstream, tables) -> list:
     output may diverge from t onward; that divergence is exactly the
     cross-device decode failure the interop harness measures.
     """
+    _check_count(stream.count, tables)
     dec = RangeDecoder(stream.payload, stream.count)
-    return [dec.decode(tables[i]) for i in range(stream.count)]
+    return [dec.decode(t) for t in tables]

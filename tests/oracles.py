@@ -115,6 +115,18 @@ def cdf_table_oracle(weights, means, scales, scale_exp, v_min, v_max):
     return cf
 
 
+def cdf_lookup_oracle(cf, v_min, cum):
+    """Symbol whose interval holds cum, by numpy's sorted search."""
+    return int(np.searchsorted(np.asarray(cf), cum, side="right")) - 1 + v_min
+
+
+def cdf_interval_oracle(cf, v_min, symbol):
+    """(cum_lo, cum_hi) of a symbol, read from an int64 array."""
+    cf = np.asarray(cf, dtype=np.int64)
+    i = symbol - v_min
+    return int(cf[i]), int(cf[i + 1])
+
+
 def conv2d_oracle(x, weights, bias):
     """Naive zero-padded cross-correlation; x (c,h,w), weights (m,K,K,n)."""
     c, h, w = len(x), len(x[0]), len(x[0][0])

@@ -302,6 +302,19 @@ def test_float_mode_hyper_latent_float32_cannot_hold_is_input_error(
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_float_mode_priors_past_fixed_point_are_input_error(model, data, tmp_path, capsys):
+    # finite in float32, but the float stack turns it into priors that no
+    # int64 fixed-point value holds
+    with np.load(data) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["hyper_0"][0, 3, 1] = 3e38
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    capsys.readouterr()
+    assert main(["roundtrip", str(model), str(bad), "--mode", "float"]) == 2
+    assert "float priors" in capsys.readouterr().err
+
+
 def test_demo_failure_exit_zero(capsys):
     assert main(["demo-failure"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from detq import gmm
 from detq.gmm import (
     CDF_TOTAL,
     WEIGHT_TOTAL,
@@ -16,7 +20,12 @@ from detq.gmm import (
 )
 from detq.phi_table import GRID_FRAC_BITS, PHI_TABLE_Q16, TABLE_SHA256, Z_LIMIT
 
-from oracles import cdf_table_oracle, mixture_cdf_oracle
+from oracles import (
+    cdf_interval_oracle,
+    cdf_lookup_oracle,
+    cdf_table_oracle,
+    mixture_cdf_oracle,
+)
 
 FROZEN_SHA256 = "543cbdf85b8d1616580303f7f8c1a37f0bc107e19f8cd6468fa7c91ce2e9b5a9"
 
@@ -176,13 +185,103 @@ def test_single_symbol_table():
     assert t.symbol_for_cum(CDF_TOTAL - 1) == 0
 
 
+# a valid 3-symbol table over [0, 2], and (v_min, v_max, cf) made malformed from it
+VALID_CF = [0, 100, 60000, CDF_TOTAL]
+MALFORMED = [
+    (0, 3, VALID_CF),  # wrong length
+    (0, 2, [1, 100, 60000, CDF_TOTAL]),  # non-zero start
+    (0, 2, [0, 100, 60000, CDF_TOTAL - 1]),  # end other than 2^16
+    (0, 2, [0, 100, 100, CDF_TOTAL]),  # zero-width bin
+    (0, 2, [0, 60000, 100, CDF_TOTAL]),  # decreasing pair
+    (1, 0, [0, CDF_TOTAL]),  # empty range
+]
+
+
 def test_table_validation():
-    with pytest.raises(ValueError):
-        CdfTable(0, 1, np.array([0, CDF_TOTAL]))  # wrong length
-    with pytest.raises(ValueError):
-        CdfTable(0, 1, np.array([0, CDF_TOTAL, CDF_TOTAL]))  # zero-width bin
-    with pytest.raises(ValueError):
-        CdfTable(0, 0, np.array([1, CDF_TOTAL]))  # does not start at 0
+    for as_array in (False, True):
+        CdfTable(0, 2, np.array(VALID_CF) if as_array else VALID_CF)
+        for v_min, v_max, cf in MALFORMED:
+            with pytest.raises(ValueError):
+                CdfTable(v_min, v_max, np.array(cf) if as_array else cf)
+
+
+def test_table_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        CdfTable(0, 0, [0.0, float(CDF_TOTAL)])
+    with pytest.raises(TypeError):
+        CdfTable(0, 0, np.array([0.0, CDF_TOTAL]))
+
+
+def test_built_tables_go_through_the_constructor_check(monkeypatch):
+    # every row build_cdf_table returns is checked by CdfTable itself; the
+    # same row, corrupted in each of the malformed ways, is refused there
+    seen = []
+    init = CdfTable.__init__
+
+    def counting(self, v_min, v_max, cf):
+        seen.append(list(cf))
+        init(self, v_min, v_max, cf)
+
+    monkeypatch.setattr(gmm.CdfTable, "__init__", counting)
+    p = GmmParams(
+        weights=np.array([[WEIGHT_TOTAL] * 5, [0] * 5, [0] * 5]),
+        means=np.array([[-300, 0, 40, 500, 900], [0] * 5, [0] * 5]),
+        scales=np.array([[16, 256, 700, 64, 2000]] + [[16] * 5] * 2),
+        scale_exp=8,
+    )
+    tables = build_cdf_table(p, -4, 4)
+    assert seen == [list(t.cf) for t in tables] and len(seen) == 5
+    monkeypatch.undo()
+    for cf in seen:
+        for bad in (
+            cf[:-1],
+            [1] + cf[1:],
+            cf[:-1] + [CDF_TOTAL + 1],
+            cf[:2] + [cf[1]] + cf[3:],
+            cf[:1] + [cf[2], cf[1]] + cf[3:],
+        ):
+            with pytest.raises(ValueError):
+                CdfTable(-4, 4, bad)
+
+
+def test_table_is_independent_of_its_input_array():
+    src = np.array(VALID_CF)
+    t = CdfTable(-1, 1, src)
+    before = (t.cf, t.tobytes(), [t.interval(v) for v in (-1, 0, 1)])
+    src[:] = [0, 1, 2, CDF_TOTAL]
+    assert (t.cf, t.tobytes(), [t.interval(v) for v in (-1, 0, 1)]) == before
+    assert t.symbol_for_cum(100) == 0 and t.symbol_for_cum(99) == -1
+    with pytest.raises(TypeError):
+        t.cf[1] = 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.cf = (0, CDF_TOTAL)
+
+
+@st.composite
+def valid_tables(draw):
+    n = draw(st.integers(1, 64))
+    v_min = draw(st.integers(-(2**40), 2**40))
+    cuts = draw(
+        st.lists(st.integers(1, CDF_TOTAL - 1), min_size=n - 1, max_size=n - 1, unique=True)
+    )
+    return v_min, [0] + sorted(cuts) + [CDF_TOTAL]
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_tables(), st.lists(st.integers(0, CDF_TOTAL - 1), max_size=16), st.booleans())
+def test_lookups_match_numpy_oracle(table, cums, as_array):
+    v_min, cf = table
+    t = CdfTable(v_min, v_min + len(cf) - 2, np.array(cf) if as_array else cf)
+    for v in range(t.v_min, t.v_max + 1):
+        got = t.interval(v)
+        assert got == cdf_interval_oracle(cf, v_min, v)
+        assert all(type(c) is int for c in got)
+    edges = [c - d for c in cf[:-1] for d in (0, 1) if c - d >= 0]
+    for cum in edges + cums:
+        got = t.symbol_for_cum(cum)
+        assert got == cdf_lookup_oracle(cf, v_min, cum) and type(got) is int
+    want = np.array([v_min, t.v_max] + cf, dtype="<i8").tobytes()
+    assert t.tobytes() == want
 
 
 def test_interval_inverse_of_symbol_lookup():

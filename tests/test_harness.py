@@ -99,6 +99,29 @@ def test_discretize_priors_weights_positive_and_normalized():
     assert np.all(q.weights.sum(axis=0) == WEIGHT_TOTAL)
 
 
+@pytest.mark.parametrize("field", ["weights", "means", "scales"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_discretize_priors_rejects_non_finite_or_huge(field, bad):
+    rng = np.random.default_rng(3)
+    fs = random_stack(rng)
+    pri = run_entropy_stack(np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), fs, "seq")
+    arrays = {f: np.array(getattr(pri, f), np.float64) for f in ("weights", "means", "scales")}
+    arrays[field][1, 0, 2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        discretize_priors(harness.FloatPriors(**arrays), 10)
+
+
+def test_float_roundtrip_rejects_priors_past_fixed_point():
+    # a hyper value float32 can hold drives the float means to ~1e36, which
+    # no int64 fixed-point value holds; cast anyway, both sides would agree
+    # on the same garbage and the decode would read as equal
+    pair, latent, hyper = fixture_pair()
+    hyper[0, 3, 1] = 3e38
+    enc, dec = BackendVariant("a", "seq", "float"), BackendVariant("b", "tree", "float")
+    with pytest.raises(ValueError, match="non-finite"):
+        roundtrip_experiment(pair, latent, hyper, enc, dec)
+
+
 # --- priors of one position ------------------------------------------------
 
 

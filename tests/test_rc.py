@@ -84,6 +84,21 @@ def test_symbol_outside_table_rejected():
         rc_encode([5], [t])
 
 
+@pytest.mark.parametrize("n_tables", [2, 4])
+def test_encode_needs_one_table_per_symbol(n_tables):
+    t = table_from_freqs([CDF_TOTAL // 2, CDF_TOTAL // 2])
+    with pytest.raises(ValueError, match=f"3 symbols but {n_tables} tables"):
+        rc_encode([0, 1, 0], [t] * n_tables)
+
+
+@pytest.mark.parametrize("n_tables", [2, 4])
+def test_decode_needs_one_table_per_symbol(n_tables):
+    t = table_from_freqs([CDF_TOTAL // 2, CDF_TOTAL // 2])
+    s = rc_encode([0, 1, 0], [t] * 3)
+    with pytest.raises(ValueError, match=f"3 symbols but {n_tables} tables"):
+        rc_decode(s, [t] * n_tables)
+
+
 def test_truncated_payload_raises():
     rng = np.random.default_rng(0)
     t = random_table(rng, 16)
@@ -148,7 +163,7 @@ def test_mismatched_table_diverges_from_change_point():
     # corrupting one bin boundary at position t: mismatches only at/after t
     rng = np.random.default_rng(5)
     t_good = random_table(rng, 10)
-    cf = t_good.cf.copy()
+    cf = np.array(t_good.cf)
     cf[5] += 200  # move one interior boundary
     t_bad = CdfTable(t_good.v_min, t_good.v_max, cf)
     n = 200
