@@ -38,7 +38,6 @@ from .intops import (
     SUBNETS,
     AccumulatorOverflowError,
     EntropyStack,
-    QTensor,
     hyper_features,
     leaky_relu_int,
     linear_softmax_field,

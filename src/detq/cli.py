@@ -21,7 +21,7 @@ from .harness import (
     calibrate_shifts,
     roundtrip_experiment,
 )
-from .intops import AccumulatorOverflowError, QTensor, run_entropy_stack
+from .intops import AccumulatorOverflowError, run_entropy_stack
 from .manifest import (
     ManifestError,
     load_float_model,
@@ -84,29 +84,33 @@ def cmd_calibrate(args) -> int:
     pairs = _load_data(args.data)
     grid = tuple(int(v) for v in args.grid.split(","))
     report = calibrate_shifts(stack, pairs, grid=grid, passes=args.passes)
+
+    def bits(v):
+        # JSON has no infinity: a junction no grid point quantizes scores null
+        return v if math.isfinite(v) else None
+
     doc = {
-        "final_objective_bits": report.final_objective,
+        "final_objective_bits": bits(report.final_objective),
         "passes": report.passes,
-        "layers": report.layers,
+        "layers": [{**c, "objective": bits(c["objective"])} for c in report.layers],
         "trace": [
-            {**t, "junction": list(t["junction"])} for t in report.trace
+            {**t, "junction": list(t["junction"]), "objective": bits(t["objective"])}
+            for t in report.trace
         ],
     }
     with open(args.out, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     print(f"final objective: {report.final_objective:.3f} bits -> {args.out}")
     return EXIT_OK
 
 
 def _random_input(chain, rng):
-    """Random 6x6 QTensor on the chain's input grid; None for an empty chain."""
+    """Random 6x6 integer input within the chain's n_i bits; None for an empty chain."""
     if not chain:
         return None
-    spec = chain[0].spec
-    lim = (1 << (spec.n_i - 1)) - 1
-    data = rng.integers(-lim, lim + 1, (chain[0].in_channels, 6, 6))
-    return QTensor(data, spec.p_in, spec.n_i)
+    lim = (1 << (chain[0].spec.n_i - 1)) - 1
+    return rng.integers(-lim, lim + 1, (chain[0].in_channels, 6, 6))
 
 
 def cmd_verify(args) -> int:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phi_table import GRID_FRAC_BITS, PHI_TABLE_Q16, TABLE_SHA256, Z_LIMIT
+from .quantize import exceeds
 
 __all__ = [
     "CDF_TOTAL",
@@ -42,6 +43,12 @@ WEIGHT_TOTAL = 1 << 15
 
 _PHI = np.asarray(PHI_TABLE_Q16, dtype=np.int64)
 _SPAN = Z_LIMIT << GRID_FRAC_BITS  # 384
+# GmmParams keeps |means| and scales below 2^48 and scale_exp at most 15, so
+# for symbols below 2^38 in magnitude a boundary t is below 2^54 and the Q6
+# argument (t - mean) << 6 below 2^61: int64 holds it and the 2|num| + den
+# of _div_round_half_away
+_PARAM_LIMIT = 1 << 48
+_MAX_SCALE_EXP = 15
 
 
 def table_digest() -> str:
@@ -76,7 +83,8 @@ class GmmParams:
     """3-component mixture parameters, component axis first.
 
     weights: Q15, summing to 2^15 along axis 0; means and scales are fixed
-    point at 2^-scale_exp, scales positive.
+    point at 2^-scale_exp, below 2^48 in magnitude, scales positive;
+    1 <= scale_exp <= 15.
     """
 
     weights: np.ndarray
@@ -94,8 +102,10 @@ class GmmParams:
             raise ValueError("mixture weights must be >= 0 and sum to 2^15")
         if sg.size and np.any(sg < 1):
             raise ValueError("scales must be positive")
-        if self.scale_exp < 1:
-            raise ValueError("scale_exp must be at least 1")
+        if exceeds(mu, _PARAM_LIMIT - 1) or exceeds(sg, _PARAM_LIMIT - 1):
+            raise ValueError("means and scales must be below 2^48 in magnitude")
+        if not 1 <= self.scale_exp <= _MAX_SCALE_EXP:
+            raise ValueError(f"scale_exp must lie in [1, {_MAX_SCALE_EXP}]")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "scales", sg)
@@ -103,16 +113,6 @@ class GmmParams:
     @property
     def field_shape(self):
         return self.weights.shape[1:]
-
-    def element(self, idx) -> "GmmParams":
-        """Sub-field view: idx indexes the field axes (integers or slices)."""
-        sel = (slice(None),) + tuple(idx)
-        return GmmParams(
-            weights=self.weights[sel],
-            means=self.means[sel],
-            scales=self.scales[sel],
-            scale_exp=self.scale_exp,
-        )
 
     def tobytes(self) -> bytes:
         """Canonical byte serialization, for bit-identity comparisons."""

@@ -40,7 +40,6 @@ from .intops import (
     ORDERS,
     SUBNETS,
     EntropyStack,
-    QTensor,
     _ordered_sum,
     causal_window,
     hyper_features,
@@ -274,7 +273,7 @@ def _quantize_for(chain, x):
     if not chain:
         return None
     spec = chain[0].spec
-    return QTensor(quantize_value(x, spec.p_in, spec.n_i), spec.p_in, spec.n_i)
+    return quantize_value(x, spec.p_in, spec.n_i)
 
 
 def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):

@@ -1,11 +1,14 @@
 """Fused integer convolution pipeline for the entropy subnetworks.
 
-Inputs arrive as QTensors already on the first layer's input grid
-(harness quantizes raw activations with quantize.quantize_value, the one
-activation quantizer).  All arithmetic from there on is exact integer
-arithmetic: int16-range operands, 32-bit accumulators whose overflow is
-excluded statically by the shift derivation, and per-channel fused
-rescaling via arithmetic shifts with half-away-from-zero rounding.
+Activations are plain (c, h, w) int64 arrays.  Inputs arrive already on
+the first layer's input grid (harness quantizes raw activations with
+quantize.quantize_value, the one activation quantizer); each layer's spec
+carries the grid 2^-p_in and the bit depth n_i of its input, and
+check_topology holds that they chain.  qconv_forward is the one place an
+activation's range is checked.  All arithmetic from there on is exact
+integer arithmetic: int16-range operands, 32-bit accumulators whose
+overflow is excluded statically by the shift derivation, and per-channel
+fused rescaling via arithmetic shifts with half-away-from-zero rounding.
 Because every accumulation is exact, the result is bit-identical for any
 summation order; the `order` argument exists to demonstrate that.
 
@@ -39,13 +42,12 @@ from .tensors import ShapeError, im2col
 
 __all__ = [
     "SUBNETS",
-    "QTensor",
     "EntropyStack",
+    "check_topology",
     "AccumulatorOverflowError",
     "ORDERS",
     "LEAKY_NUM",
     "LEAKY_SHIFT",
-    "clamp_input",
     "round_shift",
     "qconv_forward",
     "requantize",
@@ -71,44 +73,6 @@ LEAKY_SHIFT = 12
 
 class AccumulatorOverflowError(ArithmeticError):
     """A requantize left shift pushed a value past the 32-bit range."""
-
-
-@dataclass(frozen=True, eq=False)
-class QTensor:
-    """Integer tensor (c, h, w) with value ~= data * 2^-scale_exp."""
-
-    data: np.ndarray
-    scale_exp: int
-    bit_depth: int = 16
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int64)
-        if arr.ndim != 3:
-            raise ShapeError(f"expected (c, h, w) tensor, got shape {arr.shape}")
-        lim = (1 << (self.bit_depth - 1)) - 1
-        if exceeds(arr, lim):
-            raise ValueError(
-                f"entry exceeds {self.bit_depth}-bit range (+-{lim})"
-            )
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-def clamp_input(x: QTensor, n_i: int) -> QTensor:
-    """Clamp entries to +-(2^(n_i-1)-1); scale is unchanged.
-
-    A tensor whose bit depth is at most n_i is already within range and
-    is returned as it is.
-    """
-    if x.bit_depth <= n_i:
-        return x
-    lim = (1 << (n_i - 1)) - 1
-    return QTensor(
-        data=np.clip(x.data, -lim, lim), scale_exp=x.scale_exp, bit_depth=n_i
-    )
 
 
 def round_shift(v, s):
@@ -152,25 +116,30 @@ def _ordered_sum(terms: np.ndarray, order: str) -> np.ndarray:
     raise ValueError(f"unknown accumulation order {order!r}")
 
 
-def qconv_forward(x: QTensor, layer: QConvLayer, order: str = "seq") -> np.ndarray:
+def qconv_forward(x, layer: QConvLayer, order: str = "seq") -> np.ndarray:
     """Exact integer cross-correlation plus bias; returns (n, h, w) int64.
 
-    QConvLayer holds sum|w| * x_max + |b| within 32 bits, and the input is
-    checked against x_max here, so no partial sum in any order can
+    x is a (c, h, w) integer array.  QConvLayer holds sum|w| * x_max + |b|
+    within 32 bits, and the input is checked against x_max here, the one
+    range check an activation gets, so no partial sum in any order can
     overflow, and each one is an integer below 2^53 that float64 holds
     exactly.  The T = m*K*K taps are split into the contiguous blocks of
     layer.weight_blocks; one batched float64 GEMM sums each block, and
     `order` selects how the block partials are folded.  Masked (causal)
     layers carry their zeroes in the weights.
     """
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim != 3:
+        raise ShapeError(f"expected (c, h, w) input, got shape {x.shape}")
     c, h, w = x.shape
     if c != layer.in_channels:
         raise ShapeError(
             f"input has {c} channels, layer expects {layer.in_channels}"
         )
-    if exceeds(x.data, (1 << (layer.spec.n_i - 1)) - 1):
-        raise ValueError("input not clamped to the layer's bit depth")
-    cols = im2col(x.data, layer.kernel)  # (h*w, m*K*K)
+    n_i = layer.spec.n_i
+    if exceeds(x, (1 << (n_i - 1)) - 1):
+        raise ValueError(f"input entry exceeds the layer's {n_i}-bit range")
+    cols = im2col(x, layer.kernel)  # (h*w, m*K*K)
     wblocks = layer.weight_blocks
     nb, span, n = wblocks.shape
     p, t = cols.shape
@@ -181,31 +150,25 @@ def qconv_forward(x: QTensor, layer: QConvLayer, order: str = "seq") -> np.ndarr
     return acc.reshape(h, w, n).transpose(2, 0, 1)
 
 
-def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> QTensor:
+def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> np.ndarray:
     """Fused rescale of an accumulator to the next layer's input grid.
 
     acc represents real values at scale 2^-(k_j + p_in) per channel j; the
-    output is at 2^-p_out, so each channel shifts by k_j + p_in - p_out.
+    output is at 2^-p_out, so each channel shifts by k_j + p_in - p_out,
+    and is clamped to +-(2^(out_bits-1) - 1).
     """
     acc = np.asarray(acc, dtype=np.int64)
     spec = layer.spec
     out = round_shift(acc, spec.shift.reshape((-1,) + (1,) * (acc.ndim - 1)))
     lim = (1 << (out_bits - 1)) - 1
-    return QTensor(
-        data=np.minimum(np.maximum(out, -lim), lim),
-        scale_exp=spec.p_out,
-        bit_depth=out_bits,
-    )
+    return np.minimum(np.maximum(out, -lim), lim)
 
 
-def leaky_relu_int(x: QTensor) -> QTensor:
-    """Integer LeakyReLU with negative slope 41/4096."""
+def leaky_relu_int(x: np.ndarray) -> np.ndarray:
+    """Integer LeakyReLU with negative slope 41/4096; never grows |x|."""
     # the scaled value lies between 0 and x, so the larger of the two is x
     # at or above zero and the scaled value below it
-    scaled = round_shift(x.data * LEAKY_NUM, LEAKY_SHIFT)
-    return QTensor(
-        data=np.maximum(x.data, scaled), scale_exp=x.scale_exp, bit_depth=x.bit_depth
-    )
+    return np.maximum(x, round_shift(x * LEAKY_NUM, LEAKY_SHIFT))
 
 
 def linear_softmax_field(z: np.ndarray, scale_exp: int) -> np.ndarray:
@@ -228,6 +191,41 @@ def linear_softmax_field(z: np.ndarray, scale_exp: int) -> np.ndarray:
     return 1 + apportion(n * target // denom, n * target % denom, target)
 
 
+def check_topology(chains, latent_channels: int):
+    """The wiring rules of an entropy stack; a broken one raises ShapeError.
+
+    chains maps each name in SUBNETS to its layers as (layer, grid) pairs:
+    the layer gives in_channels, out_channels, kernel and mask, the grid
+    p_in and p_out (a QConvLayer and its spec, or a float layer and its
+    LayerCfg).
+    """
+    hyper, context, gather = (chains[name] for name in SUBNETS)
+    if len(gather) != 7:
+        raise ShapeError("gather subnetwork must have exactly 7 layers")
+    for name in SUBNETS:
+        for (a, ga), (b, gb) in zip(chains[name], chains[name][1:]):
+            if a.out_channels != b.in_channels:
+                raise ShapeError(f"{name}: channel mismatch between layers")
+            if ga.p_out != gb.p_in:
+                raise ShapeError(f"{name}: p_out/p_in chain broken")
+    if not all(lyr.mask for lyr, _ in context):
+        raise ShapeError("context layers must be masked")
+    ends = (("hyperdecoder", hyper), ("context", context))
+    fused = sum(chain[-1][0].out_channels for _, chain in ends if chain)
+    if fused != gather[0][0].in_channels:
+        raise ShapeError(
+            "gather input channels must equal hyperdecoder + context outputs"
+        )
+    for name, chain in ends:
+        if chain and chain[-1][1].p_out != gather[0][1].p_in:
+            raise ShapeError(f"{name} p_out must match gather p_in")
+    if context and any(lyr.kernel != 1 for lyr, _ in gather):
+        # autoregressive decoding evaluates gather pointwise
+        raise ShapeError("gather layers must be 1x1 when a context model is present")
+    if gather[-1][0].out_channels != 9 * latent_channels:
+        raise ShapeError("head must emit 9 channels per latent channel")
+
+
 @dataclass(frozen=True, eq=False)
 class EntropyStack:
     """Quantized entropy subnetworks: hyperdecoder, context, gather.
@@ -244,35 +242,10 @@ class EntropyStack:
     def __post_init__(self):
         for name in SUBNETS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if len(self.gather) != 7:
-            raise ShapeError("gather subnetwork must have exactly 7 layers")
-        for name, chain in self.chains():
-            for a, b in zip(chain, chain[1:]):
-                if a.out_channels != b.in_channels:
-                    raise ShapeError(f"{name}: channel mismatch between layers")
-                if a.spec.p_out != b.spec.p_in:
-                    raise ShapeError(f"{name}: p_out/p_in chain broken")
-        for lyr in self.context:
-            if not lyr.mask:
-                raise ShapeError("context layers must be masked")
-        fused = (self.hyperdecoder[-1].out_channels if self.hyperdecoder else 0) + (
-            self.context[-1].out_channels if self.context else 0
+        check_topology(
+            {name: [(lyr, lyr.spec) for lyr in chain] for name, chain in self.chains()},
+            self.latent_channels,
         )
-        if fused != self.gather[0].in_channels:
-            raise ShapeError(
-                "gather input channels must equal hyperdecoder + context outputs"
-            )
-        if self.hyperdecoder and self.hyperdecoder[-1].spec.p_out != self.gather[0].spec.p_in:
-            raise ShapeError("hyperdecoder p_out must match gather p_in")
-        if self.context and self.context[-1].spec.p_out != self.gather[0].spec.p_in:
-            raise ShapeError("context p_out must match gather p_in")
-        if self.context and any(l.kernel != 1 for l in self.gather):
-            # autoregressive decoding evaluates gather pointwise
-            raise ShapeError(
-                "gather layers must be 1x1 when a context model is present"
-            )
-        if self.gather[-1].out_channels != 9 * self.latent_channels:
-            raise ShapeError("head must emit 9 channels per latent channel")
 
     def chains(self):
         return tuple((name, getattr(self, name)) for name in SUBNETS)
@@ -282,21 +255,26 @@ class EntropyStack:
         return self.gather[-1].spec.p_out
 
     def layer_step(self, x, layer, after, order, activation=True):
-        """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU."""
+        """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU.
+
+        The output is at `after`'s input grid and within its n_i bits.
+        """
         next_bits = after.spec.n_i if after is not None else 16
-        acc = qconv_forward(clamp_input(x, layer.spec.n_i), layer, order)
-        q = requantize(acc, layer, out_bits=next_bits)
+        q = requantize(qconv_forward(x, layer, order), layer, out_bits=next_bits)
         return leaky_relu_int(q) if activation else q
 
-    def fuse(self, feats) -> QTensor:
-        # both chains end at the gather input grid (checked in __post_init__)
-        return QTensor(
-            np.concatenate([f.data for f in feats], axis=0), self.gather[0].spec.p_in
-        )
+    def fuse(self, feats) -> np.ndarray:
+        """Concatenated chain outputs, clamped to gather[0]'s n_i bits.
 
-    def decode_head(self, y: QTensor) -> GmmParams:
+        Both chains end at the gather input grid (check_topology) in 16
+        bits; the clamp comes after their last activation.
+        """
+        lim = (1 << (self.gather[0].spec.n_i - 1)) - 1
+        return np.minimum(np.maximum(np.concatenate(feats, axis=0), -lim), lim)
+
+    def decode_head(self, y: np.ndarray) -> GmmParams:
         p_e = self.head_scale_exp
-        z, means, scales = split_head(y.data, self.latent_channels)
+        z, means, scales = split_head(y, self.latent_channels)
         scales = np.maximum(scales, sigma_min_for(p_e))
         return GmmParams(linear_softmax_field(z, p_e), means, scales, p_e)
 
@@ -342,9 +320,7 @@ def causal_window(canvas, stack, at):
 
 
 def _pixel(t, y, x):
-    """Position (y, x) of a (c, h, w) QTensor or array, as (c, 1, 1)."""
-    if isinstance(t, QTensor):
-        return QTensor(t.data[:, y : y + 1, x : x + 1], t.scale_exp, t.bit_depth)
+    """Position (y, x) of a (c, h, w) array, as (c, 1, 1)."""
     return t[:, y : y + 1, x : x + 1]
 
 

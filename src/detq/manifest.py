@@ -18,9 +18,9 @@ import pathlib
 import numpy as np
 
 from .harness import CFG_FIELDS, EntropyStackF, LayerCfg
-from .intops import SUBNETS, EntropyStack
+from .intops import SUBNETS, EntropyStack, check_topology
 from .quantize import ACCUM_BITS, LayerQuantSpec, QConvLayer, WeightRangeError
-from .tensors import ConvLayerF
+from .tensors import ConvLayerF, ShapeError
 
 __all__ = [
     "ManifestError",
@@ -83,8 +83,6 @@ def _check_schema(doc):
                 raise ManifestError(
                     f"{name}[{i}]: channel_shifts must be a list of {e['n']} integers"
                 )
-    if len(subnets.get("gather", [])) != 7:
-        raise ManifestError("gather subnetwork must have exactly 7 layers")
 
 
 def _read(manifest_path):
@@ -197,7 +195,17 @@ def load_float_model(manifest_path) -> EntropyStackF:
         fields[CFG_FIELDS[name]] = [
             LayerCfg(n_i=e["n_i"], p_in=e["p_in"], p_out=e["p_out"]) for e, _, _ in entries
         ]
-    return EntropyStackF(**fields, latent_channels=latent_channels)
+    stack = EntropyStackF(**fields, latent_channels=latent_channels)
+    try:
+        # the rules EntropyStack enforces, so every command refuses the same
+        # manifests (calibration would otherwise re-tie a broken chain)
+        check_topology(
+            {name: list(zip(layers, cfgs)) for name, layers, cfgs in stack.chains()},
+            latent_channels,
+        )
+    except ShapeError as e:
+        raise ManifestError(str(e)) from e
+    return stack
 
 
 def save_quantized_model(manifest_path, stack: EntropyStack):

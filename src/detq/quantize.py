@@ -65,17 +65,13 @@ def exceeds(arr: np.ndarray, lim: int) -> bool:
 
 
 def ceil_log2(x) -> int:
-    """Exact ceil(log2(x)) for a positive real given as float or Fraction."""
-    f = Fraction(x)
-    if f <= 0:
+    """Exact ceil(log2(x)) for a positive real given as int, float or Fraction."""
+    n, d = Fraction(x).as_integer_ratio()
+    if n <= 0:
         raise ValueError("ceil_log2 requires a positive argument")
-    # smallest e with 2^e >= f; start from the bit-length estimate
-    e = f.numerator.bit_length() - f.denominator.bit_length()
-    while Fraction(2) ** e < f:
-        e += 1
-    while Fraction(2) ** (e - 1) >= f:
-        e -= 1
-    return e
+    # 2^(e-1) < n/d < 2^(e+1); n/d > 2^e decides between e and e + 1
+    e = n.bit_length() - d.bit_length()
+    return e + ((n << max(-e, 0)) > (d << max(e, 0)))
 
 
 def quantize_value(x, p: int, b: int):
@@ -214,7 +210,7 @@ def derive_weight_shift(w_col, n_a: int = ACCUM_BITS, n_i: int = 16) -> int:
     """
     if n_a <= n_i:
         raise ValueError("accumulator must be wider than the input")
-    vals = [abs(float(v)) for v in np.asarray(w_col).ravel()]
+    vals = np.abs(np.asarray(w_col, dtype=np.float64)).ravel().tolist()
     s = math.fsum(vals)
     if s == 0.0:
         return K_MAX

@@ -155,7 +155,7 @@ def qconv_oracle(x, layer, order):
     """Per-tap int64 convolution: the (P, T, n) products tensor reduced over
     the T = m*K*K taps by intops' ordered sum.  Returns (n, h, w)."""
     c, h, w = x.shape
-    cols = im2col(x.data, layer.kernel)
+    cols = im2col(x, layer.kernel)
     wmat = layer.w_q.reshape(-1, layer.out_channels)
     products = cols[:, :, None] * wmat[None, :, :]
     acc = _ordered_sum(products, order) + layer.b_q[None, :]

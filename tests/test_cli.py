@@ -263,6 +263,56 @@ def test_calibrate_matches_library_call(model, data, tmp_path, capsys):
     assert doc["layers"] == want.layers
 
 
+def test_calibrate_writes_strict_json(model, data, tmp_path, capsys):
+    # no layer quantizes at p = 16, so every junction's objective is inf
+    report = tmp_path / "report.json"
+    argv = ["calibrate", str(model), str(data), "--out", str(report)]
+    assert main(argv + ["--grid", "16", "--passes", "1"]) == 0
+
+    def reject(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    doc = json.loads(report.read_text(), parse_constant=reject)
+    assert [layer["objective"] for layer in doc["layers"]] == [None] * len(doc["layers"])
+    assert math.isfinite(doc["final_objective_bits"])
+
+
+def _break_p_tie(fs):
+    fs.hyper_cfg[0].p_out = 11  # hyper_cfg[1].p_in stays 8
+
+
+def _break_channels(fs):
+    w = fs.gather[1].weights
+    fs.gather[1] = ConvLayerF(np.zeros((w.shape[0] + 1, *w.shape[1:])), fs.gather[1].bias)
+
+
+@pytest.mark.parametrize(
+    "brk, message",
+    [(_break_p_tie, "p_out/p_in chain broken"), (_break_channels, "channel mismatch")],
+    ids=["p-tie", "channels"],
+)
+@pytest.mark.parametrize("command", ["quantize", "calibrate", "verify", "roundtrip"])
+def test_malformed_float_manifest_is_input_error(
+    data, tmp_path, brk, message, command, capsys
+):
+    # calibration used to re-tie a broken p chain and exit 0
+    fs = random_stack(np.random.default_rng(23))
+    brk(fs)
+    path = tmp_path / "bad.json"
+    save_float_model(path, fs)
+    with pytest.raises(ManifestError, match=message):
+        load_float_model(path)
+    out = ["--out", str(tmp_path / "out.json")]
+    argv = {
+        "quantize": [str(path), *out],
+        "calibrate": [str(path), str(data), *out],
+        "verify": [str(path)],
+        "roundtrip": [str(path), str(data)],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "array, value, message",
     [

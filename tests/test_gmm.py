@@ -169,6 +169,44 @@ def test_params_validation():
         )  # zero scale
 
 
+@pytest.mark.parametrize("mean", [2**57, 2**58, -(2**58), 2**62])
+def test_params_reject_means_whose_q6_argument_wraps(mean):
+    # (t - mean) << 6 wrapped in int64 for these means, and the table came
+    # out as a zero-mean Gaussian's, with no error
+    with pytest.raises(ValueError, match="below 2\\^48"):
+        single_gaussian(mean, 256)
+
+
+def test_params_bound_scales_and_scale_exp():
+    with pytest.raises(ValueError, match="below 2\\^48"):
+        single_gaussian(0, 1 << 48)
+    for scale_exp in (0, 16, 63):
+        with pytest.raises(ValueError, match="scale_exp"):
+            GmmParams(np.array([WEIGHT_TOTAL, 0, 0]), np.zeros(3), np.ones(3), scale_exp)
+
+
+def test_tables_exact_up_to_the_params_bound():
+    top = [2] + [1] * 15 + [CDF_TOTAL - 17]  # all mass on v_max, floors elsewhere
+    for mean, want in ((2**40, top), ((1 << 48) - 1, top), (1 - (1 << 48), top[::-1])):
+        [t] = build_cdf_table(single_gaussian(mean, 256), -8, 8)
+        assert np.diff(t.cf).tolist() == want
+    rng = np.random.default_rng(8)
+    lim = (1 << 48) - 1
+    for _ in range(10):
+        w1 = int(rng.integers(0, WEIGHT_TOTAL + 1))
+        p = GmmParams(
+            weights=np.array([w1, WEIGHT_TOTAL - w1, 0]),
+            means=rng.integers(-lim, lim, 3, endpoint=True),
+            scales=rng.integers(1, lim, 3, endpoint=True),
+            scale_exp=15,
+        )
+        [t] = build_cdf_table(p, -8, 8)
+        want = cdf_table_oracle(
+            p.weights.tolist(), p.means.tolist(), p.scales.tolist(), 15, -8, 8
+        )
+        assert list(t.cf) == list(want)
+
+
 def test_sigma_min():
     assert sigma_min_for(8) == 16  # 2^-4 at scale 2^-8
     assert sigma_min_for(10) == 64

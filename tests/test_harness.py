@@ -111,6 +111,20 @@ def test_discretize_priors_rejects_non_finite_or_huge(field, bad):
         discretize_priors(harness.FloatPriors(**arrays), 10)
 
 
+@pytest.mark.parametrize("field", ["means", "scales"])
+@pytest.mark.parametrize("bad", [3e11, -6e14, 6e14])
+def test_discretize_priors_rejects_values_past_the_params_bound(field, bad):
+    # at scale 2^10 these land past 2^48 but below 2^63, where the int64
+    # casts are still defined and the CDF arithmetic would wrap
+    rng = np.random.default_rng(3)
+    fs = random_stack(rng)
+    pri = run_entropy_stack(np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), fs, "seq")
+    arrays = {f: np.array(getattr(pri, f), np.float64) for f in ("weights", "means", "scales")}
+    arrays[field][1, 0, 2, 1] = abs(bad) if field == "scales" else bad
+    with pytest.raises(ValueError, match="below 2\\^48"):
+        discretize_priors(harness.FloatPriors(**arrays), 10)
+
+
 def test_float_roundtrip_rejects_priors_past_fixed_point():
     # a hyper value float32 can hold drives the float means to ~1e36, which
     # no int64 fixed-point value holds; cast anyway, both sides would agree
@@ -150,7 +164,8 @@ def test_position_priors_equal_whole_canvas_priors(mode, order, shape):
     params_of = prior_fn(pair, hyper, BackendVariant("d", order, mode))
     full = params_of(canvas)
     for y, x in np.ndindex(shape[1:]):
-        want = full.element((slice(None), slice(y, y + 1), slice(x, x + 1)))
+        at = (slice(None), slice(None), slice(y, y + 1), slice(x, x + 1))
+        want = GmmParams(full.weights[at], full.means[at], full.scales[at], full.scale_exp)
         got = params_of(canvas, (y, x))
         assert got.field_shape == (shape[0], 1, 1)
         assert got.tobytes() == want.tobytes(), (y, x)

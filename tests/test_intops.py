@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,16 +9,15 @@ from hypothesis import strategies as st
 from detq.intops import (
     ORDERS,
     AccumulatorOverflowError,
-    QTensor,
-    clamp_input,
     leaky_relu_int,
     linear_softmax_field,
     qconv_forward,
     requantize,
     round_shift,
+    run_entropy_stack,
 )
 from detq.quantize import LayerQuantSpec, QConvLayer, accumulator_bound, quantize_layer
-from detq.tensors import ConvLayerF
+from detq.tensors import ConvLayerF, ShapeError
 from detq.harness import (
     BackendVariant,
     make_stack_pair,
@@ -37,21 +37,7 @@ def qlayer(w, b=None, mask=False, n_i=16, p_in=8, p_out=8):
     return quantize_layer(lyr, n_i=n_i, p_in=p_in, p_out=p_out)
 
 
-# --- clamp / round_shift / leaky -----------------------------------------
-
-
-def test_clamp_examples():
-    x = QTensor(np.array([[[100, 300, -300]]]), 8, 16)
-    out = clamp_input(x, 9)
-    np.testing.assert_array_equal(out.data, [[[100, 255, -255]]])
-
-
-def test_qtensor_range_check_includes_int64_min():
-    QTensor(np.full((1, 1, 1), -32767), 8, 16)
-    # np.abs(-2^63) is -2^63, so an abs-based check would let it through
-    for v in (-32768, np.iinfo(np.int64).min):
-        with pytest.raises(ValueError, match="16-bit range"):
-            QTensor(np.full((1, 1, 1), v), 8, 16)
+# --- round_shift / leaky --------------------------------------------------
 
 
 def test_round_shift_examples():
@@ -82,9 +68,8 @@ def test_round_shift_array_shifts_match_oracle(pairs):
 
 
 def test_leaky_examples():
-    x = QTensor(np.array([[[100, 0, -4096]]]), 8, 16)
-    out = leaky_relu_int(x)
-    np.testing.assert_array_equal(out.data, [[[100, 0, -41]]])
+    out = leaky_relu_int(np.array([[[100, 0, -4096]]]))
+    np.testing.assert_array_equal(out, [[[100, 0, -41]]])
 
 
 # --- linearized softmax ---------------------------------------------------
@@ -129,7 +114,7 @@ def test_softmax_field_matches_scalar():
 
 def test_zero_input_gives_bias():
     lyr = qlayer(np.ones((1, 3, 3, 2)) * 0.1, b=[1.0, -0.5])
-    x = QTensor(np.zeros((1, 4, 4), dtype=np.int64), 8, 16)
+    x = np.zeros((1, 4, 4), dtype=np.int64)
     acc = qconv_forward(x, lyr)
     for j in range(2):
         assert np.all(acc[j] == lyr.b_q[j])
@@ -137,9 +122,9 @@ def test_zero_input_gives_bias():
 
 def test_identity_layer_scalar_product():
     lyr = qlayer(np.ones((1, 1, 1, 1)))
-    x = QTensor(np.arange(9, dtype=np.int64).reshape(1, 3, 3), 8, 16)
+    x = np.arange(9, dtype=np.int64).reshape(1, 3, 3)
     acc = qconv_forward(x, lyr)
-    np.testing.assert_array_equal(acc[0], x.data[0] * lyr.w_q[0, 0, 0, 0])
+    np.testing.assert_array_equal(acc[0], x[0] * lyr.w_q[0, 0, 0, 0])
 
 
 def test_masked_conv_causality_perturbation_sweep():
@@ -147,7 +132,7 @@ def test_masked_conv_causality_perturbation_sweep():
     lyr = qlayer(rng.normal(size=(1, 3, 3, 2)), b=rng.normal(size=2), mask=True)
     h = w = 4
     x = rng.integers(-200, 200, size=(1, h, w))
-    base = qconv_forward(QTensor(x, 8, 16), lyr)
+    base = qconv_forward(x, lyr)
     for y in range(h):
         for xx in range(w):
             for yy in range(h):
@@ -156,14 +141,34 @@ def test_masked_conv_causality_perturbation_sweep():
                         continue  # only perturb t and later positions
                     pert = x.copy()
                     pert[0, yy, xs] += 50
-                    out = qconv_forward(QTensor(pert, 8, 16), lyr)
+                    out = qconv_forward(pert, lyr)
                     assert np.all(out[:, y, xx] == base[:, y, xx])
+
+
+def test_qconv_range_check_includes_int64_min():
+    lyr = qlayer(np.ones((1, 1, 1, 1)) * 0.1)
+    qconv_forward(np.full((1, 1, 1), -32767), lyr)
+    # np.abs(-2^63) is -2^63, so an abs-based check would let it through
+    for v in (-32768, 32768, np.iinfo(np.int64).min):
+        with pytest.raises(ValueError, match="16-bit range"):
+            qconv_forward(np.full((1, 1, 1), v), lyr)
+    lyr9 = qlayer(np.ones((1, 1, 1, 1)) * 0.1, n_i=9)
+    qconv_forward(np.full((1, 1, 1), 255), lyr9)
+    with pytest.raises(ValueError, match="9-bit range"):
+        qconv_forward(np.full((1, 1, 1), -256), lyr9)
+
+
+def test_qconv_rejects_input_that_is_not_3d():
+    lyr = qlayer(np.ones((1, 1, 1, 1)) * 0.1)
+    for shape in ((1, 4), (1, 1, 2, 2)):
+        with pytest.raises(ShapeError, match="expected \\(c, h, w\\)"):
+            qconv_forward(np.zeros(shape, dtype=np.int64), lyr)
 
 
 def test_conv_order_invariance_single_layer():
     rng = np.random.default_rng(10)
     lyr = qlayer(rng.normal(size=(3, 3, 3, 4)), b=rng.normal(size=4))
-    x = QTensor(rng.integers(-32767, 32768, size=(3, 5, 5)), 8, 16)
+    x = rng.integers(-32767, 32768, size=(3, 5, 5))
     outs = [qconv_forward(x, lyr, order=o) for o in ORDERS]
     np.testing.assert_array_equal(outs[0], outs[1])
     np.testing.assert_array_equal(outs[0], outs[2])
@@ -188,7 +193,7 @@ def test_qconv_matches_per_tap_oracle(m, k, mask, n_i):
         rng.normal(size=(m, k, k, 3)) * 0.5, b=rng.normal(size=3), mask=mask, n_i=n_i
     )
     lim = (1 << (n_i - 1)) - 1
-    x = QTensor(rng.integers(-lim, lim + 1, size=(m, 5, 6)), 8, n_i)
+    x = rng.integers(-lim, lim + 1, size=(m, 5, 6))
     for order in ORDERS:
         np.testing.assert_array_equal(
             qconv_forward(x, lyr, order), qconv_oracle(x, lyr, order)
@@ -202,7 +207,7 @@ def test_qconv_exact_at_accumulator_bound():
     lyr = QConvLayer(w_q=w, b_q=np.array([131069]), spec=spec)
     assert accumulator_bound(lyr.w_q, lyr.b_q, 16)[0] == (1 << 31) - 1
     sign = np.random.default_rng(15).choice([-1, 1], size=(3, 4))
-    x = QTensor(np.stack([32767 * sign, -32767 * sign]), 8, 16)
+    x = np.stack([32767 * sign, -32767 * sign])
     want = 2 * 32767**2 * sign + 131069
     for order in ORDERS:
         acc = qconv_forward(x, lyr, order)
@@ -216,7 +221,7 @@ def test_codec_width_layer_runs_in_bounded_memory():
     # take 3.8 GB
     rng = np.random.default_rng(16)
     lyr = qlayer(rng.normal(size=(192, 5, 5, 384)) * 0.05, b=rng.normal(size=384))
-    x = QTensor(rng.integers(-32767, 32768, size=(192, 16, 16)), 8, 16)
+    x = rng.integers(-32767, 32768, size=(192, 16, 16))
     outs = []
     for order in ORDERS:
         tracemalloc.start()
@@ -228,7 +233,7 @@ def test_codec_width_layer_runs_in_bounded_memory():
         assert peak < 64 * 2**20, f"{order}: traced peak {peak / 2**20:.1f} MiB"
     np.testing.assert_array_equal(outs[0], outs[1])
     np.testing.assert_array_equal(outs[0], outs[2])
-    xp = np.pad(x.data, ((0, 0), (2, 2), (2, 2)))
+    xp = np.pad(x, ((0, 0), (2, 2), (2, 2)))
     for j, y, xx in zip(*(rng.integers(0, hi, size=16) for hi in (384, 16, 16))):
         taps = xp[:, y : y + 5, xx : xx + 5].ravel().tolist()
         wts = lyr.w_q[..., j].ravel().tolist()
@@ -240,11 +245,11 @@ def test_conv_purity():
     rng = np.random.default_rng(11)
     lyr = qlayer(rng.normal(size=(2, 3, 3, 2)))
     data = rng.integers(-100, 100, size=(2, 4, 4))
-    x = QTensor(data.copy(), 8, 16)
+    x = data.copy()
     a = qconv_forward(x, lyr)
     b = qconv_forward(x, lyr)
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(x.data, data)
+    np.testing.assert_array_equal(x, data)
 
 
 # --- requantize -----------------------------------------------------------
@@ -254,12 +259,12 @@ def test_requantize_fused_scaling_accuracy():
     # rescaled output differs from the exact real product by at most half a step
     rng = np.random.default_rng(12)
     lyr = qlayer(rng.normal(size=(2, 1, 1, 3)), b=rng.normal(size=3), p_in=8, p_out=10)
-    x = QTensor(rng.integers(-1000, 1000, size=(2, 3, 3)), 8, 16)
+    x = rng.integers(-1000, 1000, size=(2, 3, 3))
     acc = qconv_forward(x, lyr)
     out = requantize(acc, lyr)
     for j in range(3):
         exact = acc[j] / 2.0 ** (int(lyr.spec.k[j]) + 8)
-        got = out.data[j] / 2.0**10
+        got = out[j] / 2.0**10
         assert np.all(np.abs(exact - got) <= 2.0**-11 + 1e-15)
 
 
@@ -284,7 +289,7 @@ def test_requantize_mixed_shifts_match_channel_loop():
     acc[:, 0, 0] = [4, 4, 8, 2048, -2]  # exact halves round away from zero
     for out_bits in (9, 16):
         got = requantize(acc, lyr, out_bits=out_bits)
-        np.testing.assert_array_equal(got.data, _requantize_loop(acc, lyr, out_bits))
+        np.testing.assert_array_equal(got, _requantize_loop(acc, lyr, out_bits))
 
 
 def test_requantize_left_shift_overflow_still_raises():
@@ -333,3 +338,35 @@ def test_stack_deterministic_and_order_invariant():
     assert outs[0] == outs[1] == outs[2]
     again = run_backend(pair, latent, hyper, BackendVariant("seq", "seq")).tobytes()
     assert again == outs[0]
+
+
+def test_stack_rejects_first_layer_input_wider_than_its_n_i():
+    rng = np.random.default_rng(18)
+    stack = make_stack_pair(random_stack(rng, n_i=12)).quant_stack
+    latent = np.zeros((1, 4, 4), dtype=np.int64)
+    hyper = np.zeros((2, 4, 4), dtype=np.int64)
+    run_entropy_stack(latent, hyper, stack)
+    for arr in (latent, hyper):
+        arr[0, 1, 2] = 2048  # 2^11: one past 12 bits
+        with pytest.raises(ValueError, match="12-bit range"):
+            run_entropy_stack(latent, hyper, stack)
+        arr[0, 1, 2] = 2047
+
+
+# SHA-256 of the priors of 8 seeded stacks whose gather input is 12 bits wide:
+# the chains end in 16 bits, LeakyReLU runs, and only then does the fused
+# gather input clamp to 12 bits; clamping before the activation gives other
+# priors wherever a chain ends below -2047
+N_I_12_PRIORS = "5ed9bee80bec80366b9b5e6147ee3189838383647cbffaa23260023ffa3b3c22"
+
+
+def test_gather_input_clamps_after_the_chain_activation():
+    h = hashlib.sha256()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        fs = random_stack(rng, n_i=12)
+        latent = random_latent(rng, (1, 5, 6))
+        hyper = rng.normal(size=(2, 5, 6)) * 4
+        params = run_backend(make_stack_pair(fs), latent, hyper, BackendVariant("seq"))
+        h.update(params.tobytes())
+    assert h.hexdigest() == N_I_12_PRIORS

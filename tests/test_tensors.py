@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from detq.harness import conv_ordered_float
-from detq.intops import ORDERS, QTensor, qconv_forward
+from detq.intops import ORDERS, qconv_forward
 from detq.quantize import LayerQuantSpec, QConvLayer, quantize_value
 from detq.tensors import ConvLayerF, ShapeError, causal_mask
 
@@ -51,7 +51,7 @@ def test_conv_matches_naive_oracle():
         lyr = QConvLayer(w_q=wgt, b_q=b, spec=spec)
         want = conv2d_oracle(x.tolist(), wgt.tolist(), b.tolist())
         for order in ORDERS:
-            got = qconv_forward(QTensor(x, 8), lyr, order)
+            got = qconv_forward(x, lyr, order)
             assert got.tolist() == want
 
 
