@@ -14,7 +14,6 @@ from .gmm import (
     GmmParams,
     apportion,
     build_cdf_table,
-    gmm_pmf_field,
     sigma_min_for,
     std_normal_cdf_fixed,
     table_digest,

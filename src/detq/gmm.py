@@ -1,23 +1,23 @@
-"""Fixed-point Gaussian-mixture probabilities and CDF tables.
+"""Fixed-point Gaussian-mixture CDF tables.
 
 Everything downstream of the checked-in Phi table is exact integer
 arithmetic, so identical GmmParams bits produce identical CdfTable bits on
 any platform.  Probabilities are Q16 (total 2^16), mixture weights Q15
-(total 2^15).  Both the pmf and the CDF-table builder take a whole
-parameter field and evaluate it in one vectorized pass.
+(total 2^15).  build_cdf_table takes a whole parameter field and evaluates
+it in one vectorized pass.
 
-A CdfTable holds its entries as a tuple of Python ints and checks them
-once, in its constructor, whoever builds it; the range coder's lookups
-(interval, and a bisect in symbol_for_cum) then read plain ints, with no
-numpy object per symbol.
+A CdfTable is one checked field of tables over one symbol range: an
+(N, S+1) int64 array checked once, in its constructor, whoever builds it.
+Its interval gather (symbols -> (lo, hi)) is the one answer to "how
+probable is this symbol": the range coder codes those intervals and the
+calibration rate sums -log2 of them, so both read the same tables.
 """
 
 from __future__ import annotations
 
-import bisect
+import copy
 import hashlib
 import operator
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "apportion",
     "table_digest",
     "std_normal_cdf_fixed",
-    "gmm_pmf_field",
     "build_cdf_table",
 ]
 
@@ -49,6 +48,8 @@ _SPAN = Z_LIMIT << GRID_FRAC_BITS  # 384
 # of _div_round_half_away
 _PARAM_LIMIT = 1 << 48
 _MAX_SCALE_EXP = 15
+_SYMBOL_LIMIT = 1 << 38
+_CF_ENDS = np.array([0, CDF_TOTAL])
 
 
 def table_digest() -> str:
@@ -139,75 +140,78 @@ def _mixture_cdf_q16(t_fp, weights, means, scales):
     return out - (tie & (out & 1))
 
 
-def gmm_pmf_field(symbols, params: GmmParams):
-    """Q16 probability of each integer symbol under its element's mixture.
-
-    symbols is shaped like the parameter field (a 0-d field takes a scalar).
-    """
-    v = np.asarray(symbols, dtype=np.int64)
-    if v.shape != params.field_shape:
-        raise ValueError("symbol field shape must match the parameter field")
-    half = 1 << (params.scale_exp - 1)
-    fp = v << params.scale_exp
-    w, mu, sg = params.weights, params.means, params.scales
-    hi = _mixture_cdf_q16(fp[None] + half, w, mu, sg)
-    lo = _mixture_cdf_q16(fp[None] - half, w, mu, sg)
-    return hi - lo
-
-
-@dataclass(frozen=True, eq=False, slots=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CdfTable:
-    """Cumulative frequencies over [v_min, v_max], total exactly 2^16.
+    """A field of N cumulative-frequency tables over one range [v_min, v_max].
 
-    cf is a tuple of S+1 Python ints with cf[0] = 0, cf[S] = 2^16, strictly
-    increasing (every symbol gets frequency >= 1).  The constructor takes
-    any integer sequence, copies it into that tuple and checks the copy, so
-    the coder's lookups read plain ints that are the checked entries.
+    cf is a read-only (N, S+1) int64 array, one row per element; every row
+    has cf[0] = 0, cf[S] = 2^16 and strictly increases (every symbol gets
+    frequency >= 1).  The constructor copies any integer array, checks all
+    rows at once and takes a flat sequence as a one-row field.  Iterating
+    a field yields its rows as one-row tables.
     """
 
     v_min: int
     v_max: int
-    cf: tuple
+    cf: np.ndarray
 
     def __init__(self, v_min: int, v_max: int, cf):
-        # set each field once: the table is built per latent element
         v_min, v_max = operator.index(v_min), operator.index(v_max)
-        cf = tuple(map(operator.index, cf))
+        cf = np.asarray(cf)
+        if cf.dtype.kind not in "iu":
+            raise TypeError("cumulative frequencies must be integers")
+        cf = np.array(cf, dtype=np.int64, ndmin=2)
         if v_min > v_max:
             raise ValueError("empty symbol range")
-        if len(cf) != v_max - v_min + 2:
+        s = v_max - v_min + 1
+        if cf.ndim != 2 or cf.shape[1] != s + 1:
             raise ValueError("cumulative array length must be range size + 1")
-        if cf[0] != 0 or cf[-1] != CDF_TOTAL:
+        # count_nonzero: the cheapest reduction on the decoder's one-row fields
+        if np.count_nonzero(cf[:, ::s] != _CF_ENDS):  # columns 0 and S
             raise ValueError("cumulative frequencies must span [0, 2^16]")
-        if not all(map(operator.lt, cf, cf[1:])):
+        if np.count_nonzero(cf[:, 1:] <= cf[:, :-1]):
             raise ValueError("cumulative frequencies must be strictly increasing")
+        cf.flags.writeable = False
         object.__setattr__(self, "v_min", v_min)
         object.__setattr__(self, "v_max", v_max)
         object.__setattr__(self, "cf", cf)
 
-    @property
-    def num_symbols(self) -> int:
-        return self.v_max - self.v_min + 1
+    def __len__(self) -> int:
+        return len(self.cf)
 
-    def contains(self, symbol: int) -> bool:
-        return self.v_min <= symbol <= self.v_max
+    def __iter__(self):
+        # a checked field's rows are checked: each is a read-only view
+        for i in range(len(self.cf)):
+            row = copy.copy(self)
+            object.__setattr__(row, "cf", self.cf[i : i + 1])
+            yield row
+
+    def intervals(self, symbols):
+        """(cum_lo, cum_hi) int64 arrays: row i's interval for symbols[i]."""
+        v = np.asarray(symbols, dtype=np.int64)
+        if v.shape != (len(self.cf),):
+            raise ValueError(
+                f"{v.size} symbols but {len(self.cf)} tables; one table per symbol"
+            )
+        outside = (v < self.v_min) | (v > self.v_max)
+        if outside.any():
+            i = outside.argmax()
+            raise ValueError(f"symbol {v[i]} at {i} outside [{self.v_min}, {self.v_max}]")
+        rows, cols = np.arange(len(v)), v - self.v_min
+        return self.cf[rows, cols], self.cf[rows, cols + 1]
 
     def interval(self, symbol: int):
-        """(cum_lo, cum_hi) for a symbol."""
-        if not self.contains(symbol):
+        """(cum_lo, cum_hi) of a symbol under a one-row table, as ints."""
+        (row,) = self.cf
+        if not self.v_min <= symbol <= self.v_max:
             raise ValueError(f"symbol {symbol} outside [{self.v_min}, {self.v_max}]")
         i = symbol - self.v_min
-        return self.cf[i], self.cf[i + 1]
-
-    def symbol_for_cum(self, cum: int) -> int:
-        """Symbol whose interval contains the cumulative value."""
-        if not 0 <= cum < CDF_TOTAL:
-            raise ValueError("cumulative value out of range")
-        return self.v_min + bisect.bisect_right(self.cf, cum) - 1
+        return int(row[i]), int(row[i + 1])
 
     def tobytes(self) -> bytes:
-        """v_min, v_max and cf as little-endian int64."""
-        return struct.pack(f"<{len(self.cf) + 2}q", self.v_min, self.v_max, *self.cf)
+        """Row by row: v_min, v_max and cf as little-endian int64."""
+        ends = np.array([self.v_min, self.v_max], np.int64)
+        return np.insert(self.cf, [0, 0], ends, axis=1).astype("<i8").tobytes()
 
 
 def apportion(base, rem, target: int):
@@ -222,16 +226,17 @@ def apportion(base, rem, target: int):
     return base + (rank < left)
 
 
-def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> list[CdfTable]:
-    """Monotone integer CDF tables, one per element of the field, in C order.
+def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
+    """Monotone integer CDF tables, one row per element of the field, in C order.
 
-    All elements are evaluated in one vectorized pass.  Tail mass beyond
+    All elements are evaluated in one vectorized pass; symbols must lie
+    below 2^38 in magnitude (see _PARAM_LIMIT).  Tail mass beyond
     [v_min, v_max] is folded into the boundary symbols; frequencies are
     renormalized to total 2^16 with a floor of 1 per symbol via
     largest-remainder apportionment.
     """
-    if v_min > v_max:
-        raise ValueError("empty symbol range")
+    if not -_SYMBOL_LIMIT < v_min <= v_max < _SYMBOL_LIMIT:
+        raise ValueError("symbol range must be non-empty and below 2^38 in magnitude")
     s = v_max - v_min + 1
     if s > CDF_TOTAL:
         raise ValueError(f"symbol range {s} exceeds the 2^16 frequency total")
@@ -250,4 +255,4 @@ def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> list[CdfTable]
     freq = 1 + apportion(raw * target // CDF_TOTAL, raw * target % CDF_TOTAL, target)
     cf = np.zeros((freq.shape[1], s + 1), dtype=np.int64)
     cf[:, 1:] = np.cumsum(freq, axis=0).T
-    return [CdfTable(v_min, v_max, row) for row in cf.tolist()]
+    return CdfTable(v_min, v_max, cf)

@@ -28,10 +28,10 @@ import numpy as np
 from .gmm import (
     CDF_TOTAL,
     WEIGHT_TOTAL,
+    CdfTable,
     GmmParams,
     apportion,
     build_cdf_table,
-    gmm_pmf_field,
     sigma_min_for,
 )
 from .intops import (
@@ -325,11 +325,20 @@ def _raster(a):
     return np.asarray(a).transpose(1, 2, 0).ravel()
 
 
-def field_tables(params: GmmParams, v_min: int, v_max: int):
-    """Per-element CDF tables in coding order (see _raster)."""
+def field_tables(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
+    """The field's CDF tables with rows in coding order (see _raster)."""
     tables = build_cdf_table(params, v_min, v_max)
     order = _raster(np.arange(len(tables)).reshape(params.field_shape))
-    return [tables[i] for i in order]
+    return CdfTable(v_min, v_max, tables.cf[order])
+
+
+def _check_alphabet(latent) -> np.ndarray:
+    """latent as int64, refused if a symbol lies outside the coder alphabet."""
+    latent = np.asarray(latent, dtype=np.int64)
+    bound = DEFAULT_SYMBOL_BOUND
+    if latent.min(initial=0) < -bound or latent.max(initial=0) > bound:
+        raise ValueError("latent symbols outside the coder alphabet")
+    return latent
 
 
 def roundtrip_experiment(
@@ -346,39 +355,30 @@ def roundtrip_experiment(
     symbols, exactly as a real decoder must; the report compares the
     encoder's prior field with the one the decoder assembled.
     """
-    latent = np.asarray(latent, dtype=np.int64)
+    latent = _check_alphabet(latent)
     v_min, v_max = -DEFAULT_SYMBOL_BOUND, DEFAULT_SYMBOL_BOUND
-    if latent.min(initial=0) < v_min or latent.max(initial=0) > v_max:
-        raise ValueError("latent symbols outside the coder alphabet")
-
     enc_params = run_backend(stacks, latent, hyper, enc_variant)
     stream = rc_encode(
         _raster(latent), field_tables(enc_params, v_min, v_max), shape=latent.shape
     )
 
-    # With a context model each position's priors come from its causal
-    # window of the symbols decoded so far; without one they do not depend
-    # on the canvas, and one pass gives every position's tables.
     params_of = prior_fn(stacks, hyper, dec_variant)
-    has_context = bool(stacks.quant_stack.context)
+    if not stacks.quant_stack.context:
+        # without a context model the priors do not depend on the canvas
+        dec_params = params_of(np.zeros_like(latent))
+        got = rc_decode(stream, field_tables(dec_params, v_min, v_max))
+        return _report(_raster(latent), got, enc_params, dec_params)
+
+    # each position's priors come from its causal window of decoded symbols
     canvas = np.zeros_like(latent)
-    c, h, w = latent.shape
-    if has_context:
-        fields = np.zeros((3, 3, c, h, w), dtype=np.int64)  # weights, means, scales
-    else:
-        dec_params = params_of(canvas)
-        tables = field_tables(dec_params, v_min, v_max)
+    fields = np.zeros((3, 3) + latent.shape, dtype=np.int64)  # weights, means, scales
     decoder = RangeDecoder(stream.payload, stream.count)
-    for i, (y, x) in enumerate(np.ndindex(h, w)):
-        if has_context:
-            pos = params_of(canvas, (y, x))
-            fields[..., y : y + 1, x : x + 1] = pos.weights, pos.means, pos.scales
-            here = build_cdf_table(pos, v_min, v_max)
-        else:
-            here = tables[i * c : (i + 1) * c]
-        canvas[:, y, x] = [decoder.decode(t) for t in here]
-    if has_context:
-        dec_params = GmmParams(*fields, stacks.quant_stack.head_scale_exp)
+    for y, x in np.ndindex(latent.shape[1:]):
+        pos = params_of(canvas, (y, x))
+        fields[..., y : y + 1, x : x + 1] = pos.weights, pos.means, pos.scales
+        rows = build_cdf_table(pos, v_min, v_max).cf.tolist()
+        canvas[:, y, x] = [decoder.decode(row, v_min) for row in rows]
+    dec_params = GmmParams(*fields, stacks.quant_stack.head_scale_exp)
     return _report(_raster(latent), _raster(canvas), enc_params, dec_params)
 
 
@@ -471,9 +471,13 @@ class CalibrationReport:
 
 
 def int_cross_entropy_bits(latent, params: GmmParams) -> float:
-    """Total bits of the latent symbols under integer-pipeline priors."""
-    pmf = np.maximum(gmm_pmf_field(latent, params), 1)
-    return float(np.sum(-np.log2(pmf / CDF_TOTAL)))
+    """Total bits the coder's tables give the latent symbols under integer
+    priors: the sum of -log2((hi - lo) / 2^16) over their coded intervals."""
+    if np.shape(latent) != params.field_shape:
+        raise ValueError("symbol field shape must match the parameter field")
+    tables = build_cdf_table(params, -DEFAULT_SYMBOL_BOUND, DEFAULT_SYMBOL_BOUND)
+    lo, hi = tables.intervals(np.ravel(latent))
+    return float(np.sum(-np.log2((hi - lo) / CDF_TOTAL)))
 
 
 def float_cross_entropy_bits(latent, priors: FloatPriors) -> float:
@@ -503,13 +507,15 @@ def calibrate_shifts(
 ) -> CalibrationReport:
     """Coordinate-descent search of per-layer shift exponents.
 
-    Objective: total cross-entropy of the calibration latents under the
-    integer-pipeline priors (the rate proxy).  Layers are visited in
+    Objective: total bits the range coder's tables give the calibration
+    latents under the integer-pipeline priors (int_cross_entropy_bits),
+    whose symbols must lie in the coder alphabet.  Layers are visited in
     topological order for a fixed number of passes; ties go to the
     smaller p.
     """
     if not calib_tensors:
         raise ValueError("calibration set is empty")
+    calib_tensors = [(_check_alphabet(latent), hyper) for latent, hyper in calib_tensors]
     grid = tuple(sorted(int(p) for p in grid))
     device = BackendVariant("calibration")
 

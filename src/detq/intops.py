@@ -126,9 +126,13 @@ def qconv_forward(x, layer: QConvLayer, order: str = "seq") -> np.ndarray:
     exactly.  The T = m*K*K taps are split into the contiguous blocks of
     layer.weight_blocks; one batched float64 GEMM sums each block, and
     `order` selects how the block partials are folded.  Masked (causal)
-    layers carry their zeroes in the weights.
+    layers carry their zeroes in the weights.  An x of any other dtype is
+    refused, not truncated.
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        raise ValueError(f"input must be an integer array, got dtype {x.dtype}")
+    x = x.astype(np.int64, copy=False)
     if x.ndim != 3:
         raise ShapeError(f"expected (c, h, w) input, got shape {x.shape}")
     c, h, w = x.shape

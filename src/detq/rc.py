@@ -18,10 +18,15 @@ The decoder mirrors the update with code = next 4 stream bytes, reading one
 byte per renormalization step.  The "range < 2^16 -> clamp" branch is the
 carry-less trick: it shrinks the interval so a carry can never propagate
 into already-emitted bytes.
+
+Symbol i is coded under row i of a CdfTable field; the encoder gathers all
+intervals in one pass and the decoder bisects rows read as lists.  A v1
+stream codes all c*h*w symbols of its header shape.
 """
 
 from __future__ import annotations
 
+import bisect
 import numbers
 import struct
 from dataclasses import dataclass
@@ -67,6 +72,7 @@ class Bitstream:
                 raise StreamFormatError(
                     f"{name} {v!r} does not fit the header's unsigned {bits}-bit field"
                 )
+        _check_shape(self.count, self.shape)
         head = MAGIC + struct.pack(">BI3H", VERSION, self.count, *self.shape)
         return head + self.payload
 
@@ -78,7 +84,14 @@ class Bitstream:
         version, count, c, h, w = struct.unpack(">BI3H", data[4:head_len])
         if version != VERSION:
             raise StreamFormatError(f"unsupported version {version}")
+        _check_shape(count, (c, h, w))
         return cls(count=count, shape=(c, h, w), payload=data[head_len:])
+
+
+def _check_shape(count: int, shape) -> None:
+    c, h, w = shape
+    if count != c * h * w:
+        raise StreamFormatError(f"count {count} is not c*h*w of shape {tuple(shape)}")
 
 
 class RangeEncoder:
@@ -137,16 +150,17 @@ class RangeDecoder:
         self.pos += 1
         return b
 
-    def decode(self, table: CdfTable) -> int:
+    def decode(self, cf: list, v_min: int) -> int:
+        """Next symbol under one table row, given as a list of ints."""
         r = self.range // CDF_TOTAL
         dv = (self.code - self.low) // r
         cum = max(0, min(dv, CDF_TOTAL - 1))
-        sym = table.symbol_for_cum(cum)
-        lo, hi = table.interval(sym)
+        i = bisect.bisect_right(cf, cum) - 1
+        lo, hi = cf[i], cf[i + 1]
         self.low += r * lo
         self.range = r * (hi - lo)
         self._renormalize()
-        return sym
+        return v_min + i
 
     def _renormalize(self):
         while True:
@@ -161,33 +175,23 @@ class RangeDecoder:
             self.range <<= 8
 
 
-def _check_count(count: int, tables) -> None:
-    if len(tables) != count:
-        raise ValueError(f"{count} symbols but {len(tables)} tables; one table per symbol")
-
-
-def rc_encode(symbols, tables, shape=(0, 0, 0)) -> Bitstream:
-    """Encode a symbol sequence, one CdfTable per symbol."""
-    symbols = [int(s) for s in symbols]
-    _check_count(len(symbols), tables)
+def rc_encode(symbols, tables: CdfTable, shape) -> Bitstream:
+    """Encode the symbols of a (c, h, w) latent, symbol i under row i of tables."""
+    lo, hi = tables.intervals(symbols)
     enc = RangeEncoder()
-    for i, (s, table) in enumerate(zip(symbols, tables)):
-        if not table.contains(s):
-            raise ValueError(
-                f"symbol {s} at {i} outside table range "
-                f"[{table.v_min}, {table.v_max}]"
-            )
-        enc.encode(*table.interval(s))
-    return Bitstream(count=len(symbols), shape=tuple(shape), payload=enc.finish())
+    for cum_lo, cum_hi in zip(lo.tolist(), hi.tolist()):
+        enc.encode(cum_lo, cum_hi)
+    return Bitstream(count=len(lo), shape=tuple(shape), payload=enc.finish())
 
 
-def rc_decode(stream: Bitstream, tables) -> list:
+def rc_decode(stream: Bitstream, tables: CdfTable) -> list:
     """Inverse of rc_encode given bit-identical tables.
 
     Decodes stream.count symbols.  With a differing table at position t the
     output may diverge from t onward; that divergence is exactly the
     cross-device decode failure the interop harness measures.
     """
-    _check_count(stream.count, tables)
+    if len(tables) != stream.count:
+        raise ValueError(f"{stream.count} symbols but {len(tables)} tables; one table per symbol")
     dec = RangeDecoder(stream.payload, stream.count)
-    return [dec.decode(t) for t in tables]
+    return [dec.decode(row, tables.v_min) for row in tables.cf.tolist()]

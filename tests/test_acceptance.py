@@ -47,7 +47,7 @@ from oracles import (
     quantize_value_oracle,
     softmax_oracle,
 )
-from test_rc import random_table
+from test_rc import random_table, repeat
 
 
 def _verdict(n, name, ok):
@@ -176,14 +176,14 @@ def test_criterion_7_range_coder():
         t = random_table(rng, int(rng.integers(1, 30)), v_min=int(rng.integers(-10, 1)))
         n = int(rng.integers(0, 40))
         syms = [int(rng.integers(t.v_min, t.v_max + 1)) for _ in range(n)]
-        s = rc_encode(syms, [t] * n)
-        if rc_decode(s, [t] * n) != syms:
+        s = rc_encode(syms, repeat(t, n), shape=(1, 1, n))
+        if rc_decode(s, repeat(t, n)) != syms:
             ok = False
             break
     t = random_table(rng, 16)
-    p = np.diff(t.cf) / CDF_TOTAL
+    p = np.diff(t.cf[0]) / CDF_TOTAL
     syms = rng.choice(16, size=10_000, p=p)
-    s = rc_encode(list(syms), [t] * 10_000)
+    s = rc_encode(list(syms), repeat(t, 10_000), shape=(1, 1, 10_000))
     bits = 8 * len(s.payload)
     bound = float(np.sum(-np.log2(p[syms])))
     within = bits <= 1.02 * bound + 64

@@ -2,15 +2,45 @@
 renames or moves one must fail here rather than at bench time."""
 
 import importlib.util
+import math
 import pathlib
+import sys
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_span_targets_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("spans")
     for name, owner, attr in spans.TARGETS:
         # the tracer reads owner.__dict__[attr], so the name must live there
         assert callable(owner.__dict__.get(attr)), f"{name}: {owner.__name__}.{attr}"
+
+
+def test_traced_hyperprior_roundtrip(tmp_path):
+    # one latent of the traced benchmark, in-process: the tracer reads each
+    # symbol's interval from the tables rc_encode is given
+    spans, workloads = _load("spans"), _load("workloads")
+    wl = workloads.WORKLOADS["hyperprior-roundtrip"]
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.span(spans.SETUP):
+        pair, _ = workloads.setup(wl, tmp_path)
+    latent, hyper = workloads.make_inputs(wl, 1, 0)
+    with tracer.installed():
+        with tracer.span(spans.OP):
+            check = workloads.run_op(wl, pair, latent, hyper)
+        with tracer.span(spans.CHECK):
+            assert check()
+    counts = tracer.counts[spans.OP]
+    assert counts["ideal_bits"] > 0 and counts["payload_bytes"] > 0
+    assert counts["encoded"] == latent.size
+    metrics = spans.layer_metrics(tracer, 1)
+    assert metrics["gmm.tables"] > 0 and metrics["rc.symbols"] == 2 * latent.size
+    assert math.isfinite(metrics["rc.overhead_pct"])

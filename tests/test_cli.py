@@ -338,6 +338,22 @@ def test_non_finite_or_fractional_data_is_input_error(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [9, -9, 2**40])
+def test_calibrate_latent_outside_the_alphabet_is_input_error(
+    model, data, tmp_path, value, capsys
+):
+    with np.load(data) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["latent_0"][0, 2, 1] = value
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert main(["calibrate", str(model), str(bad), "--out", str(out), "--passes", "1"]) == 2
+    assert "outside the coder alphabet" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e40])
 def test_float_mode_hyper_latent_float32_cannot_hold_is_input_error(
     model, data, tmp_path, value, capsys

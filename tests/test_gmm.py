@@ -12,13 +12,14 @@ from detq.gmm import (
     WEIGHT_TOTAL,
     CdfTable,
     GmmParams,
+    _mixture_cdf_q16,
     build_cdf_table,
-    gmm_pmf_field,
     sigma_min_for,
     std_normal_cdf_fixed,
     table_digest,
 )
 from detq.phi_table import GRID_FRAC_BITS, PHI_TABLE_Q16, TABLE_SHA256, Z_LIMIT
+from detq.rc import RangeDecoder
 
 from oracles import (
     cdf_interval_oracle,
@@ -37,6 +38,22 @@ def single_gaussian(mu, sigma, scale_exp=8):
         scales=np.array([sigma, sigma_min_for(scale_exp), sigma_min_for(scale_exp)]),
         scale_exp=scale_exp,
     )
+
+
+def pmf(symbols, p):
+    """Q16 mixture mass of each symbol's bin, as _mixture_cdf_q16 differences
+    (before the tables fold the tails and renormalize)."""
+    t = np.asarray(symbols, dtype=np.int64)[None] << p.scale_exp
+    half = 1 << (p.scale_exp - 1)
+    w, mu, sg = p.weights, p.means, p.scales
+    return _mixture_cdf_q16(t + half, w, mu, sg) - _mixture_cdf_q16(t - half, w, mu, sg)
+
+
+def lookup(t, cum):
+    """The symbol RangeDecoder.decode reads at a cumulative value, one-row table t."""
+    # a fresh decoder has low 0 and range 2^32 - 1, so code cum * (2^16 - 1) reads cum
+    dec = RangeDecoder((cum * (CDF_TOTAL - 1)).to_bytes(4, "big") + bytes(8), 1)
+    return dec.decode(t.cf[0].tolist(), t.v_min)
 
 
 # --- Phi table ------------------------------------------------------------
@@ -74,13 +91,13 @@ def test_phi_table_exactly_antisymmetric():
         assert PHI_TABLE_Q16[i] + PHI_TABLE_Q16[n - 1 - i] == 65536
 
 
-# --- pmf ------------------------------------------------------------------
+# --- mixture bin mass (_mixture_cdf_q16) ----------------------------------
 
 
 def test_pmf_single_gaussian_center():
     # Phi(0.5) - Phi(-0.5) ~ 0.382925 -> 25096 in Q16
     p = single_gaussian(0, 256, scale_exp=8)
-    assert gmm_pmf_field(0, p) == 25096
+    assert pmf(0, p) == 25096
 
 
 def test_pmf_symmetry():
@@ -91,7 +108,7 @@ def test_pmf_symmetry():
         scale_exp=8,
     )
     for v in range(0, 6):
-        assert gmm_pmf_field(v, p) == gmm_pmf_field(-v, p)
+        assert pmf(v, p) == pmf(-v, p)
 
 
 def test_pmf_degenerate_mixture_equals_single_gaussian():
@@ -104,12 +121,12 @@ def test_pmf_degenerate_mixture_equals_single_gaussian():
     )
     p1 = single_gaussian(37, 300)
     for v in range(-4, 5):
-        assert gmm_pmf_field(v, p3) == gmm_pmf_field(v, p1)
+        assert pmf(v, p3) == pmf(v, p1)
 
 
 def test_pmf_unimodal_around_mean():
     p = single_gaussian(0, 256)
-    vals = [gmm_pmf_field(v, p) for v in range(0, 8)]
+    vals = [pmf(v, p) for v in range(0, 8)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -128,7 +145,7 @@ def test_pmf_field_matches_scalar():
         scale_exp=8,
     )
     symbols = rng.integers(-5, 6, shape)
-    field = gmm_pmf_field(symbols, params)
+    field = pmf(symbols, params)
     for idx in np.ndindex(*shape):
         sel = (slice(None),) + idx
         w, mu, sg = params.weights[sel], params.means[sel], params.scales[sel]
@@ -154,7 +171,7 @@ def test_mixture_cdf_matches_oracle():
         want = mixture_cdf_oracle(
             (v << 8) + 128, p.weights, p.means, p.scales
         ) - mixture_cdf_oracle((v << 8) - 128, p.weights, p.means, p.scales)
-        assert gmm_pmf_field(v, p) == want
+        assert pmf(v, p) == want
 
 
 # --- params validation ----------------------------------------------------
@@ -189,7 +206,7 @@ def test_tables_exact_up_to_the_params_bound():
     top = [2] + [1] * 15 + [CDF_TOTAL - 17]  # all mass on v_max, floors elsewhere
     for mean, want in ((2**40, top), ((1 << 48) - 1, top), (1 - (1 << 48), top[::-1])):
         [t] = build_cdf_table(single_gaussian(mean, 256), -8, 8)
-        assert np.diff(t.cf).tolist() == want
+        assert np.diff(t.cf[0]).tolist() == want
     rng = np.random.default_rng(8)
     lim = (1 << 48) - 1
     for _ in range(10):
@@ -204,7 +221,24 @@ def test_tables_exact_up_to_the_params_bound():
         want = cdf_table_oracle(
             p.weights.tolist(), p.means.tolist(), p.scales.tolist(), 15, -8, 8
         )
-        assert list(t.cf) == list(want)
+        assert t.cf[0].tolist() == list(want)
+
+
+def test_symbols_bounded_before_the_shift():
+    # (v << scale_exp) wrapped in int64 for the first range, and the table of
+    # a Gaussian ~2^47 sigma away came out as one near zero, with no error
+    p = single_gaussian(0, 256)
+    for v_min, v_max in ((-(2**55), -(2**55) + 4), (2**38, 2**38 + 4), (-(2**38), 0)):
+        with pytest.raises(ValueError, match="below 2\\^38"):
+            build_cdf_table(p, v_min, v_max)
+    # the largest symbols still admitted: all mass folded to v_min, as the
+    # exact oracle has it
+    [t] = build_cdf_table(p, 2**38 - 5, 2**38 - 1)
+    want = cdf_table_oracle(
+        p.weights.tolist(), p.means.tolist(), p.scales.tolist(), 8, 2**38 - 5, 2**38 - 1
+    )
+    assert t.cf[0].tolist() == list(want)
+    assert np.diff(want).tolist() == [CDF_TOTAL - 5, 1, 1, 1, 2]
 
 
 def test_sigma_min():
@@ -218,9 +252,10 @@ def test_sigma_min():
 
 def test_single_symbol_table():
     t = CdfTable(v_min=0, v_max=0, cf=np.array([0, CDF_TOTAL]))
+    assert len(t) == 1 and t.cf.shape == (1, 2)
     assert t.interval(0) == (0, CDF_TOTAL)
-    assert t.symbol_for_cum(0) == 0
-    assert t.symbol_for_cum(CDF_TOTAL - 1) == 0
+    assert lookup(t, 0) == 0
+    assert lookup(t, CDF_TOTAL - 1) == 0
 
 
 # a valid 3-symbol table over [0, 2], and (v_min, v_max, cf) made malformed from it
@@ -241,6 +276,8 @@ def test_table_validation():
         for v_min, v_max, cf in MALFORMED:
             with pytest.raises(ValueError):
                 CdfTable(v_min, v_max, np.array(cf) if as_array else cf)
+    with pytest.raises(ValueError):
+        CdfTable(0, 2, [[VALID_CF]])  # a field is two-dimensional
 
 
 def test_table_rejects_non_integer_entries():
@@ -250,14 +287,15 @@ def test_table_rejects_non_integer_entries():
         CdfTable(0, 0, np.array([0.0, CDF_TOTAL]))
 
 
-def test_built_tables_go_through_the_constructor_check(monkeypatch):
-    # every row build_cdf_table returns is checked by CdfTable itself; the
-    # same row, corrupted in each of the malformed ways, is refused there
+def test_every_field_goes_through_the_one_constructor(monkeypatch):
+    # build_cdf_table checks its whole field in one constructor call; the
+    # field with any one row corrupted in each of the malformed ways is
+    # refused there
     seen = []
     init = CdfTable.__init__
 
     def counting(self, v_min, v_max, cf):
-        seen.append(list(cf))
+        seen.append(np.array(cf))
         init(self, v_min, v_max, cf)
 
     monkeypatch.setattr(gmm.CdfTable, "__init__", counting)
@@ -267,32 +305,59 @@ def test_built_tables_go_through_the_constructor_check(monkeypatch):
         scales=np.array([[16, 256, 700, 64, 2000]] + [[16] * 5] * 2),
         scale_exp=8,
     )
-    tables = build_cdf_table(p, -4, 4)
-    assert seen == [list(t.cf) for t in tables] and len(seen) == 5
+    field = build_cdf_table(p, -4, 4)
+    assert len(seen) == 1 and seen[0].shape == (5, 10)
+    np.testing.assert_array_equal(seen[0], field.cf)
     monkeypatch.undo()
-    for cf in seen:
+    with pytest.raises(ValueError):
+        CdfTable(-4, 4, field.cf[:, :-1])
+    for i, cf in enumerate(field.cf.tolist()):
         for bad in (
-            cf[:-1],
             [1] + cf[1:],
             cf[:-1] + [CDF_TOTAL + 1],
             cf[:2] + [cf[1]] + cf[3:],
             cf[:1] + [cf[2], cf[1]] + cf[3:],
         ):
+            rows = field.cf.copy()
+            rows[i] = bad
             with pytest.raises(ValueError):
-                CdfTable(-4, 4, bad)
+                CdfTable(-4, 4, rows)
+
+
+def test_field_interval_gather_matches_its_rows():
+    rng = np.random.default_rng(9)
+    p = GmmParams(
+        weights=np.array([[WEIGHT_TOTAL] * 6, [0] * 6, [0] * 6]),
+        means=rng.integers(-900, 900, (3, 6)),
+        scales=rng.integers(16, 900, (3, 6)),
+        scale_exp=8,
+    )
+    field = build_cdf_table(p, -3, 3)
+    symbols = rng.integers(-3, 4, 6)
+    lo, hi = field.intervals(symbols)
+    rows = list(field)
+    assert [(int(a), int(b)) for a, b in zip(lo, hi)] == [
+        t.interval(int(v)) for t, v in zip(rows, symbols)
+    ]
+    assert field.tobytes() == b"".join(t.tobytes() for t in rows)
+    symbols[4] = 4
+    with pytest.raises(ValueError, match="symbol 4 at 4 outside"):
+        field.intervals(symbols)
+    with pytest.raises(ValueError, match="5 symbols but 6 tables"):
+        field.intervals(symbols[:5])
 
 
 def test_table_is_independent_of_its_input_array():
     src = np.array(VALID_CF)
     t = CdfTable(-1, 1, src)
-    before = (t.cf, t.tobytes(), [t.interval(v) for v in (-1, 0, 1)])
+    before = (t.cf.tolist(), t.tobytes(), [t.interval(v) for v in (-1, 0, 1)])
     src[:] = [0, 1, 2, CDF_TOTAL]
-    assert (t.cf, t.tobytes(), [t.interval(v) for v in (-1, 0, 1)]) == before
-    assert t.symbol_for_cum(100) == 0 and t.symbol_for_cum(99) == -1
-    with pytest.raises(TypeError):
-        t.cf[1] = 7
+    assert (t.cf.tolist(), t.tobytes(), [t.interval(v) for v in (-1, 0, 1)]) == before
+    assert lookup(t, 100) == 0 and lookup(t, 99) == -1
+    with pytest.raises(ValueError, match="read-only"):
+        t.cf[0, 1] = 7
     with pytest.raises(dataclasses.FrozenInstanceError):
-        t.cf = (0, CDF_TOTAL)
+        t.cf = np.array([[0, CDF_TOTAL]])
 
 
 @st.composite
@@ -316,7 +381,7 @@ def test_lookups_match_numpy_oracle(table, cums, as_array):
         assert all(type(c) is int for c in got)
     edges = [c - d for c in cf[:-1] for d in (0, 1) if c - d >= 0]
     for cum in edges + cums:
-        got = t.symbol_for_cum(cum)
+        got = lookup(t, cum)
         assert got == cdf_lookup_oracle(cf, v_min, cum) and type(got) is int
     want = np.array([v_min, t.v_max] + cf, dtype="<i8").tobytes()
     assert t.tobytes() == want
@@ -327,8 +392,8 @@ def test_interval_inverse_of_symbol_lookup():
     [t] = build_cdf_table(p, -8, 8)
     for v in range(-8, 9):
         lo, hi = t.interval(v)
-        assert t.symbol_for_cum(lo) == v
-        assert t.symbol_for_cum(hi - 1) == v
+        assert lookup(t, lo) == v
+        assert lookup(t, hi - 1) == v
 
 
 def test_build_table_postconditions():
@@ -342,7 +407,7 @@ def test_build_table_postconditions():
             scale_exp=8,
         )
         [t] = build_cdf_table(p, -8, 8)
-        assert t.cf[0] == 0 and t.cf[-1] == CDF_TOTAL
+        assert t.cf[0, 0] == 0 and t.cf[0, -1] == CDF_TOTAL
         assert np.all(np.diff(t.cf) >= 1)
 
 
@@ -366,7 +431,7 @@ def test_build_table_matches_independent_oracle():
             -8,
             8,
         )
-        np.testing.assert_array_equal(t.cf, want)
+        np.testing.assert_array_equal(t.cf[0], want)
 
 
 def test_symmetric_params_near_mirror():
@@ -379,6 +444,6 @@ def test_symmetric_params_near_mirror():
         scale_exp=8,
     )
     [t] = build_cdf_table(p, -8, 8)
-    s = t.num_symbols
+    s = t.cf.shape[1] - 1
     for i in range(s + 1):
-        assert abs(int(t.cf[i]) + int(t.cf[s - i]) - CDF_TOTAL) <= 1
+        assert abs(int(t.cf[0, i]) + int(t.cf[0, s - i]) - CDF_TOTAL) <= 1

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from detq import harness, intops
+from detq.gmm import CDF_TOTAL
+from detq.rc import RangeEncoder, rc_encode
 from detq.harness import (
     BackendVariant,
     LayerCfg,
@@ -257,7 +259,7 @@ def test_field_tables_match_oracle_in_coding_order():
     tables = field_tables(params, -8, 8)
     assert len(tables) == 24
     # coding order: raster position, then channel
-    for table, (y, x, ch) in zip(tables, np.ndindex(3, 4, 2)):
+    for row, (y, x, ch) in zip(tables.cf, np.ndindex(3, 4, 2)):
         sel = (slice(None), ch, y, x)
         want = cdf_table_oracle(
             [int(v) for v in weights[sel]],
@@ -267,11 +269,11 @@ def test_field_tables_match_oracle_in_coding_order():
             -8,
             8,
         )
-        np.testing.assert_array_equal(table.cf, want)
+        np.testing.assert_array_equal(row, want)
 
     empty = np.zeros((3, 1, 0, 0), dtype=np.int64)
     params = GmmParams(weights=empty, means=empty, scales=empty, scale_exp=8)
-    assert field_tables(params, -8, 8) == []
+    assert len(field_tables(params, -8, 8)) == 0
 
 
 def test_int_roundtrip_all_variant_pairs():
@@ -503,6 +505,41 @@ def test_cross_entropy_helpers_consistent():
     fb = float_cross_entropy_bits(latent, pri)
     assert ib > 0 and fb > 0
     assert abs(ib - fb) / fb < 0.05
+
+
+def test_int_cross_entropy_is_the_rate_the_coder_codes(monkeypatch):
+    pair, latent, hyper = fixture_pair(seed=8, latent_channels=2)
+    latent = random_latent(np.random.default_rng(3), (2, 4, 4))
+    params = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
+    coded = []
+    encode = RangeEncoder.encode
+
+    def recording(self, cum_lo, cum_hi):
+        coded.append((cum_lo, cum_hi))
+        encode(self, cum_lo, cum_hi)
+
+    monkeypatch.setattr(RangeEncoder, "encode", recording)
+    symbols = latent.transpose(1, 2, 0).ravel()
+    rc_encode(symbols, field_tables(params, -8, 8), shape=latent.shape)
+    assert len(coded) == latent.size
+    want = sum(-math.log2((hi - lo) / CDF_TOTAL) for lo, hi in coded)
+    assert int_cross_entropy_bits(latent, params) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="symbol 9 at 0 outside"):
+        int_cross_entropy_bits(np.full_like(latent, 9), params)
+    with pytest.raises(ValueError, match="shape"):
+        int_cross_entropy_bits(latent[:1], params)
+
+
+@pytest.mark.parametrize("value", [9, -9])
+def test_calibrate_rejects_latents_outside_the_alphabet(value):
+    fs, cal = calib_case()
+    latent, hyper = cal[0]
+    latent = latent.copy()
+    latent[0, 1, 1] = value
+    before = [fs.junction_p(j) for j in fs.junctions()]
+    with pytest.raises(ValueError, match="outside the coder alphabet"):
+        calibrate_shifts(fs, cal + [(latent, hyper)], grid=(8, 9), passes=1)
+    assert [fs.junction_p(j) for j in fs.junctions()] == before
 
 
 def test_random_latent_within_alphabet():

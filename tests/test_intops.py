@@ -158,6 +158,21 @@ def test_qconv_range_check_includes_int64_min():
         qconv_forward(np.full((1, 1, 1), -256), lyr9)
 
 
+def test_qconv_rejects_non_integer_input():
+    # np.asarray(x, np.int64) used to truncate: a stack fed 0.9 everywhere
+    # gave the priors of zeros
+    lyr = qlayer(np.ones((1, 1, 1, 1)) * 0.1)
+    for x in (np.full((1, 2, 2), 0.9), np.ones((1, 2, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="integer array"):
+            qconv_forward(x, lyr)
+    qconv_forward(np.ones((1, 2, 2), dtype=np.int16), lyr)
+    stack = make_stack_pair(random_stack(np.random.default_rng(5))).quant_stack
+    with pytest.raises(ValueError, match="integer array"):
+        run_entropy_stack(np.full((1, 4, 4), 0.9), np.zeros((2, 4, 4), np.int64), stack)
+    with pytest.raises(ValueError, match="integer array"):
+        run_entropy_stack(np.zeros((1, 4, 4), np.int64), np.full((2, 4, 4), 0.9), stack)
+
+
 def test_qconv_rejects_input_that_is_not_3d():
     lyr = qlayer(np.ones((1, 1, 1, 1)) * 0.1)
     for shape in ((1, 4), (1, 1, 2, 2)):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from detq.gmm import CDF_TOTAL, CdfTable
 from detq.rc import (
+    MAGIC,
+    VERSION,
     Bitstream,
     StreamFormatError,
     rc_decode,
@@ -29,17 +33,22 @@ def random_table(rng, n_symbols, v_min=0):
     return table_from_freqs(freqs, v_min)
 
 
+def repeat(t, n):
+    """A field of n copies of the one-row table t."""
+    return CdfTable(t.v_min, t.v_max, np.repeat(t.cf, n, axis=0))
+
+
 # --- header ---------------------------------------------------------------
 
 
 def test_header_roundtrip():
-    s = Bitstream(count=7, shape=(1, 4, 4), payload=b"\x01\x02")
+    s = Bitstream(count=16, shape=(1, 4, 4), payload=b"\x01\x02")
     back = Bitstream.from_bytes(s.to_bytes())
     assert back == s
 
 
 def test_header_field_ranges():
-    top = Bitstream(count=2**32 - 1, shape=(65535, 1, 65535), payload=b"")
+    top = Bitstream(count=65535 * 65535, shape=(65535, 1, 65535), payload=b"")
     assert Bitstream.from_bytes(top.to_bytes()) == top
     for count, shape in [
         (1, (1, 70000, 1)),
@@ -62,58 +71,70 @@ def test_bad_magic_and_truncation():
         Bitstream.from_bytes(s[:4] + bytes([99]) + s[5:])  # bad version
 
 
+@pytest.mark.parametrize("count", [0, 11, 13, 2**32 - 1])
+def test_count_must_be_the_shape_product(count):
+    # a v1 stream codes every element of its (c, h, w) latent, no more, no less
+    data = MAGIC + struct.pack(">BI3H", VERSION, count, 2, 2, 3)
+    with pytest.raises(StreamFormatError, match="c\\*h\\*w"):
+        Bitstream.from_bytes(data)
+    with pytest.raises(StreamFormatError, match="c\\*h\\*w"):
+        Bitstream(count=count, shape=(2, 2, 3), payload=b"").to_bytes()
+    assert Bitstream.from_bytes(data[:5] + struct.pack(">I", 12) + data[9:]).count == 12
+
+
 # --- encode/decode basics -------------------------------------------------
 
 
 def test_empty_sequence_header_only():
-    s = rc_encode([], [], shape=(0, 0, 0))
+    empty = CdfTable(0, 0, np.zeros((0, 2), dtype=np.int64))
+    s = rc_encode([], empty, shape=(0, 0, 0))
     assert s.count == 0 and s.payload == b""
-    assert rc_decode(s, []) == []
+    assert rc_decode(s, empty) == []
 
 
 def test_certain_symbol_zero_extra_payload():
     t = table_from_freqs([CDF_TOTAL])
-    s = rc_encode([0], [t])
+    s = rc_encode([0], t, shape=(1, 1, 1))
     assert len(s.payload) == 4  # nothing beyond the flush
-    assert rc_decode(s, [t]) == [0]
+    assert rc_decode(s, t) == [0]
 
 
 def test_symbol_outside_table_rejected():
     t = table_from_freqs([CDF_TOTAL])
     with pytest.raises(ValueError):
-        rc_encode([5], [t])
+        rc_encode([5], t, shape=(1, 1, 1))
 
 
 @pytest.mark.parametrize("n_tables", [2, 4])
 def test_encode_needs_one_table_per_symbol(n_tables):
     t = table_from_freqs([CDF_TOTAL // 2, CDF_TOTAL // 2])
     with pytest.raises(ValueError, match=f"3 symbols but {n_tables} tables"):
-        rc_encode([0, 1, 0], [t] * n_tables)
+        rc_encode([0, 1, 0], repeat(t, n_tables), shape=(1, 1, 3))
 
 
 @pytest.mark.parametrize("n_tables", [2, 4])
 def test_decode_needs_one_table_per_symbol(n_tables):
     t = table_from_freqs([CDF_TOTAL // 2, CDF_TOTAL // 2])
-    s = rc_encode([0, 1, 0], [t] * 3)
+    s = rc_encode([0, 1, 0], repeat(t, 3), shape=(1, 1, 3))
     with pytest.raises(ValueError, match=f"3 symbols but {n_tables} tables"):
-        rc_decode(s, [t] * n_tables)
+        rc_decode(s, repeat(t, n_tables))
 
 
 def test_truncated_payload_raises():
     rng = np.random.default_rng(0)
     t = random_table(rng, 16)
-    s = rc_encode(list(rng.integers(0, 16, 300)), [t] * 300)
+    s = rc_encode(list(rng.integers(0, 16, 300)), repeat(t, 300), shape=(1, 1, 300))
     bad = Bitstream(count=s.count, shape=s.shape, payload=s.payload[:-3])
     with pytest.raises(StreamFormatError):
-        rc_decode(bad, [t] * 300)
+        rc_decode(bad, repeat(t, 300))
 
 
 def test_deterministic_bytes():
     rng = np.random.default_rng(1)
     t = random_table(rng, 9, v_min=-4)
     syms = list(rng.integers(-4, 5, 500))
-    a = rc_encode(syms, [t] * 500).to_bytes()
-    b = rc_encode(syms, [t] * 500).to_bytes()
+    a = rc_encode(syms, repeat(t, 500), shape=(1, 1, 500)).to_bytes()
+    b = rc_encode(syms, repeat(t, 500), shape=(1, 1, 500)).to_bytes()
     assert a == b
 
 
@@ -127,19 +148,22 @@ def test_roundtrip_random_tables(data):
     rng = np.random.default_rng(seed)
     n_tables = data.draw(st.integers(1, 5))
     n_symbols = data.draw(st.integers(0, 200))
-    tables = [random_table(rng, int(rng.integers(1, 40))) for _ in range(n_tables)]
-    seq_tables = [tables[i % n_tables] for i in range(n_symbols)]
-    syms = [int(rng.integers(0, t.num_symbols)) for t in seq_tables]
-    s = rc_encode(syms, seq_tables)
+    # one alphabet per stream, as in a field
+    size = int(rng.integers(1, 40))
+    rows = np.concatenate([random_table(rng, size).cf for _ in range(n_tables)])
+    seq_tables = CdfTable(0, size - 1, rows[np.arange(n_symbols) % n_tables])
+    syms = [int(rng.integers(0, size)) for _ in range(n_symbols)]
+    s = rc_encode(syms, seq_tables, shape=(1, 1, n_symbols))
     assert rc_decode(s, seq_tables) == syms
 
 
 def test_roundtrip_per_position_tables():
     rng = np.random.default_rng(2)
     n = 400
-    tables = [random_table(rng, int(rng.integers(2, 25)), v_min=-7) for _ in range(n)]
-    syms = [int(rng.integers(t.v_min, t.v_max + 1)) for t in tables]
-    s = rc_encode(syms, tables)
+    rows = np.concatenate([random_table(rng, 25, v_min=-7).cf for _ in range(n)])
+    tables = CdfTable(-7, 17, rows)
+    syms = [int(rng.integers(-7, 18)) for _ in range(n)]
+    s = rc_encode(syms, tables, shape=(1, 20, 20))
     assert rc_decode(s, tables) == syms
 
 
@@ -150,10 +174,10 @@ def test_code_length_near_entropy_bound():
     rng = np.random.default_rng(4)
     n = 10_000
     t = random_table(rng, 12)
-    freqs = np.diff(t.cf)
+    freqs = np.diff(t.cf[0])
     p = freqs / CDF_TOTAL
     syms = rng.choice(12, size=n, p=p)
-    s = rc_encode(list(syms), [t] * n)
+    s = rc_encode(list(syms), repeat(t, n), shape=(1, 1, n))
     bits = 8 * len(s.payload)
     bound = float(np.sum(-np.log2(p[syms])))
     assert bits <= 1.02 * bound + 64
@@ -163,16 +187,15 @@ def test_mismatched_table_diverges_from_change_point():
     # corrupting one bin boundary at position t: mismatches only at/after t
     rng = np.random.default_rng(5)
     t_good = random_table(rng, 10)
-    cf = np.array(t_good.cf)
-    cf[5] += 200  # move one interior boundary
-    t_bad = CdfTable(t_good.v_min, t_good.v_max, cf)
     n = 200
     change = 60
+    cf = np.repeat(t_good.cf, n, axis=0)
+    cf[change, 5] += 200  # move one interior boundary
     syms = list(rng.integers(0, 10, n))
     syms[change] = 4  # a symbol whose interval the corrupted boundary moves
-    enc_tables = [t_good] * n
-    dec_tables = [t_good] * change + [t_bad] + [t_good] * (n - change - 1)
-    s = rc_encode(syms, enc_tables)
+    enc_tables = repeat(t_good, n)
+    dec_tables = CdfTable(t_good.v_min, t_good.v_max, cf)
+    s = rc_encode(syms, enc_tables, shape=(1, 1, n))
     got = rc_decode(s, dec_tables)
     mism = [i for i in range(n) if got[i] != syms[i]]
     assert mism and min(mism) >= change
