@@ -51,10 +51,12 @@ def _load_data(path):
                     raise ManifestError(f"hyper_{i} missing from {path}")
                 latent = z[f"latent_{i}"]
                 if latent.dtype.kind not in "iuf" or not np.all(
-                    np.isfinite(latent) & (latent == np.trunc(latent))
+                    np.isfinite(latent)
+                    & (latent == np.trunc(latent))
+                    & (np.abs(latent) < 2.0**63)
                 ):
-                    raise ManifestError(f"latent_{i} must hold finite integers")
-                pairs.append((latent, z[f"hyper_{i}"]))
+                    raise ManifestError(f"latent_{i} must hold finite integers within int64")
+                pairs.append((latent.astype(np.int64), z[f"hyper_{i}"]))
                 i += 1
     except (OSError, ValueError, KeyError) as e:
         raise ManifestError(f"cannot read data file {path}: {e}") from e
@@ -129,19 +131,14 @@ def cmd_verify(args) -> int:
             worst = int(accumulator_bound(lyr.w_q, lyr.b_q, lyr.spec.n_i).max())
             bits = 31 - math.log2(worst) if worst else math.inf
             print(f"{name}[{i}] headroom {bits:.2f} bits")
-    ok = True
-    outs = []
-    for order in ("seq", "rev", "tree"):
-        rng = np.random.default_rng(args.seed)
-        latent = _random_input(stack.context, rng)
-        hyper = _random_input(stack.hyperdecoder, rng)
-        try:
-            outs.append(run_entropy_stack(latent, hyper, stack, order=order).tobytes())
-        except AccumulatorOverflowError as e:
-            print(f"FAIL overflow at runtime ({order}): {e}")
-            ok = False
-    if len(outs) == 3 and not (outs[0] == outs[1] == outs[2]):
-        print("FAIL order invariance: priors differ between accumulation orders")
+    rng = np.random.default_rng(args.seed)
+    latent = _random_input(stack.context, rng)
+    hyper = _random_input(stack.hyperdecoder, rng)
+    try:
+        run_entropy_stack(latent, hyper, stack)
+        ok = True
+    except AccumulatorOverflowError as e:
+        print(f"FAIL overflow at runtime: {e}")
         ok = False
     print("verify: PASS" if ok else "verify: FAIL")
     return EXIT_OK if ok else EXIT_FAIL
@@ -198,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--passes", type=int, default=2)
     c.set_defaults(fn=cmd_calibrate)
 
-    v = sub.add_parser("verify", help="overflow bound + order-invariance checks")
+    v = sub.add_parser("verify", help="overflow bound + runtime overflow check")
     v.add_argument("model")
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(fn=cmd_verify)

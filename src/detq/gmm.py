@@ -187,8 +187,15 @@ class CdfTable:
             yield row
 
     def intervals(self, symbols):
-        """(cum_lo, cum_hi) int64 arrays: row i's interval for symbols[i]."""
-        v = np.asarray(symbols, dtype=np.int64)
+        """(cum_lo, cum_hi) int64 arrays: row i's interval for symbols[i].
+
+        Symbols of a non-integer dtype are refused, not truncated; an empty
+        sequence is an empty one of any dtype.
+        """
+        v = np.asarray(symbols)
+        if v.size and v.dtype.kind not in "iu":
+            raise ValueError(f"symbols must be integers, got dtype {v.dtype}")
+        v = v.astype(np.int64, copy=False)
         if v.shape != (len(self.cf),):
             raise ValueError(
                 f"{v.size} symbols but {len(self.cf)} tables; one table per symbol"

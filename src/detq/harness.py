@@ -1,9 +1,11 @@
 """Cross-device interop experiments, calibration, and the failure demo.
 
 Cross-device floating-point variance is modeled by accumulation-order
-variants (sequential, reversed, pairwise tree) executed in float32; the
-integer pipeline is provably order-invariant, so the same variants leave
-its priors bit-identical.  Encode-on-A / decode-on-B experiments then show
+variants (sequential, reversed, pairwise tree) executed in float32, and
+only there.  The integer pipeline sums exactly, so no order can change
+its priors: it runs one exact GEMM per layer and ignores the variant's
+order, and the tests hold it to a per-tap reference that sums in each
+order.  Encode-on-A / decode-on-B experiments then show
 that float priors can break entropy decoding while integer priors
 round-trip exactly.
 
@@ -37,10 +39,8 @@ from .gmm import (
 from .intops import (
     LEAKY_NUM,
     LEAKY_SHIFT,
-    ORDERS,
     SUBNETS,
     EntropyStack,
-    _ordered_sum,
     causal_window,
     hyper_features,
     priors_from_features,
@@ -51,6 +51,7 @@ from .rc import RangeDecoder, rc_decode, rc_encode
 from .tensors import ConvLayerF, im2col
 
 __all__ = [
+    "ORDERS",
     "BackendVariant",
     "InteropReport",
     "CalibrationReport",
@@ -73,6 +74,9 @@ __all__ = [
 ]
 
 DEFAULT_SYMBOL_BOUND = 8
+
+# accumulation orders a simulated device may sum its float32 products in
+ORDERS = ("seq", "rev", "tree")
 
 # EntropyStackF field holding each subnetwork's LayerCfg list
 CFG_FIELDS = dict(zip(SUBNETS, ("hyper_cfg", "context_cfg", "gather_cfg")))
@@ -212,6 +216,24 @@ class FloatPriors:
     scales: np.ndarray
 
 
+def _ordered_sum(terms: np.ndarray, order: str) -> np.ndarray:
+    """Reduce (P, T, n) terms over axis 1 in the requested order."""
+    if order == "seq":
+        return np.cumsum(terms, axis=1)[:, -1, :]
+    if order == "rev":
+        return np.cumsum(terms[:, ::-1, :], axis=1)[:, -1, :]
+    if order == "tree":
+        arr = terms
+        while arr.shape[1] > 1:
+            t = arr.shape[1]
+            even = arr[:, 0 : t - t % 2 : 2, :] + arr[:, 1:t:2, :]
+            if t % 2:
+                even = np.concatenate([even, arr[:, t - 1 : t, :]], axis=1)
+            arr = even
+        return arr[:, 0, :]
+    raise ValueError(f"unknown accumulation order {order!r}")
+
+
 def conv_ordered_float(x: np.ndarray, layer: ConvLayerF, order: str) -> np.ndarray:
     """float32 convolution with an explicit accumulation order.
 
@@ -300,9 +322,15 @@ def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
     else:
         stack = stacks.float_stack
         # float32 would hold such a value as inf or NaN, and the priors as
-        # garbage; the comparison is false for NaN too
-        if stack.hyperdecoder and not np.all(np.abs(np.asarray(hyper, float)) <= _F32_MAX):
-            raise ValueError("hyper latent has non-finite values or values beyond float32")
+        # garbage; the comparison is false for NaN too.  A complex value
+        # would lose its imaginary part.
+        hyper = np.asarray(hyper)
+        if stack.hyperdecoder and (
+            hyper.dtype.kind == "c" or not np.all(np.abs(hyper.astype(float)) <= _F32_MAX)
+        ):
+            raise ValueError(
+                "hyper latent has complex or non-finite values, or values beyond float32"
+            )
         hyper_feat = hyper_features(hyper, stack, order)
 
         def priors(context, at):
@@ -333,8 +361,12 @@ def field_tables(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
 
 
 def _check_alphabet(latent) -> np.ndarray:
-    """latent as int64, refused if a symbol lies outside the coder alphabet."""
-    latent = np.asarray(latent, dtype=np.int64)
+    """latent as int64, refused if it is not an integer array or a symbol
+    lies outside the coder alphabet."""
+    latent = np.asarray(latent)
+    if latent.size and latent.dtype.kind not in "iu":
+        raise ValueError(f"latent symbols must be integers, got dtype {latent.dtype}")
+    latent = latent.astype(np.int64, copy=False)
     bound = DEFAULT_SYMBOL_BOUND
     if latent.min(initial=0) < -bound or latent.max(initial=0) > bound:
         raise ValueError("latent symbols outside the coder alphabet")

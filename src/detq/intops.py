@@ -9,14 +9,17 @@ activation's range is checked.  All arithmetic from there on is exact
 integer arithmetic: int16-range operands, 32-bit accumulators whose
 overflow is excluded statically by the shift derivation, and per-channel
 fused rescaling via arithmetic shifts with half-away-from-zero rounding.
-Because every accumulation is exact, the result is bit-identical for any
-summation order; the `order` argument exists to demonstrate that.
 
 The stack topology (hyper_features, priors_from_features) exists once,
 here; the stack passed in supplies the arithmetic (layer step, fuse, head
 decode): integer for EntropyStack, float32 for harness.EntropyStackF.
+The topology passes an accumulation order through to the layer step.
+Only the float32 arithmetic reads it: every integer accumulation is
+exact, so its result is the same for any summation order, and the
+integer layer step ignores `order`.  The per-tap reference that does sum
+in each order lives with the tests, as their oracle.
 
-The convolution runs as a float64 BLAS GEMM, and that is exact too.
+The convolution runs as one float64 BLAS GEMM, and that is exact too.
 QConvLayer enforces sum|w| * x_max + |b| <= 2^31 - 1, so every product
 and every partial sum, taken in any order, is an integer of magnitude
 below 2^31 < 2^53: float64 represents each one exactly, whatever
@@ -45,7 +48,6 @@ __all__ = [
     "EntropyStack",
     "check_topology",
     "AccumulatorOverflowError",
-    "ORDERS",
     "LEAKY_NUM",
     "LEAKY_SHIFT",
     "round_shift",
@@ -60,8 +62,6 @@ __all__ = [
     "run_entropy_stack",
     "split_head",
 ]
-
-ORDERS = ("seq", "rev", "tree")
 
 # The entropy subnetworks, in evaluation and serialization order.
 SUBNETS = ("hyperdecoder", "context", "gather")
@@ -98,36 +98,17 @@ def round_shift(v, s):
     return out
 
 
-def _ordered_sum(terms: np.ndarray, order: str) -> np.ndarray:
-    """Reduce (P, T, n) terms over axis 1 in the requested order."""
-    if order == "seq":
-        return np.cumsum(terms, axis=1)[:, -1, :]
-    if order == "rev":
-        return np.cumsum(terms[:, ::-1, :], axis=1)[:, -1, :]
-    if order == "tree":
-        arr = terms
-        while arr.shape[1] > 1:
-            t = arr.shape[1]
-            even = arr[:, 0 : t - t % 2 : 2, :] + arr[:, 1:t:2, :]
-            if t % 2:
-                even = np.concatenate([even, arr[:, t - 1 : t, :]], axis=1)
-            arr = even
-        return arr[:, 0, :]
-    raise ValueError(f"unknown accumulation order {order!r}")
-
-
-def qconv_forward(x, layer: QConvLayer, order: str = "seq") -> np.ndarray:
+def qconv_forward(x, layer: QConvLayer) -> np.ndarray:
     """Exact integer cross-correlation plus bias; returns (n, h, w) int64.
 
     x is a (c, h, w) integer array.  QConvLayer holds sum|w| * x_max + |b|
     within 32 bits, and the input is checked against x_max here, the one
     range check an activation gets, so no partial sum in any order can
     overflow, and each one is an integer below 2^53 that float64 holds
-    exactly.  The T = m*K*K taps are split into the contiguous blocks of
-    layer.weight_blocks; one batched float64 GEMM sums each block, and
-    `order` selects how the block partials are folded.  Masked (causal)
-    layers carry their zeroes in the weights.  An x of any other dtype is
-    refused, not truncated.
+    exactly.  One float64 GEMM, im2col(x) @ layer.weight_matrix, sums all
+    m*K*K taps, so the result is the same for any summation order the BLAS
+    library picks.  Masked (causal) layers carry their zeroes in the
+    weights.  An x of any other dtype is refused, not truncated.
     """
     x = np.asarray(x)
     if x.dtype.kind not in "iu":
@@ -143,15 +124,9 @@ def qconv_forward(x, layer: QConvLayer, order: str = "seq") -> np.ndarray:
     n_i = layer.spec.n_i
     if exceeds(x, (1 << (n_i - 1)) - 1):
         raise ValueError(f"input entry exceeds the layer's {n_i}-bit range")
-    cols = im2col(x, layer.kernel)  # (h*w, m*K*K)
-    wblocks = layer.weight_blocks
-    nb, span, n = wblocks.shape
-    p, t = cols.shape
-    a = np.zeros((p, nb * span))
-    a[:, :t] = cols
-    partials = np.matmul(a.reshape(p, nb, span).transpose(1, 0, 2), wblocks)
-    acc = _ordered_sum(partials.transpose(1, 0, 2), order).astype(np.int64) + layer.b_q
-    return acc.reshape(h, w, n).transpose(2, 0, 1)
+    cols = im2col(x.astype(np.float64), layer.kernel)  # (h*w, m*K*K)
+    acc = (cols @ layer.weight_matrix).astype(np.int64) + layer.b_q
+    return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)
 
 
 def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> np.ndarray:
@@ -261,10 +236,12 @@ class EntropyStack:
     def layer_step(self, x, layer, after, order, activation=True):
         """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU.
 
-        The output is at `after`'s input grid and within its n_i bits.
+        The output is at `after`'s input grid and within its n_i bits.  The
+        arithmetic is exact, so `order`, which the float32 stack reads,
+        changes nothing here and is ignored.
         """
         next_bits = after.spec.n_i if after is not None else 16
-        q = requantize(qconv_forward(x, layer, order), layer, out_bits=next_bits)
+        q = requantize(qconv_forward(x, layer), layer, out_bits=next_bits)
         return leaky_relu_int(q) if activation else q
 
     def fuse(self, feats) -> np.ndarray:

@@ -51,7 +51,8 @@ def _blob_path(manifest_path: pathlib.Path, entry: str) -> pathlib.Path:
 
 def _check_schema(doc):
     """Types, ranges and subnetwork names of a manifest document."""
-    if doc.get("dtype") not in _BLOB_DTYPES:
+    # a list or an object as dtype would make the membership test raise
+    if not isinstance(doc.get("dtype"), str) or doc["dtype"] not in _BLOB_DTYPES:
         raise ManifestError(f"dtype must be {' or '.join(_BLOB_DTYPES)}")
     if type(doc.get("n_a")) is not int or doc["n_a"] != ACCUM_BITS:
         raise ManifestError(f"n_a must be {ACCUM_BITS}, the accumulator width")

@@ -43,9 +43,6 @@ INT16_MAX = (1 << 15) - 1
 ACCUM_BITS = 32
 # Widest right shift round_shift rounds correctly: 1 << 63 wraps in int64.
 MAX_RIGHT_SHIFT = 62
-# The convolution sums a layer's taps in at most this many contiguous
-# blocks, one GEMM each, and folds the block partials in the requested order.
-CONV_BLOCKS = 8
 
 
 class WeightRangeError(ValueError):
@@ -78,17 +75,29 @@ def quantize_value(x, p: int, b: int):
     """clamp(round(x * 2^p), -(2^(b-1)-1), 2^(b-1)-1), half away from zero.
 
     The one activation quantizer.  Works elementwise: an int for a scalar,
-    an int64 array for an array.  Non-finite input raises ValueError.
+    an int64 array for an array.  Complex or non-finite input raises
+    ValueError.
     """
     if b < 2:
         raise ValueError("bit depth must be at least 2")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError("activation must be real, got a complex array")
+    x = x.astype(np.float64, copy=False)
     if not np.isfinite(x).all():
         raise ValueError("activation contains non-finite values")
     lim = (1 << (b - 1)) - 1
     q = np.minimum(np.maximum(round_half_away(x * math.ldexp(1.0, p)), -lim), lim)
     q = q.astype(np.int64)
     return q if q.ndim else int(q)
+
+
+def _check_grid(n_i: int, p_in: int, p_out: int):
+    """n_i in [2, 16] and both activation shift exponents in [0, 15]."""
+    if not 2 <= n_i <= 16:
+        raise ValueError(f"n_i out of range: {n_i}")
+    if not (0 <= p_in <= 15 and 0 <= p_out <= 15):
+        raise ValueError("p must be in [0, 15]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +117,7 @@ class LayerQuantSpec:
     k: np.ndarray
 
     def __post_init__(self):
-        if not 2 <= self.n_i <= 16:
-            raise ValueError(f"n_i out of range: {self.n_i}")
-        if not (0 <= self.p_in <= 15 and 0 <= self.p_out <= 15):
-            raise ValueError("p must be in [0, 15]")
+        _check_grid(self.n_i, self.p_in, self.p_out)
         k = np.asarray(self.k)
         k_max = MAX_RIGHT_SHIFT - self.p_in + self.p_out
         if k.size and not (k.min() >= 0 and k.max() <= k_max):
@@ -154,7 +160,7 @@ class QConvLayer:
 
     def __post_init__(self):
         # read-only views: a write through the layer would void the checks
-        # below and the cached weight_blocks
+        # below and the cached weight_matrix
         w = np.asarray(self.w_q, dtype=np.int64).view()
         b = np.asarray(self.b_q, dtype=np.int64).view()
         w.flags.writeable = b.flags.writeable = False
@@ -186,20 +192,11 @@ class QConvLayer:
         return self.w_q.shape[3]
 
     @cached_property
-    def weight_blocks(self) -> np.ndarray:
-        """w_q as float64 GEMM operands, (blocks, span, n), built on first use.
-
-        The T = m*K*K taps, flattened in (m, K, K) order, fill at most
-        CONV_BLOCKS contiguous blocks of equal span; the last block is
-        zero-filled.
-        """
-        n = self.out_channels
-        t = self.in_channels * self.kernel**2
-        span = -(-t // min(t, CONV_BLOCKS))
-        blocks = -(-t // span)
-        out = np.zeros((blocks * span, n))
-        out[:t] = self.w_q.reshape(t, n)
-        return out.reshape(blocks, span, n)
+    def weight_matrix(self) -> np.ndarray:
+        """w_q as a read-only (m*K*K, n) float64 GEMM operand, built on first use."""
+        out = self.w_q.reshape(-1, self.out_channels).astype(np.float64)
+        out.flags.writeable = False
+        return out
 
 
 def derive_weight_shift(w_col, n_a: int = ACCUM_BITS, n_i: int = 16) -> int:
@@ -253,6 +250,8 @@ def quantize_layer(
     capped so that requantize never shifts right by more than
     MAX_RIGHT_SHIFT.
     """
+    # checked before use: a huge p_in would overflow the bias scaling below
+    _check_grid(n_i, p_in, p_out)
     m, kk, _, n = layer.weights.shape
     acc_max = (1 << (ACCUM_BITS - 1)) - 1
     eq14_budget = 1 << (ACCUM_BITS - n_i)

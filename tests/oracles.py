@@ -5,11 +5,15 @@ Fraction/int arithmetic so the production code is checked against a second,
 independently written implementation.
 """
 
+import functools
+import operator
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from detq.intops import _ordered_sum
+from detq import intops
+from detq.harness import BackendVariant, run_backend
 from detq.phi_table import GRID_FRAC_BITS, PHI_TABLE_Q16, Z_LIMIT
 from detq.tensors import im2col
 
@@ -151,12 +155,35 @@ def conv2d_oracle(x, weights, bias):
     return out
 
 
+def _fold(terms, order):
+    """Sum a list of arrays one by one from the front (seq), from the back
+    (rev), or as the sum of its two halves, recursively (tree)."""
+    if order == "seq":
+        return functools.reduce(operator.add, terms)
+    if order == "rev":
+        return functools.reduce(operator.add, terms[::-1])
+    if order == "tree":
+        if len(terms) == 1:
+            return terms[0]
+        half = len(terms) // 2
+        return _fold(terms[:half], "tree") + _fold(terms[half:], "tree")
+    raise ValueError(f"unknown order {order!r}")
+
+
 def qconv_oracle(x, layer, order):
-    """Per-tap int64 convolution: the (P, T, n) products tensor reduced over
-    the T = m*K*K taps by intops' ordered sum.  Returns (n, h, w)."""
+    """Per-tap int64 convolution: the products of each of the T = m*K*K
+    taps, summed tap by tap in `order`.  Returns (n, h, w)."""
     c, h, w = x.shape
-    cols = im2col(x, layer.kernel)
+    cols = im2col(np.asarray(x, np.int64), layer.kernel)
     wmat = layer.w_q.reshape(-1, layer.out_channels)
-    products = cols[:, :, None] * wmat[None, :, :]
-    acc = _ordered_sum(products, order) + layer.b_q[None, :]
+    products = cols[:, :, None] * wmat[None, :, :]  # (P, T, n)
+    acc = _fold(list(products.transpose(1, 0, 2)), order) + layer.b_q[None, :]
     return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)
+
+
+def oracle_priors(pair, latent, hyper, order):
+    """Integer priors of run_backend with every convolution replaced by
+    qconv_oracle summing in `order`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intops, "qconv_forward", lambda x, layer: qconv_oracle(x, layer, order))
+        return run_backend(pair, latent, hyper, BackendVariant(order, order))

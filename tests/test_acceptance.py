@@ -44,6 +44,7 @@ from detq.tensors import ConvLayerF
 from oracles import (
     adjust_shift_for_bias_oracle,
     derive_weight_shift_oracle,
+    oracle_priors,
     quantize_value_oracle,
     softmax_oracle,
 )
@@ -79,17 +80,20 @@ def test_criterion_1_overflow_freedom():
 
 
 def test_criterion_2_order_invariance():
+    # the production priors against the same stack with every convolution
+    # summed per tap in each of three distinct orders
     rng = np.random.default_rng(102)
     mismatches = 0
     for _ in range(100):
         pair = make_stack_pair(random_stack(rng))
         latent = random_latent(rng, (1, 4, 4))
         hyper = rng.normal(size=(2, 4, 4))
+        got = run_backend(pair, latent, hyper, BackendVariant("seq", "seq")).tobytes()
         outs = [
-            run_backend(pair, latent, hyper, BackendVariant(order, order)).tobytes()
+            oracle_priors(pair, latent, hyper, order).tobytes()
             for order in ("seq", "rev", "tree")
         ]
-        if not (outs[0] == outs[1] == outs[2]):
+        if not (got == outs[0] == outs[1] == outs[2]):
             mismatches += 1
     _verdict(2, "order-invariant integer priors", mismatches == 0)
 

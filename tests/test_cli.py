@@ -192,6 +192,23 @@ def test_verify_layer_missing_key_is_input_error(model, capsys):
     assert "gather[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(dtype=[]), "dtype"),
+        (lambda doc: doc["subnetworks"]["hyperdecoder"][0].update(p_in=32768), "p must be"),
+    ],
+    ids=["dtype-list", "p-in-huge"],
+)
+def test_verify_fuzz_found_manifests_are_input_errors(model, edit, message, capsys):
+    # a list dtype made the schema check raise TypeError, and a huge p_in
+    # made quantize_layer's bias scaling raise OverflowError
+    _rewrite(model, edit)
+    capsys.readouterr()
+    assert main(["verify", str(model)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_malformed_subnetworks_is_input_error(model, capsys):
     _rewrite(model, lambda doc: doc.update(subnetworks=[1, 2]))
     assert main(["verify", str(model)]) == 2
@@ -379,6 +396,35 @@ def test_float_mode_priors_past_fixed_point_are_input_error(model, data, tmp_pat
     capsys.readouterr()
     assert main(["roundtrip", str(model), str(bad), "--mode", "float"]) == 2
     assert "float priors" in capsys.readouterr().err
+
+
+def test_whole_valued_float_latents_run_as_integers(model, data, tmp_path, capsys):
+    with np.load(data) as z:
+        arrays = {k: z[k] for k in z.files}
+    capsys.readouterr()
+    assert main(["roundtrip", str(model), str(data)]) == 0
+    want = capsys.readouterr().out
+    arrays["latent_0"] = arrays["latent_0"].astype(np.float64)
+    floats = tmp_path / "floats.npz"
+    np.savez(floats, **arrays)
+    assert main(["roundtrip", str(model), str(floats)]) == 0
+    assert capsys.readouterr().out == want
+    arrays["latent_0"][0, 0, 0] = 2.0**63  # whole, but past int64
+    np.savez(floats, **arrays)
+    assert main(["roundtrip", str(model), str(floats)]) == 2
+    assert "latent_0 must hold finite integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_complex_hyper_latent_is_input_error(model, data, tmp_path, mode, capsys):
+    with np.load(data) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["hyper_0"] = arrays["hyper_0"] + 5j
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    capsys.readouterr()
+    assert main(["roundtrip", str(model), str(bad), "--mode", mode]) == 2
+    assert "complex" in capsys.readouterr().err
 
 
 def test_demo_failure_exit_zero(capsys):

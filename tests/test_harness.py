@@ -138,6 +138,26 @@ def test_float_roundtrip_rejects_priors_past_fixed_point():
         roundtrip_experiment(pair, latent, hyper, enc, dec)
 
 
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_roundtrip_refuses_float_latents(mode):
+    # cast to int64, latent + 0.6 would be coded as latent and read as equal
+    pair, latent, hyper = fixture_pair()
+    enc, dec = BackendVariant("a", "seq", mode), BackendVariant("b", "tree", mode)
+    with pytest.raises(ValueError, match="latent symbols must be integers"):
+        roundtrip_experiment(pair, latent + 0.6, hyper, enc, dec)
+    with pytest.raises(ValueError, match="latent symbols must be integers"):
+        calibrate_shifts(pair.float_stack, [(latent + 0.0, hyper)], grid=(8,), passes=1)
+    assert roundtrip_experiment(pair, latent, hyper, enc, dec).decoded_equal
+
+
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_complex_hyper_latent_is_refused(mode):
+    # cast to float, 1 + 5j would lose its imaginary part
+    pair, latent, hyper = fixture_pair()
+    with pytest.raises(ValueError, match="complex"):
+        prior_fn(pair, hyper + 5j, BackendVariant("a", "seq", mode))
+
+
 # --- priors of one position ------------------------------------------------
 
 
@@ -195,10 +215,10 @@ def test_decoder_runs_gather_once_per_position(monkeypatch):
     side = ["dec"]
     conv, backend = intops.qconv_forward, harness.run_backend
 
-    def counting_conv(x, layer, order):
+    def counting_conv(x, layer):
         if id(layer) in gather:
             positions[side[0]] += x.shape[1] * x.shape[2]
-        return conv(x, layer, order)
+        return conv(x, layer)
 
     def encoder_backend(*args):  # roundtrip_experiment's encoder side
         side[0] = "enc"
@@ -526,6 +546,8 @@ def test_int_cross_entropy_is_the_rate_the_coder_codes(monkeypatch):
     assert int_cross_entropy_bits(latent, params) == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError, match="symbol 9 at 0 outside"):
         int_cross_entropy_bits(np.full_like(latent, 9), params)
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        int_cross_entropy_bits(latent + 0.25, params)
     with pytest.raises(ValueError, match="shape"):
         int_cross_entropy_bits(latent[:1], params)
 

@@ -58,6 +58,13 @@ def test_quantize_value_rejects_non_finite(bad):
         quantize_value(x, 8, 16)
 
 
+def test_quantize_value_rejects_complex():
+    # cast to float64, 1 + 5j would quantize as 1 with only a ComplexWarning
+    for bad in (np.array([1 + 5j]), 1 + 0j, np.zeros((1, 2, 2), np.complex64)):
+        with pytest.raises(ValueError, match="complex"):
+            quantize_value(bad, 8, 16)
+
+
 @given(
     st.floats(-1000, 1000, allow_nan=False),
     st.integers(0, 15),
@@ -226,12 +233,13 @@ def test_qconv_layer_range_check_includes_int64_min():
 def test_qconv_layer_weights_are_read_only():
     # the overflow bound and the cached GEMM operands hold only while they stay
     lyr = quantize_layer(layer(np.full((2, 1, 1, 1), 0.5)), n_i=16, p_in=8, p_out=8)
-    blocks = lyr.weight_blocks
-    for arr in (lyr.w_q, lyr.b_q):
+    wmat = lyr.weight_matrix
+    for arr in (lyr.w_q, lyr.b_q, wmat):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
-    assert lyr.weight_blocks is blocks
-    np.testing.assert_array_equal(blocks.reshape(-1)[:2], lyr.w_q.reshape(-1))
+    assert lyr.weight_matrix is wmat
+    assert wmat.shape == (2, 1) and wmat.dtype == np.float64
+    np.testing.assert_array_equal(wmat.ravel(), lyr.w_q.ravel())
 
 
 # --- activation quantization of tensors ----------------------------------

@@ -92,6 +92,18 @@ def test_empty_sequence_header_only():
     assert rc_decode(s, empty) == []
 
 
+def test_float_symbols_are_refused_not_truncated():
+    # cast to int64, 0.7 would be coded as 0 and decoded as 0
+    t = repeat(table_from_freqs([CDF_TOTAL // 2, CDF_TOTAL // 2]), 16)
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        rc_encode(np.full(16, 0.7), t, shape=(1, 4, 4))
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        t.intervals(np.zeros(16))  # whole-valued floats too
+    # an empty sequence is valid whatever its dtype
+    empty = CdfTable(0, 0, np.zeros((0, 2), dtype=np.int64))
+    assert rc_encode(np.array([]), empty, shape=(0, 0, 0)).count == 0
+
+
 def test_certain_symbol_zero_extra_payload():
     t = table_from_freqs([CDF_TOTAL])
     s = rc_encode([0], t, shape=(1, 1, 1))

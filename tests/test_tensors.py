@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from detq.harness import conv_ordered_float
-from detq.intops import ORDERS, qconv_forward
+from detq.intops import qconv_forward
 from detq.quantize import LayerQuantSpec, QConvLayer, quantize_value
 from detq.tensors import ConvLayerF, ShapeError, causal_mask
 
@@ -50,9 +50,7 @@ def test_conv_matches_naive_oracle():
         spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0] * n)
         lyr = QConvLayer(w_q=wgt, b_q=b, spec=spec)
         want = conv2d_oracle(x.tolist(), wgt.tolist(), b.tolist())
-        for order in ORDERS:
-            got = qconv_forward(x, lyr, order)
-            assert got.tolist() == want
+        assert qconv_forward(x, lyr).tolist() == want
 
 
 def test_causal_mask_strictly_prior():
