@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .harness import (
+    ORDERS,
     BackendVariant,
     StackPair,
     boundary_failure_demo,
@@ -150,13 +151,17 @@ def cmd_roundtrip(args) -> int:
     stacks = StackPair(fstack, fstack.quantize())
     all_ok = True
     for i, (latent, hyper) in enumerate(pairs):
-        report = roundtrip_experiment(
-            stacks,
-            latent,
-            hyper,
-            BackendVariant("enc", args.enc_variant, args.mode),
-            BackendVariant("dec", args.dec_variant, args.mode),
-        )
+        try:
+            report = roundtrip_experiment(
+                stacks,
+                latent,
+                hyper,
+                BackendVariant("enc", args.enc_variant, args.mode),
+                BackendVariant("dec", args.dec_variant, args.mode),
+            )
+        except AccumulatorOverflowError as e:
+            print(f"FAIL overflow at runtime: {e}")
+            return EXIT_FAIL
         print(f"case {i}:")
         print(report.to_text(), end="")
         all_ok = all_ok and report.decoded_equal
@@ -203,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("roundtrip", help="cross-device encode/decode experiment")
     r.add_argument("model", help="float model manifest")
     r.add_argument("data", help=".npz with latent_i / hyper_i arrays")
-    r.add_argument("--enc-variant", choices=("seq", "rev", "tree"), default="seq")
-    r.add_argument("--dec-variant", choices=("seq", "rev", "tree"), default="seq")
+    r.add_argument("--enc-variant", choices=ORDERS, default="seq")
+    r.add_argument("--dec-variant", choices=ORDERS, default="seq")
     r.add_argument("--mode", choices=("float", "int"), default="int")
     r.set_defaults(fn=cmd_roundtrip)
 

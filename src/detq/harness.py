@@ -2,12 +2,11 @@
 
 Cross-device floating-point variance is modeled by accumulation-order
 variants (sequential, reversed, pairwise tree) executed in float32, and
-only there.  The integer pipeline sums exactly, so no order can change
-its priors: it runs one exact GEMM per layer and ignores the variant's
-order, and the tests hold it to a per-tap reference that sums in each
-order.  Encode-on-A / decode-on-B experiments then show
-that float priors can break entropy decoding while integer priors
-round-trip exactly.
+only there: EntropyStackF carries the order it sums in, and prior_fn binds
+a float variant's order to it.  The integer pipeline sums exactly, so it
+has no order, and the tests hold it to a per-tap reference that sums in
+each order.  Encode-on-A / decode-on-B experiments then show that float
+priors can break entropy decoding while integer priors round-trip exactly.
 
 A device in integer mode quantizes its raw latent and hyper latent with
 quantize.quantize_value, which rejects non-finite values; float mode
@@ -23,7 +22,7 @@ roundtrip costs time linear in the number of positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,13 +39,14 @@ from .intops import (
     LEAKY_NUM,
     LEAKY_SHIFT,
     SUBNETS,
+    AccumulatorOverflowError,
     EntropyStack,
     causal_window,
     hyper_features,
     priors_from_features,
     split_head,
 )
-from .quantize import quantize_layer, quantize_value, round_half_away
+from .quantize import WeightRangeError, quantize_layer, quantize_value, round_half_away
 from .rc import RangeDecoder, rc_decode, rc_encode
 from .tensors import ConvLayerF, im2col
 
@@ -128,8 +128,9 @@ class LayerCfg:
 class EntropyStackF:
     """Float entropy stack plus per-layer quantization configuration.
 
-    Its arithmetic for the intops topology is float32: conv_ordered_float,
-    LeakyReLU, and a float softmax and sigma floor giving FloatPriors.
+    Its arithmetic for the intops topology is float32: conv_ordered_float
+    summing in `order` (one of ORDERS; not part of the manifest), LeakyReLU,
+    and a float softmax and sigma floor giving FloatPriors.
     """
 
     hyperdecoder: list
@@ -139,6 +140,7 @@ class EntropyStackF:
     context_cfg: list
     gather_cfg: list
     latent_channels: int
+    order: str = "seq"
 
     def chains(self):
         return tuple((name, getattr(self, name), self._cfg(name)) for name in SUBNETS)
@@ -177,8 +179,8 @@ class EntropyStackF:
             if self.context_cfg:
                 self.context_cfg[-1].p_out = p
 
-    def layer_step(self, x, layer, after, order, activation=True):
-        x = conv_ordered_float(x, layer, order)
+    def layer_step(self, x, layer, after, activation=True):
+        x = conv_ordered_float(x, layer, self.order)
         return _leaky_float(x) if activation else x
 
     def fuse(self, feats) -> np.ndarray:
@@ -310,17 +312,16 @@ def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
     level between accumulation orders, and those differences can survive
     discretization.
     """
-    order = variant.order
     if variant.mode == "int":
         stack = stacks.quant_stack
-        hyper_feat = hyper_features(_quantize_for(stack.hyperdecoder, hyper), stack, order)
+        hyper_feat = hyper_features(_quantize_for(stack.hyperdecoder, hyper), stack)
 
         def priors(context, at):
             ctx = _quantize_for(stack.context, context)
-            return priors_from_features(hyper_feat, ctx, stack, order, at)
+            return priors_from_features(hyper_feat, ctx, stack, at)
 
     else:
-        stack = stacks.float_stack
+        stack = replace(stacks.float_stack, order=variant.order)
         # float32 would hold such a value as inf or NaN, and the priors as
         # garbage; the comparison is false for NaN too.  A complex value
         # would lose its imaginary part.
@@ -331,10 +332,10 @@ def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
             raise ValueError(
                 "hyper latent has complex or non-finite values, or values beyond float32"
             )
-        hyper_feat = hyper_features(hyper, stack, order)
+        hyper_feat = hyper_features(hyper, stack)
 
         def priors(context, at):
-            raw = priors_from_features(hyper_feat, context, stack, order, at)
+            raw = priors_from_features(hyper_feat, context, stack, at)
             return discretize_priors(raw, stack.head_scale_exp)
 
     def params_of(canvas, at=None):
@@ -431,7 +432,7 @@ def _params_max_reldiff(a: GmmParams, b: GmmParams) -> float:
         xf = np.asarray(x, np.float64)
         yf = np.asarray(y, np.float64)
         denom = np.maximum(np.maximum(np.abs(xf), np.abs(yf)), 1.0)
-        worst = max(worst, float(np.max(np.abs(xf - yf) / denom)))
+        worst = max(worst, float(np.max(np.abs(xf - yf) / denom, initial=0.0)))
     return worst
 
 
@@ -543,24 +544,27 @@ def calibrate_shifts(
     latents under the integer-pipeline priors (int_cross_entropy_bits),
     whose symbols must lie in the coder alphabet.  Layers are visited in
     topological order for a fixed number of passes; ties go to the
-    smaller p.
+    smaller p.  A setting whose weights do not fit their registers, or
+    whose stack overflows on the calibration data, scores inf; any other
+    error is the input's and raises.
     """
     if not calib_tensors:
         raise ValueError("calibration set is empty")
     calib_tensors = [(_check_alphabet(latent), hyper) for latent, hyper in calib_tensors]
     grid = tuple(sorted(int(p) for p in grid))
+    if not all(0 <= p <= 15 for p in grid):
+        raise ValueError("grid values must lie in [0, 15]")
     device = BackendVariant("calibration")
 
     def objective() -> float:
         try:
-            stack = fstack.quantize()
-        except ValueError:
+            stacks = StackPair(fstack, fstack.quantize())
+            return sum(
+                int_cross_entropy_bits(latent, run_backend(stacks, latent, hyper, device))
+                for latent, hyper in calib_tensors
+            )
+        except (WeightRangeError, AccumulatorOverflowError):
             return math.inf
-        total = 0.0
-        for latent, hyper in calib_tensors:
-            params = run_backend(StackPair(fstack, stack), latent, hyper, device)
-            total += int_cross_entropy_bits(latent, params)
-        return total
 
     report = CalibrationReport(layers=[], passes=passes)
     best = objective()

@@ -13,11 +13,7 @@ fused rescaling via arithmetic shifts with half-away-from-zero rounding.
 The stack topology (hyper_features, priors_from_features) exists once,
 here; the stack passed in supplies the arithmetic (layer step, fuse, head
 decode): integer for EntropyStack, float32 for harness.EntropyStackF.
-The topology passes an accumulation order through to the layer step.
-Only the float32 arithmetic reads it: every integer accumulation is
-exact, so its result is the same for any summation order, and the
-integer layer step ignores `order`.  The per-tap reference that does sum
-in each order lives with the tests, as their oracle.
+Only the float32 stack has an accumulation order, and it carries its own.
 
 The convolution runs as one float64 BLAS GEMM, and that is exact too.
 QConvLayer enforces sum|w| * x_max + |b| <= 2^31 - 1, so every product
@@ -233,12 +229,10 @@ class EntropyStack:
     def head_scale_exp(self) -> int:
         return self.gather[-1].spec.p_out
 
-    def layer_step(self, x, layer, after, order, activation=True):
+    def layer_step(self, x, layer, after, activation=True):
         """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU.
 
-        The output is at `after`'s input grid and within its n_i bits.  The
-        arithmetic is exact, so `order`, which the float32 stack reads,
-        changes nothing here and is ignored.
+        The output is at `after`'s input grid and within its n_i bits.
         """
         next_bits = after.spec.n_i if after is not None else 16
         q = requantize(qconv_forward(x, layer), layer, out_bits=next_bits)
@@ -260,10 +254,10 @@ class EntropyStack:
         return GmmParams(linear_softmax_field(z, p_e), means, scales, p_e)
 
 
-def _run_chain(x, chain, stack, order, last_act=True):
+def _run_chain(x, chain, stack, last_act=True):
     """Run layers in order; the last one skips its activation unless last_act."""
     for layer, after in zip(chain, (*chain[1:], None)):
-        x = stack.layer_step(x, layer, after, order, after is not None or last_act)
+        x = stack.layer_step(x, layer, after, after is not None or last_act)
     return x
 
 
@@ -273,14 +267,14 @@ def split_head(y: np.ndarray, latent_channels: int):
     return y[0:3], y[3:6], y[6:9]
 
 
-def hyper_features(hyper_latent, stack, order="seq"):
+def hyper_features(hyper_latent, stack):
     """Hyperdecoder output, or None for a stack without a hyperdecoder.
 
     It does not depend on the latent, so a decoder computes it once.
     """
     if not stack.hyperdecoder:
         return None
-    return _run_chain(hyper_latent, stack.hyperdecoder, stack, order)
+    return _run_chain(hyper_latent, stack.hyperdecoder, stack)
 
 
 def context_reach(stack) -> int:
@@ -305,7 +299,7 @@ def _pixel(t, y, x):
     return t[:, y : y + 1, x : x + 1]
 
 
-def priors_from_features(hyper_feat, latent_context, stack, order="seq", at=None):
+def priors_from_features(hyper_feat, latent_context, stack, at=None):
     """Context -> fuse with hyper features -> gather -> GMM head.
 
     An EntropyStack's head gives Q15 mixture weights (linearized softmax),
@@ -324,22 +318,22 @@ def priors_from_features(hyper_feat, latent_context, stack, order="seq", at=None
     if hyper_feat is not None:
         feats.append(hyper_feat if at is None else _pixel(hyper_feat, *at))
     if stack.context:
-        ctx = _run_chain(latent_context, stack.context, stack, order)
+        ctx = _run_chain(latent_context, stack.context, stack)
         if at is not None:
             # where the position sits in its window
             r = context_reach(stack)
             ctx = _pixel(ctx, min(at[0], r), min(at[1], r))
         feats.append(ctx)
-    y = _run_chain(stack.fuse(feats), stack.gather, stack, order, last_act=False)
+    y = _run_chain(stack.fuse(feats), stack.gather, stack, last_act=False)
     return stack.decode_head(y)
 
 
-def run_entropy_stack(latent_context, hyper_latent, stack, order="seq"):
+def run_entropy_stack(latent_context, hyper_latent, stack):
     """Full entropy inference: hyperdecoder + context -> gather -> priors.
 
     For an EntropyStack the inputs must already be quantized at the first
     layers' input grids, and the GmmParams output is a pure function of
     the inputs and the stack bits.
     """
-    hyper_feat = hyper_features(hyper_latent, stack, order)
-    return priors_from_features(hyper_feat, latent_context, stack, order)
+    hyper_feat = hyper_features(hyper_latent, stack)
+    return priors_from_features(hyper_feat, latent_context, stack)

@@ -95,7 +95,8 @@ def _read(manifest_path):
     if (
         not isinstance(doc, dict)
         or doc.get("format") != FORMAT
-        or doc.get("version") != VERSION
+        or type(doc.get("version")) is not int
+        or doc["version"] != VERSION
     ):
         raise ManifestError("not a recognized model manifest")
     _check_schema(doc)

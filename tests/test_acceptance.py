@@ -139,7 +139,7 @@ def test_criterion_5_quantization_fidelity():
         latent = random_latent(rng, (1, 6, 6))
         hyper = rng.normal(size=(2, 6, 6))
         params = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
-        priors = run_entropy_stack(latent, hyper, fs, "seq")
+        priors = run_entropy_stack(latent, hyper, fs)
         int_bits += int_cross_entropy_bits(latent, params)
         float_bits += float_cross_entropy_bits(latent, priors)
         unit = math.ldexp(1.0, -params.scale_exp)

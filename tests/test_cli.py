@@ -14,7 +14,9 @@ from detq.harness import (
     random_latent,
     random_stack,
     roundtrip_experiment,
+    run_backend,
 )
+from detq.intops import AccumulatorOverflowError
 from detq.manifest import (
     ManifestError,
     load_float_model,
@@ -23,6 +25,8 @@ from detq.manifest import (
 )
 from detq.quantize import accumulator_bound
 from detq.tensors import ConvLayerF
+
+from test_harness import unquantizable_at_p15
 
 
 @pytest.fixture
@@ -197,12 +201,14 @@ def test_verify_layer_missing_key_is_input_error(model, capsys):
     [
         (lambda doc: doc.update(dtype=[]), "dtype"),
         (lambda doc: doc["subnetworks"]["hyperdecoder"][0].update(p_in=32768), "p must be"),
+        (lambda doc: doc.update(version=True), "not a recognized model manifest"),
     ],
-    ids=["dtype-list", "p-in-huge"],
+    ids=["dtype-list", "p-in-huge", "version-true"],
 )
 def test_verify_fuzz_found_manifests_are_input_errors(model, edit, message, capsys):
-    # a list dtype made the schema check raise TypeError, and a huge p_in
-    # made quantize_layer's bias scaling raise OverflowError
+    # a list dtype made the schema check raise TypeError, a huge p_in made
+    # quantize_layer's bias scaling raise OverflowError, and True passed as
+    # version 1
     _rewrite(model, edit)
     capsys.readouterr()
     assert main(["verify", str(model)]) == 2
@@ -280,11 +286,15 @@ def test_calibrate_matches_library_call(model, data, tmp_path, capsys):
     assert doc["layers"] == want.layers
 
 
-def test_calibrate_writes_strict_json(model, data, tmp_path, capsys):
-    # no layer quantizes at p = 16, so every junction's objective is inf
+def test_calibrate_writes_strict_json(data, tmp_path, capsys):
+    # no layer quantizes at p = 15, so every junction's objective is inf
+    fs = random_stack(np.random.default_rng(23))
+    unquantizable_at_p15(fs)
+    model = tmp_path / "model.json"
+    save_float_model(model, fs)
     report = tmp_path / "report.json"
     argv = ["calibrate", str(model), str(data), "--out", str(report)]
-    assert main(argv + ["--grid", "16", "--passes", "1"]) == 0
+    assert main(argv + ["--grid", "15", "--passes", "1"]) == 0
 
     def reject(token):
         raise AssertionError(f"{token} is not JSON")
@@ -292,6 +302,75 @@ def test_calibrate_writes_strict_json(model, data, tmp_path, capsys):
     doc = json.loads(report.read_text(), parse_constant=reject)
     assert [layer["objective"] for layer in doc["layers"]] == [None] * len(doc["layers"])
     assert math.isfinite(doc["final_objective_bits"])
+
+
+@pytest.mark.parametrize("grid", ["16", "8,-1"])
+def test_calibrate_grid_outside_p_range_is_input_error(model, data, tmp_path, grid, capsys):
+    # such a grid point used to score inf, and calibration exited 0
+    out = tmp_path / "r.json"
+    argv = ["calibrate", str(model), str(data), "--out", str(out), "--grid", grid]
+    assert main(argv) == 2
+    assert "grid values must lie in [0, 15]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "roundtrip"])
+def test_layer_bit_depth_out_of_range_is_input_error(data, tmp_path, command, capsys):
+    # calibration used to score the ValueError inf at every grid point
+    fs = random_stack(np.random.default_rng(23))
+    fs.gather_cfg[2].n_i = 17
+    path = tmp_path / "bad.json"
+    save_float_model(path, fs)
+    out = tmp_path / "r.json"
+    extra = ["--out", str(out), "--passes", "1"] if command == "calibrate" else []
+    assert main([command, str(path), str(data), *extra]) == 2
+    assert "n_i out of range: 17" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def overflow_stack():
+    """A float model within the static bound whose hyperdecoder[0] shifts
+    left by up to 15 - k at requantization (scaled by 200, moved from p 0
+    to p 15), and a latent and hyper latent on which that overflows."""
+    fs = random_stack(np.random.default_rng(0))
+    first = fs.hyperdecoder[0]
+    fs.hyperdecoder[0] = ConvLayerF(first.weights * 200, first.bias, first.mask)
+    fs.hyper_cfg[0].p_in, fs.hyper_cfg[0].p_out = 0, 15
+    fs.hyper_cfg[1].p_in = 15
+    hyper = np.random.default_rng(1).normal(size=(2, 4, 4)) * 3000
+    return fs, np.zeros((1, 4, 4), np.int64), hyper
+
+
+@pytest.fixture
+def overflow_case(tmp_path):
+    fs, latent, hyper = overflow_stack()
+    with pytest.raises(AccumulatorOverflowError):
+        run_backend(make_stack_pair(fs), latent, hyper, BackendVariant("e"))
+    model, data = tmp_path / "overflow.json", tmp_path / "overflow.npz"
+    save_float_model(model, fs)
+    np.savez(data, latent_0=latent, hyper_0=hyper)
+    return model, data
+
+
+def test_roundtrip_runtime_overflow_fails(overflow_case, capsys):
+    model, data = overflow_case
+    assert main(["roundtrip", str(model), str(data)]) == 1
+    assert "FAIL overflow at runtime: left shift" in capsys.readouterr().out
+
+
+def test_calibrate_scores_runtime_overflow_inf(overflow_case, tmp_path, capsys):
+    # the overflow depends on the grid point, so it is no input error
+    model, data = overflow_case
+    report = tmp_path / "report.json"
+    argv = ["calibrate", str(model), str(data), "--out", str(report)]
+    assert main(argv + ["--grid", "6,8", "--passes", "1"]) == 0
+    fs = load_float_model(model)
+    with np.load(data) as z:
+        want = calibrate_shifts(fs, [(z["latent_0"], z["hyper_0"])], grid=(6, 8), passes=1)
+    assert math.isfinite(want.final_objective)
+    doc = json.loads(report.read_text())
+    assert doc["final_objective_bits"] == pytest.approx(want.final_objective)
+    assert doc["layers"] == want.layers
 
 
 def _break_p_tie(fs):

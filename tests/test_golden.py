@@ -81,7 +81,7 @@ def _case(name, seed, tmp, **kw):
     symbols = [int(v) for v in latent.transpose(1, 2, 0).ravel()]
     out["bitstream"] = _sha(rc_encode(symbols, tables, shape=latent.shape).to_bytes())
 
-    priors = run_entropy_stack(latent, hyper, fs, "seq")
+    priors = run_entropy_stack(latent, hyper, fs)
     out["float_priors"] = _sha(discretize_priors(priors, fs.head_scale_exp).tobytes())
 
     # decoder-side prior regeneration on a partly decoded canvas

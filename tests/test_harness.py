@@ -95,7 +95,7 @@ def test_float_vs_int_priors_close_on_random_stack():
 def test_discretize_priors_weights_positive_and_normalized():
     rng = np.random.default_rng(3)
     fs = random_stack(rng)  # drawn before the hyper latent
-    pri = run_entropy_stack(np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), fs, "seq")
+    pri = run_entropy_stack(np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), fs)
     q = discretize_priors(pri, 10)
     assert np.all(q.weights > 0)
     assert np.all(q.weights.sum(axis=0) == WEIGHT_TOTAL)
@@ -106,7 +106,7 @@ def test_discretize_priors_weights_positive_and_normalized():
 def test_discretize_priors_rejects_non_finite_or_huge(field, bad):
     rng = np.random.default_rng(3)
     fs = random_stack(rng)
-    pri = run_entropy_stack(np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), fs, "seq")
+    pri = run_entropy_stack(np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), fs)
     arrays = {f: np.array(getattr(pri, f), np.float64) for f in ("weights", "means", "scales")}
     arrays[field][1, 0, 2, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -120,7 +120,7 @@ def test_discretize_priors_rejects_values_past_the_params_bound(field, bad):
     # casts are still defined and the CDF arithmetic would wrap
     rng = np.random.default_rng(3)
     fs = random_stack(rng)
-    pri = run_entropy_stack(np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), fs, "seq")
+    pri = run_entropy_stack(np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), fs)
     arrays = {f: np.array(getattr(pri, f), np.float64) for f in ("weights", "means", "scales")}
     arrays[field][1, 0, 2, 1] = abs(bad) if field == "scales" else bad
     with pytest.raises(ValueError, match="below 2\\^48"):
@@ -191,6 +191,28 @@ def test_position_priors_equal_whole_canvas_priors(mode, order, shape):
         got = params_of(canvas, (y, x))
         assert got.field_shape == (shape[0], 1, 1)
         assert got.tobytes() == want.tobytes(), (y, x)
+
+
+@pytest.mark.parametrize("order", harness.ORDERS)
+def test_float_mode_sums_in_the_variant_order(order, monkeypatch):
+    # discretized priors of two orders can be byte-equal, so the test reads
+    # the order each float convolution is asked for
+    pair, latent, hyper = fixture_pair()
+    seen = set()
+    conv = harness.conv_ordered_float
+
+    def recording_conv(x, layer, order):
+        seen.add(order)
+        return conv(x, layer, order)
+
+    monkeypatch.setattr(harness, "conv_ordered_float", recording_conv)
+    params_of = prior_fn(pair, hyper, BackendVariant("d", order, "float"))
+    assert seen == {order}
+    for at in (None, (2, 1)):
+        seen.clear()
+        params_of(latent, at)
+        assert seen == {order}, at
+    assert pair.float_stack.order == "seq"
 
 
 def test_causal_window_is_clipped_receptive_field():
@@ -367,6 +389,21 @@ def test_roundtrip_without_context_model():
     assert rep.decoded_equal
 
 
+@pytest.mark.parametrize("mode", ["int", "float"])
+@pytest.mark.parametrize("shape", [(1, 0, 4), (1, 3, 0)])
+def test_roundtrip_of_an_empty_latent(mode, shape):
+    # the prior difference of an empty field used to raise from np.max
+    pair, _, _ = fixture_pair()
+    rep = roundtrip_experiment(
+        pair,
+        np.zeros(shape, np.int64),
+        np.zeros((2, *shape[1:])),
+        BackendVariant("e", "seq", mode),
+        BackendVariant("d", "tree", mode),
+    )
+    assert rep == harness.InteropReport(True, None, 0.0)
+
+
 def test_roundtrip_rejects_out_of_alphabet_symbols():
     pair, latent, hyper = fixture_pair()
     bad = latent.copy()
@@ -498,15 +535,23 @@ def test_calibrate_propagates_programming_errors(monkeypatch):
         calibrate_shifts(fs, cal, grid=(9,), passes=1)
 
 
+def unquantizable_at_p15(fs):
+    """Give every layer a bias of 2^16, whose accumulator value 2^(16 + p_in)
+    exceeds 32 bits at p_in = 15 alone; each junction sets some layer's p_in."""
+    for _, layers, _ in fs.chains():
+        for lyr in layers:
+            lyr.bias[0] = 2.0**16
+
+
 def test_calibrate_scores_unquantizable_point_inf():
-    # p = 16 is outside LayerQuantSpec's range at every junction
     fs, cal = calib_case()
+    unquantizable_at_p15(fs)
     initial = [fs.junction_p(j) for j in fs.junctions()]
-    rep = calibrate_shifts(fs, cal, grid=(16,), passes=1)
+    rep = calibrate_shifts(fs, cal, grid=(15,), passes=1)
     assert all(entry["objective"] == math.inf for entry in rep.layers)
     assert [fs.junction_p(j) for j in fs.junctions()] == initial
     assert np.isfinite(rep.final_objective)
-    rep = calibrate_shifts(fs, cal, grid=(9, 16), passes=1)
+    rep = calibrate_shifts(fs, cal, grid=(9, 15), passes=1)
     assert all(entry["p"] == 9 for entry in rep.layers)
     assert np.isfinite(rep.final_objective)
 
@@ -521,7 +566,7 @@ def test_cross_entropy_helpers_consistent():
     pair, latent, hyper = fixture_pair(seed=8)
     params = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
     ib = int_cross_entropy_bits(latent, params)
-    pri = run_entropy_stack(latent, hyper, pair.float_stack, "seq")
+    pri = run_entropy_stack(latent, hyper, pair.float_stack)
     fb = float_cross_entropy_bits(latent, pri)
     assert ib > 0 and fb > 0
     assert abs(ib - fb) / fb < 0.05
