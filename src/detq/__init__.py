@@ -59,6 +59,7 @@ from .quantize import (
     quantize_layer,
     quantize_value,
     round_half_away,
+    shifted_bound,
 )
 from .rc import Bitstream, RangeDecoder, RangeEncoder, StreamFormatError, rc_decode, rc_encode
 from .tensors import ConvLayerF, ShapeError

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi_table import GRID_FRAC_BITS, PHI_TABLE_Q16, TABLE_SHA256, Z_LIMIT
+from .phi_table import GRID_FRAC_BITS, PHI_TABLE_Q16, Z_LIMIT
 from .quantize import exceeds
 
 __all__ = [

@@ -39,7 +39,6 @@ from .intops import (
     LEAKY_NUM,
     LEAKY_SHIFT,
     SUBNETS,
-    AccumulatorOverflowError,
     EntropyStack,
     causal_window,
     hyper_features,
@@ -47,8 +46,8 @@ from .intops import (
     split_head,
 )
 from .quantize import WeightRangeError, quantize_layer, quantize_value, round_half_away
-from .rc import RangeDecoder, rc_decode, rc_encode
-from .tensors import ConvLayerF, im2col
+from .rc import RangeDecoder, StreamFormatError, rc_decode, rc_encode
+from .tensors import ConvLayerF, check_conv_input, im2col
 
 __all__ = [
     "ORDERS",
@@ -243,7 +242,7 @@ def conv_ordered_float(x: np.ndarray, layer: ConvLayerF, order: str) -> np.ndarr
     depends on the order at the ulp level.
     """
     x = np.asarray(x, dtype=np.float32)
-    c, h, w = x.shape
+    _, h, w = check_conv_input(x, layer)
     cols = im2col(x, layer.kernel)
     wmat = layer.weights.reshape(-1, layer.out_channels).astype(np.float32)
     products = cols[:, :, None] * wmat[None, :, :]
@@ -386,7 +385,9 @@ def roundtrip_experiment(
     Each device computes priors in its variant's mode and order.  The
     decoder regenerates priors autoregressively from its own decoded
     symbols, exactly as a real decoder must; the report compares the
-    encoder's prior field with the one the decoder assembled.
+    encoder's prior field with the one the decoder assembled.  A decoder
+    whose tables differ from the encoder's can run off the payload: that is
+    a divergence too, reported where decoding stopped.
     """
     latent = _check_alphabet(latent)
     v_min, v_max = -DEFAULT_SYMBOL_BOUND, DEFAULT_SYMBOL_BOUND
@@ -399,36 +400,75 @@ def roundtrip_experiment(
     if not stacks.quant_stack.context:
         # without a context model the priors do not depend on the canvas
         dec_params = params_of(np.zeros_like(latent))
-        got = rc_decode(stream, field_tables(dec_params, v_min, v_max))
-        return _report(_raster(latent), got, enc_params, dec_params)
+        got = _decode(stream, field_tables(dec_params, v_min, v_max))
+        return _report(_raster(latent), got, _fields(enc_params), _fields(dec_params))
 
     # each position's priors come from its causal window of decoded symbols
     canvas = np.zeros_like(latent)
     fields = np.zeros((3, 3) + latent.shape, dtype=np.int64)  # weights, means, scales
+    reached = np.zeros(latent.shape[1:], dtype=bool)
     decoder = RangeDecoder(stream.payload, stream.count)
+    got = []  # decoded symbols in coding order
     for y, x in np.ndindex(latent.shape[1:]):
         pos = params_of(canvas, (y, x))
         fields[..., y : y + 1, x : x + 1] = pos.weights, pos.means, pos.scales
+        reached[y, x] = True
         rows = build_cdf_table(pos, v_min, v_max).cf.tolist()
-        canvas[:, y, x] = [decoder.decode(row, v_min) for row in rows]
-    dec_params = GmmParams(*fields, stacks.quant_stack.head_scale_exp)
-    return _report(_raster(latent), _raster(canvas), enc_params, dec_params)
+        if not _read(decoder, rows, v_min, got):
+            break
+        canvas[:, y, x] = got[len(got) - len(rows) :]
+    # the decoder's prior field covers the positions it reached
+    enc_fields = [f[..., reached] for f in _fields(enc_params)]
+    return _report(_raster(latent), got, enc_fields, [f[..., reached] for f in fields])
 
 
-def _report(sent, got, enc_params: GmmParams, dec_params: GmmParams):
-    """Interop outcome of coding-order symbol sequences sent and got."""
-    diff = np.flatnonzero(np.asarray(sent) != np.asarray(got))
-    first = int(diff[0]) if diff.size else None
+def _read(decoder: RangeDecoder, rows, v_min: int, got: list) -> bool:
+    """Append a decoded symbol per table row to got; False if the decoder
+    ran off the payload first, as one under other tables than the
+    encoder's can."""
+    try:
+        for row in rows:
+            got.append(decoder.decode(row, v_min))
+    except StreamFormatError:
+        return False
+    return True
+
+
+def _decode(stream, tables: CdfTable) -> list:
+    """rc_decode, or, if the decoder runs off the payload, the symbols it
+    read before it stopped."""
+    try:
+        return rc_decode(stream, tables)
+    except StreamFormatError:
+        got = []
+        _read(RangeDecoder(stream.payload, stream.count), tables.cf.tolist(), tables.v_min, got)
+        return got
+
+
+def _fields(params: GmmParams):
+    return params.weights, params.means, params.scales
+
+
+def _report(sent, got, enc_fields, dec_fields):
+    """Interop outcome of coding-order symbol sequences sent and got, and of
+    the prior fields (weights, means, scales) each side computed.
+
+    got may stop short of sent, where decoding ran off the payload;
+    first_mismatch is then at most where it stopped.
+    """
+    n = len(got)
+    diff = np.flatnonzero(np.asarray(sent)[:n] != np.asarray(got, dtype=np.int64))
+    first = int(diff[0]) if diff.size else (n if n < len(sent) else None)
     return InteropReport(
         decoded_equal=first is None,
         first_mismatch=first,
-        prior_max_reldiff=_params_max_reldiff(enc_params, dec_params),
+        prior_max_reldiff=_max_reldiff(enc_fields, dec_fields),
     )
 
 
-def _params_max_reldiff(a: GmmParams, b: GmmParams) -> float:
+def _max_reldiff(a_fields, b_fields) -> float:
     worst = 0.0
-    for x, y in ((a.weights, b.weights), (a.means, b.means), (a.scales, b.scales)):
+    for x, y in zip(a_fields, b_fields):
         xf = np.asarray(x, np.float64)
         yf = np.asarray(y, np.float64)
         denom = np.maximum(np.maximum(np.abs(xf), np.abs(yf)), 1.0)
@@ -486,8 +526,8 @@ def boundary_failure_demo(prior_mode: str = "float") -> InteropReport:
     sent = _raster(symbols)
     tables = field_tables(enc_params, v_min, v_max)
     stream = rc_encode(sent, tables, shape=symbols.shape)
-    got = rc_decode(stream, field_tables(dec_params, v_min, v_max))
-    return _report(sent, got, enc_params, dec_params)
+    got = _decode(stream, field_tables(dec_params, v_min, v_max))
+    return _report(sent, got, _fields(enc_params), _fields(dec_params))
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +584,11 @@ def calibrate_shifts(
     latents under the integer-pipeline priors (int_cross_entropy_bits),
     whose symbols must lie in the coder alphabet.  Layers are visited in
     topological order for a fixed number of passes; ties go to the
-    smaller p.  A setting whose weights do not fit their registers, or
-    whose stack overflows on the calibration data, scores inf; any other
-    error is the input's and raises.
+    smaller p.  A setting that QConvLayer refuses (WeightRangeError: a
+    weight, bias or worst case past its register) scores inf; any other
+    error is the input's and raises.  Each trace entry and the final
+    objective are those of the stack as the decision leaves it, which a
+    grid without a junction's current p can leave worse than before.
     """
     if not calib_tensors:
         raise ValueError("calibration set is empty")
@@ -558,16 +600,16 @@ def calibrate_shifts(
 
     def objective() -> float:
         try:
-            stacks = StackPair(fstack, fstack.quantize())
+            stacks = make_stack_pair(fstack)
             return sum(
                 int_cross_entropy_bits(latent, run_backend(stacks, latent, hyper, device))
                 for latent, hyper in calib_tensors
             )
-        except (WeightRangeError, AccumulatorOverflowError):
+        except WeightRangeError:
             return math.inf
 
     report = CalibrationReport(layers=[], passes=passes)
-    best = objective()
+    current = objective()  # of the stack as it stands
     decided = {}  # junction -> objective of its latest decision
     for pass_no in range(1, passes + 1):
         for junction in fstack.junctions():
@@ -581,16 +623,17 @@ def calibrate_shifts(
                     best_p = p
             fstack.set_junction_p(junction, best_p)
             decided[junction] = best_obj
-            best = min(best, best_obj)
+            if best_obj < math.inf:  # else the junction keeps its p
+                current = best_obj
             report.trace.append(
                 {
                     "pass": pass_no,
                     "junction": junction,
                     "p": best_p,
-                    "objective": best,
+                    "objective": current,
                 }
             )
-    report.final_objective = best
+    report.final_objective = current
     for name, layers, cfgs in fstack.chains():
         for i, c in enumerate(cfgs):
             report.layers.append(
@@ -599,7 +642,7 @@ def calibrate_shifts(
                     "index": i,
                     "p": c.p_in,
                     "n_i": c.n_i,
-                    "objective": decided.get((name, i), best),
+                    "objective": decided.get((name, i), current),
                 }
             )
     return report

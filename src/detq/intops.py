@@ -37,7 +37,7 @@ import numpy as np
 
 from .gmm import GmmParams, apportion, sigma_min_for
 from .quantize import QConvLayer, exceeds
-from .tensors import ShapeError, im2col
+from .tensors import ShapeError, check_conv_input, im2col
 
 __all__ = [
     "SUBNETS",
@@ -68,7 +68,8 @@ LEAKY_SHIFT = 12
 
 
 class AccumulatorOverflowError(ArithmeticError):
-    """A requantize left shift pushed a value past the 32-bit range."""
+    """A left shift pushed a value past the 32-bit range.  QConvLayer rules
+    it out for any layer it accepts; it guards direct calls."""
 
 
 def round_shift(v, s):
@@ -110,13 +111,7 @@ def qconv_forward(x, layer: QConvLayer) -> np.ndarray:
     if x.dtype.kind not in "iu":
         raise ValueError(f"input must be an integer array, got dtype {x.dtype}")
     x = x.astype(np.int64, copy=False)
-    if x.ndim != 3:
-        raise ShapeError(f"expected (c, h, w) input, got shape {x.shape}")
-    c, h, w = x.shape
-    if c != layer.in_channels:
-        raise ShapeError(
-            f"input has {c} channels, layer expects {layer.in_channels}"
-        )
+    _, h, w = check_conv_input(x, layer)
     n_i = layer.spec.n_i
     if exceeds(x, (1 << (n_i - 1)) - 1):
         raise ValueError(f"input entry exceeds the layer's {n_i}-bit range")

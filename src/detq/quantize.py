@@ -3,7 +3,8 @@
 Weights and activations are 16-bit signed integers with power-of-two
 scales.  Activation scale is 2^-p per layer; weight scale is 2^-k_j per
 output channel, with k_j chosen from the accumulator budget so that a
-32-bit accumulator can never overflow for any in-range input.
+32-bit accumulator can never overflow for any in-range input;
+QConvLayer also refuses a layer whose requantize left shift could.
 
 Rounding is half-away-from-zero everywhere.
 """
@@ -31,6 +32,7 @@ __all__ = [
     "ceil_log2",
     "quantize_value",
     "accumulator_bound",
+    "shifted_bound",
     "derive_weight_shift",
     "adjust_shift_for_bias",
     "quantize_layer",
@@ -46,8 +48,8 @@ MAX_RIGHT_SHIFT = 62
 
 
 class WeightRangeError(ValueError):
-    """A quantized weight or bias does not fit its integer register, or the
-    layer's worst-case accumulator does not fit 32 bits."""
+    """A quantized weight or bias does not fit its integer register, or a
+    channel's worst case (shifted_bound) does not fit 32 bits."""
 
 
 def round_half_away(x):
@@ -141,14 +143,22 @@ def accumulator_bound(w_q, b_q, n_i: int) -> np.ndarray:
     return w.reshape(-1, w.shape[-1]).sum(axis=0) * x_max + np.abs(b_q)
 
 
+def shifted_bound(w_q, b_q, spec: LayerQuantSpec) -> np.ndarray:
+    """Per-channel worst case of the 32-bit register: accumulator_bound,
+    times 2^-shift_j where requantize shifts channel j left.  float64, so
+    no shift wraps it: exact below 2^53, ordered right beyond."""
+    acc = accumulator_bound(w_q, b_q, spec.n_i).astype(np.float64)
+    return np.ldexp(acc, np.maximum(-spec.shift, 0))
+
+
 @dataclass(frozen=True, eq=False)
 class QConvLayer:
     """Quantized convolution layer: int16-valued weights, wide-int bias.
 
     Construction enforces the static overflow bound, so every layer, built
-    or loaded, accumulates in 32 bits for any input within its n_i bits,
-    and causality: a masked layer has zero weights at every tap that
-    causal_mask zeroes.  The layer holds w_q and b_q as read-only views,
+    or loaded, accumulates and requantizes in 32 bits for any input within
+    its n_i bits (shifted_bound), and causality: a masked layer has zero
+    weights at every tap that causal_mask zeroes.  The layer holds w_q and b_q as read-only views,
     so both hold for its lifetime unless the caller writes to the arrays
     it passed in.
     """
@@ -171,10 +181,13 @@ class QConvLayer:
         acc_max = (1 << (ACCUM_BITS - 1)) - 1
         if exceeds(b, acc_max):
             raise WeightRangeError("quantized bias exceeds accumulator range")
-        worst = int(accumulator_bound(w, b, self.spec.n_i).max(initial=0))
-        if worst > acc_max:
+        worst = shifted_bound(w, b, self.spec)
+        over = np.flatnonzero(worst > acc_max)
+        if over.size:
+            j = int(over[0])
             raise WeightRangeError(
-                f"accumulator bound violated: worst case {worst} exceeds 2^31-1"
+                f"accumulator bound violated: channel {j}: worst case "
+                f"{worst[j]:.0f} exceeds 2^31-1"
             )
         object.__setattr__(self, "w_q", w)
         object.__setattr__(self, "b_q", b)
@@ -248,7 +261,8 @@ def quantize_layer(
     shift is lowered until the worst-case accumulator value (sign-matched
     extreme input plus bias) provably fits ACCUM_BITS bits.  Shifts are
     capped so that requantize never shifts right by more than
-    MAX_RIGHT_SHIFT.
+    MAX_RIGHT_SHIFT.  A left-shifting channel past shifted_bound is refused:
+    whatever k is, that bound is about sum|W| x_max 2^(p_out-p_in) + |bias| 2^p_out.
     """
     # checked before use: a huge p_in would overflow the bias scaling below
     _check_grid(n_i, p_in, p_out)
@@ -303,4 +317,7 @@ def quantize_layer(
         ks[j] = k
 
     spec = LayerQuantSpec(n_i=n_i, p_in=p_in, p_out=p_out, k=ks)
-    return QConvLayer(w_q=w_q, b_q=b_q, spec=spec, mask=layer.mask)
+    try:
+        return QConvLayer(w_q=w_q, b_q=b_q, spec=spec, mask=layer.mask)
+    except WeightRangeError as e:
+        raise WeightRangeError(f"{name}: {e}") from e

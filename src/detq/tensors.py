@@ -16,6 +16,7 @@ __all__ = [
     "ConvLayerF",
     "ShapeError",
     "causal_mask",
+    "check_conv_input",
 ]
 
 
@@ -78,6 +79,16 @@ class ConvLayerF:
     @property
     def out_channels(self) -> int:
         return self.weights.shape[3]
+
+
+def check_conv_input(x: np.ndarray, layer) -> tuple:
+    """The (c, h, w) shape of a convolution input; ShapeError unless x is
+    3-d with the layer's input channels."""
+    if x.ndim != 3:
+        raise ShapeError(f"expected (c, h, w) input, got shape {x.shape}")
+    if x.shape[0] != layer.in_channels:
+        raise ShapeError(f"input has {x.shape[0]} channels, layer expects {layer.in_channels}")
+    return x.shape
 
 
 def im2col(data: np.ndarray, k: int) -> np.ndarray:

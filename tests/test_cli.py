@@ -14,19 +14,17 @@ from detq.harness import (
     random_latent,
     random_stack,
     roundtrip_experiment,
-    run_backend,
 )
-from detq.intops import AccumulatorOverflowError
 from detq.manifest import (
     ManifestError,
     load_float_model,
     load_quantized_model,
     save_float_model,
 )
-from detq.quantize import accumulator_bound
+from detq.quantize import WeightRangeError, accumulator_bound, quantize_layer
 from detq.tensors import ConvLayerF
 
-from test_harness import unquantizable_at_p15
+from test_harness import off_payload_case, unquantizable_at_p15
 
 
 @pytest.fixture
@@ -329,9 +327,10 @@ def test_layer_bit_depth_out_of_range_is_input_error(data, tmp_path, command, ca
 
 
 def overflow_stack():
-    """A float model within the static bound whose hyperdecoder[0] shifts
-    left by up to 15 - k at requantization (scaled by 200, moved from p 0
-    to p 15), and a latent and hyper latent on which that overflows."""
+    """A float model whose hyperdecoder[0] fits the accumulator bound but
+    shifts left by up to 15 - k at requantization (scaled by 200, moved
+    from p 0 to p 15), which takes its worst case past 2^31 - 1, and a
+    latent and hyper latent for it."""
     fs = random_stack(np.random.default_rng(0))
     first = fs.hyperdecoder[0]
     fs.hyperdecoder[0] = ConvLayerF(first.weights * 200, first.bias, first.mask)
@@ -344,22 +343,29 @@ def overflow_stack():
 @pytest.fixture
 def overflow_case(tmp_path):
     fs, latent, hyper = overflow_stack()
-    with pytest.raises(AccumulatorOverflowError):
-        run_backend(make_stack_pair(fs), latent, hyper, BackendVariant("e"))
+    quantize_layer(fs.hyperdecoder[0], n_i=16, p_in=0, p_out=0)  # no left shift: fits
+    with pytest.raises(WeightRangeError, match=r"hyperdecoder\[0\]: accumulator bound"):
+        fs.quantize()
     model, data = tmp_path / "overflow.json", tmp_path / "overflow.npz"
     save_float_model(model, fs)
     np.savez(data, latent_0=latent, hyper_0=hyper)
     return model, data
 
 
-def test_roundtrip_runtime_overflow_fails(overflow_case, capsys):
+def test_roundtrip_refuses_overflowing_left_shift(overflow_case, tmp_path, capsys):
+    # refused where the model is built, before any latent is run
     model, data = overflow_case
-    assert main(["roundtrip", str(model), str(data)]) == 1
-    assert "FAIL overflow at runtime: left shift" in capsys.readouterr().out
+    capsys.readouterr()
+    assert main(["roundtrip", str(model), str(data)]) == 2
+    assert main(["quantize", str(model), "--out", str(tmp_path / "q.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: hyperdecoder[0]: accumulator bound violated: channel") == 2
+    assert main(["verify", str(model)]) == 1
+    assert "FAIL overflow bound: hyperdecoder[0]: accumulator" in capsys.readouterr().out
 
 
-def test_calibrate_scores_runtime_overflow_inf(overflow_case, tmp_path, capsys):
-    # the overflow depends on the grid point, so it is no input error
+def test_calibrate_scores_overflowing_left_shift_inf(overflow_case, tmp_path, capsys):
+    # the refusal depends on the grid point, so it is no input error
     model, data = overflow_case
     report = tmp_path / "report.json"
     argv = ["calibrate", str(model), str(data), "--out", str(report)]
@@ -367,10 +373,36 @@ def test_calibrate_scores_runtime_overflow_inf(overflow_case, tmp_path, capsys):
     fs = load_float_model(model)
     with np.load(data) as z:
         want = calibrate_shifts(fs, [(z["latent_0"], z["hyper_0"])], grid=(6, 8), passes=1)
+    # no grid point takes hyperdecoder[0] off its left shift
+    assert want.layers[0]["objective"] == math.inf
     assert math.isfinite(want.final_objective)
     doc = json.loads(report.read_text())
     assert doc["final_objective_bits"] == pytest.approx(want.final_objective)
-    assert doc["layers"] == want.layers
+    assert doc["layers"] == [
+        {**c, "objective": c["objective"] if math.isfinite(c["objective"]) else None}
+        for c in want.layers
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed, with_context, dec_order",
+    [(190, False, "tree"), (25, True, "rev")],
+    ids=["no-context", "autoregressive"],
+)
+def test_roundtrip_decode_off_the_payload_fails(
+    tmp_path, seed, with_context, dec_order, capsys
+):
+    # a divergence, not an input error: it used to exit 2 with "truncated payload"
+    fs, latent, hyper = off_payload_case(seed, with_context)
+    model, data = tmp_path / "model.json", tmp_path / "data.npz"
+    save_float_model(model, fs)
+    np.savez(data, latent_0=latent, hyper_0=hyper)
+    argv = ["roundtrip", str(model), str(data), "--mode", "float", "--dec-variant", dec_order]
+    assert main(argv) == 1
+    enc, dec = BackendVariant("e", "seq", "float"), BackendVariant("d", dec_order, "float")
+    want = roundtrip_experiment(make_stack_pair(load_float_model(model)), latent, hyper, enc, dec)
+    assert capsys.readouterr().out == "case 0:\n" + want.to_text()
+    assert "decoded_equal=false" in want.to_text()
 
 
 def _break_p_tie(fs):
@@ -504,6 +536,14 @@ def test_complex_hyper_latent_is_input_error(model, data, tmp_path, mode, capsys
     capsys.readouterr()
     assert main(["roundtrip", str(model), str(bad), "--mode", mode]) == 2
     assert "complex" in capsys.readouterr().err
+    # a 2-d latent or hyper latent: float mode used to fail on tuple unpacking
+    for name in ("latent_0", "hyper_0"):
+        with np.load(data) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays[name] = arrays[name][0]
+        np.savez(bad, **arrays)
+        assert main(["roundtrip", str(model), str(bad), "--mode", mode]) == 2
+        assert "expected (c, h, w) input, got shape (4, 4)" in capsys.readouterr().err
 
 
 def test_demo_failure_exit_zero(capsys):

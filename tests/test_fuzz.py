@@ -203,8 +203,8 @@ def mutated_blob(draw, dtype):
 
 
 def overflow_case():
-    """The model and data of test_cli.overflow_stack, which overflow a
-    requantize left shift at runtime."""
+    """The model and data of test_cli.overflow_stack, whose requantize left
+    shift the static bound refuses when the model is built."""
     fs, latent, hyper = overflow_stack()
     return *saved_model(fs), {"latent_0": latent, "hyper_0": hyper}
 

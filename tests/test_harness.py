@@ -6,7 +6,7 @@ import pytest
 
 from detq import harness, intops
 from detq.gmm import CDF_TOTAL
-from detq.rc import RangeEncoder, rc_encode
+from detq.rc import RangeDecoder, RangeEncoder, rc_encode
 from detq.harness import (
     BackendVariant,
     LayerCfg,
@@ -414,6 +414,49 @@ def test_roundtrip_rejects_out_of_alphabet_symbols():
         )
 
 
+def off_payload_case(seed, with_context):
+    """A float model, latent and hyper latent whose seq-encoded stream a
+    decoder in another order runs off: seed 190 without a context model
+    (decoded in tree order), seed 25 with one (in rev order)."""
+    rng = np.random.default_rng(seed)
+    fs = random_stack(
+        rng, hidden=24, p_gather=15, p_inner=12, with_context=with_context, latent_channels=2
+    )
+    return fs, random_latent(rng, (2, 12, 12)), rng.normal(size=(2, 12, 12))
+
+
+@pytest.mark.parametrize(
+    "seed, with_context, dec_order",
+    [(190, False, "tree"), (25, True, "rev")],
+    ids=["no-context", "autoregressive"],
+)
+def test_decode_off_the_payload_is_a_divergence(seed, with_context, dec_order, monkeypatch):
+    # it used to escape as StreamFormatError("truncated payload")
+    decoded, stops = [], []
+
+    class Recording(RangeDecoder):
+        def decode(self, cf, v_min):
+            decoded.append(super().decode(cf, v_min))
+            return decoded[-1]
+
+        def _byte(self):
+            if self.pos >= len(self.data):
+                stops.append(self.pos)
+            return super()._byte()
+
+    monkeypatch.setattr(harness, "RangeDecoder", Recording)
+    fs, latent, hyper = off_payload_case(seed, with_context)
+    enc, dec = BackendVariant("e", "seq", "float"), BackendVariant("d", dec_order, "float")
+    rep = roundtrip_experiment(make_stack_pair(fs), latent, hyper, enc, dec)
+    assert stops and len(decoded) < latent.size
+    # the first differing decoded symbol, or where decoding stopped
+    sent = latent.transpose(1, 2, 0).ravel()
+    diff = np.flatnonzero(sent[: len(decoded)] != decoded)
+    assert rep.first_mismatch == (diff[0] if diff.size else len(decoded))
+    assert not rep.decoded_equal
+    assert 0 < rep.prior_max_reldiff < math.inf
+
+
 # --- failure demo ---------------------------------------------------------
 
 
@@ -522,6 +565,30 @@ def test_calibrate_layer_objective_is_its_last_decision():
     for entry in rep.layers:
         junction = (entry["subnetwork"], entry["index"])
         assert entry["objective"] == pytest.approx(decided[junction], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, grid", [(5, (6,)), (6, (7,))])
+def test_calibrate_reports_the_objective_of_the_stack_it_leaves(seed, grid):
+    # the grid leaves out the gather junctions' p 10, so forced moves can
+    # raise the objective; a running minimum reported 65.801 for 65.996
+    fs, cal = calib_case(seed)
+    replay = copy.deepcopy(fs)
+    rep = calibrate_shifts(fs, cal, grid=grid, passes=1)
+
+    def objective(stack):
+        pair = make_stack_pair(stack)
+        return sum(
+            int_cross_entropy_bits(latent, run_backend(pair, latent, hyper, BackendVariant("o")))
+            for latent, hyper in cal
+        )
+
+    objs = []
+    for t in rep.trace:
+        replay.set_junction_p(t["junction"], t["p"])
+        objs.append(objective(replay))
+        assert t["objective"] == pytest.approx(objs[-1], rel=1e-12)
+    assert any(a < b for a, b in zip(objs, objs[1:]))  # a forced move raised it
+    assert rep.final_objective == pytest.approx(objective(fs), rel=1e-12)
 
 
 def test_calibrate_propagates_programming_errors(monkeypatch):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from detq.quantize import (
+    INT16_MAX,
     K_MAX,
     LayerQuantSpec,
     QConvLayer,
@@ -19,6 +21,7 @@ from detq.quantize import (
     quantize_layer,
     quantize_value,
     round_half_away,
+    shifted_bound,
 )
 from detq.intops import qconv_forward, requantize
 from detq.tensors import ConvLayerF
@@ -203,6 +206,55 @@ def test_qconv_layer_enforces_accumulator_bound():
     # the same weights fit at 9-bit input: 3 * 32767 * 255 < 2^31 - 1
     spec9 = LayerQuantSpec(n_i=9, p_in=8, p_out=8, k=[0, 0])
     QConvLayer(w_q=w, b_q=b, spec=spec9)
+
+
+@st.composite
+def layer_cases(draw):
+    """int16 weights and a bias of random magnitude, n_i, p_in, p_out and
+    per-channel k, so that requantize shifts some channels left."""
+    m, kk, n = draw(st.integers(1, 3)), draw(st.sampled_from([1, 3])), draw(st.integers(1, 3))
+    lim = min(1 << draw(st.integers(0, 15)), INT16_MAX)
+    w = draw(hnp.arrays(np.int64, (m, kk, kk, n), elements=st.integers(-lim, lim)))
+    b_lim = (1 << draw(st.integers(0, 31))) - 1
+    b = draw(hnp.arrays(np.int64, (n,), elements=st.integers(-b_lim, b_lim)))
+    p_in, p_out = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+    k = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))  # 20 < 62 - 15
+    return w, b, LayerQuantSpec(n_i=draw(st.integers(2, 16)), p_in=p_in, p_out=p_out, k=k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layer_cases())
+def test_accepted_layer_never_overflows_on_extreme_input(case):
+    w, b, spec = case
+    try:
+        lyr = QConvLayer(w_q=w, b_q=b, spec=spec)
+    except WeightRangeError:
+        return
+    x_max = (1 << (spec.n_i - 1)) - 1
+    c = lyr.kernel // 2  # the centre output of a K x K input reads every tap
+    for j in range(lyr.out_channels):
+        # the sign-matched extreme input of channel j attains its accumulator bound
+        x = np.sign(w[..., j]) * (x_max if b[j] >= 0 else -x_max)
+        acc = qconv_forward(x, lyr)
+        assert abs(acc[j, c, c]) == accumulator_bound(w, b, spec.n_i)[j]
+        assert np.abs(acc).max() <= 2**31 - 1
+        requantize(acc, lyr)  # the left shift stays within 32 bits too
+
+
+@pytest.mark.parametrize("left", [0, 1, 15])
+def test_left_shift_bound_is_exact(left):
+    # n_i = 2 makes x_max 1, so a one-tap channel's accumulator bound is |w| + |b|
+    spec = LayerQuantSpec(n_i=2, p_in=0, p_out=left, k=[0])
+    assert spec.shift[0] == -left
+    top = (2**31 - 1) >> left  # the largest bound the shift keeps within 2^31 - 1
+    w = np.ones((1, 1, 1, 1))
+    lyr = QConvLayer(w_q=w, b_q=[top - 1], spec=spec)
+    assert shifted_bound(lyr.w_q, lyr.b_q, spec)[0] == top << left  # 2^31 - 1 at left 0
+    acc = qconv_forward(np.ones((1, 1, 1), np.int64), lyr)
+    assert acc[0, 0, 0] == top
+    requantize(acc, lyr)
+    with pytest.raises(WeightRangeError, match="channel 0: worst case"):
+        QConvLayer(w_q=w, b_q=[top], spec=spec)
 
 
 def test_qconv_layer_enforces_causality():
