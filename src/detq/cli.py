@@ -50,10 +50,12 @@ def _load_data(path):
                 if f"hyper_{i}" not in z:
                     raise ManifestError(f"hyper_{i} missing from {path}")
                 latent = z[f"latent_{i}"]
+                v = latent
+                if v.dtype.kind == "f":
+                    # compared in float64 at least: 2^63 overflows float16
+                    v = v.astype(np.promote_types(v.dtype, np.float64))
                 if latent.dtype.kind not in "iuf" or not np.all(
-                    np.isfinite(latent)
-                    & (latent == np.trunc(latent))
-                    & (np.abs(latent) < 2.0**63)
+                    np.isfinite(v) & (v == np.trunc(v)) & (np.abs(v) < 2.0**63)
                 ):
                     raise ManifestError(f"latent_{i} must hold finite integers within int64")
                 pairs.append((latent.astype(np.int64), z[f"hyper_{i}"]))

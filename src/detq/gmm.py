@@ -228,9 +228,15 @@ def apportion(base, rem, target: int):
     target - sum(base) units still missing go one each to the largest
     remainders, ties to the lower index.
     """
-    left = target - base.sum(axis=0)
-    rank = np.argsort(np.argsort(-rem, axis=0, kind="stable"), axis=0, kind="stable")
-    return base + (rank < left)
+    n = len(rem)
+    rem = rem.reshape(n, -1)
+    order = np.argsort(-rem, axis=0, kind="stable")
+    # the first `left` places of each column's order win a unit; the inverse
+    # permutation, one scatter, carries that back to the entries
+    won = np.arange(n)[:, None] < (target - base.sum(axis=0)).reshape(-1)
+    extra = np.empty_like(won)
+    extra[order, np.arange(rem.shape[1])] = won
+    return base + extra.reshape(base.shape)
 
 
 def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmm import GmmParams, apportion, sigma_min_for
-from .quantize import QConvLayer, exceeds
+from .quantize import QConvLayer, RoundingTerms, exceeds, rounding_terms
 from .tensors import ShapeError, check_conv_input, im2col
 
 __all__ = [
@@ -65,6 +65,7 @@ SUBNETS = ("hyperdecoder", "context", "gather")
 # LeakyReLU negative slope 41/4096 ~= 0.01 as a dyadic rational.
 LEAKY_NUM = 41
 LEAKY_SHIFT = 12
+_LEAKY_ROUNDING = rounding_terms(LEAKY_SHIFT)
 
 
 class AccumulatorOverflowError(ArithmeticError):
@@ -79,18 +80,20 @@ def round_shift(v, s):
     could push values past 31 bits raise, since a real 32-bit register
     would wrap.
     """
-    v = np.asarray(v, dtype=np.int64)
-    s = np.asarray(s, dtype=np.int64)
-    right = np.maximum(s, 0)
-    half = (1 << right) >> 1  # 0 where right is 0: nothing to round there
+    return _apply_rounding(np.asarray(v, dtype=np.int64), rounding_terms(s))
+
+
+def _apply_rounding(v, terms: RoundingTerms):
+    """round_shift of an int64 array v by the shifts terms were built from."""
+    right, half, tie, left = terms
     # floor((v + half) / 2^right) rounds ties up; v >> 63 is -1 below zero,
     # and one less added there rounds them down, so ties go away from zero
-    out = (v + half + ((v >> 63) & -np.minimum(half, 1))) >> right
-    if s.min(initial=0) < 0:
-        out = out << np.maximum(-s, 0)
-        if np.any((s < 0) & (np.abs(out) > (1 << 31) - 1)):
+    out = (v + half + ((v >> 63) & tie)) >> right
+    if left is not None:
+        out = out << left
+        if np.any((left > 0) & (np.abs(out) > (1 << 31) - 1)):
             raise AccumulatorOverflowError(
-                f"left shift by up to {int(-s.min())} exceeds the 32-bit range"
+                f"left shift by up to {int(left.max())} exceeds the 32-bit range"
             )
     return out
 
@@ -121,15 +124,17 @@ def qconv_forward(x, layer: QConvLayer) -> np.ndarray:
 
 
 def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> np.ndarray:
-    """Fused rescale of an accumulator to the next layer's input grid.
+    """Fused rescale of an (n, h, w) accumulator to the next layer's input grid.
 
     acc represents real values at scale 2^-(k_j + p_in) per channel j; the
-    output is at 2^-p_out, so each channel shifts by k_j + p_in - p_out,
-    and is clamped to +-(2^(out_bits-1) - 1).
+    output is at 2^-p_out, so each channel shifts by k_j + p_in - p_out
+    (round_shift, from the terms the spec built once), and is clamped to
+    +-(2^(out_bits-1) - 1).
     """
     acc = np.asarray(acc, dtype=np.int64)
-    spec = layer.spec
-    out = round_shift(acc, spec.shift.reshape((-1,) + (1,) * (acc.ndim - 1)))
+    if acc.ndim != 3:
+        raise ShapeError(f"expected an (n, h, w) accumulator, got shape {acc.shape}")
+    out = _apply_rounding(acc, layer.spec.rounding)
     lim = (1 << (out_bits - 1)) - 1
     return np.minimum(np.maximum(out, -lim), lim)
 
@@ -138,7 +143,7 @@ def leaky_relu_int(x: np.ndarray) -> np.ndarray:
     """Integer LeakyReLU with negative slope 41/4096; never grows |x|."""
     # the scaled value lies between 0 and x, so the larger of the two is x
     # at or above zero and the scaled value below it
-    return np.maximum(x, round_shift(x * LEAKY_NUM, LEAKY_SHIFT))
+    return np.maximum(x, _apply_rounding(x * LEAKY_NUM, _LEAKY_ROUNDING))
 
 
 def linear_softmax_field(z: np.ndarray, scale_exp: int) -> np.ndarray:

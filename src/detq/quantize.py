@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = [
     "K_MAX",
     "INT16_MAX",
     "ACCUM_BITS",
+    "RoundingTerms",
+    "rounding_terms",
     "LayerQuantSpec",
     "QConvLayer",
     "WeightRangeError",
@@ -94,6 +97,39 @@ def quantize_value(x, p: int, b: int):
     return q if q.ndim else int(q)
 
 
+class RoundingTerms(NamedTuple):
+    """What scaling by 2^-s with half-away rounding needs of the shifts s.
+
+    right = max(s, 0); half = 2^(right-1), 0 where right is 0; tie = -1
+    where right > 0, else 0, so (v >> 63) & tie takes one off below zero;
+    left = max(-s, 0), or None when no shift is negative.
+    """
+
+    right: np.ndarray
+    half: np.ndarray
+    tie: np.ndarray
+    left: np.ndarray | None
+
+
+def rounding_terms(s) -> RoundingTerms:
+    """The RoundingTerms of an int or integer array of shifts, read-only."""
+    s = np.asarray(s, dtype=np.int64)
+    right = np.maximum(s, 0)
+    half = (1 << right) >> 1
+    left = np.maximum(-s, 0) if s.min(initial=0) < 0 else None
+    return RoundingTerms(*map(_read_only, (right, half, -np.minimum(half, 1), left)))
+
+
+def _read_only(a):
+    """A read-only copy of a, None for None.  A scalar becomes a 0-d array,
+    which ufuncs take faster than a numpy scalar."""
+    if a is None:
+        return None
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
 def _check_grid(n_i: int, p_in: int, p_out: int):
     """n_i in [2, 16] and both activation shift exponents in [0, 15]."""
     if not 2 <= n_i <= 16:
@@ -130,6 +166,12 @@ class LayerQuantSpec:
     def shift(self) -> np.ndarray:
         """Per-channel requantization right shift k_j + p_in - p_out."""
         return self.k + (self.p_in - self.p_out)
+
+    @cached_property
+    def rounding(self) -> RoundingTerms:
+        """rounding_terms of shift, shaped (n, 1, 1) to broadcast over the
+        channels of an (n, h, w) accumulator."""
+        return rounding_terms(self.shift.reshape(-1, 1, 1))
 
 
 def accumulator_bound(w_q, b_q, n_i: int) -> np.ndarray:
@@ -243,7 +285,10 @@ def adjust_shift_for_bias(k_j: int, b_j: float, p: int, n_a: int = ACCUM_BITS) -
 
 
 def _quantize_channel(w_col: np.ndarray, k: int):
-    return round_half_away(w_col * math.ldexp(1.0, k)).astype(np.int64)
+    """w_col scaled by 2^k and rounded, as int64; None if an entry lies
+    outside int16, checked before the cast, which could not hold it."""
+    q = round_half_away(w_col * math.ldexp(1.0, k))
+    return q.astype(np.int64) if np.abs(q).max(initial=0) <= INT16_MAX else None
 
 
 def quantize_layer(
@@ -289,16 +334,15 @@ def quantize_layer(
             k = adjust_shift_for_bias(k, bias, p_in)
             k = max(k, 0)
         wq = _quantize_channel(col, k)
-        if np.abs(wq).max(initial=0) > INT16_MAX:
-            if k > K_MAX:
-                k = K_MAX
-                wq = _quantize_channel(col, k)
-            if np.abs(wq).max(initial=0) > INT16_MAX:
-                raise WeightRangeError(
-                    f"{name}: channel {j}: weight magnitude "
-                    f"{np.abs(col).max():.6g} not representable in int16 "
-                    f"at shift {k}"
-                )
+        if wq is None and k > K_MAX:
+            k = K_MAX
+            wq = _quantize_channel(col, k)
+        if wq is None:
+            raise WeightRangeError(
+                f"{name}: channel {j}: weight magnitude "
+                f"{np.abs(col).max():.6g} not representable in int16 "
+                f"at shift {k}"
+            )
         bq = int(round_half_away(bias * math.ldexp(1.0, k + p_in)))
         # Rounding can push the channel a hair past the static budget;
         # lower the shift until the worst-case accumulator provably fits.

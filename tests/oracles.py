@@ -61,6 +61,18 @@ def round_shift_oracle(v, s) -> int:
     return round_half_away_fr(Fraction(int(v), 2**s) if s >= 0 else Fraction(int(v)) * 2**-s)
 
 
+def apportion_oracle(base, rem, target):
+    """Largest remainder along axis 0, column by column: the missing units
+    go to the entries first in order of (-rem, index)."""
+    out = np.array(base, dtype=np.int64)
+    for col in np.ndindex(out.shape[1:]):
+        b = [int(v) for v in out[(slice(None),) + col]]
+        r = [int(v) for v in rem[(slice(None),) + col]]
+        for i in sorted(range(len(r)), key=lambda i: (-r[i], i))[: target - sum(b)]:
+            out[(i,) + col] += 1
+    return out
+
+
 def softmax_oracle(z, p):
     """Exact rational linearized softmax -> positive Q15 triple, total 2^15."""
     n = [max((1 << p) + int(zi), 1) for zi in z]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -524,6 +525,42 @@ def test_whole_valued_float_latents_run_as_integers(model, data, tmp_path, capsy
     np.savez(floats, **arrays)
     assert main(["roundtrip", str(model), str(floats)]) == 2
     assert "latent_0 must hold finite integers" in capsys.readouterr().err
+
+
+def test_float16_latent_loads_without_warnings(data, tmp_path):
+    # 2^63, the int64 bound, overflows float16: the check must not cast it there
+    with np.load(data) as z:
+        arrays = {k: z[k] for k in z.files}
+    want = arrays["latent_0"]
+    arrays["latent_0"] = want.astype(np.float16)
+    path = tmp_path / "f16.npz"
+    np.savez(path, **arrays)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((latent, _),) = cli._load_data(path)
+        np.testing.assert_array_equal(latent, want)
+        arrays["latent_0"][0, 0, 0] = np.inf
+        np.savez(path, **arrays)
+        with pytest.raises(ManifestError, match="latent_0 must hold finite integers"):
+            cli._load_data(path)
+
+
+@pytest.mark.parametrize(
+    "value, ok",
+    [(np.int64(-(2**63)), True), (np.uint64(2**63), False), (np.uint64(2**62), True)],
+)
+def test_integer_latent_int64_range_verdicts(data, tmp_path, value, ok):
+    with np.load(data) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["latent_0"] = np.abs(arrays["latent_0"]).astype(value.dtype)
+    arrays["latent_0"][0, 1, 1] = value
+    path = tmp_path / "ints.npz"
+    np.savez(path, **arrays)
+    if ok:
+        assert cli._load_data(path)[0][0][0, 1, 1] == int(value)
+    else:
+        with pytest.raises(ManifestError, match="within int64"):
+            cli._load_data(path)
 
 
 @pytest.mark.parametrize("mode", ["int", "float"])

@@ -13,6 +13,7 @@ from detq.gmm import (
     CdfTable,
     GmmParams,
     _mixture_cdf_q16,
+    apportion,
     build_cdf_table,
     sigma_min_for,
     std_normal_cdf_fixed,
@@ -22,6 +23,7 @@ from detq.phi_table import GRID_FRAC_BITS, PHI_TABLE_Q16, TABLE_SHA256, Z_LIMIT
 from detq.rc import RangeDecoder
 
 from oracles import (
+    apportion_oracle,
     cdf_interval_oracle,
     cdf_lookup_oracle,
     cdf_table_oracle,
@@ -245,6 +247,38 @@ def test_sigma_min():
     assert sigma_min_for(8) == 16  # 2^-4 at scale 2^-8
     assert sigma_min_for(10) == 64
     assert sigma_min_for(2) == 1
+
+
+# --- apportion --------------------------------------------------------------
+
+
+@st.composite
+def apportion_case(draw):
+    """base, rem, target on a 2-d (n, m) or a (3, c, h, w) field: remainders
+    from a tiny range, so ties are the rule, and each column missing
+    between 0 and n units."""
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 17)), draw(st.integers(0, 6)))
+    else:
+        shape = (3, *(draw(st.integers(1, 3)) for _ in range(3)))
+    size = int(np.prod(shape))
+    rem = np.array(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+    base = np.array(draw(st.lists(st.integers(0, 50), min_size=size, max_size=size)))
+    rem, base = rem.reshape(shape), base.reshape(shape)
+    cols = int(np.prod(shape[1:]))
+    left = draw(st.lists(st.integers(0, shape[0]), min_size=cols, max_size=cols))
+    target = 50 * shape[0] + shape[0]
+    # row 0 takes up the slack, so column j misses exactly left[j] units
+    base[0] += target - np.reshape(left, shape[1:]) - base.sum(axis=0)
+    return base, rem, target
+
+
+@given(apportion_case())
+def test_apportion_matches_sort_by_remainder_then_index(case):
+    base, rem, target = case
+    got = apportion(base, rem, target)
+    np.testing.assert_array_equal(got, apportion_oracle(base, rem, target))
+    assert got.shape == base.shape and np.all(got.sum(axis=0) == target)
 
 
 # --- CdfTable / build_cdf_table ------------------------------------------

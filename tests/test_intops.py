@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detq.intops import (
+    LEAKY_NUM,
+    LEAKY_SHIFT,
     AccumulatorOverflowError,
     leaky_relu_int,
     linear_softmax_field,
@@ -70,6 +72,12 @@ def test_round_shift_array_shifts_match_oracle(pairs):
 def test_leaky_examples():
     out = leaky_relu_int(np.array([[[100, 0, -4096]]]))
     np.testing.assert_array_equal(out, [[[100, 0, -41]]])
+
+
+def test_leaky_matches_oracle_on_every_int16():
+    x = np.arange(-(2**15), 2**15)
+    want = [max(v, round_shift_oracle(LEAKY_NUM * v, LEAKY_SHIFT)) for v in x.tolist()]
+    assert leaky_relu_int(x.reshape(1, 256, 256)).ravel().tolist() == want
 
 
 # --- linearized softmax ---------------------------------------------------
@@ -297,10 +305,36 @@ def _shift_layer(k, p_in):
 def test_requantize_mixed_shifts_match_channel_loop():
     lyr = _shift_layer([0, 3, 7, 15, 1], p_in=5)  # shifts -3, 0, 4, 12, -2
     acc = np.random.default_rng(17).integers(-(2**14), 2**14, size=(5, 3, 4))
-    acc[:, 0, 0] = [4, 4, 8, 2048, -2]  # exact halves round away from zero
+    # right shifts 4 and 12: exact halves, and one either side, of both signs
+    acc[:, 0, :3] = [[4, 5, 3], [4, 5, 3], [8, 9, 7], [2048, 2049, 2047], [-2, -3, -1]]
+    acc[:, 1, :3] = -acc[:, 0, :3]
     for out_bits in (9, 16):
         got = requantize(acc, lyr, out_bits=out_bits)
-        np.testing.assert_array_equal(got, _requantize_loop(acc, lyr, out_bits))
+        lim = (1 << (out_bits - 1)) - 1
+        want = [
+            [[min(max(round_shift_oracle(v, int(s)), -lim), lim) for v in row] for row in ch]
+            for ch, s in zip(acc.tolist(), lyr.spec.shift)
+        ]
+        assert got.tolist() == want
+
+
+def test_requantize_takes_an_n_h_w_accumulator():
+    lyr = _shift_layer([0, 3], p_in=5)
+    with pytest.raises(ShapeError):
+        requantize(np.zeros((2, 4), dtype=np.int64), lyr)
+
+
+def test_spec_rounding_terms_read_only_and_per_spec():
+    a, b = (LayerQuantSpec(n_i=16, p_in=5, p_out=8, k=[0, 3, 7]) for _ in range(2))
+    assert a.rounding is a.rounding  # built once
+    np.testing.assert_array_equal(a.rounding.left.ravel(), [3, 0, 0])
+    for ta, tb in zip(a.rounding, b.rounding):
+        assert ta.shape == (3, 1, 1) and not ta.flags.writeable
+        assert not np.shares_memory(ta, tb)
+        with pytest.raises(ValueError):
+            ta[0] = 1
+    # no negative shift: no left-shift term
+    assert LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0, 3]).rounding.left is None
 
 
 def test_requantize_left_shift_overflow_still_raises():

@@ -194,6 +194,17 @@ def test_unrepresentable_weight_rejected():
         quantize_layer(layer(np.full((1, 1, 1, 1), 1e9)), n_i=16, p_in=8, p_out=8)
 
 
+def test_weight_past_int64_refused_by_its_channel():
+    # 3e38 at shift 0 lies past int64: checked before the cast, which would
+    # turn it into -2^63 (or whatever the CPU makes of it) and warn
+    w = np.zeros((1, 1, 1, 2))
+    w[0, 0, 0, 1] = 3e38
+    with pytest.raises(
+        WeightRangeError, match=r"channel 1: weight magnitude 3e\+38 not representable in int16"
+    ):
+        quantize_layer(layer(w), n_i=16, p_in=8, p_out=8)
+
+
 def test_qconv_layer_enforces_accumulator_bound():
     # three int16-max taps: 3 * 32767 * (2^15 - 1) > 2^31 - 1 at 16-bit input
     w = np.full((3, 1, 1, 2), 32767)
