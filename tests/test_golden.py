@@ -5,7 +5,8 @@ a change that is called out as a format change.  Covered: quantized model
 blobs, integer priors under two accumulation orders, per-element CDF
 tables, encoded bitstreams, float-path discretized priors, the linearized
 softmax on a tie-heavy field, decoder-side priors of both backend modes,
-and both failure-demo reports.
+both failure-demo reports, and the reports of the two roundtrips whose
+decoder runs off the payload in float mode.
 """
 
 import hashlib
@@ -21,12 +22,15 @@ from detq.harness import (
     make_stack_pair,
     random_latent,
     random_stack,
+    roundtrip_experiment,
     run_backend,
     prior_fn,
 )
 from detq.intops import linear_softmax_field, run_entropy_stack
 from detq.manifest import save_quantized_model
 from detq.rc import rc_encode
+
+from test_harness import off_payload_case
 
 V_MIN, V_MAX = -8, 8
 
@@ -49,6 +53,10 @@ GOLDEN = {
     "hyper.priors.seq": "adee4d3efd465042134281687514008d7d927e6d0caf904ca3e2e2fd247861ad",
     "hyper.priors.tree": "adee4d3efd465042134281687514008d7d927e6d0caf904ca3e2e2fd247861ad",
     "hyper.tables": "d018101c4a8e5db2c32a193a7f969e3f32755bc6e75cf6256b68fc0b8210a6b4",
+    "off_payload.190.float": "dfa7535cfaf7fd09b7be553ec122e9649a9a4d14008569276d6cad88d295f0f1",
+    "off_payload.190.int": "0dc5ccf8de69f7eca872d12bf444f4cfa3eb0eff7bcbfd3a13a75fcea3cc2cc5",
+    "off_payload.25.float": "4176753c8935bd20b9110dedf0cee242d62a0026105db4a107574e38c7838c6e",
+    "off_payload.25.int": "0dc5ccf8de69f7eca872d12bf444f4cfa3eb0eff7bcbfd3a13a75fcea3cc2cc5",
     "softmax.ties": "16430a0008660bd27f167b6908d6650f0f375a19b793bccecbccc8d560aa9e72",
 }
 
@@ -105,6 +113,15 @@ def _all_digests(tmp):
     for mode in ("float", "int"):
         rep = boundary_failure_demo(prior_mode=mode)
         out[f"demo.{mode}"] = _sha(rep.to_text().encode())
+
+    # seq-encoded, decoded in another order: float mode runs off the payload
+    for seed, with_context, dec_order in ((190, False, "tree"), (25, True, "rev")):
+        fs, latent, hyper = off_payload_case(seed, with_context)
+        pair = make_stack_pair(fs)
+        for mode in ("float", "int"):
+            enc, dec = BackendVariant("e", "seq", mode), BackendVariant("d", dec_order, mode)
+            rep = roundtrip_experiment(pair, latent, hyper, enc, dec)
+            out[f"off_payload.{seed}.{mode}"] = _sha(rep.to_text().encode())
     return out
 
 
