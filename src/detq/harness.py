@@ -14,9 +14,11 @@ feeds them to EntropyStackF as they are, once it has checked that
 float32 holds the hyper latent.  The float reference oracle is
 intops.run_entropy_stack on an EntropyStackF.
 
-The decoder of a stack with a context model computes each position's
-priors from its causal window of the symbols decoded so far, so a
-roundtrip costs time linear in the number of positions.
+Every experiment codes through one encoder (_encode) and one decoder
+(_decode) that walks a schedule of steps, the whole field or one position
+each, with each step's priors from the canvas decoded so far: with a
+context model, a position's causal window, so a roundtrip costs time
+linear in the number of positions.
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ from .intops import (
     split_head,
 )
 from .quantize import WeightRangeError, quantize_layer, quantize_value, round_half_away
-from .rc import RangeDecoder, StreamFormatError, rc_decode, rc_encode
+# rc_decode is not called here: it stays in this namespace because the
+# benchmark tracer patches it here (perfbench/spans.py, TARGETS) until an
+# in-library trace replaces that patching
+from .rc import Bitstream, RangeDecoder, StreamFormatError, rc_decode, rc_encode
 from .tensors import ConvLayerF, check_conv_input, im2col
 
 __all__ = [
@@ -73,6 +78,8 @@ __all__ = [
 ]
 
 DEFAULT_SYMBOL_BOUND = 8
+# the coder alphabet: every latent symbol lies in [_V_MIN, _V_MAX]
+_V_MIN, _V_MAX = -DEFAULT_SYMBOL_BOUND, DEFAULT_SYMBOL_BOUND
 
 # accumulation orders a simulated device may sum its float32 products in
 ORDERS = ("seq", "rev", "tree")
@@ -353,11 +360,17 @@ def _raster(a):
     return np.asarray(a).transpose(1, 2, 0).ravel()
 
 
+def _coded_rows(params: GmmParams, v_min: int, v_max: int) -> np.ndarray:
+    """The rows of the field's CDF tables, built in C order, in coding order
+    (see _raster)."""
+    cf = build_cdf_table(params, v_min, v_max).cf
+    c, h, w = params.field_shape
+    return cf.reshape(c, h * w, cf.shape[1]).swapaxes(0, 1).reshape(cf.shape)
+
+
 def field_tables(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
     """The field's CDF tables with rows in coding order (see _raster)."""
-    tables = build_cdf_table(params, v_min, v_max)
-    order = _raster(np.arange(len(tables)).reshape(params.field_shape))
-    return CdfTable(v_min, v_max, tables.cf[order])
+    return CdfTable(v_min, v_max, _coded_rows(params, v_min, v_max))
 
 
 def _check_alphabet(latent) -> np.ndarray:
@@ -367,10 +380,49 @@ def _check_alphabet(latent) -> np.ndarray:
     if latent.size and latent.dtype.kind not in "iu":
         raise ValueError(f"latent symbols must be integers, got dtype {latent.dtype}")
     latent = latent.astype(np.int64, copy=False)
-    bound = DEFAULT_SYMBOL_BOUND
-    if latent.min(initial=0) < -bound or latent.max(initial=0) > bound:
+    if latent.min(initial=0) < _V_MIN or latent.max(initial=0) > _V_MAX:
         raise ValueError("latent symbols outside the coder alphabet")
     return latent
+
+
+def _encode(params: GmmParams, latent) -> Bitstream:
+    """The stream of a (c, h, w) latent coded under the encoder's priors."""
+    return rc_encode(_raster(latent), field_tables(params, _V_MIN, _V_MAX), latent.shape)
+
+
+def _decode(stream: Bitstream, params_of, steps):
+    """Decode stream in steps: None, the whole field, or a position (y, x).
+
+    A step's priors are params_of(canvas, step) on the symbols decoded so
+    far; its table rows are built once, in coding order, and continue the
+    stream where the step before stopped, so steps follow coding order.
+    Decoding stops where the decoder runs off the payload.  Returns the
+    symbols decoded, in coding order, the (3, 3, c, h, w) prior fields
+    (weights, means, scales) and the (h, w) mask of the positions reached.
+    """
+    c, h, w = stream.shape
+    got = []
+    coded = np.zeros(stream.count, dtype=np.int64)  # got, padded with zeros
+    canvas = coded.reshape(h, w, c).transpose(2, 0, 1)  # a (c, h, w) view
+    fields = np.zeros((3, 3, c, h, w), dtype=np.int64)
+    reached = np.zeros((h, w), dtype=bool)
+    decoder = RangeDecoder(stream.payload, stream.count)
+    for at in steps:
+        params = params_of(canvas, at)
+        if at is None:
+            ys = xs = slice(None)
+        else:
+            ys, xs = slice(at[0], at[0] + 1), slice(at[1], at[1] + 1)
+        fields[..., ys, xs] = params.weights, params.means, params.scales
+        reached[ys, xs] = True
+        start = len(got)
+        try:
+            for row in _coded_rows(params, _V_MIN, _V_MAX).tolist():
+                got.append(decoder.decode(row, _V_MIN))
+        except StreamFormatError:
+            break
+        coded[start : len(got)] = got[start:]
+    return got, fields, reached
 
 
 def roundtrip_experiment(
@@ -384,96 +436,41 @@ def roundtrip_experiment(
 
     Each device computes priors in its variant's mode and order.  The
     decoder regenerates priors autoregressively from its own decoded
-    symbols, exactly as a real decoder must; the report compares the
+    symbols, exactly as a real decoder must: one step per raster position,
+    or one step for the whole field when the stack has no context model and
+    the priors do not depend on the canvas.  The report compares the
     encoder's prior field with the one the decoder assembled.  A decoder
     whose tables differ from the encoder's can run off the payload: that is
     a divergence too, reported where decoding stopped.
     """
     latent = _check_alphabet(latent)
-    v_min, v_max = -DEFAULT_SYMBOL_BOUND, DEFAULT_SYMBOL_BOUND
     enc_params = run_backend(stacks, latent, hyper, enc_variant)
-    stream = rc_encode(
-        _raster(latent), field_tables(enc_params, v_min, v_max), shape=latent.shape
+    steps = np.ndindex(latent.shape[1:]) if stacks.quant_stack.context else [None]
+    decoded = _decode(
+        _encode(enc_params, latent), prior_fn(stacks, hyper, dec_variant), steps
     )
-
-    params_of = prior_fn(stacks, hyper, dec_variant)
-    if not stacks.quant_stack.context:
-        # without a context model the priors do not depend on the canvas
-        dec_params = params_of(np.zeros_like(latent))
-        got = _decode(stream, field_tables(dec_params, v_min, v_max))
-        return _report(_raster(latent), got, _fields(enc_params), _fields(dec_params))
-
-    # each position's priors come from its causal window of decoded symbols
-    canvas = np.zeros_like(latent)
-    fields = np.zeros((3, 3) + latent.shape, dtype=np.int64)  # weights, means, scales
-    reached = np.zeros(latent.shape[1:], dtype=bool)
-    decoder = RangeDecoder(stream.payload, stream.count)
-    got = []  # decoded symbols in coding order
-    for y, x in np.ndindex(latent.shape[1:]):
-        pos = params_of(canvas, (y, x))
-        fields[..., y : y + 1, x : x + 1] = pos.weights, pos.means, pos.scales
-        reached[y, x] = True
-        rows = build_cdf_table(pos, v_min, v_max).cf.tolist()
-        if not _read(decoder, rows, v_min, got):
-            break
-        canvas[:, y, x] = got[len(got) - len(rows) :]
-    # the decoder's prior field covers the positions it reached
-    enc_fields = [f[..., reached] for f in _fields(enc_params)]
-    return _report(_raster(latent), got, enc_fields, [f[..., reached] for f in fields])
+    return _report(latent, enc_params, *decoded)
 
 
-def _read(decoder: RangeDecoder, rows, v_min: int, got: list) -> bool:
-    """Append a decoded symbol per table row to got; False if the decoder
-    ran off the payload first, as one under other tables than the
-    encoder's can."""
-    try:
-        for row in rows:
-            got.append(decoder.decode(row, v_min))
-    except StreamFormatError:
-        return False
-    return True
+def _report(latent, enc_params: GmmParams, got, dec_fields, reached):
+    """Interop outcome of the latent sent and the _decode output got back.
 
-
-def _decode(stream, tables: CdfTable) -> list:
-    """rc_decode, or, if the decoder runs off the payload, the symbols it
-    read before it stopped."""
-    try:
-        return rc_decode(stream, tables)
-    except StreamFormatError:
-        got = []
-        _read(RangeDecoder(stream.payload, stream.count), tables.cf.tolist(), tables.v_min, got)
-        return got
-
-
-def _fields(params: GmmParams):
-    return params.weights, params.means, params.scales
-
-
-def _report(sent, got, enc_fields, dec_fields):
-    """Interop outcome of coding-order symbol sequences sent and got, and of
-    the prior fields (weights, means, scales) each side computed.
-
-    got may stop short of sent, where decoding ran off the payload;
-    first_mismatch is then at most where it stopped.
+    got may stop short of the latent, where decoding ran off the payload;
+    first_mismatch is then at most where it stopped.  The prior fields are
+    compared at the positions the decoder reached.
     """
+    sent = _raster(latent)
     n = len(got)
-    diff = np.flatnonzero(np.asarray(sent)[:n] != np.asarray(got, dtype=np.int64))
+    diff = np.flatnonzero(sent[:n] != got)
     first = int(diff[0]) if diff.size else (n if n < len(sent) else None)
+    enc = np.stack([enc_params.weights, enc_params.means, enc_params.scales])
+    a, b = (f[..., reached].astype(np.float64) for f in (enc, dec_fields))
+    rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     return InteropReport(
         decoded_equal=first is None,
         first_mismatch=first,
-        prior_max_reldiff=_max_reldiff(enc_fields, dec_fields),
+        prior_max_reldiff=float(np.max(rel, initial=0.0)),
     )
-
-
-def _max_reldiff(a_fields, b_fields) -> float:
-    worst = 0.0
-    for x, y in zip(a_fields, b_fields):
-        xf = np.asarray(x, np.float64)
-        yf = np.asarray(y, np.float64)
-        denom = np.maximum(np.maximum(np.abs(xf), np.abs(yf)), 1.0)
-        worst = max(worst, float(np.max(np.abs(xf - yf) / denom, initial=0.0)))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +519,8 @@ def boundary_failure_demo(prior_mode: str = "float") -> InteropReport:
             FloatPriors(priors.weights, priors.means, pert_scales), p_e
         )
 
-    v_min, v_max = -DEFAULT_SYMBOL_BOUND, DEFAULT_SYMBOL_BOUND
-    sent = _raster(symbols)
-    tables = field_tables(enc_params, v_min, v_max)
-    stream = rc_encode(sent, tables, shape=symbols.shape)
-    got = _decode(stream, field_tables(dec_params, v_min, v_max))
-    return _report(sent, got, _fields(enc_params), _fields(dec_params))
+    decoded = _decode(_encode(enc_params, symbols), lambda canvas, at: dec_params, [None])
+    return _report(symbols, enc_params, *decoded)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +541,7 @@ def int_cross_entropy_bits(latent, params: GmmParams) -> float:
     priors: the sum of -log2((hi - lo) / 2^16) over their coded intervals."""
     if np.shape(latent) != params.field_shape:
         raise ValueError("symbol field shape must match the parameter field")
-    tables = build_cdf_table(params, -DEFAULT_SYMBOL_BOUND, DEFAULT_SYMBOL_BOUND)
+    tables = build_cdf_table(params, _V_MIN, _V_MAX)
     lo, hi = tables.intervals(np.ravel(latent))
     return float(np.sum(-np.log2((hi - lo) / CDF_TOTAL)))
 
@@ -565,9 +558,8 @@ def float_cross_entropy_bits(latent, priors: FloatPriors) -> float:
         phi = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
         return (np.asarray(priors.weights, np.float64) * phi).sum(axis=0)
 
-    bound = DEFAULT_SYMBOL_BOUND
-    hi = np.where(latent >= bound, 1.0, mix_cdf(latent[None].astype(np.float64) + 0.5))
-    lo = np.where(latent <= -bound, 0.0, mix_cdf(latent[None].astype(np.float64) - 0.5))
+    hi = np.where(latent >= _V_MAX, 1.0, mix_cdf(latent[None].astype(np.float64) + 0.5))
+    lo = np.where(latent <= _V_MIN, 0.0, mix_cdf(latent[None].astype(np.float64) - 0.5))
     pmf = np.maximum(hi - lo, 1.0 / CDF_TOTAL)
     return float(np.sum(-np.log2(pmf)))
 

@@ -160,7 +160,8 @@ class LayerQuantSpec:
         k_max = MAX_RIGHT_SHIFT - self.p_in + self.p_out
         if k.size and not (k.min() >= 0 and k.max() <= k_max):
             raise ValueError(f"channel shifts must lie in [0, {k_max}]")
-        object.__setattr__(self, "k", k.astype(np.int64))
+        # read-only: shift and rounding are cached from it
+        object.__setattr__(self, "k", _read_only(k.astype(np.int64, copy=False)))
 
     @cached_property
     def shift(self) -> np.ndarray:

@@ -21,7 +21,9 @@ into already-emitted bytes.
 
 Symbol i is coded under row i of a CdfTable field; the encoder gathers all
 intervals in one pass and the decoder bisects rows read as lists.  A v1
-stream codes all c*h*w symbols of its header shape.
+stream codes all c*h*w symbols of its header shape, and its payload ends
+with them: reading 4 bytes first and one per renormalization shift, a
+correct decode reads every byte the encoder wrote.
 """
 
 from __future__ import annotations
@@ -187,11 +189,16 @@ def rc_encode(symbols, tables: CdfTable, shape) -> Bitstream:
 def rc_decode(stream: Bitstream, tables: CdfTable) -> list:
     """Inverse of rc_encode given bit-identical tables.
 
-    Decodes stream.count symbols.  With a differing table at position t the
-    output may diverge from t onward; that divergence is exactly the
-    cross-device decode failure the interop harness measures.
+    Decodes stream.count symbols, refusing a payload that ends before or
+    after them.  With a differing table at position t the output may
+    diverge from t onward; that divergence is exactly the cross-device
+    decode failure the interop harness measures.
     """
     if len(tables) != stream.count:
         raise ValueError(f"{stream.count} symbols but {len(tables)} tables; one table per symbol")
     dec = RangeDecoder(stream.payload, stream.count)
-    return [dec.decode(row, tables.v_min) for row in tables.cf.tolist()]
+    got = [dec.decode(row, tables.v_min) for row in tables.cf.tolist()]
+    unread = len(dec.data) - dec.pos
+    if unread:
+        raise StreamFormatError(f"{unread} payload bytes left unread")
+    return got

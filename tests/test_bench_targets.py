@@ -44,3 +44,25 @@ def test_traced_hyperprior_roundtrip(tmp_path):
     metrics = spans.layer_metrics(tracer, 1)
     assert metrics["gmm.tables"] > 0 and metrics["rc.symbols"] == 2 * latent.size
     assert math.isfinite(metrics["rc.overhead_pct"])
+
+
+def test_traced_ar_roundtrip_sees_every_position(tmp_path):
+    # the decoder builds each position's tables and runs the stack for it
+    # through names the tracer patches: a move that hid them would read less
+    spans, workloads = _load("spans"), _load("workloads")
+    wl = workloads.WORKLOADS["ar-roundtrip"]
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.span(spans.SETUP):
+        pair, _ = workloads.setup(wl, tmp_path)
+    latent, hyper = workloads.make_inputs(wl, 1, 0)
+    with tracer.installed():
+        with tracer.span(spans.OP):
+            check = workloads.run_op(wl, pair, latent, hyper)
+        with tracer.span(spans.CHECK):
+            assert check()
+    metrics = spans.layer_metrics(tracer, 1)
+    positions = latent.shape[1] * latent.shape[2]
+    assert latent.size == positions == 64
+    # the encoder's one field plus one table build and stack run per position
+    assert metrics["gmm.tables"] == metrics["intops.stack_calls"] == positions + 1
+    assert metrics["rc.symbols"] == 2 * latent.size  # encoded and decoded

@@ -457,6 +457,45 @@ def test_decode_off_the_payload_is_a_divergence(seed, with_context, dec_order, m
     assert 0 < rep.prior_max_reldiff < math.inf
 
 
+def test_decode_off_the_payload_decodes_each_symbol_once(monkeypatch):
+    # a decoder that decoded the field again after running off it made
+    # 516 calls for the 257 symbols it returned
+    calls, returned = [], []
+    decode = RangeDecoder.decode
+
+    def counting(self, cf, v_min):
+        calls.append(1)
+        returned.append(decode(self, cf, v_min))
+        return returned[-1]
+
+    monkeypatch.setattr(RangeDecoder, "decode", counting)
+    fs, latent, hyper = off_payload_case(190, False)
+    enc, dec = BackendVariant("e", "seq", "float"), BackendVariant("d", "tree", "float")
+    rep = roundtrip_experiment(make_stack_pair(fs), latent, hyper, enc, dec)
+    assert not rep.decoded_equal
+    assert len(calls) <= len(returned) + 1  # the last call ran off the payload
+    assert 0 < len(returned) < latent.size
+
+
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_position_steps_decode_a_no_context_stream_as_one_step(mode):
+    # without a context model a position's priors do not read the canvas,
+    # so any schedule of steps decodes the same symbols under the same priors
+    rng = np.random.default_rng(33)
+    pair = make_stack_pair(random_stack(rng, latent_channels=2, with_context=False))
+    latent = random_latent(rng, (2, 4, 5))
+    hyper = rng.normal(size=(2, 4, 5))
+    params_of = prior_fn(pair, hyper, BackendVariant("d", "tree", mode))
+    stream = harness._encode(params_of(latent), latent)
+    got, fields, reached = harness._decode(stream, params_of, [None])
+    np.testing.assert_array_equal(got, latent.transpose(1, 2, 0).ravel())
+    assert reached.all()
+    steps = harness._decode(stream, params_of, np.ndindex(latent.shape[1:]))
+    np.testing.assert_array_equal(steps[0], got)
+    np.testing.assert_array_equal(steps[1], fields)
+    np.testing.assert_array_equal(steps[2], reached)
+
+
 # --- failure demo ---------------------------------------------------------
 
 

@@ -305,6 +305,17 @@ def test_qconv_layer_weights_are_read_only():
     np.testing.assert_array_equal(wmat.ravel(), lyr.w_q.ravel())
 
 
+def test_spec_channel_shifts_are_read_only():
+    # shift and rounding are cached from k, and a saved model writes k: a
+    # changed k would save a model other than the one that runs
+    k = np.array([3, 5])
+    spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=k)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.k[0] = 0
+    k[0] = 0  # nor does the caller's array reach it
+    assert list(spec.k) == [3, 5] and list(spec.shift) == [3, 5]
+
+
 # --- activation quantization of tensors ----------------------------------
 
 

@@ -10,6 +10,7 @@ from detq.rc import (
     MAGIC,
     VERSION,
     Bitstream,
+    RangeDecoder,
     StreamFormatError,
     rc_decode,
     rc_encode,
@@ -141,6 +142,17 @@ def test_truncated_payload_raises():
         rc_decode(bad, repeat(t, 300))
 
 
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_bytes_after_the_payload_end_are_refused(n):
+    # a correct decode reads every byte, so anything appended is not a v1 stream
+    rng = np.random.default_rng(3)
+    t = repeat(random_table(rng, 16), n)
+    s = rc_encode(list(rng.integers(0, 16, n)), t, shape=(1, 1, n))
+    long = Bitstream(count=s.count, shape=s.shape, payload=s.payload + b"\x00\x01\x02")
+    with pytest.raises(StreamFormatError, match="^3 payload bytes left unread$"):
+        rc_decode(long, t)
+
+
 def test_deterministic_bytes():
     rng = np.random.default_rng(1)
     t = random_table(rng, 9, v_min=-4)
@@ -208,6 +220,11 @@ def test_mismatched_table_diverges_from_change_point():
     enc_tables = repeat(t_good, n)
     dec_tables = CdfTable(t_good.v_min, t_good.v_max, cf)
     s = rc_encode(syms, enc_tables, shape=(1, 1, n))
-    got = rc_decode(s, dec_tables)
+    dec = RangeDecoder(s.payload, n)
+    got = [dec.decode(row, dec_tables.v_min) for row in dec_tables.cf.tolist()]
     mism = [i for i in range(n) if got[i] != syms[i]]
     assert mism and min(mism) >= change
+    # the diverged decoder stops short of the payload's end, which rc_decode refuses
+    assert dec.pos < len(s.payload)
+    with pytest.raises(StreamFormatError, match="payload bytes left unread"):
+        rc_decode(s, dec_tables)
