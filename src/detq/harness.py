@@ -401,9 +401,9 @@ def _decode(stream: Bitstream, params_of, steps):
     (weights, means, scales) and the (h, w) mask of the positions reached.
     """
     c, h, w = stream.shape
-    got = []
-    coded = np.zeros(stream.count, dtype=np.int64)  # got, padded with zeros
-    canvas = coded.reshape(h, w, c).transpose(2, 0, 1)  # a (c, h, w) view
+    got = []  # a list: appending beats a numpy store per symbol
+    flat = np.zeros(stream.count, dtype=np.int64)  # got, then zeros
+    canvas = flat.reshape(h, w, c).transpose(2, 0, 1)  # flat as (c, h, w)
     fields = np.zeros((3, 3, c, h, w), dtype=np.int64)
     reached = np.zeros((h, w), dtype=bool)
     decoder = RangeDecoder(stream.payload, stream.count)
@@ -421,7 +421,7 @@ def _decode(stream: Bitstream, params_of, steps):
                 got.append(decoder.decode(row, _V_MIN))
         except StreamFormatError:
             break
-        coded[start : len(got)] = got[start:]
+        flat[start : len(got)] = got[start:]
     return got, fields, reached
 
 
