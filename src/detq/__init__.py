@@ -61,7 +61,7 @@ from .quantize import (
     round_half_away,
     shifted_bound,
 )
-from .rc import Bitstream, RangeDecoder, RangeEncoder, StreamFormatError, rc_decode, rc_encode
+from .rc import Bitstream, RangeDecoder, StreamFormatError, rc_decode, rc_encode
 from .tensors import ConvLayerF, ShapeError
 
 __version__ = "0.1.0"

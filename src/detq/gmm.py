@@ -40,12 +40,12 @@ __all__ = [
 CDF_TOTAL = 1 << 16
 WEIGHT_TOTAL = 1 << 15
 
-_PHI = np.asarray(PHI_TABLE_Q16, dtype=np.int64)
+_PHI = np.asarray(PHI_TABLE_Q16, dtype=np.int32)
 _SPAN = Z_LIMIT << GRID_FRAC_BITS  # 384
 # GmmParams keeps |means| and scales below 2^48 and scale_exp at most 15, so
-# for symbols below 2^38 in magnitude a boundary t is below 2^54 and the Q6
-# argument (t - mean) << 6 below 2^61: int64 holds it and the 2|num| + den
-# of _div_round_half_away
+# for symbols below 2^38 in magnitude a boundary t is below 2^54, twice the
+# Q6 argument, (t - mean) << 7, below 2^62, and the numerator of
+# _mixture_cdf_q16's quotient, that plus (2 _SPAN + 1) den < 2^58, inside int64
 _PARAM_LIMIT = 1 << 48
 _MAX_SCALE_EXP = 15
 _SYMBOL_LIMIT = 1 << 38
@@ -61,14 +61,6 @@ def table_digest() -> str:
 def sigma_min_for(scale_exp: int) -> int:
     """Smallest admissible fixed-point scale: 2^-4 in real units."""
     return max(1, 1 << max(scale_exp - 4, 0))
-
-
-def _div_round_half_away(num, den):
-    """Elementwise num/den rounded half away from zero; den > 0 integers."""
-    num = np.asarray(num, dtype=np.int64)
-    den = np.asarray(den, dtype=np.int64)
-    q = (2 * np.abs(num) + den) // (2 * den)
-    return np.where(num < 0, -q, q)
 
 
 def std_normal_cdf_fixed(z):
@@ -127,17 +119,33 @@ class GmmParams:
 def _mixture_cdf_q16(t_fp, weights, means, scales):
     """Weighted Phi at fixed-point boundary values (component axis first).
 
-    The Q15 weighting is removed with round-half-to-even so the mixture CDF
-    stays exactly antisymmetric for symmetric parameters (half-up would
-    round mirrored tie values up on both sides).
+    Each component's z = ((t - mean) << 6) / scale is rounded half away
+    from zero, clamped to +-6 and looked up in the Phi table; the Q15
+    weighting is removed with round-half-to-even so the mixture CDF stays
+    exactly antisymmetric for symmetric parameters (half-up would round
+    mirrored tie values up on both sides).  Returns int32.
     """
-    t = np.asarray(t_fp, dtype=np.int64)
-    z = _div_round_half_away((t - means) << GRID_FRAC_BITS, scales)
-    phi = std_normal_cdf_fixed(z)
-    mix = (np.asarray(phi) * weights).sum(axis=0)
-    out = (mix + (WEIGHT_TOTAL >> 1)) >> 15
-    tie = (mix & (WEIGHT_TOTAL - 1)) == (WEIGHT_TOTAL >> 1)
-    return out - (tie & (out & 1))
+    # for num = (t - mean) << 6 and den = scale, (2 num + den + (num >> 63))
+    # // 2 den is z, num / den rounded half away from zero: the floor rounds
+    # ties up, and num >> 63, -1 below zero, rounds them down there; 2 _SPAN
+    # den more in the numerator makes it z + _SPAN, z's index in the table,
+    # which take's clip clamps to +-6
+    num = np.subtract(t_fp, means, dtype=np.int64)
+    num <<= GRID_FRAC_BITS + 1
+    num += num >> 63
+    num += scales * (2 * _SPAN + 1)
+    num //= scales << 1
+    phi = _PHI.take(num, mode="clip")
+    # Phi <= 65535 and the weights sum to 2^15, so int32 holds the mixture
+    phi *= np.asarray(weights, dtype=np.int32)
+    mix = phi.sum(axis=0, dtype=np.int32)
+    # (mix + 2^14 - 1 + the quotient's low bit) >> 15: ties to even
+    odd = mix >> 15
+    odd &= 1
+    mix += odd
+    mix += (WEIGHT_TOTAL >> 1) - 1
+    mix >>= 15
+    return mix
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -253,19 +261,20 @@ def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
     s = v_max - v_min + 1
     if s > CDF_TOTAL:
         raise ValueError(f"symbol range {s} exceeds the 2^16 frequency total")
-    half = 1 << (params.scale_exp - 1)
-    bounds = (
-        (np.arange(v_min, v_max + 2, dtype=np.int64) << params.scale_exp) - half
-    )
+    e = params.scale_exp
+    half = 1 << (e - 1)
+    bounds = np.arange((v_min << e) - half, ((v_max + 2) << e) - half, 1 << e, dtype=np.int64)
     w, mu, sg = (
         a.reshape(3, 1, -1) for a in (params.weights, params.means, params.scales)
     )
     cum = _mixture_cdf_q16(bounds[:, None], w, mu, sg)  # (S+1, N)
     cum[0] = 0
     cum[-1] = CDF_TOTAL
-    raw = np.diff(cum, axis=0)  # each column sums to CDF_TOTAL
     target = CDF_TOTAL - s
-    freq = 1 + apportion(raw * target // CDF_TOTAL, raw * target % CDF_TOTAL, target)
-    cf = np.zeros((freq.shape[1], s + 1), dtype=np.int64)
-    cf[:, 1:] = np.cumsum(freq, axis=0).T
-    return CdfTable(v_min, v_max, cf)
+    # each column of raw sums to 2^16, so raw * target is below 2^32
+    raw = np.diff(cum, axis=0) * np.int64(target)
+    freq = apportion(raw >> 16, raw & (CDF_TOTAL - 1), target)
+    freq += 1
+    cf = np.zeros((s + 1, freq.shape[1]), dtype=np.int64)
+    np.cumsum(freq, axis=0, out=cf[1:])
+    return CdfTable(v_min, v_max, cf.T)

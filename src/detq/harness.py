@@ -360,17 +360,19 @@ def _raster(a):
     return np.asarray(a).transpose(1, 2, 0).ravel()
 
 
-def _coded_rows(params: GmmParams, v_min: int, v_max: int) -> np.ndarray:
-    """The rows of the field's CDF tables, built in C order, in coding order
-    (see _raster)."""
-    cf = build_cdf_table(params, v_min, v_max).cf
-    c, h, w = params.field_shape
-    return cf.reshape(c, h * w, cf.shape[1]).swapaxes(0, 1).reshape(cf.shape)
-
-
 def field_tables(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
-    """The field's CDF tables with rows in coding order (see _raster)."""
-    return CdfTable(v_min, v_max, _coded_rows(params, v_min, v_max))
+    """The field's CDF tables with rows in coding order (see _raster).
+
+    A (c, h, w) field is built as its (h, w, c) transpose, whose C order is
+    coding order; with one channel or one position it already is.
+    """
+    c, h, w = params.field_shape
+    if c > 1 and h * w > 1:
+        params = GmmParams(
+            *(a.transpose(0, 2, 3, 1) for a in (params.weights, params.means, params.scales)),
+            params.scale_exp,
+        )
+    return build_cdf_table(params, v_min, v_max)
 
 
 def _check_alphabet(latent) -> np.ndarray:
@@ -417,7 +419,7 @@ def _decode(stream: Bitstream, params_of, steps):
         reached[ys, xs] = True
         start = len(got)
         try:
-            for row in _coded_rows(params, _V_MIN, _V_MAX).tolist():
+            for row in field_tables(params, _V_MIN, _V_MAX).cf.tolist():
                 got.append(decoder.decode(row, _V_MIN))
         except StreamFormatError:
             break

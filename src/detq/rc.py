@@ -20,7 +20,8 @@ carry-less trick: it shrinks the interval so a carry can never propagate
 into already-emitted bytes.
 
 Symbol i is coded under row i of a CdfTable field; the encoder gathers all
-intervals in one pass and the decoder bisects rows read as lists.  A v1
+intervals in one pass and runs the update over them in one loop, and the
+decoder bisects rows read as lists, one call per symbol.  A v1
 stream codes all c*h*w symbols of its header shape, and its payload ends
 with them: reading 4 bytes first and one per renormalization shift, a
 correct decode reads every byte the encoder wrote.
@@ -38,7 +39,6 @@ from .gmm import CDF_TOTAL, CdfTable
 __all__ = [
     "Bitstream",
     "StreamFormatError",
-    "RangeEncoder",
     "RangeDecoder",
     "rc_encode",
     "rc_decode",
@@ -96,42 +96,6 @@ def _check_shape(count: int, shape) -> None:
         raise StreamFormatError(f"count {count} is not c*h*w of shape {tuple(shape)}")
 
 
-class RangeEncoder:
-    def __init__(self):
-        self.low = 0
-        self.range = _MASK
-        self.out = bytearray()
-        self._coded = 0
-
-    def encode(self, cum_lo: int, cum_hi: int):
-        if not 0 <= cum_lo < cum_hi <= CDF_TOTAL:
-            raise ValueError("invalid cumulative interval")
-        r = self.range // CDF_TOTAL
-        self.low += r * cum_lo
-        self.range = r * (cum_hi - cum_lo)
-        self._coded += 1
-        self._renormalize()
-
-    def _renormalize(self):
-        while True:
-            if (self.low ^ (self.low + self.range)) < _TOP:
-                pass
-            elif self.range < _BOT:
-                self.range = (-self.low) & (_BOT - 1)
-            else:
-                break
-            self.out.append((self.low >> 24) & 0xFF)
-            self.low = (self.low << 8) & _MASK
-            self.range <<= 8
-
-    def finish(self) -> bytes:
-        if self._coded:
-            for _ in range(4):
-                self.out.append((self.low >> 24) & 0xFF)
-                self.low = (self.low << 8) & _MASK
-        return bytes(self.out)
-
-
 class RangeDecoder:
     def __init__(self, payload: bytes, n_symbols: int):
         self.data = payload
@@ -154,36 +118,48 @@ class RangeDecoder:
 
     def decode(self, cf: list, v_min: int) -> int:
         """Next symbol under one table row, given as a list of ints."""
-        r = self.range // CDF_TOTAL
-        dv = (self.code - self.low) // r
-        cum = max(0, min(dv, CDF_TOTAL - 1))
+        low, rng, code = self.low, self.range, self.code
+        r = rng // CDF_TOTAL
+        cum = max(0, min((code - low) // r, CDF_TOTAL - 1))
         i = bisect.bisect_right(cf, cum) - 1
-        lo, hi = cf[i], cf[i + 1]
-        self.low += r * lo
-        self.range = r * (hi - lo)
-        self._renormalize()
-        return v_min + i
-
-    def _renormalize(self):
-        while True:
-            if (self.low ^ (self.low + self.range)) < _TOP:
+        lo = cf[i]
+        low += r * lo
+        rng = r * (cf[i + 1] - lo)
+        while True:  # renormalize
+            if (low ^ (low + rng)) < _TOP:
                 pass
-            elif self.range < _BOT:
-                self.range = (-self.low) & (_BOT - 1)
+            elif rng < _BOT:
+                rng = -low & (_BOT - 1)
             else:
                 break
-            self.code = ((self.code << 8) | self._byte()) & _MASK
-            self.low = (self.low << 8) & _MASK
-            self.range <<= 8
+            code = ((code << 8) | self._byte()) & _MASK
+            low = (low << 8) & _MASK
+            rng <<= 8
+        self.low, self.range, self.code = low, rng, code
+        return v_min + i
 
 
 def rc_encode(symbols, tables: CdfTable, shape) -> Bitstream:
     """Encode the symbols of a (c, h, w) latent, symbol i under row i of tables."""
     lo, hi = tables.intervals(symbols)
-    enc = RangeEncoder()
+    low, rng, out = 0, _MASK, bytearray()
     for cum_lo, cum_hi in zip(lo.tolist(), hi.tolist()):
-        enc.encode(cum_lo, cum_hi)
-    return Bitstream(count=len(lo), shape=tuple(shape), payload=enc.finish())
+        r = rng // CDF_TOTAL
+        low += r * cum_lo
+        rng = r * (cum_hi - cum_lo)
+        while True:  # renormalize
+            if (low ^ (low + rng)) < _TOP:
+                pass
+            elif rng < _BOT:
+                rng = -low & (_BOT - 1)
+            else:
+                break
+            out.append(low >> 24)
+            low = (low << 8) & _MASK
+            rng <<= 8
+    if len(lo):
+        out += low.to_bytes(4, "big")
+    return Bitstream(count=len(lo), shape=tuple(shape), payload=bytes(out))
 
 
 def rc_decode(stream: Bitstream, tables: CdfTable) -> list:

@@ -143,6 +143,39 @@ def cdf_interval_oracle(cf, v_min, symbol):
     return int(cf[i]), int(cf[i + 1])
 
 
+def range_encode_oracle(intervals):
+    """The carry-less coder's state update as rc's module docstring states
+    it, one (cum_lo, cum_hi) interval at a time, in integer arithmetic with
+    no bit operations.  Returns the payload and how many times the
+    range < 2^16 clamp ran."""
+    low, rng, out, clamps = 0, 2**32 - 1, [], 0
+
+    def emit_shift():
+        nonlocal low, rng
+        out.append(low // 2**24)
+        low = low * 256 % 2**32
+        rng *= 256
+
+    for cum_lo, cum_hi in intervals:
+        r = rng // 2**16
+        low += r * cum_lo
+        assert low + r * (cum_hi - cum_lo) <= 2**32  # never wraps
+        rng = r * (cum_hi - cum_lo)
+        while True:
+            if low // 2**24 == (low + rng) // 2**24:
+                emit_shift()
+            elif rng < 2**16:
+                rng = -low % 2**16
+                clamps += 1
+                emit_shift()
+            else:
+                break
+    if intervals:
+        for _ in range(4):
+            emit_shift()
+    return bytes(out), clamps
+
+
 def conv2d_oracle(x, weights, bias):
     """Naive zero-padded cross-correlation; x (c,h,w), weights (m,K,K,n)."""
     c, h, w = len(x), len(x[0]), len(x[0][0])

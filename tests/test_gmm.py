@@ -87,6 +87,16 @@ def test_phi_clamps_beyond_six_sigma():
     assert std_normal_cdf_fixed(-10_000) == 1
 
 
+def test_phi_clamps_the_int64_extremes_without_wrapping():
+    # an offset added before the clamp would wrap at both ends (and warn)
+    lo, hi = -(2**63), 2**63 - 1
+    assert std_normal_cdf_fixed(lo) == 1
+    assert std_normal_cdf_fixed(hi) == 65535
+    z = np.array([lo, lo + 1, -1, 0, 1, hi - 1, hi], dtype=np.int64)
+    mid = PHI_TABLE_Q16[383:386]
+    assert std_normal_cdf_fixed(z).tolist() == [1, 1, *mid, 65535, 65535]
+
+
 def test_phi_table_exactly_antisymmetric():
     n = len(PHI_TABLE_Q16)
     for i in range(n):
@@ -174,6 +184,28 @@ def test_mixture_cdf_matches_oracle():
             (v << 8) + 128, p.weights, p.means, p.scales
         ) - mixture_cdf_oracle((v << 8) - 128, p.weights, p.means, p.scales)
         assert pmf(v, p) == want
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("sigma_units", [1, 3, 10])
+def test_mixture_cdf_exact_ties_round_away_from_zero(sign, sigma_units):
+    # an even scale sigma = 128 j and t - mean = (2k + 1) j put num = (t - mean) << 6
+    # at exactly (2k + 1) sigma / 2: z = +-(k + 1/2) rounds to +-(k + 1)
+    sigma = 128 * sigma_units
+    for k in [0, 1, 2, 7, 383, 384, 500]:
+        t = sign * (2 * k + 1) * sigma_units
+        p = single_gaussian(0, sigma)
+        got = _mixture_cdf_q16(t, p.weights, p.means, p.scales)
+        assert got == mixture_cdf_oracle(t, p.weights, p.means, p.scales)
+        assert got == PHI_TABLE_Q16[min(k + 1, 384) * sign + 384]
+    # ties in every component of a mixture, one field of both signs
+    w = np.array([WEIGHT_TOTAL // 2, WEIGHT_TOTAL // 4, WEIGHT_TOTAL // 4])
+    mu = np.array([-3, 5, 0]) * sigma_units
+    sg = np.array([128, 128, 384]) * sigma_units
+    t = sign * (np.arange(-40, 41, 2) + 1) * sigma_units
+    got = _mixture_cdf_q16(t, w[:, None], mu[:, None], sg[:, None])
+    for ti, g in zip(t.tolist(), got.tolist()):
+        assert g == mixture_cdf_oracle(ti, w, mu, sg)
 
 
 # --- params validation ----------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from detq import harness, intops
-from detq.gmm import CDF_TOTAL
-from detq.rc import RangeDecoder, RangeEncoder, rc_encode
+from detq.gmm import CDF_TOTAL, CdfTable
+from detq.rc import RangeDecoder, rc_encode
 from detq.harness import (
     BackendVariant,
     LayerCfg,
@@ -276,32 +276,34 @@ def test_decoder_without_context_builds_tables_in_one_call(monkeypatch):
         pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "rev")
     )
     assert rep.decoded_equal and rep.prior_max_reldiff == 0.0
-    assert calls == [(2, 4, 5), (2, 4, 5)]  # one whole field per side
+    # one whole field per side, built as its (h, w, c) transpose: coding order
+    assert calls == [(4, 5, 2), (4, 5, 2)]
 
 
 # --- roundtrips -----------------------------------------------------------
 
 
-def test_field_tables_match_oracle_in_coding_order():
+def check_field_tables_against_oracle(shape):
     # every element distinct, so a wrong order or mixed-up columns shows
     rng = np.random.default_rng(8)
-    shape = (2, 3, 4)
     w1 = rng.integers(0, WEIGHT_TOTAL + 1, shape)
     w2 = rng.integers(0, WEIGHT_TOTAL + 1, shape) % (WEIGHT_TOTAL - w1 + 1)
     weights = np.stack([w1, w2, WEIGHT_TOTAL - w1 - w2])
-    weights[:, 0, 0, 0] = [WEIGHT_TOTAL, 0, 0]  # zero-weight components
-    weights[:, 1, 2, 3] = [0, WEIGHT_TOTAL // 2, WEIGHT_TOTAL // 2]
     means = rng.integers(-900, 900, (3,) + shape)
-    means[:, 0, 1, 2] = [5000, -5000, 3000]  # beyond the +-6 sigma Phi clamp
     scales = rng.integers(20, 1200, (3,) + shape)
-    scales[:, 0, 1, 2] = [200, 300, 100]
-    scales[:, 1, 0, 1] = sigma_min_for(8)
+    flat_w, flat_mu, flat_sg = (a.reshape(3, -1) for a in (weights, means, scales))
+    flat_w[:, 0] = [WEIGHT_TOTAL, 0, 0]  # zero-weight components
+    flat_w[:, -1] = [0, WEIGHT_TOTAL // 2, WEIGHT_TOTAL // 2]
+    flat_mu[:, 1] = [5000, -5000, 3000]  # beyond the +-6 sigma Phi clamp
+    flat_sg[:, 1] = [200, 300, 100]
+    flat_sg[:, -2] = sigma_min_for(8)
     params = GmmParams(weights=weights, means=means, scales=scales, scale_exp=8)
 
     tables = field_tables(params, -8, 8)
-    assert len(tables) == 24
+    c, h, w = shape
+    assert len(tables) == c * h * w
     # coding order: raster position, then channel
-    for row, (y, x, ch) in zip(tables.cf, np.ndindex(3, 4, 2)):
+    for row, (y, x, ch) in zip(tables.cf, np.ndindex(h, w, c)):
         sel = (slice(None), ch, y, x)
         want = cdf_table_oracle(
             [int(v) for v in weights[sel]],
@@ -312,6 +314,12 @@ def test_field_tables_match_oracle_in_coding_order():
             8,
         )
         np.testing.assert_array_equal(row, want)
+
+
+def test_field_tables_match_oracle_in_coding_order():
+    # several channels and positions are built transposed, one of either not
+    for shape in [(2, 3, 4), (3, 4, 5), (1, 3, 4), (3, 1, 1)]:
+        check_field_tables_against_oracle(shape)
 
     empty = np.zeros((3, 1, 0, 0), dtype=np.int64)
     params = GmmParams(weights=empty, means=empty, scales=empty, scale_exp=8)
@@ -683,13 +691,14 @@ def test_int_cross_entropy_is_the_rate_the_coder_codes(monkeypatch):
     latent = random_latent(np.random.default_rng(3), (2, 4, 4))
     params = run_backend(pair, latent, hyper, BackendVariant("seq", "seq"))
     coded = []
-    encode = RangeEncoder.encode
+    intervals = CdfTable.intervals
 
-    def recording(self, cum_lo, cum_hi):
-        coded.append((cum_lo, cum_hi))
-        encode(self, cum_lo, cum_hi)
+    def recording(self, symbols):
+        lo, hi = intervals(self, symbols)
+        coded.extend(zip(lo.tolist(), hi.tolist()))
+        return lo, hi
 
-    monkeypatch.setattr(RangeEncoder, "encode", recording)
+    monkeypatch.setattr(CdfTable, "intervals", recording)
     symbols = latent.transpose(1, 2, 0).ravel()
     rc_encode(symbols, field_tables(params, -8, 8), shape=latent.shape)
     assert len(coded) == latent.size

@@ -16,6 +16,8 @@ from detq.rc import (
     rc_encode,
 )
 
+from oracles import range_encode_oracle
+
 
 def table_from_freqs(freqs, v_min=0):
     cf = np.concatenate([[0], np.cumsum(np.asarray(freqs, dtype=np.int64))])
@@ -179,6 +181,47 @@ def test_roundtrip_random_tables(data):
     syms = [int(rng.integers(0, size)) for _ in range(n_symbols)]
     s = rc_encode(syms, seq_tables, shape=(1, 1, n_symbols))
     assert rc_decode(s, seq_tables) == syms
+
+
+def near_certain_rows(rng, n_rows):
+    """Rows of one 4-symbol alphabet; about half give one symbol nearly all
+    the mass and the other three widths of 1 or 2 out of 2^16."""
+    freqs = 1 + rng.multinomial(CDF_TOTAL - 4, rng.dirichlet(np.ones(4), n_rows))
+    rare = rng.integers(1, 3, (n_rows, 4))
+    rare[np.arange(n_rows), rng.integers(0, 4, n_rows)] = 0
+    rare[rare == 0] = CDF_TOTAL - rare.sum(axis=1)
+    peaked = rng.random(n_rows) < 0.5
+    freqs[peaked] = rare[peaked]
+    return np.cumsum(np.pad(freqs, ((0, 0), (1, 0))), axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 150))
+def test_encoder_bytes_match_the_reference_coder(seed, n):
+    rng = np.random.default_rng(seed)
+    tables = CdfTable(-1, 2, near_certain_rows(rng, n))
+    # half the symbols are the row's rarest: each shrinks the range by about 2^16
+    rarest = np.diff(tables.cf, axis=1).argmin(axis=1)
+    syms = np.where(rng.random(n) < 0.5, rarest, rng.integers(0, 4, n)) - 1
+    s = rc_encode(syms, tables, shape=(1, 1, n))
+    lo, hi = tables.intervals(syms)
+    want, _ = range_encode_oracle(list(zip(lo.tolist(), hi.tolist())))
+    assert s.payload == want
+    assert rc_decode(s, tables) == syms.tolist()
+
+
+def test_reference_coder_clamps_on_near_certain_symbols():
+    # width-1 symbols under near-certain tables reach the carry-less branch,
+    # and the encoder's bytes still equal the reference coder's
+    t = table_from_freqs([1, CDF_TOTAL - 3, 2], v_min=-1)
+    syms = [-1, 1, 0, -1, -1, 1, 0, 0, -1, 1] * 5
+    tables = repeat(t, len(syms))
+    lo, hi = tables.intervals(syms)
+    want, clamps = range_encode_oracle(list(zip(lo.tolist(), hi.tolist())))
+    assert clamps > 0
+    s = rc_encode(syms, tables, shape=(1, 1, len(syms)))
+    assert s.payload == want
+    assert rc_decode(s, tables) == syms
 
 
 def test_roundtrip_per_position_tables():
