@@ -66,9 +66,15 @@ def sigma_min_for(scale_exp: int) -> int:
 def std_normal_cdf_fixed(z):
     """Phi(z) in Q16 by direct lookup; z is fixed point on the table's Q6
     grid and is clamped to +-6."""
-    t = np.minimum(np.maximum(np.asarray(z, dtype=np.int64), -_SPAN), _SPAN) + _SPAN
-    out = _PHI[t]
+    # clamp before the offset, so no int64 z wraps; the result stays int64
+    out = _phi_at(np.clip(np.asarray(z, dtype=np.int64), -_SPAN, _SPAN) + _SPAN)
+    out = out.astype(np.int64)
     return out if out.ndim else int(out)
+
+
+def _phi_at(idx):
+    """Phi at table indices idx (z + _SPAN), clamped to +-6; int32."""
+    return _PHI.take(idx, mode="clip")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +141,7 @@ def _mixture_cdf_q16(t_fp, weights, means, scales):
     num += num >> 63
     num += scales * (2 * _SPAN + 1)
     num //= scales << 1
-    phi = _PHI.take(num, mode="clip")
+    phi = _phi_at(num)
     # Phi <= 65535 and the weights sum to 2^15, so int32 holds the mixture
     phi *= np.asarray(weights, dtype=np.int32)
     mix = phi.sum(axis=0, dtype=np.int32)
@@ -271,8 +277,10 @@ def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
     cum[0] = 0
     cum[-1] = CDF_TOTAL
     target = CDF_TOTAL - s
-    # each column of raw sums to 2^16, so raw * target is below 2^32
-    raw = np.diff(cum, axis=0) * np.int64(target)
+    # each column of raw sums to 2^16, so raw * target is below 2^32: the
+    # difference is widened to int64 before the product, not by promotion
+    raw = np.subtract(cum[1:], cum[:-1], dtype=np.int64)
+    raw *= target
     freq = apportion(raw >> 16, raw & (CDF_TOTAL - 1), target)
     freq += 1
     cf = np.zeros((s + 1, freq.shape[1]), dtype=np.int64)

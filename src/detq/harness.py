@@ -367,6 +367,8 @@ def field_tables(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
     coding order; with one channel or one position it already is.
     """
     c, h, w = params.field_shape
+    # only when the order changes: a transposed GmmParams is checked again,
+    # about 45 us of a one-element field's 80 us build (an ar position's)
     if c > 1 and h * w > 1:
         params = GmmParams(
             *(a.transpose(0, 2, 3, 1) for a in (params.weights, params.means, params.scales)),

@@ -94,7 +94,9 @@ def test_phi_clamps_the_int64_extremes_without_wrapping():
     assert std_normal_cdf_fixed(hi) == 65535
     z = np.array([lo, lo + 1, -1, 0, 1, hi - 1, hi], dtype=np.int64)
     mid = PHI_TABLE_Q16[383:386]
-    assert std_normal_cdf_fixed(z).tolist() == [1, 1, *mid, 65535, 65535]
+    out = std_normal_cdf_fixed(z)
+    assert out.dtype == np.int64
+    assert out.tolist() == [1, 1, *mid, 65535, 65535]
 
 
 def test_phi_table_exactly_antisymmetric():
