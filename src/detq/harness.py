@@ -15,10 +15,14 @@ float32 holds the hyper latent.  The float reference oracle is
 intops.run_entropy_stack on an EntropyStackF.
 
 Every experiment codes through one encoder (_encode) and one decoder
-(_decode) that walks a schedule of steps, the whole field or one position
-each, with each step's priors from the canvas decoded so far: with a
-context model, a position's causal window, so a roundtrip costs time
-linear in the number of positions.
+(_decode) that walks a schedule of steps, each the whole field or a set of
+positions, with each step's priors from the canvas decoded so far.  A
+stack with a context model codes a v2 stream in wavefront order: a step is
+one anti-diagonal x + (R+1)*y of positions, whose priors read only earlier
+steps, so the decoder runs the stack once per anti-diagonal, on the band
+of the canvas the step reads.  A v1 stream of a context model decodes one
+raster position per step; without a context model, the whole field is one
+step.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .intops import (
     SUBNETS,
     EntropyStack,
     causal_window,
+    context_reach,
     hyper_features,
     priors_from_features,
     split_head,
@@ -309,11 +314,12 @@ def _quantize_for(chain, x):
 def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
     """Priors one simulated device computes, as a function of the latent canvas.
 
-    The callable takes the canvas and, optionally, one position at = (y, x).
-    Given a position it returns that position's priors alone, a (c, 1, 1)
-    field computed from its causal window (intops.causal_window), so their
-    cost does not grow with the canvas; they equal the whole-canvas priors
-    at (y, x) byte for byte.  The hyper-only work runs once, here.  Integer
+    The callable takes the canvas and, optionally, a set of P positions
+    at = (ys, xs) (ints for one).  Given positions it returns their priors
+    alone, a (c, P, 1) field computed from the band of the canvas their
+    causal windows span (intops.causal_window), so their cost does not grow
+    with the canvas; they equal the whole-canvas priors there byte for
+    byte.  The hyper-only work runs once, here.  Integer
     mode is bit-identical across variants; float mode may differ at the ulp
     level between accumulation orders, and those differences can survive
     discretization.
@@ -356,8 +362,40 @@ def run_backend(stacks: StackPair, latent, hyper, variant: BackendVariant) -> Gm
 
 
 def _raster(a):
-    """A (c, h, w) array flattened in coding order: raster position, then channel."""
-    return np.asarray(a).transpose(1, 2, 0).ravel()
+    """A (..., c, h, w) array flattened over its last three axes in raster
+    coding order: position, then channel."""
+    a = np.asarray(a)
+    return np.moveaxis(a, -3, -1).reshape(*a.shape[:-3], -1)
+
+
+def _reach(stack):
+    """The context reach a stream of this stack is coded for; None without
+    a context model, whose streams stay v1."""
+    return context_reach(stack) if stack.context else None
+
+
+def _coding_order(h, w, reach=None):
+    """All positions (ys, xs) of an h x w field in a stream's coding order.
+
+    v1 (reach None) is raster order.  v2 is the wavefront order of the
+    context reach: ascending t = x + (reach + 1) * y, then ascending y.  A
+    position's causal window reads only positions of smaller t.
+    """
+    ys, xs = np.indices((h, w)).reshape(2, -1)
+    if reach is not None:
+        i = np.lexsort((ys, xs + (reach + 1) * ys))
+        ys, xs = ys[i], xs[i]
+    return ys, xs
+
+
+def _pick(a, at):
+    """Positions at = (ys, xs) of a (..., c, h, w) array, as (..., c, P, 1)."""
+    return np.asarray(a)[..., at[0], at[1], None]
+
+
+def _fields(params: GmmParams) -> np.ndarray:
+    """The (3, 3, ...) stack of weights, means and scales."""
+    return np.stack((params.weights, params.means, params.scales))
 
 
 def field_tables(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
@@ -389,44 +427,67 @@ def _check_alphabet(latent) -> np.ndarray:
     return latent
 
 
-def _encode(params: GmmParams, latent) -> Bitstream:
-    """The stream of a (c, h, w) latent coded under the encoder's priors."""
-    return rc_encode(_raster(latent), field_tables(params, _V_MIN, _V_MAX), latent.shape)
+def _encode(params: GmmParams, latent, reach=None) -> Bitstream:
+    """The stream of a (c, h, w) latent coded under the encoder's priors:
+    v1 in raster order for reach None, else v2 in the wavefront order of
+    that context reach, with symbols and table rows in that order."""
+    if reach is None:
+        return rc_encode(_raster(latent), field_tables(params, _V_MIN, _V_MAX), latent.shape)
+    at = _coding_order(*latent.shape[1:], reach)
+    rows = GmmParams(*_pick(_fields(params), at), params.scale_exp)
+    stream = rc_encode(
+        _raster(_pick(latent, at)), field_tables(rows, _V_MIN, _V_MAX), latent.shape
+    )
+    return replace(stream, reach=reach)
 
 
-def _decode(stream: Bitstream, params_of, steps):
-    """Decode stream in steps: None, the whole field, or a position (y, x).
+def _schedule(stream: Bitstream, reach):
+    """The decoder's steps for stream under a model of context reach reach
+    (None without a context model): None, the whole field, or positions
+    (ys, xs) in coding order.  A v2 stream coded for another reach is
+    refused, since its order is not the one this model's windows allow."""
+    if stream.reach is not None and stream.reach != reach:
+        raise StreamFormatError(
+            f"stream coded for context reach {stream.reach}, the model's is {reach}"
+        )
+    if reach is None:
+        return [None]
+    _, h, w = stream.shape
+    ys, xs = _coding_order(h, w, stream.reach)
+    # v1: one position a step; v2: one anti-diagonal a step
+    key = np.arange(ys.size) if stream.reach is None else xs + (reach + 1) * ys
+    cuts = np.flatnonzero(np.diff(key)) + 1
+    return list(zip(np.split(ys, cuts), np.split(xs, cuts))) if ys.size else []
+
+
+def _decode(stream: Bitstream, params_of, reach):
+    """Decode stream under a model of context reach reach, step by step
+    (_schedule).
 
     A step's priors are params_of(canvas, step) on the symbols decoded so
     far; its table rows are built once, in coding order, and continue the
-    stream where the step before stopped, so steps follow coding order.
-    Decoding stops where the decoder runs off the payload.  Returns the
-    symbols decoded, in coding order, the (3, 3, c, h, w) prior fields
-    (weights, means, scales) and the (h, w) mask of the positions reached.
+    stream where the step before stopped.  Decoding stops where the
+    decoder runs off the payload.  Returns the symbols decoded and the
+    (3, 3, n) prior rows (weights, means, scales) of the n symbols whose
+    priors it computed, both in coding order.
     """
     c, h, w = stream.shape
     got = []  # a list: appending beats a numpy store per symbol
-    flat = np.zeros(stream.count, dtype=np.int64)  # got, then zeros
-    canvas = flat.reshape(h, w, c).transpose(2, 0, 1)  # flat as (c, h, w)
-    fields = np.zeros((3, 3, c, h, w), dtype=np.int64)
-    reached = np.zeros((h, w), dtype=bool)
+    canvas = np.zeros(stream.shape, dtype=np.int64)
+    rows = [np.zeros((3, 3, 0), dtype=np.int64)]
     decoder = RangeDecoder(stream.payload, stream.count)
-    for at in steps:
+    for at in _schedule(stream, reach):
         params = params_of(canvas, at)
-        if at is None:
-            ys = xs = slice(None)
-        else:
-            ys, xs = slice(at[0], at[0] + 1), slice(at[1], at[1] + 1)
-        fields[..., ys, xs] = params.weights, params.means, params.scales
-        reached[ys, xs] = True
+        rows.append(_raster(_fields(params)))
         start = len(got)
         try:
             for row in field_tables(params, _V_MIN, _V_MAX).cf.tolist():
                 got.append(decoder.decode(row, _V_MIN))
         except StreamFormatError:
             break
-        flat[start : len(got)] = got[start:]
-    return got, fields, reached
+        ys, xs = _coding_order(h, w) if at is None else at
+        canvas[:, ys, xs] = np.reshape(got[start:], (-1, c)).T
+    return got, np.concatenate(rows, axis=-1)
 
 
 def roundtrip_experiment(
@@ -440,35 +501,38 @@ def roundtrip_experiment(
 
     Each device computes priors in its variant's mode and order.  The
     decoder regenerates priors autoregressively from its own decoded
-    symbols, exactly as a real decoder must: one step per raster position,
-    or one step for the whole field when the stack has no context model and
-    the priors do not depend on the canvas.  The report compares the
-    encoder's prior field with the one the decoder assembled.  A decoder
-    whose tables differ from the encoder's can run off the payload: that is
-    a divergence too, reported where decoding stopped.
+    symbols, exactly as a real decoder must.  With a context model the
+    stream is v2, in wavefront order, and the decoder takes one step per
+    anti-diagonal of positions; without one it is v1 and the whole field is
+    one step, since the priors do not depend on the canvas.  The report
+    compares the encoder's priors with the decoder's in coding order.  A
+    decoder whose tables differ from the encoder's can run off the payload:
+    that is a divergence too, reported where decoding stopped.
     """
     latent = _check_alphabet(latent)
     enc_params = run_backend(stacks, latent, hyper, enc_variant)
-    steps = np.ndindex(latent.shape[1:]) if stacks.quant_stack.context else [None]
-    decoded = _decode(
-        _encode(enc_params, latent), prior_fn(stacks, hyper, dec_variant), steps
+    reach = _reach(stacks.quant_stack)
+    stream = _encode(enc_params, latent, reach)
+    at = _coding_order(*latent.shape[1:], reach)
+    return _report(
+        _raster(_pick(latent, at)),
+        _raster(_pick(_fields(enc_params), at)),
+        *_decode(stream, prior_fn(stacks, hyper, dec_variant), reach),
     )
-    return _report(latent, enc_params, *decoded)
 
 
-def _report(latent, enc_params: GmmParams, got, dec_fields, reached):
-    """Interop outcome of the latent sent and the _decode output got back.
+def _report(sent, enc_rows, got, dec_rows):
+    """Interop outcome of the symbols sent and the _decode output got back,
+    symbols and (3, 3, n) prior rows each in coding order.
 
-    got may stop short of the latent, where decoding ran off the payload;
-    first_mismatch is then at most where it stopped.  The prior fields are
-    compared at the positions the decoder reached.
+    got may stop short of sent, where decoding ran off the payload;
+    first_mismatch is then at most where it stopped.  The priors are
+    compared over the rows the decoder computed.
     """
-    sent = _raster(latent)
     n = len(got)
     diff = np.flatnonzero(sent[:n] != got)
     first = int(diff[0]) if diff.size else (n if n < len(sent) else None)
-    enc = np.stack([enc_params.weights, enc_params.means, enc_params.scales])
-    a, b = (f[..., reached].astype(np.float64) for f in (enc, dec_fields))
+    a, b = (r.astype(np.float64) for r in (enc_rows[..., : dec_rows.shape[-1]], dec_rows))
     rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     return InteropReport(
         decoded_equal=first is None,
@@ -523,8 +587,8 @@ def boundary_failure_demo(prior_mode: str = "float") -> InteropReport:
             FloatPriors(priors.weights, priors.means, pert_scales), p_e
         )
 
-    decoded = _decode(_encode(enc_params, symbols), lambda canvas, at: dec_params, [None])
-    return _report(symbols, enc_params, *decoded)
+    decoded = _decode(_encode(enc_params, symbols), lambda canvas, at: dec_params, None)
+    return _report(_raster(symbols), _raster(_fields(enc_params)), *decoded)
 
 
 # ---------------------------------------------------------------------------

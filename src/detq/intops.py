@@ -21,12 +21,16 @@ and every partial sum, taken in any order, is an integer of magnitude
 below 2^31 < 2^53: float64 represents each one exactly, whatever
 summation order, blocking or FMA use the BLAS library picks.
 
-Exactness also makes autoregressive decoding linear in the canvas size.
-Every context layer is causal and gather is 1x1, so a position's priors
-depend only on its hyper features and on its causal window of the canvas
-(causal_window); priors_from_features(..., at=(y, x)) runs the context
-chain on that window and gather and head on the one pixel, and the result
-equals the whole-canvas priors at (y, x) bit for bit.
+Exactness also lets a decoder compute the priors of any set of positions
+at once.  Every context layer is causal and gather is 1x1, so a position's
+priors depend only on its hyper features and on its causal window of the
+canvas; priors_from_features(..., at=(ys, xs)) runs the context chain on
+the band that the positions' windows span (causal_window) and gather and
+head on the picked pixels, and the result equals the whole-canvas priors
+at those positions bit for bit.  A position's window reads only positions
+of smaller x + (R+1)*y, R = context_reach, so a decoder can take all
+positions of one such anti-diagonal in one batched step (the wavefront
+order of harness and rc).
 """
 
 from __future__ import annotations
@@ -282,21 +286,34 @@ def context_reach(stack) -> int:
     return sum(layer.kernel // 2 for layer in stack.context)
 
 
+def _positions(at):
+    """at = (ys, xs), a set of positions, as two int arrays; ints are a set of one."""
+    return tuple(np.atleast_1d(a) for a in at)
+
+
+def _band_origin(ys, xs, r):
+    """Top-left corner of the band the positions ys, xs read at reach r."""
+    return max(ys.min() - r, 0), max(xs.min() - r, 0)
+
+
 def causal_window(canvas, stack, at):
-    """The part of a (c, h, w) canvas that position at = (y, x)'s priors read.
+    """The band of a (c, h, w) canvas that the priors of positions at read.
 
-    Rows max(0, y - R)..y and columns max(0, x - R)..x + R, clipped to the
-    canvas, with R = context_reach(stack): the receptive field of a causal
-    context chain, cut off below row y.
+    at = (ys, xs) gives the positions' rows and columns (ints for one
+    position).  The band is rows min(ys) - R..max(ys) and columns
+    min(xs) - R..max(xs) + R, clipped to the canvas, with R =
+    context_reach(stack): it holds each position's receptive field under a
+    causal context chain, cut off below its row.
     """
-    y, x = at
+    ys, xs = _positions(at)
     r = context_reach(stack)
-    return canvas[:, max(0, y - r) : y + 1, max(0, x - r) : x + r + 1]
+    y0, x0 = _band_origin(ys, xs, r)
+    return canvas[:, y0 : ys.max() + 1, x0 : xs.max() + r + 1]
 
 
-def _pixel(t, y, x):
-    """Position (y, x) of a (c, h, w) array, as (c, 1, 1)."""
-    return t[:, y : y + 1, x : x + 1]
+def _pick(t, ys, xs):
+    """Positions ys, xs of a (c, h, w) array, as a (c, P, 1) array."""
+    return t[:, ys, xs, None]
 
 
 def priors_from_features(hyper_feat, latent_context, stack, at=None):
@@ -305,24 +322,26 @@ def priors_from_features(hyper_feat, latent_context, stack, at=None):
     An EntropyStack's head gives Q15 mixture weights (linearized softmax),
     means, and scales floored at sigma_min_for, as GmmParams.
 
-    With at = (y, x) only that position's priors are computed, as a
-    (c, 1, 1) field: latent_context is then its causal_window, the context
-    chain runs on the window, and fuse, gather and head run on the one
-    pixel.  The context layers are causal and every output position is
-    summed on its own, so the result equals the whole-canvas priors at
-    (y, x) bit for bit, in float32 too.
+    With at = (ys, xs), a set of P positions, only their priors are
+    computed, as a (c, P, 1) field: latent_context is then their
+    causal_window, the context chain runs on that band, and fuse, gather
+    and head run on the P pixels.  The context layers are causal and every
+    output position is summed on its own, so the result equals the
+    whole-canvas priors at those positions bit for bit, in float32 too.
     """
-    if at is not None and any(layer.kernel != 1 for layer in stack.gather):
-        raise ShapeError("priors of one position need 1x1 gather layers")
+    if at is not None:
+        if any(layer.kernel != 1 for layer in stack.gather):
+            raise ShapeError("priors of picked positions need 1x1 gather layers")
+        ys, xs = _positions(at)
     feats = []
     if hyper_feat is not None:
-        feats.append(hyper_feat if at is None else _pixel(hyper_feat, *at))
+        feats.append(hyper_feat if at is None else _pick(hyper_feat, ys, xs))
     if stack.context:
         ctx = _run_chain(latent_context, stack.context, stack)
         if at is not None:
-            # where the position sits in its window
-            r = context_reach(stack)
-            ctx = _pixel(ctx, min(at[0], r), min(at[1], r))
+            # where the positions sit in their band
+            y0, x0 = _band_origin(ys, xs, context_reach(stack))
+            ctx = _pick(ctx, ys - y0, xs - x0)
         feats.append(ctx)
     y = _run_chain(stack.fuse(feats), stack.gather, stack, last_act=False)
     return stack.decode_head(y)

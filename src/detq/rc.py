@@ -21,10 +21,16 @@ into already-emitted bytes.
 
 Symbol i is coded under row i of a CdfTable field; the encoder gathers all
 intervals in one pass and runs the update over them in one loop, and the
-decoder bisects rows read as lists, one call per symbol.  A v1
-stream codes all c*h*w symbols of its header shape, and its payload ends
-with them: reading 4 bytes first and one per renormalization shift, a
-correct decode reads every byte the encoder wrote.
+decoder bisects rows read as lists, one call per symbol.  A stream codes
+all c*h*w symbols of its header shape, and its payload ends with them:
+reading 4 bytes first and one per renormalization shift, a correct decode
+reads every byte the encoder wrote.
+
+The header's version names the coding order, the order of the positions
+whose symbols the payload holds (a position's channels follow each other):
+v1 is raster order; v2 adds one byte, the context reach R, and is the
+wavefront order of that reach, positions by ascending x + (R+1)*y, then
+by ascending y.  The coder itself does not depend on the order.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ __all__ = [
 ]
 
 MAGIC = b"DETQ"
-VERSION = 1
+VERSION = 1  # raster coding order
+VERSION_WAVEFRONT = 2  # the v1 header plus a context-reach byte
+_HEAD = ">BI3H"
 
 _MASK = 0xFFFFFFFF
 _TOP = 1 << 24
@@ -58,36 +66,56 @@ class StreamFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Bitstream:
-    """Header (magic, version, count, latent shape) plus payload bytes."""
+    """Header (magic, version, count, latent shape) plus payload bytes.
+
+    reach None is a v1 stream, coded in raster order; an integer in
+    [0, 255] makes it a v2 stream, coded in the wavefront order of that
+    context reach, and is written as one byte after the v1 header.
+    """
 
     count: int
     shape: tuple
     payload: bytes
+    reach: int | None = None
+
+    @property
+    def version(self) -> int:
+        return VERSION if self.reach is None else VERSION_WAVEFRONT
 
     def to_bytes(self) -> bytes:
         if len(self.shape) != 3:
             raise StreamFormatError("shape must be (c, h, w)")
         fields = [("count", self.count, 32)]
         fields += [("dimension", d, 16) for d in self.shape]
+        if self.reach is not None:
+            fields.append(("reach", self.reach, 8))
         for name, v, bits in fields:
             if not (isinstance(v, numbers.Integral) and 0 <= v < 1 << bits):
                 raise StreamFormatError(
                     f"{name} {v!r} does not fit the header's unsigned {bits}-bit field"
                 )
         _check_shape(self.count, self.shape)
-        head = MAGIC + struct.pack(">BI3H", VERSION, self.count, *self.shape)
+        head = MAGIC + struct.pack(_HEAD, self.version, self.count, *self.shape)
+        if self.reach is not None:
+            head += bytes([self.reach])
         return head + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitstream":
-        head_len = 4 + struct.calcsize(">BI3H")
+        head_len = 4 + struct.calcsize(_HEAD)
         if len(data) < head_len or data[:4] != MAGIC:
             raise StreamFormatError("bad magic or truncated header")
-        version, count, c, h, w = struct.unpack(">BI3H", data[4:head_len])
-        if version != VERSION:
+        version, count, c, h, w = struct.unpack(_HEAD, data[4:head_len])
+        if version not in (VERSION, VERSION_WAVEFRONT):
             raise StreamFormatError(f"unsupported version {version}")
         _check_shape(count, (c, h, w))
-        return cls(count=count, shape=(c, h, w), payload=data[head_len:])
+        reach = None
+        if version == VERSION_WAVEFRONT:
+            if len(data) == head_len:
+                raise StreamFormatError("v2 header without its reach byte")
+            reach = data[head_len]
+            head_len += 1
+        return cls(count=count, shape=(c, h, w), payload=data[head_len:], reach=reach)
 
 
 def _check_shape(count: int, shape) -> None:

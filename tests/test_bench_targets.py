@@ -47,7 +47,7 @@ def test_traced_hyperprior_roundtrip(tmp_path):
 
 
 def test_traced_ar_roundtrip_sees_every_position(tmp_path):
-    # the decoder builds each position's tables and runs the stack for it
+    # the decoder builds each step's tables and runs the stack for it
     # through names the tracer patches: a move that hid them would read less
     spans, workloads = _load("spans"), _load("workloads")
     wl = workloads.WORKLOADS["ar-roundtrip"]
@@ -63,6 +63,8 @@ def test_traced_ar_roundtrip_sees_every_position(tmp_path):
     metrics = spans.layer_metrics(tracer, 1)
     positions = latent.shape[1] * latent.shape[2]
     assert latent.size == positions == 64
-    # the encoder's one field plus one table build and stack run per position
-    assert metrics["gmm.tables"] == metrics["intops.stack_calls"] == positions + 1
+    # the encoder's one field plus one table build and stack run per decode
+    # step; a step is one anti-diagonal x + (R+1)y of the 8x8 latent, R = 1
+    steps = (8 - 1) + 2 * (8 - 1) + 1
+    assert metrics["gmm.tables"] == metrics["intops.stack_calls"] == steps + 1 == 23
     assert metrics["rc.symbols"] == 2 * latent.size  # encoded and decoded

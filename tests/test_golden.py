@@ -5,8 +5,10 @@ a change that is called out as a format change.  Covered: quantized model
 blobs, integer priors under two accumulation orders, per-element CDF
 tables, encoded bitstreams, float-path discretized priors, the linearized
 softmax on a tie-heavy field, decoder-side priors of both backend modes,
-both failure-demo reports, and the reports of the two roundtrips whose
-decoder runs off the payload in float mode.
+both failure-demo reports, the reports of the roundtrips whose decoder
+runs off the payload in float mode (seed 25 only in raster order, so its
+v2 report is pinned), and v2 (wavefront-order) bitstreams of a one- and
+a two-channel context model.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from detq import harness
 from detq.harness import (
     BackendVariant,
     boundary_failure_demo,
@@ -26,7 +29,7 @@ from detq.harness import (
     run_backend,
     prior_fn,
 )
-from detq.intops import linear_softmax_field, run_entropy_stack
+from detq.intops import context_reach, linear_softmax_field, run_entropy_stack
 from detq.manifest import save_quantized_model
 from detq.rc import rc_encode
 
@@ -36,6 +39,7 @@ V_MIN, V_MAX = -8, 8
 
 GOLDEN = {
     "ctx.bitstream": "4d60e94d477cb3b8d37f5067e1053ececbdf72ab69c932cc11a6a8957a109f9d",
+    "ctx.bitstream.v2": "289df6c6137786bb3031f370f0cdffbfba0bf8b7adcb36a10a94843e80f71f18",
     "ctx.blob": "e30f6f28b272dc5808dc87f83c785642ab2514a39eef6cf59299f62c8a697fe1",
     "ctx.decoder.float": "588cd742b856ce2b4940b0d15053b0e18032706709669f7e99b78be025d4c539",
     "ctx.decoder.int": "578df50deb9ef3b29b8616778e7170b8a4782d9fa45d5eae90fc6d2c6d79afbd",
@@ -55,7 +59,10 @@ GOLDEN = {
     "hyper.tables": "d018101c4a8e5db2c32a193a7f969e3f32755bc6e75cf6256b68fc0b8210a6b4",
     "off_payload.190.float": "dfa7535cfaf7fd09b7be553ec122e9649a9a4d14008569276d6cad88d295f0f1",
     "off_payload.190.int": "0dc5ccf8de69f7eca872d12bf444f4cfa3eb0eff7bcbfd3a13a75fcea3cc2cc5",
-    "off_payload.25.float": "4176753c8935bd20b9110dedf0cee242d62a0026105db4a107574e38c7838c6e",
+    "off_payload.169.float": "9a85ffa5dee9175dfb6605b07feef63f5300747aeecc22e12da5aad6fbdb0bf7",
+    "off_payload.169.int": "0dc5ccf8de69f7eca872d12bf444f4cfa3eb0eff7bcbfd3a13a75fcea3cc2cc5",
+    "off_payload.25.bitstream.v2": "a04c9850f048dda28e7b6b7457d1d4182f3c7f4f36a21fb5ee9379824a5748fc",
+    "off_payload.25.float": "543eb75a667f33f0a9e7b492ecd0871713be9389a3e4cc703989ade8c19743fd",
     "off_payload.25.int": "0dc5ccf8de69f7eca872d12bf444f4cfa3eb0eff7bcbfd3a13a75fcea3cc2cc5",
     "softmax.ties": "16430a0008660bd27f167b6908d6650f0f375a19b793bccecbccc8d560aa9e72",
 }
@@ -88,6 +95,9 @@ def _case(name, seed, tmp, **kw):
     out["tables"] = _sha(*(t.tobytes() for t in tables))
     symbols = [int(v) for v in latent.transpose(1, 2, 0).ravel()]
     out["bitstream"] = _sha(rc_encode(symbols, tables, shape=latent.shape).to_bytes())
+    if fs.context:
+        v2 = harness._encode(params, latent, context_reach(pair.quant_stack))
+        out["bitstream.v2"] = _sha(v2.to_bytes())
 
     priors = run_entropy_stack(latent, hyper, fs)
     out["float_priors"] = _sha(discretize_priors(priors, fs.head_scale_exp).tobytes())
@@ -115,13 +125,20 @@ def _all_digests(tmp):
         out[f"demo.{mode}"] = _sha(rep.to_text().encode())
 
     # seq-encoded, decoded in another order: float mode runs off the payload
-    for seed, with_context, dec_order in ((190, False, "tree"), (25, True, "rev")):
+    cases = ((190, False, "tree"), (25, True, "rev"), (169, True, "rev"))
+    for seed, with_context, dec_order in cases:
         fs, latent, hyper = off_payload_case(seed, with_context)
         pair = make_stack_pair(fs)
         for mode in ("float", "int"):
             enc, dec = BackendVariant("e", "seq", mode), BackendVariant("d", dec_order, mode)
             rep = roundtrip_experiment(pair, latent, hyper, enc, dec)
             out[f"off_payload.{seed}.{mode}"] = _sha(rep.to_text().encode())
+    # two channels: a step's positions by ascending y, each with its channels
+    fs, latent, hyper = off_payload_case(25, True)
+    pair = make_stack_pair(fs)
+    params = run_backend(pair, latent, hyper, BackendVariant("e", "seq", "int"))
+    v2 = harness._encode(params, latent, context_reach(pair.quant_stack))
+    out["off_payload.25.bitstream.v2"] = _sha(v2.to_bytes())
     return out
 
 

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detq import harness, intops
 from detq.gmm import CDF_TOTAL, CdfTable
-from detq.rc import RangeDecoder, rc_encode
+from detq.rc import Bitstream, RangeDecoder, StreamFormatError, rc_encode
 from detq.harness import (
     BackendVariant,
     LayerCfg,
@@ -161,12 +163,12 @@ def test_complex_hyper_latent_is_refused(mode):
 # --- priors of one position ------------------------------------------------
 
 
-def two_layer_context_pair(rng, latent_channels):
-    """Stack pair whose context chain is a masked 3x3 then a masked 5x5
-    layer, so a position's causal window reaches R = 1 + 2 = 3 back."""
+def two_layer_context_pair(rng, latent_channels, k2=5):
+    """Stack pair whose context chain is a masked 3x3 then a masked k2 x k2
+    layer, so a position's causal window reaches R = 1 + k2 // 2 back."""
     fs = random_stack(rng, latent_channels=latent_channels)
     hidden = fs.context[0].out_channels
-    w = rng.normal(0.0, 1.0 / math.sqrt(25 * hidden), size=(hidden, 5, 5, hidden))
+    w = rng.normal(0.0, 1.0 / math.sqrt(k2 * k2 * hidden), size=(hidden, k2, k2, hidden))
     fs.context.append(ConvLayerF(w, rng.normal(0.0, 0.05, hidden), mask=True))
     fs.context_cfg[0].p_out = fs.context_cfg[0].p_in
     fs.context_cfg.append(LayerCfg(n_i=16, p_in=fs.context_cfg[0].p_in, p_out=10))
@@ -191,6 +193,161 @@ def test_position_priors_equal_whole_canvas_priors(mode, order, shape):
         got = params_of(canvas, (y, x))
         assert got.field_shape == (shape[0], 1, 1)
         assert got.tobytes() == want.tobytes(), (y, x)
+
+
+# context chains: one masked 3x3 (R = 1), one masked 5x5 (R = 2), two
+# stacked masked 3x3 (R = 2), a masked 3x3 then 5x5 (R = 3)
+CONTEXTS = {
+    "3x3": (lambda rng, c: make_stack_pair(random_stack(rng, latent_channels=c)), 1),
+    "5x5": (
+        lambda rng, c: make_stack_pair(random_stack(rng, latent_channels=c, ctx_kernel=5)),
+        2,
+    ),
+    "3x3+3x3": (lambda rng, c: two_layer_context_pair(rng, c, k2=3), 2),
+    "3x3+5x5": (lambda rng, c: two_layer_context_pair(rng, c), 3),
+}
+DEVICES = [("seq", "int"), ("seq", "float"), ("rev", "float"), ("tree", "float")]
+
+
+def wavefront_steps(shape, reach):
+    """The decoder's steps for a v2 stream of a latent of this shape."""
+    return harness._schedule(Bitstream(math.prod(shape), shape, b"", reach), reach)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(CONTEXTS)),
+    st.integers(1, 2),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(0, 2**16),
+)
+def test_band_priors_equal_whole_canvas_priors(context, c, h, w, seed):
+    # each wavefront step's priors, from a canvas holding only the symbols
+    # of earlier steps as a decoder's does, equal the whole-canvas priors
+    build, reach = CONTEXTS[context]
+    rng = np.random.default_rng(seed)
+    pair = build(rng, c)
+    assert intops.context_reach(pair.quant_stack) == reach
+    latent = random_latent(rng, (c, h, w))
+    hyper = rng.normal(size=(2, h, w))
+    steps = wavefront_steps(latent.shape, reach)
+    assert len(steps) <= (w - 1) + (reach + 1) * (h - 1) + 1
+    for order, mode in DEVICES:
+        params_of = prior_fn(pair, hyper, BackendVariant("d", order, mode))
+        full = harness._fields(params_of(latent))
+        canvas = np.zeros_like(latent)
+        for ys, xs in steps:
+            got = params_of(canvas, (ys, xs))
+            assert got.field_shape == (c, len(ys), 1)
+            want = harness._pick(full, (ys, xs))
+            assert harness._fields(got).tobytes() == want.tobytes(), (order, mode, ys, xs)
+            canvas[:, ys, xs] = latent[:, ys, xs]
+
+
+@pytest.mark.parametrize("h, w, reach", [(1, 1, 1), (1, 5, 2), (4, 1, 1), (5, 2, 2), (6, 7, 3)])
+def test_wavefront_steps_read_only_earlier_steps(h, w, reach):
+    # every position of a causal window of the given reach -- rows above
+    # within reach, and the row's own earlier columns -- lies in an earlier
+    # step; counted here position by position
+    steps = wavefront_steps((1, h, w), reach)
+    step_of = {}
+    for k, (ys, xs) in enumerate(steps):
+        assert list(ys) == sorted(ys) and len(set(xs + (reach + 1) * ys)) == 1
+        step_of.update({(int(y), int(x)): k for y, x in zip(ys, xs)})
+    assert sorted(step_of) == [(y, x) for y in range(h) for x in range(w)]
+    for (y, x), k in step_of.items():
+        window = [(y, x - d) for d in range(1, reach + 1)]
+        window += [
+            (y - dy, x + dx) for dy in range(1, reach + 1) for dx in range(-reach, reach + 1)
+        ]
+        assert all(step_of[p] < k for p in window if p in step_of), (y, x)
+    assert len(steps) == len({x + (reach + 1) * y for y, x in step_of})
+
+
+@pytest.mark.parametrize(
+    "context, shape", [("3x3", (1, 6, 5)), ("5x5", (2, 4, 6)), ("3x3+3x3", (2, 5, 3))]
+)
+def test_v2_roundtrip_exact_for_all_order_pairs(context, shape):
+    # criterion 3 for wavefront streams: each of the 9 encoder/decoder
+    # order pairs in integer mode decodes the serialized v2 stream exactly
+    # and regenerates the encoder's priors row for row
+    build, reach = CONTEXTS[context]
+    rng = np.random.default_rng(len(context) + sum(shape))
+    pair = build(rng, shape[0])
+    for _ in range(3):
+        latent = random_latent(rng, shape)
+        hyper = rng.normal(size=(2, *shape[1:]))
+        at = harness._coding_order(*shape[1:], reach)
+        sent = harness._raster(harness._pick(latent, at))
+        for eo in harness.ORDERS:
+            enc = run_backend(pair, latent, hyper, BackendVariant("e", eo))
+            data = harness._encode(enc, latent, reach).to_bytes()
+            stream = Bitstream.from_bytes(data)
+            assert stream.version == 2 and stream.reach == reach
+            for do in harness.ORDERS:
+                params_of = prior_fn(pair, hyper, BackendVariant("d", do))
+                got, rows = harness._decode(stream, params_of, reach)
+                assert got == sent.tolist(), (eo, do)
+                np.testing.assert_array_equal(rows, harness._raster(harness._pick(harness._fields(enc), at)))
+                rep = roundtrip_experiment(
+                    pair, latent, hyper, BackendVariant("e", eo), BackendVariant("d", do)
+                )
+                assert rep == harness.InteropReport(True, None, 0.0)
+
+
+def test_v2_stream_codes_the_raster_rows_in_wavefront_order():
+    # the payload is rc_encode of the v1 symbols and table rows, permuted
+    # into wavefront order: positions by x + (R+1)y, then y, each followed
+    # by its channels
+    rng = np.random.default_rng(7)
+    pair = make_stack_pair(random_stack(rng, latent_channels=2, ctx_kernel=5))
+    c, h, w, reach = 2, 4, 6, 2
+    latent = random_latent(rng, (c, h, w))
+    params = run_backend(pair, latent, rng.normal(size=(2, h, w)), BackendVariant("e"))
+    raster_rows = field_tables(params, -8, 8).cf
+    positions = sorted(np.ndindex(h, w), key=lambda p: (p[1] + (reach + 1) * p[0], p[0]))
+    index = [(y * w + x) * c + ch for y, x in positions for ch in range(c)]
+    want = rc_encode(
+        latent.transpose(1, 2, 0).ravel()[index], CdfTable(-8, 8, raster_rows[index]), (c, h, w)
+    )
+    got = harness._encode(params, latent, reach)
+    assert got == Bitstream(want.count, want.shape, want.payload, reach)
+
+
+def test_decoder_refuses_a_stream_of_another_reach():
+    rng = np.random.default_rng(3)
+    pair = make_stack_pair(random_stack(rng))  # a 3x3 context: reach 1
+    latent = random_latent(rng, (1, 4, 4))
+    hyper = rng.normal(size=(2, 4, 4))
+    params_of = prior_fn(pair, hyper, BackendVariant("d"))
+    stream = harness._encode(params_of(latent), latent, 2)
+    with pytest.raises(StreamFormatError, match="reach 2"):
+        harness._decode(stream, params_of, 1)
+    # a model without a context model has no wavefront order
+    with pytest.raises(StreamFormatError, match="reach 2"):
+        harness._decode(stream, params_of, None)
+    got, _ = harness._decode(stream, params_of, 2)  # a reach-2 window holds a reach-1 one
+    assert got == harness._raster(harness._pick(latent, harness._coding_order(4, 4, 2))).tolist()
+
+
+def test_v1_context_stream_decodes_through_the_raster_schedule():
+    # a stream written with field_tables and rc_encode, as before v2,
+    # decodes one raster position per step
+    rng = np.random.default_rng(5)
+    pair = make_stack_pair(random_stack(rng, latent_channels=2))
+    latent = random_latent(rng, (2, 5, 4))
+    hyper = rng.normal(size=(2, 5, 4))
+    params = run_backend(pair, latent, hyper, BackendVariant("e", "rev"))
+    symbols = latent.transpose(1, 2, 0).ravel()
+    stream = rc_encode(symbols, field_tables(params, -8, 8), latent.shape)
+    stream = Bitstream.from_bytes(stream.to_bytes())
+    assert stream.version == 1 and stream.reach is None
+    steps = harness._schedule(stream, 1)
+    assert [(int(ys[0]), int(xs[0])) for ys, xs in steps] == list(np.ndindex(5, 4))
+    got, rows = harness._decode(stream, prior_fn(pair, hyper, BackendVariant("d", "tree")), 1)
+    assert got == symbols.tolist()
+    np.testing.assert_array_equal(rows, harness._raster(harness._fields(params)))
 
 
 @pytest.mark.parametrize("order", harness.ORDERS)
@@ -425,7 +582,9 @@ def test_roundtrip_rejects_out_of_alphabet_symbols():
 def off_payload_case(seed, with_context):
     """A float model, latent and hyper latent whose seq-encoded stream a
     decoder in another order runs off: seed 190 without a context model
-    (decoded in tree order), seed 25 with one (in rev order)."""
+    (decoded in tree order), seed 169 with one (in rev order, from its v2
+    stream).  Seed 25 with a context model runs off its v1 stream in rev
+    order; in wavefront order its one differing table costs no symbol."""
     rng = np.random.default_rng(seed)
     fs = random_stack(
         rng, hidden=24, p_gather=15, p_inner=12, with_context=with_context, latent_channels=2
@@ -435,7 +594,7 @@ def off_payload_case(seed, with_context):
 
 @pytest.mark.parametrize(
     "seed, with_context, dec_order",
-    [(190, False, "tree"), (25, True, "rev")],
+    [(190, False, "tree"), (169, True, "rev")],
     ids=["no-context", "autoregressive"],
 )
 def test_decode_off_the_payload_is_a_divergence(seed, with_context, dec_order, monkeypatch):
@@ -457,8 +616,9 @@ def test_decode_off_the_payload_is_a_divergence(seed, with_context, dec_order, m
     enc, dec = BackendVariant("e", "seq", "float"), BackendVariant("d", dec_order, "float")
     rep = roundtrip_experiment(make_stack_pair(fs), latent, hyper, enc, dec)
     assert stops and len(decoded) < latent.size
-    # the first differing decoded symbol, or where decoding stopped
-    sent = latent.transpose(1, 2, 0).ravel()
+    # the first differing decoded symbol in coding order, or where decoding stopped
+    reach = 1 if with_context else None
+    sent = harness._raster(harness._pick(latent, harness._coding_order(12, 12, reach)))
     diff = np.flatnonzero(sent[: len(decoded)] != decoded)
     assert rep.first_mismatch == (diff[0] if diff.size else len(decoded))
     assert not rep.decoded_equal
@@ -488,20 +648,21 @@ def test_decode_off_the_payload_decodes_each_symbol_once(monkeypatch):
 @pytest.mark.parametrize("mode", ["int", "float"])
 def test_position_steps_decode_a_no_context_stream_as_one_step(mode):
     # without a context model a position's priors do not read the canvas,
-    # so any schedule of steps decodes the same symbols under the same priors
+    # so the raster steps of a reach-0 model decode the v1 stream the same
     rng = np.random.default_rng(33)
     pair = make_stack_pair(random_stack(rng, latent_channels=2, with_context=False))
     latent = random_latent(rng, (2, 4, 5))
     hyper = rng.normal(size=(2, 4, 5))
     params_of = prior_fn(pair, hyper, BackendVariant("d", "tree", mode))
     stream = harness._encode(params_of(latent), latent)
-    got, fields, reached = harness._decode(stream, params_of, [None])
+    assert harness._schedule(stream, None) == [None]
+    got, rows = harness._decode(stream, params_of, None)
     np.testing.assert_array_equal(got, latent.transpose(1, 2, 0).ravel())
-    assert reached.all()
-    steps = harness._decode(stream, params_of, np.ndindex(latent.shape[1:]))
+    assert rows.shape == (3, 3, latent.size)
+    assert len(harness._schedule(stream, 0)) == 4 * 5
+    steps = harness._decode(stream, params_of, 0)
     np.testing.assert_array_equal(steps[0], got)
-    np.testing.assert_array_equal(steps[1], fields)
-    np.testing.assert_array_equal(steps[2], reached)
+    np.testing.assert_array_equal(steps[1], rows)
 
 
 # --- failure demo ---------------------------------------------------------

@@ -9,6 +9,7 @@ from detq.gmm import CDF_TOTAL, CdfTable
 from detq.rc import (
     MAGIC,
     VERSION,
+    VERSION_WAVEFRONT,
     Bitstream,
     RangeDecoder,
     StreamFormatError,
@@ -83,6 +84,33 @@ def test_count_must_be_the_shape_product(count):
     with pytest.raises(StreamFormatError, match="c\\*h\\*w"):
         Bitstream(count=count, shape=(2, 2, 3), payload=b"").to_bytes()
     assert Bitstream.from_bytes(data[:5] + struct.pack(">I", 12) + data[9:]).count == 12
+
+
+@pytest.mark.parametrize("reach", [0, 1, 2, 255])
+def test_v2_header_roundtrip(reach):
+    # the v1 header with version 2, then one reach byte, then the payload
+    s = Bitstream(count=6, shape=(2, 1, 3), payload=b"\x07\x08", reach=reach)
+    data = s.to_bytes()
+    assert data == MAGIC + struct.pack(">BI3HB", VERSION_WAVEFRONT, 6, 2, 1, 3, reach) + b"\x07\x08"
+    back = Bitstream.from_bytes(data)
+    assert back == s and back.version == VERSION_WAVEFRONT
+    v1 = Bitstream(count=6, shape=(2, 1, 3), payload=b"\x07\x08")
+    assert v1.version == VERSION and len(v1.to_bytes()) == len(data) - 1
+
+
+def test_v2_header_errors():
+    v2 = Bitstream(count=1, shape=(1, 1, 1), payload=b"", reach=3).to_bytes()
+    with pytest.raises(StreamFormatError, match="unsupported version 3"):
+        Bitstream.from_bytes(v2[:4] + bytes([3]) + v2[5:])
+    with pytest.raises(StreamFormatError, match="reach byte"):
+        Bitstream.from_bytes(v2[:-1])
+    # a v1 header read as v2 misses the byte too
+    v1 = Bitstream(count=1, shape=(1, 1, 1), payload=b"").to_bytes()
+    with pytest.raises(StreamFormatError, match="reach byte"):
+        Bitstream.from_bytes(v1[:4] + bytes([VERSION_WAVEFRONT]) + v1[5:])
+    for reach in (256, -1, 1.0):
+        with pytest.raises(StreamFormatError, match="reach"):
+            Bitstream(count=1, shape=(1, 1, 1), payload=b"", reach=reach).to_bytes()
 
 
 # --- encode/decode basics -------------------------------------------------
