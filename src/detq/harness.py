@@ -49,6 +49,7 @@ from .intops import (
     causal_window,
     context_reach,
     hyper_features,
+    pick_positions,
     priors_from_features,
     split_head,
 )
@@ -368,12 +369,6 @@ def _raster(a):
     return np.moveaxis(a, -3, -1).reshape(*a.shape[:-3], -1)
 
 
-def _reach(stack):
-    """The context reach a stream of this stack is coded for; None without
-    a context model, whose streams stay v1."""
-    return context_reach(stack) if stack.context else None
-
-
 def _coding_order(h, w, reach=None):
     """All positions (ys, xs) of an h x w field in a stream's coding order.
 
@@ -386,11 +381,6 @@ def _coding_order(h, w, reach=None):
         i = np.lexsort((ys, xs + (reach + 1) * ys))
         ys, xs = ys[i], xs[i]
     return ys, xs
-
-
-def _pick(a, at):
-    """Positions at = (ys, xs) of a (..., c, h, w) array, as (..., c, P, 1)."""
-    return np.asarray(a)[..., at[0], at[1], None]
 
 
 def _fields(params: GmmParams) -> np.ndarray:
@@ -434,18 +424,19 @@ def _encode(params: GmmParams, latent, reach=None) -> Bitstream:
     if reach is None:
         return rc_encode(_raster(latent), field_tables(params, _V_MIN, _V_MAX), latent.shape)
     at = _coding_order(*latent.shape[1:], reach)
-    rows = GmmParams(*_pick(_fields(params), at), params.scale_exp)
+    rows = GmmParams(*pick_positions(_fields(params), at), params.scale_exp)
     stream = rc_encode(
-        _raster(_pick(latent, at)), field_tables(rows, _V_MIN, _V_MAX), latent.shape
+        _raster(pick_positions(latent, at)), field_tables(rows, _V_MIN, _V_MAX), latent.shape
     )
     return replace(stream, reach=reach)
 
 
 def _schedule(stream: Bitstream, reach):
-    """The decoder's steps for stream under a model of context reach reach
+    """The decoder's steps for stream, given its model's context reach
     (None without a context model): None, the whole field, or positions
     (ys, xs) in coding order.  A v2 stream coded for another reach is
-    refused, since its order is not the one this model's windows allow."""
+    refused: it was coded for another model, and a smaller reach than the
+    model's would order a position before some that its window reads."""
     if stream.reach is not None and stream.reach != reach:
         raise StreamFormatError(
             f"stream coded for context reach {stream.reach}, the model's is {reach}"
@@ -461,8 +452,8 @@ def _schedule(stream: Bitstream, reach):
 
 
 def _decode(stream: Bitstream, params_of, reach):
-    """Decode stream under a model of context reach reach, step by step
-    (_schedule).
+    """Decode stream step by step (_schedule), given its model's context
+    reach (None without a context model).
 
     A step's priors are params_of(canvas, step) on the symbols decoded so
     far; its table rows are built once, in coding order, and continue the
@@ -471,7 +462,6 @@ def _decode(stream: Bitstream, params_of, reach):
     (3, 3, n) prior rows (weights, means, scales) of the n symbols whose
     priors it computed, both in coding order.
     """
-    c, h, w = stream.shape
     got = []  # a list: appending beats a numpy store per symbol
     canvas = np.zeros(stream.shape, dtype=np.int64)
     rows = [np.zeros((3, 3, 0), dtype=np.int64)]
@@ -485,8 +475,8 @@ def _decode(stream: Bitstream, params_of, reach):
                 got.append(decoder.decode(row, _V_MIN))
         except StreamFormatError:
             break
-        ys, xs = _coding_order(h, w) if at is None else at
-        canvas[:, ys, xs] = np.reshape(got[start:], (-1, c)).T
+        if at is not None:  # a whole-field step is the schedule's only one
+            canvas[:, at[0], at[1]] = np.reshape(got[start:], (-1, stream.shape[0])).T
     return got, np.concatenate(rows, axis=-1)
 
 
@@ -511,12 +501,13 @@ def roundtrip_experiment(
     """
     latent = _check_alphabet(latent)
     enc_params = run_backend(stacks, latent, hyper, enc_variant)
-    reach = _reach(stacks.quant_stack)
+    stack = stacks.quant_stack
+    reach = context_reach(stack) if stack.context else None
     stream = _encode(enc_params, latent, reach)
     at = _coding_order(*latent.shape[1:], reach)
     return _report(
-        _raster(_pick(latent, at)),
-        _raster(_pick(_fields(enc_params), at)),
+        _raster(pick_positions(latent, at)),
+        _raster(pick_positions(_fields(enc_params), at)),
         *_decode(stream, prior_fn(stacks, hyper, dec_variant), reach),
     )
 

@@ -58,6 +58,7 @@ __all__ = [
     "hyper_features",
     "context_reach",
     "causal_window",
+    "pick_positions",
     "priors_from_features",
     "run_entropy_stack",
     "split_head",
@@ -311,9 +312,10 @@ def causal_window(canvas, stack, at):
     return canvas[:, y0 : ys.max() + 1, x0 : xs.max() + r + 1]
 
 
-def _pick(t, ys, xs):
-    """Positions ys, xs of a (c, h, w) array, as a (c, P, 1) array."""
-    return t[:, ys, xs, None]
+def pick_positions(t, at):
+    """Positions at = (ys, xs) of a (..., c, h, w) array, as (..., c, P, 1)."""
+    ys, xs = _positions(at)
+    return np.asarray(t)[..., ys, xs, None]
 
 
 def priors_from_features(hyper_feat, latent_context, stack, at=None):
@@ -335,13 +337,13 @@ def priors_from_features(hyper_feat, latent_context, stack, at=None):
         ys, xs = _positions(at)
     feats = []
     if hyper_feat is not None:
-        feats.append(hyper_feat if at is None else _pick(hyper_feat, ys, xs))
+        feats.append(hyper_feat if at is None else pick_positions(hyper_feat, at))
     if stack.context:
         ctx = _run_chain(latent_context, stack.context, stack)
         if at is not None:
             # where the positions sit in their band
             y0, x0 = _band_origin(ys, xs, context_reach(stack))
-            ctx = _pick(ctx, ys - y0, xs - x0)
+            ctx = pick_positions(ctx, (ys - y0, xs - x0))
         feats.append(ctx)
     y = _run_chain(stack.fuse(feats), stack.gather, stack, last_act=False)
     return stack.decode_head(y)

@@ -209,6 +209,11 @@ CONTEXTS = {
 DEVICES = [("seq", "int"), ("seq", "float"), ("rev", "float"), ("tree", "float")]
 
 
+def in_order(a, at):
+    """A (..., c, h, w) array flattened at positions at, each with its channels."""
+    return harness._raster(intops.pick_positions(a, at))
+
+
 def wavefront_steps(shape, reach):
     """The decoder's steps for a v2 stream of a latent of this shape."""
     return harness._schedule(Bitstream(math.prod(shape), shape, b"", reach), reach)
@@ -240,12 +245,14 @@ def test_band_priors_equal_whole_canvas_priors(context, c, h, w, seed):
         for ys, xs in steps:
             got = params_of(canvas, (ys, xs))
             assert got.field_shape == (c, len(ys), 1)
-            want = harness._pick(full, (ys, xs))
+            want = intops.pick_positions(full, (ys, xs))
             assert harness._fields(got).tobytes() == want.tobytes(), (order, mode, ys, xs)
             canvas[:, ys, xs] = latent[:, ys, xs]
 
 
-@pytest.mark.parametrize("h, w, reach", [(1, 1, 1), (1, 5, 2), (4, 1, 1), (5, 2, 2), (6, 7, 3)])
+@pytest.mark.parametrize(
+    "h, w, reach", [(1, 1, 1), (1, 5, 2), (4, 1, 1), (5, 2, 2), (6, 7, 3)]
+)
 def test_wavefront_steps_read_only_earlier_steps(h, w, reach):
     # every position of a causal window of the given reach -- rows above
     # within reach, and the row's own earlier columns -- lies in an earlier
@@ -279,7 +286,7 @@ def test_v2_roundtrip_exact_for_all_order_pairs(context, shape):
         latent = random_latent(rng, shape)
         hyper = rng.normal(size=(2, *shape[1:]))
         at = harness._coding_order(*shape[1:], reach)
-        sent = harness._raster(harness._pick(latent, at))
+        sent = in_order(latent, at)
         for eo in harness.ORDERS:
             enc = run_backend(pair, latent, hyper, BackendVariant("e", eo))
             data = harness._encode(enc, latent, reach).to_bytes()
@@ -289,7 +296,7 @@ def test_v2_roundtrip_exact_for_all_order_pairs(context, shape):
                 params_of = prior_fn(pair, hyper, BackendVariant("d", do))
                 got, rows = harness._decode(stream, params_of, reach)
                 assert got == sent.tolist(), (eo, do)
-                np.testing.assert_array_equal(rows, harness._raster(harness._pick(harness._fields(enc), at)))
+                np.testing.assert_array_equal(rows, in_order(harness._fields(enc), at))
                 rep = roundtrip_experiment(
                     pair, latent, hyper, BackendVariant("e", eo), BackendVariant("d", do)
                 )
@@ -308,9 +315,8 @@ def test_v2_stream_codes_the_raster_rows_in_wavefront_order():
     raster_rows = field_tables(params, -8, 8).cf
     positions = sorted(np.ndindex(h, w), key=lambda p: (p[1] + (reach + 1) * p[0], p[0]))
     index = [(y * w + x) * c + ch for y, x in positions for ch in range(c)]
-    want = rc_encode(
-        latent.transpose(1, 2, 0).ravel()[index], CdfTable(-8, 8, raster_rows[index]), (c, h, w)
-    )
+    symbols = latent.transpose(1, 2, 0).ravel()[index]
+    want = rc_encode(symbols, CdfTable(-8, 8, raster_rows[index]), (c, h, w))
     got = harness._encode(params, latent, reach)
     assert got == Bitstream(want.count, want.shape, want.payload, reach)
 
@@ -328,7 +334,7 @@ def test_decoder_refuses_a_stream_of_another_reach():
     with pytest.raises(StreamFormatError, match="reach 2"):
         harness._decode(stream, params_of, None)
     got, _ = harness._decode(stream, params_of, 2)  # a reach-2 window holds a reach-1 one
-    assert got == harness._raster(harness._pick(latent, harness._coding_order(4, 4, 2))).tolist()
+    assert got == in_order(latent, harness._coding_order(4, 4, 2)).tolist()
 
 
 def test_v1_context_stream_decodes_through_the_raster_schedule():
@@ -618,7 +624,7 @@ def test_decode_off_the_payload_is_a_divergence(seed, with_context, dec_order, m
     assert stops and len(decoded) < latent.size
     # the first differing decoded symbol in coding order, or where decoding stopped
     reach = 1 if with_context else None
-    sent = harness._raster(harness._pick(latent, harness._coding_order(12, 12, reach)))
+    sent = in_order(latent, harness._coding_order(12, 12, reach))
     diff = np.flatnonzero(sent[: len(decoded)] != decoded)
     assert rep.first_mismatch == (diff[0] if diff.size else len(decoded))
     assert not rep.decoded_equal

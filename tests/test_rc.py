@@ -91,7 +91,8 @@ def test_v2_header_roundtrip(reach):
     # the v1 header with version 2, then one reach byte, then the payload
     s = Bitstream(count=6, shape=(2, 1, 3), payload=b"\x07\x08", reach=reach)
     data = s.to_bytes()
-    assert data == MAGIC + struct.pack(">BI3HB", VERSION_WAVEFRONT, 6, 2, 1, 3, reach) + b"\x07\x08"
+    head = MAGIC + struct.pack(">BI3HB", VERSION_WAVEFRONT, 6, 2, 1, 3, reach)
+    assert data == head + b"\x07\x08"
     back = Bitstream.from_bytes(data)
     assert back == s and back.version == VERSION_WAVEFRONT
     v1 = Bitstream(count=6, shape=(2, 1, 3), payload=b"\x07\x08")
