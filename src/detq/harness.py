@@ -389,14 +389,16 @@ def _fields(params: GmmParams) -> np.ndarray:
 
 
 def field_tables(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
-    """The field's CDF tables with rows in coding order (see _raster).
+    """The field's CDF tables with rows in raster order: position, then
+    channel (see _raster).  The (c, P, 1) field of positions listed in a
+    stream's coding order gives that order's rows.
 
     A (c, h, w) field is built as its (h, w, c) transpose, whose C order is
-    coding order; with one channel or one position it already is.
+    raster order; with one channel or one position it already is.
     """
     c, h, w = params.field_shape
     # only when the order changes: a transposed GmmParams is checked again,
-    # about 45 us of a one-element field's 80 us build (an ar position's)
+    # about 45 us of a one-element field's 80 us build
     if c > 1 and h * w > 1:
         params = GmmParams(
             *(a.transpose(0, 2, 3, 1) for a in (params.weights, params.means, params.scales)),
