@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detq import harness, intops
@@ -227,6 +227,10 @@ def wavefront_steps(shape, reach):
     st.integers(1, 6),
     st.integers(0, 2**16),
 )
+# one row; one column; fewer columns than R + 1, so some anti-diagonals are empty
+@example("3x3+5x5", 2, 1, 3, 0)
+@example("5x5", 1, 4, 1, 1)
+@example("3x3+3x3", 2, 4, 2, 2)
 def test_band_priors_equal_whole_canvas_priors(context, c, h, w, seed):
     # each wavefront step's priors, from a canvas holding only the symbols
     # of earlier steps as a decoder's does, equal the whole-canvas priors
