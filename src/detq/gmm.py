@@ -211,9 +211,8 @@ class CdfTable:
             raise ValueError(f"symbols must be integers, got dtype {v.dtype}")
         v = v.astype(np.int64, copy=False)
         if v.shape != (len(self.cf),):
-            raise ValueError(
-                f"{v.size} symbols but {len(self.cf)} tables; one table per symbol"
-            )
+            got = f"{v.size} symbols" if v.ndim == 1 else f"symbols of shape {v.shape}"
+            raise ValueError(f"{got} but {len(self.cf)} tables; one table per symbol")
         outside = (v < self.v_min) | (v > self.v_max)
         if outside.any():
             i = outside.argmax()

@@ -15,14 +15,13 @@ float32 holds the hyper latent.  The float reference oracle is
 intops.run_entropy_stack on an EntropyStackF.
 
 Every experiment codes through one encoder (_encode) and one decoder
-(_decode) that walks a schedule of steps, each the whole field or a set of
-positions, with each step's priors from the canvas decoded so far.  A
-stack with a context model codes a v2 stream in wavefront order: a step is
-one anti-diagonal x + (R+1)*y of positions, whose priors read only earlier
-steps, so the decoder runs the stack once per anti-diagonal, on the band
-of the canvas the step reads.  A v1 stream of a context model decodes one
-raster position per step; without a context model, the whole field is one
-step.
+(_decode) in one coding order (_coding_order): positions by step
+t = x + K*y, then by y.  v1 is raster order, K = w.  A stack with a context
+model codes v2, K = R+1 for its context reach R: a step is an anti-diagonal
+whose priors read only earlier steps, so the decoder runs the stack once
+per step, on the band of the canvas the step reads.  Without a context
+model the whole field is one decoder step; a v1 stream of a context model
+decodes one position per step.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .quantize import WeightRangeError, quantize_layer, quantize_value, round_ha
 # benchmark tracer patches it here (perfbench/spans.py, TARGETS) until an
 # in-library trace replaces that patching
 from .rc import Bitstream, RangeDecoder, StreamFormatError, rc_decode, rc_encode
-from .tensors import ConvLayerF, check_conv_input, im2col
+from .tensors import ConvLayerF, ShapeError, check_conv_input, im2col
 
 __all__ = [
     "ORDERS",
@@ -370,17 +369,14 @@ def _raster(a):
 
 
 def _coding_order(h, w, reach=None):
-    """All positions (ys, xs) of an h x w field in a stream's coding order.
-
-    v1 (reach None) is raster order.  v2 is the wavefront order of the
-    context reach: ascending t = x + (reach + 1) * y, then ascending y.  A
-    position's causal window reads only positions of smaller t.
-    """
+    """Every position (ys, xs) of an h x w field and its step t, in coding
+    order: by t = x + K*y, then by y.  K = w (reach None) gives v1, raster
+    order, one position per step; K = reach + 1 gives v2, the wavefront
+    order, where a position's causal window reads only smaller t."""
     ys, xs = np.indices((h, w)).reshape(2, -1)
-    if reach is not None:
-        i = np.lexsort((ys, xs + (reach + 1) * ys))
-        ys, xs = ys[i], xs[i]
-    return ys, xs
+    t = xs + (w if reach is None else reach + 1) * ys
+    i = np.lexsort((ys, t))
+    return ys[i], xs[i], t[i]
 
 
 def _fields(params: GmmParams) -> np.ndarray:
@@ -390,8 +386,8 @@ def _fields(params: GmmParams) -> np.ndarray:
 
 def field_tables(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
     """The field's CDF tables with rows in raster order: position, then
-    channel (see _raster).  The (c, P, 1) field of positions listed in a
-    stream's coding order gives that order's rows.
+    channel (see _raster), for the decoder's steps and outside callers.  A
+    step's (c, P, 1) field lists its positions in coding order.
 
     A (c, h, w) field is built as its (h, w, c) transpose, whose C order is
     raster order; with one channel or one position it already is.
@@ -419,25 +415,25 @@ def _check_alphabet(latent) -> np.ndarray:
     return latent
 
 
-def _encode(params: GmmParams, latent, reach=None) -> Bitstream:
-    """The stream of a (c, h, w) latent coded under the encoder's priors:
-    v1 in raster order for reach None, else v2 in the wavefront order of
-    that context reach, with symbols and table rows in that order."""
-    if reach is None:
-        return rc_encode(_raster(latent), field_tables(params, _V_MIN, _V_MAX), latent.shape)
-    at = _coding_order(*latent.shape[1:], reach)
-    rows = GmmParams(*pick_positions(_fields(params), at), params.scale_exp)
-    stream = rc_encode(
-        _raster(pick_positions(latent, at)), field_tables(rows, _V_MIN, _V_MAX), latent.shape
-    )
-    return replace(stream, reach=reach)
+def _encode(params: GmmParams, latent, reach=None):
+    """Code a (c, h, w) latent under the encoder's priors in the coding
+    order of reach (None: v1).  Returns the stream and the symbols and the
+    (3, 3, n) prior rows it coded, both in coding order."""
+    if latent.ndim != 3:
+        raise ShapeError(f"expected (c, h, w) input, got shape {latent.shape}")
+    if params.field_shape != latent.shape:
+        raise ValueError(f"prior field {params.field_shape} for a latent of shape {latent.shape}")
+    at = _coding_order(*latent.shape[1:], reach)[:2]
+    sent, rows = (_raster(pick_positions(a, at)) for a in (latent, _fields(params)))
+    tables = build_cdf_table(GmmParams(*rows, params.scale_exp), _V_MIN, _V_MAX)
+    return replace(rc_encode(sent, tables, latent.shape), reach=reach), sent, rows
 
 
 def _schedule(stream: Bitstream, reach):
     """The decoder's steps for stream, given its model's context reach
-    (None without a context model): None, the whole field, or positions
-    (ys, xs) in coding order.  A v2 stream coded for another reach is
-    refused: it was coded for another model, and a smaller reach than the
+    (None without a context model): None, the whole field, or the positions
+    (ys, xs) of each t of _coding_order.  A v2 stream coded for another reach
+    is refused: it was coded for another model, and a smaller reach than the
     model's would order a position before some that its window reads."""
     if stream.reach is not None and stream.reach != reach:
         raise StreamFormatError(
@@ -445,12 +441,9 @@ def _schedule(stream: Bitstream, reach):
         )
     if reach is None:
         return [None]
-    _, h, w = stream.shape
-    ys, xs = _coding_order(h, w, stream.reach)
-    # v1: one position a step; v2: one anti-diagonal a step
-    key = np.arange(ys.size) if stream.reach is None else xs + (reach + 1) * ys
-    cuts = np.flatnonzero(np.diff(key)) + 1
-    return list(zip(np.split(ys, cuts), np.split(xs, cuts))) if ys.size else []
+    ys, xs, t = _coding_order(*stream.shape[1:], stream.reach)
+    cuts = np.flatnonzero(np.diff(t)) + 1
+    return list(zip(np.split(ys, cuts), np.split(xs, cuts))) if t.size else []
 
 
 def _decode(stream: Bitstream, params_of, reach):
@@ -505,13 +498,8 @@ def roundtrip_experiment(
     enc_params = run_backend(stacks, latent, hyper, enc_variant)
     stack = stacks.quant_stack
     reach = context_reach(stack) if stack.context else None
-    stream = _encode(enc_params, latent, reach)
-    at = _coding_order(*latent.shape[1:], reach)
-    return _report(
-        _raster(pick_positions(latent, at)),
-        _raster(pick_positions(_fields(enc_params), at)),
-        *_decode(stream, prior_fn(stacks, hyper, dec_variant), reach),
-    )
+    stream, sent, rows = _encode(enc_params, latent, reach)
+    return _report(sent, rows, *_decode(stream, prior_fn(stacks, hyper, dec_variant), reach))
 
 
 def _report(sent, enc_rows, got, dec_rows):
@@ -580,8 +568,8 @@ def boundary_failure_demo(prior_mode: str = "float") -> InteropReport:
             FloatPriors(priors.weights, priors.means, pert_scales), p_e
         )
 
-    decoded = _decode(_encode(enc_params, symbols), lambda canvas, at: dec_params, None)
-    return _report(_raster(symbols), _raster(_fields(enc_params)), *decoded)
+    stream, sent, rows = _encode(enc_params, symbols)
+    return _report(sent, rows, *_decode(stream, lambda canvas, at: dec_params, None))
 
 
 # ---------------------------------------------------------------------------

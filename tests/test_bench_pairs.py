@@ -67,6 +67,29 @@ def test_row_names_the_metric_and_the_verdict(bp):
     assert row.endswith("wins 10/10  gain rule holds")
 
 
+def test_bound_rule_flags_a_median_worse_than_the_bound(bp):
+    # parent median 13.50; a bound of 0.25 allows up to 16.875 ms
+    s = bp.summarize(PARENT, [v * 1.2 for v in PARENT], "lower")
+    assert bp.bound_rule(s, "lower", 0.25) == "bound 25%: not worse"
+    s = bp.summarize(PARENT, [v * 1.3 for v in PARENT], "lower")
+    assert bp.bound_rule(s, "lower", 0.25) == "bound 25%: WORSE"
+    # higher is better: a median 30% lower is worse
+    s = bp.summarize(PARENT, [v * 0.7 for v in PARENT], "higher")
+    assert bp.bound_rule(s, "higher", 0.25) == "bound 25%: WORSE"
+    assert bp.bound_rule(s, "lower", 0.25) == "bound 25%: not worse"
+
+
+def test_bound_rule_is_unresolved_where_the_parent_spreads_wider(bp):
+    # the parent's interquartile range 0.1825 is 1.35% of its median
+    s = bp.summarize(PARENT, PARENT, "lower")
+    assert bp.bound_rule(s, "lower", 0.02) == "bound 2%: not worse"
+    assert bp.bound_rule(s, "lower", 0.01) == (
+        "bound 1%: not worse, unresolved (parent quartiles 13.41..13.59)"
+    )
+    s = bp.summarize(PARENT, [v * 1.5 for v in PARENT], "lower")
+    assert bp.bound_rule(s, "lower", 0.01).startswith("bound 1%: WORSE, unresolved")
+
+
 def test_run_once_reads_the_report_of_an_all_workload_run(bp, monkeypatch, tmp_path):
     result = {
         "correct": True, "attempted": 9, "failed": 1,
@@ -108,3 +131,5 @@ def test_pairs_alternate_which_side_runs_first(bp, monkeypatch, capsys):
     assert out[0] == ("pair 0 seed 11: parent first, output digests equal, "
                       "failed operations parent 0 change 0")
     assert len(out) == 3 + len(keys)
+    # every metric row ends with its no-regression verdict
+    assert all(line.endswith(": not worse") for line in out[3:])

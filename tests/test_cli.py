@@ -583,6 +583,26 @@ def test_complex_hyper_latent_is_input_error(model, data, tmp_path, mode, capsys
         assert "expected (c, h, w) input, got shape (4, 4)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_latent_shapes_a_model_without_context_refuses(tmp_path, mode, capsys):
+    # no context chain reads the latent before the encoder: these used to
+    # fail on a raster axis out of bounds or on a count of tables
+    model = tmp_path / "hyper.json"
+    save_float_model(model, random_stack(np.random.default_rng(23), with_context=False))
+    latent = np.zeros((1, 4, 4), np.int64)
+    hyper = np.random.default_rng(24).normal(size=(2, 4, 4))
+    bad = tmp_path / "bad.npz"
+    for lat, hyp, message in [
+        (latent[0], hyper, "expected (c, h, w) input, got shape (4, 4)"),
+        (latent[None], hyper, "expected (c, h, w) input, got shape (1, 1, 4, 4)"),
+        (latent, hyper[:, :3, :3], "(1, 3, 3) for a latent of shape (1, 4, 4)"),
+    ]:
+        np.savez(bad, latent_0=lat, hyper_0=hyp)
+        capsys.readouterr()
+        assert main(["roundtrip", str(model), str(bad), "--mode", mode]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_demo_failure_exit_zero(capsys):
     assert main(["demo-failure"]) == 0
     out = capsys.readouterr().out

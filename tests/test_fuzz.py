@@ -115,8 +115,8 @@ def saved_model(fstack, dtype="float32"):
 
 
 @functools.cache
-def manifest_case(dtype):
-    return saved_model(random_stack(np.random.default_rng(32)), dtype)
+def manifest_case(dtype, with_context=True):
+    return saved_model(random_stack(np.random.default_rng(32), with_context=with_context), dtype)
 
 
 def _paths(node, prefix=()):
@@ -261,9 +261,13 @@ def data_arrays(draw):
             ["calibrate", "--out", "report.json", "--grid", "8", "--passes", "1"],
         ]
     ),
+    # without a context model nothing but the encoder reads the latent
+    st.booleans(),
 )
-def test_random_data_file_exits_with_a_code(arrays, command):
-    text, blob_name, blob = manifest_case("float32")
+@example({"latent_0": np.array(0, np.int8), "hyper_0": np.zeros((2, 4, 4))},
+         ["roundtrip", "--mode", "int"], False)
+def test_random_data_file_exits_with_a_code(arrays, command, with_context):
+    text, blob_name, blob = manifest_case("float32", with_context)
     # report.json is listed so that its argument becomes a path; calibrate overwrites it
     files = {"model.json": text, blob_name: blob, "data.npz": arrays, "report.json": b""}
     argv = [command[0], "model.json", "data.npz", *command[1:]]

@@ -75,13 +75,22 @@ def _sha(*parts) -> str:
     return h.hexdigest()
 
 
-def _case(name, seed, tmp, **kw):
+# name -> seed and random_stack keywords of the model cases
+CASES = {"ctx": (2024, {}), "hyper": (2025, dict(latent_channels=2, with_context=False))}
+
+
+def _inputs(name):
+    """A model case's float stack, its stack pair, latent and hyper latent."""
+    seed, kw = CASES[name]
     rng = np.random.default_rng(seed)
     fs = random_stack(rng, **kw)
-    c = fs.latent_channels
-    latent = random_latent(rng, (c, 5, 6))
+    latent = random_latent(rng, (fs.latent_channels, 5, 6))
     hyper = rng.normal(size=(2, 5, 6))
-    pair = make_stack_pair(fs)
+    return fs, make_stack_pair(fs), latent, hyper
+
+
+def _case(name, tmp):
+    fs, pair, latent, hyper = _inputs(name)
     out = {}
 
     path = tmp / f"{name}.json"
@@ -96,7 +105,7 @@ def _case(name, seed, tmp, **kw):
     symbols = [int(v) for v in latent.transpose(1, 2, 0).ravel()]
     out["bitstream"] = _sha(rc_encode(symbols, tables, shape=latent.shape).to_bytes())
     if fs.context:
-        v2 = harness._encode(params, latent, context_reach(pair.quant_stack))
+        v2 = harness._encode(params, latent, context_reach(pair.quant_stack))[0]
         out["bitstream.v2"] = _sha(v2.to_bytes())
 
     priors = run_entropy_stack(latent, hyper, fs)
@@ -113,8 +122,8 @@ def _case(name, seed, tmp, **kw):
 
 def _all_digests(tmp):
     out = {}
-    out.update(_case("ctx", 2024, tmp))
-    out.update(_case("hyper", 2025, tmp, latent_channels=2, with_context=False))
+    for name in CASES:
+        out.update(_case(name, tmp))
 
     rng = np.random.default_rng(2026)
     z = rng.choice([-2048, -1024, -1, 0, 0, 1, 512, 1024], size=(3, 4, 16, 16))
@@ -137,7 +146,7 @@ def _all_digests(tmp):
     fs, latent, hyper = off_payload_case(25, True)
     pair = make_stack_pair(fs)
     params = run_backend(pair, latent, hyper, BackendVariant("e", "seq", "int"))
-    v2 = harness._encode(params, latent, context_reach(pair.quant_stack))
+    v2 = harness._encode(params, latent, context_reach(pair.quant_stack))[0]
     out["off_payload.25.bitstream.v2"] = _sha(v2.to_bytes())
     return out
 
@@ -154,3 +163,14 @@ def test_golden_names_complete(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_encoder_writes_the_golden_v1_bitstream(name):
+    # the bitstream digests above come from field_tables and rc_encode; the
+    # encoder's one path must write those v1 bytes too
+    _, pair, latent, hyper = _inputs(name)
+    params = run_backend(pair, latent, hyper, BackendVariant("e", "seq", "int"))
+    stream = harness._encode(params, latent)[0]
+    assert stream.version == 1
+    assert _sha(stream.to_bytes()) == GOLDEN[f"{name}.bitstream"]

@@ -289,11 +289,11 @@ def test_v2_roundtrip_exact_for_all_order_pairs(context, shape):
     for _ in range(3):
         latent = random_latent(rng, shape)
         hyper = rng.normal(size=(2, *shape[1:]))
-        at = harness._coding_order(*shape[1:], reach)
+        at = harness._coding_order(*shape[1:], reach)[:2]
         sent = in_order(latent, at)
         for eo in harness.ORDERS:
             enc = run_backend(pair, latent, hyper, BackendVariant("e", eo))
-            data = harness._encode(enc, latent, reach).to_bytes()
+            data = harness._encode(enc, latent, reach)[0].to_bytes()
             stream = Bitstream.from_bytes(data)
             assert stream.version == 2 and stream.reach == reach
             for do in harness.ORDERS:
@@ -321,7 +321,7 @@ def test_v2_stream_codes_the_raster_rows_in_wavefront_order():
     index = [(y * w + x) * c + ch for y, x in positions for ch in range(c)]
     symbols = latent.transpose(1, 2, 0).ravel()[index]
     want = rc_encode(symbols, CdfTable(-8, 8, raster_rows[index]), (c, h, w))
-    got = harness._encode(params, latent, reach)
+    got = harness._encode(params, latent, reach)[0]
     assert got == Bitstream(want.count, want.shape, want.payload, reach)
 
 
@@ -331,14 +331,14 @@ def test_decoder_refuses_a_stream_of_another_reach():
     latent = random_latent(rng, (1, 4, 4))
     hyper = rng.normal(size=(2, 4, 4))
     params_of = prior_fn(pair, hyper, BackendVariant("d"))
-    stream = harness._encode(params_of(latent), latent, 2)
+    stream = harness._encode(params_of(latent), latent, 2)[0]
     with pytest.raises(StreamFormatError, match="reach 2"):
         harness._decode(stream, params_of, 1)
     # a model without a context model has no wavefront order
     with pytest.raises(StreamFormatError, match="reach 2"):
         harness._decode(stream, params_of, None)
     got, _ = harness._decode(stream, params_of, 2)  # a reach-2 window holds a reach-1 one
-    assert got == in_order(latent, harness._coding_order(4, 4, 2)).tolist()
+    assert got == in_order(latent, harness._coding_order(4, 4, 2)[:2]).tolist()
 
 
 def test_v1_context_stream_decodes_through_the_raster_schedule():
@@ -355,6 +355,15 @@ def test_v1_context_stream_decodes_through_the_raster_schedule():
     assert stream.version == 1 and stream.reach is None
     steps = harness._schedule(stream, 1)
     assert [(int(ys[0]), int(xs[0])) for ys, xs in steps] == list(np.ndindex(5, 4))
+    # any v1 shape, empty ones too: the steps are the coding order's
+    # positions, one raster position each
+    for h, w in np.ndindex(6, 7):
+        steps = harness._schedule(Bitstream(h * w, (1, h, w), b""), 1)
+        ys, xs, _ = harness._coding_order(h, w)
+        assert [(y.tolist(), x.tolist()) for y, x in steps] == [
+            ([y], [x]) for y, x in zip(ys.tolist(), xs.tolist())
+        ]
+        assert list(zip(ys.tolist(), xs.tolist())) == list(np.ndindex(h, w))
     got, rows = harness._decode(stream, prior_fn(pair, hyper, BackendVariant("d", "tree")), 1)
     assert got == symbols.tolist()
     np.testing.assert_array_equal(rows, harness._raster(harness._fields(params)))
@@ -443,8 +452,9 @@ def test_decoder_without_context_builds_tables_in_one_call(monkeypatch):
         pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "rev")
     )
     assert rep.decoded_equal and rep.prior_max_reldiff == 0.0
-    # one whole field per side, built as its (h, w, c) transpose: coding order
-    assert calls == [(4, 5, 2), (4, 5, 2)]
+    # one whole field per side, in coding order: the encoder's 40 rows as
+    # they are, the decoder's (c, h, w) field as its (h, w, c) transpose
+    assert calls == [(40,), (4, 5, 2)]
 
 
 # --- roundtrips -----------------------------------------------------------
@@ -628,7 +638,7 @@ def test_decode_off_the_payload_is_a_divergence(seed, with_context, dec_order, m
     assert stops and len(decoded) < latent.size
     # the first differing decoded symbol in coding order, or where decoding stopped
     reach = 1 if with_context else None
-    sent = in_order(latent, harness._coding_order(12, 12, reach))
+    sent = in_order(latent, harness._coding_order(12, 12, reach)[:2])
     diff = np.flatnonzero(sent[: len(decoded)] != decoded)
     assert rep.first_mismatch == (diff[0] if diff.size else len(decoded))
     assert not rep.decoded_equal
@@ -664,7 +674,7 @@ def test_position_steps_decode_a_no_context_stream_as_one_step(mode):
     latent = random_latent(rng, (2, 4, 5))
     hyper = rng.normal(size=(2, 4, 5))
     params_of = prior_fn(pair, hyper, BackendVariant("d", "tree", mode))
-    stream = harness._encode(params_of(latent), latent)
+    stream = harness._encode(params_of(latent), latent)[0]
     assert harness._schedule(stream, None) == [None]
     got, rows = harness._decode(stream, params_of, None)
     np.testing.assert_array_equal(got, latent.transpose(1, 2, 0).ravel())

@@ -154,6 +154,9 @@ def test_encode_needs_one_table_per_symbol(n_tables):
     t = table_from_freqs([CDF_TOTAL // 2, CDF_TOTAL // 2])
     with pytest.raises(ValueError, match=f"3 symbols but {n_tables} tables"):
         rc_encode([0, 1, 0], repeat(t, n_tables), shape=(1, 1, 3))
+    # as many symbols as tables, but not 1-d: the message gives their shape
+    with pytest.raises(ValueError, match=rf"symbols of shape \(1, {n_tables}\) but"):
+        rc_encode(np.zeros((1, n_tables), int), repeat(t, n_tables), shape=(1, 1, n_tables))
 
 
 @pytest.mark.parametrize("n_tables", [2, 4])

@@ -10,9 +10,12 @@ workload and end-to-end metric of BENCHMARK.json it then prints each side's
 median and quartiles over the pairs and the pairs the change won, in the
 direction the metric's ``better`` gives, and whether the gain rule holds:
 the change wins at least 9 pairs in 10 and its median is better than the
-parent's by more than the parent's interquartile range.  Each pair's line
-says whether both sides' output digests agree and how many operations
-failed on each.
+parent's by more than the parent's interquartile range.  It also prints the
+no-regression rule under the metric's relative ``bound``: WORSE where the
+change's median is worse than the parent's by more than bound times the
+parent's median, and "unresolved" where the parent's interquartile range is
+wider than that, so the runs cannot tell.  Each pair's line says whether
+both sides' output digests agree and how many operations failed on each.
 
 The tool reads BENCHMARK.json next to it and the checkouts' reports; it
 writes nothing but what perfbench/run.py itself writes in each checkout.
@@ -69,6 +72,16 @@ def summarize(parent, change, better: str) -> dict:
     }
 
 
+def bound_rule(s: dict, better: str, bound: float) -> str:
+    """The no-regression verdict of a summary under a relative bound."""
+    p50, p25, p75 = s["parent"]
+    worse = (s["rel"] if better == "lower" else -s["rel"]) > bound
+    text = f"bound {100 * bound:g}%: {'WORSE' if worse else 'not worse'}"
+    if p75 - p25 > bound * abs(p50):
+        text += f", unresolved (parent quartiles {p25:.4g}..{p75:.4g})"
+    return text
+
+
 def format_row(workload: str, metric: str, unit: str, s: dict) -> str:
     def side(t):
         return f"{t[0]:.4g} [{t[1]:.4g}, {t[2]:.4g}]"
@@ -107,7 +120,8 @@ def main(argv=None):
             key = (wl["name"], m["name"])
             s = summarize([v[key] for v in values["parent"]],
                           [v[key] for v in values["change"]], m["better"])
-            print(format_row(wl["name"], m["name"], m["unit"], s))
+            print(f"{format_row(wl['name'], m['name'], m['unit'], s)}  "
+                  f"{bound_rule(s, m['better'], m['bound'])}")
 
 
 if __name__ == "__main__":
