@@ -335,6 +335,11 @@ def priors_from_features(hyper_feat, latent_context, stack, at=None):
         if any(layer.kernel != 1 for layer in stack.gather):
             raise ShapeError("priors of picked positions need 1x1 gather layers")
         ys, xs = _positions(at)
+    if at is None and hyper_feat is not None and stack.context:
+        # else fuse fails with numpy's concatenation message, naming neither
+        hw, latent_hw = hyper_feat.shape[-2:], np.shape(latent_context)[-2:]
+        if hw != latent_hw:
+            raise ShapeError(f"hyper latent of (h, w) {hw} under a latent of (h, w) {latent_hw}")
     feats = []
     if hyper_feat is not None:
         feats.append(hyper_feat if at is None else pick_positions(hyper_feat, at))

@@ -255,13 +255,13 @@ class QConvLayer:
         return out
 
 
-def derive_weight_shift(w_col, n_a: int = ACCUM_BITS, n_i: int = 16) -> int:
+def derive_weight_shift(w_col, n_i: int = 16) -> int:
     """Maximum per-channel weight shift allowed by the accumulator budget.
 
-    k_j = n_a - n_i - ceil(log2(sum |W|)), floored at 0.  An all-zero
-    channel gets K_MAX (any shift works; the weights stay zero).
+    k_j = ACCUM_BITS - n_i - ceil(log2(sum |W|)), floored at 0.  An
+    all-zero channel gets K_MAX (any shift works; the weights stay zero).
     """
-    if n_a <= n_i:
+    if ACCUM_BITS <= n_i:
         raise ValueError("accumulator must be wider than the input")
     vals = np.abs(np.asarray(w_col, dtype=np.float64)).ravel().tolist()
     s = math.fsum(vals)
@@ -271,18 +271,18 @@ def derive_weight_shift(w_col, n_a: int = ACCUM_BITS, n_i: int = 16) -> int:
     # lands exactly on a power of two; settle that case with exact rationals
     if math.frexp(s)[0] == 0.5:
         s = sum(map(Fraction, vals))
-    return max(n_a - n_i - ceil_log2(s), 0)
+    return max(ACCUM_BITS - n_i - ceil_log2(s), 0)
 
 
-def adjust_shift_for_bias(k_j: int, b_j: float, p: int, n_a: int = ACCUM_BITS) -> int:
+def adjust_shift_for_bias(k_j: int, b_j: float, p: int) -> int:
     """Reduce a channel shift so the bias also fits the accumulator budget.
 
-    Applied only for non-zero bias: k' = min(n_a-1-p-max(ceil(log2|b|),0), k) - 1.
+    Applied only for non-zero bias: k' = min(ACCUM_BITS-1-p-max(ceil(log2|b|),0), k) - 1.
     """
     if b_j == 0:
         return k_j
     lb = max(ceil_log2(abs(float(b_j))), 0)
-    return min(n_a - 1 - p - lb, k_j) - 1
+    return min(ACCUM_BITS - 1 - p - lb, k_j) - 1
 
 
 def _quantize_channel(w_col: np.ndarray, k: int):
@@ -330,7 +330,7 @@ def quantize_layer(
     for j in range(n):
         col = layer.weights[:, :, :, j]
         bias = float(layer.bias[j])
-        k = min(derive_weight_shift(col, ACCUM_BITS, n_i), k_cap)
+        k = min(derive_weight_shift(col, n_i), k_cap)
         if bias != 0.0:
             k = adjust_shift_for_bias(k, bias, p_in)
             k = max(k, 0)

@@ -164,7 +164,7 @@ def test_criterion_6_formula_oracles():
         b = int(rng.integers(2, 17))
         ok &= quantize_value(x, p, b) == quantize_value_oracle(x, p, b)
         ws = rng.normal(0, rng.uniform(0.01, 3.0), size=int(rng.integers(1, 12)))
-        ok &= derive_weight_shift(ws, 32, 16) == derive_weight_shift_oracle(ws, 32, 16)
+        ok &= derive_weight_shift(ws, 16) == derive_weight_shift_oracle(ws, 32, 16)
         k = int(rng.integers(0, 20))
         bias = float(rng.uniform(-50, 50))
         ok &= adjust_shift_for_bias(k, bias, p) == adjust_shift_for_bias_oracle(k, bias, p)

@@ -313,6 +313,53 @@ def test_calibrate_grid_outside_p_range_is_input_error(model, data, tmp_path, gr
     assert not out.exists()
 
 
+def test_calibrate_negative_passes_is_input_error(model, data, tmp_path, capsys):
+    # -1 used to exit 0 and write "passes": -1 with no decision made
+    out = tmp_path / "r.json"
+    argv = ["calibrate", str(model), str(data), "--out", str(out), "--grid", "8"]
+    assert main([*argv, "--passes", "-1"]) == 2
+    assert "passes must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--passes", "0"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["passes"] == 0 and doc["trace"] == []
+
+
+@pytest.mark.parametrize(
+    "with_context, encode_message, calibrate_message",
+    [
+        (True, *["hyper latent of (h, w) (3, 3) under a latent of (h, w) (4, 4)"] * 2),
+        (
+            False,
+            "prior field (1, 3, 3) for a latent of shape (1, 4, 4)",
+            "prior field (1, 3, 3) for symbols of shape (1, 4, 4)",
+        ),
+    ],
+    ids=["context", "no-context"],
+)
+def test_hyper_latent_on_another_grid_names_both_shapes(
+    tmp_path, with_context, encode_message, calibrate_message, capsys
+):
+    # with a context model these used to exit with numpy's concatenation
+    # message, and calibration without one with no shapes at all
+    model = tmp_path / "model.json"
+    save_float_model(model, random_stack(np.random.default_rng(23), with_context=with_context))
+    bad = tmp_path / "bad.npz"
+    rng = np.random.default_rng(24)
+    np.savez(bad, latent_0=random_latent(rng, (1, 4, 4)), hyper_0=rng.normal(size=(2, 3, 3)))
+    out = tmp_path / "r.json"
+    calibrate = ["calibrate", str(model), str(bad), "--out", str(out), "--passes", "1"]
+    for argv, message in [
+        (["roundtrip", str(model), str(bad), "--mode", "int"], encode_message),
+        (["roundtrip", str(model), str(bad), "--mode", "float"], encode_message),
+        (calibrate, calibrate_message),
+    ]:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["calibrate", "roundtrip"])
 def test_layer_bit_depth_out_of_range_is_input_error(data, tmp_path, command, capsys):
     # calibration used to score the ValueError inf at every grid point

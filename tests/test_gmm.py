@@ -238,6 +238,41 @@ def test_params_bound_scales_and_scale_exp():
             GmmParams(np.array([WEIGHT_TOTAL, 0, 0]), np.zeros(3), np.ones(3), scale_exp)
 
 
+def _component_arrays(h=2, w=3):
+    """Valid int64 weights, means and scales of field shape (h, w), each
+    a transposed, non-contiguous view of a (3, w, h) array."""
+    rng = np.random.default_rng(5)
+    w0 = rng.integers(0, WEIGHT_TOTAL + 1, (w, h))
+    weights = np.stack((w0, WEIGHT_TOTAL - w0, np.zeros_like(w0)))
+    means = rng.integers(-1000, 1000, (3, w, h))
+    scales = rng.integers(1, 1000, (3, w, h))
+    return [a.transpose(0, 2, 1) for a in (weights, means, scales)]
+
+
+def test_params_bytes_are_scale_exp_then_each_component_in_c_order():
+    arrays = _component_arrays()
+    assert not any(a.flags.c_contiguous for a in arrays)
+    want = np.int64(9).tobytes() + b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+    assert GmmParams(*arrays, 9).tobytes() == want
+
+
+def test_params_components_are_the_rows_of_one_field():
+    p = GmmParams(*_component_arrays(), 9)
+    assert p.fields.shape == (3, 3, 2, 3) and p.field_shape == (2, 3)
+    for i, a in enumerate((p.weights, p.means, p.scales)):
+        assert np.shares_memory(a, p.fields[i])
+        np.testing.assert_array_equal(a, p.fields[i])
+
+
+def test_params_own_their_field():
+    arrays = [np.ascontiguousarray(a) for a in _component_arrays()]
+    p = GmmParams(*arrays, 9)
+    before = p.tobytes()
+    for a in arrays:
+        a += 1
+    assert p.tobytes() == before
+
+
 def test_tables_exact_up_to_the_params_bound():
     top = [2] + [1] * 15 + [CDF_TOTAL - 17]  # all mass on v_max, floors elsewhere
     for mean, want in ((2**40, top), ((1 << 48) - 1, top), (1 - (1 << 48), top[::-1])):

@@ -244,13 +244,13 @@ def test_band_priors_equal_whole_canvas_priors(context, c, h, w, seed):
     assert len(steps) <= (w - 1) + (reach + 1) * (h - 1) + 1
     for order, mode in DEVICES:
         params_of = prior_fn(pair, hyper, BackendVariant("d", order, mode))
-        full = harness._fields(params_of(latent))
+        full = params_of(latent).fields
         canvas = np.zeros_like(latent)
         for ys, xs in steps:
             got = params_of(canvas, (ys, xs))
             assert got.field_shape == (c, len(ys), 1)
             want = intops.pick_positions(full, (ys, xs))
-            assert harness._fields(got).tobytes() == want.tobytes(), (order, mode, ys, xs)
+            assert got.fields.tobytes() == want.tobytes(), (order, mode, ys, xs)
             canvas[:, ys, xs] = latent[:, ys, xs]
 
 
@@ -300,7 +300,7 @@ def test_v2_roundtrip_exact_for_all_order_pairs(context, shape):
                 params_of = prior_fn(pair, hyper, BackendVariant("d", do))
                 got, rows = harness._decode(stream, params_of, reach)
                 assert got == sent.tolist(), (eo, do)
-                np.testing.assert_array_equal(rows, in_order(harness._fields(enc), at))
+                np.testing.assert_array_equal(rows, in_order(enc.fields, at))
                 rep = roundtrip_experiment(
                     pair, latent, hyper, BackendVariant("e", eo), BackendVariant("d", do)
                 )
@@ -366,7 +366,7 @@ def test_v1_context_stream_decodes_through_the_raster_schedule():
         assert list(zip(ys.tolist(), xs.tolist())) == list(np.ndindex(h, w))
     got, rows = harness._decode(stream, prior_fn(pair, hyper, BackendVariant("d", "tree")), 1)
     assert got == symbols.tolist()
-    np.testing.assert_array_equal(rows, harness._raster(harness._fields(params)))
+    np.testing.assert_array_equal(rows, harness._raster(params.fields))
 
 
 @pytest.mark.parametrize("order", harness.ORDERS)

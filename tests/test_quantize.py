@@ -114,19 +114,24 @@ def test_ceil_log2_exact_powers():
 
 
 def test_derive_weight_shift_examples():
-    assert derive_weight_shift([1.2, -2.5], 32, 16) == 14  # sum 3.7
-    assert derive_weight_shift([1.0], 32, 16) == 16
-    assert derive_weight_shift([0.0, 0.0], 32, 16) == K_MAX
+    assert derive_weight_shift([1.2, -2.5], 16) == 14  # sum 3.7
+    assert derive_weight_shift([1.0], 16) == 16
+    assert derive_weight_shift([0.0, 0.0], 16) == K_MAX
 
 
 def test_derive_weight_shift_monotone_in_n_i():
     w = [0.3, -0.7, 1.1]
-    assert derive_weight_shift(w, 32, 9) >= derive_weight_shift(w, 32, 16)
+    assert derive_weight_shift(w, 9) >= derive_weight_shift(w, 16)
+
+
+def test_derive_weight_shift_refuses_n_i_at_the_accumulator_width():
+    with pytest.raises(ValueError, match="accumulator must be wider"):
+        derive_weight_shift([1.0], 32)
 
 
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
 def test_derive_weight_shift_matches_oracle(ws):
-    assert derive_weight_shift(ws, 32, 16) == derive_weight_shift_oracle(ws, 32, 16)
+    assert derive_weight_shift(ws, 16) == derive_weight_shift_oracle(ws, 32, 16)
 
 
 def test_adjust_shift_for_bias_examples():
