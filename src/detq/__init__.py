@@ -15,8 +15,6 @@ from .gmm import (
     apportion,
     build_cdf_table,
     sigma_min_for,
-    std_normal_cdf_fixed,
-    table_digest,
 )
 from .harness import (
     BackendVariant,
@@ -29,8 +27,6 @@ from .harness import (
     boundary_failure_demo,
     calibrate_shifts,
     discretize_priors,
-    random_latent,
-    random_stack,
     roundtrip_experiment,
 )
 from .intops import (

@@ -16,7 +16,6 @@ calibration rate sums -log2 of them, so both read the same tables.
 from __future__ import annotations
 
 import copy
-import hashlib
 import operator
 from dataclasses import dataclass, field
 
@@ -32,8 +31,6 @@ __all__ = [
     "CdfTable",
     "sigma_min_for",
     "apportion",
-    "table_digest",
-    "std_normal_cdf_fixed",
     "build_cdf_table",
 ]
 
@@ -52,24 +49,9 @@ _SYMBOL_LIMIT = 1 << 38
 _CF_ENDS = np.array([0, CDF_TOTAL])
 
 
-def table_digest() -> str:
-    """SHA-256 of the table's little-endian uint16 encoding."""
-    raw = b"".join(int(v).to_bytes(2, "little") for v in PHI_TABLE_Q16)
-    return hashlib.sha256(raw).hexdigest()
-
-
 def sigma_min_for(scale_exp: int) -> int:
     """Smallest admissible fixed-point scale: 2^-4 in real units."""
     return max(1, 1 << max(scale_exp - 4, 0))
-
-
-def std_normal_cdf_fixed(z):
-    """Phi(z) in Q16 by direct lookup; z is fixed point on the table's Q6
-    grid and is clamped to +-6."""
-    # clamp before the offset, so no int64 z wraps; the result stays int64
-    out = _phi_at(np.clip(np.asarray(z, dtype=np.int64), -_SPAN, _SPAN) + _SPAN)
-    out = out.astype(np.int64)
-    return out if out.ndim else int(out)
 
 
 def _phi_at(idx):

@@ -19,9 +19,10 @@ Every experiment codes through one encoder (_encode) and one decoder
 t = x + K*y, then by y.  v1 is raster order, K = w.  A stack with a context
 model codes v2, K = R+1 for its context reach R: a step is an anti-diagonal
 whose priors read only earlier steps, so the decoder runs the stack once
-per step, on the band of the canvas the step reads.  Without a context
-model the whole field is one decoder step; a v1 stream of a context model
-decodes one position per step.
+per step, on the band of the canvas the step reads: it hands prior_fn's
+callable the whole canvas, and intops.priors_from_features alone cuts the
+band.  Without a context model the whole field is one decoder step; a v1
+stream of a context model decodes one position per step.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .intops import (
     LEAKY_SHIFT,
     SUBNETS,
     EntropyStack,
-    causal_window,
     context_reach,
     hyper_features,
     pick_positions,
@@ -77,8 +77,6 @@ __all__ = [
     "calibrate_shifts",
     "float_cross_entropy_bits",
     "int_cross_entropy_bits",
-    "random_stack",
-    "random_latent",
     "DEFAULT_SYMBOL_BOUND",
 ]
 
@@ -314,22 +312,22 @@ def _quantize_for(chain, x):
 def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
     """Priors one simulated device computes, as a function of the latent canvas.
 
-    The callable takes the canvas and, optionally, a set of P positions
-    at = (ys, xs) (ints for one).  Given positions it returns their priors
-    alone, a (c, P, 1) field computed from the band of the canvas their
-    causal windows span (intops.causal_window), so their cost does not grow
-    with the canvas; they equal the whole-canvas priors there byte for
-    byte.  The hyper-only work runs once, here.  Integer
-    mode is bit-identical across variants; float mode may differ at the ulp
-    level between accumulation orders, and those differences can survive
-    discretization.
+    The callable takes the whole canvas and, optionally, a set of P
+    positions at = (ys, xs) (ints for one).  Given positions it returns
+    their priors alone, a (c, P, 1) field that intops.priors_from_features
+    computes from the band of the canvas their causal windows span, which
+    it cuts itself, so their cost does not grow with the canvas; they equal
+    the whole-canvas priors there byte for byte.  The hyper-only work runs
+    once, here.  Integer mode is bit-identical across variants; float mode
+    may differ at the ulp level between accumulation orders, and those
+    differences can survive discretization.
     """
     if variant.mode == "int":
         stack = stacks.quant_stack
         hyper_feat = hyper_features(_quantize_for(stack.hyperdecoder, hyper), stack)
 
-        def priors(context, at):
-            ctx = _quantize_for(stack.context, context)
+        def priors(canvas, at=None):
+            ctx = _quantize_for(stack.context, canvas)
             return priors_from_features(hyper_feat, ctx, stack, at)
 
     else:
@@ -346,14 +344,11 @@ def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
             )
         hyper_feat = hyper_features(hyper, stack)
 
-        def priors(context, at):
-            raw = priors_from_features(hyper_feat, context, stack, at)
+        def priors(canvas, at=None):
+            raw = priors_from_features(hyper_feat, canvas, stack, at)
             return discretize_priors(raw, stack.head_scale_exp)
 
-    def params_of(canvas, at=None):
-        return priors(canvas if at is None else causal_window(canvas, stack, at), at)
-
-    return params_of
+    return priors
 
 
 def run_backend(stacks: StackPair, latent, hyper, variant: BackendVariant) -> GmmParams:
@@ -682,84 +677,3 @@ def calibrate_shifts(
                 }
             )
     return report
-
-
-# ---------------------------------------------------------------------------
-# Random stack / data generators (for tests and experiments)
-# ---------------------------------------------------------------------------
-
-
-def random_stack(
-    rng: np.random.Generator,
-    latent_channels: int = 1,
-    hyper_channels: int = 2,
-    hidden: int = 6,
-    ctx_kernel: int = 3,
-    with_context: bool = True,
-    p_inner: int = 8,
-    p_gather: int = 10,
-    n_i: int = 16,
-) -> EntropyStackF:
-    """Seeded random entropy stack with codec-like geometry at desk scale.
-
-    Hyperdecoder: two 3x3 layers; context: one masked layer; gather: seven
-    1x1 layers ending in the 9-channels-per-latent GMM head.
-    """
-
-    def conv(m, k, n, mask=False, bias_scale=0.05, w_gain=1.0):
-        fan_in = m * k * k
-        w = rng.normal(0.0, w_gain / math.sqrt(fan_in), size=(m, k, k, n))
-        b = rng.normal(0.0, bias_scale, size=n)
-        return ConvLayerF(weights=w, bias=b, mask=mask)
-
-    c_y, c_z = latent_channels, hyper_channels
-    hyper_layers = [conv(c_z, 3, hidden), conv(hidden, 3, hidden)]
-    hyper_cfg = [
-        LayerCfg(n_i=n_i, p_in=p_inner, p_out=p_inner),
-        LayerCfg(n_i=n_i, p_in=p_inner, p_out=p_gather),
-    ]
-    if with_context:
-        ctx_layers = [conv(c_y, ctx_kernel, hidden, mask=True)]
-        ctx_cfg = [LayerCfg(n_i=n_i, p_in=p_inner, p_out=p_gather)]
-        g0_in = 2 * hidden
-    else:
-        ctx_layers, ctx_cfg = [], []
-        g0_in = hidden
-    head_bias = np.zeros(9 * c_y)
-    for i in range(c_y):
-        head_bias[9 * i + 3 : 9 * i + 6] = rng.uniform(0.4, 1.2, 3) * rng.choice(
-            [-1.0, 1.0], 3
-        )
-        head_bias[9 * i + 6 : 9 * i + 9] = rng.uniform(0.8, 1.6, 3)
-    gather_layers = [
-        conv(g0_in, 1, hidden),
-        conv(hidden, 1, hidden),
-        conv(hidden, 1, hidden),
-        conv(hidden, 1, hidden),
-        conv(hidden, 1, hidden),
-        conv(hidden, 1, hidden),
-        conv(hidden, 1, 9 * c_y),
-    ]
-    gather_layers[-1] = ConvLayerF(
-        weights=gather_layers[-1].weights, bias=head_bias
-    )
-    gather_cfg = [LayerCfg(n_i=n_i, p_in=p_gather, p_out=p_gather) for _ in range(7)]
-    return EntropyStackF(
-        hyperdecoder=hyper_layers,
-        context=ctx_layers,
-        gather=gather_layers,
-        hyper_cfg=hyper_cfg,
-        context_cfg=ctx_cfg,
-        gather_cfg=gather_cfg,
-        latent_channels=c_y,
-    )
-
-
-def random_latent(
-    rng: np.random.Generator,
-    shape=(1, 4, 4),
-    bound: int = DEFAULT_SYMBOL_BOUND,
-) -> np.ndarray:
-    """Seeded integer latents, roughly Laplacian, clipped to the alphabet."""
-    raw = np.rint(rng.laplace(0.0, bound / 4.0, size=shape)).astype(np.int64)
-    return np.clip(raw, -bound, bound)

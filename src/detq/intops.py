@@ -24,13 +24,14 @@ summation order, blocking or FMA use the BLAS library picks.
 Exactness also lets a decoder compute the priors of any set of positions
 at once.  Every context layer is causal and gather is 1x1, so a position's
 priors depend only on its hyper features and on its causal window of the
-canvas; priors_from_features(..., at=(ys, xs)) runs the context chain on
-the band that the positions' windows span (causal_window) and gather and
-head on the picked pixels, and the result equals the whole-canvas priors
-at those positions bit for bit.  A position's window reads only positions
-of smaller x + (R+1)*y, R = context_reach, so a decoder can take all
-positions of one such anti-diagonal in one batched step (the wavefront
-order of harness and rc).
+canvas; priors_from_features(..., at=(ys, xs)) is given the whole canvas,
+cuts from it the band that the positions' windows span (_band, the one
+place that geometry is written), runs the context chain on that band and
+gather and head on the picked pixels, and the result equals the
+whole-canvas priors at those positions bit for bit.  A position's window
+reads only positions of smaller x + (R+1)*y, R = context_reach, so a
+decoder can take all positions of one such anti-diagonal in one batched
+step (the wavefront order of harness and rc).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "linear_softmax_field",
     "hyper_features",
     "context_reach",
-    "causal_window",
     "pick_positions",
     "priors_from_features",
     "run_entropy_stack",
@@ -292,24 +292,17 @@ def _positions(at):
     return tuple(np.atleast_1d(a) for a in at)
 
 
-def _band_origin(ys, xs, r):
-    """Top-left corner of the band the positions ys, xs read at reach r."""
-    return max(ys.min() - r, 0), max(xs.min() - r, 0)
+def _band(canvas, at, r):
+    """The band of a (c, h, w) canvas that the priors of positions at read
+    at context reach r, and the positions' places in it.
 
-
-def causal_window(canvas, stack, at):
-    """The band of a (c, h, w) canvas that the priors of positions at read.
-
-    at = (ys, xs) gives the positions' rows and columns (ints for one
-    position).  The band is rows min(ys) - R..max(ys) and columns
-    min(xs) - R..max(xs) + R, clipped to the canvas, with R =
-    context_reach(stack): it holds each position's receptive field under a
-    causal context chain, cut off below its row.
+    The band is rows min(ys) - r..max(ys) and columns min(xs) - r..max(xs)
+    + r, clipped to the canvas: it holds each position's receptive field
+    under a causal context chain, cut off below its row.
     """
     ys, xs = _positions(at)
-    r = context_reach(stack)
-    y0, x0 = _band_origin(ys, xs, r)
-    return canvas[:, y0 : ys.max() + 1, x0 : xs.max() + r + 1]
+    y0, x0 = max(ys.min() - r, 0), max(xs.min() - r, 0)
+    return canvas[:, y0 : ys.max() + 1, x0 : xs.max() + r + 1], (ys - y0, xs - x0)
 
 
 def pick_positions(t, at):
@@ -318,38 +311,39 @@ def pick_positions(t, at):
     return np.asarray(t)[..., ys, xs, None]
 
 
-def priors_from_features(hyper_feat, latent_context, stack, at=None):
-    """Context -> fuse with hyper features -> gather -> GMM head.
+def priors_from_features(hyper_feat, canvas, stack, at=None):
+    """Context on the canvas -> fuse with hyper features -> gather -> GMM head.
 
     An EntropyStack's head gives Q15 mixture weights (linearized softmax),
     means, and scales floored at sigma_min_for, as GmmParams.
 
-    With at = (ys, xs), a set of P positions, only their priors are
-    computed, as a (c, P, 1) field: latent_context is then their
-    causal_window, the context chain runs on that band, and fuse, gather
-    and head run on the P pixels.  The context layers are causal and every
-    output position is summed on its own, so the result equals the
-    whole-canvas priors at those positions bit for bit, in float32 too.
+    With at = (ys, xs), a set of P positions (ints for one), only their
+    priors are computed, as a (c, P, 1) field: this function cuts from the
+    whole canvas the band their causal windows span (_band), runs the
+    context chain on that band, and fuse, gather and head on the P pixels.
+    The context layers are causal and every output position is summed on
+    its own, so the result equals the whole-canvas priors at those
+    positions bit for bit, in float32 too.  With both a hyperdecoder and a
+    context model, hyper features on another (h, w) grid than the canvas
+    are refused either way.
     """
-    if at is not None:
-        if any(layer.kernel != 1 for layer in stack.gather):
-            raise ShapeError("priors of picked positions need 1x1 gather layers")
-        ys, xs = _positions(at)
-    if at is None and hyper_feat is not None and stack.context:
-        # else fuse fails with numpy's concatenation message, naming neither
-        hw, latent_hw = hyper_feat.shape[-2:], np.shape(latent_context)[-2:]
-        if hw != latent_hw:
-            raise ShapeError(f"hyper latent of (h, w) {hw} under a latent of (h, w) {latent_hw}")
+    if hyper_feat is not None and stack.context:
+        # else fuse fails with numpy's concatenation message, naming neither,
+        # or picked positions read the hyper features of another grid
+        hw, canvas_hw = hyper_feat.shape[-2:], np.shape(canvas)[-2:]
+        if hw != canvas_hw:
+            raise ShapeError(f"hyper latent of (h, w) {hw} under a latent of (h, w) {canvas_hw}")
+    if at is not None and any(layer.kernel != 1 for layer in stack.gather):
+        raise ShapeError("priors of picked positions need 1x1 gather layers")
     feats = []
     if hyper_feat is not None:
         feats.append(hyper_feat if at is None else pick_positions(hyper_feat, at))
     if stack.context:
-        ctx = _run_chain(latent_context, stack.context, stack)
-        if at is not None:
-            # where the positions sit in their band
-            y0, x0 = _band_origin(ys, xs, context_reach(stack))
-            ctx = pick_positions(ctx, (ys - y0, xs - x0))
-        feats.append(ctx)
+        if at is None:
+            feats.append(_run_chain(canvas, stack.context, stack))
+        else:
+            band, at_band = _band(canvas, at, context_reach(stack))
+            feats.append(pick_positions(_run_chain(band, stack.context, stack), at_band))
     y = _run_chain(stack.fuse(feats), stack.gather, stack, last_act=False)
     return stack.decode_head(y)
 

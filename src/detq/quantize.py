@@ -41,8 +41,8 @@ __all__ = [
     "quantize_layer",
 ]
 
-# Cap on per-channel weight shifts: 2^14 keeps any |W| <= 2 representable
-# in int16 after scaling.
+# Cap on per-channel weight shifts: 2^14 keeps any |W| <= 2 - 2^-14
+# representable in int16 after scaling.
 K_MAX = 14
 INT16_MAX = (1 << 15) - 1
 ACCUM_BITS = 32
@@ -92,8 +92,12 @@ def quantize_value(x, p: int, b: int):
     if not np.isfinite(x).all():
         raise ValueError("activation contains non-finite values")
     lim = (1 << (b - 1)) - 1
-    q = np.minimum(np.maximum(round_half_away(x * math.ldexp(1.0, p)), -lim), lim)
-    q = q.astype(np.int64)
+    # clamped before the scaling, which a large finite x would overflow:
+    # +-lim 2^-p scales to +-lim exactly, and rounding keeps what lies
+    # between them within +-lim
+    scale = math.ldexp(1.0, p)
+    top = lim / scale
+    q = round_half_away(np.minimum(np.maximum(x, -top), top) * scale).astype(np.int64)
     return q if q.ndim else int(q)
 
 
@@ -302,10 +306,11 @@ def quantize_layer(
     """Quantize one convolution layer with per-channel weight shifts.
 
     Weights and bias are scaled and rounded without clipping.  If a channel's
-    scaled weights do not fit int16, the shift is capped at K_MAX; if they
-    still do not fit, the layer is rejected.  As a final safety net the
-    shift is lowered until the worst-case accumulator value (sign-matched
-    extreme input plus bias) provably fits ACCUM_BITS bits.  Shifts are
+    scaled weights do not fit int16, the shift is capped at K_MAX, then
+    lowered one step at a time until they fit; a channel that does not fit
+    at shift 0 is rejected.  As a final safety net the shift is lowered
+    until the worst-case accumulator value (sign-matched extreme input plus
+    bias) provably fits ACCUM_BITS bits.  Shifts are
     capped so that requantize never shifts right by more than
     MAX_RIGHT_SHIFT.  A left-shifting channel past shifted_bound is refused:
     whatever k is, that bound is about sum|W| x_max 2^(p_out-p_in) + |bias| 2^p_out.
@@ -335,8 +340,9 @@ def quantize_layer(
             k = adjust_shift_for_bias(k, bias, p_in)
             k = max(k, 0)
         wq = _quantize_channel(col, k)
-        if wq is None and k > K_MAX:
-            k = K_MAX
+        while wq is None and k > 0:
+            # the K_MAX cap first, then one step at a time
+            k = min(k - 1, K_MAX)
             wq = _quantize_channel(col, k)
         if wq is None:
             raise WeightRangeError(

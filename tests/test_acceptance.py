@@ -26,8 +26,6 @@ from detq.harness import (
     float_cross_entropy_bits,
     int_cross_entropy_bits,
     make_stack_pair,
-    random_latent,
-    random_stack,
     roundtrip_experiment,
     run_backend,
 )
@@ -41,6 +39,7 @@ from detq.quantize import (
 from detq.rc import rc_decode, rc_encode
 from detq.tensors import ConvLayerF
 
+from models import random_latent, random_stack
 from oracles import (
     adjust_shift_for_bias_oracle,
     derive_weight_shift_oracle,

@@ -12,8 +12,6 @@ from detq.harness import (
     BackendVariant,
     calibrate_shifts,
     make_stack_pair,
-    random_latent,
-    random_stack,
     roundtrip_experiment,
 )
 from detq.manifest import (
@@ -25,6 +23,7 @@ from detq.manifest import (
 from detq.quantize import WeightRangeError, accumulator_bound, quantize_layer
 from detq.tensors import ConvLayerF
 
+from models import random_latent, random_stack
 from test_harness import off_payload_case, unquantizable_at_p15
 
 
@@ -94,6 +93,20 @@ def test_quantize_unrepresentable_channel_diagnosed(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "hyperdecoder[0]" in err and "channel 2" in err
+
+
+def test_quantize_lowers_the_shift_of_a_channel_past_int16(tmp_path):
+    # alone in a bias-free channel, 3.0 gets shift 14, where it scales to
+    # 49152; shift 13 holds it
+    fs = random_stack(np.random.default_rng(2))
+    w, b = fs.hyperdecoder[0].weights.copy(), fs.hyperdecoder[0].bias.copy()
+    w[..., 2], b[2] = 0.0, 0.0
+    w[0, 0, 0, 2] = 3.0
+    fs.hyperdecoder[0] = ConvLayerF(weights=w, bias=b)
+    path, out = tmp_path / "m.json", tmp_path / "q.json"
+    save_float_model(path, fs)
+    assert main(["quantize", str(path), "--out", str(out)]) == 0
+    assert load_quantized_model(out).hyperdecoder[0].spec.k[2] == 13
 
 
 def test_verify_pass(model, capsys):

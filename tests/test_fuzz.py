@@ -19,10 +19,10 @@ from hypothesis.extra import numpy as hnp
 
 from detq.cli import main
 from detq.gmm import CdfTable
-from detq.harness import random_stack
 from detq.manifest import save_float_model
 from detq.rc import Bitstream, StreamFormatError, rc_decode, rc_encode
 
+from models import random_stack
 from test_cli import overflow_stack
 from test_rc import random_table
 
@@ -265,6 +265,9 @@ def data_arrays(draw):
     st.booleans(),
 )
 @example({"latent_0": np.array(0, np.int8), "hyper_0": np.zeros((2, 4, 4))},
+         ["roundtrip", "--mode", "int"], False)
+# quantize_value scaled this hyper latent before it clamped, and overflowed
+@example({"latent_0": np.zeros((1, 0, 0), np.int64), "hyper_0": np.array(7.02223881e305)},
          ["roundtrip", "--mode", "int"], False)
 def test_random_data_file_exits_with_a_code(arrays, command, with_context):
     text, blob_name, blob = manifest_case("float32", with_context)

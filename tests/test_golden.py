@@ -23,8 +23,6 @@ from detq.harness import (
     discretize_priors,
     field_tables,
     make_stack_pair,
-    random_latent,
-    random_stack,
     roundtrip_experiment,
     run_backend,
     prior_fn,
@@ -33,6 +31,7 @@ from detq.intops import context_reach, linear_softmax_field, run_entropy_stack
 from detq.manifest import save_quantized_model
 from detq.rc import rc_encode
 
+from models import random_latent, random_stack
 from test_harness import off_payload_case
 
 V_MIN, V_MAX = -8, 8

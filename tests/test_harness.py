@@ -21,15 +21,14 @@ from detq.harness import (
     int_cross_entropy_bits,
     make_stack_pair,
     prior_fn,
-    random_latent,
-    random_stack,
     roundtrip_experiment,
     run_backend,
 )
 from detq.gmm import WEIGHT_TOTAL, GmmParams, sigma_min_for
 from detq.intops import run_entropy_stack
-from detq.tensors import ConvLayerF
+from detq.tensors import ConvLayerF, ShapeError
 
+from models import random_latent, random_stack
 from oracles import cdf_table_oracle
 
 
@@ -158,6 +157,19 @@ def test_complex_hyper_latent_is_refused(mode):
     pair, latent, hyper = fixture_pair()
     with pytest.raises(ValueError, match="complex"):
         prior_fn(pair, hyper + 5j, BackendVariant("a", "seq", mode))
+
+
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_position_priors_refuse_a_hyper_latent_on_another_grid(mode):
+    # at (1, 1) the decoder used to get priors from the 3x3 grid's hyper
+    # features, and at (3, 0) a bare IndexError
+    rng = np.random.default_rng(24)
+    pair = make_stack_pair(random_stack(rng))
+    params_of = prior_fn(pair, rng.normal(size=(2, 3, 3)), BackendVariant("d", "seq", mode))
+    canvas = random_latent(rng, (1, 4, 4))
+    for at in (None, ([1], [1]), ([3], [0])):
+        with pytest.raises(ShapeError, match=r"\(3, 3\) under a latent of \(h, w\) \(4, 4\)"):
+            params_of(canvas, at)
 
 
 # --- priors of one position ------------------------------------------------
@@ -394,13 +406,14 @@ def test_float_mode_sums_in_the_variant_order(order, monkeypatch):
 def test_causal_window_is_clipped_receptive_field():
     pair = two_layer_context_pair(np.random.default_rng(4), 1)
     canvas = np.arange(9 * 10).reshape(1, 9, 10)
-    stack = pair.quant_stack
-    np.testing.assert_array_equal(
-        intops.causal_window(canvas, stack, (5, 4)), canvas[:, 2:6, 1:8]
-    )
-    np.testing.assert_array_equal(
-        intops.causal_window(canvas, stack, (1, 8)), canvas[:, 0:2, 5:10]
-    )
+    r = intops.context_reach(pair.quant_stack)
+    assert r == 3
+    band, at = intops._band(canvas, (5, 4), r)
+    np.testing.assert_array_equal(band, canvas[:, 2:6, 1:8])
+    assert [a.tolist() for a in at] == [[3], [3]]
+    band, at = intops._band(canvas, (1, 8), r)
+    np.testing.assert_array_equal(band, canvas[:, 0:2, 5:10])
+    assert [a.tolist() for a in at] == [[1], [3]]
 
 
 def test_decoder_runs_gather_once_per_position(monkeypatch):

@@ -23,11 +23,10 @@ from detq.harness import (
     ORDERS,
     BackendVariant,
     make_stack_pair,
-    random_latent,
-    random_stack,
     run_backend,
 )
 
+from models import random_latent, random_stack
 from oracles import oracle_priors, qconv_oracle, round_shift_oracle, softmax_oracle
 
 

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from detq.harness import (
-    BackendVariant,
-    make_stack_pair,
-    random_latent,
-    random_stack,
-    run_backend,
-)
+from detq.harness import BackendVariant, make_stack_pair, run_backend
 from detq.manifest import (
     ManifestError,
     load_float_model,
@@ -16,6 +10,8 @@ from detq.manifest import (
     save_float_model,
     save_quantized_model,
 )
+
+from models import random_latent, random_stack
 
 
 @pytest.fixture

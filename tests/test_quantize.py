@@ -73,6 +73,10 @@ def test_quantize_value_rejects_complex():
     st.integers(0, 15),
     st.integers(2, 16),
 )
+# scaled before the clamp, these overflowed float64 (and warned)
+@example(sys.float_info.max, 15, 16)
+@example(-sys.float_info.max, 15, 16)
+@example(7.02223881e305, 8, 16)
 def test_quantize_value_matches_oracle(x, p, b):
     assert quantize_value(x, p, b) == quantize_value_oracle(x, p, b)
 
@@ -192,6 +196,14 @@ def test_tiny_weights_keep_requantize_shift_exact():
     assert q.spec.k[0] == 62
     x = np.full((1, 2, 2), 32767)
     np.testing.assert_array_equal(requantize(qconv_forward(x, q), q), 0)
+
+
+@pytest.mark.parametrize("w, k", [([3.0], 13), ([2.0, 2.0], 13), ([5.0, 1.0], 12)])
+def test_channel_past_int16_at_its_shift_takes_a_lower_one(w, k):
+    # at the budget's shift (14, 14 and 13) a weight scales to 2^15 or more
+    q = quantize_layer(layer(np.reshape(w, (len(w), 1, 1, 1))), n_i=16, p_in=8, p_out=8)
+    assert q.spec.k.tolist() == [k]
+    assert q.w_q.ravel().tolist() == [v * 2**k for v in w]
 
 
 def test_unrepresentable_weight_rejected():
