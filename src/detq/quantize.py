@@ -6,6 +6,12 @@ output channel, with k_j chosen from the accumulator budget so that a
 32-bit accumulator can never overflow for any in-range input;
 QConvLayer also refuses a layer whose requantize left shift could.
 
+quantize_layer derives, scales and checks all of a layer's channels in one
+numpy pass.  A column's sum |W| is a float sum; only where its error bound
+reaches a power of two does the column's shift come from an exact sum.
+Each channel gets the same shift, weights and bias as it would
+quantized on its own.
+
 Rounding is half-away-from-zero everywhere.
 """
 
@@ -259,41 +265,78 @@ class QConvLayer:
         return out
 
 
-def derive_weight_shift(w_col, n_i: int = 16) -> int:
+def derive_weight_shift(w, n_i: int = 16):
     """Maximum per-channel weight shift allowed by the accumulator budget.
 
-    k_j = ACCUM_BITS - n_i - ceil(log2(sum |W|)), floored at 0.  An
+    k_j = ACCUM_BITS - n_i - ceil(log2(sum |W_j|)), floored at 0.  An
     all-zero channel gets K_MAX (any shift works; the weights stay zero).
+    w is one channel's weights as a 1-D sequence, giving an int, or a
+    (T, n) matrix holding a channel in each column, giving n shifts as an
+    int64 array.
     """
     if ACCUM_BITS <= n_i:
         raise ValueError("accumulator must be wider than the input")
-    vals = np.abs(np.asarray(w_col, dtype=np.float64)).ravel().tolist()
-    s = math.fsum(vals)
-    if s == 0.0:
-        return K_MAX
-    # fsum is correctly rounded, so its ceil(log2) can only be wrong when it
-    # lands exactly on a power of two; settle that case with exact rationals
-    if math.frexp(s)[0] == 0.5:
-        s = sum(map(Fraction, vals))
-    return max(ACCUM_BITS - n_i - ceil_log2(s), 0)
+    w = np.asarray(w, dtype=np.float64)
+    one = w.ndim == 1
+    # one weight past 2^(ACCUM_BITS-n_i) makes the shift 0 on its own: the
+    # clip moves no shift, and no column sum can overflow float64
+    a = np.minimum(np.abs(w.reshape(-1, 1) if one else w), 2.0 ** (ACCUM_BITS - n_i))
+    s = a.sum(axis=0)
+    frac, e = np.frexp(s)
+    e = e.astype(np.int64)
+    # A float sum of T non-negative terms lies within a relative T 2^-53 of
+    # the exact sum, in any order: ceil(log2) of the exact sum is e (frac in
+    # (0.5, 1)) unless a power of two lies that close (tol is 4 times as
+    # wide).  There fsum decides;
+    # it is correctly rounded, so its ceil(log2) can only be wrong when it
+    # lands exactly on a power of two, which exact rationals settle.
+    tol = len(a) * 2.0**-51
+    for j in np.flatnonzero((s > 0) & ((frac <= 0.5 + tol) | (frac >= 1.0 - tol))):
+        vals = a[:, j].tolist()
+        exact = math.fsum(vals)
+        if math.frexp(exact)[0] == 0.5:
+            exact = sum(map(Fraction, vals))
+        e[j] = ceil_log2(exact)
+    k = np.where(s > 0, np.maximum(ACCUM_BITS - n_i - e, 0), K_MAX)
+    return int(k[0]) if one else k
 
 
-def adjust_shift_for_bias(k_j: int, b_j: float, p: int) -> int:
-    """Reduce a channel shift so the bias also fits the accumulator budget.
+def adjust_shift_for_bias(k, b, p: int):
+    """Reduce channel shifts so the bias also fits the accumulator budget.
 
     Applied only for non-zero bias: k' = min(ACCUM_BITS-1-p-max(ceil(log2|b|),0), k) - 1.
+    Elementwise: an int for a scalar k and b, an int64 array for arrays.
     """
-    if b_j == 0:
-        return k_j
-    lb = max(ceil_log2(abs(float(b_j))), 0)
-    return min(ACCUM_BITS - 1 - p - lb, k_j) - 1
+    k = np.asarray(k, dtype=np.int64)
+    # |b| = frac 2^e exactly, frac in [0.5, 1) or 0 for b = 0: ceil(log2|b|)
+    # is e, or e - 1 where |b| is a power of two
+    frac, e = np.frexp(np.abs(np.asarray(b, dtype=np.float64)))
+    lb = np.maximum(e.astype(np.int64) - (frac == 0.5), 0)
+    out = np.where(frac == 0, k, np.minimum(ACCUM_BITS - 1 - p - lb, k) - 1)
+    return int(out) if out.ndim == 0 else out
 
 
-def _quantize_channel(w_col: np.ndarray, k: int):
-    """w_col scaled by 2^k and rounded, as int64; None if an entry lies
-    outside int16, checked before the cast, which could not hold it."""
-    q = round_half_away(w_col * math.ldexp(1.0, k))
-    return q.astype(np.int64) if np.abs(q).max(initial=0) <= INT16_MAX else None
+def _scale_channels(w, b, k, p_in: int, n_i: int):
+    """Channels at weight shifts k: w (T, c) times 2^k and b (c,) times
+    2^(k+p_in), rounded half away from zero, as int64 w_q and b_q.  Also,
+    per channel: whether a weight lies past int16, sum |w_q|, and whether
+    the worst-case accumulator (accumulator_bound) fits ACCUM_BITS bits.
+
+    Scaled weights are clipped to one past int16, and the bias before and
+    after its scaling to one past the accumulator range, since the scaling
+    and the casts could not hold larger values; a clipped channel fails
+    its check all the same.
+    """
+    acc_max = (1 << (ACCUM_BITS - 1)) - 1
+    q = round_half_away(w * np.ldexp(1.0, k))
+    w_q = np.clip(q, -INT16_MAX - 1, INT16_MAX + 1, out=q).astype(np.int64)
+    top = float(acc_max + 1)
+    bq = round_half_away(np.clip(b, -top, top) * np.ldexp(1.0, k + p_in))
+    b_q = np.clip(bq, -top, top).astype(np.int64)
+    a = np.abs(w_q)
+    w_sum = a.sum(axis=0)
+    fits = accumulator_bound(w_sum, b_q, n_i) <= acc_max
+    return w_q, b_q, a.max(axis=0, initial=0) > INT16_MAX, w_sum, fits
 
 
 def quantize_layer(
@@ -314,61 +357,50 @@ def quantize_layer(
     capped so that requantize never shifts right by more than
     MAX_RIGHT_SHIFT.  A left-shifting channel past shifted_bound is refused:
     whatever k is, that bound is about sum|W| x_max 2^(p_out-p_in) + |bias| 2^p_out.
+
+    Each step is one pass over the layer's (m*K*K, n) weight matrix, with
+    an exact sum for a column whose float sum |W| lies within its error
+    bound of a power of two.  Only the lowering steps loop, over the
+    channels that still fail, usually none.  Each channel gets the shift,
+    weights and bias it would get quantized on its own, and of several
+    failing channels the lowest is reported.
     """
     # checked before use: a huge p_in would overflow the bias scaling below
     _check_grid(n_i, p_in, p_out)
     m, kk, _, n = layer.weights.shape
-    acc_max = (1 << (ACCUM_BITS - 1)) - 1
+    w = layer.weights.reshape(m * kk * kk, n)
+    b = layer.bias
     eq14_budget = 1 << (ACCUM_BITS - n_i)
-    k_cap = MAX_RIGHT_SHIFT - p_in + p_out
 
-    w_q = np.zeros((m, kk, kk, n), dtype=np.int64)
-    b_q = np.zeros(n, dtype=np.int64)
-    ks = np.zeros(n, dtype=np.int64)
+    k = np.minimum(derive_weight_shift(w, n_i), MAX_RIGHT_SHIFT - p_in + p_out)
+    k = np.maximum(adjust_shift_for_bias(k, b, p_in), 0)
+    w_q, b_q, wide, w_sum, fits = _scale_channels(w, b, k, p_in, n_i)
 
-    def fits(wq, bq):
-        # |bq| alone first: before the shift is lowered it can exceed int64
-        return abs(bq) <= acc_max and (
-            accumulator_bound(wq[..., None], bq, n_i)[0] <= acc_max
-        )
+    def lower(cols, k_new):
+        k[cols] = k_new
+        out = _scale_channels(w[:, cols], b[cols], k_new, p_in, n_i)
+        w_q[:, cols], b_q[cols], wide[cols], w_sum[cols], fits[cols] = out
 
-    for j in range(n):
-        col = layer.weights[:, :, :, j]
-        bias = float(layer.bias[j])
-        k = min(derive_weight_shift(col, n_i), k_cap)
-        if bias != 0.0:
-            k = adjust_shift_for_bias(k, bias, p_in)
-            k = max(k, 0)
-        wq = _quantize_channel(col, k)
-        while wq is None and k > 0:
-            # the K_MAX cap first, then one step at a time
-            k = min(k - 1, K_MAX)
-            wq = _quantize_channel(col, k)
-        if wq is None:
+    while (cols := np.flatnonzero(wide & (k > 0))).size:
+        # the K_MAX cap first, then one step at a time
+        lower(cols, np.minimum(k[cols] - 1, K_MAX))
+    # Rounding can push a channel a hair past the static budget; lower the
+    # shift until the worst-case accumulator provably fits.
+    while (cols := np.flatnonzero(~wide & (k > 0) & ((w_sum > eq14_budget) | ~fits))).size:
+        lower(cols, k[cols] - 1)
+    failed = np.flatnonzero(wide | ~fits)
+    if failed.size:
+        j = int(failed[0])
+        if wide[j]:
             raise WeightRangeError(
                 f"{name}: channel {j}: weight magnitude "
-                f"{np.abs(col).max():.6g} not representable in int16 "
-                f"at shift {k}"
+                f"{np.abs(w[:, j]).max():.6g} not representable in int16 "
+                f"at shift {k[j]}"
             )
-        bq = int(round_half_away(bias * math.ldexp(1.0, k + p_in)))
-        # Rounding can push the channel a hair past the static budget;
-        # lower the shift until the worst-case accumulator provably fits.
-        ok = fits(wq, bq)
-        while k > 0 and (int(np.abs(wq).sum()) > eq14_budget or not ok):
-            k -= 1
-            wq = _quantize_channel(col, k)
-            bq = int(round_half_away(bias * math.ldexp(1.0, k + p_in)))
-            ok = fits(wq, bq)
-        if not ok:
-            raise WeightRangeError(
-                f"{name}: channel {j}: cannot satisfy accumulator bound"
-            )
-        w_q[:, :, :, j] = wq
-        b_q[j] = bq
-        ks[j] = k
+        raise WeightRangeError(f"{name}: channel {j}: cannot satisfy accumulator bound")
 
-    spec = LayerQuantSpec(n_i=n_i, p_in=p_in, p_out=p_out, k=ks)
+    spec = LayerQuantSpec(n_i=n_i, p_in=p_in, p_out=p_out, k=k)
     try:
-        return QConvLayer(w_q=w_q, b_q=b_q, spec=spec, mask=layer.mask)
+        return QConvLayer(w_q=w_q.reshape(m, kk, kk, n), b_q=b_q, spec=spec, mask=layer.mask)
     except WeightRangeError as e:
         raise WeightRangeError(f"{name}: {e}") from e

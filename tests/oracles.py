@@ -6,6 +6,7 @@ independently written implementation.
 """
 
 import functools
+import math
 import operator
 from fractions import Fraction
 
@@ -15,9 +16,12 @@ import pytest
 from detq import intops
 from detq.harness import BackendVariant, run_backend
 from detq.phi_table import GRID_FRAC_BITS, PHI_TABLE_Q16, Z_LIMIT
+from detq.quantize import LayerQuantSpec, QConvLayer, WeightRangeError, round_half_away
 from detq.tensors import im2col
 
 K_MAX = 14
+INT16_MAX = (1 << 15) - 1
+MAX_RIGHT_SHIFT = 62
 
 
 def round_half_away_fr(q: Fraction) -> int:
@@ -55,6 +59,66 @@ def adjust_shift_for_bias_oracle(k_j, b_j, p, n_a=32) -> int:
         return k_j
     lb = max(ceil_log2_fr(abs(Fraction(float(b_j)))), 0)
     return min(n_a - 1 - p - lb, k_j) - 1
+
+
+def quantize_layer_oracle(layer, n_i, p_in, p_out, name="layer"):
+    """quantize_layer one channel at a time: each channel's shift derived,
+    lowered and checked on its own, by the exact shift oracles above, with
+    the float scaling and rounding quantize_layer specifies.  The scaled
+    bias stays a float until stored, so one past float64 is inf and fails
+    its channel's accumulator check."""
+    m, kk, _, n = layer.weights.shape
+    acc_max = (1 << 31) - 1
+    x_max = (1 << (n_i - 1)) - 1
+    eq14_budget = 1 << (32 - n_i)
+    k_cap = MAX_RIGHT_SHIFT - p_in + p_out
+
+    w_q = np.zeros((m, kk, kk, n), dtype=np.int64)
+    b_q = np.zeros(n, dtype=np.int64)
+    ks = np.zeros(n, dtype=np.int64)
+
+    def quantize_channel(col, k):
+        q = round_half_away(col * math.ldexp(1.0, k))
+        return q.astype(np.int64) if np.abs(q).max(initial=0) <= INT16_MAX else None
+
+    def fits(wq, bq):
+        return abs(bq) <= acc_max and int(np.abs(wq).sum()) * x_max + abs(int(bq)) <= acc_max
+
+    for j in range(n):
+        col = layer.weights[:, :, :, j]
+        bias = float(layer.bias[j])
+        k = min(derive_weight_shift_oracle(col.ravel().tolist(), 32, n_i), k_cap)
+        if bias != 0.0:
+            k = adjust_shift_for_bias_oracle(k, bias, p_in)
+            k = max(k, 0)
+        wq = quantize_channel(col, k)
+        while wq is None and k > 0:
+            k = min(k - 1, K_MAX)
+            wq = quantize_channel(col, k)
+        if wq is None:
+            raise WeightRangeError(
+                f"{name}: channel {j}: weight magnitude "
+                f"{np.abs(col).max():.6g} not representable in int16 "
+                f"at shift {k}"
+            )
+        bq = round_half_away(bias * math.ldexp(1.0, k + p_in))
+        ok = fits(wq, bq)
+        while k > 0 and (int(np.abs(wq).sum()) > eq14_budget or not ok):
+            k -= 1
+            wq = quantize_channel(col, k)
+            bq = round_half_away(bias * math.ldexp(1.0, k + p_in))
+            ok = fits(wq, bq)
+        if not ok:
+            raise WeightRangeError(f"{name}: channel {j}: cannot satisfy accumulator bound")
+        w_q[:, :, :, j] = wq
+        b_q[j] = int(bq)
+        ks[j] = k
+
+    spec = LayerQuantSpec(n_i=n_i, p_in=p_in, p_out=p_out, k=ks)
+    try:
+        return QConvLayer(w_q=w_q, b_q=b_q, spec=spec, mask=layer.mask)
+    except WeightRangeError as e:
+        raise WeightRangeError(f"{name}: {e}") from e
 
 
 def round_shift_oracle(v, s) -> int:

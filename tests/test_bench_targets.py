@@ -68,3 +68,17 @@ def test_traced_ar_roundtrip_sees_every_position(tmp_path):
     steps = (8 - 1) + 2 * (8 - 1) + 1
     assert metrics["gmm.tables"] == metrics["intops.stack_calls"] == steps + 1 == 23
     assert metrics["rc.symbols"] == 2 * latent.size  # encoded and decoded
+
+
+def test_traced_wide_setup_sees_every_layer(tmp_path):
+    # quantize.* reads one quantize_layer call per layer and its channels:
+    # quantizing a stack must still go through that name once per layer
+    spans, workloads = _load("spans"), _load("workloads")
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.span(spans.SETUP):
+        workloads.setup(workloads.WORKLOADS["wide-encode"], tmp_path)
+    metrics = spans.layer_metrics(tracer, 1)
+    # two hyperdecoder layers, one context layer and seven gather layers:
+    # nine 192 wide and the head 9 x 32 wide
+    assert metrics["quantize.layers"] == 10
+    assert metrics["quantize.channels"] == 9 * 192 + 9 * 32 == 2016

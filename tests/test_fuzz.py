@@ -3,6 +3,7 @@ manifests, model blobs and data files.  Every input gives a value or a
 typed error, and every command an exit code, never a traceback."""
 
 import contextlib
+import copy
 import functools
 import hashlib
 import io
@@ -143,7 +144,8 @@ def mutated_manifest(draw):
         if kind == "delete":
             del parent[key]
         elif kind == "replace":
-            parent[key] = draw(st.sampled_from(VALUES))
+            # a copy: a later step may mutate it, and VALUES must stay as drawn
+            parent[key] = copy.deepcopy(draw(st.sampled_from(VALUES)))
         elif type(parent[key]) is int:
             parent[key] += draw(st.sampled_from([-1, 1, 2**31, -(2**31), 2**64]))
     return doc, blob_name, blob

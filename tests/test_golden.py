@@ -2,13 +2,13 @@
 
 Refactors must leave every digest unchanged.  A digest may only change in
 a change that is called out as a format change.  Covered: quantized model
-blobs, integer priors under two accumulation orders, per-element CDF
-tables, encoded bitstreams, float-path discretized priors, the linearized
-softmax on a tie-heavy field, decoder-side priors of both backend modes,
-both failure-demo reports, the reports of the roundtrips whose decoder
-runs off the payload in float mode (seed 25 only in raster order, so its
-v2 report is pinned), and v2 (wavefront-order) bitstreams of a one- and
-a two-channel context model.
+blobs at desk and codec width, integer priors under two accumulation
+orders, per-element CDF tables, encoded bitstreams, float-path discretized
+priors, the linearized softmax on a tie-heavy field, decoder-side priors
+of both backend modes, both failure-demo reports, the reports of the
+roundtrips whose decoder runs off the payload in float mode (seed 25 only
+in raster order, so its v2 report is pinned), and v2 (wavefront-order)
+bitstreams of a one- and a two-channel context model.
 """
 
 import hashlib
@@ -64,6 +64,7 @@ GOLDEN = {
     "off_payload.25.float": "543eb75a667f33f0a9e7b492ecd0871713be9389a3e4cc703989ade8c19743fd",
     "off_payload.25.int": "0dc5ccf8de69f7eca872d12bf444f4cfa3eb0eff7bcbfd3a13a75fcea3cc2cc5",
     "softmax.ties": "16430a0008660bd27f167b6908d6650f0f375a19b793bccecbccc8d560aa9e72",
+    "wide.blob": "bfe653263614d827e1f37ae069485dfa4080ba02e93edef87fa5d48e6b52b6f7",
 }
 
 
@@ -123,6 +124,13 @@ def _all_digests(tmp):
     out = {}
     for name in CASES:
         out.update(_case(name, tmp))
+
+    # codec width: 192-wide layers, a 5x5 context kernel, 32 channels
+    fs = random_stack(
+        np.random.default_rng(2027), latent_channels=32, hyper_channels=32, hidden=192, ctx_kernel=5
+    )
+    save_quantized_model(tmp / "wide.json", fs.quantize())
+    out["wide.blob"] = _sha((tmp / "wide.bin").read_bytes())
 
     rng = np.random.default_rng(2026)
     z = rng.choice([-2048, -1024, -1, 0, 0, 1, 512, 1024], size=(3, 4, 16, 16))

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from oracles import (
     adjust_shift_for_bias_oracle,
     ceil_log2_fr,
     derive_weight_shift_oracle,
+    quantize_layer_oracle,
     quantize_value_oracle,
 )
 
@@ -133,9 +135,27 @@ def test_derive_weight_shift_refuses_n_i_at_the_accumulator_width():
         derive_weight_shift([1.0], 32)
 
 
-@given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
-def test_derive_weight_shift_matches_oracle(ws):
-    assert derive_weight_shift(ws, 16) == derive_weight_shift_oracle(ws, 32, 16)
+# columns whose sum |w| is a power of two or one ulp to either side, one
+# just past 1 whose float sum in order loses its small terms and lands
+# below 1, and one whose float sum rounds onto 1: exact sums settle each
+NEAR_POWERS = np.zeros((7, 5))
+NEAR_POWERS[:2, :3] = [[0.75] * 3, [0.25, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0)]]
+NEAR_POWERS[:, 3] = [0.5, 0.5 - 2.0**-52] + [2.0**-54] * 5
+NEAR_POWERS[:2, 4] = [1.0, 2.0**-60]
+
+
+@given(
+    hnp.arrays(
+        np.float64, st.tuples(st.integers(1, 20), st.integers(1, 4)), elements=st.floats(-10, 10)
+    )
+)
+@example(NEAR_POWERS)
+@example(np.full((2, 1), 1e308))  # a sum past float64
+def test_derive_weight_shift_matches_oracle(w):
+    # a (T, n) matrix gives each column's shift, and a column alone its own
+    want = [derive_weight_shift_oracle(col, 32, 16) for col in w.T.tolist()]
+    assert derive_weight_shift(w, 16).tolist() == want
+    assert [derive_weight_shift(col, 16) for col in w.T] == want
 
 
 def test_adjust_shift_for_bias_examples():
@@ -149,8 +169,14 @@ def test_adjust_shift_for_bias_examples():
     st.floats(-100, 100),
     st.integers(0, 15),
 )
+@example(14, -0.0, 8)
+@example(14, 1e308, 15)
 def test_adjust_shift_matches_oracle(k, b, p):
-    assert adjust_shift_for_bias(k, b, p) == adjust_shift_for_bias_oracle(k, b, p)
+    want = adjust_shift_for_bias_oracle(k, b, p)
+    assert adjust_shift_for_bias(k, b, p) == want
+    # elementwise over arrays of shifts and biases
+    got = adjust_shift_for_bias(np.array([k, k]), np.array([b, 0.0]), p)
+    assert got.tolist() == [want, k]
 
 
 # --- quantize_layer -------------------------------------------------------
@@ -220,6 +246,78 @@ def test_weight_past_int64_refused_by_its_channel():
         WeightRangeError, match=r"channel 1: weight magnitude 3e\+38 not representable in int16"
     ):
         quantize_layer(layer(w), n_i=16, p_in=8, p_out=8)
+
+
+@pytest.mark.parametrize(
+    "w, b, match",
+    [
+        # sum |w| past float64: the weights alone refuse the channel
+        ([1e308, 1e308], 0.0, "weight magnitude 1e\\+308 not representable in int16 at shift 0"),
+        # the bias scaled by 2^p_in past float64
+        ([0.1, 0.1], 1e308, "cannot satisfy accumulator bound"),
+    ],
+)
+def test_channel_past_float64_refused_by_its_channel(w, b, match):
+    wts = np.zeros((2, 1, 1, 2))
+    wts[:, 0, 0, 1] = w
+    with pytest.raises(WeightRangeError, match=f"channel 1: {match}"):
+        quantize_layer(layer(wts, b=[0.5, b]), n_i=16, p_in=8, p_out=8)
+
+
+@st.composite
+def float_layer_cases(draw):
+    """A float layer whose channels' weights and biases lie at random binary
+    scales, a few past float64 once summed or scaled, with n_i, p_in and
+    p_out."""
+    m, kk, n = draw(st.integers(1, 3)), draw(st.sampled_from([1, 3])), draw(st.integers(1, 4))
+    unit = st.floats(-1, 1)
+    scale = st.one_of(st.integers(-70, 24), st.just(1020))
+    w = draw(hnp.arrays(np.float64, (m, kk, kk, n), elements=unit))
+    b = draw(hnp.arrays(np.float64, (n,), elements=unit))
+    w_exp = draw(hnp.arrays(np.int64, (n,), elements=scale))
+    b_exp = draw(hnp.arrays(np.int64, (n,), elements=scale))
+    lyr = layer(np.ldexp(w, w_exp), np.ldexp(b, b_exp), mask=kk > 1 and draw(st.booleans()))
+    return lyr, draw(st.integers(2, 16)), draw(st.integers(0, 15)), draw(st.integers(0, 15))
+
+
+def _budget_case():
+    # sum |w| 2^10 is 2^16 exactly, but two ties round up: 65537 > 2^16,
+    # though 65537 x_max fits 32 bits
+    w = np.ldexp([21845.0] * 3 + [0.5] * 2, -10)
+    return layer(np.reshape(w, (5, 1, 1, 1)))
+
+
+def _zero_column_case():
+    w = np.zeros((1, 3, 3, 2))
+    w[..., 1] = 0.3
+    return layer(w, b=[0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_layer_cases())
+@example((layer(NEAR_POWERS.reshape(7, 1, 1, 5)), 16, 8, 8))
+@example((layer(np.ones((1, 1, 1, 1))), 16, 8, 8))  # identity capped at K_MAX
+@example((layer(np.full((1, 3, 3, 1), 2.0**-47.5 / 9)), 16, 8, 8))  # k_cap 62
+@example((layer(np.full((1, 1, 1, 1), 0.01), b=[1000.0]), 16, 8, 8))  # bias-limited
+@example((_zero_column_case(), 16, 8, 8))
+@example((_budget_case(), 16, 8, 8))  # steps down to 9 for the eq14 budget
+@example((layer(np.reshape([0.5, 1e9], (1, 1, 1, 2))), 16, 8, 8))  # int16 after a pass
+@example((layer(np.full((2, 1, 1, 1), 1e308)), 16, 8, 8))
+@example((layer(np.full((1, 1, 1, 1), 0.1), b=[1e308]), 16, 8, 8))
+def test_quantize_layer_matches_channel_oracle(case):
+    # the one pass over a layer's channels gives each the shift, weights and
+    # bias the channel-by-channel oracle does, or the same error
+    lyr, n_i, p_in, p_out = case
+    try:
+        want = quantize_layer_oracle(lyr, n_i, p_in, p_out)
+    except WeightRangeError as e:
+        with pytest.raises(WeightRangeError, match=f"^{re.escape(str(e))}$"):
+            quantize_layer(lyr, n_i, p_in, p_out)
+        return
+    got = quantize_layer(lyr, n_i, p_in, p_out)
+    assert got.spec.k.tolist() == want.spec.k.tolist()
+    np.testing.assert_array_equal(got.w_q, want.w_q)
+    np.testing.assert_array_equal(got.b_q, want.b_q)
 
 
 def test_qconv_layer_enforces_accumulator_bound():
