@@ -131,7 +131,7 @@ def _save(manifest_path, dtype: str, latent_channels: int, layers):
             {"m": m, "k": k, "n": n, "mask": bool(mask), **extra}
             | {key: int(getattr(cfg, key)) for key in ("n_i", "p_in", "p_out")}
         )
-        parts += [w.astype(w_dt).tobytes(), b.astype(b_dt).tobytes()]
+        parts += [w.astype(w_dt, copy=False).tobytes(), b.astype(b_dt, copy=False).tobytes()]
     manifest_path = pathlib.Path(manifest_path)
     blob = b"".join(parts)
     doc = {
@@ -152,7 +152,7 @@ def _load(manifest_path, dtype: str):
     """Latent channels and {subnetwork: [(entry, weights, bias)]} of a model.
 
     Weights are (m, k, k, n) and biases (n,) views of the blob in its
-    stored dtype.
+    stored dtype; a quantized layer keeps its weights as these views.
     """
     doc, blob = _read(manifest_path)
     if doc["dtype"] != dtype:

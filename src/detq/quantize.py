@@ -12,6 +12,9 @@ reaches a power of two does the column's shift come from an exact sum.
 Each channel gets the same shift, weights and bias as it would
 quantized on its own.
 
+Quantized weights are held as int16, the type the paper's registers and
+the model blob give them; all arithmetic on them is int64 or float64.
+
 Rounding is half-away-from-zero everywhere.
 """
 
@@ -61,15 +64,28 @@ class WeightRangeError(ValueError):
     channel's worst case (shifted_bound) does not fit 32 bits."""
 
 
+# The largest double below 0.5.  |x| + 0.5 rounds to the next integer
+# for 0.49999999999999994 and for odd |x| between 2^52 and 2^53.  |x| plus
+# this reaches the next integer exactly where |x|'s fraction is at least
+# 0.5: a fraction of 0.5 lands 2^-54 below it and rounds up to it, a
+# smaller one lands at least one spacing of |x| further down.
+_BELOW_HALF = 0.5 - 2.0**-54
+
+# the unsigned dtype of each integer width
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
 def round_half_away(x):
-    """Round to nearest integer, ties away from zero.  Works on arrays."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """Round to nearest integer, ties away from zero.  Works on arrays.
+    Exact for every double."""
+    return np.copysign(np.floor(np.abs(x) + _BELOW_HALF), x)
 
 
 def exceeds(arr: np.ndarray, lim: int) -> bool:
-    """Whether an int64 array has an entry outside [-lim, lim]."""
-    # abs(-2^63) wraps to -2^63 itself, which read as unsigned is 2^63 > lim
-    return arr.size > 0 and np.abs(arr).view(np.uint64).max() > lim
+    """Whether an integer array has an entry outside [-lim, lim]."""
+    # abs of a signed minimum wraps to itself, which read as unsigned of
+    # the same width is its magnitude
+    return arr.size > 0 and int(np.abs(arr).view(_UNSIGNED[arr.itemsize]).max()) > lim
 
 
 def ceil_log2(x) -> int:
@@ -188,12 +204,15 @@ class LayerQuantSpec:
 def accumulator_bound(w_q, b_q, n_i: int) -> np.ndarray:
     """Per-channel worst-case |accumulator|: sum|w| * (2^(n_i-1)-1) + |b|.
 
-    w_q is (..., n) and b_q is (n,).  The sign-matched extreme input attains
-    the bound, and it bounds every partial sum in every summation order.
+    w_q is (..., n) integers of any width, int16 as a layer holds them, and
+    b_q is (n,).  The sign-matched extreme input attains the bound, and it
+    bounds every partial sum in every summation order.  int64 throughout:
+    |w| is taken in int64, where int16 -32768 has its magnitude.
     """
-    w = np.abs(np.asarray(w_q, dtype=np.int64))
+    w = np.asarray(w_q)
+    w_sum = np.abs(w.reshape(-1, w.shape[-1]), dtype=np.int64).sum(axis=0)
     x_max = (1 << (n_i - 1)) - 1
-    return w.reshape(-1, w.shape[-1]).sum(axis=0) * x_max + np.abs(b_q)
+    return w_sum * x_max + np.abs(b_q)
 
 
 def shifted_bound(w_q, b_q, spec: LayerQuantSpec) -> np.ndarray:
@@ -206,29 +225,37 @@ def shifted_bound(w_q, b_q, spec: LayerQuantSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QConvLayer:
-    """Quantized convolution layer: int16-valued weights, wide-int bias.
+    """Quantized convolution layer: int16 weights, wide-int bias.
 
-    Construction enforces the static overflow bound, so every layer, built
-    or loaded, accumulates and requantizes in 32 bits for any input within
-    its n_i bits (shifted_bound), and causality: a masked layer has zero
-    weights at every tap that causal_mask zeroes.  The layer holds w_q and b_q as read-only views,
-    so both hold for its lifetime unless the caller writes to the arrays
-    it passed in.
+    Weights of another integer type are range-checked, then narrowed to
+    int16; int16 weights, such as a loaded layer's views of the model blob,
+    are kept as they are.  Either way -32768 is refused like any other
+    entry outside +-INT16_MAX.  Construction enforces the static overflow
+    bound, so every layer, built or loaded, accumulates and requantizes in
+    32 bits for any input within its n_i bits (shifted_bound), and
+    causality: a masked layer has zero weights at every tap that
+    causal_mask zeroes.  The layer holds w_q and b_q as read-only views, so
+    both hold for its lifetime unless the caller writes to the arrays it
+    passed in.
     """
 
-    w_q: np.ndarray  # (m, K, K, n) int64, entries within int16
+    w_q: np.ndarray  # (m, K, K, n) int16, entries within +-INT16_MAX
     b_q: np.ndarray  # (n,) int64
     spec: LayerQuantSpec
     mask: bool = False
 
     def __post_init__(self):
-        # read-only views: a write through the layer would void the checks
-        # below and the cached weight_matrix
-        w = np.asarray(self.w_q, dtype=np.int64).view()
-        b = np.asarray(self.b_q, dtype=np.int64).view()
-        w.flags.writeable = b.flags.writeable = False
+        w = np.asarray(self.w_q)
+        if w.dtype.kind not in "iu":
+            w = w.astype(np.int64)
+        # checked before the narrowing, which would wrap what lies outside
         if exceeds(w, INT16_MAX):
             raise WeightRangeError("quantized weights exceed int16 range")
+        # read-only views: a write through the layer would void the checks
+        # below and the cached weight_matrix
+        w = w.astype(np.int16, copy=False).view()
+        b = np.asarray(self.b_q, dtype=np.int64).view()
+        w.flags.writeable = b.flags.writeable = False
         if self.mask and np.any(w[:, causal_mask(w.shape[1]) == 0]):
             raise ValueError("masked layer has non-zero weights at non-causal taps")
         acc_max = (1 << (ACCUM_BITS - 1)) - 1
@@ -318,7 +345,7 @@ def adjust_shift_for_bias(k, b, p: int):
 
 def _scale_channels(w, b, k, p_in: int, n_i: int):
     """Channels at weight shifts k: w (T, c) times 2^k and b (c,) times
-    2^(k+p_in), rounded half away from zero, as int64 w_q and b_q.  Also,
+    2^(k+p_in), rounded half away from zero, as int32 w_q and int64 b_q.  Also,
     per channel: whether a weight lies past int16, sum |w_q|, and whether
     the worst-case accumulator (accumulator_bound) fits ACCUM_BITS bits.
 
@@ -329,12 +356,12 @@ def _scale_channels(w, b, k, p_in: int, n_i: int):
     """
     acc_max = (1 << (ACCUM_BITS - 1)) - 1
     q = round_half_away(w * np.ldexp(1.0, k))
-    w_q = np.clip(q, -INT16_MAX - 1, INT16_MAX + 1, out=q).astype(np.int64)
+    w_q = np.clip(q, -INT16_MAX - 1, INT16_MAX + 1, out=q).astype(np.int32)
     top = float(acc_max + 1)
     bq = round_half_away(np.clip(b, -top, top) * np.ldexp(1.0, k + p_in))
     b_q = np.clip(bq, -top, top).astype(np.int64)
     a = np.abs(w_q)
-    w_sum = a.sum(axis=0)
+    w_sum = a.sum(axis=0, dtype=np.int64)
     fits = accumulator_bound(w_sum, b_q, n_i) <= acc_max
     return w_q, b_q, a.max(axis=0, initial=0) > INT16_MAX, w_sum, fits
 

@@ -284,7 +284,7 @@ def qconv_oracle(x, layer, order):
     taps, summed tap by tap in `order`.  Returns (n, h, w)."""
     c, h, w = x.shape
     cols = im2col(np.asarray(x, np.int64), layer.kernel)
-    wmat = layer.w_q.reshape(-1, layer.out_channels)
+    wmat = layer.w_q.reshape(-1, layer.out_channels).astype(np.int64)
     products = cols[:, :, None] * wmat[None, :, :]  # (P, T, n)
     acc = _fold(list(products.transpose(1, 0, 2)), order) + layer.b_q[None, :]
     return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)

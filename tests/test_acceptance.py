@@ -72,7 +72,7 @@ def test_criterion_1_overflow_freedom():
         )
         x_max = (1 << (n_i - 1)) - 1
         # adversarial sign-matched extreme input, per output channel
-        acc = np.abs(lyr.w_q).sum(axis=(0, 1, 2)) * x_max + np.abs(lyr.b_q)
+        acc = np.abs(lyr.w_q, dtype=np.int64).sum(axis=(0, 1, 2)) * x_max + np.abs(lyr.b_q)
         violations += int(np.count_nonzero(acc > (1 << 31) - 1))
     elapsed = time.monotonic() - start
     _verdict(1, "overflow freedom", violations == 0 and elapsed < 60.0)

@@ -3,12 +3,13 @@
 Refactors must leave every digest unchanged.  A digest may only change in
 a change that is called out as a format change.  Covered: quantized model
 blobs at desk and codec width, integer priors under two accumulation
-orders, per-element CDF tables, encoded bitstreams, float-path discretized
-priors, the linearized softmax on a tie-heavy field, decoder-side priors
-of both backend modes, both failure-demo reports, the reports of the
-roundtrips whose decoder runs off the payload in float mode (seed 25 only
-in raster order, so its v2 report is pinned), and v2 (wavefront-order)
-bitstreams of a one- and a two-channel context model.
+orders and of the manifest-loaded codec-width model, per-element CDF
+tables, encoded bitstreams, float-path discretized priors, the linearized
+softmax on a tie-heavy field, decoder-side priors of both backend modes,
+both failure-demo reports, the reports of the roundtrips whose decoder
+runs off the payload in float mode (seed 25 only in raster order, so its
+v2 report is pinned), and v2 (wavefront-order) bitstreams of a one- and a
+two-channel context model.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ import pytest
 from detq import harness
 from detq.harness import (
     BackendVariant,
+    StackPair,
     boundary_failure_demo,
     discretize_priors,
     field_tables,
@@ -28,7 +30,7 @@ from detq.harness import (
     prior_fn,
 )
 from detq.intops import context_reach, linear_softmax_field, run_entropy_stack
-from detq.manifest import save_quantized_model
+from detq.manifest import load_quantized_model, save_quantized_model
 from detq.rc import rc_encode
 
 from models import random_latent, random_stack
@@ -65,6 +67,7 @@ GOLDEN = {
     "off_payload.25.int": "0dc5ccf8de69f7eca872d12bf444f4cfa3eb0eff7bcbfd3a13a75fcea3cc2cc5",
     "softmax.ties": "16430a0008660bd27f167b6908d6650f0f375a19b793bccecbccc8d560aa9e72",
     "wide.blob": "bfe653263614d827e1f37ae069485dfa4080ba02e93edef87fa5d48e6b52b6f7",
+    "wide.priors": "8ceb8ba00ec4a25972b3544be5fe8999f0021ca7fa66d5b41206225c119b8500",
 }
 
 
@@ -131,6 +134,12 @@ def _all_digests(tmp):
     )
     save_quantized_model(tmp / "wide.json", fs.quantize())
     out["wide.blob"] = _sha((tmp / "wide.bin").read_bytes())
+    # priors of the manifest-loaded model, whose weights are the blob's own
+    rng = np.random.default_rng(2028)
+    latent, hyper = random_latent(rng, (32, 3, 4)), rng.normal(size=(32, 3, 4))
+    pair = StackPair(fs, load_quantized_model(tmp / "wide.json"))
+    params = run_backend(pair, latent, hyper, BackendVariant("e", "seq", "int"))
+    out["wide.priors"] = _sha(params.tobytes())
 
     rng = np.random.default_rng(2026)
     z = rng.choice([-2048, -1024, -1, 0, 0, 1, 512, 1024], size=(3, 4, 16, 16))

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,42 @@ def test_quantized_roundtrip_bit_exact(tmp_path, fstack):
 
     b = run_backend(P, latent, hyper, BackendVariant("seq", "seq"))
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def wide_model(tmp_path_factory):
+    """Manifest path of the codec-width model the wide.blob golden pins."""
+    fs = random_stack(
+        np.random.default_rng(2027), latent_channels=32, hyper_channels=32, hidden=192, ctx_kernel=5
+    )
+    path = tmp_path_factory.mktemp("wide") / "wide.json"
+    save_quantized_model(path, fs.quantize())
+    return path
+
+
+def test_loaded_weights_are_views_of_the_blob(wide_model):
+    for _, chain in load_quantized_model(wide_model).chains():
+        for lyr in chain:
+            assert lyr.w_q.dtype == np.int16
+            assert not lyr.w_q.flags.writeable and not lyr.w_q.flags.owndata
+
+
+def test_load_keeps_no_more_than_the_blob(wide_model):
+    # a load holds the blob and small per-layer arrays; a widened copy of
+    # the weights (int64: 4 times the blob) would show here
+    blob = wide_model.with_suffix(".bin").stat().st_size
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stack = load_quantized_model(wide_model)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert abs(kept - blob) <= 0.1 * blob, (kept, blob)
+    layers = [lyr for _, chain in stack.chains() for lyr in chain]
+    assert sum(lyr.w_q.nbytes for lyr in layers) == 2 * sum(lyr.w_q.size for lyr in layers)
 
 
 def test_save_is_deterministic(tmp_path, fstack):

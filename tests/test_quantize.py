@@ -19,6 +19,7 @@ from detq.quantize import (
     adjust_shift_for_bias,
     ceil_log2,
     derive_weight_shift,
+    exceeds,
     quantize_layer,
     quantize_value,
     round_half_away,
@@ -33,6 +34,7 @@ from oracles import (
     derive_weight_shift_oracle,
     quantize_layer_oracle,
     quantize_value_oracle,
+    round_half_away_fr,
 )
 
 
@@ -79,8 +81,57 @@ def test_quantize_value_rejects_complex():
 @example(sys.float_info.max, 15, 16)
 @example(-sys.float_info.max, 15, 16)
 @example(7.02223881e305, 8, 16)
+# floor(|x| + 0.5) rounded these up: x + 0.5 is 1.0 in float64
+@example(0.49999999999999994, 0, 16)
+@example(math.ldexp(-0.49999999999999994, -15), 15, 16)
 def test_quantize_value_matches_oracle(x, p, b):
     assert quantize_value(x, p, b) == quantize_value_oracle(x, p, b)
+
+
+# --- round_half_away, exceeds -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        (0.49999999999999994, 0.0),  # the largest double below 0.5
+        (-0.49999999999999994, 0.0),
+        (0.5, 1.0),
+        (-2.5, -3.0),
+        (2.0**52 + 1, 2.0**52 + 1),  # whole, but x + 0.5 rounds to even 2^52 + 2
+        (-(2.0**52) - 1, -(2.0**52) - 1),
+        (2.0**52 - 0.5, 2.0**52),
+        (sys.float_info.max, sys.float_info.max),
+        (5e-324, 0.0),
+        (math.inf, math.inf),
+    ],
+)
+def test_round_half_away_is_exact(x, want):
+    assert round_half_away(x) == want
+    assert round_half_away(np.array([x, -x]))[::-1].tolist() == [-want, want]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.49999999999999994)
+@example(2.0**52 + 1)
+def test_round_half_away_matches_exact_oracle(x):
+    assert int(round_half_away(x)) == round_half_away_fr(Fraction(x))
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+def test_exceeds_matches_python_ints_at_the_dtype_extremes(dtype):
+    info = np.iinfo(dtype)
+    # odd lengths too: a view of the bytes as another width would not fit them
+    arrays = [[info.min], [info.max], [0, 1], [0, 1, 2], [info.min, 0, info.max]]
+    lims = {0, 1, 4, info.max - 1, info.max, abs(info.min) - 1, abs(info.min), 2**64}
+    for vals in arrays:
+        arr = np.array(vals, dtype)
+        for lim in sorted(v for v in lims if v >= 0):
+            assert exceeds(arr, lim) == any(abs(v) > lim for v in vals), (vals, lim)
+    assert not exceeds(np.zeros(0, dtype), 0)
 
 
 @given(st.floats(-100, 100), st.integers(0, 12))
@@ -210,7 +261,7 @@ def test_channel_sum_within_accumulator_budget():
         # weight magnitudes < 2 so every channel is int16-representable
         lyr = layer(rng.normal(0, 0.3, size=(4, 3, 3, 5)), b=rng.normal(size=5))
         q = quantize_layer(lyr, n_i=n_i, p_in=8, p_out=8)
-        sums = np.abs(q.w_q).sum(axis=(0, 1, 2))
+        sums = np.abs(q.w_q, dtype=np.int64).sum(axis=(0, 1, 2))
         x_max = (1 << (n_i - 1)) - 1
         assert np.all(sums * x_max + np.abs(q.b_q) <= (1 << 31) - 1)
 
@@ -406,6 +457,28 @@ def test_qconv_layer_range_check_includes_int64_min():
         QConvLayer(w_q=np.zeros((1, 1, 1, 1)), b_q=[int64_min], spec=spec)
     with pytest.raises(WeightRangeError, match="int16 range"):
         QConvLayer(w_q=np.full((1, 1, 1, 1), -32768), b_q=[0], spec=spec)
+    # held as int16, -32768 is in the dtype but not in the symmetric range
+    w = np.full((1, 1, 1, 1), -32768, np.int16)
+    with pytest.raises(WeightRangeError, match="int16 range"):
+        QConvLayer(w_q=w, b_q=[0], spec=spec)
+    # no wraparound: abs of int16 -32768 is -32768 in int16
+    assert accumulator_bound(w, np.zeros(1, np.int64), 2).tolist() == [32768]
+
+
+def test_int16_weights_bound_as_python_ints():
+    # every weight at +-32767 in int16: sum |w| would wrap in int16 and
+    # in int32 times x_max; the bounds are taken in int64 and float64
+    spec = LayerQuantSpec(n_i=2, p_in=0, p_out=3, k=[0, 0])
+    w = np.full((8, 3, 3, 2), 32767, np.int16)
+    w[::2, :, :, 1] = -32767
+    b = np.array([-(2**20), 2**20 - 1])
+    lyr = QConvLayer(w_q=w, b_q=b, spec=spec)
+    assert lyr.w_q.dtype == np.int16 and lyr.w_q.flags.owndata is False
+    want = [72 * 32767 + 2**20, 72 * 32767 + 2**20 - 1]  # x_max is 1 at n_i 2
+    assert accumulator_bound(lyr.w_q, lyr.b_q, spec.n_i).tolist() == want
+    assert shifted_bound(lyr.w_q, lyr.b_q, spec).tolist() == [v << 3 for v in want]
+    x_max = 2**15 - 1
+    assert accumulator_bound(w, b, 16).tolist() == [72 * 32767 * x_max + abs(v) for v in b]
 
 
 def test_qconv_layer_weights_are_read_only():
@@ -416,8 +489,9 @@ def test_qconv_layer_weights_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     assert lyr.weight_matrix is wmat
+    assert lyr.w_q.dtype == np.int16
     assert wmat.shape == (2, 1) and wmat.dtype == np.float64
-    np.testing.assert_array_equal(wmat.ravel(), lyr.w_q.ravel())
+    np.testing.assert_array_equal(wmat, lyr.w_q.reshape(2, 1).astype(np.float64))
 
 
 def test_spec_channel_shifts_are_read_only():
