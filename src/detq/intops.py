@@ -8,7 +8,7 @@ check_topology holds that they chain.  qconv_forward is the one place an
 activation's range is checked.  All arithmetic from there on is exact
 integer arithmetic: int16-range operands, 32-bit accumulators whose
 overflow is excluded statically by the shift derivation, and per-channel
-fused rescaling via arithmetic shifts with half-away-from-zero rounding.
+fused rescaling by a power of two with half-away-from-zero rounding.
 
 The stack topology (hyper_features, priors_from_features) exists once,
 here; the stack passed in supplies the arithmetic (layer step, fuse, head
@@ -20,6 +20,16 @@ QConvLayer enforces sum|w| * x_max + |b| <= 2^31 - 1, so every product
 and every partial sum, taken in any order, is an integer of magnitude
 below 2^31 < 2^53: float64 represents each one exactly, whatever
 summation order, blocking or FMA use the BLAS library picks.
+
+The requantize and LeakyReLU roundings run in float64 on the GEMM's
+output, and they are exact too.  For an integer |acc| < 2^31 and a shift
+s, acc 2^-s is a multiple of 2^-s with at most 31 significant bits: a
+normal double for s <= MAX_RIGHT_SHIFT = 62, a whole number for a left
+shift (s < 0), so multiplying by the channel's scale 2^-s rounds nothing.
+Likewise x 41 2^-12 has at most 21 significant bits for |x| < 2^15.
+round_half_away is exact for every double, so each rounded value is the
+whole number that integer shifts with half-away rounding give.  A layer
+step casts to int64 once, after its activation.
 
 Exactness also lets a decoder compute the priors of any set of positions
 at once.  Every context layer is causal and gather is 1x1, so a position's
@@ -41,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmm import GmmParams, apportion, sigma_min_for
-from .quantize import QConvLayer, RoundingTerms, exceeds, rounding_terms
+from .quantize import ACCUM_BITS, QConvLayer, exceeds, round_half_away
 from .tensors import ShapeError, check_conv_input, im2col
 
 __all__ = [
@@ -70,7 +80,8 @@ SUBNETS = ("hyperdecoder", "context", "gather")
 # LeakyReLU negative slope 41/4096 ~= 0.01 as a dyadic rational.
 LEAKY_NUM = 41
 LEAKY_SHIFT = 12
-_LEAKY_ROUNDING = rounding_terms(LEAKY_SHIFT)
+_LEAKY_SLOPE = LEAKY_NUM * 2.0**-LEAKY_SHIFT  # exact in float64
+_ACC_MAX = (1 << (ACCUM_BITS - 1)) - 1
 
 
 class AccumulatorOverflowError(ArithmeticError):
@@ -81,30 +92,31 @@ class AccumulatorOverflowError(ArithmeticError):
 def round_shift(v, s):
     """Scale by 2^-s with half-away rounding (s > 0) or left shift (s <= 0).
 
-    s is an int or an integer array broadcast against v.  Left shifts that
-    could push values past 31 bits raise, since a real 32-bit register
-    would wrap.
+    v is an integer or integer array, s an int or an integer array
+    broadcast against it; the result is int64.  |v| must lie below 2^53,
+    where float64 holds it exactly (no 32-bit register holds more), else
+    ValueError.  Left shifts that push a value past 31 bits raise, since a
+    real 32-bit register would wrap.
     """
-    return _apply_rounding(np.asarray(v, dtype=np.int64), rounding_terms(s))
+    v = np.asarray(v, dtype=np.int64)
+    if exceeds(v, (1 << 53) - 1):
+        raise ValueError("round_shift takes integers below 2^53 in magnitude")
+    s = np.asarray(s)
+    out = round_half_away(np.ldexp(v.astype(np.float64), -s))
+    _check_left_shift(out, s < 0)
+    return out.astype(np.int64)
 
 
-def _apply_rounding(v, terms: RoundingTerms):
-    """round_shift of an int64 array v by the shifts terms were built from."""
-    right, half, tie, left = terms
-    # floor((v + half) / 2^right) rounds ties up; v >> 63 is -1 below zero,
-    # and one less added there rounds them down, so ties go away from zero
-    out = (v + half + ((v >> 63) & tie)) >> right
-    if left is not None:
-        out = out << left
-        if np.any((left > 0) & (np.abs(out) > (1 << 31) - 1)):
-            raise AccumulatorOverflowError(
-                f"left shift by up to {int(left.max())} exceeds the 32-bit range"
-            )
-    return out
+def _check_left_shift(out, left):
+    """AccumulatorOverflowError if an entry of out past 31 bits lies where
+    the mask left, broadcast against it, is true."""
+    if np.any(left & (np.abs(out) > _ACC_MAX)):
+        raise AccumulatorOverflowError("a left shift exceeds the 32-bit range")
 
 
 def qconv_forward(x, layer: QConvLayer) -> np.ndarray:
-    """Exact integer cross-correlation plus bias; returns (n, h, w) int64.
+    """Exact integer cross-correlation plus bias; returns the (n, h, w)
+    accumulator as float64, whose entries are all integers.
 
     x is a (c, h, w) integer array.  QConvLayer holds sum|w| * x_max + |b|
     within 32 bits, and the input is checked against x_max here, the one
@@ -118,37 +130,45 @@ def qconv_forward(x, layer: QConvLayer) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype.kind not in "iu":
         raise ValueError(f"input must be an integer array, got dtype {x.dtype}")
-    x = x.astype(np.int64, copy=False)
     _, h, w = check_conv_input(x, layer)
     n_i = layer.spec.n_i
     if exceeds(x, (1 << (n_i - 1)) - 1):
         raise ValueError(f"input entry exceeds the layer's {n_i}-bit range")
     cols = im2col(x.astype(np.float64), layer.kernel)  # (h*w, m*K*K)
-    acc = (cols @ layer.weight_matrix).astype(np.int64) + layer.b_q
+    acc = cols @ layer.weight_matrix + layer.b_q
     return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)
 
 
 def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> np.ndarray:
     """Fused rescale of an (n, h, w) accumulator to the next layer's input grid.
 
-    acc represents real values at scale 2^-(k_j + p_in) per channel j; the
-    output is at 2^-p_out, so each channel shifts by k_j + p_in - p_out
-    (round_shift, from the terms the spec built once), and is clamped to
-    +-(2^(out_bits-1) - 1).
+    acc holds integers, float64 as qconv_forward returns them or int64,
+    below 2^31 in magnitude; it represents real values at scale
+    2^-(k_j + p_in) per channel j.  The output is at 2^-p_out, so each
+    channel is scaled by 2^-(k_j + p_in - p_out), the spec's scale, rounded
+    half away from zero as round_shift rounds, and clamped to
+    +-(2^(out_bits-1) - 1).  The result is float64, whole numbers only.
     """
-    acc = np.asarray(acc, dtype=np.int64)
+    acc = np.asarray(acc)
     if acc.ndim != 3:
         raise ShapeError(f"expected an (n, h, w) accumulator, got shape {acc.shape}")
-    out = _apply_rounding(acc, layer.spec.rounding)
+    spec = layer.spec
+    out = round_half_away(acc * spec.scale)
+    if spec.left is not None:
+        _check_left_shift(out, spec.left)
     lim = (1 << (out_bits - 1)) - 1
     return np.minimum(np.maximum(out, -lim), lim)
 
 
 def leaky_relu_int(x: np.ndarray) -> np.ndarray:
-    """Integer LeakyReLU with negative slope 41/4096; never grows |x|."""
+    """Integer LeakyReLU with negative slope 41/4096; never grows |x|.
+
+    x holds integers below 2^15 in magnitude, int64 or float64; the
+    result is float64, whole numbers only.
+    """
     # the scaled value lies between 0 and x, so the larger of the two is x
     # at or above zero and the scaled value below it
-    return np.maximum(x, _apply_rounding(x * LEAKY_NUM, _LEAKY_ROUNDING))
+    return np.maximum(x, round_half_away(x * _LEAKY_SLOPE))
 
 
 def linear_softmax_field(z: np.ndarray, scale_exp: int) -> np.ndarray:
@@ -237,11 +257,11 @@ class EntropyStack:
     def layer_step(self, x, layer, after, activation=True):
         """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU.
 
-        The output is at `after`'s input grid and within its n_i bits.
+        The output is int64, at `after`'s input grid and within its n_i bits.
         """
         next_bits = after.spec.n_i if after is not None else 16
         q = requantize(qconv_forward(x, layer), layer, out_bits=next_bits)
-        return leaky_relu_int(q) if activation else q
+        return (leaky_relu_int(q) if activation else q).astype(np.int64)
 
     def fuse(self, feats) -> np.ndarray:
         """Concatenated chain outputs, clamped to gather[0]'s n_i bits.

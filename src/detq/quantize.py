@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,6 @@ __all__ = [
     "K_MAX",
     "INT16_MAX",
     "ACCUM_BITS",
-    "RoundingTerms",
-    "rounding_terms",
     "LayerQuantSpec",
     "QConvLayer",
     "WeightRangeError",
@@ -55,7 +52,10 @@ __all__ = [
 K_MAX = 14
 INT16_MAX = (1 << 15) - 1
 ACCUM_BITS = 32
-# Widest right shift round_shift rounds correctly: 1 << 63 wraps in int64.
+# Widest requantize right shift, a format rule.  requantize rounds
+# acc 2^-s in float64, exact for any shift: |acc| < 2^31 makes it a
+# normal double of at most 31 significant bits.  An implementation in
+# 64-bit integers adds 2^(s-1) and shifts right by s, and 2^63 wraps.
 MAX_RIGHT_SHIFT = 62
 
 
@@ -68,7 +68,8 @@ class WeightRangeError(ValueError):
 # for 0.49999999999999994 and for odd |x| between 2^52 and 2^53.  |x| plus
 # this reaches the next integer exactly where |x|'s fraction is at least
 # 0.5: a fraction of 0.5 lands 2^-54 below it and rounds up to it, a
-# smaller one lands at least one spacing of |x| further down.
+# smaller one lands at least one spacing of |x| further down.  Rounding
+# to nearest is symmetric, so x - this for x < 0 is -(|x| + this).
 _BELOW_HALF = 0.5 - 2.0**-54
 
 # the unsigned dtype of each integer width
@@ -78,11 +79,15 @@ _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 def round_half_away(x):
     """Round to nearest integer, ties away from zero.  Works on arrays.
     Exact for every double."""
-    return np.copysign(np.floor(np.abs(x) + _BELOW_HALF), x)
+    return np.trunc(x + np.copysign(_BELOW_HALF, x))
 
 
 def exceeds(arr: np.ndarray, lim: int) -> bool:
-    """Whether an integer array has an entry outside [-lim, lim]."""
+    """Whether an integer array has an entry outside [-lim, lim].  An array
+    of another dtype raises TypeError: its bytes read as an integer are
+    no magnitude."""
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"exceeds takes an integer array, got dtype {arr.dtype}")
     # abs of a signed minimum wraps to itself, which read as unsigned of
     # the same width is its magnitude
     return arr.size > 0 and int(np.abs(arr).view(_UNSIGNED[arr.itemsize]).max()) > lim
@@ -123,34 +128,8 @@ def quantize_value(x, p: int, b: int):
     return q if q.ndim else int(q)
 
 
-class RoundingTerms(NamedTuple):
-    """What scaling by 2^-s with half-away rounding needs of the shifts s.
-
-    right = max(s, 0); half = 2^(right-1), 0 where right is 0; tie = -1
-    where right > 0, else 0, so (v >> 63) & tie takes one off below zero;
-    left = max(-s, 0), or None when no shift is negative.
-    """
-
-    right: np.ndarray
-    half: np.ndarray
-    tie: np.ndarray
-    left: np.ndarray | None
-
-
-def rounding_terms(s) -> RoundingTerms:
-    """The RoundingTerms of an int or integer array of shifts, read-only."""
-    s = np.asarray(s, dtype=np.int64)
-    right = np.maximum(s, 0)
-    half = (1 << right) >> 1
-    left = np.maximum(-s, 0) if s.min(initial=0) < 0 else None
-    return RoundingTerms(*map(_read_only, (right, half, -np.minimum(half, 1), left)))
-
-
 def _read_only(a):
-    """A read-only copy of a, None for None.  A scalar becomes a 0-d array,
-    which ufuncs take faster than a numpy scalar."""
-    if a is None:
-        return None
+    """A read-only copy of array a."""
     a = np.array(a)
     a.flags.writeable = False
     return a
@@ -171,8 +150,9 @@ class LayerQuantSpec:
     n_i: input bit depth; p_in / p_out: activation shift exponents for this
     layer's input and the next layer's input; k: per-output-channel weight
     shift exponents.  Requantization shifts channel j right by
-    k_j + p_in - p_out, and int64 half-away rounding is exact up to
-    MAX_RIGHT_SHIFT.
+    k_j + p_in - p_out, at most MAX_RIGHT_SHIFT: it scales the accumulator
+    by scale, 2^-shift in float64, and rounds half away from zero, exact
+    at every shift.
     """
 
     n_i: int
@@ -186,7 +166,7 @@ class LayerQuantSpec:
         k_max = MAX_RIGHT_SHIFT - self.p_in + self.p_out
         if k.size and not (k.min() >= 0 and k.max() <= k_max):
             raise ValueError(f"channel shifts must lie in [0, {k_max}]")
-        # read-only: shift and rounding are cached from it
+        # read-only: shift, scale and left are cached from it
         object.__setattr__(self, "k", _read_only(k.astype(np.int64, copy=False)))
 
     @cached_property
@@ -195,10 +175,17 @@ class LayerQuantSpec:
         return self.k + (self.p_in - self.p_out)
 
     @cached_property
-    def rounding(self) -> RoundingTerms:
-        """rounding_terms of shift, shaped (n, 1, 1) to broadcast over the
-        channels of an (n, h, w) accumulator."""
-        return rounding_terms(self.shift.reshape(-1, 1, 1))
+    def scale(self) -> np.ndarray:
+        """2^-shift as read-only float64, shaped (n, 1, 1) to broadcast over
+        the channels of an (n, h, w) accumulator."""
+        return _read_only(np.ldexp(1.0, -self.shift).reshape(-1, 1, 1))
+
+    @cached_property
+    def left(self) -> np.ndarray | None:
+        """Where shift is negative, as a read-only (n, 1, 1) mask; None when
+        no channel shifts left."""
+        left = self.shift.reshape(-1, 1, 1) < 0
+        return _read_only(left) if left.any() else None
 
 
 def accumulator_bound(w_q, b_q, n_i: int) -> np.ndarray:

@@ -9,7 +9,9 @@ import math
 import numpy as np
 
 from detq.harness import DEFAULT_SYMBOL_BOUND, EntropyStackF, LayerCfg
-from detq.tensors import ConvLayerF
+from detq.intops import EntropyStack
+from detq.quantize import LayerQuantSpec, QConvLayer
+from detq.tensors import ConvLayerF, causal_mask
 
 
 def random_stack(
@@ -86,3 +88,35 @@ def random_latent(
     """Seeded integer latents, roughly Laplacian, clipped to the alphabet."""
     raw = np.rint(rng.laplace(0.0, bound / 4.0, size=shape)).astype(np.int64)
     return np.clip(raw, -bound, bound)
+
+
+def shift_stack(rng: np.random.Generator) -> EntropyStack:
+    """Seeded integer stack built layer by layer through LayerQuantSpec.
+
+    Its first hyperdecoder layer and its context layer each hold, besides
+    an ordinary channel, the requantize shifts quantize_layer never picks
+    for random_stack: one channel shifting left, one shifting right by
+    53 or 54, and one by the MAX_RIGHT_SHIFT cap of 62.  Each layer's
+    weights stay within the 32-bit bound, left shift included.
+    """
+
+    def layer(m, k, shifts, p_in, p_out, w_max, mask=False):
+        n = len(shifts)
+        w = rng.integers(-w_max, w_max + 1, size=(m, k, k, n))
+        if mask:
+            w *= causal_mask(k).astype(np.int64)[None, :, :, None]
+        b = rng.integers(-w_max, w_max + 1, size=n)
+        ks = np.asarray(shifts) - p_in + p_out
+        spec = LayerQuantSpec(n_i=16, p_in=p_in, p_out=p_out, k=ks)
+        return QConvLayer(w_q=w, b_q=b, spec=spec, mask=mask)
+
+    hidden = 4
+    hyper = [
+        layer(2, 3, [-6, 53, 62, 2], 0, 8, 50),
+        layer(hidden, 3, [12] * hidden, 8, 10, 1000),
+    ]
+    context = [layer(1, 3, [-7, 54, 62, 3], 0, 10, 50, mask=True)]
+    gather = [layer(2 * hidden, 1, [12] * hidden, 10, 10, 4000)]
+    gather += [layer(hidden, 1, [12] * hidden, 10, 10, 4000) for _ in range(5)]
+    gather.append(layer(hidden, 1, [12] * 9, 10, 10, 4000))
+    return EntropyStack(hyper, context, gather, latent_channels=1)

@@ -3,13 +3,15 @@
 Refactors must leave every digest unchanged.  A digest may only change in
 a change that is called out as a format change.  Covered: quantized model
 blobs at desk and codec width, integer priors under two accumulation
-orders and of the manifest-loaded codec-width model, per-element CDF
-tables, encoded bitstreams, float-path discretized priors, the linearized
-softmax on a tie-heavy field, decoder-side priors of both backend modes,
-both failure-demo reports, the reports of the roundtrips whose decoder
-runs off the payload in float mode (seed 25 only in raster order, so its
-v2 report is pinned), and v2 (wavefront-order) bitstreams of a one- and a
-two-channel context model.
+orders (of two random stacks and of a hand-built one whose requantize
+shifts left, and right by 53 to 62) and of the manifest-loaded
+codec-width model, per-element CDF tables, encoded bitstreams,
+float-path discretized priors, the linearized softmax on a tie-heavy
+field, decoder-side priors of both backend modes, both failure-demo
+reports, the reports of the roundtrips whose decoder runs off the
+payload in float mode (seed 25 only in raster order, so its v2 report is
+pinned), and v2 (wavefront-order) bitstreams of a one- and a two-channel
+context model.
 """
 
 import hashlib
@@ -33,7 +35,7 @@ from detq.intops import context_reach, linear_softmax_field, run_entropy_stack
 from detq.manifest import load_quantized_model, save_quantized_model
 from detq.rc import rc_encode
 
-from models import random_latent, random_stack
+from models import random_latent, random_stack, shift_stack
 from test_harness import off_payload_case
 
 V_MIN, V_MAX = -8, 8
@@ -65,6 +67,8 @@ GOLDEN = {
     "off_payload.25.bitstream.v2": "a04c9850f048dda28e7b6b7457d1d4182f3c7f4f36a21fb5ee9379824a5748fc",
     "off_payload.25.float": "543eb75a667f33f0a9e7b492ecd0871713be9389a3e4cc703989ade8c19743fd",
     "off_payload.25.int": "0dc5ccf8de69f7eca872d12bf444f4cfa3eb0eff7bcbfd3a13a75fcea3cc2cc5",
+    "shifts.priors.seq": "1a62ea315b05e92729557785848af463f37d20bf2db12c3f11d675c88c1f6dbc",
+    "shifts.priors.tree": "1a62ea315b05e92729557785848af463f37d20bf2db12c3f11d675c88c1f6dbc",
     "softmax.ties": "16430a0008660bd27f167b6908d6650f0f375a19b793bccecbccc8d560aa9e72",
     "wide.blob": "bfe653263614d827e1f37ae069485dfa4080ba02e93edef87fa5d48e6b52b6f7",
     "wide.priors": "8ceb8ba00ec4a25972b3544be5fe8999f0021ca7fa66d5b41206225c119b8500",
@@ -140,6 +144,14 @@ def _all_digests(tmp):
     pair = StackPair(fs, load_quantized_model(tmp / "wide.json"))
     params = run_backend(pair, latent, hyper, BackendVariant("e", "seq", "int"))
     out["wide.priors"] = _sha(params.tobytes())
+
+    # a hand-built stack with left shifts and right shifts of 53 to 62
+    rng = np.random.default_rng(2029)
+    pair = StackPair(None, shift_stack(rng))
+    latent, hyper = random_latent(rng, (1, 5, 6)), rng.normal(size=(2, 5, 6)) * 3
+    for order in ("seq", "tree"):
+        params = run_backend(pair, latent, hyper, BackendVariant(order, order, "int"))
+        out[f"shifts.priors.{order}"] = _sha(params.tobytes())
 
     rng = np.random.default_rng(2026)
     z = rng.choice([-2048, -1024, -1, 0, 0, 1, 512, 1024], size=(3, 4, 16, 16))

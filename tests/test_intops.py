@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from detq.intops import (
@@ -22,12 +22,15 @@ from detq.tensors import ConvLayerF, ShapeError
 from detq.harness import (
     ORDERS,
     BackendVariant,
+    StackPair,
     make_stack_pair,
     run_backend,
 )
 
-from models import random_latent, random_stack
+from models import random_latent, random_stack, shift_stack
 from oracles import oracle_priors, qconv_oracle, round_shift_oracle, softmax_oracle
+
+ACC_MAX = (1 << 31) - 1
 
 
 def qlayer(w, b=None, mask=False, n_i=16, p_in=8, p_out=8):
@@ -48,13 +51,38 @@ def test_round_shift_examples():
     assert round_shift(-384, 8) == -2  # half away from zero
 
 
-@given(st.integers(-(2**30), 2**30), st.integers(0, 20))
+@given(st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-8, 62))
+@example(3 << 11, 12)  # ties (2m + 1) 2^(s-1) of both signs
+@example(-(3 << 11), 12)
+@example(-1, 1)
+@example(-(5 << 28), 29)
+@example(ACC_MAX, 53)
+@example(-ACC_MAX, 54)
+@example(ACC_MAX, 62)
+@example(-1, 2)  # -0.25 rounds to -0.0
+@example(2**53 - 1, 1)
+@example(1 << 23, -8)  # 2^31 after the shift
 def test_round_shift_matches_oracle(v, s):
-    assert int(round_shift(v, s)) == round_shift_oracle(v, s)
+    want = round_shift_oracle(v, s)
+    if s < 0 and abs(want) > ACC_MAX:
+        with pytest.raises(AccumulatorOverflowError):
+            round_shift(v, s)
+        return
+    got = round_shift(v, s)
+    assert got.dtype == np.int64 and int(got) == want
 
 
-# shifts from -8 to 20, with |v| small enough that left shifts stay in 31 bits
-_shift_pairs = st.integers(-8, 20).flatmap(
+def test_round_shift_refuses_53_bits():
+    assert round_shift(2**53 - 1, 0) == 2**53 - 1
+    for v in (2**53, -(2**53), np.iinfo(np.int64).min):
+        with pytest.raises(ValueError, match="2\\^53"):
+            round_shift(v, 0)
+        with pytest.raises(ValueError, match="2\\^53"):
+            round_shift(np.array([0, v]), 62)
+
+
+# shifts from -8 to 62, with |v| small enough that left shifts stay in 31 bits
+_shift_pairs = st.integers(-8, 62).flatmap(
     lambda s: st.tuples(
         st.integers(-(2**30 >> max(-s, 0)), 2**30 >> max(-s, 0)), st.just(s)
     )
@@ -323,17 +351,45 @@ def test_requantize_takes_an_n_h_w_accumulator():
         requantize(np.zeros((2, 4), dtype=np.int64), lyr)
 
 
-def test_spec_rounding_terms_read_only_and_per_spec():
+# (accumulator, shift) pairs: |acc| < 2^31, shifts from -8 to 62
+_acc_shifts = st.lists(
+    st.tuples(st.integers(-ACC_MAX, ACC_MAX), st.integers(-8, 62)), min_size=1, max_size=8
+)
+
+
+@given(_acc_shifts, st.integers(2, 16))
+# ties (2m + 1) 2^(s-1) of both signs, and -0.25, which rounds to -0.0
+@example([(3 << 11, 12), (-(3 << 11), 12), (1, 1), (-1, 1), (-(5 << 28), 29), (-1, 2)], 16)
+@example([(ACC_MAX, 53), (-ACC_MAX, 54), (ACC_MAX, 62), (-ACC_MAX, 0), (ACC_MAX, 1)], 16)
+@example([(-ACC_MAX, 53), (ACC_MAX, 54), (-ACC_MAX, 62), (ACC_MAX, -8)], 16)  # overflows
+def test_requantize_matches_oracle(pairs, out_bits):
+    v, s = (np.array(col) for col in zip(*pairs))
+    lyr = _shift_layer(s + 8, p_in=0)  # p_out 8: k = s + 8 reaches s = -8 to 62
+    want = [round_shift_oracle(a, b) for a, b in pairs]
+    lim = (1 << (out_bits - 1)) - 1
+    # both an int64 accumulator and qconv_forward's float64 one
+    for acc in (v.reshape(-1, 1, 1), v.reshape(-1, 1, 1).astype(np.float64)):
+        if any(b < 0 and abs(r) > ACC_MAX for (_, b), r in zip(pairs, want)):
+            with pytest.raises(AccumulatorOverflowError):
+                requantize(acc, lyr, out_bits=out_bits)
+            continue
+        got = requantize(acc, lyr, out_bits=out_bits).astype(np.int64)
+        assert got.ravel().tolist() == [min(max(r, -lim), lim) for r in want]
+
+
+def test_spec_scale_read_only_and_per_spec():
     a, b = (LayerQuantSpec(n_i=16, p_in=5, p_out=8, k=[0, 3, 7]) for _ in range(2))
-    assert a.rounding is a.rounding  # built once
-    np.testing.assert_array_equal(a.rounding.left.ravel(), [3, 0, 0])
-    for ta, tb in zip(a.rounding, b.rounding):
+    assert a.scale is a.scale and a.left is a.left  # built once
+    assert a.scale.dtype == np.float64 and a.scale.shape == (3, 1, 1)
+    np.testing.assert_array_equal(a.scale.ravel(), [8.0, 1.0, 1 / 16])  # shifts -3, 0, 4
+    np.testing.assert_array_equal(a.left.ravel(), [True, False, False])
+    for ta, tb in ((a.scale, b.scale), (a.left, b.left)):
         assert ta.shape == (3, 1, 1) and not ta.flags.writeable
         assert not np.shares_memory(ta, tb)
         with pytest.raises(ValueError):
             ta[0] = 1
-    # no negative shift: no left-shift term
-    assert LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0, 3]).rounding.left is None
+    # no negative shift: no left-shift mask
+    assert LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0, 3]).left is None
 
 
 def test_requantize_left_shift_overflow_still_raises():
@@ -382,6 +438,18 @@ def test_stack_deterministic_and_order_invariant():
         assert oracle_priors(pair, latent, hyper, o).tobytes() == got
     again = run_backend(pair, latent, hyper, BackendVariant("seq", "seq")).tobytes()
     assert again == got
+
+
+def test_hand_built_stack_matches_per_tap_oracle():
+    # channels shifting left, and right by 53 to 62, which quantize_layer
+    # never picks for the random stacks
+    rng = np.random.default_rng(19)
+    pair = StackPair(None, shift_stack(rng))
+    latent = random_latent(rng, (1, 5, 5))
+    hyper = rng.normal(size=(2, 5, 5)) * 3
+    got = run_backend(pair, latent, hyper, BackendVariant("seq", "seq")).tobytes()
+    for o in ORDERS:
+        assert oracle_priors(pair, latent, hyper, o).tobytes() == got
 
 
 def test_stack_rejects_first_layer_input_wider_than_its_n_i():

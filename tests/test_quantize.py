@@ -134,6 +134,14 @@ def test_exceeds_matches_python_ints_at_the_dtype_extremes(dtype):
     assert not exceeds(np.zeros(0, dtype), 0)
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.bool_])
+def test_exceeds_refuses_non_integer_arrays(dtype):
+    # a float64 1.0 read as uint64 is 4607182418800017408
+    for vals in ([1], [], [0, 1, 0]):
+        with pytest.raises(TypeError, match="integer array"):
+            exceeds(np.array(vals, dtype), 2)
+
+
 @given(st.floats(-100, 100), st.integers(0, 12))
 def test_quant_dequant_error_bound(x, p):
     # within the representable range the quantization error is at most half a step

@@ -6,7 +6,7 @@ import pytest
 from detq.harness import conv_ordered_float
 from detq.intops import qconv_forward
 from detq.quantize import LayerQuantSpec, QConvLayer, quantize_value
-from detq.tensors import ConvLayerF, ShapeError, causal_mask
+from detq.tensors import ConvLayerF, ShapeError, causal_mask, im2col
 
 from oracles import conv2d_oracle
 
@@ -51,6 +51,41 @@ def test_conv_matches_naive_oracle():
         lyr = QConvLayer(w_q=wgt, b_q=b, spec=spec)
         want = conv2d_oracle(x.tolist(), wgt.tolist(), b.tolist())
         assert qconv_forward(x, lyr).tolist() == want
+
+
+def _im2col_loop(data, k):
+    """im2col one tap at a time: row y*w + x, column (i*k + dy)*k + dx holds
+    channel i at (y + dy - k//2, x + dx - k//2), zero outside the data."""
+    c, h, w = data.shape
+    r = k // 2
+    out = np.zeros((h * w, c * k * k), dtype=data.dtype)
+    for y, x, i, dy, dx in itertools.product(range(h), range(w), range(c), range(k), range(k)):
+        if 0 <= y + dy - r < h and 0 <= x + dx - r < w:
+            out[y * w + x, (i * k + dy) * k + dx] = data[i, y + dy - r, x + dx - r]
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_im2col_matches_per_tap_loop(k, rows):
+    # decoder bands are one or two rows high and as narrow as one pixel
+    rng = np.random.default_rng(10 * k + rows)
+    for c, w in ((1, 1), (1, 5), (3, 2), (2, 9)):
+        for dtype in (np.float64, np.int64):
+            data = rng.integers(-100, 101, size=(c, rows, w)).astype(dtype)
+            got = im2col(data, k)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, _im2col_loop(data, k))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_im2col_window_view_is_read_only(k):
+    # one channel, one pixel: the windows reshape to (1, k*k) without a copy,
+    # so the result is the window view itself
+    out = im2col(np.ones((1, 1, 1)), k)
+    assert not out.flags.owndata and not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 0] = 2.0
 
 
 def test_causal_mask_strictly_prior():
