@@ -188,6 +188,10 @@ class EntropyStackF:
             if self.context_cfg:
                 self.context_cfg[-1].p_out = p
 
+    def enter(self, x, layer):
+        # conv_ordered_float checks each layer's input itself
+        return x
+
     def layer_step(self, x, layer, after, activation=True):
         x = conv_ordered_float(x, layer, self.order)
         return _leaky_float(x) if activation else x

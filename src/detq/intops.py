@@ -1,19 +1,33 @@
 """Fused integer convolution pipeline for the entropy subnetworks.
 
-Activations are plain (c, h, w) int64 arrays.  Inputs arrive already on
-the first layer's input grid (harness quantizes raw activations with
+Activations enter the stack as (c, h, w) integer arrays, already on the
+first layer's input grid (harness quantizes raw activations with
 quantize.quantize_value, the one activation quantizer); each layer's spec
 carries the grid 2^-p_in and the bit depth n_i of its input, and
-check_topology holds that they chain.  qconv_forward is the one place an
-activation's range is checked.  All arithmetic from there on is exact
-integer arithmetic: int16-range operands, 32-bit accumulators whose
-overflow is excluded statically by the shift derivation, and per-channel
-fused rescaling by a power of two with half-away-from-zero rounding.
+check_topology holds that they chain.  An activation's dtype, shape and
+range are checked once, where it enters the stack: the hyper latent in
+hyper_features, the canvas (or the band a set of positions reads) in
+priors_from_features.  Inside a chain nothing is checked again, since
+every later activation is in range by construction: requantize clamps to
+the next layer's n_i bits, LeakyReLU never grows |x|, and fuse clamps the
+gather input.  All arithmetic from the entry on is exact integer
+arithmetic: int16-range operands, 32-bit accumulators whose overflow is
+excluded statically by the shift derivation, and per-channel fused
+rescaling by a power of two with half-away-from-zero rounding.
 
 The stack topology (hyper_features, priors_from_features) exists once,
-here; the stack passed in supplies the arithmetic (layer step, fuse, head
-decode): integer for EntropyStack, float32 for harness.EntropyStackF.
-Only the float32 stack has an accumulation order, and it carries its own.
+here; the stack passed in supplies the arithmetic (entry, layer step,
+fuse, head decode): integer for EntropyStack, float32 for
+harness.EntropyStackF.  Only the float32 stack has an accumulation order,
+and it carries its own.
+
+EntropyStack carries activations from the entry check to decode_head as
+float64 arrays of whole numbers, and decode_head casts them to int64
+once.  A layer step is one fused kernel on the (h*w, n) GEMM output: the
+convolution, bias, per-channel scale, rounding, clamp and LeakyReLU run
+in place on it, and one transpose gives back (n, h, w).  qconv_forward,
+requantize and leaky_relu_int are the kernel's pieces behind the checks
+of their own contracts.
 
 The convolution runs as one float64 BLAS GEMM, and that is exact too.
 QConvLayer enforces sum|w| * x_max + |b| <= 2^31 - 1, so every product
@@ -26,10 +40,11 @@ output, and they are exact too.  For an integer |acc| < 2^31 and a shift
 s, acc 2^-s is a multiple of 2^-s with at most 31 significant bits: a
 normal double for s <= MAX_RIGHT_SHIFT = 62, a whole number for a left
 shift (s < 0), so multiplying by the channel's scale 2^-s rounds nothing.
-Likewise x 41 2^-12 has at most 21 significant bits for |x| < 2^15.
 round_half_away is exact for every double, so each rounded value is the
-whole number that integer shifts with half-away rounding give.  A layer
-step casts to int64 once, after its activation.
+whole number that integer shifts with half-away rounding give.  LeakyReLU
+keeps x >= 0 and takes ceil(x 41 2^-12 - 1/2), the half-away rounding of
+x 41 2^-12, below it: that product has at most 21 significant bits for
+|x| < 2^15, so it and its difference with 1/2 are exact.
 
 Exactness also lets a decoder compute the priors of any set of positions
 at once.  Every context layer is causal and gather is 1x1, so a position's
@@ -114,29 +129,66 @@ def _check_left_shift(out, left):
         raise AccumulatorOverflowError("a left shift exceeds the 32-bit range")
 
 
+def _enter(x, layer: QConvLayer) -> np.ndarray:
+    """x, a (c, h, w) integer array within layer's n_i bits, as the float64
+    activation carrier; the one check an activation gets.  An x of any
+    other dtype is refused, not truncated."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        raise ValueError(f"input must be an integer array, got dtype {x.dtype}")
+    check_conv_input(x, layer)
+    n_i = layer.spec.n_i
+    if exceeds(x, (1 << (n_i - 1)) - 1):
+        raise ValueError(f"input entry exceeds the layer's {n_i}-bit range")
+    return x.astype(np.float64)
+
+
+def _accumulate(x: np.ndarray, layer: QConvLayer) -> np.ndarray:
+    """im2col(x) @ layer.weight_matrix + b_q: the (h*w, n) accumulator of a
+    float64 (c, h, w) x, a new C-contiguous float64 array.  Every layer's
+    convolution goes through here, the stack's and qconv_forward's."""
+    acc = im2col(x, layer.kernel) @ layer.weight_matrix
+    acc += layer.b_q
+    return acc
+
+
+def _requantize(acc: np.ndarray, spec, lim: int):
+    """Scale a (..., n) accumulator by spec.scale, round half away and clamp
+    to +-lim, in place."""
+    acc *= spec.scale
+    round_half_away(acc, out=acc)
+    if spec.left is not None:
+        _check_left_shift(acc, spec.left)
+    np.maximum(acc, -lim, out=acc)
+    np.minimum(acc, lim, out=acc)
+
+
+def _leaky(x: np.ndarray):
+    """LeakyReLU on whole-number float64 x below 2^15 in magnitude, in place."""
+    # x 41 2^-12 lies between 0 and x, so the larger of x and
+    # ceil(x 41 2^-12 - 1/2) is x at or above zero and, below zero, the
+    # scaled value rounded half away
+    t = x * _LEAKY_SLOPE
+    t -= 0.5
+    np.ceil(t, out=t)
+    np.maximum(x, t, out=x)
+
+
 def qconv_forward(x, layer: QConvLayer) -> np.ndarray:
     """Exact integer cross-correlation plus bias; returns the (n, h, w)
     accumulator as float64, whose entries are all integers.
 
-    x is a (c, h, w) integer array.  QConvLayer holds sum|w| * x_max + |b|
-    within 32 bits, and the input is checked against x_max here, the one
-    range check an activation gets, so no partial sum in any order can
-    overflow, and each one is an integer below 2^53 that float64 holds
-    exactly.  One float64 GEMM, im2col(x) @ layer.weight_matrix, sums all
-    m*K*K taps, so the result is the same for any summation order the BLAS
-    library picks.  Masked (causal) layers carry their zeroes in the
-    weights.  An x of any other dtype is refused, not truncated.
+    x is a (c, h, w) integer array, checked against the layer's n_i bits
+    (_enter).  QConvLayer holds sum|w| * x_max + |b| within 32 bits, so no
+    partial sum in any order can overflow, and each one is an integer
+    below 2^53 that float64 holds exactly.  One float64 GEMM,
+    im2col(x) @ layer.weight_matrix, sums all m*K*K taps, so the result is
+    the same for any summation order the BLAS library picks.  Masked
+    (causal) layers carry their zeroes in the weights.
     """
-    x = np.asarray(x)
-    if x.dtype.kind not in "iu":
-        raise ValueError(f"input must be an integer array, got dtype {x.dtype}")
-    _, h, w = check_conv_input(x, layer)
-    n_i = layer.spec.n_i
-    if exceeds(x, (1 << (n_i - 1)) - 1):
-        raise ValueError(f"input entry exceeds the layer's {n_i}-bit range")
-    cols = im2col(x.astype(np.float64), layer.kernel)  # (h*w, m*K*K)
-    acc = cols @ layer.weight_matrix + layer.b_q
-    return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)
+    x = _enter(x, layer)
+    _, h, w = x.shape
+    return _accumulate(x, layer).reshape(h, w, layer.out_channels).transpose(2, 0, 1)
 
 
 def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> np.ndarray:
@@ -152,12 +204,10 @@ def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> np.
     acc = np.asarray(acc)
     if acc.ndim != 3:
         raise ShapeError(f"expected an (n, h, w) accumulator, got shape {acc.shape}")
-    spec = layer.spec
-    out = round_half_away(acc * spec.scale)
-    if spec.left is not None:
-        _check_left_shift(out, spec.left)
-    lim = (1 << (out_bits - 1)) - 1
-    return np.minimum(np.maximum(out, -lim), lim)
+    # channels last, where the spec's (n,) rows broadcast
+    out = acc.transpose(1, 2, 0).astype(np.float64)
+    _requantize(out, layer.spec, (1 << (out_bits - 1)) - 1)
+    return out.transpose(2, 0, 1)
 
 
 def leaky_relu_int(x: np.ndarray) -> np.ndarray:
@@ -166,9 +216,9 @@ def leaky_relu_int(x: np.ndarray) -> np.ndarray:
     x holds integers below 2^15 in magnitude, int64 or float64; the
     result is float64, whole numbers only.
     """
-    # the scaled value lies between 0 and x, so the larger of the two is x
-    # at or above zero and the scaled value below it
-    return np.maximum(x, round_half_away(x * _LEAKY_SLOPE))
+    out = np.array(x, dtype=np.float64)
+    _leaky(out)
+    return out
 
 
 def linear_softmax_field(z: np.ndarray, scale_exp: int) -> np.ndarray:
@@ -254,27 +304,42 @@ class EntropyStack:
     def head_scale_exp(self) -> int:
         return self.gather[-1].spec.p_out
 
-    def layer_step(self, x, layer, after, activation=True):
-        """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU.
+    def enter(self, x, layer) -> np.ndarray:
+        """x, checked as an input of layer, as the float64 carrier (_enter)."""
+        return _enter(x, layer)
 
-        The output is int64, at `after`'s input grid and within its n_i bits.
+    def layer_step(self, x, layer, after, activation=True):
+        """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU:
+        the fused kernel, in place on the (h*w, n) GEMM output.
+
+        x is the float64 carrier, unchecked: it comes from enter, fuse or
+        the layer before.  The output is float64 whole numbers, at `after`'s
+        input grid and within its n_i bits by construction.
         """
-        next_bits = after.spec.n_i if after is not None else 16
-        q = requantize(qconv_forward(x, layer), layer, out_bits=next_bits)
-        return (leaky_relu_int(q) if activation else q).astype(np.int64)
+        _, h, w = x.shape
+        acc = _accumulate(x, layer)
+        n_bits = after.spec.n_i if after is not None else 16
+        _requantize(acc, layer.spec, (1 << (n_bits - 1)) - 1)
+        if activation:
+            _leaky(acc)
+        return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)
 
     def fuse(self, feats) -> np.ndarray:
-        """Concatenated chain outputs, clamped to gather[0]'s n_i bits.
+        """Concatenated chain outputs, clamped to gather[0]'s n_i bits: the
+        float64 carrier, in range by construction.
 
         Both chains end at the gather input grid (check_topology) in 16
         bits; the clamp comes after their last activation.
         """
         lim = (1 << (self.gather[0].spec.n_i - 1)) - 1
-        return np.minimum(np.maximum(np.concatenate(feats, axis=0), -lim), lim)
+        y = np.concatenate(feats, axis=0)
+        np.maximum(y, -lim, out=y)
+        return np.minimum(y, lim, out=y)
 
     def decode_head(self, y: np.ndarray) -> GmmParams:
+        """GmmParams of the head's float64 output, cast to int64 here, once."""
         p_e = self.head_scale_exp
-        z, means, scales = split_head(y, self.latent_channels)
+        z, means, scales = split_head(y.astype(np.int64), self.latent_channels)
         scales = np.maximum(scales, sigma_min_for(p_e))
         return GmmParams(linear_softmax_field(z, p_e), means, scales, p_e)
 
@@ -292,14 +357,21 @@ def split_head(y: np.ndarray, latent_channels: int):
     return y[0:3], y[3:6], y[6:9]
 
 
+def _enter_chain(x, chain, stack):
+    """Run a chain on an input that enters the stack, checked once here."""
+    return _run_chain(stack.enter(x, chain[0]), chain, stack)
+
+
 def hyper_features(hyper_latent, stack):
     """Hyperdecoder output, or None for a stack without a hyperdecoder.
 
-    It does not depend on the latent, so a decoder computes it once.
+    For an EntropyStack the hyper latent is checked here (dtype, shape,
+    n_i range), and the output is float64 whole numbers.  It does not
+    depend on the latent, so a decoder computes it once.
     """
     if not stack.hyperdecoder:
         return None
-    return _run_chain(hyper_latent, stack.hyperdecoder, stack)
+    return _enter_chain(hyper_latent, stack.hyperdecoder, stack)
 
 
 def context_reach(stack) -> int:
@@ -343,9 +415,10 @@ def priors_from_features(hyper_feat, canvas, stack, at=None):
     context chain on that band, and fuse, gather and head on the P pixels.
     The context layers are causal and every output position is summed on
     its own, so the result equals the whole-canvas priors at those
-    positions bit for bit, in float32 too.  With both a hyperdecoder and a
-    context model, hyper features on another (h, w) grid than the canvas
-    are refused either way.
+    positions bit for bit, in float32 too.  An EntropyStack checks the
+    canvas where it enters the context chain: on this path the band only.
+    With both a hyperdecoder and a context model, hyper features on another
+    (h, w) grid than the canvas are refused either way.
     """
     if hyper_feat is not None and stack.context:
         # else fuse fails with numpy's concatenation message, naming neither,
@@ -360,10 +433,10 @@ def priors_from_features(hyper_feat, canvas, stack, at=None):
         feats.append(hyper_feat if at is None else pick_positions(hyper_feat, at))
     if stack.context:
         if at is None:
-            feats.append(_run_chain(canvas, stack.context, stack))
+            feats.append(_enter_chain(canvas, stack.context, stack))
         else:
             band, at_band = _band(canvas, at, context_reach(stack))
-            feats.append(pick_positions(_run_chain(band, stack.context, stack), at_band))
+            feats.append(pick_positions(_enter_chain(band, stack.context, stack), at_band))
     y = _run_chain(stack.fuse(feats), stack.gather, stack, last_act=False)
     return stack.decode_head(y)
 

@@ -76,10 +76,10 @@ _BELOW_HALF = 0.5 - 2.0**-54
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
-def round_half_away(x):
-    """Round to nearest integer, ties away from zero.  Works on arrays.
-    Exact for every double."""
-    return np.trunc(x + np.copysign(_BELOW_HALF, x))
+def round_half_away(x, out=None):
+    """Round to nearest integer, ties away from zero.  Works on arrays, in
+    place with out=x.  Exact for every double."""
+    return np.trunc(np.add(x, np.copysign(_BELOW_HALF, x), out=out), out=out)
 
 
 def exceeds(arr: np.ndarray, lim: int) -> bool:
@@ -176,15 +176,15 @@ class LayerQuantSpec:
 
     @cached_property
     def scale(self) -> np.ndarray:
-        """2^-shift as read-only float64, shaped (n, 1, 1) to broadcast over
-        the channels of an (n, h, w) accumulator."""
-        return _read_only(np.ldexp(1.0, -self.shift).reshape(-1, 1, 1))
+        """2^-shift as a read-only float64 (n,) row, to broadcast over the
+        channels of a (..., n) accumulator."""
+        return _read_only(np.ldexp(1.0, -self.shift))
 
     @cached_property
     def left(self) -> np.ndarray | None:
-        """Where shift is negative, as a read-only (n, 1, 1) mask; None when
+        """Where shift is negative, as a read-only (n,) row mask; None when
         no channel shifts left."""
-        left = self.shift.reshape(-1, 1, 1) < 0
+        left = self.shift < 0
         return _read_only(left) if left.any() else None
 
 

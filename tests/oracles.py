@@ -292,7 +292,14 @@ def qconv_oracle(x, layer, order):
 
 def oracle_priors(pair, latent, hyper, order):
     """Integer priors of run_backend with every convolution replaced by
-    qconv_oracle summing in `order`."""
+    qconv_oracle summing in `order`: at intops._accumulate, the one GEMM
+    each fused layer step calls, which takes the float64 carrier and gives
+    the (h*w, n) float64 accumulator."""
+
+    def accumulate(x, layer):
+        acc = qconv_oracle(x, layer, order)  # (n, h, w) int64
+        return acc.transpose(1, 2, 0).reshape(-1, layer.out_channels).astype(np.float64)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(intops, "qconv_forward", lambda x, layer: qconv_oracle(x, layer, order))
+        mp.setattr(intops, "_accumulate", accumulate)
         return run_backend(pair, latent, hyper, BackendVariant(order, order))

@@ -424,7 +424,7 @@ def test_decoder_runs_gather_once_per_position(monkeypatch):
     gather = {id(lyr) for lyr in pair.quant_stack.gather}
     positions = {"enc": 0, "dec": 0}
     side = ["dec"]
-    conv, backend = intops.qconv_forward, harness.run_backend
+    conv, backend = intops._accumulate, harness.run_backend
 
     def counting_conv(x, layer):
         if id(layer) in gather:
@@ -438,7 +438,7 @@ def test_decoder_runs_gather_once_per_position(monkeypatch):
         finally:
             side[0] = "dec"
 
-    monkeypatch.setattr(intops, "qconv_forward", counting_conv)
+    monkeypatch.setattr(intops, "_accumulate", counting_conv)
     monkeypatch.setattr(harness, "run_backend", encoder_backend)
     rep = roundtrip_experiment(
         pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "tree")
@@ -446,6 +446,43 @@ def test_decoder_runs_gather_once_per_position(monkeypatch):
     assert rep.decoded_equal and rep.prior_max_reldiff == 0.0
     # rerunning gather on the whole canvas after every position costs 7*hw*(hw+1)
     assert positions == {"enc": 7 * 8 * 8, "dec": 7 * 8 * 8}
+
+
+def test_roundtrip_checks_each_activation_once_where_it_enters(monkeypatch):
+    # the range check runs on the hyper latent and on the canvas (a decoder
+    # step's band), never inside a chain: requantize clamps each layer's
+    # output to the next layer's bits, and LeakyReLU never grows it
+    rng = np.random.default_rng(12)
+    pair = make_stack_pair(random_stack(rng))
+    latent = random_latent(rng, (1, 8, 8))
+    hyper = rng.normal(size=(2, 8, 8))
+    checks = {"enc": 0, "dec": 0}
+    side = ["dec"]
+    exceeds, backend = intops.exceeds, harness.run_backend
+
+    def counting_exceeds(arr, lim):
+        checks[side[0]] += 1
+        return exceeds(arr, lim)
+
+    def encoder_backend(*args):
+        side[0] = "enc"
+        try:
+            return backend(*args)
+        finally:
+            side[0] = "dec"
+
+    monkeypatch.setattr(intops, "exceeds", counting_exceeds)
+    monkeypatch.setattr(harness, "run_backend", encoder_backend)
+    rep = roundtrip_experiment(
+        pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "tree")
+    )
+    assert rep.decoded_equal
+    # one decoder step per anti-diagonal x + (R+1)y of the 8x8 latent
+    steps = len(set(harness._coding_order(8, 8, intops.context_reach(pair.quant_stack))[2]))
+    assert steps == 22
+    # the encoder's hyper latent and canvas; the decoder's hyper latent and
+    # each step's band.  A check per layer made 10 and 2 + 8 * steps = 178
+    assert checks == {"enc": 2, "dec": 1 + steps}
 
 
 def test_decoder_without_context_builds_tables_in_one_call(monkeypatch):

@@ -10,8 +10,10 @@ from detq.intops import (
     LEAKY_NUM,
     LEAKY_SHIFT,
     AccumulatorOverflowError,
+    hyper_features,
     leaky_relu_int,
     linear_softmax_field,
+    priors_from_features,
     qconv_forward,
     requantize,
     round_shift,
@@ -24,10 +26,12 @@ from detq.harness import (
     BackendVariant,
     StackPair,
     make_stack_pair,
+    roundtrip_experiment,
     run_backend,
 )
 
 from models import random_latent, random_stack, shift_stack
+import oracles
 from oracles import oracle_priors, qconv_oracle, round_shift_oracle, softmax_oracle
 
 ACC_MAX = (1 << 31) - 1
@@ -380,11 +384,11 @@ def test_requantize_matches_oracle(pairs, out_bits):
 def test_spec_scale_read_only_and_per_spec():
     a, b = (LayerQuantSpec(n_i=16, p_in=5, p_out=8, k=[0, 3, 7]) for _ in range(2))
     assert a.scale is a.scale and a.left is a.left  # built once
-    assert a.scale.dtype == np.float64 and a.scale.shape == (3, 1, 1)
+    assert a.scale.dtype == np.float64 and a.scale.shape == (3,)
     np.testing.assert_array_equal(a.scale.ravel(), [8.0, 1.0, 1 / 16])  # shifts -3, 0, 4
     np.testing.assert_array_equal(a.left.ravel(), [True, False, False])
     for ta, tb in ((a.scale, b.scale), (a.left, b.left)):
-        assert ta.shape == (3, 1, 1) and not ta.flags.writeable
+        assert ta.shape == (3,) and not ta.flags.writeable
         assert not np.shares_memory(ta, tb)
         with pytest.raises(ValueError):
             ta[0] = 1
@@ -452,6 +456,26 @@ def test_hand_built_stack_matches_per_tap_oracle():
         assert oracle_priors(pair, latent, hyper, o).tobytes() == got
 
 
+def test_oracle_priors_reach_every_layer_of_the_chains(monkeypatch):
+    # a per-tap oracle patched where the chains do not look would compare
+    # the stack with itself: raising one channel's bias by one output unit
+    # in the oracle must move the oracle's priors
+    rng = np.random.default_rng(14)
+    pair = make_stack_pair(random_stack(rng))
+    latent = random_latent(rng, (1, 5, 5))
+    hyper = rng.normal(size=(2, 5, 5))
+    want = oracle_priors(pair, latent, hyper, "seq").tobytes()
+    conv = oracles.qconv_oracle
+
+    def bumped(x, layer, order):
+        acc = conv(x, layer, order).copy()
+        acc[0] += 1 << max(int(layer.spec.shift[0]), 0)
+        return acc
+
+    monkeypatch.setattr(oracles, "qconv_oracle", bumped)
+    assert oracle_priors(pair, latent, hyper, "seq").tobytes() != want
+
+
 def test_stack_rejects_first_layer_input_wider_than_its_n_i():
     rng = np.random.default_rng(18)
     stack = make_stack_pair(random_stack(rng, n_i=12)).quant_stack
@@ -463,6 +487,86 @@ def test_stack_rejects_first_layer_input_wider_than_its_n_i():
         with pytest.raises(ValueError, match="12-bit range"):
             run_entropy_stack(latent, hyper, stack)
         arr[0, 1, 2] = 2047
+
+
+# inputs the stack's entry check refuses, each with its message: a float
+# array, int64's minimum (whose abs wraps), one past each end of 12 bits,
+# and one channel too many
+_BAD_ENTRIES = [
+    ("float", "integer array"),
+    ("int64 min", "12-bit range"),
+    ("+2^11", "12-bit range"),
+    ("-2^11", "12-bit range"),
+    ("channels", "input has {c} channels, layer expects {m}"),
+]
+
+
+def _bad_entry(kind, arr):
+    out = arr.copy()
+    if kind == "float":
+        return out.astype(np.float64)
+    if kind == "channels":
+        return np.zeros((arr.shape[0] + 1, *arr.shape[1:]), dtype=np.int64)
+    out[0, 1, 2] = {"int64 min": np.iinfo(np.int64).min, "+2^11": 2048, "-2^11": -2048}[kind]
+    return out
+
+
+def _refused(kind, msg, arr, fn):
+    err = ShapeError if kind == "channels" else ValueError
+    msg = msg.format(c=arr.shape[0] + 1, m=arr.shape[0])
+    with pytest.raises(err, match=msg):
+        fn(_bad_entry(kind, arr))
+
+
+def _entry_stack():
+    rng = np.random.default_rng(18)
+    pair = make_stack_pair(random_stack(rng, n_i=12))
+    latent = np.zeros((1, 4, 4), dtype=np.int64)
+    hyper = np.zeros((2, 4, 4), dtype=np.int64)
+    return pair, latent, hyper
+
+
+@pytest.mark.parametrize("kind,msg", _BAD_ENTRIES)
+def test_stack_checks_each_input_where_it_enters(kind, msg):
+    pair, latent, hyper = _entry_stack()
+    stack = pair.quant_stack
+    _refused(kind, msg, latent, lambda x: run_entropy_stack(x, hyper, stack))
+    _refused(kind, msg, hyper, lambda x: run_entropy_stack(latent, x, stack))
+    # on the picked-position path the band of the positions is checked
+    feats = hyper_features(hyper, stack)
+    _refused(kind, msg, latent, lambda x: priors_from_features(feats, x, stack, at=([1], [3])))
+
+
+def test_picked_positions_check_only_their_band():
+    pair, latent, hyper = _entry_stack()
+    stack = pair.quant_stack
+    feats = hyper_features(hyper, stack)
+    at = ([0, 0], [0, 1])  # the band is row 0, columns 0 to 2
+    want = priors_from_features(feats, latent, stack, at).tobytes()
+    latent[0, 3, 3] = 1 << 20  # outside the band: never read, never checked
+    assert priors_from_features(feats, latent, stack, at).tobytes() == want
+    latent[0, 0, 2] = 1 << 20
+    with pytest.raises(ValueError, match="12-bit range"):
+        priors_from_features(feats, latent, stack, at)
+
+
+@pytest.mark.parametrize("kind,msg", _BAD_ENTRIES)
+def test_int_roundtrip_refuses_what_the_stack_refuses(kind, msg):
+    pair, latent, hyper = _entry_stack()
+    v = BackendVariant("seq", "seq")
+
+    def roundtrip(lat, hyp):
+        return roundtrip_experiment(pair, lat, hyp, v, v)
+
+    # a latent is refused as coder symbols before it reaches the stack
+    symbols = {"float": "symbols must be integers", "channels": msg}
+    msg_y = symbols.get(kind, "outside the coder alphabet")
+    _refused(kind, msg_y, latent, lambda x: roundtrip(x, hyper))
+    if kind == "channels":
+        _refused(kind, msg, hyper, lambda x: roundtrip(latent, x))
+    else:
+        # a raw hyper latent is quantized to the first layer's grid first
+        assert roundtrip(latent, _bad_entry(kind, hyper)).decoded_equal
 
 
 # SHA-256 of the priors of 8 seeded stacks whose gather input is 12 bits wide:
