@@ -139,7 +139,9 @@ class EntropyStackF:
 
     Its arithmetic for the intops topology is float32: conv_ordered_float
     summing in `order` (one of ORDERS; not part of the manifest), LeakyReLU,
-    and a float softmax and sigma floor giving FloatPriors.
+    and a float softmax and sigma floor giving FloatPriors.  Its carrier is
+    a C-contiguous float32 (h, w, c) array; enter casts, checks and
+    transposes an input once, where it enters a chain.
     """
 
     hyperdecoder: list
@@ -189,15 +191,17 @@ class EntropyStackF:
                 self.context_cfg[-1].p_out = p
 
     def enter(self, x, layer):
-        # conv_ordered_float checks each layer's input itself
-        return x
+        """x, a (c, h, w) input of layer, as the float32 (h, w, c) carrier."""
+        x = np.asarray(x)
+        check_conv_input(x, layer)
+        return x.transpose(1, 2, 0).astype(np.float32, order="C")
 
     def layer_step(self, x, layer, after, activation=True):
         x = conv_ordered_float(x, layer, self.order)
         return _leaky_float(x) if activation else x
 
     def fuse(self, feats) -> np.ndarray:
-        return np.concatenate(feats, axis=0)
+        return np.concatenate(feats, axis=-1)
 
     def decode_head(self, y: np.ndarray) -> FloatPriors:
         p_e = self.head_scale_exp
@@ -250,18 +254,18 @@ def _ordered_sum(terms: np.ndarray, order: str) -> np.ndarray:
 
 
 def conv_ordered_float(x: np.ndarray, layer: ConvLayerF, order: str) -> np.ndarray:
-    """float32 convolution with an explicit accumulation order.
+    """float32 convolution of an (h, w, m) float32 array with an explicit
+    accumulation order; returns (h, w, n).
 
-    This is the stand-in for device-dependent float kernels: the result
-    depends on the order at the ulp level.
+    Each output sums its m*K*K taps in (m, K, K) order, reordered by
+    `order`.  This is the stand-in for device-dependent float kernels: the
+    result depends on the order at the ulp level.
     """
-    x = np.asarray(x, dtype=np.float32)
-    _, h, w = check_conv_input(x, layer)
     cols = im2col(x, layer.kernel)
     wmat = layer.weights.reshape(-1, layer.out_channels).astype(np.float32)
     products = cols[:, :, None] * wmat[None, :, :]
     acc = _ordered_sum(products, order) + layer.bias.astype(np.float32)
-    return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)
+    return acc.reshape(*x.shape[:2], layer.out_channels)
 
 
 def _leaky_float(x: np.ndarray) -> np.ndarray:
@@ -360,11 +364,13 @@ def run_backend(stacks: StackPair, latent, hyper, variant: BackendVariant) -> Gm
     return prior_fn(stacks, hyper, variant)(latent)
 
 
-def _raster(a):
-    """A (..., c, h, w) array flattened over its last three axes in raster
-    coding order: position, then channel."""
-    a = np.asarray(a)
-    return np.moveaxis(a, -3, -1).reshape(*a.shape[:-3], -1)
+def _raster(a, at=None):
+    """A (..., c, h, w) array, or its positions at = (ys, xs) in their order,
+    flattened over its last three axes: position, then channel.  Without at
+    that is raster order."""
+    a = np.moveaxis(a, -3, -1)
+    a = a if at is None else pick_positions(a, at)
+    return a.reshape(*a.shape[:-3], -1)
 
 
 def _coding_order(h, w, reach=None):
@@ -415,7 +421,7 @@ def _encode(params: GmmParams, latent, reach=None):
     if params.field_shape != latent.shape:
         raise ValueError(f"prior field {params.field_shape} for a latent of shape {latent.shape}")
     at = _coding_order(*latent.shape[1:], reach)[:2]
-    sent, rows = (_raster(pick_positions(a, at)) for a in (latent, params.fields))
+    sent, rows = (_raster(a, at) for a in (latent, params.fields))
     tables = build_cdf_table(GmmParams(*rows, params.scale_exp), _V_MIN, _V_MAX)
     return replace(rc_encode(sent, tables, latent.shape), reach=reach), sent, rows
 

@@ -21,13 +21,17 @@ fuse, head decode): integer for EntropyStack, float32 for
 harness.EntropyStackF.  Only the float32 stack has an accumulation order,
 and it carries its own.
 
-EntropyStack carries activations from the entry check to decode_head as
-float64 arrays of whole numbers, and decode_head casts them to int64
-once.  A layer step is one fused kernel on the (h*w, n) GEMM output: the
-convolution, bias, per-channel scale, rounding, clamp and LeakyReLU run
-in place on it, and one transpose gives back (n, h, w).  qconv_forward,
-requantize and leaky_relu_int are the kernel's pieces behind the checks
-of their own contracts.
+Inside a stack an activation is carried channels-last, as a C-contiguous
+(h, w, c) array, from the entry to decode_head: the entry transposes it
+once, and split_head once more, to the (3, c, h, w) layout of GmmParams.
+EntropyStack carries float64 arrays of whole numbers, and decode_head
+casts them to int64 once.  A layer step is one fused kernel on the
+(h*w, n) GEMM output: the convolution, bias, per-channel scale, rounding,
+clamp and LeakyReLU run in place on it, and a reshape, no copy, makes it
+the next layer's (h, w, n) input.  A 1x1 layer's im2col is a reshape of
+its input too.  qconv_forward, requantize and leaky_relu_int keep the
+(c, h, w) layout: they are the kernel's pieces behind the checks of their
+own contracts.
 
 The convolution runs as one float64 BLAS GEMM, and that is exact too.
 QConvLayer enforces sum|w| * x_max + |b| <= 2^31 - 1, so every product
@@ -131,8 +135,8 @@ def _check_left_shift(out, left):
 
 def _enter(x, layer: QConvLayer) -> np.ndarray:
     """x, a (c, h, w) integer array within layer's n_i bits, as the float64
-    activation carrier; the one check an activation gets.  An x of any
-    other dtype is refused, not truncated."""
+    (h, w, c) activation carrier; the one check an activation gets.  An x
+    of any other dtype is refused, not truncated."""
     x = np.asarray(x)
     if x.dtype.kind not in "iu":
         raise ValueError(f"input must be an integer array, got dtype {x.dtype}")
@@ -140,12 +144,12 @@ def _enter(x, layer: QConvLayer) -> np.ndarray:
     n_i = layer.spec.n_i
     if exceeds(x, (1 << (n_i - 1)) - 1):
         raise ValueError(f"input entry exceeds the layer's {n_i}-bit range")
-    return x.astype(np.float64)
+    return x.transpose(1, 2, 0).astype(np.float64, order="C")
 
 
 def _accumulate(x: np.ndarray, layer: QConvLayer) -> np.ndarray:
     """im2col(x) @ layer.weight_matrix + b_q: the (h*w, n) accumulator of a
-    float64 (c, h, w) x, a new C-contiguous float64 array.  Every layer's
+    float64 (h, w, c) x, a new C-contiguous float64 array.  Every layer's
     convolution goes through here, the stack's and qconv_forward's."""
     acc = im2col(x, layer.kernel) @ layer.weight_matrix
     acc += layer.b_q
@@ -187,8 +191,7 @@ def qconv_forward(x, layer: QConvLayer) -> np.ndarray:
     (causal) layers carry their zeroes in the weights.
     """
     x = _enter(x, layer)
-    _, h, w = x.shape
-    return _accumulate(x, layer).reshape(h, w, layer.out_channels).transpose(2, 0, 1)
+    return _accumulate(x, layer).reshape(*x.shape[:2], layer.out_channels).transpose(2, 0, 1)
 
 
 def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> np.ndarray:
@@ -312,17 +315,17 @@ class EntropyStack:
         """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU:
         the fused kernel, in place on the (h*w, n) GEMM output.
 
-        x is the float64 carrier, unchecked: it comes from enter, fuse or
-        the layer before.  The output is float64 whole numbers, at `after`'s
-        input grid and within its n_i bits by construction.
+        x is the float64 (h, w, m) carrier, unchecked: it comes from enter,
+        fuse or the layer before.  The output is (h, w, n) float64 whole
+        numbers, at `after`'s input grid and within its n_i bits by
+        construction.
         """
-        _, h, w = x.shape
         acc = _accumulate(x, layer)
         n_bits = after.spec.n_i if after is not None else 16
         _requantize(acc, layer.spec, (1 << (n_bits - 1)) - 1)
         if activation:
             _leaky(acc)
-        return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)
+        return acc.reshape(*x.shape[:2], layer.out_channels)
 
     def fuse(self, feats) -> np.ndarray:
         """Concatenated chain outputs, clamped to gather[0]'s n_i bits: the
@@ -332,7 +335,7 @@ class EntropyStack:
         bits; the clamp comes after their last activation.
         """
         lim = (1 << (self.gather[0].spec.n_i - 1)) - 1
-        y = np.concatenate(feats, axis=0)
+        y = np.concatenate(feats, axis=-1)
         np.maximum(y, -lim, out=y)
         return np.minimum(y, lim, out=y)
 
@@ -352,8 +355,9 @@ def _run_chain(x, chain, stack, last_act=True):
 
 
 def split_head(y: np.ndarray, latent_channels: int):
-    """Weight logits, means and scales, each (3, c, h, w), of a (9c, h, w) head."""
-    y = y.reshape(latent_channels, 9, *y.shape[1:]).transpose(1, 0, 2, 3)
+    """Weight logits, means and scales, each (3, c, h, w), of an (h, w, 9c)
+    head: the carrier leaves the channels-last layout here."""
+    y = y.reshape(*y.shape[:2], latent_channels, 9).transpose(3, 2, 0, 1)
     return y[0:3], y[3:6], y[6:9]
 
 
@@ -363,7 +367,8 @@ def _enter_chain(x, chain, stack):
 
 
 def hyper_features(hyper_latent, stack):
-    """Hyperdecoder output, or None for a stack without a hyperdecoder.
+    """Hyperdecoder output as the (h, w, n) carrier, or None for a stack
+    without a hyperdecoder.
 
     For an EntropyStack the hyper latent is checked here (dtype, shape,
     n_i range), and the output is float64 whole numbers.  It does not
@@ -385,8 +390,8 @@ def _positions(at):
 
 
 def _band(canvas, at, r):
-    """The band of a (c, h, w) canvas that the priors of positions at read
-    at context reach r, and the positions' places in it.
+    """The band of a raw (c, h, w) canvas that the priors of positions at
+    read at context reach r, and the positions' places in it.
 
     The band is rows min(ys) - r..max(ys) and columns min(xs) - r..max(xs)
     + r, clipped to the canvas: it holds each position's receptive field
@@ -398,9 +403,10 @@ def _band(canvas, at, r):
 
 
 def pick_positions(t, at):
-    """Positions at = (ys, xs) of a (..., c, h, w) array, as (..., c, P, 1)."""
+    """Positions at = (ys, xs) of a channels-last (..., h, w, c) array, as
+    (..., P, 1, c)."""
     ys, xs = _positions(at)
-    return np.asarray(t)[..., ys, xs, None]
+    return np.asarray(t)[..., ys, xs, None, :]
 
 
 def priors_from_features(hyper_feat, canvas, stack, at=None):
@@ -423,7 +429,7 @@ def priors_from_features(hyper_feat, canvas, stack, at=None):
     if hyper_feat is not None and stack.context:
         # else fuse fails with numpy's concatenation message, naming neither,
         # or picked positions read the hyper features of another grid
-        hw, canvas_hw = hyper_feat.shape[-2:], np.shape(canvas)[-2:]
+        hw, canvas_hw = hyper_feat.shape[:2], np.shape(canvas)[-2:]
         if hw != canvas_hw:
             raise ShapeError(f"hyper latent of (h, w) {hw} under a latent of (h, w) {canvas_hw}")
     if at is not None and any(layer.kernel != 1 for layer in stack.gather):

@@ -1,7 +1,8 @@
 """The float convolution layer, the causal mask, and im2col.
 
-The canonical layout everywhere in this package is channel-major, row-major:
-activations are (channels, height, width), convolution weights are
+Activations are (channels, height, width) at the package's public
+edges; inside an entropy stack they are carried channels-last, as C-contiguous
+(height, width, channels) arrays (see intops).  Convolution weights are
 (in_channels, K, K, out_channels).  Only stride-1, zero same-padded
 convolutions are supported.
 """
@@ -81,30 +82,30 @@ class ConvLayerF:
         return self.weights.shape[3]
 
 
-def check_conv_input(x: np.ndarray, layer) -> tuple:
-    """The (c, h, w) shape of a convolution input; ShapeError unless x is
-    3-d with the layer's input channels."""
+def check_conv_input(x: np.ndarray, layer) -> None:
+    """ShapeError unless x, a convolution input entering a stack, is a
+    (c, h, w) array with the layer's input channels."""
     if x.ndim != 3:
         raise ShapeError(f"expected (c, h, w) input, got shape {x.shape}")
     if x.shape[0] != layer.in_channels:
         raise ShapeError(f"input has {x.shape[0]} channels, layer expects {layer.in_channels}")
-    return x.shape
 
 
 def im2col(data: np.ndarray, k: int) -> np.ndarray:
-    """Zero-padded sliding windows of (c, h, w) data as (h*w, c*k*k).
+    """Zero-padded sliding windows of (h, w, c) data as (h*w, c*k*k).
 
-    Column order matches (m, K, K, n) weights flattened over (m, K, K).
-    For k = 1 that is the data reshaped and transposed, with no padding.
+    Column order is (c, ky, kx), matching (m, K, K, n) weights flattened
+    over (m, K, K).  For k = 1 that is the data reshaped, with no copy
+    when the data is C-contiguous.
     """
-    c, h, w = data.shape
+    h, w, c = data.shape
     if k == 1:
-        return data.reshape(c, h * w).T
+        return data.reshape(h * w, c)
     pad = k // 2
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=data.dtype)
-    xp[:, pad : pad + h, pad : pad + w] = data
+    xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=data.dtype)
+    xp[pad : pad + h, pad : pad + w] = data
     # the (h, w, c, k, k) windows of xp; the last one ends at xp's last entry
-    sc, sy, sx = xp.strides
+    sy, sx, sc = xp.strides
     win = np.ndarray((h, w, c, k, k), xp.dtype, xp, 0, (sy, sx, sc, sy, sx))
     win.flags.writeable = False
     return win.reshape(h * w, c * k * k)

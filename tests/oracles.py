@@ -280,25 +280,25 @@ def _fold(terms, order):
 
 
 def qconv_oracle(x, layer, order):
-    """Per-tap int64 convolution: the products of each of the T = m*K*K
-    taps, summed tap by tap in `order`.  Returns (n, h, w)."""
-    c, h, w = x.shape
+    """Per-tap int64 convolution of an (h, w, m) x: the products of each of
+    the T = m*K*K taps, summed tap by tap in `order`.  Returns (h, w, n)."""
+    h, w, _ = x.shape
     cols = im2col(np.asarray(x, np.int64), layer.kernel)
     wmat = layer.w_q.reshape(-1, layer.out_channels).astype(np.int64)
     products = cols[:, :, None] * wmat[None, :, :]  # (P, T, n)
     acc = _fold(list(products.transpose(1, 0, 2)), order) + layer.b_q[None, :]
-    return acc.reshape(h, w, layer.out_channels).transpose(2, 0, 1)
+    return acc.reshape(h, w, layer.out_channels)
 
 
 def oracle_priors(pair, latent, hyper, order):
     """Integer priors of run_backend with every convolution replaced by
     qconv_oracle summing in `order`: at intops._accumulate, the one GEMM
-    each fused layer step calls, which takes the float64 carrier and gives
-    the (h*w, n) float64 accumulator."""
+    each fused layer step calls, which takes the float64 (h, w, m) carrier
+    and gives the (h*w, n) float64 accumulator."""
 
     def accumulate(x, layer):
-        acc = qconv_oracle(x, layer, order)  # (n, h, w) int64
-        return acc.transpose(1, 2, 0).reshape(-1, layer.out_channels).astype(np.float64)
+        acc = qconv_oracle(x, layer, order)  # (h, w, n) int64
+        return acc.reshape(-1, layer.out_channels).astype(np.float64)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intops, "_accumulate", accumulate)

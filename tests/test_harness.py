@@ -74,7 +74,7 @@ def test_float_mode_rejects_hyper_latent_float32_cannot_hold(bad):
 def test_float_cancellation_orders_differ():
     # f32 sequential: (2^24 + 1) - 2^24 = 0; reversed: (-2^24 + 1) + 2^24 = 1
     lyr = ConvLayerF(weights=np.ones((3, 1, 1, 1)), bias=np.zeros(1))
-    x = np.array([2.0**24, 1.0, -(2.0**24)]).reshape(3, 1, 1)
+    x = np.array([2.0**24, 1.0, -(2.0**24)], np.float32).reshape(1, 1, 3)
     seq = conv_ordered_float(x, lyr, "seq")
     rev = conv_ordered_float(x, lyr, "rev")
     assert seq[0, 0, 0] == 0.0
@@ -223,7 +223,7 @@ DEVICES = [("seq", "int"), ("seq", "float"), ("rev", "float"), ("tree", "float")
 
 def in_order(a, at):
     """A (..., c, h, w) array flattened at positions at, each with its channels."""
-    return harness._raster(intops.pick_positions(a, at))
+    return harness._raster(a, at)
 
 
 def wavefront_steps(shape, reach):
@@ -261,7 +261,7 @@ def test_band_priors_equal_whole_canvas_priors(context, c, h, w, seed):
         for ys, xs in steps:
             got = params_of(canvas, (ys, xs))
             assert got.field_shape == (c, len(ys), 1)
-            want = intops.pick_positions(full, (ys, xs))
+            want = full[..., ys, xs, None]
             assert got.fields.tobytes() == want.tobytes(), (order, mode, ys, xs)
             canvas[:, ys, xs] = latent[:, ys, xs]
 
@@ -416,6 +416,22 @@ def test_causal_window_is_clipped_receptive_field():
     assert [a.tolist() for a in at] == [[1], [3]]
 
 
+def roundtrip_side(monkeypatch):
+    """A one-item list naming the side of a roundtrip_experiment that runs:
+    "enc" inside its encoder's run_backend, else "dec"."""
+    side, backend = ["dec"], harness.run_backend
+
+    def encoder_backend(*args):
+        side[0] = "enc"
+        try:
+            return backend(*args)
+        finally:
+            side[0] = "dec"
+
+    monkeypatch.setattr(harness, "run_backend", encoder_backend)
+    return side
+
+
 def test_decoder_runs_gather_once_per_position(monkeypatch):
     rng = np.random.default_rng(12)
     pair = make_stack_pair(random_stack(rng))
@@ -423,23 +439,15 @@ def test_decoder_runs_gather_once_per_position(monkeypatch):
     hyper = rng.normal(size=(2, 8, 8))
     gather = {id(lyr) for lyr in pair.quant_stack.gather}
     positions = {"enc": 0, "dec": 0}
-    side = ["dec"]
-    conv, backend = intops._accumulate, harness.run_backend
+    side = roundtrip_side(monkeypatch)
+    conv = intops._accumulate
 
     def counting_conv(x, layer):
         if id(layer) in gather:
-            positions[side[0]] += x.shape[1] * x.shape[2]
+            positions[side[0]] += x.shape[0] * x.shape[1]
         return conv(x, layer)
 
-    def encoder_backend(*args):  # roundtrip_experiment's encoder side
-        side[0] = "enc"
-        try:
-            return backend(*args)
-        finally:
-            side[0] = "dec"
-
     monkeypatch.setattr(intops, "_accumulate", counting_conv)
-    monkeypatch.setattr(harness, "run_backend", encoder_backend)
     rep = roundtrip_experiment(
         pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "tree")
     )
@@ -457,22 +465,14 @@ def test_roundtrip_checks_each_activation_once_where_it_enters(monkeypatch):
     latent = random_latent(rng, (1, 8, 8))
     hyper = rng.normal(size=(2, 8, 8))
     checks = {"enc": 0, "dec": 0}
-    side = ["dec"]
-    exceeds, backend = intops.exceeds, harness.run_backend
+    side = roundtrip_side(monkeypatch)
+    exceeds = intops.exceeds
 
     def counting_exceeds(arr, lim):
         checks[side[0]] += 1
         return exceeds(arr, lim)
 
-    def encoder_backend(*args):
-        side[0] = "enc"
-        try:
-            return backend(*args)
-        finally:
-            side[0] = "dec"
-
     monkeypatch.setattr(intops, "exceeds", counting_exceeds)
-    monkeypatch.setattr(harness, "run_backend", encoder_backend)
     rep = roundtrip_experiment(
         pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "tree")
     )
@@ -483,6 +483,75 @@ def test_roundtrip_checks_each_activation_once_where_it_enters(monkeypatch):
     # the encoder's hyper latent and canvas; the decoder's hyper latent and
     # each step's band.  A check per layer made 10 and 2 + 8 * steps = 178
     assert checks == {"enc": 2, "dec": 1 + steps}
+
+
+def test_float_roundtrip_checks_each_input_once_where_it_enters(monkeypatch):
+    # EntropyStackF.enter casts, checks and transposes the hyper latent and
+    # the canvas (a decoder step's band); no layer checks its input again
+    rng = np.random.default_rng(12)
+    pair = make_stack_pair(random_stack(rng))
+    latent = random_latent(rng, (1, 8, 8))
+    hyper = rng.normal(size=(2, 8, 8))
+    checks = {"enc": 0, "dec": 0}
+    side = roundtrip_side(monkeypatch)
+    check = harness.check_conv_input
+
+    def counting_check(x, layer):
+        checks[side[0]] += 1
+        return check(x, layer)
+
+    monkeypatch.setattr(harness, "check_conv_input", counting_check)
+    rep = roundtrip_experiment(
+        pair,
+        latent,
+        hyper,
+        BackendVariant("e", "seq", "float"),
+        BackendVariant("d", "seq", "float"),
+    )
+    assert rep.decoded_equal
+    steps = len(set(harness._coding_order(8, 8, intops.context_reach(pair.quant_stack))[2]))
+    assert steps == 22
+    # a check per layer made 10 and 2 + 8 * steps = 178
+    assert checks == {"enc": 2, "dec": 1 + steps}
+
+
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_stack_carries_activations_channels_last(mode, monkeypatch):
+    # every layer step takes a C-contiguous (h, w, m) array, the carrier,
+    # and a 1x1 layer's im2col operand is that array reshaped: no copy
+    rng = np.random.default_rng(12)
+    pair = make_stack_pair(random_stack(rng))
+    latent = random_latent(rng, (1, 8, 8))
+    hyper = rng.normal(size=(2, 8, 8))
+    stack, owner, dtype = {
+        "int": (intops.EntropyStack, intops, np.float64),
+        "float": (harness.EntropyStackF, harness, np.float32),
+    }[mode]
+    steps, cols = [], []
+    step, cut = stack.layer_step, owner.im2col
+
+    def recording_step(self, x, layer, *args):
+        steps.append((x, layer))
+        return step(self, x, layer, *args)
+
+    def recording_im2col(data, k):
+        cols.append((data, cut(data, k)))
+        return cols[-1][1]
+
+    monkeypatch.setattr(stack, "layer_step", recording_step)
+    monkeypatch.setattr(owner, "im2col", recording_im2col)
+    variant = BackendVariant("e", "seq", mode)
+    rep = roundtrip_experiment(pair, latent, hyper, variant, variant)
+    assert rep.decoded_equal
+    assert len(steps) == len(cols)
+    kernels = set()
+    for (x, layer), (data, out) in zip(steps, cols):
+        assert data is x and x.dtype == dtype and x.flags.c_contiguous
+        assert x.ndim == 3 and x.shape[2] == layer.in_channels
+        kernels.add(layer.kernel)
+        if layer.kernel == 1:
+            assert np.shares_memory(out, x)
+    assert kernels == {1, 3}
 
 
 def test_decoder_without_context_builds_tables_in_one_call(monkeypatch):
@@ -585,22 +654,14 @@ def test_float_roundtrip_runs_hyperdecoder_once_per_side(monkeypatch):
     hyper = rng.normal(size=(2, 8, 8))
     hyper_layers = {id(lyr) for lyr in pair.float_stack.hyperdecoder}
     calls = {"enc": 0, "dec": 0}
-    side = ["dec"]
-    conv, backend = harness.conv_ordered_float, harness.run_backend
+    side = roundtrip_side(monkeypatch)
+    conv = harness.conv_ordered_float
 
     def counting_conv(x, layer, order):
         calls[side[0]] += id(layer) in hyper_layers
         return conv(x, layer, order)
 
-    def encoder_backend(*args):  # roundtrip_experiment's encoder side
-        side[0] = "enc"
-        try:
-            return backend(*args)
-        finally:
-            side[0] = "dec"
-
     monkeypatch.setattr(harness, "conv_ordered_float", counting_conv)
-    monkeypatch.setattr(harness, "run_backend", encoder_backend)
     rep = roundtrip_experiment(
         pair,
         latent,

@@ -224,9 +224,9 @@ def test_conv_order_invariance_single_layer():
     lyr = qlayer(rng.normal(size=(3, 3, 3, 4)), b=rng.normal(size=4))
     x = rng.integers(-32767, 32768, size=(3, 5, 5))
     # the one GEMM equals the per-tap sum in each of three distinct orders
-    got = qconv_forward(x, lyr)
+    got = qconv_forward(x, lyr).transpose(1, 2, 0)
     for o in ORDERS:
-        np.testing.assert_array_equal(got, qconv_oracle(x, lyr, o))
+        np.testing.assert_array_equal(got, qconv_oracle(x.transpose(1, 2, 0), lyr, o))
 
 
 @pytest.mark.parametrize(
@@ -249,9 +249,9 @@ def test_qconv_matches_per_tap_oracle(m, k, mask, n_i):
     )
     lim = (1 << (n_i - 1)) - 1
     x = rng.integers(-lim, lim + 1, size=(m, 5, 6))
-    got = qconv_forward(x, lyr)
+    got = qconv_forward(x, lyr).transpose(1, 2, 0)
     for order in ORDERS:
-        np.testing.assert_array_equal(got, qconv_oracle(x, lyr, order))
+        np.testing.assert_array_equal(got, qconv_oracle(x.transpose(1, 2, 0), lyr, order))
 
 
 def test_qconv_exact_at_accumulator_bound():
@@ -266,7 +266,8 @@ def test_qconv_exact_at_accumulator_bound():
     acc = qconv_forward(x, lyr)
     np.testing.assert_array_equal(acc[0], want)
     for order in ORDERS:
-        np.testing.assert_array_equal(acc, qconv_oracle(x, lyr, order))
+        oracle = qconv_oracle(x.transpose(1, 2, 0), lyr, order)
+        np.testing.assert_array_equal(acc, oracle.transpose(2, 0, 1))
     assert acc.max() == (1 << 31) - 1
 
 
@@ -469,7 +470,7 @@ def test_oracle_priors_reach_every_layer_of_the_chains(monkeypatch):
 
     def bumped(x, layer, order):
         acc = conv(x, layer, order).copy()
-        acc[0] += 1 << max(int(layer.spec.shift[0]), 0)
+        acc[..., 0] += 1 << max(int(layer.spec.shift[0]), 0)
         return acc
 
     monkeypatch.setattr(oracles, "qconv_oracle", bumped)

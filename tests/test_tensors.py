@@ -19,22 +19,23 @@ def layer(w, b=None, mask=False):
 
 
 def test_identity_kernel_passthrough():
-    x = np.arange(12, dtype=np.float64).reshape(1, 3, 4)
+    x = np.arange(12, dtype=np.float32).reshape(3, 4, 1)
     out = conv_ordered_float(x, layer(np.ones((1, 1, 1, 1))), "seq")
     np.testing.assert_array_equal(out, x)
 
 
 def test_bias_broadcast():
-    x = np.random.default_rng(0).normal(size=(2, 3, 3))
+    x = np.random.default_rng(0).normal(size=(3, 3, 2)).astype(np.float32)
     lyr = layer(np.zeros((2, 3, 3, 4)), b=[1.0, -2.0, 0.5, 3.0])
     out = conv_ordered_float(x, lyr, "seq")
     for j, c in enumerate([1.0, -2.0, 0.5, 3.0]):
-        np.testing.assert_array_equal(out[j], np.full((3, 3), c))
+        np.testing.assert_array_equal(out[..., j], np.full((3, 3), c))
 
 
 def test_ones_kernel_center_and_corner():
-    out = conv_ordered_float(np.ones((1, 3, 3)), layer(np.ones((1, 3, 3, 1))), "seq")
-    assert out[0, 1, 1] == 9.0
+    x = np.ones((3, 3, 1), dtype=np.float32)
+    out = conv_ordered_float(x, layer(np.ones((1, 3, 3, 1))), "seq")
+    assert out[1, 1, 0] == 9.0
     assert out[0, 0, 0] == 4.0
 
 
@@ -56,12 +57,12 @@ def test_conv_matches_naive_oracle():
 def _im2col_loop(data, k):
     """im2col one tap at a time: row y*w + x, column (i*k + dy)*k + dx holds
     channel i at (y + dy - k//2, x + dx - k//2), zero outside the data."""
-    c, h, w = data.shape
+    h, w, c = data.shape
     r = k // 2
     out = np.zeros((h * w, c * k * k), dtype=data.dtype)
     for y, x, i, dy, dx in itertools.product(range(h), range(w), range(c), range(k), range(k)):
         if 0 <= y + dy - r < h and 0 <= x + dx - r < w:
-            out[y * w + x, (i * k + dy) * k + dx] = data[i, y + dy - r, x + dx - r]
+            out[y * w + x, (i * k + dy) * k + dx] = data[y + dy - r, x + dx - r, i]
     return out
 
 
@@ -72,7 +73,7 @@ def test_im2col_matches_per_tap_loop(k, rows):
     rng = np.random.default_rng(10 * k + rows)
     for c, w in ((1, 1), (1, 5), (3, 2), (2, 9)):
         for dtype in (np.float64, np.int64):
-            data = rng.integers(-100, 101, size=(c, rows, w)).astype(dtype)
+            data = rng.integers(-100, 101, size=(rows, w, c)).astype(dtype)
             got = im2col(data, k)
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, _im2col_loop(data, k))
