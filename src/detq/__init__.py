@@ -34,12 +34,8 @@ from .intops import (
     AccumulatorOverflowError,
     EntropyStack,
     hyper_features,
-    leaky_relu_int,
     linear_softmax_field,
     priors_from_features,
-    qconv_forward,
-    requantize,
-    round_shift,
     run_entropy_stack,
 )
 from .quantize import (

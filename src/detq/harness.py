@@ -10,8 +10,8 @@ priors can break entropy decoding while integer priors round-trip exactly.
 
 A device in integer mode quantizes its raw latent and hyper latent with
 quantize.quantize_value, which rejects non-finite values; float mode
-feeds them to EntropyStackF as they are, once it has checked that
-float32 holds the hyper latent.  The float reference oracle is
+feeds them to EntropyStackF as they are, whose entry checks that float32
+holds them.  The float reference oracle is
 intops.run_entropy_stack on an EntropyStackF.
 
 Every experiment codes through one encoder (_encode) and one decoder
@@ -46,6 +46,7 @@ from .intops import (
     LEAKY_SHIFT,
     SUBNETS,
     EntropyStack,
+    check_topology,
     context_reach,
     hyper_features,
     pick_positions,
@@ -67,6 +68,7 @@ __all__ = [
     "LayerCfg",
     "EntropyStackF",
     "FloatPriors",
+    "StackPair",
     "conv_ordered_float",
     "discretize_priors",
     "prior_fn",
@@ -141,7 +143,8 @@ class EntropyStackF:
     summing in `order` (one of ORDERS; not part of the manifest), LeakyReLU,
     and a float softmax and sigma floor giving FloatPriors.  Its carrier is
     a C-contiguous float32 (h, w, c) array; enter casts, checks and
-    transposes an input once, where it enters a chain.
+    transposes an input once, where it enters a chain.  A stack is built
+    only if its wiring obeys check_topology, as an EntropyStack is.
     """
 
     hyperdecoder: list
@@ -152,6 +155,12 @@ class EntropyStackF:
     gather_cfg: list
     latent_channels: int
     order: str = "seq"
+
+    def __post_init__(self):
+        check_topology(
+            {name: list(zip(layers, cfgs)) for name, layers, cfgs in self.chains()},
+            self.latent_channels,
+        )
 
     def chains(self):
         return tuple((name, getattr(self, name), self._cfg(name)) for name in SUBNETS)
@@ -191,8 +200,14 @@ class EntropyStackF:
                 self.context_cfg[-1].p_out = p
 
     def enter(self, x, layer):
-        """x, a (c, h, w) input of layer, as the float32 (h, w, c) carrier."""
+        """x, a (c, h, w) input of layer, as the float32 (h, w, c) carrier;
+        the one check an input gets."""
         x = np.asarray(x)
+        # float32 would hold such a value as inf or NaN, and the priors as
+        # garbage; the comparison is false for NaN too.  A complex value
+        # would lose its imaginary part.
+        if x.dtype.kind == "c" or not np.all(np.abs(x.astype(float)) <= _F32_MAX):
+            raise ValueError("input has complex or non-finite values, or values beyond float32")
         check_conv_input(x, layer)
         return x.transpose(1, 2, 0).astype(np.float32, order="C")
 
@@ -340,16 +355,6 @@ def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
 
     else:
         stack = replace(stacks.float_stack, order=variant.order)
-        # float32 would hold such a value as inf or NaN, and the priors as
-        # garbage; the comparison is false for NaN too.  A complex value
-        # would lose its imaginary part.
-        hyper = np.asarray(hyper)
-        if stack.hyperdecoder and (
-            hyper.dtype.kind == "c" or not np.all(np.abs(hyper.astype(float)) <= _F32_MAX)
-        ):
-            raise ValueError(
-                "hyper latent has complex or non-finite values, or values beyond float32"
-            )
         hyper_feat = hyper_features(hyper, stack)
 
         def priors(canvas, at=None):

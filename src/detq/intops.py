@@ -25,13 +25,14 @@ Inside a stack an activation is carried channels-last, as a C-contiguous
 (h, w, c) array, from the entry to decode_head: the entry transposes it
 once, and split_head once more, to the (3, c, h, w) layout of GmmParams.
 EntropyStack carries float64 arrays of whole numbers, and decode_head
-casts them to int64 once.  A layer step is one fused kernel on the
-(h*w, n) GEMM output: the convolution, bias, per-channel scale, rounding,
-clamp and LeakyReLU run in place on it, and a reshape, no copy, makes it
-the next layer's (h, w, n) input.  A 1x1 layer's im2col is a reshape of
-its input too.  qconv_forward, requantize and leaky_relu_int keep the
-(c, h, w) layout: they are the kernel's pieces behind the checks of their
-own contracts.
+casts them to int64 once.  A layer step is one fused kernel of three
+steps, each a module function: qconv_forward, the convolution and bias as
+one GEMM on a (c, h, w) view of the carrier, giving the (h*w, n)
+accumulator; requantize, the per-channel scale, rounding and clamp, in
+place on it; and leaky_relu_int, in place too.  A reshape, no copy, makes
+the result the next layer's (h, w, n) input.  A 1x1 layer's im2col is a
+reshape of its input too.  The steps check nothing: their inputs are in
+range by construction.
 
 The convolution runs as one float64 BLAS GEMM, and that is exact too.
 QConvLayer enforces sum|w| * x_max + |b| <= 2^31 - 1, so every product
@@ -80,10 +81,6 @@ __all__ = [
     "AccumulatorOverflowError",
     "LEAKY_NUM",
     "LEAKY_SHIFT",
-    "round_shift",
-    "qconv_forward",
-    "requantize",
-    "leaky_relu_int",
     "linear_softmax_field",
     "hyper_features",
     "context_reach",
@@ -108,31 +105,6 @@ class AccumulatorOverflowError(ArithmeticError):
     it out for any layer it accepts; it guards direct calls."""
 
 
-def round_shift(v, s):
-    """Scale by 2^-s with half-away rounding (s > 0) or left shift (s <= 0).
-
-    v is an integer or integer array, s an int or an integer array
-    broadcast against it; the result is int64.  |v| must lie below 2^53,
-    where float64 holds it exactly (no 32-bit register holds more), else
-    ValueError.  Left shifts that push a value past 31 bits raise, since a
-    real 32-bit register would wrap.
-    """
-    v = np.asarray(v, dtype=np.int64)
-    if exceeds(v, (1 << 53) - 1):
-        raise ValueError("round_shift takes integers below 2^53 in magnitude")
-    s = np.asarray(s)
-    out = round_half_away(np.ldexp(v.astype(np.float64), -s))
-    _check_left_shift(out, s < 0)
-    return out.astype(np.int64)
-
-
-def _check_left_shift(out, left):
-    """AccumulatorOverflowError if an entry of out past 31 bits lies where
-    the mask left, broadcast against it, is true."""
-    if np.any(left & (np.abs(out) > _ACC_MAX)):
-        raise AccumulatorOverflowError("a left shift exceeds the 32-bit range")
-
-
 def _enter(x, layer: QConvLayer) -> np.ndarray:
     """x, a (c, h, w) integer array within layer's n_i bits, as the float64
     (h, w, c) activation carrier; the one check an activation gets.  An x
@@ -147,28 +119,44 @@ def _enter(x, layer: QConvLayer) -> np.ndarray:
     return x.transpose(1, 2, 0).astype(np.float64, order="C")
 
 
-def _accumulate(x: np.ndarray, layer: QConvLayer) -> np.ndarray:
-    """im2col(x) @ layer.weight_matrix + b_q: the (h*w, n) accumulator of a
-    float64 (h, w, c) x, a new C-contiguous float64 array.  Every layer's
-    convolution goes through here, the stack's and qconv_forward's."""
-    acc = im2col(x, layer.kernel) @ layer.weight_matrix
+def qconv_forward(x: np.ndarray, layer: QConvLayer) -> np.ndarray:
+    """im2col @ layer.weight_matrix + b_q: the (h*w, n) accumulator of x, a
+    new C-contiguous float64 array; the kernel's convolution step.
+
+    x is a (c, h, w) float64 array of whole numbers within the layer's n_i
+    bits, in the stack a view of the (h, w, c) carrier; im2col reads that
+    carrier back through a transpose, no copy.  QConvLayer holds
+    sum|w| * x_max + |b| within 32 bits, so every partial sum in any order
+    is an integer below 2^53 that float64 holds exactly, and the one GEMM
+    gives the same result for any summation order the BLAS library picks.
+    Masked (causal) layers carry their zeroes in the weights.
+    """
+    acc = im2col(x.transpose(1, 2, 0), layer.kernel) @ layer.weight_matrix
     acc += layer.b_q
     return acc
 
 
-def _requantize(acc: np.ndarray, spec, lim: int):
-    """Scale a (..., n) accumulator by spec.scale, round half away and clamp
-    to +-lim, in place."""
+def requantize(acc: np.ndarray, spec, lim: int):
+    """Rescale a float64 (..., n) accumulator to the next layer's input grid,
+    in place: the kernel's requantize step.
+
+    acc holds integers below 2^31 in magnitude at scale 2^-(k_j + p_in) on
+    channel j; each is scaled by spec.scale, 2^-(k_j + p_in - p_out),
+    rounded half away from zero and clamped to +-lim.  A left shift past
+    31 bits raises AccumulatorOverflowError.
+    """
     acc *= spec.scale
     round_half_away(acc, out=acc)
-    if spec.left is not None:
-        _check_left_shift(acc, spec.left)
+    if spec.left is not None and np.any(spec.left & (np.abs(acc) > _ACC_MAX)):
+        raise AccumulatorOverflowError("a left shift exceeds the 32-bit range")
     np.maximum(acc, -lim, out=acc)
     np.minimum(acc, lim, out=acc)
 
 
-def _leaky(x: np.ndarray):
-    """LeakyReLU on whole-number float64 x below 2^15 in magnitude, in place."""
+def leaky_relu_int(x: np.ndarray):
+    """Integer LeakyReLU with negative slope 41/4096 on whole-number float64
+    x below 2^15 in magnitude, in place: the kernel's activation step.  It
+    never grows |x|."""
     # x 41 2^-12 lies between 0 and x, so the larger of x and
     # ceil(x 41 2^-12 - 1/2) is x at or above zero and, below zero, the
     # scaled value rounded half away
@@ -176,52 +164,6 @@ def _leaky(x: np.ndarray):
     t -= 0.5
     np.ceil(t, out=t)
     np.maximum(x, t, out=x)
-
-
-def qconv_forward(x, layer: QConvLayer) -> np.ndarray:
-    """Exact integer cross-correlation plus bias; returns the (n, h, w)
-    accumulator as float64, whose entries are all integers.
-
-    x is a (c, h, w) integer array, checked against the layer's n_i bits
-    (_enter).  QConvLayer holds sum|w| * x_max + |b| within 32 bits, so no
-    partial sum in any order can overflow, and each one is an integer
-    below 2^53 that float64 holds exactly.  One float64 GEMM,
-    im2col(x) @ layer.weight_matrix, sums all m*K*K taps, so the result is
-    the same for any summation order the BLAS library picks.  Masked
-    (causal) layers carry their zeroes in the weights.
-    """
-    x = _enter(x, layer)
-    return _accumulate(x, layer).reshape(*x.shape[:2], layer.out_channels).transpose(2, 0, 1)
-
-
-def requantize(acc: np.ndarray, layer: QConvLayer, *, out_bits: int = 16) -> np.ndarray:
-    """Fused rescale of an (n, h, w) accumulator to the next layer's input grid.
-
-    acc holds integers, float64 as qconv_forward returns them or int64,
-    below 2^31 in magnitude; it represents real values at scale
-    2^-(k_j + p_in) per channel j.  The output is at 2^-p_out, so each
-    channel is scaled by 2^-(k_j + p_in - p_out), the spec's scale, rounded
-    half away from zero as round_shift rounds, and clamped to
-    +-(2^(out_bits-1) - 1).  The result is float64, whole numbers only.
-    """
-    acc = np.asarray(acc)
-    if acc.ndim != 3:
-        raise ShapeError(f"expected an (n, h, w) accumulator, got shape {acc.shape}")
-    # channels last, where the spec's (n,) rows broadcast
-    out = acc.transpose(1, 2, 0).astype(np.float64)
-    _requantize(out, layer.spec, (1 << (out_bits - 1)) - 1)
-    return out.transpose(2, 0, 1)
-
-
-def leaky_relu_int(x: np.ndarray) -> np.ndarray:
-    """Integer LeakyReLU with negative slope 41/4096; never grows |x|.
-
-    x holds integers below 2^15 in magnitude, int64 or float64; the
-    result is float64, whole numbers only.
-    """
-    out = np.array(x, dtype=np.float64)
-    _leaky(out)
-    return out
 
 
 def linear_softmax_field(z: np.ndarray, scale_exp: int) -> np.ndarray:
@@ -313,18 +255,19 @@ class EntropyStack:
 
     def layer_step(self, x, layer, after, activation=True):
         """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU:
-        the fused kernel, in place on the (h*w, n) GEMM output.
+        the fused kernel, qconv_forward, then requantize and leaky_relu_int
+        in place on its (h*w, n) GEMM output.
 
         x is the float64 (h, w, m) carrier, unchecked: it comes from enter,
         fuse or the layer before.  The output is (h, w, n) float64 whole
         numbers, at `after`'s input grid and within its n_i bits by
         construction.
         """
-        acc = _accumulate(x, layer)
+        acc = qconv_forward(x.transpose(2, 0, 1), layer)
         n_bits = after.spec.n_i if after is not None else 16
-        _requantize(acc, layer.spec, (1 << (n_bits - 1)) - 1)
+        requantize(acc, layer.spec, (1 << (n_bits - 1)) - 1)
         if activation:
-            _leaky(acc)
+            leaky_relu_int(acc)
         return acc.reshape(*x.shape[:2], layer.out_channels)
 
     def fuse(self, feats) -> np.ndarray:

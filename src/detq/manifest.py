@@ -18,7 +18,7 @@ import pathlib
 import numpy as np
 
 from .harness import CFG_FIELDS, EntropyStackF, LayerCfg
-from .intops import SUBNETS, EntropyStack, check_topology
+from .intops import SUBNETS, EntropyStack
 from .quantize import ACCUM_BITS, LayerQuantSpec, QConvLayer, WeightRangeError
 from .tensors import ConvLayerF, ShapeError
 
@@ -197,17 +197,10 @@ def load_float_model(manifest_path) -> EntropyStackF:
         fields[CFG_FIELDS[name]] = [
             LayerCfg(n_i=e["n_i"], p_in=e["p_in"], p_out=e["p_out"]) for e, _, _ in entries
         ]
-    stack = EntropyStackF(**fields, latent_channels=latent_channels)
     try:
-        # the rules EntropyStack enforces, so every command refuses the same
-        # manifests (calibration would otherwise re-tie a broken chain)
-        check_topology(
-            {name: list(zip(layers, cfgs)) for name, layers, cfgs in stack.chains()},
-            latent_channels,
-        )
+        return EntropyStackF(**fields, latent_channels=latent_channels)
     except ShapeError as e:
         raise ManifestError(str(e)) from e
-    return stack
 
 
 def save_quantized_model(manifest_path, stack: EntropyStack):

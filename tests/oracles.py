@@ -290,16 +290,26 @@ def qconv_oracle(x, layer, order):
     return acc.reshape(h, w, layer.out_channels)
 
 
+def qconv(x, layer):
+    """intops.qconv_forward of an integer (c, h, w) x, called as the fused
+    kernel calls it: on a (c, h, w) view of the float64 (h, w, c) carrier.
+    Returns the accumulator as (h, w, n), qconv_oracle's layout."""
+    carrier = np.asarray(x, np.float64).transpose(1, 2, 0).copy()
+    acc = intops.qconv_forward(carrier.transpose(2, 0, 1), layer)
+    return acc.reshape(*carrier.shape[:2], layer.out_channels)
+
+
 def oracle_priors(pair, latent, hyper, order):
     """Integer priors of run_backend with every convolution replaced by
-    qconv_oracle summing in `order`: at intops._accumulate, the one GEMM
-    each fused layer step calls, which takes the float64 (h, w, m) carrier
-    and gives the (h*w, n) float64 accumulator."""
+    qconv_oracle summing in `order`: at intops.qconv_forward, the
+    convolution step of each fused layer step, which takes a (c, h, w)
+    view of the float64 carrier and gives the (h*w, n) float64
+    accumulator."""
 
     def accumulate(x, layer):
-        acc = qconv_oracle(x, layer, order)  # (h, w, n) int64
+        acc = qconv_oracle(x.transpose(1, 2, 0), layer, order)  # (h, w, n) int64
         return acc.reshape(-1, layer.out_channels).astype(np.float64)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(intops, "_accumulate", accumulate)
+        mp.setattr(intops, "qconv_forward", accumulate)
         return run_backend(pair, latent, hyper, BackendVariant(order, order))

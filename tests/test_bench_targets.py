@@ -6,6 +6,10 @@ import math
 import pathlib
 import sys
 
+import numpy as np
+
+from detq import harness, intops
+
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -24,11 +28,11 @@ def test_span_targets_resolve():
         assert callable(owner.__dict__.get(attr)), f"{name}: {owner.__name__}.{attr}"
 
 
-def test_traced_hyperprior_roundtrip(tmp_path):
-    # one latent of the traced benchmark, in-process: the tracer reads each
-    # symbol's interval from the tables rc_encode is given
+def _traced_latent(name, tmp_path):
+    """One latent of the traced benchmark's workload `name`, in-process:
+    the tracer, the stack pair and the latent."""
     spans, workloads = _load("spans"), _load("workloads")
-    wl = workloads.WORKLOADS["hyperprior-roundtrip"]
+    wl = workloads.WORKLOADS[name]
     tracer = spans.Tracer()
     with tracer.installed(), tracer.span(spans.SETUP):
         pair, _ = workloads.setup(wl, tmp_path)
@@ -38,6 +42,12 @@ def test_traced_hyperprior_roundtrip(tmp_path):
             check = workloads.run_op(wl, pair, latent, hyper)
         with tracer.span(spans.CHECK):
             assert check()
+    return spans, tracer, pair, latent
+
+
+def test_traced_hyperprior_roundtrip(tmp_path):
+    # the tracer reads each symbol's interval from the tables rc_encode is given
+    spans, tracer, _, latent = _traced_latent("hyperprior-roundtrip", tmp_path)
     counts = tracer.counts[spans.OP]
     assert counts["ideal_bits"] > 0 and counts["payload_bytes"] > 0
     assert counts["encoded"] == latent.size
@@ -49,17 +59,7 @@ def test_traced_hyperprior_roundtrip(tmp_path):
 def test_traced_ar_roundtrip_sees_every_position(tmp_path):
     # the decoder builds each step's tables and runs the stack for it
     # through names the tracer patches: a move that hid them would read less
-    spans, workloads = _load("spans"), _load("workloads")
-    wl = workloads.WORKLOADS["ar-roundtrip"]
-    tracer = spans.Tracer()
-    with tracer.installed(), tracer.span(spans.SETUP):
-        pair, _ = workloads.setup(wl, tmp_path)
-    latent, hyper = workloads.make_inputs(wl, 1, 0)
-    with tracer.installed():
-        with tracer.span(spans.OP):
-            check = workloads.run_op(wl, pair, latent, hyper)
-        with tracer.span(spans.CHECK):
-            assert check()
+    spans, tracer, _, latent = _traced_latent("ar-roundtrip", tmp_path)
     metrics = spans.layer_metrics(tracer, 1)
     positions = latent.shape[1] * latent.shape[2]
     assert latent.size == positions == 64
@@ -68,6 +68,40 @@ def test_traced_ar_roundtrip_sees_every_position(tmp_path):
     steps = (8 - 1) + 2 * (8 - 1) + 1
     assert metrics["gmm.tables"] == metrics["intops.stack_calls"] == steps + 1 == 23
     assert metrics["rc.symbols"] == 2 * latent.size  # encoded and decoded
+
+
+def _macs(layer, positions):
+    m, k, _, n = layer.w_q.shape
+    return positions * m * k * k * n
+
+
+def test_traced_ar_roundtrip_sees_every_layer_step(tmp_path):
+    # each layer step runs the kernel's own steps, qconv_forward, requantize
+    # and leaky_relu_int, where the tracer patches them
+    spans, tracer, pair, latent = _traced_latent("ar-roundtrip", tmp_path)
+    metrics = spans.layer_metrics(tracer, 1)
+    stack = pair.quant_stack
+    chains = (stack.hyperdecoder, stack.context, stack.gather)
+    assert [len(c) for c in chains] == [2, 1, 7]
+    _, h, w = latent.shape
+    # the encoder runs all 10 layers on the whole 8x8 latent and the decoder
+    # the hyperdecoder once, then per step the context layer on the step's
+    # band and gather on the step's positions
+    macs = sum(_macs(lyr, h * w) for chain in chains for lyr in chain)
+    macs += sum(_macs(lyr, h * w) for lyr in stack.hyperdecoder)
+    r = intops.context_reach(stack)
+    ys, xs, t = harness._coding_order(h, w, r)
+    steps = np.unique(t)
+    for step in steps:
+        at = (ys[t == step], xs[t == step])
+        band, _ = intops._band(latent, at, r)
+        macs += sum(_macs(lyr, band.shape[1] * band.shape[2]) for lyr in stack.context)
+        macs += sum(_macs(lyr, len(at[0])) for lyr in stack.gather)
+    assert len(steps) == 22
+    calls = 10 + 2 + 22 * 8
+    assert metrics["intops.conv_calls"] == metrics["tensors.im2col_calls"] == calls == 188
+    assert metrics["intops.macs"] == macs == 126810
+    assert metrics["intops.requantize_s"] > 0 and metrics["intops.activation_s"] > 0
 
 
 def test_traced_wide_setup_sees_every_layer(tmp_path):

@@ -29,6 +29,19 @@ def test_package_imports_resolve():
         assert hasattr(detq, name), name
 
 
+def test_package_imports_are_in_module_all():
+    # the package re-exports a module's public names only
+    tree = ast.parse(pathlib.Path(detq.__file__).read_text())
+    missing = [
+        f"detq.{node.module}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"detq.{node.module}").__all__
+    ]
+    assert not missing, missing
+
+
 def test_no_imports_inside_functions():
     # module-level imports only, so every dependency shows at the top of its file
     src = pathlib.Path(detq.__file__).parent

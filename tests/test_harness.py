@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,29 @@ def test_float_mode_rejects_hyper_latent_float32_cannot_hold(bad):
     hyper[0, 3, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         run_backend(pair, latent, hyper, BackendVariant("a", "seq", "float"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e40, 1 + 5j])
+def test_float_stack_checks_each_input_where_it_enters(bad):
+    # both inputs are checked where they enter, as on the int stack: unchecked,
+    # a NaN hyper latent gives NaN priors
+    rng = np.random.default_rng(3)
+    fs = random_stack(rng)
+    inputs = (np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)))
+    for i in range(2):
+        args = list(inputs)
+        args[i] = args[i] + np.zeros((), np.result_type(bad))  # a copy that holds bad
+        args[i][0, 1, 2] = bad
+        with pytest.raises(ValueError, match="complex or non-finite"):
+            run_entropy_stack(*args, fs)
+
+
+def test_float_stack_with_a_broken_p_chain_is_refused_when_built():
+    fs = random_stack(np.random.default_rng(23))
+    cfg = copy.deepcopy(fs.hyper_cfg)
+    cfg[0].p_out = 11  # cfg[1].p_in stays 8
+    with pytest.raises(ShapeError, match="hyperdecoder: p_out/p_in chain broken"):
+        replace(fs, hyper_cfg=cfg)
 
 
 def test_float_cancellation_orders_differ():
@@ -440,14 +464,14 @@ def test_decoder_runs_gather_once_per_position(monkeypatch):
     gather = {id(lyr) for lyr in pair.quant_stack.gather}
     positions = {"enc": 0, "dec": 0}
     side = roundtrip_side(monkeypatch)
-    conv = intops._accumulate
+    conv = intops.qconv_forward
 
     def counting_conv(x, layer):
         if id(layer) in gather:
-            positions[side[0]] += x.shape[0] * x.shape[1]
+            positions[side[0]] += x.shape[1] * x.shape[2]
         return conv(x, layer)
 
-    monkeypatch.setattr(intops, "_accumulate", counting_conv)
+    monkeypatch.setattr(intops, "qconv_forward", counting_conv)
     rep = roundtrip_experiment(
         pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "tree")
     )
@@ -518,7 +542,9 @@ def test_float_roundtrip_checks_each_input_once_where_it_enters(monkeypatch):
 @pytest.mark.parametrize("mode", ["int", "float"])
 def test_stack_carries_activations_channels_last(mode, monkeypatch):
     # every layer step takes a C-contiguous (h, w, m) array, the carrier,
-    # and a 1x1 layer's im2col operand is that array reshaped: no copy
+    # which is im2col's operand (in int mode through qconv_forward's
+    # (c, h, w) view, so the same memory, shape and strides), and a 1x1
+    # layer's im2col operand is that array reshaped: no copy
     rng = np.random.default_rng(12)
     pair = make_stack_pair(random_stack(rng))
     latent = random_latent(rng, (1, 8, 8))
@@ -546,7 +572,9 @@ def test_stack_carries_activations_channels_last(mode, monkeypatch):
     assert len(steps) == len(cols)
     kernels = set()
     for (x, layer), (data, out) in zip(steps, cols):
-        assert data is x and x.dtype == dtype and x.flags.c_contiguous
+        same = [(a.ctypes.data, a.dtype, a.shape, a.strides) for a in (data, x)]
+        assert same[0] == same[1]
+        assert x.dtype == dtype and x.flags.c_contiguous
         assert x.ndim == 3 and x.shape[2] == layer.in_channels
         kernels.add(layer.kernel)
         if layer.kernel == 1:

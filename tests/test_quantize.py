@@ -25,13 +25,14 @@ from detq.quantize import (
     round_half_away,
     shifted_bound,
 )
-from detq.intops import qconv_forward, requantize
+from detq.intops import requantize
 from detq.tensors import ConvLayerF
 
 from oracles import (
     adjust_shift_for_bias_oracle,
     ceil_log2_fr,
     derive_weight_shift_oracle,
+    qconv,
     quantize_layer_oracle,
     quantize_value_oracle,
     round_half_away_fr,
@@ -279,8 +280,9 @@ def test_tiny_weights_keep_requantize_shift_exact():
     lyr = layer(np.full((1, 3, 3, 1), 2.0**-47.5 / 9))
     q = quantize_layer(lyr, n_i=16, p_in=8, p_out=8)
     assert q.spec.k[0] == 62
-    x = np.full((1, 2, 2), 32767)
-    np.testing.assert_array_equal(requantize(qconv_forward(x, q), q), 0)
+    acc = qconv(np.full((1, 2, 2), 32767), q)
+    requantize(acc, q.spec, INT16_MAX)
+    np.testing.assert_array_equal(acc, 0)
 
 
 @pytest.mark.parametrize("w, k", [([3.0], 13), ([2.0, 2.0], 13), ([5.0, 1.0], 12)])
@@ -420,10 +422,10 @@ def test_accepted_layer_never_overflows_on_extreme_input(case):
     for j in range(lyr.out_channels):
         # the sign-matched extreme input of channel j attains its accumulator bound
         x = np.sign(w[..., j]) * (x_max if b[j] >= 0 else -x_max)
-        acc = qconv_forward(x, lyr)
-        assert abs(acc[j, c, c]) == accumulator_bound(w, b, spec.n_i)[j]
+        acc = qconv(x, lyr)
+        assert abs(acc[c, c, j]) == accumulator_bound(w, b, spec.n_i)[j]
         assert np.abs(acc).max() <= 2**31 - 1
-        requantize(acc, lyr)  # the left shift stays within 32 bits too
+        requantize(acc, spec, INT16_MAX)  # the left shift stays within 32 bits too
 
 
 @pytest.mark.parametrize("left", [0, 1, 15])
@@ -435,9 +437,9 @@ def test_left_shift_bound_is_exact(left):
     w = np.ones((1, 1, 1, 1))
     lyr = QConvLayer(w_q=w, b_q=[top - 1], spec=spec)
     assert shifted_bound(lyr.w_q, lyr.b_q, spec)[0] == top << left  # 2^31 - 1 at left 0
-    acc = qconv_forward(np.ones((1, 1, 1), np.int64), lyr)
+    acc = qconv(np.ones((1, 1, 1), np.int64), lyr)
     assert acc[0, 0, 0] == top
-    requantize(acc, lyr)
+    requantize(acc, spec, INT16_MAX)
     with pytest.raises(WeightRangeError, match="channel 0: worst case"):
         QConvLayer(w_q=w, b_q=[top], spec=spec)
 

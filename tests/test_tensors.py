@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from detq.harness import conv_ordered_float
-from detq.intops import qconv_forward
 from detq.quantize import LayerQuantSpec, QConvLayer, quantize_value
 from detq.tensors import ConvLayerF, ShapeError, causal_mask, im2col
 
-from oracles import conv2d_oracle
+from oracles import conv2d_oracle, qconv
 
 
 def layer(w, b=None, mask=False):
@@ -51,7 +50,7 @@ def test_conv_matches_naive_oracle():
         spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0] * n)
         lyr = QConvLayer(w_q=wgt, b_q=b, spec=spec)
         want = conv2d_oracle(x.tolist(), wgt.tolist(), b.tolist())
-        assert qconv_forward(x, lyr).tolist() == want
+        assert qconv(x, lyr).transpose(2, 0, 1).tolist() == want
 
 
 def _im2col_loop(data, k):
