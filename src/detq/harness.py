@@ -18,17 +18,21 @@ Every experiment codes through one encoder (_encode) and one decoder
 (_decode) in one coding order (_coding_order): positions by step
 t = x + K*y, then by y.  v1 is raster order, K = w.  A stack with a context
 model codes v2, K = R+1 for its context reach R: a step is an anti-diagonal
-whose priors read only earlier steps, so the decoder runs the stack once
-per step, on the band of the canvas the step reads: it hands prior_fn's
-callable the whole canvas, and intops.priors_from_features alone cuts the
-band.  Without a context model the whole field is one decoder step; a v1
-stream of a context model decodes one position per step.
+whose priors read only earlier steps.  The decoder builds one
+intops.StepDecoder per stream, enters each step's symbols once, and
+computes each context output once, at its own step: every context layer
+masks its centre and every raster-later tap, so a window reads only
+positions of earlier steps, whose cached values are final; the same holds
+for the raster steps of a v1 stream.  Without a context model the whole
+field is one decoder step; a v1 stream of a context model decodes one
+position per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from .intops import (
     LEAKY_SHIFT,
     SUBNETS,
     EntropyStack,
+    StepDecoder,
     check_topology,
     context_reach,
     hyper_features,
@@ -63,6 +68,7 @@ from .tensors import ConvLayerF, ShapeError, check_conv_input, im2col
 __all__ = [
     "ORDERS",
     "BackendVariant",
+    "DevicePriors",
     "InteropReport",
     "CalibrationReport",
     "LayerCfg",
@@ -144,7 +150,8 @@ class EntropyStackF:
     and a float softmax and sigma floor giving FloatPriors.  Its carrier is
     a C-contiguous float32 (h, w, c) array; enter casts, checks and
     transposes an input once, where it enters a chain.  A stack is built
-    only if its wiring obeys check_topology, as an EntropyStack is.
+    only if its wiring obeys check_topology, as an EntropyStack is, and
+    saved only if it still does.
     """
 
     hyperdecoder: list
@@ -156,7 +163,15 @@ class EntropyStackF:
     latent_channels: int
     order: str = "seq"
 
+    carrier = np.float32  # the activation carrier's dtype
+
     def __post_init__(self):
+        self.check()
+
+    def check(self):
+        """ShapeError unless the wiring obeys check_topology.  The stack is
+        checked when it is built and again when it is saved, since its
+        lists can change in between."""
         check_topology(
             {name: list(zip(layers, cfgs)) for name, layers, cfgs in self.chains()},
             self.latent_channels,
@@ -269,7 +284,8 @@ def _ordered_sum(terms: np.ndarray, order: str) -> np.ndarray:
 
 
 def conv_ordered_float(x: np.ndarray, layer: ConvLayerF, order: str) -> np.ndarray:
-    """float32 convolution of an (h, w, m) float32 array with an explicit
+    """float32 convolution of an (h, w, m) float32 array, or of the
+    (h, w, m, K, K) windows a decoder step cuts from one, with an explicit
     accumulation order; returns (h, w, n).
 
     Each output sums its m*K*K taps in (m, K, K) order, reordered by
@@ -332,36 +348,48 @@ def _quantize_for(chain, x):
     return quantize_value(x, spec.p_in, spec.n_i)
 
 
-def prior_fn(stacks: StackPair, hyper, variant: BackendVariant):
+@dataclass(frozen=True)
+class DevicePriors:
+    """Priors one simulated device computes, as a function of the latent
+    canvas; prior_fn builds it.
+
+    Calling it on a whole canvas gives the whole field's GmmParams.  A
+    decoder builds an intops.StepDecoder of stack and hyper_feat, and
+    passes the symbols it enters through prepare and the priors it gets
+    through finish: prepare quantizes symbols to the first context layer's
+    grid in integer mode, and finish discretizes float priors.
+    """
+
+    stack: object
+    hyper_feat: object
+    prepare: Callable
+    finish: Callable
+
+    def __call__(self, canvas) -> GmmParams:
+        return self.finish(priors_from_features(self.hyper_feat, self.prepare(canvas), self.stack))
+
+
+def prior_fn(stacks: StackPair, hyper, variant: BackendVariant) -> DevicePriors:
     """Priors one simulated device computes, as a function of the latent canvas.
 
-    The callable takes the whole canvas and, optionally, a set of P
-    positions at = (ys, xs) (ints for one).  Given positions it returns
-    their priors alone, a (c, P, 1) field that intops.priors_from_features
-    computes from the band of the canvas their causal windows span, which
-    it cuts itself, so their cost does not grow with the canvas; they equal
-    the whole-canvas priors there byte for byte.  The hyper-only work runs
-    once, here.  Integer mode is bit-identical across variants; float mode
-    may differ at the ulp level between accumulation orders, and those
-    differences can survive discretization.
+    The hyper-only work runs once, here.  Integer mode is bit-identical
+    across variants; float mode may differ at the ulp level between
+    accumulation orders, and those differences can survive
+    discretization.
     """
     if variant.mode == "int":
         stack = stacks.quant_stack
         hyper_feat = hyper_features(_quantize_for(stack.hyperdecoder, hyper), stack)
-
-        def priors(canvas, at=None):
-            ctx = _quantize_for(stack.context, canvas)
-            return priors_from_features(hyper_feat, ctx, stack, at)
-
-    else:
-        stack = replace(stacks.float_stack, order=variant.order)
-        hyper_feat = hyper_features(hyper, stack)
-
-        def priors(canvas, at=None):
-            raw = priors_from_features(hyper_feat, canvas, stack, at)
-            return discretize_priors(raw, stack.head_scale_exp)
-
-    return priors
+        return DevicePriors(
+            stack, hyper_feat, lambda symbols: _quantize_for(stack.context, symbols), lambda p: p
+        )
+    stack = replace(stacks.float_stack, order=variant.order)
+    return DevicePriors(
+        stack,
+        hyper_features(hyper, stack),
+        lambda symbols: symbols,
+        lambda p: discretize_priors(p, stack.head_scale_exp),
+    )
 
 
 def run_backend(stacks: StackPair, latent, hyper, variant: BackendVariant) -> GmmParams:
@@ -452,19 +480,27 @@ def _decode(stream: Bitstream, params_of, reach):
     """Decode stream step by step (_schedule), given its model's context
     reach (None without a context model).
 
-    A step's priors are params_of(canvas, step) on the symbols decoded so
-    far; its table rows are built once, in coding order, and continue the
-    stream where the step before stopped.  Decoding stops where the
-    decoder runs off the payload.  Returns the symbols decoded and the
-    (3, 3, n) prior rows (weights, means, scales) of the n symbols whose
-    priors it computed, both in coding order.
+    params_of gives the whole field's priors of a canvas, in the one step
+    of a stream without a context model; otherwise it is a DevicePriors,
+    and one StepDecoder gives each step's priors from the symbols of the
+    steps before, each entered once, after its own step.  A step's table
+    rows are built once, in coding order, and continue the stream where
+    the step before stopped.  Decoding stops where the decoder runs off
+    the payload.  Returns the symbols decoded and the (3, 3, n) prior rows
+    (weights, means, scales) of the n symbols whose priors it computed,
+    both in coding order.
     """
     got = []  # a list: appending beats a numpy store per symbol
-    canvas = np.zeros(stream.shape, dtype=np.int64)
     rows = [np.zeros((3, 3, 0), dtype=np.int64)]
     decoder = RangeDecoder(stream.payload, stream.count)
-    for at in _schedule(stream, reach):
-        params = params_of(canvas, at)
+    schedule = _schedule(stream, reach)
+    if reach is not None:  # one decoder per stream, whose caches the steps fill
+        steps = StepDecoder(params_of.hyper_feat, params_of.stack, stream.shape)
+    for at in schedule:
+        if at is None:  # a whole-field step is the schedule's only one
+            params = params_of(np.zeros(stream.shape, dtype=np.int64))
+        else:
+            params = params_of.finish(steps.priors(at))
         rows.append(_raster(params.fields))
         start = len(got)
         try:
@@ -472,8 +508,9 @@ def _decode(stream: Bitstream, params_of, reach):
                 got.append(decoder.decode(row, _V_MIN))
         except StreamFormatError:
             break
-        if at is not None:  # a whole-field step is the schedule's only one
-            canvas[:, at[0], at[1]] = np.reshape(got[start:], (-1, stream.shape[0])).T
+        if at is not None:
+            symbols = np.reshape(got[start:], (-1, stream.shape[0])).T
+            steps.enter(at, params_of.prepare(symbols))
     return got, np.concatenate(rows, axis=-1)
 
 
@@ -571,7 +608,7 @@ def boundary_failure_demo(prior_mode: str = "float") -> InteropReport:
         )
 
     stream, sent, rows = _encode(enc_params, symbols)
-    return _report(sent, rows, *_decode(stream, lambda canvas, at: dec_params, None))
+    return _report(sent, rows, *_decode(stream, lambda canvas: dec_params, None))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,15 @@ quantize.quantize_value, the one activation quantizer); each layer's spec
 carries the grid 2^-p_in and the bit depth n_i of its input, and
 check_topology holds that they chain.  An activation's dtype, shape and
 range are checked once, where it enters the stack: the hyper latent in
-hyper_features, the canvas (or the band a set of positions reads) in
-priors_from_features.  Inside a chain nothing is checked again, since
-every later activation is in range by construction: requantize clamps to
-the next layer's n_i bits, LeakyReLU never grows |x|, and fuse clamps the
-gather input.  All arithmetic from the entry on is exact integer
-arithmetic: int16-range operands, 32-bit accumulators whose overflow is
-excluded statically by the shift derivation, and per-channel fused
-rescaling by a power of two with half-away-from-zero rounding.
+hyper_features, the canvas in priors_from_features, and a decoder's
+symbols, each step's own, in StepDecoder.enter.  Inside a chain nothing
+is checked again, since every later activation is in range by
+construction: requantize clamps to the next layer's n_i bits, LeakyReLU
+never grows |x|, and fuse clamps the gather input.  All arithmetic from
+the entry on is exact integer arithmetic: int16-range operands, 32-bit
+accumulators whose overflow is excluded statically by the shift
+derivation, and per-channel fused rescaling by a power of two with
+half-away-from-zero rounding.
 
 The stack topology (hyper_features, priors_from_features) exists once,
 here; the stack passed in supplies the arithmetic (entry, layer step,
@@ -27,12 +28,13 @@ once, and split_head once more, to the (3, c, h, w) layout of GmmParams.
 EntropyStack carries float64 arrays of whole numbers, and decode_head
 casts them to int64 once.  A layer step is one fused kernel of three
 steps, each a module function: qconv_forward, the convolution and bias as
-one GEMM on a (c, h, w) view of the carrier, giving the (h*w, n)
-accumulator; requantize, the per-channel scale, rounding and clamp, in
-place on it; and leaky_relu_int, in place too.  A reshape, no copy, makes
-the result the next layer's (h, w, n) input.  A 1x1 layer's im2col is a
-reshape of its input too.  The steps check nothing: their inputs are in
-range by construction.
+one GEMM on a (c, h, w) view of the carrier (or of the (h, w, c, K, K)
+windows a decoder step cuts), giving the (h*w, n) accumulator;
+requantize, the per-channel scale, rounding and clamp, in place on it;
+and leaky_relu_int, in place too.  A reshape, no copy, makes the result
+the next layer's (h, w, n) input.  A 1x1 layer's im2col is a reshape of
+its input too.  The steps check nothing: their inputs are in range by
+construction.
 
 The convolution runs as one float64 BLAS GEMM, and that is exact too.
 QConvLayer enforces sum|w| * x_max + |b| <= 2^31 - 1, so every product
@@ -51,17 +53,22 @@ keeps x >= 0 and takes ceil(x 41 2^-12 - 1/2), the half-away rounding of
 x 41 2^-12, below it: that product has at most 21 significant bits for
 |x| < 2^15, so it and its difference with 1/2 are exact.
 
-Exactness also lets a decoder compute the priors of any set of positions
-at once.  Every context layer is causal and gather is 1x1, so a position's
-priors depend only on its hyper features and on its causal window of the
-canvas; priors_from_features(..., at=(ys, xs)) is given the whole canvas,
-cuts from it the band that the positions' windows span (_band, the one
-place that geometry is written), runs the context chain on that band and
-gather and head on the picked pixels, and the result equals the
-whole-canvas priors at those positions bit for bit.  A position's window
-reads only positions of smaller x + (R+1)*y, R = context_reach, so a
-decoder can take all positions of one such anti-diagonal in one batched
-step (the wavefront order of harness and rc).
+A decoder computes each context output once (the caching of Paine et
+al. 2016, "Fast Wavenet Generation Algorithm").  Its StepDecoder, built
+once per stream, keeps each context layer's input as a zero-padded
+channels-last carrier, zero outside the canvas: the symbol canvas for the
+first layer, the previous layer's output cache for each later one.  A
+step of P positions enters only its own symbols, and runs each context
+layer on the P windows it reads (an im2col of those windows, in the same
+(c, K, K) column order), writing the P rows into the next layer's cache;
+fuse, gather and head run on the P rows.  This is exact: every context
+layer masks its centre and every raster-later tap, so a window reads only
+positions of earlier steps, whose cached values are final.  Under the
+wavefront order of harness and rc a position's window reads only
+positions of smaller x + (R+1)*y, R = context_reach, each of them in an
+earlier anti-diagonal; under raster order (v1 streams), each is an
+earlier position.  Every output sums its own taps, in float32 too, so a
+step's priors equal the whole-canvas priors at its positions bit for bit.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ import numpy as np
 
 from .gmm import GmmParams, apportion, sigma_min_for
 from .quantize import ACCUM_BITS, QConvLayer, exceeds, round_half_away
-from .tensors import ShapeError, check_conv_input, im2col
+from .tensors import ShapeError, check_conv_input, im2col, windows
 
 __all__ = [
     "SUBNETS",
@@ -86,6 +93,7 @@ __all__ = [
     "context_reach",
     "pick_positions",
     "priors_from_features",
+    "StepDecoder",
     "run_entropy_stack",
     "split_head",
 ]
@@ -98,6 +106,11 @@ LEAKY_NUM = 41
 LEAKY_SHIFT = 12
 _LEAKY_SLOPE = LEAKY_NUM * 2.0**-LEAKY_SHIFT  # exact in float64
 _ACC_MAX = (1 << (ACCUM_BITS - 1)) - 1
+
+# axes from the channels-last carrier (h, w, c), or a decoder step's
+# windows (P, 1, c, K, K), to the (c, h, w) edge layout, and back
+_TO_EDGE = {3: (2, 0, 1), 5: (2, 0, 1, 3, 4)}
+_TO_CARRIER = {3: (1, 2, 0), 5: (1, 2, 0, 3, 4)}
 
 
 class AccumulatorOverflowError(ArithmeticError):
@@ -124,14 +137,16 @@ def qconv_forward(x: np.ndarray, layer: QConvLayer) -> np.ndarray:
     new C-contiguous float64 array; the kernel's convolution step.
 
     x is a (c, h, w) float64 array of whole numbers within the layer's n_i
-    bits, in the stack a view of the (h, w, c) carrier; im2col reads that
-    carrier back through a transpose, no copy.  QConvLayer holds
-    sum|w| * x_max + |b| within 32 bits, so every partial sum in any order
+    bits, in the stack a view of the (h, w, c) carrier; or, in a decoder
+    step, a (c, P, 1, K, K) view of the (P, 1, c, K, K) windows of its P
+    positions.  im2col reads either back through a transpose, no copy.
+    QConvLayer holds sum|w| * x_max + |b| within 32 bits, so every partial
+    sum in any order
     is an integer below 2^53 that float64 holds exactly, and the one GEMM
     gives the same result for any summation order the BLAS library picks.
     Masked (causal) layers carry their zeroes in the weights.
     """
-    acc = im2col(x.transpose(1, 2, 0), layer.kernel) @ layer.weight_matrix
+    acc = im2col(x.transpose(_TO_CARRIER[x.ndim]), layer.kernel) @ layer.weight_matrix
     acc += layer.b_q
     return acc
 
@@ -234,6 +249,8 @@ class EntropyStack:
     gather: tuple
     latent_channels: int
 
+    carrier = np.float64  # the activation carrier's dtype
+
     def __post_init__(self):
         for name in SUBNETS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
@@ -259,11 +276,12 @@ class EntropyStack:
         in place on its (h*w, n) GEMM output.
 
         x is the float64 (h, w, m) carrier, unchecked: it comes from enter,
-        fuse or the layer before.  The output is (h, w, n) float64 whole
-        numbers, at `after`'s input grid and within its n_i bits by
+        fuse or the layer before; or the (h, w, m, K, K) windows a decoder
+        step cuts from such a carrier.  The output is (h, w, n) float64
+        whole numbers, at `after`'s input grid and within its n_i bits by
         construction.
         """
-        acc = qconv_forward(x.transpose(2, 0, 1), layer)
+        acc = qconv_forward(x.transpose(_TO_EDGE[x.ndim]), layer)
         n_bits = after.spec.n_i if after is not None else 16
         requantize(acc, layer.spec, (1 << (n_bits - 1)) - 1)
         if activation:
@@ -327,67 +345,106 @@ def context_reach(stack) -> int:
     return sum(layer.kernel // 2 for layer in stack.context)
 
 
-def _positions(at):
-    """at = (ys, xs), a set of positions, as two int arrays; ints are a set of one."""
-    return tuple(np.atleast_1d(a) for a in at)
-
-
-def _band(canvas, at, r):
-    """The band of a raw (c, h, w) canvas that the priors of positions at
-    read at context reach r, and the positions' places in it.
-
-    The band is rows min(ys) - r..max(ys) and columns min(xs) - r..max(xs)
-    + r, clipped to the canvas: it holds each position's receptive field
-    under a causal context chain, cut off below its row.
-    """
-    ys, xs = _positions(at)
-    y0, x0 = max(ys.min() - r, 0), max(xs.min() - r, 0)
-    return canvas[:, y0 : ys.max() + 1, x0 : xs.max() + r + 1], (ys - y0, xs - x0)
-
-
 def pick_positions(t, at):
-    """Positions at = (ys, xs) of a channels-last (..., h, w, c) array, as
-    (..., P, 1, c)."""
-    ys, xs = _positions(at)
+    """Positions at = (ys, xs), two int arrays of P entries, of a
+    channels-last (..., h, w, c) array, as (..., P, 1, c)."""
+    ys, xs = at
     return np.asarray(t)[..., ys, xs, None, :]
 
 
-def priors_from_features(hyper_feat, canvas, stack, at=None):
+def _check_grid(hyper_feat, hw):
+    """ShapeError unless hyper features, if any, lie on the (h, w) grid hw
+    of the latent whose priors they feed."""
+    if hyper_feat is not None and hyper_feat.shape[:2] != tuple(hw):
+        raise ShapeError(
+            f"hyper latent of (h, w) {hyper_feat.shape[:2]} under a latent of (h, w) {tuple(hw)}"
+        )
+
+
+def _gather_head(feats, stack):
+    """Fuse the chain outputs, run gather, decode the head."""
+    return stack.decode_head(_run_chain(stack.fuse(feats), stack.gather, stack, last_act=False))
+
+
+def priors_from_features(hyper_feat, canvas, stack):
     """Context on the canvas -> fuse with hyper features -> gather -> GMM head.
 
     An EntropyStack's head gives Q15 mixture weights (linearized softmax),
-    means, and scales floored at sigma_min_for, as GmmParams.
-
-    With at = (ys, xs), a set of P positions (ints for one), only their
-    priors are computed, as a (c, P, 1) field: this function cuts from the
-    whole canvas the band their causal windows span (_band), runs the
-    context chain on that band, and fuse, gather and head on the P pixels.
-    The context layers are causal and every output position is summed on
-    its own, so the result equals the whole-canvas priors at those
-    positions bit for bit, in float32 too.  An EntropyStack checks the
-    canvas where it enters the context chain: on this path the band only.
-    With both a hyperdecoder and a context model, hyper features on another
-    (h, w) grid than the canvas are refused either way.
+    means, and scales floored at sigma_min_for, as GmmParams.  An
+    EntropyStack checks the canvas where it enters the context chain.
+    With both a hyperdecoder and a context model, hyper features on
+    another (h, w) grid than the canvas are refused.
     """
-    if hyper_feat is not None and stack.context:
-        # else fuse fails with numpy's concatenation message, naming neither,
-        # or picked positions read the hyper features of another grid
-        hw, canvas_hw = hyper_feat.shape[:2], np.shape(canvas)[-2:]
-        if hw != canvas_hw:
-            raise ShapeError(f"hyper latent of (h, w) {hw} under a latent of (h, w) {canvas_hw}")
-    if at is not None and any(layer.kernel != 1 for layer in stack.gather):
-        raise ShapeError("priors of picked positions need 1x1 gather layers")
-    feats = []
-    if hyper_feat is not None:
-        feats.append(hyper_feat if at is None else pick_positions(hyper_feat, at))
+    feats = [] if hyper_feat is None else [hyper_feat]
     if stack.context:
-        if at is None:
-            feats.append(_enter_chain(canvas, stack.context, stack))
-        else:
-            band, at_band = _band(canvas, at, context_reach(stack))
-            feats.append(pick_positions(_enter_chain(band, stack.context, stack), at_band))
-    y = _run_chain(stack.fuse(feats), stack.gather, stack, last_act=False)
-    return stack.decode_head(y)
+        # else fuse fails with numpy's concatenation message, naming neither
+        _check_grid(hyper_feat, np.shape(canvas)[-2:])
+        feats.append(_enter_chain(canvas, stack.context, stack))
+    return _gather_head(feats, stack)
+
+
+class StepDecoder:
+    """A decoder's priors, step by step, from the symbols it has decoded.
+
+    Built once per stream of a (c, h, w) latent.  Each context layer's
+    input is a zero-padded channels-last carrier, zero outside the canvas:
+    the symbol canvas for the first layer, the previous layer's output
+    cache for each later one.  enter writes a step's decoded symbols into
+    the canvas, and priors computes a step's priors from what was entered
+    before it (see the module docstring for why that is exact).  Steps
+    must read only earlier steps, as the wavefront and raster orders do.
+    """
+
+    def __init__(self, hyper_feat, stack, shape):
+        c, h, w = shape
+        if c != stack.latent_channels:
+            raise ShapeError(f"latent has {c} channels, the stack codes {stack.latent_channels}")
+        if any(layer.kernel != 1 for layer in stack.gather):
+            raise ShapeError("priors of picked positions need 1x1 gather layers")
+        # else positions read the hyper features of another grid
+        _check_grid(hyper_feat, (h, w))
+        self.hyper_feat, self.stack = hyper_feat, stack
+        self._inputs = []
+        for layer in stack.context:
+            r = layer.kernel // 2
+            self._inputs.append(np.zeros((h + 2 * r, w + 2 * r, layer.in_channels), stack.carrier))
+        self._windows = [windows(xp, lyr.kernel) for xp, lyr in zip(self._inputs, stack.context)]
+
+    def _write(self, i, at, x):
+        """Rows x, (P, 1, m), into context layer i's input at positions at."""
+        r = self.stack.context[i].kernel // 2
+        ys, xs = at
+        self._inputs[i][ys + r, xs + r] = x[:, 0]
+
+    def enter(self, at, symbols):
+        """Enter the symbols of positions at = (ys, xs), a (c, P) array on
+        the first context layer's input grid: checked here, where they
+        enter the stack, and written into the canvas."""
+        if self.stack.context:
+            x = self.stack.enter(np.asarray(symbols)[:, :, None], self.stack.context[0])
+            self._write(0, at, x)
+
+    def priors(self, at):
+        """Priors of the P positions at = (ys, xs) as a (c, P, 1) field.
+
+        Each context layer runs on the P windows it reads, an im2col of
+        them (tensors.windows), and its P rows are written into the next
+        layer's cache; fuse, gather and head run on the P rows.
+        """
+        ys, xs = at
+        stack = self.stack
+        feats = [] if self.hyper_feat is None else [pick_positions(self.hyper_feat, at)]
+        chain = stack.context
+        for i, (layer, after) in enumerate(zip(chain, (*chain[1:], None))):
+            # numpy lays the picked windows out in the view's stride order,
+            # channels last; C order makes im2col's reshape a view
+            cut = np.ascontiguousarray(self._windows[i][ys, xs, None])
+            x = stack.layer_step(cut, layer, after)
+            if after is None:
+                feats.append(x)
+            else:
+                self._write(i + 1, at, x)
+        return _gather_head(feats, stack)
 
 
 def run_entropy_stack(latent_context, hyper_latent, stack):

@@ -177,6 +177,9 @@ def _load(manifest_path, dtype: str):
 
 
 def save_float_model(manifest_path, stack: EntropyStackF):
+    """Write a float stack's manifest and blob.  A stack whose wiring was
+    broken after it was built raises ShapeError, and nothing is written."""
+    stack.check()
     _save(
         manifest_path,
         "float32",

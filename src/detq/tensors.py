@@ -91,21 +91,35 @@ def check_conv_input(x: np.ndarray, layer) -> None:
         raise ShapeError(f"input has {x.shape[0]} channels, layer expects {layer.in_channels}")
 
 
+def windows(xp: np.ndarray, k: int) -> np.ndarray:
+    """The k x k windows of an (h + k - 1, w + k - 1, c) array xp, as a
+    read-only (h, w, c, k, k) view: window (y, x) is xp[y:y+k, x:x+k] with
+    its channels first.  Of xp zero-padded by k // 2 around (h, w, c)
+    data, window (y, x) is the same-padded window centred at (y, x)."""
+    sy, sx, sc = xp.strides
+    shape = (xp.shape[0] - k + 1, xp.shape[1] - k + 1, xp.shape[2], k, k)
+    # the last window ends at xp's last entry
+    win = np.ndarray(shape, xp.dtype, xp, 0, (sy, sx, sc, sy, sx))
+    win.flags.writeable = False
+    return win
+
+
 def im2col(data: np.ndarray, k: int) -> np.ndarray:
     """Zero-padded sliding windows of (h, w, c) data as (h*w, c*k*k).
 
     Column order is (c, ky, kx), matching (m, K, K, n) weights flattened
     over (m, K, K).  For k = 1 that is the data reshaped, with no copy
-    when the data is C-contiguous.
+    when the data is C-contiguous.  data may also be windows cut already,
+    an (h, w, c, k, k) array (a decoder step takes the windows of P
+    picked positions as h, w = P, 1): their columns are that array
+    reshaped, with no copy when it is C-contiguous.
     """
+    if data.ndim == 5:
+        return data.reshape(data.shape[0] * data.shape[1], data.shape[2] * k * k)
     h, w, c = data.shape
     if k == 1:
         return data.reshape(h * w, c)
     pad = k // 2
     xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=data.dtype)
     xp[pad : pad + h, pad : pad + w] = data
-    # the (h, w, c, k, k) windows of xp; the last one ends at xp's last entry
-    sy, sx, sc = xp.strides
-    win = np.ndarray((h, w, c, k, k), xp.dtype, xp, 0, (sy, sx, sc, sy, sx))
-    win.flags.writeable = False
-    return win.reshape(h * w, c * k * k)
+    return windows(xp, k).reshape(h * w, c * k * k)

@@ -86,21 +86,24 @@ def test_traced_ar_roundtrip_sees_every_layer_step(tmp_path):
     _, h, w = latent.shape
     # the encoder runs all 10 layers on the whole 8x8 latent and the decoder
     # the hyperdecoder once, then per step the context layer on the step's
-    # band and gather on the step's positions
-    macs = sum(_macs(lyr, h * w) for chain in chains for lyr in chain)
-    macs += sum(_macs(lyr, h * w) for lyr in stack.hyperdecoder)
+    # windows and gather on the step's positions: each side computes each
+    # layer's output at each position once
     r = intops.context_reach(stack)
-    ys, xs, t = harness._coding_order(h, w, r)
+    t = harness._coding_order(h, w, r)[2]
     steps = np.unique(t)
+    macs = 0
     for step in steps:
-        at = (ys[t == step], xs[t == step])
-        band, _ = intops._band(latent, at, r)
-        macs += sum(_macs(lyr, band.shape[1] * band.shape[2]) for lyr in stack.context)
-        macs += sum(_macs(lyr, len(at[0])) for lyr in stack.gather)
+        picked = np.count_nonzero(t == step)
+        macs += sum(_macs(lyr, picked) for chain in chains[1:] for lyr in chain)
+    assert macs == sum(_macs(lyr, h * w) for chain in chains[1:] for lyr in chain)
+    macs += sum(_macs(lyr, h * w) for lyr in stack.hyperdecoder)
+    macs += sum(_macs(lyr, h * w) for chain in chains for lyr in chain)
     assert len(steps) == 22
+    # every convolution cuts its columns with im2col, the decoder's context
+    # layer from the step's windows
     calls = 10 + 2 + 22 * 8
     assert metrics["intops.conv_calls"] == metrics["tensors.im2col_calls"] == calls == 188
-    assert metrics["intops.macs"] == macs == 126810
+    assert metrics["intops.macs"] == macs == 2 * 50688 == 101376
     assert metrics["intops.requantize_s"] > 0 and metrics["intops.activation_s"] > 0
 
 

@@ -14,6 +14,7 @@ from detq.harness import (
     make_stack_pair,
     roundtrip_experiment,
 )
+from detq.intops import SUBNETS
 from detq.manifest import (
     ManifestError,
     load_float_model,
@@ -466,13 +467,33 @@ def test_roundtrip_decode_off_the_payload_fails(
     assert "decoded_equal=false" in want.to_text()
 
 
-def _break_p_tie(fs):
-    fs.hyper_cfg[0].p_out = 11  # hyper_cfg[1].p_in stays 8
+def _break_p_tie(doc, blob):
+    doc["subnetworks"]["hyperdecoder"][0]["p_out"] = 11  # hyperdecoder[1]'s p_in stays 8
+    return blob
 
 
-def _break_channels(fs):
-    w = fs.gather[1].weights
-    fs.gather[1] = ConvLayerF(np.zeros((w.shape[0] + 1, *w.shape[1:])), fs.gather[1].bias)
+def _break_channels(doc, blob):
+    # gather[1] gains an input channel of zero weights; in the blob's
+    # (m, k, k, n) float32 order its weights follow the layer's own
+    subnets = doc["subnetworks"]
+    layers = [e for name in SUBNETS for e in subnets[name]]
+    i = len(subnets["hyperdecoder"]) + len(subnets["context"]) + 1
+    off = 4 * sum(e["m"] * e["k"] ** 2 * e["n"] + e["n"] for e in layers[:i])
+    e = layers[i]
+    off += 4 * e["m"] * e["k"] ** 2 * e["n"]
+    e["m"] += 1
+    return blob[:off] + bytes(4 * e["k"] ** 2 * e["n"]) + blob[off:]
+
+
+def _edit_manifest(path, edit):
+    """Rewrite a saved manifest and its blob by edit(doc, blob), which
+    changes doc in place and returns the blob; the digest follows."""
+    doc = json.loads(path.read_text())
+    blob_path = path.with_name(doc["blob"])
+    blob = edit(doc, blob_path.read_bytes())
+    blob_path.write_bytes(blob)
+    doc["blob_sha256"] = hashlib.sha256(blob).hexdigest()
+    path.write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -485,10 +506,9 @@ def test_malformed_float_manifest_is_input_error(
     data, tmp_path, brk, message, command, capsys
 ):
     # calibration used to re-tie a broken p chain and exit 0
-    fs = random_stack(np.random.default_rng(23))
-    brk(fs)
     path = tmp_path / "bad.json"
-    save_float_model(path, fs)
+    save_float_model(path, random_stack(np.random.default_rng(23)))
+    _edit_manifest(path, brk)
     with pytest.raises(ManifestError, match=message):
         load_float_model(path)
     out = ["--out", str(tmp_path / "out.json")]

@@ -27,7 +27,7 @@ from detq.harness import (
 )
 from detq.gmm import WEIGHT_TOTAL, GmmParams, sigma_min_for
 from detq.intops import run_entropy_stack
-from detq.tensors import ConvLayerF, ShapeError
+from detq.tensors import ConvLayerF, ShapeError, causal_mask
 
 from models import random_latent, random_stack
 from oracles import cdf_table_oracle
@@ -191,9 +191,12 @@ def test_position_priors_refuse_a_hyper_latent_on_another_grid(mode):
     pair = make_stack_pair(random_stack(rng))
     params_of = prior_fn(pair, rng.normal(size=(2, 3, 3)), BackendVariant("d", "seq", mode))
     canvas = random_latent(rng, (1, 4, 4))
-    for at in (None, ([1], [1]), ([3], [0])):
-        with pytest.raises(ShapeError, match=r"\(3, 3\) under a latent of \(h, w\) \(4, 4\)"):
-            params_of(canvas, at)
+    grid = r"\(3, 3\) under a latent of \(h, w\) \(4, 4\)"
+    with pytest.raises(ShapeError, match=grid):
+        params_of(canvas)
+    # a decoder of the 4x4 latent is refused when it is built, before any step
+    with pytest.raises(ShapeError, match=grid):
+        intops.StepDecoder(params_of.hyper_feat, params_of.stack, canvas.shape)
 
 
 # --- priors of one position ------------------------------------------------
@@ -211,6 +214,22 @@ def two_layer_context_pair(rng, latent_channels, k2=5):
     return make_stack_pair(fs)
 
 
+def step_priors(params_of, shape):
+    """A decoder's steps on a device, as harness._decode takes them: the
+    StepDecoder of a (c, h, w) latent, a function giving the priors of
+    positions at = (ys, xs) from what was entered before, and one entering
+    the latent's symbols at positions."""
+    steps = intops.StepDecoder(params_of.hyper_feat, params_of.stack, shape)
+
+    def priors(at):
+        return params_of.finish(steps.priors(at))
+
+    def enter(latent, at):
+        steps.enter(at, params_of.prepare(latent[:, at[0], at[1]]))
+
+    return priors, enter
+
+
 @pytest.mark.parametrize("mode", ["int", "float"])
 @pytest.mark.parametrize("order", ["seq", "rev", "tree"])
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 2, 7), (1, 6, 5), (2, 5, 8)])
@@ -218,17 +237,24 @@ def test_position_priors_equal_whole_canvas_priors(mode, order, shape):
     rng = np.random.default_rng(sum(shape))
     pair = two_layer_context_pair(rng, shape[0])
     assert intops.context_reach(pair.quant_stack) == 3
-    # a full canvas: the symbols at and after each position must not matter
+    # the raster steps of a v1 stream: each position's priors, from the
+    # symbols before it alone, equal those of the full canvas, where the
+    # symbols at and after it are present too
     canvas = random_latent(rng, shape)
     hyper = rng.normal(size=(2, *shape[1:]))
     params_of = prior_fn(pair, hyper, BackendVariant("d", order, mode))
     full = params_of(canvas)
-    for y, x in np.ndindex(shape[1:]):
+    priors, enter = step_priors(params_of, shape)
+    steps = harness._schedule(Bitstream(math.prod(shape), shape, b""), 3)
+    assert [(int(ys[0]), int(xs[0])) for ys, xs in steps] == list(np.ndindex(shape[1:]))
+    for ys, xs in steps:
+        y, x = int(ys[0]), int(xs[0])
         at = (slice(None), slice(None), slice(y, y + 1), slice(x, x + 1))
         want = GmmParams(full.weights[at], full.means[at], full.scales[at], full.scale_exp)
-        got = params_of(canvas, (y, x))
+        got = priors((ys, xs))
         assert got.field_shape == (shape[0], 1, 1)
         assert got.tobytes() == want.tobytes(), (y, x)
+        enter(canvas, (ys, xs))
 
 
 # context chains: one masked 3x3 (R = 1), one masked 5x5 (R = 2), two
@@ -268,8 +294,8 @@ def wavefront_steps(shape, reach):
 @example("5x5", 1, 4, 1, 1)
 @example("3x3+3x3", 2, 4, 2, 2)
 def test_band_priors_equal_whole_canvas_priors(context, c, h, w, seed):
-    # each wavefront step's priors, from a canvas holding only the symbols
-    # of earlier steps as a decoder's does, equal the whole-canvas priors
+    # each wavefront step's priors, from the symbols of earlier steps alone
+    # as a decoder enters them, equal the whole-canvas priors
     build, reach = CONTEXTS[context]
     rng = np.random.default_rng(seed)
     pair = build(rng, c)
@@ -281,13 +307,13 @@ def test_band_priors_equal_whole_canvas_priors(context, c, h, w, seed):
     for order, mode in DEVICES:
         params_of = prior_fn(pair, hyper, BackendVariant("d", order, mode))
         full = params_of(latent).fields
-        canvas = np.zeros_like(latent)
+        priors, enter = step_priors(params_of, latent.shape)
         for ys, xs in steps:
-            got = params_of(canvas, (ys, xs))
+            got = priors((ys, xs))
             assert got.field_shape == (c, len(ys), 1)
             want = full[..., ys, xs, None]
             assert got.fields.tobytes() == want.tobytes(), (order, mode, ys, xs)
-            canvas[:, ys, xs] = latent[:, ys, xs]
+            enter(latent, (ys, xs))
 
 
 @pytest.mark.parametrize(
@@ -377,6 +403,19 @@ def test_decoder_refuses_a_stream_of_another_reach():
     assert got == in_order(latent, harness._coding_order(4, 4, 2)[:2]).tolist()
 
 
+def test_decoder_refuses_a_stream_of_another_channel_count():
+    # the decoder's symbols enter the stack one step at a time, so the
+    # stream's channel count is checked before the first step
+    rng = np.random.default_rng(3)
+    pair = make_stack_pair(random_stack(rng))  # one latent channel
+    latent = random_latent(rng, (1, 4, 4))
+    params_of = prior_fn(pair, rng.normal(size=(2, 4, 4)), BackendVariant("d"))
+    stream = harness._encode(params_of(latent), latent, 1)[0]
+    two = Bitstream(stream.count, (2, 4, 4), stream.payload, 1)
+    with pytest.raises(ShapeError, match="latent has 2 channels, the stack codes 1"):
+        harness._decode(two, params_of, 1)
+
+
 def test_v1_context_stream_decodes_through_the_raster_schedule():
     # a stream written with field_tables and rc_encode, as before v2,
     # decodes one raster position per step
@@ -420,24 +459,54 @@ def test_float_mode_sums_in_the_variant_order(order, monkeypatch):
     monkeypatch.setattr(harness, "conv_ordered_float", recording_conv)
     params_of = prior_fn(pair, hyper, BackendVariant("d", order, "float"))
     assert seen == {order}
-    for at in (None, (2, 1)):
+    priors, _ = step_priors(params_of, latent.shape)
+    at = (np.array([2]), np.array([1]))
+    for run in (lambda: params_of(latent), lambda: priors(at)):
         seen.clear()
-        params_of(latent, at)
-        assert seen == {order}, at
+        run()
+        assert seen == {order}
     assert pair.float_stack.order == "seq"
 
 
 def test_causal_window_is_clipped_receptive_field():
+    # each context layer of a step reads the K x K window around each
+    # position of its input, zero outside the canvas; through the causal
+    # masks of a 3x3 then a 5x5 layer, a position's priors read only
+    # positions of its reach-3 causal window, clipped to the canvas
     pair = two_layer_context_pair(np.random.default_rng(4), 1)
-    canvas = np.arange(9 * 10).reshape(1, 9, 10)
-    r = intops.context_reach(pair.quant_stack)
+    stack = pair.quant_stack
+    r = intops.context_reach(stack)
     assert r == 3
-    band, at = intops._band(canvas, (5, 4), r)
-    np.testing.assert_array_equal(band, canvas[:, 2:6, 1:8])
-    assert [a.tolist() for a in at] == [[3], [3]]
-    band, at = intops._band(canvas, (1, 8), r)
-    np.testing.assert_array_equal(band, canvas[:, 0:2, 5:10])
-    assert [a.tolist() for a in at] == [[1], [3]]
+    h, w = 9, 10
+    steps = intops.StepDecoder(None, stack, (1, h, w))
+    # every input holds 1 + the raster index of each position, 0 outside
+    index = 1 + np.arange(h * w).reshape(h, w)
+    reads = []
+    for layer, xp, win in zip(stack.context, steps._inputs, steps._windows):
+        k = layer.kernel
+        xp[k // 2 : k // 2 + h, k // 2 : k // 2 + w, 0] = index
+        for y, x in ((5, 4), (0, w - 1), (h - 1, 0)):
+            square = np.pad(index, k // 2)[y : y + k, x : x + k]
+            np.testing.assert_array_equal(win[y, x, 0], square)
+        kept = (win[..., 0, :, :] * causal_mask(k)).astype(int)
+        reads.append({(y, x): set(kept[y, x].ravel()) - {0} for y, x in np.ndindex(h, w)})
+    first, second = reads
+
+    def field(y, x):
+        """(y, x)'s receptive field: the second layer reads first-layer
+        outputs, each of which reads symbols."""
+        return {divmod(s - 1, w) for q in second[y, x] for s in first[divmod(q - 1, w)]}
+
+    for y, x in np.ndindex(h, w):
+        window = {(y, x - d) for d in range(1, r + 1)}
+        window |= {(y - dy, x + dx) for dy in range(1, r + 1) for dx in range(-r, r + 1)}
+        assert field(y, x) <= window, (y, x)
+    # an inner position's field spans R rows up and R columns either side;
+    # at the canvas edges it is clipped
+    spans = {(5, 4): (2, 5, 1, 7), (h - 1, w - 1): (5, 8, 6, 9), (1, 0): (0, 0, 0, 1)}
+    for (y, x), span in spans.items():
+        ys, xs = zip(*field(y, x))
+        assert (min(ys), max(ys), min(xs), max(xs)) == span, (y, x)
 
 
 def roundtrip_side(monkeypatch):
@@ -480,10 +549,44 @@ def test_decoder_runs_gather_once_per_position(monkeypatch):
     assert positions == {"enc": 7 * 8 * 8, "dec": 7 * 8 * 8}
 
 
+def test_codec_width_roundtrip_runs_the_context_layer_once_per_position(monkeypatch):
+    # the wide.blob model: 192-wide layers, a 5x5 context kernel (R = 2)
+    # and 32 channels, on a 32x8x8 latent.  Each step's context layer
+    # used to run on its band, 758 positions in all
+    pair = make_stack_pair(
+        random_stack(
+            np.random.default_rng(2027),
+            latent_channels=32,
+            hyper_channels=32,
+            hidden=192,
+            ctx_kernel=5,
+        )
+    )
+    rng = np.random.default_rng(2030)
+    latent, hyper = random_latent(rng, (32, 8, 8)), rng.normal(size=(32, 8, 8))
+    context = pair.quant_stack.context
+    positions = {"enc": 0, "dec": 0}
+    side = roundtrip_side(monkeypatch)
+    conv = intops.qconv_forward
+
+    def counting_conv(x, layer):
+        if layer is context[0]:
+            positions[side[0]] += x.shape[1] * x.shape[2]
+        return conv(x, layer)
+
+    monkeypatch.setattr(intops, "qconv_forward", counting_conv)
+    rep = roundtrip_experiment(
+        pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "tree")
+    )
+    assert rep.decoded_equal and rep.prior_max_reldiff == 0.0
+    assert positions == {"enc": 64, "dec": 64}
+
+
 def test_roundtrip_checks_each_activation_once_where_it_enters(monkeypatch):
     # the range check runs on the hyper latent and on the canvas (a decoder
-    # step's band), never inside a chain: requantize clamps each layer's
-    # output to the next layer's bits, and LeakyReLU never grows it
+    # step's own symbols, where they enter), never inside a chain:
+    # requantize clamps each layer's output to the next layer's bits, and
+    # LeakyReLU never grows it
     rng = np.random.default_rng(12)
     pair = make_stack_pair(random_stack(rng))
     latent = random_latent(rng, (1, 8, 8))
@@ -505,13 +608,15 @@ def test_roundtrip_checks_each_activation_once_where_it_enters(monkeypatch):
     steps = len(set(harness._coding_order(8, 8, intops.context_reach(pair.quant_stack))[2]))
     assert steps == 22
     # the encoder's hyper latent and canvas; the decoder's hyper latent and
-    # each step's band.  A check per layer made 10 and 2 + 8 * steps = 178
+    # each step's symbols, once each.  A check per layer made 10 and
+    # 2 + 8 * steps = 178
     assert checks == {"enc": 2, "dec": 1 + steps}
 
 
 def test_float_roundtrip_checks_each_input_once_where_it_enters(monkeypatch):
     # EntropyStackF.enter casts, checks and transposes the hyper latent and
-    # the canvas (a decoder step's band); no layer checks its input again
+    # the canvas (a decoder step's own symbols, where they enter); no layer
+    # checks its input again
     rng = np.random.default_rng(12)
     pair = make_stack_pair(random_stack(rng))
     latent = random_latent(rng, (1, 8, 8))
@@ -542,9 +647,10 @@ def test_float_roundtrip_checks_each_input_once_where_it_enters(monkeypatch):
 @pytest.mark.parametrize("mode", ["int", "float"])
 def test_stack_carries_activations_channels_last(mode, monkeypatch):
     # every layer step takes a C-contiguous (h, w, m) array, the carrier,
-    # which is im2col's operand (in int mode through qconv_forward's
-    # (c, h, w) view, so the same memory, shape and strides), and a 1x1
-    # layer's im2col operand is that array reshaped: no copy
+    # or a decoder step's (P, 1, m, K, K) windows cut from it, which is
+    # im2col's operand (in int mode through qconv_forward's (c, h, w)
+    # view, so the same memory, shape and strides), and a 1x1 layer's
+    # im2col operand is that array reshaped: no copy
     rng = np.random.default_rng(12)
     pair = make_stack_pair(random_stack(rng))
     latent = random_latent(rng, (1, 8, 8))
@@ -570,16 +676,21 @@ def test_stack_carries_activations_channels_last(mode, monkeypatch):
     rep = roundtrip_experiment(pair, latent, hyper, variant, variant)
     assert rep.decoded_equal
     assert len(steps) == len(cols)
-    kernels = set()
+    kernels, windows = set(), []
     for (x, layer), (data, out) in zip(steps, cols):
         same = [(a.ctypes.data, a.dtype, a.shape, a.strides) for a in (data, x)]
         assert same[0] == same[1]
         assert x.dtype == dtype and x.flags.c_contiguous
-        assert x.ndim == 3 and x.shape[2] == layer.in_channels
+        assert x.ndim in (3, 5) and x.shape[2] == layer.in_channels
+        if x.ndim == 5:
+            assert x.shape[1] == 1 and x.shape[3:] == (layer.kernel, layer.kernel)
+            windows.append(x.shape[0])
         kernels.add(layer.kernel)
         if layer.kernel == 1:
             assert np.shares_memory(out, x)
     assert kernels == {1, 3}
+    # the decoder's context layer runs on each position's window once
+    assert sum(windows) == 64
 
 
 def test_decoder_without_context_builds_tables_in_one_call(monkeypatch):

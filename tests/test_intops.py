@@ -10,10 +10,10 @@ from detq.intops import (
     LEAKY_NUM,
     LEAKY_SHIFT,
     AccumulatorOverflowError,
+    StepDecoder,
     hyper_features,
     leaky_relu_int,
     linear_softmax_field,
-    priors_from_features,
     qconv_forward,
     requantize,
     run_entropy_stack,
@@ -527,22 +527,33 @@ def test_stack_checks_each_input_where_it_enters(kind, msg):
     stack = pair.quant_stack
     _refused(kind, msg, latent, lambda x: run_entropy_stack(x, hyper, stack))
     _refused(kind, msg, hyper, lambda x: run_entropy_stack(latent, x, stack))
-    # on the picked-position path the band of the positions is checked
-    feats = hyper_features(hyper, stack)
-    _refused(kind, msg, latent, lambda x: priors_from_features(feats, x, stack, at=([1], [3])))
+    # a decoder's symbols are checked where they enter, each step's own
+    steps = StepDecoder(hyper_features(hyper, stack), stack, latent.shape)
+    at = (np.array([1]), np.array([2]))
+    _refused(kind, msg, latent, lambda x: steps.enter(at, x[:, at[0], at[1]]))
 
 
 def test_picked_positions_check_only_their_band():
+    # a decoder checks each symbol where it enters, after its own step, and
+    # never reads one it has not decoded: priors of positions need only the
+    # symbols of the steps before them
     pair, latent, hyper = _entry_stack()
     stack = pair.quant_stack
-    feats = hyper_features(hyper, stack)
-    at = ([0, 0], [0, 1])  # the band is row 0, columns 0 to 2
-    want = priors_from_features(feats, latent, stack, at).tobytes()
-    latent[0, 3, 3] = 1 << 20  # outside the band: never read, never checked
-    assert priors_from_features(feats, latent, stack, at).tobytes() == want
-    latent[0, 0, 2] = 1 << 20
+    latent[0] = np.arange(16).reshape(4, 4) % 7 - 3
+    full = run_entropy_stack(latent, hyper, stack).fields
+    steps = StepDecoder(hyper_features(hyper, stack), stack, latent.shape)
+    before = (np.array([0, 0]), np.array([0, 1]))
+    steps.enter(before, latent[:, before[0], before[1]])
+    at = (np.array([0]), np.array([2]))
+    got = steps.priors(at).fields
+    assert got.tobytes() == full[..., at[0], at[1], None].tobytes()
     with pytest.raises(ValueError, match="12-bit range"):
-        priors_from_features(feats, latent, stack, at)
+        steps.enter(at, np.array([[1 << 20]]))
+    # the refused symbol did not enter: the canvas reads 0 there
+    latent[0, 0, 2] = 0
+    nxt = (np.array([0]), np.array([3]))
+    want = run_entropy_stack(latent, hyper, stack).fields[..., nxt[0], nxt[1], None]
+    assert steps.priors(nxt).fields.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind,msg", _BAD_ENTRIES)

@@ -13,6 +13,7 @@ from detq.manifest import (
     save_float_model,
     save_quantized_model,
 )
+from detq.tensors import ConvLayerF, ShapeError
 
 from models import random_latent, random_stack
 
@@ -33,6 +34,20 @@ def test_float_roundtrip_preserves_behavior(tmp_path, fstack):
             np.testing.assert_array_equal(a.weights.astype(np.float32), b.weights)
             assert a.mask == b.mask
         assert ca == cb
+
+
+def test_saving_a_float_stack_broken_after_it_was_built_raises(tmp_path, fstack):
+    # a built EntropyStackF's lists stay mutable; saved unchecked, a broken
+    # stack made a manifest that load_float_model then refused
+    fstack.hyper_cfg[0].p_out = 11  # hyper_cfg[1].p_in stays 8
+    with pytest.raises(ShapeError, match="hyperdecoder: p_out/p_in chain broken"):
+        save_float_model(tmp_path / "p.json", fstack)
+    fstack.hyper_cfg[0].p_out = fstack.hyper_cfg[1].p_in
+    w = fstack.gather[1].weights
+    fstack.gather[1] = ConvLayerF(np.zeros((w.shape[0] + 1, *w.shape[1:])), fstack.gather[1].bias)
+    with pytest.raises(ShapeError, match="gather: channel mismatch"):
+        save_float_model(tmp_path / "c.json", fstack)
+    assert not list(tmp_path.iterdir())
 
 
 def test_quantized_roundtrip_bit_exact(tmp_path, fstack):

@@ -5,7 +5,7 @@ import pytest
 
 from detq.harness import conv_ordered_float
 from detq.quantize import LayerQuantSpec, QConvLayer, quantize_value
-from detq.tensors import ConvLayerF, ShapeError, causal_mask, im2col
+from detq.tensors import ConvLayerF, ShapeError, causal_mask, im2col, windows
 
 from oracles import conv2d_oracle, qconv
 
@@ -68,7 +68,8 @@ def _im2col_loop(data, k):
 @pytest.mark.parametrize("k", [1, 3, 5])
 @pytest.mark.parametrize("rows", [1, 2])
 def test_im2col_matches_per_tap_loop(k, rows):
-    # decoder bands are one or two rows high and as narrow as one pixel
+    # canvases one or two rows high and as narrow as one pixel, where
+    # zero padding fills most of each window
     rng = np.random.default_rng(10 * k + rows)
     for c, w in ((1, 1), (1, 5), (3, 2), (2, 9)):
         for dtype in (np.float64, np.int64):
@@ -76,6 +77,22 @@ def test_im2col_matches_per_tap_loop(k, rows):
             got = im2col(data, k)
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, _im2col_loop(data, k))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_im2col_of_picked_windows_is_their_rows(k):
+    # a decoder step cuts the windows of P positions from a zero-padded
+    # carrier; their im2col is the whole canvas's im2col at those rows,
+    # and a reshape of the windows, no copy
+    rng = np.random.default_rng(k)
+    data = rng.integers(-100, 101, size=(4, 5, 3)).astype(np.float64)
+    xp = np.pad(data, ((k // 2, k // 2), (k // 2, k // 2), (0, 0)))
+    ys, xs = np.array([3, 0, 2, 2]), np.array([0, 4, 1, 2])
+    picked = np.ascontiguousarray(windows(xp, k)[ys, xs, None])
+    assert picked.shape == (4, 1, 3, k, k)
+    got = im2col(picked, k)
+    assert np.shares_memory(got, picked)
+    np.testing.assert_array_equal(got, im2col(data, k)[ys * 5 + xs])
 
 
 @pytest.mark.parametrize("k", [3, 5])
