@@ -18,14 +18,15 @@ Every experiment codes through one encoder (_encode) and one decoder
 (_decode) in one coding order (_coding_order): positions by step
 t = x + K*y, then by y.  v1 is raster order, K = w.  A stack with a context
 model codes v2, K = R+1 for its context reach R: a step is an anti-diagonal
-whose priors read only earlier steps.  The decoder builds one
-intops.StepDecoder per stream, enters each step's symbols once, and
-computes each context output once, at its own step: every context layer
-masks its centre and every raster-later tap, so a window reads only
-positions of earlier steps, whose cached values are final; the same holds
-for the raster steps of a v1 stream.  Without a context model the whole
-field is one decoder step; a v1 stream of a context model decodes one
-position per step.
+whose priors read only earlier steps.  The decoder gets each step's
+priors from one intops.StepDecoder per stream, wired to the device by
+DevicePriors.steps, enters each step's symbols once, and computes each
+context output once, at its own step: every context layer masks its centre
+and every raster-later tap, so a window reads only positions of earlier
+steps, whose cached values are final; the same holds for the raster steps
+of a v1 stream.  Without a context model the whole field is one decoder
+step; a v1 stream of a context model decodes one position per step.  The
+failure demo decodes its fixed field through the same decoder.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .intops import (
     check_topology,
     context_reach,
     hyper_features,
-    pick_positions,
     priors_from_features,
     split_head,
 )
@@ -285,7 +285,7 @@ def _ordered_sum(terms: np.ndarray, order: str) -> np.ndarray:
 
 def conv_ordered_float(x: np.ndarray, layer: ConvLayerF, order: str) -> np.ndarray:
     """float32 convolution of an (h, w, m) float32 array, or of the
-    (h, w, m, K, K) windows a decoder step cuts from one, with an explicit
+    (h, w, m, K, K) windows a step cuts from one, with an explicit
     accumulation order; returns (h, w, n).
 
     Each output sums its m*K*K taps in (m, K, K) order, reordered by
@@ -353,11 +353,11 @@ class DevicePriors:
     """Priors one simulated device computes, as a function of the latent
     canvas; prior_fn builds it.
 
-    Calling it on a whole canvas gives the whole field's GmmParams.  A
-    decoder builds an intops.StepDecoder of stack and hyper_feat, and
-    passes the symbols it enters through prepare and the priors it gets
-    through finish: prepare quantizes symbols to the first context layer's
-    grid in integer mode, and finish discretizes float priors.
+    Calling it on a whole canvas gives the whole field's GmmParams, and
+    steps gives a decoder's steps.  Both pass the symbols they enter
+    through prepare and the priors they get through finish: prepare
+    quantizes symbols to the first context layer's grid in integer mode,
+    and finish discretizes float priors.
     """
 
     stack: object
@@ -367,6 +367,16 @@ class DevicePriors:
 
     def __call__(self, canvas) -> GmmParams:
         return self.finish(priors_from_features(self.hyper_feat, self.prepare(canvas), self.stack))
+
+    def steps(self, shape):
+        """A decoder's steps of a (c, h, w) latent on this device, through
+        one intops.StepDecoder: the functions priors(at), the GmmParams of
+        positions at, and enter(at, symbols), which enters their symbols."""
+        steps = StepDecoder(self.hyper_feat, self.stack, shape)
+        return (
+            lambda at: self.finish(steps.priors(at)),
+            lambda at, symbols: steps.enter(at, self.prepare(symbols)),
+        )
 
 
 def prior_fn(stacks: StackPair, hyper, variant: BackendVariant) -> DevicePriors:
@@ -397,13 +407,12 @@ def run_backend(stacks: StackPair, latent, hyper, variant: BackendVariant) -> Gm
     return prior_fn(stacks, hyper, variant)(latent)
 
 
-def _raster(a, at=None):
-    """A (..., c, h, w) array, or its positions at = (ys, xs) in their order,
-    flattened over its last three axes: position, then channel.  Without at
-    that is raster order."""
-    a = np.moveaxis(a, -3, -1)
-    a = a if at is None else pick_positions(a, at)
-    return a.reshape(*a.shape[:-3], -1)
+def _raster(a, at=np.s_[:, :]):
+    """A (..., c, h, w) array at positions at of its (h, w) grid, in their
+    order, flattened over its last three axes: position, then channel.  The
+    whole grid comes in raster order."""
+    lead = np.shape(a)[:-3]
+    return np.moveaxis(a, -3, -1)[(..., *at, slice(None))].reshape(*lead, -1)
 
 
 def _coding_order(h, w, reach=None):
@@ -461,46 +470,43 @@ def _encode(params: GmmParams, latent, reach=None):
 
 def _schedule(stream: Bitstream, reach):
     """The decoder's steps for stream, given its model's context reach
-    (None without a context model): None, the whole field, or the positions
-    (ys, xs) of each t of _coding_order.  A v2 stream coded for another reach
-    is refused: it was coded for another model, and a smaller reach than the
-    model's would order a position before some that its window reads."""
+    (None without a context model): the whole grid, or the positions of
+    each t of _coding_order as two (P, 1) index arrays (ys, xs).  A v2
+    stream coded for another reach is refused: it was coded for another
+    model, and a smaller reach than the model's would order a position
+    before some that its window reads."""
     if stream.reach is not None and stream.reach != reach:
         raise StreamFormatError(
             f"stream coded for context reach {stream.reach}, the model's is {reach}"
         )
     if reach is None:
-        return [None]
+        return [np.s_[:, :]]
     ys, xs, t = _coding_order(*stream.shape[1:], stream.reach)
     cuts = np.flatnonzero(np.diff(t)) + 1
-    return list(zip(np.split(ys, cuts), np.split(xs, cuts))) if t.size else []
+    steps = (np.split(a[:, None], cuts) for a in (ys, xs))
+    return list(zip(*steps)) if t.size else []
 
 
-def _decode(stream: Bitstream, params_of, reach):
+def _decode(stream: Bitstream, device, reach):
     """Decode stream step by step (_schedule), given its model's context
     reach (None without a context model).
 
-    params_of gives the whole field's priors of a canvas, in the one step
-    of a stream without a context model; otherwise it is a DevicePriors,
-    and one StepDecoder gives each step's priors from the symbols of the
-    steps before, each entered once, after its own step.  A step's table
-    rows are built once, in coding order, and continue the stream where
-    the step before stopped.  Decoding stops where the decoder runs off
-    the payload.  Returns the symbols decoded and the (3, 3, n) prior rows
-    (weights, means, scales) of the n symbols whose priors it computed,
-    both in coding order.
+    device.steps (of a DevicePriors, or of the failure demo's fixed field)
+    gives each step's priors from the symbols of the steps before, each
+    entered once, after its own step.  A step's table rows are built once,
+    in coding order, and continue the stream where the step before
+    stopped.  Decoding stops where the decoder runs off the payload.
+    Returns the symbols decoded and the (3, 3, n) prior rows (weights,
+    means, scales) of the n symbols whose priors it computed, both in
+    coding order.
     """
     got = []  # a list: appending beats a numpy store per symbol
     rows = [np.zeros((3, 3, 0), dtype=np.int64)]
     decoder = RangeDecoder(stream.payload, stream.count)
     schedule = _schedule(stream, reach)
-    if reach is not None:  # one decoder per stream, whose caches the steps fill
-        steps = StepDecoder(params_of.hyper_feat, params_of.stack, stream.shape)
+    priors, enter = device.steps(stream.shape)  # one StepDecoder per stream
     for at in schedule:
-        if at is None:  # a whole-field step is the schedule's only one
-            params = params_of(np.zeros(stream.shape, dtype=np.int64))
-        else:
-            params = params_of.finish(steps.priors(at))
+        params = priors(at)
         rows.append(_raster(params.fields))
         start = len(got)
         try:
@@ -508,9 +514,9 @@ def _decode(stream: Bitstream, params_of, reach):
                 got.append(decoder.decode(row, _V_MIN))
         except StreamFormatError:
             break
-        if at is not None:
-            symbols = np.reshape(got[start:], (-1, stream.shape[0])).T
-            steps.enter(at, params_of.prepare(symbols))
+        if at is not schedule[-1]:  # no step reads the last one's symbols
+            # (c, ...) on the step's grid, as its priors came
+            enter(at, np.reshape(got[start:], (*params.field_shape[1:], -1)).transpose(2, 0, 1))
     return got, np.concatenate(rows, axis=-1)
 
 
@@ -586,6 +592,17 @@ def _demo_field():
     return priors, symbols
 
 
+@dataclass(frozen=True)
+class _FixedField:
+    """A decoding device whose priors are one fixed field, which reads no
+    symbol: its one step is the whole grid."""
+
+    params: GmmParams
+
+    def steps(self, shape):
+        return (lambda at: self.params), (lambda at, symbols: None)
+
+
 def boundary_failure_demo(prior_mode: str = "float") -> InteropReport:
     """Reproduce the decode-failure phenomenon deterministically.
 
@@ -608,7 +625,7 @@ def boundary_failure_demo(prior_mode: str = "float") -> InteropReport:
         )
 
     stream, sent, rows = _encode(enc_params, symbols)
-    return _report(sent, rows, *_decode(stream, lambda canvas: dec_params, None))
+    return _report(sent, rows, *_decode(stream, _FixedField(dec_params), None))
 
 
 # ---------------------------------------------------------------------------

@@ -6,21 +6,23 @@ quantize.quantize_value, the one activation quantizer); each layer's spec
 carries the grid 2^-p_in and the bit depth n_i of its input, and
 check_topology holds that they chain.  An activation's dtype, shape and
 range are checked once, where it enters the stack: the hyper latent in
-hyper_features, the canvas in priors_from_features, and a decoder's
-symbols, each step's own, in StepDecoder.enter.  Inside a chain nothing
-is checked again, since every later activation is in range by
-construction: requantize clamps to the next layer's n_i bits, LeakyReLU
-never grows |x|, and fuse clamps the gather input.  All arithmetic from
-the entry on is exact integer arithmetic: int16-range operands, 32-bit
-accumulators whose overflow is excluded statically by the shift
-derivation, and per-channel fused rescaling by a power of two with
-half-away-from-zero rounding.
+hyper_features, a whole canvas in priors_from_features (before its shape
+is read), and a decoder's symbols, each step's own, in StepDecoder.enter.
+Inside a chain nothing is checked again, since every later activation
+is in range by construction: requantize clamps to the next layer's n_i
+bits, LeakyReLU never grows |x|, and fuse clamps the gather input.  All
+arithmetic from the entry on is exact integer arithmetic: int16-range
+operands, 32-bit accumulators whose overflow is excluded statically by
+the shift derivation, and per-channel fused rescaling by a power of two
+with half-away-from-zero rounding.
 
-The stack topology (hyper_features, priors_from_features) exists once,
-here; the stack passed in supplies the arithmetic (entry, layer step,
-fuse, head decode): integer for EntropyStack, float32 for
-harness.EntropyStackF.  Only the float32 stack has an accumulation order,
-and it carries its own.
+The stack topology exists once, here: hyper_features runs the
+hyperdecoder, and StepDecoder.priors the context chain, fuse, gather and
+head, for a decoder step and for a whole canvas alike (priors_from_features
+is one step over every position).  The stack passed in supplies the
+arithmetic (entry, layer step, fuse, head decode): integer for
+EntropyStack, float32 for harness.EntropyStackF.  Only the float32 stack
+has an accumulation order, and it carries its own.
 
 Inside a stack an activation is carried channels-last, as a C-contiguous
 (h, w, c) array, from the entry to decode_head: the entry transposes it
@@ -29,7 +31,7 @@ EntropyStack carries float64 arrays of whole numbers, and decode_head
 casts them to int64 once.  A layer step is one fused kernel of three
 steps, each a module function: qconv_forward, the convolution and bias as
 one GEMM on a (c, h, w) view of the carrier (or of the (h, w, c, K, K)
-windows a decoder step cuts), giving the (h*w, n) accumulator;
+windows a context layer's step cuts), giving the (h*w, n) accumulator;
 requantize, the per-channel scale, rounding and clamp, in place on it;
 and leaky_relu_int, in place too.  A reshape, no copy, makes the result
 the next layer's (h, w, n) input.  A 1x1 layer's im2col is a reshape of
@@ -53,22 +55,28 @@ keeps x >= 0 and takes ceil(x 41 2^-12 - 1/2), the half-away rounding of
 x 41 2^-12, below it: that product has at most 21 significant bits for
 |x| < 2^15, so it and its difference with 1/2 are exact.
 
-A decoder computes each context output once (the caching of Paine et
-al. 2016, "Fast Wavenet Generation Algorithm").  Its StepDecoder, built
-once per stream, keeps each context layer's input as a zero-padded
-channels-last carrier, zero outside the canvas: the symbol canvas for the
-first layer, the previous layer's output cache for each later one.  A
-step of P positions enters only its own symbols, and runs each context
-layer on the P windows it reads (an im2col of those windows, in the same
-(c, K, K) column order), writing the P rows into the next layer's cache;
-fuse, gather and head run on the P rows.  This is exact: every context
-layer masks its centre and every raster-later tap, so a window reads only
-positions of earlier steps, whose cached values are final.  Under the
-wavefront order of harness and rc a position's window reads only
-positions of smaller x + (R+1)*y, R = context_reach, each of them in an
-earlier anti-diagonal; under raster order (v1 streams), each is an
-earlier position.  Every output sums its own taps, in float32 too, so a
-step's priors equal the whole-canvas priors at its positions bit for bit.
+Every context output is computed once (the caching of Paine et al. 2016,
+"Fast Wavenet Generation Algorithm").  A StepDecoder, built once per
+canvas, keeps each context layer's input as a zero-padded channels-last
+carrier, zero outside the canvas: the symbol canvas for the first layer,
+the previous layer's output cache for each later one.  Positions index the
+(h, w) grid as numpy indexing does: np.s_[:, :] is the whole grid, and
+two (P, 1) index arrays (ys, xs) are a decoder step's P positions;
+priors come out on that grid, (c, h, w) or (c, P, 1).  A step enters only
+its own symbols, and runs each context layer on the windows it reads (the
+padded carrier's windows are what im2col builds, in the same (c, K, K)
+column order), writing its rows into the next layer's cache; fuse, gather
+and head run on the same rows.  A whole canvas is one step over every
+position, with every symbol entered (priors_from_features).  A decoder's
+steps are exact too: every context layer masks its centre and every
+raster-later tap, so a window reads only positions of earlier steps, whose
+cached values are final.  Under the wavefront order of harness and rc a
+position's window reads only positions of smaller x + (R+1)*y, R =
+context_reach, each of them in an earlier anti-diagonal; under raster
+order (v1 streams), each is an earlier position.  Every output sums its
+own taps, in float32 too, so a step's priors equal the whole-canvas priors
+at its positions bit for bit.  Without a context model the priors do not
+read the canvas, and a decoder's one step is the whole grid.
 """
 
 from __future__ import annotations
@@ -91,7 +99,6 @@ __all__ = [
     "linear_softmax_field",
     "hyper_features",
     "context_reach",
-    "pick_positions",
     "priors_from_features",
     "StepDecoder",
     "run_entropy_stack",
@@ -107,8 +114,8 @@ LEAKY_SHIFT = 12
 _LEAKY_SLOPE = LEAKY_NUM * 2.0**-LEAKY_SHIFT  # exact in float64
 _ACC_MAX = (1 << (ACCUM_BITS - 1)) - 1
 
-# axes from the channels-last carrier (h, w, c), or a decoder step's
-# windows (P, 1, c, K, K), to the (c, h, w) edge layout, and back
+# axes from the channels-last carrier (h, w, c), or a context layer's
+# windows (h, w, c, K, K), to the (c, h, w) edge layout, and back
 _TO_EDGE = {3: (2, 0, 1), 5: (2, 0, 1, 3, 4)}
 _TO_CARRIER = {3: (1, 2, 0), 5: (1, 2, 0, 3, 4)}
 
@@ -137,13 +144,13 @@ def qconv_forward(x: np.ndarray, layer: QConvLayer) -> np.ndarray:
     new C-contiguous float64 array; the kernel's convolution step.
 
     x is a (c, h, w) float64 array of whole numbers within the layer's n_i
-    bits, in the stack a view of the (h, w, c) carrier; or, in a decoder
-    step, a (c, P, 1, K, K) view of the (P, 1, c, K, K) windows of its P
-    positions.  im2col reads either back through a transpose, no copy.
-    QConvLayer holds sum|w| * x_max + |b| within 32 bits, so every partial
-    sum in any order
-    is an integer below 2^53 that float64 holds exactly, and the one GEMM
-    gives the same result for any summation order the BLAS library picks.
+    bits, in the stack a view of the (h, w, c) carrier; or, for a context
+    layer, a (c, h, w, K, K) view of the (h, w, c, K, K) windows of a
+    step's positions.  im2col reads either back through a transpose, no
+    copy.  QConvLayer holds sum|w| * x_max + |b| within 32 bits, so every
+    partial sum in any order is an integer below 2^53 that float64 holds
+    exactly, and the one GEMM gives the same result for any summation
+    order the BLAS library picks.
     Masked (causal) layers carry their zeroes in the weights.
     """
     acc = im2col(x.transpose(_TO_CARRIER[x.ndim]), layer.kernel) @ layer.weight_matrix
@@ -276,10 +283,9 @@ class EntropyStack:
         in place on its (h*w, n) GEMM output.
 
         x is the float64 (h, w, m) carrier, unchecked: it comes from enter,
-        fuse or the layer before; or the (h, w, m, K, K) windows a decoder
-        step cuts from such a carrier.  The output is (h, w, n) float64
-        whole numbers, at `after`'s input grid and within its n_i bits by
-        construction.
+        fuse or the layer before; or the (h, w, m, K, K) windows a step cuts
+        from such a carrier.  The output is (h, w, n) float64 whole numbers,
+        at `after`'s input grid and within its n_i bits by construction.
         """
         acc = qconv_forward(x.transpose(_TO_EDGE[x.ndim]), layer)
         n_bits = after.spec.n_i if after is not None else 16
@@ -322,11 +328,6 @@ def split_head(y: np.ndarray, latent_channels: int):
     return y[0:3], y[3:6], y[6:9]
 
 
-def _enter_chain(x, chain, stack):
-    """Run a chain on an input that enters the stack, checked once here."""
-    return _run_chain(stack.enter(x, chain[0]), chain, stack)
-
-
 def hyper_features(hyper_latent, stack):
     """Hyperdecoder output as the (h, w, n) carrier, or None for a stack
     without a hyperdecoder.
@@ -335,21 +336,15 @@ def hyper_features(hyper_latent, stack):
     n_i range), and the output is float64 whole numbers.  It does not
     depend on the latent, so a decoder computes it once.
     """
-    if not stack.hyperdecoder:
+    chain = stack.hyperdecoder
+    if not chain:
         return None
-    return _enter_chain(hyper_latent, stack.hyperdecoder, stack)
+    return _run_chain(stack.enter(hyper_latent, chain[0]), chain, stack)
 
 
 def context_reach(stack) -> int:
     """How many rows and columns a context output reaches back: sum of K//2."""
     return sum(layer.kernel // 2 for layer in stack.context)
-
-
-def pick_positions(t, at):
-    """Positions at = (ys, xs), two int arrays of P entries, of a
-    channels-last (..., h, w, c) array, as (..., P, 1, c)."""
-    ys, xs = at
-    return np.asarray(t)[..., ys, xs, None, :]
 
 
 def _check_grid(hyper_feat, hw):
@@ -367,83 +362,83 @@ def _gather_head(feats, stack):
 
 
 def priors_from_features(hyper_feat, canvas, stack):
-    """Context on the canvas -> fuse with hyper features -> gather -> GMM head.
+    """Context on the canvas -> fuse with hyper features -> gather -> GMM head:
+    one StepDecoder step over the whole grid, with every symbol entered.
 
     An EntropyStack's head gives Q15 mixture weights (linearized softmax),
-    means, and scales floored at sigma_min_for, as GmmParams.  An
-    EntropyStack checks the canvas where it enters the context chain.
-    With both a hyperdecoder and a context model, hyper features on
-    another (h, w) grid than the canvas are refused.
+    means, and scales floored at sigma_min_for, as GmmParams.  The canvas
+    is checked where it enters the context chain, before its shape is
+    read; a stack without a context model does not read it, and its grid
+    is the hyper features'.  With both a hyperdecoder and a context model,
+    hyper features on another (h, w) grid than the canvas are refused.
     """
-    feats = [] if hyper_feat is None else [hyper_feat]
     if stack.context:
-        # else fuse fails with numpy's concatenation message, naming neither
-        _check_grid(hyper_feat, np.shape(canvas)[-2:])
-        feats.append(_enter_chain(canvas, stack.context, stack))
-    return _gather_head(feats, stack)
+        canvas = stack.enter(canvas, stack.context[0])  # the (h, w, c) carrier
+    grid = (canvas if stack.context else hyper_feat).shape[:2]
+    steps = StepDecoder(hyper_feat, stack, (stack.latent_channels, *grid))
+    if stack.context:
+        steps.canvases[0][...] = canvas
+    return steps.priors(np.s_[:, :])
 
 
 class StepDecoder:
-    """A decoder's priors, step by step, from the symbols it has decoded.
+    """Priors, step by step, from the symbols entered before each step.
 
-    Built once per stream of a (c, h, w) latent.  Each context layer's
-    input is a zero-padded channels-last carrier, zero outside the canvas:
-    the symbol canvas for the first layer, the previous layer's output
-    cache for each later one.  enter writes a step's decoded symbols into
-    the canvas, and priors computes a step's priors from what was entered
-    before it (see the module docstring for why that is exact).  Steps
-    must read only earlier steps, as the wavefront and raster orders do.
+    Built once per (c, h, w) canvas.  Each context layer's input is a
+    zero-padded channels-last carrier, zero outside the canvas: the symbol
+    canvas for the first layer, the previous layer's output cache for each
+    later one; canvases holds each one's (h, w, m) view inside its padding.
+    Positions index the (h, w) grid as numpy indexing does: the whole grid,
+    or a decoder step's (P, 1) index arrays.  enter writes a step's symbols
+    into the canvas, and priors computes a step's priors from what was
+    entered before it (see the module docstring for why that is exact).  A
+    decoder's steps must read only earlier steps, as the wavefront and
+    raster orders do.
     """
 
     def __init__(self, hyper_feat, stack, shape):
         c, h, w = shape
         if c != stack.latent_channels:
             raise ShapeError(f"latent has {c} channels, the stack codes {stack.latent_channels}")
-        if any(layer.kernel != 1 for layer in stack.gather):
-            raise ShapeError("priors of picked positions need 1x1 gather layers")
         # else positions read the hyper features of another grid
         _check_grid(hyper_feat, (h, w))
         self.hyper_feat, self.stack = hyper_feat, stack
-        self._inputs = []
+        self.canvases, self._windows = [], []
         for layer in stack.context:
             r = layer.kernel // 2
-            self._inputs.append(np.zeros((h + 2 * r, w + 2 * r, layer.in_channels), stack.carrier))
-        self._windows = [windows(xp, lyr.kernel) for xp, lyr in zip(self._inputs, stack.context)]
-
-    def _write(self, i, at, x):
-        """Rows x, (P, 1, m), into context layer i's input at positions at."""
-        r = self.stack.context[i].kernel // 2
-        ys, xs = at
-        self._inputs[i][ys + r, xs + r] = x[:, 0]
+            xp = np.zeros((h + 2 * r, w + 2 * r, layer.in_channels), stack.carrier)
+            self.canvases.append(xp[r : r + h, r : r + w])
+            self._windows.append(windows(xp, layer.kernel))
 
     def enter(self, at, symbols):
-        """Enter the symbols of positions at = (ys, xs), a (c, P) array on
-        the first context layer's input grid: checked here, where they
-        enter the stack, and written into the canvas."""
+        """Enter the symbols of positions at, the (c, ...) array of the
+        latent at them, on the first context layer's input grid: checked
+        here as a (c, P, 1) array, where they enter the stack, and written
+        into the canvas."""
         if self.stack.context:
-            x = self.stack.enter(np.asarray(symbols)[:, :, None], self.stack.context[0])
-            self._write(0, at, x)
+            rows = np.reshape(symbols, (len(symbols), -1, 1))
+            x = self.stack.enter(rows, self.stack.context[0])
+            self.canvases[0][at] = x.reshape(*np.shape(symbols)[1:], -1)
 
     def priors(self, at):
-        """Priors of the P positions at = (ys, xs) as a (c, P, 1) field.
+        """Priors of the positions at, on their grid: (c, h, w) for the
+        whole grid, (c, P, 1) for P positions.
 
-        Each context layer runs on the P windows it reads, an im2col of
-        them (tensors.windows), and its P rows are written into the next
-        layer's cache; fuse, gather and head run on the P rows.
+        Each context layer runs on the windows it reads, an im2col of them
+        (tensors.windows), and its rows are written into the next layer's
+        cache; fuse, gather and head run on the same rows.
         """
-        ys, xs = at
         stack = self.stack
-        feats = [] if self.hyper_feat is None else [pick_positions(self.hyper_feat, at)]
+        feats = [] if self.hyper_feat is None else [self.hyper_feat[at]]
         chain = stack.context
         for i, (layer, after) in enumerate(zip(chain, (*chain[1:], None))):
-            # numpy lays the picked windows out in the view's stride order,
-            # channels last; C order makes im2col's reshape a view
-            cut = np.ascontiguousarray(self._windows[i][ys, xs, None])
-            x = stack.layer_step(cut, layer, after)
+            # the step's windows as a C-contiguous copy, the im2col of the
+            # positions, whose reshape in im2col is a view
+            x = stack.layer_step(np.ascontiguousarray(self._windows[i][at]), layer, after)
             if after is None:
                 feats.append(x)
             else:
-                self._write(i + 1, at, x)
+                self.canvases[i + 1][at] = x
         return _gather_head(feats, stack)
 
 

@@ -110,9 +110,9 @@ def im2col(data: np.ndarray, k: int) -> np.ndarray:
     Column order is (c, ky, kx), matching (m, K, K, n) weights flattened
     over (m, K, K).  For k = 1 that is the data reshaped, with no copy
     when the data is C-contiguous.  data may also be windows cut already,
-    an (h, w, c, k, k) array (a decoder step takes the windows of P
-    picked positions as h, w = P, 1): their columns are that array
-    reshaped, with no copy when it is C-contiguous.
+    an (h, w, c, k, k) array (a context layer's step takes those of the
+    whole grid, or of a decoder step's P positions as h, w = P, 1): their
+    columns are that array reshaped, with no copy when it is C-contiguous.
     """
     if data.ndim == 5:
         return data.reshape(data.shape[0] * data.shape[1], data.shape[2] * k * k)

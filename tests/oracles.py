@@ -280,9 +280,10 @@ def _fold(terms, order):
 
 
 def qconv_oracle(x, layer, order):
-    """Per-tap int64 convolution of an (h, w, m) x: the products of each of
-    the T = m*K*K taps, summed tap by tap in `order`.  Returns (h, w, n)."""
-    h, w, _ = x.shape
+    """Per-tap int64 convolution of an (h, w, m) x, or of the (h, w, m, K, K)
+    windows of its positions: the products of each of the T = m*K*K taps,
+    in (m, K, K) order, summed tap by tap in `order`.  Returns (h, w, n)."""
+    h, w = x.shape[:2]
     cols = im2col(np.asarray(x, np.int64), layer.kernel)
     wmat = layer.w_q.reshape(-1, layer.out_channels).astype(np.int64)
     products = cols[:, :, None] * wmat[None, :, :]  # (P, T, n)
@@ -303,11 +304,11 @@ def oracle_priors(pair, latent, hyper, order):
     """Integer priors of run_backend with every convolution replaced by
     qconv_oracle summing in `order`: at intops.qconv_forward, the
     convolution step of each fused layer step, which takes a (c, h, w)
-    view of the float64 carrier and gives the (h*w, n) float64
-    accumulator."""
+    view of the float64 carrier, or for the context layer a (c, h, w, K, K)
+    view of its windows, and gives the (h*w, n) float64 accumulator."""
 
     def accumulate(x, layer):
-        acc = qconv_oracle(x.transpose(1, 2, 0), layer, order)  # (h, w, n) int64
+        acc = qconv_oracle(np.moveaxis(x, 0, 2), layer, order)  # (h, w, n) int64
         return acc.reshape(-1, layer.out_channels).astype(np.float64)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -215,19 +215,12 @@ def two_layer_context_pair(rng, latent_channels, k2=5):
 
 
 def step_priors(params_of, shape):
-    """A decoder's steps on a device, as harness._decode takes them: the
-    StepDecoder of a (c, h, w) latent, a function giving the priors of
-    positions at = (ys, xs) from what was entered before, and one entering
-    the latent's symbols at positions."""
-    steps = intops.StepDecoder(params_of.hyper_feat, params_of.stack, shape)
-
-    def priors(at):
-        return params_of.finish(steps.priors(at))
-
-    def enter(latent, at):
-        steps.enter(at, params_of.prepare(latent[:, at[0], at[1]]))
-
-    return priors, enter
+    """A decoder's steps on a device, as harness._decode takes them
+    (DevicePriors.steps): a function giving the priors of positions at
+    from what was entered before, and one entering the latent's symbols at
+    positions."""
+    priors, enter = params_of.steps(shape)
+    return priors, lambda latent, at: enter(at, latent[(slice(None), *at)])
 
 
 @pytest.mark.parametrize("mode", ["int", "float"])
@@ -246,9 +239,9 @@ def test_position_priors_equal_whole_canvas_priors(mode, order, shape):
     full = params_of(canvas)
     priors, enter = step_priors(params_of, shape)
     steps = harness._schedule(Bitstream(math.prod(shape), shape, b""), 3)
-    assert [(int(ys[0]), int(xs[0])) for ys, xs in steps] == list(np.ndindex(shape[1:]))
+    assert [(ys.item(), xs.item()) for ys, xs in steps] == list(np.ndindex(shape[1:]))
     for ys, xs in steps:
-        y, x = int(ys[0]), int(xs[0])
+        y, x = ys.item(), xs.item()
         at = (slice(None), slice(None), slice(y, y + 1), slice(x, x + 1))
         want = GmmParams(full.weights[at], full.means[at], full.scales[at], full.scale_exp)
         got = priors((ys, xs))
@@ -310,8 +303,9 @@ def test_band_priors_equal_whole_canvas_priors(context, c, h, w, seed):
         priors, enter = step_priors(params_of, latent.shape)
         for ys, xs in steps:
             got = priors((ys, xs))
+            assert ys.shape == xs.shape == (len(ys), 1)
             assert got.field_shape == (c, len(ys), 1)
-            want = full[..., ys, xs, None]
+            want = full[..., ys, xs]
             assert got.fields.tobytes() == want.tobytes(), (order, mode, ys, xs)
             enter(latent, (ys, xs))
 
@@ -325,7 +319,8 @@ def test_wavefront_steps_read_only_earlier_steps(h, w, reach):
     # step; counted here position by position
     steps = wavefront_steps((1, h, w), reach)
     step_of = {}
-    for k, (ys, xs) in enumerate(steps):
+    for k, at in enumerate(steps):
+        ys, xs = (a[:, 0] for a in at)  # each step's (P, 1) index arrays
         assert list(ys) == sorted(ys) and len(set(xs + (reach + 1) * ys)) == 1
         step_of.update({(int(y), int(x)): k for y, x in zip(ys, xs)})
     assert sorted(step_of) == [(y, x) for y in range(h) for x in range(w)]
@@ -405,15 +400,18 @@ def test_decoder_refuses_a_stream_of_another_reach():
 
 def test_decoder_refuses_a_stream_of_another_channel_count():
     # the decoder's symbols enter the stack one step at a time, so the
-    # stream's channel count is checked before the first step
-    rng = np.random.default_rng(3)
-    pair = make_stack_pair(random_stack(rng))  # one latent channel
-    latent = random_latent(rng, (1, 4, 4))
-    params_of = prior_fn(pair, rng.normal(size=(2, 4, 4)), BackendVariant("d"))
-    stream = harness._encode(params_of(latent), latent, 1)[0]
-    two = Bitstream(stream.count, (2, 4, 4), stream.payload, 1)
-    with pytest.raises(ShapeError, match="latent has 2 channels, the stack codes 1"):
-        harness._decode(two, params_of, 1)
+    # stream's channel count is checked before the first step; without a
+    # context model no symbol enters, and the decoder used to return half
+    # the symbols of a 2-channel stream under a 1-channel stack
+    for with_context, reach in ((True, 1), (False, None)):
+        rng = np.random.default_rng(3)
+        pair = make_stack_pair(random_stack(rng, with_context=with_context))  # one channel
+        latent = random_latent(rng, (1, 4, 4))
+        params_of = prior_fn(pair, rng.normal(size=(2, 4, 4)), BackendVariant("d"))
+        stream = harness._encode(params_of(latent), latent, reach)[0]
+        two = Bitstream(stream.count, (2, 4, 4), stream.payload, reach)
+        with pytest.raises(ShapeError, match="latent has 2 channels, the stack codes 1"):
+            harness._decode(two, params_of, reach)
 
 
 def test_v1_context_stream_decodes_through_the_raster_schedule():
@@ -429,14 +427,14 @@ def test_v1_context_stream_decodes_through_the_raster_schedule():
     stream = Bitstream.from_bytes(stream.to_bytes())
     assert stream.version == 1 and stream.reach is None
     steps = harness._schedule(stream, 1)
-    assert [(int(ys[0]), int(xs[0])) for ys, xs in steps] == list(np.ndindex(5, 4))
+    assert [(ys.item(), xs.item()) for ys, xs in steps] == list(np.ndindex(5, 4))
     # any v1 shape, empty ones too: the steps are the coding order's
     # positions, one raster position each
     for h, w in np.ndindex(6, 7):
         steps = harness._schedule(Bitstream(h * w, (1, h, w), b""), 1)
         ys, xs, _ = harness._coding_order(h, w)
         assert [(y.tolist(), x.tolist()) for y, x in steps] == [
-            ([y], [x]) for y, x in zip(ys.tolist(), xs.tolist())
+            ([[y]], [[x]]) for y, x in zip(ys.tolist(), xs.tolist())
         ]
         assert list(zip(ys.tolist(), xs.tolist())) == list(np.ndindex(h, w))
     got, rows = harness._decode(stream, prior_fn(pair, hyper, BackendVariant("d", "tree")), 1)
@@ -460,7 +458,7 @@ def test_float_mode_sums_in_the_variant_order(order, monkeypatch):
     params_of = prior_fn(pair, hyper, BackendVariant("d", order, "float"))
     assert seen == {order}
     priors, _ = step_priors(params_of, latent.shape)
-    at = (np.array([2]), np.array([1]))
+    at = (np.array([[2]]), np.array([[1]]))
     for run in (lambda: params_of(latent), lambda: priors(at)):
         seen.clear()
         run()
@@ -479,12 +477,13 @@ def test_causal_window_is_clipped_receptive_field():
     assert r == 3
     h, w = 9, 10
     steps = intops.StepDecoder(None, stack, (1, h, w))
-    # every input holds 1 + the raster index of each position, 0 outside
+    # every canvas holds 1 + the raster index of each position, and its
+    # padded carrier 0 outside
     index = 1 + np.arange(h * w).reshape(h, w)
     reads = []
-    for layer, xp, win in zip(stack.context, steps._inputs, steps._windows):
+    for layer, canvas, win in zip(stack.context, steps.canvases, steps._windows):
         k = layer.kernel
-        xp[k // 2 : k // 2 + h, k // 2 : k // 2 + w, 0] = index
+        canvas[..., 0] = index
         for y, x in ((5, 4), (0, w - 1), (h - 1, 0)):
             square = np.pad(index, k // 2)[y : y + k, x : x + k]
             np.testing.assert_array_equal(win[y, x, 0], square)
@@ -608,9 +607,10 @@ def test_roundtrip_checks_each_activation_once_where_it_enters(monkeypatch):
     steps = len(set(harness._coding_order(8, 8, intops.context_reach(pair.quant_stack))[2]))
     assert steps == 22
     # the encoder's hyper latent and canvas; the decoder's hyper latent and
-    # each step's symbols, once each.  A check per layer made 10 and
+    # each step's symbols, once each, but the last step's, which no step
+    # reads and which do not enter.  A check per layer made 10 and
     # 2 + 8 * steps = 178
-    assert checks == {"enc": 2, "dec": 1 + steps}
+    assert checks == {"enc": 2, "dec": 1 + steps - 1}
 
 
 def test_float_roundtrip_checks_each_input_once_where_it_enters(monkeypatch):
@@ -640,14 +640,15 @@ def test_float_roundtrip_checks_each_input_once_where_it_enters(monkeypatch):
     assert rep.decoded_equal
     steps = len(set(harness._coding_order(8, 8, intops.context_reach(pair.quant_stack))[2]))
     assert steps == 22
-    # a check per layer made 10 and 2 + 8 * steps = 178
-    assert checks == {"enc": 2, "dec": 1 + steps}
+    # the last step's symbols do not enter: no step reads them.  A check
+    # per layer made 10 and 2 + 8 * steps = 178
+    assert checks == {"enc": 2, "dec": 1 + steps - 1}
 
 
 @pytest.mark.parametrize("mode", ["int", "float"])
 def test_stack_carries_activations_channels_last(mode, monkeypatch):
     # every layer step takes a C-contiguous (h, w, m) array, the carrier,
-    # or a decoder step's (P, 1, m, K, K) windows cut from it, which is
+    # or a context layer's (h, w, m, K, K) windows cut from it, which is
     # im2col's operand (in int mode through qconv_forward's (c, h, w)
     # view, so the same memory, shape and strides), and a 1x1 layer's
     # im2col operand is that array reshaped: no copy
@@ -660,10 +661,14 @@ def test_stack_carries_activations_channels_last(mode, monkeypatch):
         "float": (harness.EntropyStackF, harness, np.float32),
     }[mode]
     steps, cols = [], []
+    windows = {"enc": 0, "dec": 0}  # positions whose windows a step takes
+    side = roundtrip_side(monkeypatch)
     step, cut = stack.layer_step, owner.im2col
 
     def recording_step(self, x, layer, *args):
         steps.append((x, layer))
+        if x.ndim == 5:
+            windows[side[0]] += x.shape[0] * x.shape[1]
         return step(self, x, layer, *args)
 
     def recording_im2col(data, k):
@@ -676,21 +681,25 @@ def test_stack_carries_activations_channels_last(mode, monkeypatch):
     rep = roundtrip_experiment(pair, latent, hyper, variant, variant)
     assert rep.decoded_equal
     assert len(steps) == len(cols)
-    kernels, windows = set(), []
+    kernels = set()
+    model = {"int": pair.quant_stack, "float": pair.float_stack}[mode]
+    context = {id(layer) for layer in model.context}
     for (x, layer), (data, out) in zip(steps, cols):
         same = [(a.ctypes.data, a.dtype, a.shape, a.strides) for a in (data, x)]
         assert same[0] == same[1]
         assert x.dtype == dtype and x.flags.c_contiguous
         assert x.ndim in (3, 5) and x.shape[2] == layer.in_channels
+        # the context layer, and only it, runs on windows
+        assert (x.ndim == 5) == (id(layer) in context)
         if x.ndim == 5:
-            assert x.shape[1] == 1 and x.shape[3:] == (layer.kernel, layer.kernel)
-            windows.append(x.shape[0])
+            assert x.shape[3:] == (layer.kernel, layer.kernel)
         kernels.add(layer.kernel)
         if layer.kernel == 1:
             assert np.shares_memory(out, x)
     assert kernels == {1, 3}
-    # the decoder's context layer runs on each position's window once
-    assert sum(windows) == 64
+    # each side's context layer runs on each position's window once: the
+    # encoder's one step on all 64, the decoder's steps on their own
+    assert windows == {"enc": 64, "dec": 64}
 
 
 def test_decoder_without_context_builds_tables_in_one_call(monkeypatch):
@@ -925,7 +934,7 @@ def test_position_steps_decode_a_no_context_stream_as_one_step(mode):
     hyper = rng.normal(size=(2, 4, 5))
     params_of = prior_fn(pair, hyper, BackendVariant("d", "tree", mode))
     stream = harness._encode(params_of(latent), latent)[0]
-    assert harness._schedule(stream, None) == [None]
+    assert harness._schedule(stream, None) == [np.s_[:, :]]
     got, rows = harness._decode(stream, params_of, None)
     np.testing.assert_array_equal(got, latent.transpose(1, 2, 0).ravel())
     assert rows.shape == (3, 3, latent.size)

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from detq.tensors import ConvLayerF, ShapeError
 from detq.harness import (
     ORDERS,
     BackendVariant,
+    InteropReport,
     StackPair,
     make_stack_pair,
     roundtrip_experiment,
@@ -442,6 +445,49 @@ def test_oracle_priors_reach_every_layer_of_the_chains(monkeypatch):
     assert oracle_priors(pair, latent, hyper, "seq").tobytes() != want
 
 
+def three_by_three_gather(fs, rng):
+    """fs's gather layers with the second one widened to a 3x3 kernel."""
+    hidden = fs.gather[1].out_channels
+    w = rng.normal(0.0, 1.0 / math.sqrt(9 * hidden), size=(hidden, 3, 3, hidden))
+    return [fs.gather[0], ConvLayerF(w, fs.gather[1].bias), *fs.gather[2:]]
+
+
+def test_context_stack_with_a_3x3_gather_layer_is_refused():
+    # a decoder step runs gather on its own positions alone, so a gather
+    # layer reading their neighbours would read positions of no step yet
+    rng = np.random.default_rng(40)
+    fs = random_stack(rng)
+    gather = three_by_three_gather(fs, rng)
+    msg = "gather layers must be 1x1 when a context model is present"
+    with pytest.raises(ShapeError, match=msg):
+        replace(fs, gather=gather)
+    quant = make_stack_pair(fs).quant_stack
+    cfg = fs.gather_cfg[1]
+    wide = quantize_layer(gather[1], n_i=cfg.n_i, p_in=cfg.p_in, p_out=cfg.p_out)
+    with pytest.raises(ShapeError, match=msg):
+        replace(quant, gather=(quant.gather[0], wide, *quant.gather[2:]))
+
+
+def test_stack_without_context_runs_a_3x3_gather_layer():
+    # without a context model a decoder's one step is the whole grid, where
+    # a 3x3 gather layer reads each position's neighbours as the encoder's
+    # does: both roundtrips decode, and the priors are the per-tap oracle's
+    rng = np.random.default_rng(41)
+    fs = random_stack(rng, latent_channels=2, with_context=False)
+    pair = make_stack_pair(replace(fs, gather=three_by_three_gather(fs, rng)))
+    assert pair.quant_stack.gather[1].kernel == 3
+    latent = random_latent(rng, (2, 5, 6))
+    hyper = rng.normal(size=(2, 5, 6))
+    enc, dec = BackendVariant("e", "seq"), BackendVariant("d", "tree")
+    rep = roundtrip_experiment(pair, latent, hyper, enc, dec)
+    assert rep == InteropReport(True, None, 0.0)
+    got = run_backend(pair, latent, hyper, enc).tobytes()
+    for o in ORDERS:
+        assert oracle_priors(pair, latent, hyper, o).tobytes() == got
+    enc, dec = BackendVariant("e", "seq", "float"), BackendVariant("d", "tree", "float")
+    assert roundtrip_experiment(pair, latent, hyper, enc, dec).decoded_equal
+
+
 def test_stack_rejects_first_layer_input_wider_than_its_n_i():
     for n_i in (12, 9):
         rng = np.random.default_rng(18)
@@ -542,17 +588,19 @@ def test_picked_positions_check_only_their_band():
     latent[0] = np.arange(16).reshape(4, 4) % 7 - 3
     full = run_entropy_stack(latent, hyper, stack).fields
     steps = StepDecoder(hyper_features(hyper, stack), stack, latent.shape)
-    before = (np.array([0, 0]), np.array([0, 1]))
+    # positions as a decoder step gives them: two (P, 1) index arrays
+    before = (np.array([[0], [0]]), np.array([[0], [1]]))
     steps.enter(before, latent[:, before[0], before[1]])
-    at = (np.array([0]), np.array([2]))
-    got = steps.priors(at).fields
-    assert got.tobytes() == full[..., at[0], at[1], None].tobytes()
+    at = (np.array([[0]]), np.array([[2]]))
+    got = steps.priors(at)
+    assert got.field_shape == (1, 1, 1)  # (c, P, 1)
+    assert got.fields.tobytes() == full[..., at[0], at[1]].tobytes()
     with pytest.raises(ValueError, match="12-bit range"):
-        steps.enter(at, np.array([[1 << 20]]))
+        steps.enter(at, np.array([[[1 << 20]]]))
     # the refused symbol did not enter: the canvas reads 0 there
     latent[0, 0, 2] = 0
-    nxt = (np.array([0]), np.array([3]))
-    want = run_entropy_stack(latent, hyper, stack).fields[..., nxt[0], nxt[1], None]
+    nxt = (np.array([[0]]), np.array([[3]]))
+    want = run_entropy_stack(latent, hyper, stack).fields[..., nxt[0], nxt[1]]
     assert steps.priors(nxt).fields.tobytes() == want.tobytes()
 
 
