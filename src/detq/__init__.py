@@ -33,9 +33,7 @@ from .intops import (
     SUBNETS,
     AccumulatorOverflowError,
     EntropyStack,
-    hyper_features,
     linear_softmax_field,
-    priors_from_features,
     run_entropy_stack,
 )
 from .quantize import (

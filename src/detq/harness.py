@@ -54,8 +54,7 @@ from .intops import (
     StepDecoder,
     check_topology,
     context_reach,
-    hyper_features,
-    priors_from_features,
+    run_entropy_stack,
     split_head,
 )
 from .quantize import WeightRangeError, quantize_layer, quantize_value, round_half_away
@@ -63,7 +62,7 @@ from .quantize import WeightRangeError, quantize_layer, quantize_value, round_ha
 # benchmark tracer patches it here (perfbench/spans.py, TARGETS) until an
 # in-library trace replaces that patching
 from .rc import Bitstream, RangeDecoder, StreamFormatError, rc_decode, rc_encode
-from .tensors import ConvLayerF, ShapeError, check_conv_input, im2col
+from .tensors import ConvLayerF, check_conv_input, im2col
 
 __all__ = [
     "ORDERS",
@@ -341,9 +340,10 @@ def make_stack_pair(fstack: EntropyStackF) -> StackPair:
 
 
 def _quantize_for(chain, x):
-    """x quantized at the chain's input grid; None when the chain is absent."""
+    """x quantized at the chain's input grid; x itself when the chain is
+    absent, which reads only its shape, or nothing."""
     if not chain:
-        return None
+        return x
     spec = chain[0].spec
     return quantize_value(x, spec.p_in, spec.n_i)
 
@@ -353,26 +353,29 @@ class DevicePriors:
     """Priors one simulated device computes, as a function of the latent
     canvas; prior_fn builds it.
 
-    Calling it on a whole canvas gives the whole field's GmmParams, and
-    steps gives a decoder's steps.  Both pass the symbols they enter
-    through prepare and the priors they get through finish: prepare
-    quantizes symbols to the first context layer's grid in integer mode,
-    and finish discretizes float priors.
+    hyper is the device's hyper latent, prepared for the stack: quantized
+    to the hyperdecoder's input grid in integer mode.  Calling the device
+    on a whole canvas gives the whole field's GmmParams
+    (intops.run_entropy_stack), and steps gives a decoder's steps; each
+    runs the hyperdecoder once.  Both pass the symbols they enter through
+    prepare and the priors they get through finish: prepare quantizes
+    symbols to the first context layer's grid in integer mode, and finish
+    discretizes float priors.
     """
 
     stack: object
-    hyper_feat: object
+    hyper: object
     prepare: Callable
     finish: Callable
 
     def __call__(self, canvas) -> GmmParams:
-        return self.finish(priors_from_features(self.hyper_feat, self.prepare(canvas), self.stack))
+        return self.finish(run_entropy_stack(self.prepare(canvas), self.hyper, self.stack))
 
     def steps(self, shape):
         """A decoder's steps of a (c, h, w) latent on this device, through
         one intops.StepDecoder: the functions priors(at), the GmmParams of
         positions at, and enter(at, symbols), which enters their symbols."""
-        steps = StepDecoder(self.hyper_feat, self.stack, shape)
+        steps = StepDecoder(self.hyper, self.stack, shape)
         return (
             lambda at: self.finish(steps.priors(at)),
             lambda at, symbols: steps.enter(at, self.prepare(symbols)),
@@ -382,23 +385,23 @@ class DevicePriors:
 def prior_fn(stacks: StackPair, hyper, variant: BackendVariant) -> DevicePriors:
     """Priors one simulated device computes, as a function of the latent canvas.
 
-    The hyper-only work runs once, here.  Integer mode is bit-identical
-    across variants; float mode may differ at the ulp level between
-    accumulation orders, and those differences can survive
-    discretization.
+    Only the hyper latent's quantization runs here, in integer mode; the
+    hyperdecoder runs at the device's first use, where the hyper latent
+    enters the stack.  Integer mode is bit-identical across variants;
+    float mode may differ at the ulp level between accumulation orders,
+    and those differences can survive discretization.
     """
     if variant.mode == "int":
         stack = stacks.quant_stack
-        hyper_feat = hyper_features(_quantize_for(stack.hyperdecoder, hyper), stack)
         return DevicePriors(
-            stack, hyper_feat, lambda symbols: _quantize_for(stack.context, symbols), lambda p: p
+            stack,
+            _quantize_for(stack.hyperdecoder, hyper),
+            lambda symbols: _quantize_for(stack.context, symbols),
+            lambda p: p,
         )
     stack = replace(stacks.float_stack, order=variant.order)
     return DevicePriors(
-        stack,
-        hyper_features(hyper, stack),
-        lambda symbols: symbols,
-        lambda p: discretize_priors(p, stack.head_scale_exp),
+        stack, hyper, lambda symbols: symbols, lambda p: discretize_priors(p, stack.head_scale_exp)
     )
 
 
@@ -457,11 +460,8 @@ def _check_alphabet(latent) -> np.ndarray:
 def _encode(params: GmmParams, latent, reach=None):
     """Code a (c, h, w) latent under the encoder's priors in the coding
     order of reach (None: v1).  Returns the stream and the symbols and the
-    (3, 3, n) prior rows it coded, both in coding order."""
-    if latent.ndim != 3:
-        raise ShapeError(f"expected (c, h, w) input, got shape {latent.shape}")
-    if params.field_shape != latent.shape:
-        raise ValueError(f"prior field {params.field_shape} for a latent of shape {latent.shape}")
+    (3, 3, n) prior rows it coded, both in coding order.  params is a
+    field on the latent's own grid, as run_backend gives it."""
     at = _coding_order(*latent.shape[1:], reach)[:2]
     sent, rows = (_raster(a, at) for a in (latent, params.fields))
     tables = build_cdf_table(GmmParams(*rows, params.scale_exp), _V_MIN, _V_MAX)

@@ -5,21 +5,25 @@ first layer's input grid (harness quantizes raw activations with
 quantize.quantize_value, the one activation quantizer); each layer's spec
 carries the grid 2^-p_in and the bit depth n_i of its input, and
 check_topology holds that they chain.  An activation's dtype, shape and
-range are checked once, where it enters the stack: the hyper latent in
-hyper_features, a whole canvas in priors_from_features (before its shape
-is read), and a decoder's symbols, each step's own, in StepDecoder.enter.
-Inside a chain nothing is checked again, since every later activation
-is in range by construction: requantize clamps to the next layer's n_i
-bits, LeakyReLU never grows |x|, and fuse clamps the gather input.  All
-arithmetic from the entry on is exact integer arithmetic: int16-range
-operands, 32-bit accumulators whose overflow is excluded statically by
-the shift derivation, and per-channel fused rescaling by a power of two
-with half-away-from-zero rounding.
+range are checked once, where it enters the stack: the hyper latent when
+a StepDecoder is built, a whole canvas in run_entropy_stack (before its
+shape is read), and a decoder's symbols, each step's own, in
+StepDecoder.enter.  Inside a chain nothing is checked again, since every
+later activation is in range by construction: requantize clamps to the
+next layer's n_i bits, LeakyReLU never grows |x|, and fuse clamps the
+gather input.  All arithmetic from the entry on is exact integer
+arithmetic: int16-range operands, 32-bit accumulators whose overflow is
+excluded statically by the shift derivation, and per-channel fused
+rescaling by a power of two with half-away-from-zero rounding.
 
-The stack topology exists once, here: hyper_features runs the
-hyperdecoder, and StepDecoder.priors the context chain, fuse, gather and
-head, for a decoder step and for a whole canvas alike (priors_from_features
-is one step over every position).  The stack passed in supplies the
+The stack topology exists once, here, in StepDecoder: built once per
+latent, it runs the hyperdecoder once (as the hyperdecoder of Minnen et
+al. 2018, "Joint Autoregressive and Hierarchical Priors for Learned Image
+Compression", runs once per image), and StepDecoder.priors runs the
+context chain, fuse, gather and head, for a decoder step and for a whole
+canvas alike (run_entropy_stack is one step over every position).  Every
+latent's priors come on its own (h, w) grid, and hyper features on
+another grid are refused.  The stack passed in supplies the
 arithmetic (entry, layer step, fuse, head decode): integer for
 EntropyStack, float32 for harness.EntropyStackF.  Only the float32 stack
 has an accumulation order, and it carries its own.
@@ -67,7 +71,7 @@ its own symbols, and runs each context layer on the windows it reads (the
 padded carrier's windows are what im2col builds, in the same (c, K, K)
 column order), writing its rows into the next layer's cache; fuse, gather
 and head run on the same rows.  A whole canvas is one step over every
-position, with every symbol entered (priors_from_features).  A decoder's
+position, with every symbol entered (run_entropy_stack).  A decoder's
 steps are exact too: every context layer masks its centre and every
 raster-later tap, so a window reads only positions of earlier steps, whose
 cached values are final.  Under the wavefront order of harness and rc a
@@ -97,9 +101,7 @@ __all__ = [
     "LEAKY_NUM",
     "LEAKY_SHIFT",
     "linear_softmax_field",
-    "hyper_features",
     "context_reach",
-    "priors_from_features",
     "StepDecoder",
     "run_entropy_stack",
     "split_head",
@@ -123,20 +125,6 @@ _TO_CARRIER = {3: (1, 2, 0), 5: (1, 2, 0, 3, 4)}
 class AccumulatorOverflowError(ArithmeticError):
     """A left shift pushed a value past the 32-bit range.  QConvLayer rules
     it out for any layer it accepts; it guards direct calls."""
-
-
-def _enter(x, layer: QConvLayer) -> np.ndarray:
-    """x, a (c, h, w) integer array within layer's n_i bits, as the float64
-    (h, w, c) activation carrier; the one check an activation gets.  An x
-    of any other dtype is refused, not truncated."""
-    x = np.asarray(x)
-    if x.dtype.kind not in "iu":
-        raise ValueError(f"input must be an integer array, got dtype {x.dtype}")
-    check_conv_input(x, layer)
-    n_i = layer.spec.n_i
-    if exceeds(x, (1 << (n_i - 1)) - 1):
-        raise ValueError(f"input entry exceeds the layer's {n_i}-bit range")
-    return x.transpose(1, 2, 0).astype(np.float64, order="C")
 
 
 def qconv_forward(x: np.ndarray, layer: QConvLayer) -> np.ndarray:
@@ -274,8 +262,17 @@ class EntropyStack:
         return self.gather[-1].spec.p_out
 
     def enter(self, x, layer) -> np.ndarray:
-        """x, checked as an input of layer, as the float64 carrier (_enter)."""
-        return _enter(x, layer)
+        """x, a (c, h, w) integer array within layer's n_i bits, as the
+        float64 (h, w, c) activation carrier; the one check an activation
+        gets.  An x of any other dtype is refused, not truncated."""
+        x = np.asarray(x)
+        if x.dtype.kind not in "iu":
+            raise ValueError(f"input must be an integer array, got dtype {x.dtype}")
+        check_conv_input(x, layer)
+        n_i = layer.spec.n_i
+        if exceeds(x, (1 << (n_i - 1)) - 1):
+            raise ValueError(f"input entry exceeds the layer's {n_i}-bit range")
+        return x.transpose(1, 2, 0).astype(np.float64, order="C")
 
     def layer_step(self, x, layer, after, activation=True):
         """Convolve, requantize to `after`'s bit depth (16 if None), LeakyReLU:
@@ -328,32 +325,9 @@ def split_head(y: np.ndarray, latent_channels: int):
     return y[0:3], y[3:6], y[6:9]
 
 
-def hyper_features(hyper_latent, stack):
-    """Hyperdecoder output as the (h, w, n) carrier, or None for a stack
-    without a hyperdecoder.
-
-    For an EntropyStack the hyper latent is checked here (dtype, shape,
-    n_i range), and the output is float64 whole numbers.  It does not
-    depend on the latent, so a decoder computes it once.
-    """
-    chain = stack.hyperdecoder
-    if not chain:
-        return None
-    return _run_chain(stack.enter(hyper_latent, chain[0]), chain, stack)
-
-
 def context_reach(stack) -> int:
     """How many rows and columns a context output reaches back: sum of K//2."""
     return sum(layer.kernel // 2 for layer in stack.context)
-
-
-def _check_grid(hyper_feat, hw):
-    """ShapeError unless hyper features, if any, lie on the (h, w) grid hw
-    of the latent whose priors they feed."""
-    if hyper_feat is not None and hyper_feat.shape[:2] != tuple(hw):
-        raise ShapeError(
-            f"hyper latent of (h, w) {hyper_feat.shape[:2]} under a latent of (h, w) {tuple(hw)}"
-        )
 
 
 def _gather_head(feats, stack):
@@ -361,33 +335,16 @@ def _gather_head(feats, stack):
     return stack.decode_head(_run_chain(stack.fuse(feats), stack.gather, stack, last_act=False))
 
 
-def priors_from_features(hyper_feat, canvas, stack):
-    """Context on the canvas -> fuse with hyper features -> gather -> GMM head:
-    one StepDecoder step over the whole grid, with every symbol entered.
-
-    An EntropyStack's head gives Q15 mixture weights (linearized softmax),
-    means, and scales floored at sigma_min_for, as GmmParams.  The canvas
-    is checked where it enters the context chain, before its shape is
-    read; a stack without a context model does not read it, and its grid
-    is the hyper features'.  With both a hyperdecoder and a context model,
-    hyper features on another (h, w) grid than the canvas are refused.
-    """
-    if stack.context:
-        canvas = stack.enter(canvas, stack.context[0])  # the (h, w, c) carrier
-    grid = (canvas if stack.context else hyper_feat).shape[:2]
-    steps = StepDecoder(hyper_feat, stack, (stack.latent_channels, *grid))
-    if stack.context:
-        steps.canvases[0][...] = canvas
-    return steps.priors(np.s_[:, :])
-
-
 class StepDecoder:
     """Priors, step by step, from the symbols entered before each step.
 
-    Built once per (c, h, w) canvas.  Each context layer's input is a
-    zero-padded channels-last carrier, zero outside the canvas: the symbol
-    canvas for the first layer, the previous layer's output cache for each
-    later one; canvases holds each one's (h, w, m) view inside its padding.
+    Built once per (c, h, w) latent of the stack's channel count: it
+    enters the hyper latent, which must lie on the latent's (h, w) grid,
+    and runs the hyperdecoder once; a stack without one does not read it.
+    Each context layer's input is a zero-padded channels-last carrier,
+    zero outside the canvas: the symbol canvas for the first layer, the
+    previous layer's output cache for each later one; canvases holds each
+    one's (h, w, m) view inside its padding.
     Positions index the (h, w) grid as numpy indexing does: the whole grid,
     or a decoder step's (P, 1) index arrays.  enter writes a step's symbols
     into the canvas, and priors computes a step's priors from what was
@@ -396,13 +353,22 @@ class StepDecoder:
     raster orders do.
     """
 
-    def __init__(self, hyper_feat, stack, shape):
+    def __init__(self, hyper_latent, stack, shape):
+        if len(shape) != 3:
+            raise ShapeError(f"expected (c, h, w) input, got shape {tuple(shape)}")
         c, h, w = shape
         if c != stack.latent_channels:
             raise ShapeError(f"latent has {c} channels, the stack codes {stack.latent_channels}")
-        # else positions read the hyper features of another grid
-        _check_grid(hyper_feat, (h, w))
-        self.hyper_feat, self.stack = hyper_feat, stack
+        self.stack, self.hyper_feat = stack, None
+        chain = stack.hyperdecoder
+        if chain:
+            x = stack.enter(hyper_latent, chain[0])  # the (h, w, c) carrier
+            # else positions read the hyper features of another grid
+            if x.shape[:2] != (h, w):
+                raise ShapeError(
+                    f"hyper latent of (h, w) {x.shape[:2]} under a latent of (h, w) {(h, w)}"
+                )
+            self.hyper_feat = _run_chain(x, chain, stack)  # the one hyperdecoder run
         self.canvases, self._windows = [], []
         for layer in stack.context:
             r = layer.kernel // 2
@@ -443,11 +409,18 @@ class StepDecoder:
 
 
 def run_entropy_stack(latent_context, hyper_latent, stack):
-    """Full entropy inference: hyperdecoder + context -> gather -> priors.
+    """Full entropy inference: hyperdecoder + context -> gather -> priors of
+    the whole latent, on its (h, w) grid: one StepDecoder step over every
+    position, with every symbol entered.
 
     For an EntropyStack the inputs must already be quantized at the first
     layers' input grids, and the GmmParams output is a pure function of
-    the inputs and the stack bits.
+    the inputs and the stack bits.  A context model's latent is checked
+    where it enters the context chain, before its shape is read; without a
+    context model only its shape is read.
     """
-    hyper_feat = hyper_features(hyper_latent, stack)
-    return priors_from_features(hyper_feat, latent_context, stack)
+    canvas = stack.enter(latent_context, stack.context[0]) if stack.context else None
+    steps = StepDecoder(hyper_latent, stack, np.shape(latent_context))
+    if stack.context:
+        steps.canvases[0][...] = canvas
+    return steps.priors(np.s_[:, :])

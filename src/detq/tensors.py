@@ -54,8 +54,11 @@ class ConvLayerF:
     mask: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
+        # a signalling NaN warns where it is cast; the finiteness check
+        # below refuses it
+        with np.errstate(invalid="ignore"):
+            w = np.asarray(self.weights, dtype=np.float64)
+            b = np.asarray(self.bias, dtype=np.float64)
         if w.ndim != 4 or w.shape[1] != w.shape[2]:
             raise ShapeError(f"weights must be (m, K, K, n), got {w.shape}")
         if w.shape[1] % 2 != 1:

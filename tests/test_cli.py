@@ -339,23 +339,12 @@ def test_calibrate_negative_passes_is_input_error(model, data, tmp_path, capsys)
     assert doc["passes"] == 0 and doc["trace"] == []
 
 
-@pytest.mark.parametrize(
-    "with_context, encode_message, calibrate_message",
-    [
-        (True, *["hyper latent of (h, w) (3, 3) under a latent of (h, w) (4, 4)"] * 2),
-        (
-            False,
-            "prior field (1, 3, 3) for a latent of shape (1, 4, 4)",
-            "prior field (1, 3, 3) for symbols of shape (1, 4, 4)",
-        ),
-    ],
-    ids=["context", "no-context"],
-)
-def test_hyper_latent_on_another_grid_names_both_shapes(
-    tmp_path, with_context, encode_message, calibrate_message, capsys
-):
+@pytest.mark.parametrize("with_context", [True, False], ids=["context", "no-context"])
+def test_hyper_latent_on_another_grid_names_both_shapes(tmp_path, with_context, capsys):
     # with a context model these used to exit with numpy's concatenation
-    # message, and calibration without one with no shapes at all
+    # message; without one, with the prior field's shape (in calibration,
+    # with no shapes at all) in place of the hyper latent's
+    message = "hyper latent of (h, w) (3, 3) under a latent of (h, w) (4, 4)"
     model = tmp_path / "model.json"
     save_float_model(model, random_stack(np.random.default_rng(23), with_context=with_context))
     bad = tmp_path / "bad.npz"
@@ -363,10 +352,10 @@ def test_hyper_latent_on_another_grid_names_both_shapes(
     np.savez(bad, latent_0=random_latent(rng, (1, 4, 4)), hyper_0=rng.normal(size=(2, 3, 3)))
     out = tmp_path / "r.json"
     calibrate = ["calibrate", str(model), str(bad), "--out", str(out), "--passes", "1"]
-    for argv, message in [
-        (["roundtrip", str(model), str(bad), "--mode", "int"], encode_message),
-        (["roundtrip", str(model), str(bad), "--mode", "float"], encode_message),
-        (calibrate, calibrate_message),
+    for argv in [
+        ["roundtrip", str(model), str(bad), "--mode", "int"],
+        ["roundtrip", str(model), str(bad), "--mode", "float"],
+        calibrate,
     ]:
         capsys.readouterr()
         assert main(argv) == 2, argv
@@ -672,10 +661,11 @@ def test_latent_shapes_a_model_without_context_refuses(tmp_path, mode, capsys):
     latent = np.zeros((1, 4, 4), np.int64)
     hyper = np.random.default_rng(24).normal(size=(2, 4, 4))
     bad = tmp_path / "bad.npz"
+    grid = "hyper latent of (h, w) (3, 3) under a latent of (h, w) (4, 4)"
     for lat, hyp, message in [
         (latent[0], hyper, "expected (c, h, w) input, got shape (4, 4)"),
         (latent[None], hyper, "expected (c, h, w) input, got shape (1, 1, 4, 4)"),
-        (latent, hyper[:, :3, :3], "(1, 3, 3) for a latent of shape (1, 4, 4)"),
+        (latent, hyper[:, :3, :3], grid),
     ]:
         np.savez(bad, latent_0=lat, hyper_0=hyp)
         capsys.readouterr()

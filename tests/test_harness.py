@@ -177,10 +177,12 @@ def test_roundtrip_refuses_float_latents(mode):
 
 @pytest.mark.parametrize("mode", ["int", "float"])
 def test_complex_hyper_latent_is_refused(mode):
-    # cast to float, 1 + 5j would lose its imaginary part
+    # cast to float, 1 + 5j would lose its imaginary part; integer mode
+    # refuses it as prior_fn quantizes it, float mode where it enters the
+    # stack, at the device's first use
     pair, latent, hyper = fixture_pair()
     with pytest.raises(ValueError, match="complex"):
-        prior_fn(pair, hyper + 5j, BackendVariant("a", "seq", mode))
+        prior_fn(pair, hyper + 5j, BackendVariant("a", "seq", mode))(latent)
 
 
 @pytest.mark.parametrize("mode", ["int", "float"])
@@ -196,7 +198,7 @@ def test_position_priors_refuse_a_hyper_latent_on_another_grid(mode):
         params_of(canvas)
     # a decoder of the 4x4 latent is refused when it is built, before any step
     with pytest.raises(ShapeError, match=grid):
-        intops.StepDecoder(params_of.hyper_feat, params_of.stack, canvas.shape)
+        intops.StepDecoder(params_of.hyper, params_of.stack, canvas.shape)
 
 
 # --- priors of one position ------------------------------------------------
@@ -414,6 +416,22 @@ def test_decoder_refuses_a_stream_of_another_channel_count():
             harness._decode(two, params_of, reach)
 
 
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_model_without_context_refuses_a_latent_of_another_channel_count(mode):
+    # without a context model no symbol enters the stack, and a (3, 5, 5)
+    # latent under a 1-channel model used to get a (1, 5, 5) prior field
+    rng = np.random.default_rng(25)
+    pair = make_stack_pair(random_stack(rng, with_context=False))  # one channel
+    latent = random_latent(rng, (3, 5, 5))
+    hyper = np.zeros((2, 5, 5), np.int64)
+    stack = pair.quant_stack if mode == "int" else pair.float_stack
+    msg = "latent has 3 channels, the stack codes 1"
+    with pytest.raises(ShapeError, match=msg):
+        run_backend(pair, latent, hyper, BackendVariant("d", "seq", mode))
+    with pytest.raises(ShapeError, match=msg):
+        run_entropy_stack(latent, hyper, stack)
+
+
 def test_v1_context_stream_decodes_through_the_raster_schedule():
     # a stream written with field_tables and rc_encode, as before v2,
     # decodes one raster position per step
@@ -456,7 +474,7 @@ def test_float_mode_sums_in_the_variant_order(order, monkeypatch):
 
     monkeypatch.setattr(harness, "conv_ordered_float", recording_conv)
     params_of = prior_fn(pair, hyper, BackendVariant("d", order, "float"))
-    assert seen == {order}
+    assert seen == set()  # the hyperdecoder runs where the device is used
     priors, _ = step_priors(params_of, latent.shape)
     at = (np.array([[2]]), np.array([[1]]))
     for run in (lambda: params_of(latent), lambda: priors(at)):
@@ -476,7 +494,7 @@ def test_causal_window_is_clipped_receptive_field():
     r = intops.context_reach(stack)
     assert r == 3
     h, w = 9, 10
-    steps = intops.StepDecoder(None, stack, (1, h, w))
+    steps = intops.StepDecoder(np.zeros((2, h, w), np.int64), stack, (1, h, w))
     # every canvas holds 1 + the raster index of each position, and its
     # padded carrier 0 outside
     index = 1 + np.arange(h * w).reshape(h, w)
@@ -579,6 +597,34 @@ def test_codec_width_roundtrip_runs_the_context_layer_once_per_position(monkeypa
     )
     assert rep.decoded_equal and rep.prior_max_reldiff == 0.0
     assert positions == {"enc": 64, "dec": 64}
+
+
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_each_side_runs_the_hyperdecoder_once(mode, monkeypatch):
+    # the hyperdecoder reads only the hyper latent: each side of a
+    # roundtrip runs each of its layers once, when its StepDecoder is built
+    rng = np.random.default_rng(12)
+    pair = make_stack_pair(random_stack(rng))
+    latent = random_latent(rng, (1, 8, 8))
+    hyper = rng.normal(size=(2, 8, 8))
+    stack = pair.quant_stack if mode == "int" else pair.float_stack
+    layers = [id(lyr) for lyr in stack.hyperdecoder]
+    runs = {"enc": [], "dec": []}
+    side = roundtrip_side(monkeypatch)
+    module, name = (intops, "qconv_forward") if mode == "int" else (harness, "conv_ordered_float")
+    conv = getattr(module, name)
+
+    def counting_conv(x, layer, *order):
+        if id(layer) in layers:
+            runs[side[0]].append(id(layer))
+        return conv(x, layer, *order)
+
+    monkeypatch.setattr(module, name, counting_conv)
+    rep = roundtrip_experiment(
+        pair, latent, hyper, BackendVariant("e", "seq", mode), BackendVariant("d", "tree", mode)
+    )
+    assert rep.decoded_equal
+    assert runs == {"enc": layers, "dec": layers}
 
 
 def test_roundtrip_checks_each_activation_once_where_it_enters(monkeypatch):

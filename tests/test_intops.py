@@ -13,7 +13,6 @@ from detq.intops import (
     LEAKY_SHIFT,
     AccumulatorOverflowError,
     StepDecoder,
-    hyper_features,
     leaky_relu_int,
     linear_softmax_field,
     qconv_forward,
@@ -488,6 +487,26 @@ def test_stack_without_context_runs_a_3x3_gather_layer():
     assert roundtrip_experiment(pair, latent, hyper, enc, dec).decoded_equal
 
 
+def test_stack_without_hyperdecoder_roundtrips():
+    # a model whose priors read the latent alone: its hyper latent is not
+    # read, both roundtrips decode, and the priors are the per-tap oracle's
+    rng = np.random.default_rng(42)
+    fs = random_stack(rng, latent_channels=2)
+    g0, hidden = fs.gather[0], fs.hyperdecoder[-1].out_channels
+    # gather[0] reads the hyperdecoder's outputs first: drop their rows
+    gather = [ConvLayerF(g0.weights[hidden:], g0.bias), *fs.gather[1:]]
+    pair = make_stack_pair(replace(fs, hyperdecoder=[], hyper_cfg=[], gather=gather))
+    assert not pair.quant_stack.hyperdecoder
+    latent = random_latent(rng, (2, 5, 6))
+    enc, dec = BackendVariant("e", "seq"), BackendVariant("d", "tree")
+    assert roundtrip_experiment(pair, latent, None, enc, dec) == InteropReport(True, None, 0.0)
+    got = run_backend(pair, latent, None, enc).tobytes()
+    for o in ORDERS:
+        assert oracle_priors(pair, latent, None, o).tobytes() == got
+    enc, dec = BackendVariant("e", "seq", "float"), BackendVariant("d", "tree", "float")
+    assert roundtrip_experiment(pair, latent, None, enc, dec).decoded_equal
+
+
 def test_stack_rejects_first_layer_input_wider_than_its_n_i():
     for n_i in (12, 9):
         rng = np.random.default_rng(18)
@@ -574,7 +593,7 @@ def test_stack_checks_each_input_where_it_enters(kind, msg):
     _refused(kind, msg, latent, lambda x: run_entropy_stack(x, hyper, stack))
     _refused(kind, msg, hyper, lambda x: run_entropy_stack(latent, x, stack))
     # a decoder's symbols are checked where they enter, each step's own
-    steps = StepDecoder(hyper_features(hyper, stack), stack, latent.shape)
+    steps = StepDecoder(hyper, stack, latent.shape)
     at = (np.array([1]), np.array([2]))
     _refused(kind, msg, latent, lambda x: steps.enter(at, x[:, at[0], at[1]]))
 
@@ -587,7 +606,7 @@ def test_picked_positions_check_only_their_band():
     stack = pair.quant_stack
     latent[0] = np.arange(16).reshape(4, 4) % 7 - 3
     full = run_entropy_stack(latent, hyper, stack).fields
-    steps = StepDecoder(hyper_features(hyper, stack), stack, latent.shape)
+    steps = StepDecoder(hyper, stack, latent.shape)
     # positions as a decoder step gives them: two (P, 1) index arrays
     before = (np.array([[0], [0]]), np.array([[0], [1]]))
     steps.enter(before, latent[:, before[0], before[1]])

@@ -128,3 +128,13 @@ def test_shape_validation():
         layer(np.zeros((1, 2, 2, 1)))  # even kernel
     with pytest.raises(ValueError):
         quantize_value(np.array([[[np.nan]]]), 8, 16)
+
+
+def test_signalling_nan_parameters_are_refused_without_a_warning():
+    # a float32 blob can hold a signalling NaN, whose float64 cast used to
+    # raise numpy's "invalid value encountered in cast" warning
+    snan = np.frombuffer(bytes.fromhex("02729a7f"), "<f4")
+    assert np.isnan(snan).all()
+    for args in ((snan.reshape(1, 1, 1, 1), np.zeros(1)), (np.zeros((1, 1, 1, 1)), snan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            ConvLayerF(*args)
