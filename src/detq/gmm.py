@@ -3,8 +3,15 @@
 Everything downstream of the checked-in Phi table is exact integer
 arithmetic, so identical GmmParams bits produce identical CdfTable bits on
 any platform.  Probabilities are Q16 (total 2^16), mixture weights Q15
-(total 2^15).  build_cdf_table takes a whole parameter field and evaluates
-it in one vectorized pass.
+(total 2^15).
+
+GmmParams holds a field's priors as prior rows in coding order: one
+(3 kinds, 3 components, n) int64 array, one row per element, position,
+then channel, checked once where it is built.  The stack's head writes a
+decoder step's rows in that order, and build_cdf_table evaluates all rows
+in one vectorized pass, one table per row in row order, which is the order
+the range coder reads; the (3, 3, c, h, w) fields view serves whole-field
+readers and the canonical bytes.
 
 A CdfTable is one checked field of tables over one symbol range: an
 (N, S+1) int64 array checked once, in its constructor, whoever builds it.
@@ -16,13 +23,13 @@ calibration rate sums -log2 of them, so both read the same tables.
 from __future__ import annotations
 
 import copy
+import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .phi_table import GRID_FRAC_BITS, PHI_TABLE_Q16, Z_LIMIT
-from .quantize import exceeds
 
 __all__ = [
     "CDF_TOTAL",
@@ -59,45 +66,99 @@ def _phi_at(idx):
     return _PHI.take(idx, mode="clip")
 
 
-@dataclass(frozen=True, eq=False)
-class GmmParams:
-    """3-component mixture parameters, component axis first.
+def _check_rows(rows, scale_exp):
+    """The one check of prior rows: ValueError unless every row's weights
+    lie in [0, 2^15] and sum to 2^15, its scales are positive and its means
+    and scales below 2^48 in magnitude, and 1 <= scale_exp <= 15."""
+    if not 1 <= scale_exp <= _MAX_SCALE_EXP:
+        raise ValueError(f"scale_exp must lie in [1, {_MAX_SCALE_EXP}]")
+    # per kind, the extremes with 1 and 0 folded in, which decide no rule and
+    # give an empty field extremes: one reduction each for all three kinds
+    lo = rows.min(axis=(1, 2), initial=1).tolist()
+    hi = rows.max(axis=(1, 2), initial=0).tolist()
+    # weights in [0, 2^15] sum exactly; unbounded, three could wrap to 2^15
+    if lo[0] < 0 or hi[0] > WEIGHT_TOTAL or np.count_nonzero(rows[0].sum(axis=0) != WEIGHT_TOTAL):
+        raise ValueError("mixture weights must lie in [0, 2^15] and sum to 2^15")
+    if lo[2] < 1:
+        raise ValueError("scales must be positive")
+    if lo[1] <= -_PARAM_LIMIT or max(hi[1:]) >= _PARAM_LIMIT:
+        raise ValueError("means and scales must be below 2^48 in magnitude")
 
-    weights: Q15, summing to 2^15 along axis 0; means and scales are fixed
-    point at 2^-scale_exp, below 2^48 in magnitude, scales positive;
-    1 <= scale_exp <= 15.  They are the rows of fields, one int64 copy of
-    shape (3 kinds, 3 components, *field_shape) made by the constructor.
+
+@dataclass(frozen=True, eq=False, init=False)
+class GmmParams:
+    """3-component mixture parameters of a field, as prior rows in coding order.
+
+    rows is one read-only (3 kinds, 3 components, n) int64 array, kinds
+    weights, means and scales: one row per element of the field, position,
+    then channel.  A field's first axis is its channel axis, so rows lists
+    the field with that axis moved innermost: a (c, h, w) field's rows are
+    its positions in (h, w) C order, each with its c channels, the order the
+    coder reads.  fields is the (3, 3, *field_shape) view of the same rows,
+    for whole-field readers, and weights, means and scales its kinds.
+
+    weights: Q15, summing to 2^15 over the components; means and scales are
+    fixed point at 2^-scale_exp, below 2^48 in magnitude, scales positive;
+    1 <= scale_exp <= 15.  Every GmmParams is checked once, where it is
+    built: by the keyword constructor, which copies the (3, *field_shape)
+    component arrays into rows, or by from_rows, which takes rows as they
+    are.  take gathers rows already checked.
     """
 
-    weights: np.ndarray
-    means: np.ndarray
-    scales: np.ndarray
+    rows: np.ndarray = field(repr=False)
+    field_shape: tuple
     scale_exp: int
-    fields: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        parts = [np.asarray(a, dtype=np.int64) for a in (self.weights, self.means, self.scales)]
+    def __init__(self, weights, means, scales, scale_exp: int):
+        parts = [np.asarray(a, dtype=np.int64) for a in (weights, means, scales)]
         if len({a.shape for a in parts}) > 1 or parts[0].shape[:1] != (3,):
             raise ValueError("expected matching (3, ...) component arrays")
-        f = np.stack(parts)  # a copy: the caller's arrays stay theirs
-        if np.any(f[0] < 0) or np.any(f[0].sum(axis=0) != WEIGHT_TOTAL):
-            raise ValueError("mixture weights must be >= 0 and sum to 2^15")
-        if np.any(f[2] < 1):
-            raise ValueError("scales must be positive")
-        if exceeds(f[1:], _PARAM_LIMIT - 1):
-            raise ValueError("means and scales must be below 2^48 in magnitude")
-        if not 1 <= self.scale_exp <= _MAX_SCALE_EXP:
-            raise ValueError(f"scale_exp must lie in [1, {_MAX_SCALE_EXP}]")
-        object.__setattr__(self, "fields", f)
-        for name, row in zip(("weights", "means", "scales"), f):
-            object.__setattr__(self, name, row)
+        shape = parts[0].shape[1:]
+        if shape:  # the channel axis innermost
+            parts = [np.moveaxis(a, 1, -1) for a in parts]
+        rows = np.stack(parts).reshape(3, 3, -1)  # a copy: the caller's arrays stay theirs
+        _check_rows(rows, scale_exp)
+        self._own(rows, shape, scale_exp)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, field_shape, scale_exp: int) -> GmmParams:
+        """GmmParams of (3, 3, n) int64 rows of a field of n elements, checked
+        here and kept as they are, no copy: they become read-only."""
+        if rows.dtype != np.int64 or rows.shape != (3, 3, math.prod(field_shape)):
+            raise ValueError(f"expected (3, 3, {math.prod(field_shape)}) int64 rows")
+        _check_rows(rows, scale_exp)
+        params = cls.__new__(cls)
+        params._own(rows, field_shape, scale_exp)
+        return params
+
+    def take(self, index) -> GmmParams:
+        """The rows at a 1-D index array, in its order, as a field of their
+        own: gathered from checked rows, so not checked again."""
+        params = GmmParams.__new__(GmmParams)
+        params._own(self.rows[:, :, index], np.shape(index), self.scale_exp)
+        return params
+
+    def _own(self, rows, field_shape, scale_exp):
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "field_shape", tuple(field_shape))
+        object.__setattr__(self, "scale_exp", scale_exp)
 
     @property
-    def field_shape(self):
-        return self.fields.shape[2:]
+    def fields(self) -> np.ndarray:
+        """The (3, 3, *field_shape) view of rows."""
+        s = self.field_shape
+        if not s:
+            return self.rows.reshape(3, 3)
+        return np.moveaxis(self.rows.reshape(3, 3, *s[1:], s[0]), -1, 2)
+
+    weights = property(lambda self: self.fields[0])
+    means = property(lambda self: self.fields[1])
+    scales = property(lambda self: self.fields[2])
 
     def tobytes(self) -> bytes:
-        """Canonical bytes: int64 scale_exp, then weights, means and scales in C order."""
+        """Canonical bytes: int64 scale_exp, then weights, means and scales,
+        each over the field in C order."""
         return np.int64(self.scale_exp).tobytes() + self.fields.tobytes()
 
 
@@ -233,7 +294,7 @@ def apportion(base, rem, target: int):
 
 
 def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
-    """Monotone integer CDF tables, one row per element of the field, in C order.
+    """Monotone integer CDF tables, one per row of params, in row order.
 
     All elements are evaluated in one vectorized pass; symbols must lie
     below 2^38 in magnitude (see _PARAM_LIMIT).  Tail mass beyond
@@ -249,7 +310,7 @@ def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
     e = params.scale_exp
     half = 1 << (e - 1)
     bounds = np.arange((v_min << e) - half, ((v_max + 2) << e) - half, 1 << e, dtype=np.int64)
-    cum = _mixture_cdf_q16(bounds[:, None], *params.fields.reshape(3, 3, 1, -1))  # (S+1, N)
+    cum = _mixture_cdf_q16(bounds[:, None], *params.rows[:, :, None])  # (S+1, N)
     cum[0] = 0
     cum[-1] = CDF_TOTAL
     target = CDF_TOTAL - s

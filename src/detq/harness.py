@@ -55,7 +55,6 @@ from .intops import (
     check_topology,
     context_reach,
     run_entropy_stack,
-    split_head,
 )
 from .quantize import WeightRangeError, quantize_layer, quantize_value, round_half_away
 # rc_decode is not called here: it stays in this namespace because the
@@ -233,8 +232,11 @@ class EntropyStackF:
         return np.concatenate(feats, axis=-1)
 
     def decode_head(self, y: np.ndarray) -> FloatPriors:
+        """FloatPriors of the (h, w, 9c) head, each kind (3, c, h, w): the
+        carrier leaves the channels-last layout here."""
         p_e = self.head_scale_exp
-        z, means, scales = split_head(y, self.latent_channels)
+        y = y.reshape(*y.shape[:2], self.latent_channels, 9).transpose(3, 2, 0, 1)
+        z, means, scales = y[0:3], y[3:6], y[6:9]
         unit = np.float32(math.ldexp(1.0, -p_e))
         nums = np.maximum(np.float32(1.0) + z, unit)
         scales = np.maximum(scales, np.float32(sigma_min_for(p_e) * unit))
@@ -430,18 +432,9 @@ def _coding_order(h, w, reach=None):
 
 
 def field_tables(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
-    """The field's CDF tables with rows in raster order: position, then
-    channel (see _raster), for the decoder's steps and outside callers.  A
-    step's (c, P, 1) field lists its positions in coding order.
-
-    A (c, h, w) field is built as its (h, w, c) transpose, whose C order is
-    raster order; with one channel or one position it already is.
-    """
-    c, h, w = params.field_shape
-    # only when the order changes: a transposed GmmParams is checked again,
-    # about 80 us of a 4x16x16 field's 2.2 ms (one 2-vCPU Xeon, numpy 2.4)
-    if c > 1 and h * w > 1:
-        params = GmmParams(*np.moveaxis(params.fields, 2, -1), params.scale_exp)
+    """A whole (c, h, w) field's CDF tables in raster order, position, then
+    channel (see _raster): the order of its prior rows, so one table per
+    row, as build_cdf_table builds them."""
     return build_cdf_table(params, v_min, v_max)
 
 
@@ -461,11 +454,14 @@ def _encode(params: GmmParams, latent, reach=None):
     """Code a (c, h, w) latent under the encoder's priors in the coding
     order of reach (None: v1).  Returns the stream and the symbols and the
     (3, 3, n) prior rows it coded, both in coding order.  params is a
-    field on the latent's own grid, as run_backend gives it."""
-    at = _coding_order(*latent.shape[1:], reach)[:2]
-    sent, rows = (_raster(a, at) for a in (latent, params.fields))
-    tables = build_cdf_table(GmmParams(*rows, params.scale_exp), _V_MIN, _V_MAX)
-    return replace(rc_encode(sent, tables, latent.shape), reach=reach), sent, rows
+    field on the latent's own grid, as run_backend gives it, whose rows
+    are in raster order: one index array gathers the coded rows from them."""
+    c, h, w = latent.shape
+    ys, xs = _coding_order(h, w, reach)[:2]
+    coded = params.take(((ys * w + xs)[:, None] * c + np.arange(c)).ravel())
+    sent = _raster(latent, (ys, xs))
+    tables = build_cdf_table(coded, _V_MIN, _V_MAX)
+    return replace(rc_encode(sent, tables, latent.shape), reach=reach), sent, coded.rows
 
 
 def _schedule(stream: Bitstream, reach):
@@ -493,9 +489,10 @@ def _decode(stream: Bitstream, device, reach):
 
     device.steps (of a DevicePriors, or of the failure demo's fixed field)
     gives each step's priors from the symbols of the steps before, each
-    entered once, after its own step.  A step's table rows are built once,
-    in coding order, and continue the stream where the step before
-    stopped.  Decoding stops where the decoder runs off the payload.
+    entered once, after its own step.  A step's priors come as prior rows
+    in coding order, checked once; its tables are built from them, one per
+    row, and continue the stream where the step before stopped.  Decoding
+    stops where the decoder runs off the payload.
     Returns the symbols decoded and the (3, 3, n) prior rows (weights,
     means, scales) of the n symbols whose priors it computed, both in
     coding order.
@@ -507,10 +504,10 @@ def _decode(stream: Bitstream, device, reach):
     priors, enter = device.steps(stream.shape)  # one StepDecoder per stream
     for at in schedule:
         params = priors(at)
-        rows.append(_raster(params.fields))
+        rows.append(params.rows)
         start = len(got)
         try:
-            for row in field_tables(params, _V_MIN, _V_MAX).cf.tolist():
+            for row in build_cdf_table(params, _V_MIN, _V_MAX).cf.tolist():
                 got.append(decoder.decode(row, _V_MIN))
         except StreamFormatError:
             break
@@ -642,13 +639,14 @@ class CalibrationReport:
 
 
 def int_cross_entropy_bits(latent, params: GmmParams) -> float:
-    """Total bits the coder's tables give the latent symbols under integer
-    priors: the sum of -log2((hi - lo) / 2^16) over their coded intervals."""
+    """Total bits the coder's tables give the (c, h, w) latent symbols under
+    integer priors: the sum of -log2((hi - lo) / 2^16) over their coded
+    intervals, read in the order of the prior rows."""
     shape = np.shape(latent)
     if shape != params.field_shape:
         raise ValueError(f"prior field {params.field_shape} for symbols of shape {shape}")
     tables = build_cdf_table(params, _V_MIN, _V_MAX)
-    lo, hi = tables.intervals(np.ravel(latent))
+    lo, hi = tables.intervals(_raster(np.asarray(latent)))
     return float(np.sum(-np.log2((hi - lo) / CDF_TOTAL)))
 
 

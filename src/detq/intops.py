@@ -30,14 +30,15 @@ has an accumulation order, and it carries its own.
 
 Inside a stack an activation is carried channels-last, as a C-contiguous
 (h, w, c) array, from the entry to decode_head: the entry transposes it
-once, and split_head once more, to the (3, c, h, w) layout of GmmParams.
-EntropyStack carries float64 arrays of whole numbers, and decode_head
-casts them to int64 once.  A layer step is one fused kernel of three
-steps, each a module function: qconv_forward, the convolution and bias as
-one GEMM on a (c, h, w) view of the carrier (or of the (h, w, c, K, K)
-windows a context layer's step cuts), giving the (h*w, n) accumulator;
-requantize, the per-channel scale, rounding and clamp, in place on it;
-and leaky_relu_int, in place too.  A reshape, no copy, makes the result
+once, and the head's (h, w, 9c) output already lists the positions, each
+with its channels, in the order of GmmParams' prior rows.  EntropyStack
+carries float64 arrays of whole numbers, and decode_head casts the head's
+output to those int64 rows in one copy.  A layer step is one fused kernel
+of three steps, each a module function: qconv_forward, the convolution
+and bias as one GEMM on a (c, h, w) view of the carrier (or of the
+(h, w, c, K, K) windows a context layer's step cuts), giving the (h*w, n)
+accumulator; requantize, the per-channel scale, rounding and clamp, in
+place on it; and leaky_relu_int, in place too.  A reshape, no copy, makes the result
 the next layer's (h, w, n) input.  A 1x1 layer's im2col is a reshape of
 its input too.  The steps check nothing: their inputs are in range by
 construction.
@@ -104,7 +105,6 @@ __all__ = [
     "context_reach",
     "StepDecoder",
     "run_entropy_stack",
-    "split_head",
 ]
 
 # The entropy subnetworks, in evaluation and serialization order.
@@ -215,6 +215,11 @@ def check_topology(chains, latent_channels: int):
                 raise ShapeError(f"{name}: p_out/p_in chain broken")
     if not all(lyr.mask for lyr, _ in context):
         raise ShapeError("context layers must be masked")
+    if context and context[0][0].in_channels != latent_channels:
+        # else the model is built and saved, and codes no latent
+        raise ShapeError(
+            f"context reads {context[0][0].in_channels} channels, the latent has {latent_channels}"
+        )
     ends = (("hyperdecoder", hyper), ("context", context))
     fused = sum(chain[-1][0].out_channels for _, chain in ends if chain)
     if fused != gather[0][0].in_channels:
@@ -304,11 +309,15 @@ class EntropyStack:
         return np.minimum(y, lim, out=y)
 
     def decode_head(self, y: np.ndarray) -> GmmParams:
-        """GmmParams of the head's float64 output, cast to int64 here, once."""
+        """GmmParams of the head's float64 (h, w, 9c) output on its (c, h, w)
+        field: its (3, 3, n) prior rows, position then channel, cast to
+        int64 in one copy, with the scales floored and the weight logits
+        replaced by their linearized softmax in place, then checked once."""
         p_e = self.head_scale_exp
-        z, means, scales = split_head(y.astype(np.int64), self.latent_channels)
-        scales = np.maximum(scales, sigma_min_for(p_e))
-        return GmmParams(linear_softmax_field(z, p_e), means, scales, p_e)
+        rows = y.reshape(-1, 9).T.astype(np.int64, order="C").reshape(3, 3, -1)
+        np.maximum(rows[2], sigma_min_for(p_e), out=rows[2])
+        rows[0] = linear_softmax_field(rows[0], p_e)
+        return GmmParams.from_rows(rows, (self.latent_channels, *y.shape[:2]), p_e)
 
 
 def _run_chain(x, chain, stack, last_act=True):
@@ -316,13 +325,6 @@ def _run_chain(x, chain, stack, last_act=True):
     for layer, after in zip(chain, (*chain[1:], None)):
         x = stack.layer_step(x, layer, after, after is not None or last_act)
     return x
-
-
-def split_head(y: np.ndarray, latent_channels: int):
-    """Weight logits, means and scales, each (3, c, h, w), of an (h, w, 9c)
-    head: the carrier leaves the channels-last layout here."""
-    y = y.reshape(*y.shape[:2], latent_channels, 9).transpose(3, 2, 0, 1)
-    return y[0:3], y[3:6], y[6:9]
 
 
 def context_reach(stack) -> int:

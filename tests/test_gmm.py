@@ -213,6 +213,29 @@ def test_params_validation():
         )  # zero scale
 
 
+def test_params_reject_weights_whose_sum_wraps():
+    # three weights near 2^63 summed to 2^15 modulo 2^64, and were taken;
+    # each weight is now held to [0, 2^15] too, so their sum is exact
+    for weights in ([2**63 - 1, 2**63 - 1, 2**15 + 2], [WEIGHT_TOTAL + 1, -1, 0]):
+        with pytest.raises(ValueError, match="mixture weights"):
+            GmmParams(np.array(weights), np.zeros(3), np.full(3, 256), 8)
+
+
+def test_rows_constructor_checks_and_keeps_its_rows():
+    p = GmmParams(*_component_arrays(), 9)
+    rows = np.array(p.rows)
+    q = GmmParams.from_rows(rows, p.field_shape, 9)
+    assert q.rows is rows and not rows.flags.writeable
+    assert q.tobytes() == p.tobytes()
+    bad = np.array(p.rows)
+    bad[2, 1, 4] = 0
+    with pytest.raises(ValueError, match="scales must be positive"):
+        GmmParams.from_rows(bad, p.field_shape, 9)
+    for wrong in (rows[..., 1:], rows.astype(np.int32)):
+        with pytest.raises(ValueError, match="int64 rows"):
+            GmmParams.from_rows(wrong, p.field_shape, 9)
+
+
 @pytest.mark.parametrize("mean", [2**57, 2**58, -(2**58), 2**62])
 def test_params_reject_means_whose_q6_argument_wraps(mean):
     # (t - mean) << 6 wrapped in int64 for these means, and the table came
@@ -248,11 +271,17 @@ def test_params_bytes_are_scale_exp_then_each_component_in_c_order():
 
 
 def test_params_components_are_the_rows_of_one_field():
-    p = GmmParams(*_component_arrays(), 9)
+    arrays = _component_arrays()
+    p = GmmParams(*arrays, 9)
     assert p.fields.shape == (3, 3, 2, 3) and p.field_shape == (2, 3)
+    # rows list the field with its first axis innermost
+    assert p.rows.shape == (3, 3, 6) and p.rows.flags.c_contiguous
+    want = np.stack([a.transpose(0, 2, 1) for a in arrays]).reshape(3, 3, 6)
+    np.testing.assert_array_equal(p.rows, want)
     for i, a in enumerate((p.weights, p.means, p.scales)):
-        assert np.shares_memory(a, p.fields[i])
+        assert np.shares_memory(a, p.rows) and np.shares_memory(a, p.fields[i])
         np.testing.assert_array_equal(a, p.fields[i])
+        np.testing.assert_array_equal(a, arrays[i])
 
 
 def test_params_own_their_field():

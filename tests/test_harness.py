@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detq import harness, intops
+from detq import gmm, harness, intops
 from detq.gmm import CDF_TOTAL, CdfTable
 from detq.rc import Bitstream, RangeDecoder, StreamFormatError, rc_encode
 from detq.harness import (
@@ -765,9 +765,47 @@ def test_decoder_without_context_builds_tables_in_one_call(monkeypatch):
         pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "rev")
     )
     assert rep.decoded_equal and rep.prior_max_reldiff == 0.0
-    # one whole field per side, in coding order: the encoder's 40 rows as
-    # they are, the decoder's (c, h, w) field as its (h, w, c) transpose
-    assert calls == [(40,), (4, 5, 2)]
+    # one whole field per side, in coding order: the encoder's 40 rows
+    # gathered from its field, the decoder's (c, h, w) field, whose prior
+    # rows are already in that order
+    assert calls == [(40,), (2, 4, 5)]
+
+
+def test_ar_roundtrip_checks_each_steps_prior_rows_once(monkeypatch):
+    # the encoder's field and each decoder step's rows are checked once, in
+    # the one GmmParams the head builds: the encoder gathers its coded rows
+    # from its checked field, and no step builds a second GmmParams
+    rng = np.random.default_rng(34)
+    pair = make_stack_pair(random_stack(rng))
+    latent = random_latent(rng, (1, 4, 5))
+    hyper = rng.normal(size=(2, 4, 5))
+    reach = intops.context_reach(pair.quant_stack)
+    steps = len(np.unique(harness._coding_order(4, 5, reach)[2]))
+    assert steps == 4 + 2 * 3 + 1
+    checks, built = [], []
+    check, own = gmm._check_rows, GmmParams._own
+    monkeypatch.setattr(gmm, "_check_rows", lambda r, e: checks.append(r.shape) or check(r, e))
+    monkeypatch.setattr(GmmParams, "_own", lambda p, *a: built.append(a[1]) or own(p, *a))
+    rep = roundtrip_experiment(
+        pair, latent, hyper, BackendVariant("e", "seq"), BackendVariant("d", "tree")
+    )
+    assert rep == harness.InteropReport(True, None, 0.0)
+    assert len(checks) == 1 + steps and checks[0] == (3, 3, 20)
+    # the encoder's field and its gathered rows, then one per step
+    assert len(built) == 2 + steps and built[:2] == [(1, 4, 5), (20,)]
+    # a step whose head weights sum past 2^15 is refused on the decoder side
+    enc = run_backend(pair, latent, hyper, BackendVariant("e"))
+    stream = harness._encode(enc, latent, reach)[0]
+    soft = intops.linear_softmax_field
+
+    def heavy(z, scale_exp):
+        weights = soft(z, scale_exp)
+        weights[0] += 1
+        return weights
+
+    monkeypatch.setattr(intops, "linear_softmax_field", heavy)
+    with pytest.raises(ValueError, match="sum to 2\\^15"):
+        harness._decode(stream, prior_fn(pair, hyper, BackendVariant("d", "tree")), reach)
 
 
 # --- roundtrips -----------------------------------------------------------

@@ -467,6 +467,43 @@ def test_context_stack_with_a_3x3_gather_layer_is_refused():
         replace(quant, gather=(quant.gather[0], wide, *quant.gather[2:]))
 
 
+def context_layer(fs, rng, in_channels=None, mask=True):
+    """A 3x3 context layer in fs's place: in_channels inputs (fs's own if
+    None), masked or not."""
+    m, k, _, n = fs.context[0].weights.shape
+    w = rng.normal(0.0, 1.0 / math.sqrt(9 * m), size=(in_channels or m, k, k, n))
+    return ConvLayerF(w, fs.context[0].bias, mask)
+
+
+def refuse_context(fs, layer, msg):
+    """Both stacks refuse a context chain of this one layer when built."""
+    with pytest.raises(ShapeError, match=msg):
+        replace(fs, context=[layer])
+    quant = make_stack_pair(fs).quant_stack
+    cfg = fs.context_cfg[0]
+    q = quantize_layer(layer, n_i=cfg.n_i, p_in=cfg.p_in, p_out=cfg.p_out)
+    with pytest.raises(ShapeError, match=msg):
+        replace(quant, context=(q,))
+
+
+def test_context_layer_reading_another_channel_count_is_refused():
+    # a 1-channel model whose context layer read 2 channels was built and
+    # saved, and then coded no latent of either channel count
+    rng = np.random.default_rng(42)
+    fs = random_stack(rng)
+    assert fs.latent_channels == fs.context[0].in_channels == 1
+    layer = context_layer(fs, rng, in_channels=2)
+    refuse_context(fs, layer, "context reads 2 channels, the latent has 1")
+
+
+def test_unmasked_context_layer_is_refused():
+    # an unmasked context layer reads its own position and later ones,
+    # which a decoder has not decoded yet
+    rng = np.random.default_rng(43)
+    fs = random_stack(rng, latent_channels=2)
+    refuse_context(fs, context_layer(fs, rng, mask=False), "context layers must be masked")
+
+
 def test_stack_without_context_runs_a_3x3_gather_layer():
     # without a context model a decoder's one step is the whole grid, where
     # a 3x3 gather layer reads each position's neighbours as the encoder's

@@ -50,6 +50,17 @@ def test_saving_a_float_stack_broken_after_it_was_built_raises(tmp_path, fstack)
     assert not list(tmp_path.iterdir())
 
 
+def test_saving_a_float_stack_whose_context_reads_other_channels_raises(tmp_path, fstack):
+    # a 1-channel stack's context layer swapped for one reading 2 channels
+    # after the stack was built: saved, it made a model that codes no latent
+    ctx = fstack.context[0]
+    wide = np.concatenate([ctx.weights, ctx.weights])
+    fstack.context[0] = ConvLayerF(wide, ctx.bias, ctx.mask)
+    with pytest.raises(ShapeError, match="context reads 2 channels, the latent has 1"):
+        save_float_model(tmp_path / "m.json", fstack)
+    assert not list(tmp_path.iterdir())
+
+
 def test_quantized_roundtrip_bit_exact(tmp_path, fstack):
     pair = make_stack_pair(fstack)
     path = tmp_path / "q.json"
