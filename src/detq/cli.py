@@ -8,8 +8,10 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -67,14 +69,36 @@ def _load_data(path):
     return pairs
 
 
+def _check_out(path):
+    """Refuse, before any work, an output path that cannot be written."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ManifestError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise ManifestError(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise ManifestError(f"cannot write {path}: directory {parent} is not writable")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """A write to path that fails anyway is an input error too."""
+    try:
+        yield
+    except OSError as e:
+        raise ManifestError(f"cannot write {path}: {e}") from e
+
+
 def cmd_quantize(args) -> int:
+    _check_out(args.out)
     stack = load_float_model(args.model)
     try:
         qstack = stack.quantize()
     except WeightRangeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    save_quantized_model(args.out, qstack)
+    with _writing(args.out):
+        save_quantized_model(args.out, qstack)
     for name, chain in qstack.chains():
         for i, lyr in enumerate(chain):
             ks = ",".join(str(int(v)) for v in lyr.spec.k)
@@ -84,6 +108,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _check_out(args.out)
     stack = load_float_model(args.model)
     pairs = _load_data(args.data)
     grid = tuple(int(v) for v in args.grid.split(","))
@@ -102,7 +127,7 @@ def cmd_calibrate(args) -> int:
             for t in report.trace
         ],
     }
-    with open(args.out, "w") as f:
+    with _writing(args.out), open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     print(f"final objective: {report.final_objective:.3f} bits -> {args.out}")

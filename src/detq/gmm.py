@@ -46,10 +46,18 @@ WEIGHT_TOTAL = 1 << 15
 
 _PHI = np.asarray(PHI_TABLE_Q16, dtype=np.int32)
 _SPAN = Z_LIMIT << GRID_FRAC_BITS  # 384
-# GmmParams keeps |means| and scales below 2^48 and scale_exp at most 15, so
-# for symbols below 2^38 in magnitude a boundary t is below 2^54, twice the
-# Q6 argument, (t - mean) << 7, below 2^62, and the numerator of
-# _mixture_cdf_q16's quotient, that plus (2 _SPAN + 1) den < 2^58, inside int64
+# GmmParams keeps |means| and scales below 2^48 and scale_exp at most 15, and
+# build_cdf_table symbols below 2^38 in magnitude, so the boundaries it
+# evaluates, t = (v << scale_exp) - 2^(scale_exp - 1) for v_min < v <= v_max,
+# are below 2^53 in magnitude.  The int64 intermediates of _mixture_cdf_q16's
+# numerator are then, at worst, in magnitude:
+#   t << 7                                  < 2^60
+#   mean << 7                               < 2^55
+#   (2 _SPAN + 1) scale                     < 2^58
+#   (2 _SPAN + 1) scale - (mean << 7)       < 2^58 + 2^55
+#   (t << 7) + that, less the 0/1 mask      < 2^60 + 2^58 + 2^55 + 1 < 2^61
+#   the divisor, scale << 1                 < 2^49
+# all below 2^63
 _PARAM_LIMIT = 1 << 48
 _MAX_SCALE_EXP = 15
 _SYMBOL_LIMIT = 1 << 38
@@ -171,15 +179,17 @@ def _mixture_cdf_q16(t_fp, weights, means, scales):
     exactly antisymmetric for symmetric parameters (half-up would round
     mirrored tie values up on both sides).  Returns int32.
     """
-    # for num = (t - mean) << 6 and den = scale, (2 num + den + (num >> 63))
+    # for num = (t - mean) << 6 and den = scale, (2 num + den - [t < mean])
     # // 2 den is z, num / den rounded half away from zero: the floor rounds
-    # ties up, and num >> 63, -1 below zero, rounds them down there; 2 _SPAN
+    # ties up, and the 1 taken off below zero rounds them down there; 2 _SPAN
     # den more in the numerator makes it z + _SPAN, z's index in the table,
-    # which take's clip clamps to +-6
-    num = np.subtract(t_fp, means, dtype=np.int64)
-    num <<= GRID_FRAC_BITS + 1
-    num += num >> 63
-    num += scales * (2 * _SPAN + 1)
+    # which take's clip clamps to +-6.  t and mean are shifted on their own
+    # small arrays, so the full (components, boundaries, rows) field takes one
+    # add, one compare, one subtract and the division (_PARAM_LIMIT bounds each)
+    t = t_fp << (GRID_FRAC_BITS + 1)
+    mu = means << (GRID_FRAC_BITS + 1)
+    num = t + (scales * (2 * _SPAN + 1) - mu)
+    num -= t < mu
     num //= scales << 1
     phi = _phi_at(num)
     # Phi <= 65535 and the weights sum to 2^15, so int32 holds the mixture
@@ -309,14 +319,18 @@ def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
         raise ValueError(f"symbol range {s} exceeds the 2^16 frequency total")
     e = params.scale_exp
     half = 1 << (e - 1)
-    bounds = np.arange((v_min << e) - half, ((v_max + 2) << e) - half, 1 << e, dtype=np.int64)
-    cum = _mixture_cdf_q16(bounds[:, None], *params.rows[:, :, None])  # (S+1, N)
+    # the S - 1 inner boundaries; the outer two hold the folded tails, so the
+    # table's ends are 0 and 2^16 whatever the mixture, and are not evaluated
+    lo = ((v_min + 1) << e) - half
+    bounds = np.arange(lo, lo + ((s - 1) << e), 1 << e, dtype=np.int64)
+    # int64, so that raw * target, below 2^32 as each column of raw sums to
+    # 2^16, is computed wide
+    cum = np.empty((s + 1, params.rows.shape[-1]), dtype=np.int64)
     cum[0] = 0
     cum[-1] = CDF_TOTAL
+    cum[1:-1] = _mixture_cdf_q16(bounds[:, None], *params.rows[:, :, None])
     target = CDF_TOTAL - s
-    # each column of raw sums to 2^16, so raw * target is below 2^32: the
-    # difference is widened to int64 before the product, not by promotion
-    raw = np.subtract(cum[1:], cum[:-1], dtype=np.int64)
+    raw = cum[1:] - cum[:-1]
     raw *= target
     freq = apportion(raw >> 16, raw & (CDF_TOTAL - 1), target)
     freq += 1

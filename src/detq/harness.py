@@ -499,7 +499,7 @@ def _decode(stream: Bitstream, device, reach):
     """
     got = []  # a list: appending beats a numpy store per symbol
     rows = [np.zeros((3, 3, 0), dtype=np.int64)]
-    decoder = RangeDecoder(stream.payload, stream.count)
+    decode = RangeDecoder(stream.payload, stream.count).decode
     schedule = _schedule(stream, reach)
     priors, enter = device.steps(stream.shape)  # one StepDecoder per stream
     for at in schedule:
@@ -508,7 +508,7 @@ def _decode(stream: Bitstream, device, reach):
         start = len(got)
         try:
             for row in build_cdf_table(params, _V_MIN, _V_MAX).cf.tolist():
-                got.append(decoder.decode(row, _V_MIN))
+                got.append(decode(row, _V_MIN))
         except StreamFormatError:
             break
         if at is not schedule[-1]:  # no step reads the last one's symbols
@@ -555,12 +555,16 @@ def _report(sent, enc_rows, got, dec_rows):
     n = len(got)
     diff = np.flatnonzero(sent[:n] != got)
     first = int(diff[0]) if diff.size else (n if n < len(sent) else None)
-    a, b = (r.astype(np.float64) for r in (enc_rows[..., : dec_rows.shape[-1]], dec_rows))
-    rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    enc_rows = enc_rows[..., : dec_rows.shape[-1]]
+    reldiff = 0.0  # equal rows, as every integer roundtrip's
+    if not np.array_equal(enc_rows, dec_rows):
+        a, b = (r.astype(np.float64) for r in (enc_rows, dec_rows))
+        rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+        reldiff = float(np.max(rel))
     return InteropReport(
         decoded_equal=first is None,
         first_mismatch=first,
-        prior_max_reldiff=float(np.max(rel, initial=0.0)),
+        prior_max_reldiff=reldiff,
     )
 
 

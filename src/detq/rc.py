@@ -20,11 +20,18 @@ carry-less trick: it shrinks the interval so a carry can never propagate
 into already-emitted bytes.
 
 Symbol i is coded under row i of a CdfTable field; the encoder gathers all
-intervals in one pass and runs the update over them in one loop, and the
-decoder bisects rows read as lists, one call per symbol.  A stream codes
-all c*h*w symbols of its header shape, and its payload ends with them:
-reading 4 bytes first and one per renormalization shift, a correct decode
-reads every byte the encoder wrote.
+intervals in one pass and runs the update over them in one loop.  The
+decoder takes one call per symbol, on the symbol's row read as a list.  It
+bisects the row, keeps the state in locals, and enters the renormalization
+loop only when a shift is due.  It reads payload bytes by index while any are left; once the
+payload is used up it calls _byte, which raises
+StreamFormatError("truncated payload").  That fallback stays because
+running off the payload is not only a cut stream's fault: a decoder whose
+tables differ from the encoder's reads another number of bytes, and the
+interop harness catches the error to report the divergence where decoding
+stopped.  A stream codes all c*h*w symbols of its header shape, and its
+payload ends with them: reading 4 bytes first and one per renormalization
+shift, a correct decode reads every byte the encoder wrote.
 
 The header's version names the coding order, the order of the positions
 whose symbols the payload holds (a position's channels follow each other):
@@ -35,9 +42,9 @@ by ascending y.  The coder itself does not depend on the order.
 
 from __future__ import annotations
 
-import bisect
 import numbers
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .gmm import CDF_TOTAL, CdfTable
@@ -58,6 +65,7 @@ _HEAD = ">BI3H"
 _MASK = 0xFFFFFFFF
 _TOP = 1 << 24
 _BOT = 1 << 16
+_CUM_MAX = CDF_TOTAL - 1
 
 
 class StreamFormatError(ValueError):
@@ -145,24 +153,46 @@ class RangeDecoder:
         return b
 
     def decode(self, cf: list, v_min: int) -> int:
-        """Next symbol under one table row, given as a list of ints."""
+        """Next symbol under one table row, given as a list of ints.
+
+        The state lives in locals for the call and is written back once.
+        Payload bytes are read by index; _byte is called only once the
+        payload is used up, and it raises StreamFormatError there.
+        """
         low, rng, code = self.low, self.range, self.code
-        r = rng // CDF_TOTAL
-        cum = max(0, min((code - low) // r, CDF_TOTAL - 1))
-        i = bisect.bisect_right(cf, cum) - 1
+        r = rng >> 16
+        # code - low leaves [0, 2^16 r) only in a stream not coded under
+        # these tables, as a differing decoder's is: the clamp keeps cum in
+        # the row
+        cum = (code - low) // r
+        if cum < 0:
+            cum = 0
+        elif cum > _CUM_MAX:
+            cum = _CUM_MAX
+        i = bisect_right(cf, cum) - 1
         lo = cf[i]
         low += r * lo
         rng = r * (cf[i + 1] - lo)
-        while True:  # renormalize
-            if (low ^ (low + rng)) < _TOP:
-                pass
-            elif rng < _BOT:
-                rng = -low & (_BOT - 1)
-            else:
-                break
-            code = ((code << 8) | self._byte()) & _MASK
-            low = (low << 8) & _MASK
-            rng <<= 8
+        if (low ^ (low + rng)) < _TOP or rng < _BOT:  # renormalize
+            data, pos = self.data, self.pos
+            end = len(data)
+            while True:
+                if (low ^ (low + rng)) < _TOP:
+                    pass
+                elif rng < _BOT:
+                    rng = -low & (_BOT - 1)
+                else:
+                    break
+                if pos < end:
+                    code = ((code << 8) | data[pos]) & _MASK
+                    pos += 1
+                else:
+                    self.pos = pos
+                    code = ((code << 8) | self._byte()) & _MASK
+                    pos = self.pos
+                low = (low << 8) & _MASK
+                rng <<= 8
+            self.pos = pos
         self.low, self.range, self.code = low, rng, code
         return v_min + i
 

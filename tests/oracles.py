@@ -240,6 +240,42 @@ def range_encode_oracle(intervals):
     return bytes(out), clamps
 
 
+def range_decode_oracle(payload, rows, v_min):
+    """The decoder of rc's module docstring, one symbol at a time, in
+    integer arithmetic with no bit operations: code is the first 4 payload
+    bytes, a symbol's target cum is (code - low) // (range // 2^16) held to
+    [0, 2^16 - 1], its index counts the row's inner entries at or below cum,
+    and each renormalization shift reads the next byte into code.  rows are
+    cumulative-frequency rows, one per symbol.  Returns the symbols decoded
+    and the index of the symbol at which the payload ran out, or None."""
+    if not rows:
+        return [], None
+    if len(payload) < 4:
+        return [], 0
+    low, rng, code, pos, got = 0, 2**32 - 1, int.from_bytes(payload[:4], "big"), 4, []
+    for i, cf in enumerate(rows):
+        r = rng // 2**16
+        cum = min(max((code - low) // r, 0), 2**16 - 1)
+        s = sum(1 for c in cf[1:-1] if c <= cum)
+        low += r * cf[s]
+        rng = r * (cf[s + 1] - cf[s])
+        while True:
+            if low // 2**24 == (low + rng) // 2**24:
+                pass
+            elif rng < 2**16:
+                rng = -low % 2**16
+            else:
+                break
+            if pos == len(payload):
+                return got, i
+            code = (code * 256 + payload[pos]) % 2**32
+            pos += 1
+            low = low * 256 % 2**32
+            rng *= 256
+        got.append(v_min + s)
+    return got, None
+
+
 def conv2d_oracle(x, weights, bias):
     """Naive zero-padded cross-correlation; x (c,h,w), weights (m,K,K,n)."""
     c, h, w = len(x), len(x[0]), len(x[0][0])

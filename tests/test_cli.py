@@ -57,6 +57,27 @@ def test_quantize_writes_model(model, tmp_path, capsys):
     assert len(q.gather) == 7
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_quantize_to_a_path_that_cannot_be_written_is_input_error(model, tmp_path, where, capsys):
+    # a missing directory used to end in a FileNotFoundError traceback
+    out = tmp_path / "missing" / "q.json" if where == "missing directory" else tmp_path
+    assert main(["quantize", str(model), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_quantize_write_that_fails_is_input_error(model, tmp_path, monkeypatch, capsys):
+    def full(path, stack):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_quantized_model", full)
+    out = tmp_path / "q.json"
+    assert main(["quantize", str(model), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: [Errno 28] No space left on device\n"
+
+
 def test_quantize_zero_model(tmp_path, capsys):
     fs = random_stack(np.random.default_rng(1))
     for _, layers, _ in fs.chains():
@@ -315,6 +336,30 @@ def test_calibrate_writes_strict_json(data, tmp_path, capsys):
     doc = json.loads(report.read_text(), parse_constant=reject)
     assert [layer["objective"] for layer in doc["layers"]] == [None] * len(doc["layers"])
     assert math.isfinite(doc["final_objective_bits"])
+
+
+@pytest.mark.parametrize(
+    "where, says", [("missing directory", "no directory "), ("read-only directory", "directory ")]
+)
+def test_calibrate_to_a_path_that_cannot_be_written_fails_before_the_search(
+    model, data, tmp_path, where, says, monkeypatch, capsys
+):
+    # it used to run the whole search, then end in a FileNotFoundError traceback
+    searched = []
+    monkeypatch.setattr(cli, "calibrate_shifts", lambda *args, **kw: searched.append(args))
+    if where == "missing directory":
+        out = tmp_path / "missing" / "c.json"
+    else:  # os.access is faked: as root a read-only directory is writable
+        out = tmp_path / "c.json"
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    argv = ["calibrate", str(model), str(data), "--grid", "8", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: {says}") and "Traceback" not in err
+    if where == "read-only directory":
+        assert err.endswith(" is not writable\n")
+    assert searched == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["16", "8,-1"])

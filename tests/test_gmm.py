@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -313,6 +314,22 @@ def test_tables_exact_up_to_the_params_bound():
             p.weights.tolist(), p.means.tolist(), p.scales.tolist(), 15, -8, 8
         )
         assert t.cf[0].tolist() == list(want)
+
+
+def test_tables_exact_at_the_corners_of_the_admitted_inputs():
+    # symbols +-(2^38 - 1) at scale_exp 15, means +-(2^48 - 1), scales 1 and
+    # 2^48 - 1: the largest magnitudes _mixture_cdf_q16's numerator takes
+    # (_PARAM_LIMIT), every mixture of them, against the exact oracle
+    lim, top = (1 << 48) - 1, (1 << 38) - 1
+    corners = itertools.product(itertools.product((lim, -lim), (1, lim)), repeat=3)
+    means, scales = np.array(list(corners)).transpose(2, 1, 0)  # (3, 64) each
+    weights = np.broadcast_to([[1 << 14], [1 << 13], [1 << 13]], means.shape)
+    p = GmmParams(weights, means, scales, 15)
+    for v_min, v_max in ((-top, -top + 16), (top - 16, top), (top, top)):
+        t = build_cdf_table(p, v_min, v_max)
+        for i, row in enumerate(t.cf.tolist()):
+            parts = (a[:, i].tolist() for a in (weights, means, scales))
+            assert row == cdf_table_oracle(*parts, 15, v_min, v_max)
 
 
 def test_symbols_bounded_before_the_shift():

@@ -17,7 +17,7 @@ from detq.rc import (
     rc_encode,
 )
 
-from oracles import range_encode_oracle
+from oracles import range_decode_oracle, range_encode_oracle
 
 
 def table_from_freqs(freqs, v_min=0):
@@ -240,6 +240,53 @@ def test_encoder_bytes_match_the_reference_coder(seed, n):
     want, _ = range_encode_oracle(list(zip(lo.tolist(), hi.tolist())))
     assert s.payload == want
     assert rc_decode(s, tables) == syms.tolist()
+
+
+def decode_until_it_stops(payload, tables):
+    """RangeDecoder over one field of tables: the symbols it decoded, and
+    the index of the symbol at which it raised StreamFormatError, or None."""
+    got = []
+    try:
+        dec = RangeDecoder(payload, len(tables))
+        for row in tables.cf.tolist():
+            got.append(dec.decode(row, tables.v_min))
+    except StreamFormatError:
+        return got, len(got)
+    return got, None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_decoder_matches_the_reference_decoder(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(0, 120))
+    if data.draw(st.booleans()):
+        tables = CdfTable(-1, 2, near_certain_rows(rng, n))
+    else:
+        size = int(rng.integers(1, 40))
+        rows = [random_table(rng, size).cf for _ in range(n)]
+        rows = np.concatenate(rows) if n else np.zeros((0, size + 1), np.int64)
+        tables = CdfTable(-3, size - 4, rows)
+    syms = rng.integers(tables.v_min, tables.v_max + 1, n)
+    payload = rc_encode(syms, tables, shape=(1, 1, n)).payload
+    kinds = ["whole", "truncated", "one byte changed", "random bytes", "0xff bytes"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "truncated" and payload:
+        payload = payload[: data.draw(st.integers(0, len(payload) - 1))]
+    elif kind == "one byte changed" and payload:
+        changed = bytearray(payload)
+        changed[data.draw(st.integers(0, len(payload) - 1))] ^= data.draw(st.integers(1, 255))
+        payload = bytes(changed)
+    elif kind == "random bytes":
+        payload = rng.bytes(data.draw(st.integers(0, len(payload) + 8)))
+    elif kind == "0xff bytes":  # code past low + range: cum held to 2^16 - 1
+        payload = b"\xff" * data.draw(st.integers(0, len(payload) + 8))
+    got = decode_until_it_stops(payload, tables)
+    assert got == range_decode_oracle(payload, tables.cf.tolist(), tables.v_min)
+    if kind == "whole":
+        assert got == (syms.tolist(), None)
+    elif kind == "truncated" and n:
+        assert got[1] is not None  # a correct decode reads every byte
 
 
 def test_reference_coder_clamps_on_near_certain_symbols():
