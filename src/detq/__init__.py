@@ -31,7 +31,6 @@ from .harness import (
 )
 from .intops import (
     SUBNETS,
-    AccumulatorOverflowError,
     EntropyStack,
     linear_softmax_field,
     run_entropy_stack,

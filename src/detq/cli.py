@@ -32,7 +32,6 @@ from .manifest import (
     save_quantized_model,
 )
 from .quantize import WeightRangeError, shifted_bound
-from .tensors import ShapeError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -91,12 +90,7 @@ def _writing(path):
 
 def cmd_quantize(args) -> int:
     _check_out(args.out)
-    stack = load_float_model(args.model)
-    try:
-        qstack = stack.quantize()
-    except WeightRangeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    qstack = load_float_model(args.model).quantize()
     with _writing(args.out):
         save_quantized_model(args.out, qstack)
     for name, chain in qstack.chains():
@@ -226,7 +220,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ManifestError, WeightRangeError, ShapeError, ValueError) as e:
+    except ValueError as e:
+        # every input error: ManifestError, WeightRangeError, ShapeError
+        # and StreamFormatError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

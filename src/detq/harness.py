@@ -216,6 +216,8 @@ class EntropyStackF:
         """x, a (c, h, w) input of layer, as the float32 (h, w, c) carrier;
         the one check an input gets."""
         x = np.asarray(x)
+        if x.dtype.kind not in "iufc":  # astype would parse text and read bools as 0, 1
+            raise ValueError(f"input must be numeric, got dtype {x.dtype}")
         # float32 would hold such a value as inf or NaN, and the priors as
         # garbage; the comparison is false for NaN too.  A complex value
         # would lose its imaginary part.

@@ -14,7 +14,10 @@ next layer's n_i bits, LeakyReLU never grows |x|, and fuse clamps the
 gather input.  All arithmetic from the entry on is exact integer
 arithmetic: int16-range operands, 32-bit accumulators whose overflow is
 excluded statically by the shift derivation, and per-channel fused
-rescaling by a power of two with half-away-from-zero rounding.
+rescaling by a power of two with half-away-from-zero rounding.  The
+overflow bound is checked once, when a QConvLayer is built or loaded
+(shifted_bound, left shifts included); no kernel step checks it again at
+run time, since no input within a layer's n_i bits can pass it.
 
 The stack topology exists once, here, in StepDecoder: built once per
 latent, it runs the hyperdecoder once (as the hyperdecoder of Minnen et
@@ -91,14 +94,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmm import GmmParams, apportion, sigma_min_for
-from .quantize import ACCUM_BITS, QConvLayer, exceeds, round_half_away
+from .quantize import QConvLayer, exceeds, round_half_away
 from .tensors import ShapeError, check_conv_input, im2col, windows
 
 __all__ = [
     "SUBNETS",
     "EntropyStack",
     "check_topology",
-    "AccumulatorOverflowError",
     "LEAKY_NUM",
     "LEAKY_SHIFT",
     "linear_softmax_field",
@@ -114,17 +116,11 @@ SUBNETS = ("hyperdecoder", "context", "gather")
 LEAKY_NUM = 41
 LEAKY_SHIFT = 12
 _LEAKY_SLOPE = LEAKY_NUM * 2.0**-LEAKY_SHIFT  # exact in float64
-_ACC_MAX = (1 << (ACCUM_BITS - 1)) - 1
 
 # axes from the channels-last carrier (h, w, c), or a context layer's
 # windows (h, w, c, K, K), to the (c, h, w) edge layout, and back
 _TO_EDGE = {3: (2, 0, 1), 5: (2, 0, 1, 3, 4)}
 _TO_CARRIER = {3: (1, 2, 0), 5: (1, 2, 0, 3, 4)}
-
-
-class AccumulatorOverflowError(ArithmeticError):
-    """A left shift pushed a value past the 32-bit range.  QConvLayer rules
-    it out for any layer it accepts; it guards direct calls."""
 
 
 def qconv_forward(x: np.ndarray, layer: QConvLayer) -> np.ndarray:
@@ -152,13 +148,15 @@ def requantize(acc: np.ndarray, spec, lim: int):
 
     acc holds integers below 2^31 in magnitude at scale 2^-(k_j + p_in) on
     channel j; each is scaled by spec.scale, 2^-(k_j + p_in - p_out),
-    rounded half away from zero and clamped to +-lim.  A left shift past
-    31 bits raises AccumulatorOverflowError.
+    rounded half away from zero and clamped to +-lim.  Nothing is checked
+    here: QConvLayer, the only way weights and a spec reach the kernel,
+    refuses a layer whose shifted_bound passes 2^31 - 1, so a left shift
+    of an in-range input's accumulator stays within 32 bits.  float64
+    does not wrap, so a direct call past that bound saturates at the
+    clamp like any other value.
     """
     acc *= spec.scale
     round_half_away(acc, out=acc)
-    if spec.left is not None and np.any(spec.left & (np.abs(acc) > _ACC_MAX)):
-        raise AccumulatorOverflowError("a left shift exceeds the 32-bit range")
     np.maximum(acc, -lim, out=acc)
     np.minimum(acc, lim, out=acc)
 

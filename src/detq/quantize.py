@@ -107,14 +107,16 @@ def quantize_value(x, p: int, b: int):
     """clamp(round(x * 2^p), -(2^(b-1)-1), 2^(b-1)-1), half away from zero.
 
     The one activation quantizer.  Works elementwise: an int for a scalar,
-    an int64 array for an array.  Complex or non-finite input raises
-    ValueError.
+    an int64 array for an array.  Complex, non-finite or non-numeric
+    (text, bytes, boolean) input raises ValueError.
     """
     if b < 2:
         raise ValueError("bit depth must be at least 2")
     x = np.asarray(x)
     if x.dtype.kind == "c":
         raise ValueError("activation must be real, got a complex array")
+    if x.dtype.kind not in "iuf":  # astype would parse text and read bools as 0, 1
+        raise ValueError(f"activation must be numeric, got dtype {x.dtype}")
     x = x.astype(np.float64, copy=False)
     if not np.isfinite(x).all():
         raise ValueError("activation contains non-finite values")
@@ -166,7 +168,7 @@ class LayerQuantSpec:
         k_max = MAX_RIGHT_SHIFT - self.p_in + self.p_out
         if k.size and not (k.min() >= 0 and k.max() <= k_max):
             raise ValueError(f"channel shifts must lie in [0, {k_max}]")
-        # read-only: shift, scale and left are cached from it
+        # read-only: shift and scale are cached from it
         object.__setattr__(self, "k", _read_only(k.astype(np.int64, copy=False)))
 
     @cached_property
@@ -179,13 +181,6 @@ class LayerQuantSpec:
         """2^-shift as a read-only float64 (n,) row, to broadcast over the
         channels of a (..., n) accumulator."""
         return _read_only(np.ldexp(1.0, -self.shift))
-
-    @cached_property
-    def left(self) -> np.ndarray | None:
-        """Where shift is negative, as a read-only (n,) row mask; None when
-        no channel shifts left."""
-        left = self.shift < 0
-        return _read_only(left) if left.any() else None
 
 
 def accumulator_bound(w_q, b_q, n_i: int) -> np.ndarray:

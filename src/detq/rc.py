@@ -23,15 +23,16 @@ Symbol i is coded under row i of a CdfTable field; the encoder gathers all
 intervals in one pass and runs the update over them in one loop.  The
 decoder takes one call per symbol, on the symbol's row read as a list.  It
 bisects the row, keeps the state in locals, and enters the renormalization
-loop only when a shift is due.  It reads payload bytes by index while any are left; once the
-payload is used up it calls _byte, which raises
-StreamFormatError("truncated payload").  That fallback stays because
-running off the payload is not only a cut stream's fault: a decoder whose
-tables differ from the encoder's reads another number of bytes, and the
-interop harness catches the error to report the divergence where decoding
-stopped.  A stream codes all c*h*w symbols of its header shape, and its
-payload ends with them: reading 4 bytes first and one per renormalization
-shift, a correct decode reads every byte the encoder wrote.
+loop only when a shift is due.  It reads the payload by position only:
+the code starts as its first 4 bytes, and each shift reads the byte at
+the next index.  A shift due once the index has reached the payload end
+raises StreamFormatError("truncated payload").  Running off the payload
+is not only a cut stream's fault: a decoder whose tables differ from the
+encoder's reads another number of bytes, and the interop harness catches
+the error to report the divergence where decoding stopped.  A stream
+codes all c*h*w symbols of its header shape, and its payload ends with
+them: reading 4 bytes first and one per renormalization shift, a correct
+decode reads every byte the encoder wrote.
 
 The header's version names the coding order, the order of the positions
 whose symbols the payload holds (a position's channels follow each other):
@@ -142,22 +143,16 @@ class RangeDecoder:
         if n_symbols:
             if len(payload) < 4:
                 raise StreamFormatError("payload shorter than the coder flush")
-            for _ in range(4):
-                self.code = (self.code << 8) | self._byte()
-
-    def _byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise StreamFormatError("truncated payload")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
+            self.code = int.from_bytes(payload[:4], "big")
+            self.pos = 4
 
     def decode(self, cf: list, v_min: int) -> int:
         """Next symbol under one table row, given as a list of ints.
 
         The state lives in locals for the call and is written back once.
-        Payload bytes are read by index; _byte is called only once the
-        payload is used up, and it raises StreamFormatError there.
+        Payload bytes are read by index; a shift due once the index has
+        reached the payload end raises StreamFormatError("truncated
+        payload"), and the decoder is not used after that.
         """
         low, rng, code = self.low, self.range, self.code
         r = rng >> 16
@@ -183,13 +178,10 @@ class RangeDecoder:
                     rng = -low & (_BOT - 1)
                 else:
                     break
-                if pos < end:
-                    code = ((code << 8) | data[pos]) & _MASK
-                    pos += 1
-                else:
-                    self.pos = pos
-                    code = ((code << 8) | self._byte()) & _MASK
-                    pos = self.pos
+                if pos == end:
+                    raise StreamFormatError("truncated payload")
+                code = ((code << 8) | data[pos]) & _MASK
+                pos += 1
                 low = (low << 8) & _MASK
                 rng <<= 8
             self.pos = pos

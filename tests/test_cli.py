@@ -506,6 +506,11 @@ def _break_p_tie(doc, blob):
     return blob
 
 
+def _break_end_grid(doc, blob):
+    doc["subnetworks"]["context"][-1]["p_out"] = 11  # gather[0]'s p_in stays 10
+    return blob
+
+
 def _break_channels(doc, blob):
     # gather[1] gains an input channel of zero weights; in the blob's
     # (m, k, k, n) float32 order its weights follow the layer's own
@@ -532,8 +537,12 @@ def _edit_manifest(path, edit):
 
 @pytest.mark.parametrize(
     "brk, message",
-    [(_break_p_tie, "p_out/p_in chain broken"), (_break_channels, "channel mismatch")],
-    ids=["p-tie", "channels"],
+    [
+        (_break_p_tie, "p_out/p_in chain broken"),
+        (_break_channels, "channel mismatch"),
+        (_break_end_grid, "context p_out must match gather p_in"),
+    ],
+    ids=["p-tie", "channels", "end-grid"],
 )
 @pytest.mark.parametrize("command", ["quantize", "calibrate", "verify", "roundtrip"])
 def test_malformed_float_manifest_is_input_error(
@@ -675,6 +684,27 @@ def test_integer_latent_int64_range_verdicts(data, tmp_path, value, ok):
     else:
         with pytest.raises(ManifestError, match="within int64"):
             cli._load_data(path)
+
+
+@pytest.mark.parametrize("dtype", ["U8", "S8", "bool"])
+def test_non_numeric_hyper_latent_is_input_error(model, data, tmp_path, dtype, capsys):
+    # each command used to code the text's numbers, or the booleans as 0, 1
+    with np.load(data) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["hyper_0"] = arrays["hyper_0"].astype(dtype)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    out = tmp_path / "c.json"
+    for argv in (
+        ["roundtrip", str(model), str(bad), "--mode", "int"],
+        ["roundtrip", str(model), str(bad), "--mode", "float"],
+        ["calibrate", str(model), str(bad), "--out", str(out), "--grid", "8", "--passes", "1"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"dtype {np.dtype(dtype)}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["int", "float"])

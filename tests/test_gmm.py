@@ -214,6 +214,14 @@ def test_params_validation():
         )  # zero scale
 
 
+def test_params_refuse_mismatched_component_arrays():
+    w, mu, sg = np.array([WEIGHT_TOTAL, 0, 0]), np.zeros(3), np.full(3, 256)
+    # a short scale array, a weight array of another rank, two components
+    for parts in ((w, mu, sg[:2]), (w[:, None], mu, sg), (w[:2], mu[:2], sg[:2])):
+        with pytest.raises(ValueError, match="matching \\(3, \\.\\.\\.\\) component arrays"):
+            GmmParams(*parts, 8)
+
+
 def test_params_reject_weights_whose_sum_wraps():
     # three weights near 2^63 summed to 2^15 modulo 2^64, and were taken;
     # each weight is now held to [0, 2^15] too, so their sum is exact
@@ -330,6 +338,15 @@ def test_tables_exact_at_the_corners_of_the_admitted_inputs():
         for i, row in enumerate(t.cf.tolist()):
             parts = (a[:, i].tolist() for a in (weights, means, scales))
             assert row == cdf_table_oracle(*parts, 15, v_min, v_max)
+
+
+def test_symbol_range_past_the_frequency_total_is_refused():
+    # every symbol needs a frequency of at least 1 of the 2^16
+    p = single_gaussian(0, 256)
+    with pytest.raises(ValueError, match="symbol range 65537 exceeds the 2\\^16"):
+        build_cdf_table(p, -(2**15), 2**15)
+    [t] = build_cdf_table(p, -(2**15), 2**15 - 1)  # 2^16 symbols, each of frequency 1
+    np.testing.assert_array_equal(t.cf.ravel(), np.arange(CDF_TOTAL + 1))
 
 
 def test_symbols_bounded_before_the_shift():

@@ -185,6 +185,16 @@ def test_complex_hyper_latent_is_refused(mode):
         prior_fn(pair, hyper + 5j, BackendVariant("a", "seq", mode))(latent)
 
 
+@pytest.mark.parametrize("dtype", ["U8", "S8", "bool"])
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_non_numeric_hyper_latent_is_refused(mode, dtype):
+    # cast to float, text used to be parsed as numbers and booleans read
+    # as 0 and 1
+    pair, latent, hyper = fixture_pair()
+    with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}"):
+        prior_fn(pair, hyper.astype(dtype), BackendVariant("a", "seq", mode))(latent)
+
+
 @pytest.mark.parametrize("mode", ["int", "float"])
 def test_position_priors_refuse_a_hyper_latent_on_another_grid(mode):
     # at (1, 1) the decoder used to get priors from the 3x3 grid's hyper
@@ -966,13 +976,12 @@ def test_decode_off_the_payload_is_a_divergence(seed, with_context, dec_order, m
 
     class Recording(RangeDecoder):
         def decode(self, cf, v_min):
-            decoded.append(super().decode(cf, v_min))
+            try:
+                decoded.append(super().decode(cf, v_min))
+            except StreamFormatError:
+                stops.append(len(decoded))
+                raise
             return decoded[-1]
-
-        def _byte(self):
-            if self.pos >= len(self.data):
-                stops.append(self.pos)
-            return super()._byte()
 
     monkeypatch.setattr(harness, "RangeDecoder", Recording)
     fs, latent, hyper = off_payload_case(seed, with_context)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from detq.intops import (
     LEAKY_NUM,
     LEAKY_SHIFT,
-    AccumulatorOverflowError,
     StepDecoder,
     leaky_relu_int,
     linear_softmax_field,
@@ -82,11 +81,9 @@ def test_round_shift_examples():
 @example(ACC_MAX, 1)
 @example(1 << 23, -8)  # 2^31 after the shift
 def test_round_shift_matches_oracle(v, s):
-    want = round_shift_oracle(v, s)
-    if s < 0 and abs(want) > ACC_MAX:
-        with pytest.raises(AccumulatorOverflowError):
-            _round_shift(v, s)
-        return
+    # a left shift past 31 bits, which no accepted layer reaches,
+    # saturates at the clamp
+    want = min(max(round_shift_oracle(v, s), -ACC_MAX), ACC_MAX)
     got = _round_shift(v, s)
     assert got.dtype == np.float64 and got[0] == want
 
@@ -139,6 +136,12 @@ def test_softmax_guard_floors_numerator():
 def test_softmax_spread_example():
     z = [1 << 10, 0, -(1 << 10)]
     np.testing.assert_array_equal(linear_softmax_field(z, 10), softmax_oracle(z, 10))
+
+
+def test_softmax_refuses_other_than_3_components():
+    for z in ([0, 0], np.zeros((4, 2), np.int64)):
+        with pytest.raises(ShapeError, match="3 mixture components on axis 0"):
+            linear_softmax_field(z, 8)
 
 
 @given(st.lists(st.integers(-(2**15), 2**15), min_size=3, max_size=3), st.integers(4, 12))
@@ -295,14 +298,10 @@ def test_requantize_fused_scaling_accuracy():
 
 def _requantize_loop(acc, spec, lim):
     """requantize one entry at a time by the exact oracle, on a (..., n)
-    accumulator: int64, and AccumulatorOverflowError where a left shift
-    passes 31 bits."""
+    accumulator, as int64."""
     out = np.empty(acc.shape, dtype=np.int64)
     for idx in np.ndindex(acc.shape):
-        s = int(spec.shift[idx[-1]])
-        r = round_shift_oracle(acc[idx], s)
-        if s < 0 and abs(r) > ACC_MAX:
-            raise AccumulatorOverflowError(f"{acc[idx]} shifted left by {-s}")
+        r = round_shift_oracle(acc[idx], int(spec.shift[idx[-1]]))
         out[idx] = min(max(r, -lim), lim)
     return out
 
@@ -333,46 +332,26 @@ _acc_shifts = st.lists(
 @example([(ACC_MAX, 53), (-ACC_MAX, 54), (ACC_MAX, 62), (-ACC_MAX, 0), (ACC_MAX, 1)], 16)
 @example([(-ACC_MAX, 53), (ACC_MAX, 54), (-ACC_MAX, 62), (ACC_MAX, -8)], 16)  # overflows
 def test_requantize_matches_oracle(pairs, out_bits):
+    # a left shift past 31 bits, which no accepted layer reaches,
+    # saturates at the clamp like any other value
     v, s = (np.array(col) for col in zip(*pairs))
     spec = _shift_spec(s + 8, p_in=0)  # p_out 8: k = s + 8 reaches s = -8 to 62
     want = [round_shift_oracle(a, b) for a, b in pairs]
     lim = (1 << (out_bits - 1)) - 1
     acc = v.reshape(1, -1).astype(np.float64)  # one position, a channel per pair
-    if any(b < 0 and abs(r) > ACC_MAX for (_, b), r in zip(pairs, want)):
-        with pytest.raises(AccumulatorOverflowError):
-            requantize(acc, spec, lim)
-        return
     requantize(acc, spec, lim)
     assert acc.ravel().tolist() == [min(max(r, -lim), lim) for r in want]
 
 
 def test_spec_scale_read_only_and_per_spec():
     a, b = (LayerQuantSpec(n_i=16, p_in=5, p_out=8, k=[0, 3, 7]) for _ in range(2))
-    assert a.scale is a.scale and a.left is a.left  # built once
+    assert a.scale is a.scale  # built once
     assert a.scale.dtype == np.float64 and a.scale.shape == (3,)
     np.testing.assert_array_equal(a.scale.ravel(), [8.0, 1.0, 1 / 16])  # shifts -3, 0, 4
-    np.testing.assert_array_equal(a.left.ravel(), [True, False, False])
-    for ta, tb in ((a.scale, b.scale), (a.left, b.left)):
-        assert ta.shape == (3,) and not ta.flags.writeable
-        assert not np.shares_memory(ta, tb)
-        with pytest.raises(ValueError):
-            ta[0] = 1
-    # no negative shift: no left-shift mask
-    assert LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0, 3]).left is None
-
-
-def test_requantize_left_shift_overflow_still_raises():
-    spec = _shift_spec([0, 15], p_in=2)  # shifts -6, 9
-    lim = (1 << 15) - 1
-    acc = np.zeros((2, 2, 2))  # (h, w, n)
-    acc[..., 1] = 1 << 40  # right-shifted channel: no left-shift overflow
-    got = acc.copy()
-    requantize(got, spec, lim)
-    assert got.tolist() == _requantize_loop(acc, spec, lim).tolist()
-    acc[1, 1, 0] = 1 << 26  # 2^32 after the left shift
-    for fn in (requantize, _requantize_loop):
-        with pytest.raises(AccumulatorOverflowError):
-            fn(acc.copy(), spec, lim)
+    assert not a.scale.flags.writeable
+    assert not np.shares_memory(a.scale, b.scale)
+    with pytest.raises(ValueError):
+        a.scale[0] = 1
 
 
 # --- full stack -----------------------------------------------------------
@@ -502,6 +481,48 @@ def test_unmasked_context_layer_is_refused():
     rng = np.random.default_rng(43)
     fs = random_stack(rng, latent_channels=2)
     refuse_context(fs, context_layer(fs, rng, mask=False), "context layers must be masked")
+
+
+def _head_of_8(fs):
+    head = fs.gather[-1]
+    return {"gather": [*fs.gather[:-1], ConvLayerF(head.weights[..., :8], head.bias[:8])]}
+
+
+# each wiring rule of check_topology that no other test breaks: the fields
+# of a random_stack that break it, and its message
+_WIRING_BREAKS = {
+    "gather-6-layers": (
+        lambda fs: {"gather": fs.gather[:1] + fs.gather[2:], "gather_cfg": fs.gather_cfg[1:]},
+        "gather subnetwork must have exactly 7 layers",
+    ),
+    "fused-channels": (
+        # gather[0] still reads the hyperdecoder's outputs
+        lambda fs: {"hyperdecoder": [], "hyper_cfg": []},
+        "gather input channels must equal hyperdecoder \\+ context outputs",
+    ),
+    "chain-end-grid": (
+        # gather's p_in is 10
+        lambda fs: {"context_cfg": [replace(fs.context_cfg[0], p_out=11)]},
+        "context p_out must match gather p_in",
+    ),
+    "head-channels": (_head_of_8, "head must emit 9 channels per latent channel"),
+}
+
+
+@pytest.mark.parametrize("rule", list(_WIRING_BREAKS))
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_broken_wiring_is_refused(kind, rule):
+    fs = random_stack(np.random.default_rng(44))
+    brk, msg = _WIRING_BREAKS[rule]
+    changes = brk(fs)
+    with pytest.raises(ShapeError, match=msg):
+        if kind == "float":
+            replace(fs, **changes)
+        else:
+            # a built float stack's lists stay mutable; its layers quantize
+            # one by one, and the integer stack checks their wiring
+            vars(fs).update(changes)
+            fs.quantize()
 
 
 def test_stack_without_context_runs_a_3x3_gather_layer():
@@ -675,6 +696,9 @@ def test_int_roundtrip_refuses_what_the_stack_refuses(kind, msg):
     _refused(kind, msg_y, latent, lambda x: roundtrip(x, hyper))
     if kind == "channels":
         _refused(kind, msg, hyper, lambda x: roundtrip(latent, x))
+    elif kind == "bool":
+        # a raw hyper latent must be numeric: no boolean is read as 0 or 1
+        _refused(kind, "dtype bool", hyper, lambda x: roundtrip(latent, x))
     else:
         # a raw hyper latent is quantized to the first layer's grid first
         assert roundtrip(latent, _bad_entry(kind, hyper)).decoded_equal

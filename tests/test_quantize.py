@@ -66,10 +66,24 @@ def test_quantize_value_rejects_non_finite(bad):
         quantize_value(x, 8, 16)
 
 
+@pytest.mark.parametrize("b", [1, 0, -3])
+def test_quantize_value_refuses_bit_depth_below_2(b):
+    # at b = 1 the range +-(2^0 - 1) holds only 0
+    with pytest.raises(ValueError, match="bit depth must be at least 2"):
+        quantize_value(1.0, 8, b)
+
+
 def test_quantize_value_rejects_complex():
     # cast to float64, 1 + 5j would quantize as 1 with only a ComplexWarning
     for bad in (np.array([1 + 5j]), 1 + 0j, np.zeros((1, 2, 2), np.complex64)):
         with pytest.raises(ValueError, match="complex"):
+            quantize_value(bad, 8, 16)
+
+
+def test_quantize_value_rejects_non_numeric():
+    # cast to float64, "1.5" would quantize as 1.5 and True as 1
+    for bad in (np.array(["1.5"]), np.array([b"2"]), np.array([True]), False):
+        with pytest.raises(ValueError, match="must be numeric, got dtype"):
             quantize_value(bad, 8, 16)
 
 
@@ -168,6 +182,12 @@ def test_quant_dequant_error_bound(x, p):
 @example(Fraction(2**70 + 1, 3))
 def test_ceil_log2_matches_exact_oracle(x):
     assert ceil_log2(x) == ceil_log2_fr(Fraction(x))
+
+
+@pytest.mark.parametrize("x", [0, -1, 0.0, -5e-324, Fraction(-1, 3)])
+def test_ceil_log2_refuses_non_positive(x):
+    with pytest.raises(ValueError, match="positive argument"):
+        ceil_log2(x)
 
 
 def test_ceil_log2_exact_powers():
@@ -425,7 +445,8 @@ def test_accepted_layer_never_overflows_on_extreme_input(case):
         acc = qconv(x, lyr)
         assert abs(acc[c, c, j]) == accumulator_bound(w, b, spec.n_i)[j]
         assert np.abs(acc).max() <= 2**31 - 1
-        requantize(acc, spec, INT16_MAX)  # the left shift stays within 32 bits too
+        # the left shift stays within 32 bits too
+        assert np.abs(round_half_away(acc * spec.scale)).max() <= 2**31 - 1
 
 
 @pytest.mark.parametrize("left", [0, 1, 15])
@@ -439,7 +460,7 @@ def test_left_shift_bound_is_exact(left):
     assert shifted_bound(lyr.w_q, lyr.b_q, spec)[0] == top << left  # 2^31 - 1 at left 0
     acc = qconv(np.ones((1, 1, 1), np.int64), lyr)
     assert acc[0, 0, 0] == top
-    requantize(acc, spec, INT16_MAX)
+    assert np.abs(round_half_away(acc * spec.scale)).max() <= 2**31 - 1
     with pytest.raises(WeightRangeError, match="channel 0: worst case"):
         QConvLayer(w_q=w, b_q=[top], spec=spec)
 

@@ -51,6 +51,12 @@ def test_header_roundtrip():
     assert back == s
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (1, 2, 2, 4), ()])
+def test_header_refuses_a_shape_that_is_not_3d(shape):
+    with pytest.raises(StreamFormatError, match="shape must be \\(c, h, w\\)"):
+        Bitstream(count=16, shape=shape, payload=b"").to_bytes()
+
+
 def test_header_field_ranges():
     top = Bitstream(count=65535 * 65535, shape=(65535, 1, 65535), payload=b"")
     assert Bitstream.from_bytes(top.to_bytes()) == top

@@ -113,6 +113,18 @@ def test_causal_mask_strictly_prior():
     assert causal_mask(1)[0, 0] == 0
 
 
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_causal_mask_refuses_an_even_kernel(k):
+    with pytest.raises(ValueError, match="kernel size must be odd"):
+        causal_mask(k)
+
+
+@pytest.mark.parametrize("bias_shape", [(2,), (4,), (3, 1)])
+def test_layer_refuses_a_bias_of_another_shape(bias_shape):
+    with pytest.raises(ShapeError, match="bias must have length 3"):
+        ConvLayerF(np.zeros((1, 1, 1, 3)), np.zeros(bias_shape))
+
+
 def test_masked_layer_zeroes_center_and_future():
     rng = np.random.default_rng(1)
     lyr = layer(rng.normal(size=(1, 3, 3, 1)), mask=True)
