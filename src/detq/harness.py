@@ -3,7 +3,13 @@
 Cross-device floating-point variance is modeled by accumulation-order
 variants (sequential, reversed, pairwise tree) executed in float32, and
 only there: EntropyStackF carries the order it sums in, and prior_fn binds
-a float variant's order to it.  The integer pipeline sums exactly, so it
+a float variant's order to it.  conv_ordered_float sums a convolution's
+taps in all three orders through one loop, Higham's (1993) general
+summation: it keeps pending partial sums and replaces the last two by
+their sum, always for seq and rev, and for tree only while they hold as
+many taps.  So it holds at most log2(T) + 1 partial sums beyond the
+im2col columns, not a (P, T, n) products tensor, and runs float priors
+at codec width.  The integer pipeline sums exactly, so it
 has no order, and the tests hold it to a per-tap reference that sums in
 each order.  Encode-on-A / decode-on-B experiments then show that float
 priors can break entropy decoding while integer priors round-trip exactly.
@@ -148,8 +154,8 @@ class EntropyStackF:
     and a float softmax and sigma floor giving FloatPriors.  Its carrier is
     a C-contiguous float32 (h, w, c) array; enter casts, checks and
     transposes an input once, where it enters a chain.  A stack is built
-    only if its wiring obeys check_topology, as an EntropyStack is, and
-    saved only if it still does.
+    only if its order is one of ORDERS and its wiring obeys check_topology,
+    as an EntropyStack's is, and saved only if its wiring still does.
     """
 
     hyperdecoder: list
@@ -164,6 +170,8 @@ class EntropyStackF:
     carrier = np.float32  # the activation carrier's dtype
 
     def __post_init__(self):
+        if self.order not in ORDERS:
+            raise ValueError(f"unknown accumulation order {self.order!r}")
         self.check()
 
     def check(self):
@@ -268,37 +276,38 @@ class FloatPriors:
     scales: np.ndarray
 
 
-def _ordered_sum(terms: np.ndarray, order: str) -> np.ndarray:
-    """Reduce (P, T, n) terms over axis 1 in the requested order."""
-    if order == "seq":
-        return np.cumsum(terms, axis=1)[:, -1, :]
-    if order == "rev":
-        return np.cumsum(terms[:, ::-1, :], axis=1)[:, -1, :]
-    if order == "tree":
-        arr = terms
-        while arr.shape[1] > 1:
-            t = arr.shape[1]
-            even = arr[:, 0 : t - t % 2 : 2, :] + arr[:, 1:t:2, :]
-            if t % 2:
-                even = np.concatenate([even, arr[:, t - 1 : t, :]], axis=1)
-            arr = even
-        return arr[:, 0, :]
-    raise ValueError(f"unknown accumulation order {order!r}")
-
-
 def conv_ordered_float(x: np.ndarray, layer: ConvLayerF, order: str) -> np.ndarray:
     """float32 convolution of an (h, w, m) float32 array, or of the
     (h, w, m, K, K) windows a step cuts from one, with an explicit
     accumulation order; returns (h, w, n).
 
-    Each output sums its m*K*K taps in (m, K, K) order, reordered by
-    `order`.  This is the stand-in for device-dependent float kernels: the
+    Each output sums its T = m*K*K taps, in (m, K, K) order, in one loop
+    for every order: rev walks the taps from the last, seq and tree from
+    the first.  Each tap's float32 product is a pending partial sum that
+    merges with the one before it as prev + new, always in seq and rev,
+    and in tree only while both hold as many taps (a binary counter).
+    What is still pending then folds from the top, which is pairing
+    neighbours level by level with an odd last term carried up.  Beyond
+    the im2col columns it holds at most log2(T) + 1 partial (h*w, n)
+    sums.  This is the stand-in for device-dependent float kernels: the
     result depends on the order at the ulp level.
     """
+    if order not in ORDERS:
+        raise ValueError(f"unknown accumulation order {order!r}")
     cols = im2col(x, layer.kernel)
     wmat = layer.weights.reshape(-1, layer.out_channels).astype(np.float32)
-    products = cols[:, :, None] * wmat[None, :, :]
-    acc = _ordered_sum(products, order) + layer.bias.astype(np.float32)
+    taps = range(cols.shape[1])
+    pending = []  # (taps held, partial sum), oldest first
+    for t in reversed(taps) if order == "rev" else taps:
+        count, part = 1, cols[:, t, None] * wmat[t]
+        while pending and (order != "tree" or pending[-1][0] == count):
+            held, prev = pending.pop()
+            count, part = held + count, prev + part
+        pending.append((count, part))
+    acc = pending.pop()[1]
+    while pending:
+        acc = pending.pop()[1] + acc
+    acc = acc + layer.bias.astype(np.float32)
     return acc.reshape(*x.shape[:2], layer.out_channels)
 
 

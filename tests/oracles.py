@@ -315,6 +315,31 @@ def _fold(terms, order):
     raise ValueError(f"unknown order {order!r}")
 
 
+def ordered_sum_oracle(terms, order):
+    """Sum a list of float32 arrays as a simulated float device does: one
+    by one from the front (seq) or from the back (rev), or pairing
+    neighbours level by level, an odd last term carried up to the next
+    level (tree).  _fold's tree, the sum of the two halves, gives other
+    float32 bits when the count is not a power of two."""
+    if order == "seq":
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = acc + t
+        return acc
+    if order == "rev":
+        acc = terms[-1]
+        for t in terms[-2::-1]:
+            acc = acc + t
+        return acc
+    if order == "tree":
+        level = list(terms)
+        while len(level) > 1:
+            pairs = [level[i] + level[i + 1] for i in range(0, len(level) - 1, 2)]
+            level = pairs + level[len(level) - len(level) % 2 :]
+        return level[0]
+    raise ValueError(f"unknown order {order!r}")
+
+
 def qconv_oracle(x, layer, order):
     """Per-tap int64 convolution of an (h, w, m) x, or of the (h, w, m, K, K)
     windows of its positions: the products of each of the T = m*K*K taps,

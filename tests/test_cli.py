@@ -255,6 +255,14 @@ def test_verify_malformed_subnetworks_is_input_error(model, capsys):
     assert "subnetworks" in capsys.readouterr().err
 
 
+def test_subnetwork_that_is_not_a_list_is_input_error(model, capsys):
+    _rewrite(model, lambda doc: doc["subnetworks"].update(context={}))
+    with pytest.raises(ManifestError, match="context: expected a list of layers"):
+        load_float_model(model)
+    assert main(["verify", str(model)]) == 2
+    assert "context: expected a list of layers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["int", "float"])
 def test_roundtrip_matches_library_call(model, data, mode, capsys, monkeypatch):
     # the mode reaches the library only through the two variants

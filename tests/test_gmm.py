@@ -504,6 +504,13 @@ def test_field_interval_gather_matches_its_rows():
         field.intervals(symbols[:5])
 
 
+@pytest.mark.parametrize("symbol", [-1, 3, -(2**40)])
+def test_table_interval_refuses_a_symbol_outside_its_range(symbol):
+    t = CdfTable(0, 2, VALID_CF)
+    with pytest.raises(ValueError, match=rf"symbol {symbol} outside \[0, 2\]"):
+        t.interval(symbol)
+
+
 def test_table_is_independent_of_its_input_array():
     src = np.array(VALID_CF)
     t = CdfTable(-1, 1, src)

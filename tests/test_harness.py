@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from detq.intops import run_entropy_stack
 from detq.tensors import ConvLayerF, ShapeError, causal_mask
 
 from models import random_latent, random_stack
-from oracles import cdf_table_oracle
+from oracles import cdf_table_oracle, ordered_sum_oracle
 
 
 def fixture_pair(seed=21, **kw):
@@ -46,6 +47,21 @@ def test_variant_validation():
         BackendVariant("x", order="weird")
     with pytest.raises(ValueError):
         BackendVariant("x", mode="complex")
+
+
+@pytest.mark.parametrize("order", ["bogus", "Rev", ""])
+def test_float_stack_of_an_unknown_order_is_refused_when_built(order):
+    # it used to build, and fail only at its first convolution
+    fs = random_stack(np.random.default_rng(23))
+    with pytest.raises(ValueError, match=f"unknown accumulation order {order!r}"):
+        replace(fs, order=order)
+
+
+@pytest.mark.parametrize("order", ["bogus", "Rev", ""])
+def test_float_conv_of_an_unknown_order_is_refused(order):
+    lyr = ConvLayerF(weights=np.ones((2, 1, 1, 1)), bias=np.zeros(1))
+    with pytest.raises(ValueError, match=f"unknown accumulation order {order!r}"):
+        conv_ordered_float(np.ones((1, 1, 2), np.float32), lyr, order)
 
 
 def test_int_mode_byte_identical_across_variants():
@@ -103,6 +119,78 @@ def test_float_cancellation_orders_differ():
     rev = conv_ordered_float(x, lyr, "rev")
     assert seq[0, 0, 0] == 0.0
     assert rev[0, 0, 0] == 1.0
+
+
+def tap_products(x, weights):
+    """The float32 product of each of a convolution's m*K*K taps, in
+    (m, K, K) order, each (h, w, n): of (h, w, m) data, zero same-padded,
+    or of the (h, w, m, K, K) windows of its positions."""
+    wf = weights.astype(np.float32)
+    m, k = wf.shape[:2]
+    if x.ndim == 3:
+        h, w, pad = *x.shape[:2], k // 2
+        xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+        tap = lambda c, dy, dx: xp[dy : dy + h, dx : dx + w, c]
+    else:
+        tap = lambda c, dy, dx: x[:, :, c, dy, dx]
+    return [
+        tap(c, dy, dx)[..., None] * wf[c, dy, dx]
+        for c in range(m)
+        for dy in range(k)
+        for dx in range(k)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 3, 5]).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 70 // k**2))),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example((5, 32), 2, 2, 3, False, 1)  # T = 800
+@example((3, 192), 3, 3, 2, True, 2)  # T = 1728
+def test_float_orders_sum_tap_by_tap(kernel_m, n, h, w, cut, seed):
+    # each output equals its taps' float32 products summed one by one in
+    # the order, with weights and inputs of magnitude 1e-6 to 1e6, so
+    # that every order rounds differently
+    k, m = kernel_m
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return (rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, shape)).astype(np.float32)
+
+    lyr = ConvLayerF(weights=draw(m, k, k, n), bias=draw(n))
+    x = draw(h, w, m, k, k) if cut else draw(h, w, m)
+    taps = tap_products(x, lyr.weights)
+    assert len(taps) == m * k * k
+    for order in harness.ORDERS:
+        want = ordered_sum_oracle(taps, order) + lyr.bias.astype(np.float32)
+        assert conv_ordered_float(x, lyr, order).tobytes() == want.tobytes(), order
+
+
+@pytest.fixture(scope="module")
+def wide_pair():
+    # the wide.blob model: 192-wide layers, a 5x5 context kernel, 32 channels
+    return make_stack_pair(random_stack(np.random.default_rng(2027), 32, 32, 192, ctx_kernel=5))
+
+
+@pytest.mark.parametrize("order", harness.ORDERS)
+def test_codec_width_float_priors_run_in_bounded_memory(wide_pair, order):
+    # a 32x16x16 latent: the hyperdecoder's 192x3x3 layer has 1728 taps, and
+    # the (P, T, n) products tensor of its 256 positions would take 340 MB
+    rng = np.random.default_rng(2031)
+    latent, hyper = random_latent(rng, (32, 16, 16)), rng.normal(size=(32, 16, 16))
+    tracemalloc.start()
+    try:
+        params = run_backend(wide_pair, latent, hyper, BackendVariant("f", order, "float"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.field_shape == (32, 16, 16)
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_float_vs_int_priors_close_on_random_stack():
