@@ -24,20 +24,23 @@ Every experiment codes through one encoder (_encode) and one decoder
 (_decode) in one coding order (_coding_order): positions by step
 t = x + K*y, then by y.  v1 is raster order, K = w.  A stack with a context
 model codes v2, K = R+1 for its context reach R: a step is an anti-diagonal
-whose priors read only earlier steps.  The decoder gets each step's
-priors from one intops.StepDecoder per stream, wired to the device by
-DevicePriors.steps, enters each step's symbols once, and computes each
-context output once, at its own step: every context layer masks its centre
-and every raster-later tap, so a window reads only positions of earlier
-steps, whose cached values are final; the same holds for the raster steps
-of a v1 stream.  Without a context model the whole field is one decoder
-step; a v1 stream of a context model decodes one position per step.  The
-failure demo decodes its fixed field through the same decoder.
+whose priors read only earlier steps.  _decode takes its steps as one
+pair of functions, priors(at) and enter(at, symbols): a roundtrip passes
+DevicePriors.steps, which wires one intops.StepDecoder per stream to the
+device, and the failure demo passes two functions over its fixed field,
+whose one step is the whole grid.  The decoder enters each step's symbols
+once, and its StepDecoder computes each context output once, at its own
+step: every context layer masks its centre and every raster-later tap, so
+a window reads only positions of earlier steps, whose cached values are
+final; the same holds for the raster steps of a v1 stream.  Without a
+context model the whole field is one decoder step; a v1 stream of a
+context model decodes one position per step.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -494,16 +497,18 @@ def _schedule(stream: Bitstream, reach):
     return list(zip(*steps)) if t.size else []
 
 
-def _decode(stream: Bitstream, device, reach):
+def _decode(stream: Bitstream, steps, reach):
     """Decode stream step by step (_schedule), given its model's context
     reach (None without a context model).
 
-    device.steps (of a DevicePriors, or of the failure demo's fixed field)
-    gives each step's priors from the symbols of the steps before, each
-    entered once, after its own step.  A step's priors come as prior rows
-    in coding order, checked once; its tables are built from them, one per
-    row, and continue the stream where the step before stopped.  Decoding
-    stops where the decoder runs off the payload.
+    steps is the pair (priors, enter) of a decoder of stream.shape, as
+    DevicePriors.steps gives it: priors(at) gives the priors of positions
+    at from the symbols of the steps before, and enter(at, symbols) enters
+    each step's (c, P, 1) symbols once, after its own step.  A step's
+    priors come as prior rows in coding order, checked once; its tables
+    are built from them, one per row, and continue the stream where the
+    step before stopped.  Decoding stops where the decoder runs off the
+    payload.
     Returns the symbols decoded and the (3, 3, n) prior rows (weights,
     means, scales) of the n symbols whose priors it computed, both in
     coding order.
@@ -512,7 +517,7 @@ def _decode(stream: Bitstream, device, reach):
     rows = [np.zeros((3, 3, 0), dtype=np.int64)]
     decode = RangeDecoder(stream.payload, stream.count).decode
     schedule = _schedule(stream, reach)
-    priors, enter = device.steps(stream.shape)  # one StepDecoder per stream
+    priors, enter = steps
     for at in schedule:
         params = priors(at)
         rows.append(params.rows)
@@ -552,7 +557,8 @@ def roundtrip_experiment(
     stack = stacks.quant_stack
     reach = context_reach(stack) if stack.context else None
     stream, sent, rows = _encode(enc_params, latent, reach)
-    return _report(sent, rows, *_decode(stream, prior_fn(stacks, hyper, dec_variant), reach))
+    steps = prior_fn(stacks, hyper, dec_variant).steps(stream.shape)  # one StepDecoder
+    return _report(sent, rows, *_decode(stream, steps, reach))
 
 
 def _report(sent, enc_rows, got, dec_rows):
@@ -572,11 +578,7 @@ def _report(sent, enc_rows, got, dec_rows):
         a, b = (r.astype(np.float64) for r in (enc_rows, dec_rows))
         rel = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
         reldiff = float(np.max(rel))
-    return InteropReport(
-        decoded_equal=first is None,
-        first_mismatch=first,
-        prior_max_reldiff=reldiff,
-    )
+    return InteropReport(first is None, first, reldiff)
 
 
 # ---------------------------------------------------------------------------
@@ -604,17 +606,6 @@ def _demo_field():
     return priors, symbols
 
 
-@dataclass(frozen=True)
-class _FixedField:
-    """A decoding device whose priors are one fixed field, which reads no
-    symbol: its one step is the whole grid."""
-
-    params: GmmParams
-
-    def steps(self, shape):
-        return (lambda at: self.params), (lambda at, symbols: None)
-
-
 def boundary_failure_demo(prior_mode: str = "float") -> InteropReport:
     """Reproduce the decode-failure phenomenon deterministically.
 
@@ -637,7 +628,10 @@ def boundary_failure_demo(prior_mode: str = "float") -> InteropReport:
         )
 
     stream, sent, rows = _encode(enc_params, symbols)
-    return _report(sent, rows, *_decode(stream, _FixedField(dec_params), None))
+    # the decoder's priors are one fixed field that reads no symbol: its
+    # one step is the whole grid
+    steps = (lambda at: dec_params), (lambda at, symbols: None)
+    return _report(sent, rows, *_decode(stream, steps, None))
 
 
 # ---------------------------------------------------------------------------
@@ -666,19 +660,21 @@ def int_cross_entropy_bits(latent, params: GmmParams) -> float:
 
 
 def float_cross_entropy_bits(latent, priors: FloatPriors) -> float:
-    """Total bits under float priors, folded over the same finite alphabet."""
-    latent = np.asarray(latent, dtype=np.int64)
+    """Total bits the (c, h, w) latent symbols take under float priors,
+    folded over the same finite alphabet.  The symbols must lie in the
+    coder alphabet, and each prior kind must be a (3, c, h, w) field."""
+    latent = _check_alphabet(latent)
+    w, mu, sigma = (np.asarray(f, float) for f in (priors.weights, priors.means, priors.scales))
+    if any(f.shape != (3, *latent.shape) for f in (w, mu, sigma)):
+        raise ValueError(f"prior field {mu.shape[1:]} for symbols of shape {latent.shape}")
     erf = np.vectorize(math.erf)
 
     def mix_cdf(t):
-        z = (t - np.asarray(priors.means, np.float64)) / np.asarray(
-            priors.scales, np.float64
-        )
-        phi = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
-        return (np.asarray(priors.weights, np.float64) * phi).sum(axis=0)
+        phi = 0.5 * (1.0 + erf((t - mu) / sigma / math.sqrt(2.0)))
+        return (w * phi).sum(axis=0)
 
-    hi = np.where(latent >= _V_MAX, 1.0, mix_cdf(latent[None].astype(np.float64) + 0.5))
-    lo = np.where(latent <= _V_MIN, 0.0, mix_cdf(latent[None].astype(np.float64) - 0.5))
+    hi = np.where(latent >= _V_MAX, 1.0, mix_cdf(latent + 0.5))
+    lo = np.where(latent <= _V_MIN, 0.0, mix_cdf(latent - 0.5))
     pmf = np.maximum(hi - lo, 1.0 / CDF_TOTAL)
     return float(np.sum(-np.log2(pmf)))
 
@@ -704,7 +700,7 @@ def calibrate_shifts(
     if not calib_tensors:
         raise ValueError("calibration set is empty")
     calib_tensors = [(_check_alphabet(latent), hyper) for latent, hyper in calib_tensors]
-    grid = tuple(sorted(int(p) for p in grid))
+    grid = tuple(sorted(map(operator.index, grid)))  # 7.9 is refused, not read as 7
     if not all(0 <= p <= 15 for p in grid):
         raise ValueError("grid values must lie in [0, 15]")
     if passes < 0:

@@ -4,11 +4,11 @@ Activations enter the stack as (c, h, w) integer arrays, already on the
 first layer's input grid (harness quantizes raw activations with
 quantize.quantize_value, the one activation quantizer); each layer's spec
 carries the grid 2^-p_in and the bit depth n_i of its input, and
-check_topology holds that they chain.  An activation's dtype, shape and
-range are checked once, where it enters the stack: the hyper latent when
-a StepDecoder is built, a whole canvas in run_entropy_stack (before its
-shape is read), and a decoder's symbols, each step's own, in
-StepDecoder.enter.  Inside a chain nothing is checked again, since every
+check_topology holds that they chain.  A stack has two entry points,
+and an activation's dtype, shape and range are checked once, at its own:
+the hyper latent when a StepDecoder is built, and symbols in
+StepDecoder.enter, a whole canvas (run_entropy_stack) or a decoder step's
+own.  Inside a chain nothing is checked again, since every
 later activation is in range by construction: requantize clamps to the
 next layer's n_i bits, LeakyReLU never grows |x|, and fuse clamps the
 gather input.  All arithmetic from the entry on is exact integer
@@ -221,9 +221,7 @@ def check_topology(chains, latent_channels: int):
     ends = (("hyperdecoder", hyper), ("context", context))
     fused = sum(chain[-1][0].out_channels for _, chain in ends if chain)
     if fused != gather[0][0].in_channels:
-        raise ShapeError(
-            "gather input channels must equal hyperdecoder + context outputs"
-        )
+        raise ShapeError("gather input channels must equal hyperdecoder + context outputs")
     for name, chain in ends:
         if chain and chain[-1][1].p_out != gather[0][1].p_in:
             raise ShapeError(f"{name} p_out must match gather p_in")
@@ -232,6 +230,8 @@ def check_topology(chains, latent_channels: int):
         raise ShapeError("gather layers must be 1x1 when a context model is present")
     if gather[-1][0].out_channels != 9 * latent_channels:
         raise ShapeError("head must emit 9 channels per latent channel")
+    if not 1 <= gather[-1][1].p_out <= 15:  # else every prior field is refused
+        raise ShapeError("head p_out must lie in [1, 15], the GmmParams scale_exp range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,14 +377,12 @@ class StepDecoder:
             self._windows.append(windows(xp, layer.kernel))
 
     def enter(self, at, symbols):
-        """Enter the symbols of positions at, the (c, ...) array of the
-        latent at them, on the first context layer's input grid: checked
-        here as a (c, P, 1) array, where they enter the stack, and written
-        into the canvas."""
+        """Enter the symbols of positions at, the latent at them on their
+        grid, (c, h, w) or (c, P, 1), on the first context layer's input
+        grid: the one way symbols enter the stack, checked there and
+        written into the canvas."""
         if self.stack.context:
-            rows = np.reshape(symbols, (len(symbols), -1, 1))
-            x = self.stack.enter(rows, self.stack.context[0])
-            self.canvases[0][at] = x.reshape(*np.shape(symbols)[1:], -1)
+            self.canvases[0][at] = self.stack.enter(symbols, self.stack.context[0])
 
     def priors(self, at):
         """Priors of the positions at, on their grid: (c, h, w) for the
@@ -411,16 +409,15 @@ class StepDecoder:
 def run_entropy_stack(latent_context, hyper_latent, stack):
     """Full entropy inference: hyperdecoder + context -> gather -> priors of
     the whole latent, on its (h, w) grid: one StepDecoder step over every
-    position, with every symbol entered.
+    position, with every symbol entered through StepDecoder.enter.
 
     For an EntropyStack the inputs must already be quantized at the first
     layers' input grids, and the GmmParams output is a pure function of
-    the inputs and the stack bits.  A context model's latent is checked
-    where it enters the context chain, before its shape is read; without a
-    context model only its shape is read.
+    the inputs and the stack bits.  The stack's two entry points check
+    them: the hyper latent where the StepDecoder is built, the latent's
+    symbols in enter; without a context model only the latent's shape is
+    read.
     """
-    canvas = stack.enter(latent_context, stack.context[0]) if stack.context else None
     steps = StepDecoder(hyper_latent, stack, np.shape(latent_context))
-    if stack.context:
-        steps.canvases[0][...] = canvas
+    steps.enter(np.s_[:, :], latent_context)
     return steps.priors(np.s_[:, :])

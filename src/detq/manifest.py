@@ -1,8 +1,9 @@
 """Model manifest: JSON layer descriptions plus a raw binary blob.
 
 The manifest is a small JSON document listing subnetworks and per-layer
-geometry and quantization parameters; the companion blob holds the raw
-parameter bytes in manifest order (per layer: weights, then biases).
+geometry and quantization parameters; the companion blob, a regular file
+next to the manifest that the manifest names by its bare file name, holds
+the raw parameter bytes in manifest order (per layer: weights, then biases).
 Float models store little-endian float32 for both; quantized models store
 little-endian int16 weights and int32 biases.  The manifest records a
 SHA-256 digest of the blob so artifacts are bit-auditable.
@@ -42,11 +43,6 @@ _BLOB_DTYPES = {"float32": ("<f4", "<f4"), "int16": ("<i2", "<i4")}
 
 class ManifestError(ValueError):
     """Inconsistent, malformed, or missing manifest/blob data."""
-
-
-def _blob_path(manifest_path: pathlib.Path, entry: str) -> pathlib.Path:
-    p = pathlib.Path(entry)
-    return p if p.is_absolute() else manifest_path.parent / p
 
 
 def _check_schema(doc):
@@ -100,9 +96,15 @@ def _read(manifest_path):
     ):
         raise ManifestError("not a recognized model manifest")
     _check_schema(doc)
+    # the bare name of a regular file next to the manifest, as _save writes
+    # it: reading a FIFO or a device would block or never end
+    name = doc.get("blob")
+    blob_path = manifest_path.parent / str(name)
+    if not (isinstance(name, str) and pathlib.Path(name).name == name and blob_path.is_file()):
+        raise ManifestError(f"blob must name a regular file next to the manifest, got {name!r}")
     try:
-        blob = _blob_path(manifest_path, doc["blob"]).read_bytes()
-    except (OSError, KeyError, TypeError) as e:
+        blob = blob_path.read_bytes()
+    except OSError as e:
         raise ManifestError(f"cannot read blob: {e}") from e
     if hashlib.sha256(blob).hexdigest() != doc.get("blob_sha256"):
         raise ManifestError("blob digest mismatch")

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensors import ConvLayerF, causal_mask
+from .tensors import ConvLayerF, causal_mask, check_layer_geometry
 
 __all__ = [
     "K_MAX",
@@ -209,16 +209,18 @@ def shifted_bound(w_q, b_q, spec: LayerQuantSpec) -> np.ndarray:
 class QConvLayer:
     """Quantized convolution layer: int16 weights, wide-int bias.
 
-    Weights of another integer type are range-checked, then narrowed to
-    int16; int16 weights, such as a loaded layer's views of the model blob,
-    are kept as they are.  Either way -32768 is refused like any other
-    entry outside +-INT16_MAX.  Construction enforces the static overflow
-    bound, so every layer, built or loaded, accumulates and requantizes in
-    32 bits for any input within its n_i bits (shifted_bound), and
-    causality: a masked layer has zero weights at every tap that
-    causal_mask zeroes.  The layer holds w_q and b_q as read-only views, so
-    both hold for its lifetime unless the caller writes to the arrays it
-    passed in.
+    Weights and bias must be integer arrays, with a float layer's geometry
+    (tensors.check_layer_geometry); a float array is refused, not
+    truncated.  Weights of another integer type are range-checked, then
+    narrowed to int16; int16 weights, such as a loaded layer's views of
+    the model blob, are kept as they are.  Either way -32768 is refused
+    like any other entry outside +-INT16_MAX.  Construction enforces the
+    static overflow bound, so every layer, built or loaded, accumulates and
+    requantizes in 32 bits for any input within its n_i bits
+    (shifted_bound), and causality: a masked layer has zero weights at
+    every tap that causal_mask zeroes.  The layer holds w_q and b_q as
+    read-only views, so both hold for its lifetime unless the caller
+    writes to the arrays it passed in.
     """
 
     w_q: np.ndarray  # (m, K, K, n) int16, entries within +-INT16_MAX
@@ -227,22 +229,22 @@ class QConvLayer:
     mask: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.w_q)
-        if w.dtype.kind not in "iu":
-            w = w.astype(np.int64)
+        w, b = np.asarray(self.w_q), np.asarray(self.b_q)
+        if w.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+            raise ValueError(f"weights and bias must be integer arrays, got {w.dtype}, {b.dtype}")
+        check_layer_geometry(w, b)
         # checked before the narrowing, which would wrap what lies outside
+        acc_max = (1 << (ACCUM_BITS - 1)) - 1
         if exceeds(w, INT16_MAX):
             raise WeightRangeError("quantized weights exceed int16 range")
+        if exceeds(b, acc_max):
+            raise WeightRangeError("quantized bias exceeds accumulator range")
         # read-only views: a write through the layer would void the checks
         # below and the cached weight_matrix
-        w = w.astype(np.int16, copy=False).view()
-        b = np.asarray(self.b_q, dtype=np.int64).view()
+        w, b = w.astype(np.int16, copy=False).view(), b.astype(np.int64, copy=False).view()
         w.flags.writeable = b.flags.writeable = False
         if self.mask and np.any(w[:, causal_mask(w.shape[1]) == 0]):
             raise ValueError("masked layer has non-zero weights at non-causal taps")
-        acc_max = (1 << (ACCUM_BITS - 1)) - 1
-        if exceeds(b, acc_max):
-            raise WeightRangeError("quantized bias exceeds accumulator range")
         worst = shifted_bound(w, b, self.spec)
         over = np.flatnonzero(worst > acc_max)
         if over.size:

@@ -18,6 +18,7 @@ __all__ = [
     "ShapeError",
     "causal_mask",
     "check_conv_input",
+    "check_layer_geometry",
 ]
 
 
@@ -59,12 +60,7 @@ class ConvLayerF:
         with np.errstate(invalid="ignore"):
             w = np.asarray(self.weights, dtype=np.float64)
             b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 4 or w.shape[1] != w.shape[2]:
-            raise ShapeError(f"weights must be (m, K, K, n), got {w.shape}")
-        if w.shape[1] % 2 != 1:
-            raise ShapeError(f"kernel size must be odd, got {w.shape[1]}")
-        if b.shape != (w.shape[3],):
-            raise ShapeError(f"bias must have length {w.shape[3]}, got {b.shape}")
+        check_layer_geometry(w, b)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("layer parameters contain non-finite values")
         if self.mask:
@@ -83,6 +79,18 @@ class ConvLayerF:
     @property
     def out_channels(self) -> int:
         return self.weights.shape[3]
+
+
+def check_layer_geometry(w: np.ndarray, b: np.ndarray) -> None:
+    """ShapeError unless w holds (m, K, K, n) weights with an odd K and b an
+    (n,) bias: the geometry of every convolution layer, float or
+    quantized."""
+    if w.ndim != 4 or w.shape[1] != w.shape[2]:
+        raise ShapeError(f"weights must be (m, K, K, n), got {w.shape}")
+    if w.shape[1] % 2 != 1:
+        raise ShapeError(f"kernel size must be odd, got {w.shape[1]}")
+    if b.shape != (w.shape[3],):
+        raise ShapeError(f"bias must have length {w.shape[3]}, got {b.shape}")
 
 
 def check_conv_input(x: np.ndarray, layer) -> None:

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -754,6 +758,77 @@ def test_latent_shapes_a_model_without_context_refuses(tmp_path, mode, capsys):
         capsys.readouterr()
         assert main(["roundtrip", str(model), str(bad), "--mode", mode]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_verify_even_kernel_quantized_manifest_is_input_error(model, tmp_path, capsys):
+    # a k of 2 loaded and verified PASS; the first inference then failed in
+    # a numpy reshape
+    q = tmp_path / "q.json"
+    assert main(["quantize", str(model), "--out", str(q)]) == 0
+
+    def even(doc, blob):
+        e = doc["subnetworks"]["hyperdecoder"][0]  # unmasked, and first in the blob
+        assert e["k"] == 3 and not e["mask"]
+        w = np.frombuffer(blob, "<i2", e["m"] * 9 * e["n"]).reshape(e["m"], 3, 3, e["n"])
+        e["k"] = 2
+        return w[:, :2, :2].tobytes() + blob[w.nbytes :]
+
+    _edit_manifest(q, even)
+    with pytest.raises(ManifestError, match=r"hyperdecoder\[0\]: kernel size must be odd"):
+        load_quantized_model(q)
+    capsys.readouterr()
+    assert main(["verify", str(q)]) == 2
+    assert "kernel size must be odd, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dtype", ["float32", "int16"])
+def test_head_p_out_outside_the_scale_exp_range_is_input_error(model, tmp_path, dtype, capsys):
+    # a head p_out of 0 passed verify, and every roundtrip then exited 2
+    # with "scale_exp must lie in [1, 15]"
+    path = model
+    if dtype == "int16":
+        path = tmp_path / "q.json"
+        assert main(["quantize", str(model), "--out", str(path)]) == 0
+    _rewrite(path, lambda doc: doc["subnetworks"]["gather"][-1].update(p_out=0))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert "head p_out must lie in [1, 15]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["absolute", "subdirectory", "parent"])
+def test_blob_that_is_not_a_bare_name_is_input_error(model, tmp_path, where, capsys):
+    # _save writes the bare name of a file next to the manifest; an absolute
+    # or cross-directory name used to be read from wherever it pointed
+    blob = model.with_suffix(".bin")
+    if where == "subdirectory":
+        (tmp_path / "sub").mkdir()
+        blob = blob.rename(tmp_path / "sub" / blob.name)
+    name = {
+        "absolute": str(blob),
+        "subdirectory": f"sub/{blob.name}",
+        "parent": f"../{tmp_path.name}/{blob.name}",
+    }[where]
+    _rewrite(model, lambda doc: doc.update(blob=name))
+    with pytest.raises(ManifestError, match="regular file next to the manifest"):
+        load_float_model(model)
+    assert main(["verify", str(model)]) == 2
+    assert "regular file next to the manifest" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is not available")
+def test_blob_that_is_a_fifo_is_input_error(model):
+    # reading a FIFO named as the blob blocked detq verify until it was
+    # killed; the child's timeout fails the test if it blocks again
+    blob = model.with_suffix(".bin")
+    blob.unlink()
+    os.mkfifo(blob)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "detq.cli", "verify", str(model)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "regular file next to the manifest" in proc.stderr
 
 
 def test_demo_failure_exit_zero(capsys):

@@ -455,7 +455,7 @@ def test_v2_roundtrip_exact_for_all_order_pairs(context, shape):
             assert stream.version == 2 and stream.reach == reach
             for do in harness.ORDERS:
                 params_of = prior_fn(pair, hyper, BackendVariant("d", do))
-                got, rows = harness._decode(stream, params_of, reach)
+                got, rows = harness._decode(stream, params_of.steps(stream.shape), reach)
                 assert got == sent.tolist(), (eo, do)
                 np.testing.assert_array_equal(rows, in_order(enc.fields, at))
                 rep = roundtrip_experiment(
@@ -490,11 +490,12 @@ def test_decoder_refuses_a_stream_of_another_reach():
     params_of = prior_fn(pair, hyper, BackendVariant("d"))
     stream = harness._encode(params_of(latent), latent, 2)[0]
     with pytest.raises(StreamFormatError, match="reach 2"):
-        harness._decode(stream, params_of, 1)
+        harness._decode(stream, params_of.steps(stream.shape), 1)
     # a model without a context model has no wavefront order
     with pytest.raises(StreamFormatError, match="reach 2"):
-        harness._decode(stream, params_of, None)
-    got, _ = harness._decode(stream, params_of, 2)  # a reach-2 window holds a reach-1 one
+        harness._decode(stream, params_of.steps(stream.shape), None)
+    # a reach-2 window holds a reach-1 one
+    got, _ = harness._decode(stream, params_of.steps(stream.shape), 2)
     assert got == in_order(latent, harness._coding_order(4, 4, 2)[:2]).tolist()
 
 
@@ -511,7 +512,7 @@ def test_decoder_refuses_a_stream_of_another_channel_count():
         stream = harness._encode(params_of(latent), latent, reach)[0]
         two = Bitstream(stream.count, (2, 4, 4), stream.payload, reach)
         with pytest.raises(ShapeError, match="latent has 2 channels, the stack codes 1"):
-            harness._decode(two, params_of, reach)
+            harness._decode(two, params_of.steps(two.shape), reach)
 
 
 @pytest.mark.parametrize("mode", ["int", "float"])
@@ -553,7 +554,8 @@ def test_v1_context_stream_decodes_through_the_raster_schedule():
             ([[y]], [[x]]) for y, x in zip(ys.tolist(), xs.tolist())
         ]
         assert list(zip(ys.tolist(), xs.tolist())) == list(np.ndindex(h, w))
-    got, rows = harness._decode(stream, prior_fn(pair, hyper, BackendVariant("d", "tree")), 1)
+    dec = prior_fn(pair, hyper, BackendVariant("d", "tree"))
+    got, rows = harness._decode(stream, dec.steps(stream.shape), 1)
     assert got == symbols.tolist()
     np.testing.assert_array_equal(rows, harness._raster(params.fields))
 
@@ -902,8 +904,9 @@ def test_ar_roundtrip_checks_each_steps_prior_rows_once(monkeypatch):
         return weights
 
     monkeypatch.setattr(intops, "linear_softmax_field", heavy)
+    dec = prior_fn(pair, hyper, BackendVariant("d", "tree"))
     with pytest.raises(ValueError, match="sum to 2\\^15"):
-        harness._decode(stream, prior_fn(pair, hyper, BackendVariant("d", "tree")), reach)
+        harness._decode(stream, dec.steps(stream.shape), reach)
 
 
 # --- roundtrips -----------------------------------------------------------
@@ -1116,11 +1119,11 @@ def test_position_steps_decode_a_no_context_stream_as_one_step(mode):
     params_of = prior_fn(pair, hyper, BackendVariant("d", "tree", mode))
     stream = harness._encode(params_of(latent), latent)[0]
     assert harness._schedule(stream, None) == [np.s_[:, :]]
-    got, rows = harness._decode(stream, params_of, None)
+    got, rows = harness._decode(stream, params_of.steps(stream.shape), None)
     np.testing.assert_array_equal(got, latent.transpose(1, 2, 0).ravel())
     assert rows.shape == (3, 3, latent.size)
     assert len(harness._schedule(stream, 0)) == 4 * 5
-    steps = harness._decode(stream, params_of, 0)
+    steps = harness._decode(stream, params_of.steps(stream.shape), 0)
     np.testing.assert_array_equal(steps[0], got)
     np.testing.assert_array_equal(steps[1], rows)
 
@@ -1307,6 +1310,21 @@ def test_cross_entropy_helpers_consistent():
     assert abs(ib - fb) / fb < 0.05
 
 
+def test_float_cross_entropy_refuses_what_the_coder_cannot_code():
+    # float symbols were truncated to int64, a latent of another shape was
+    # broadcast over the priors, and a symbol past the alphabet was folded in
+    pair, latent, hyper = fixture_pair(seed=8)
+    pri = run_entropy_stack(latent, hyper, pair.float_stack)
+    want = float_cross_entropy_bits(latent, pri)
+    assert float_cross_entropy_bits(latent.astype(np.int32), pri) == want
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        float_cross_entropy_bits(latent + 0.25, pri)
+    with pytest.raises(ValueError, match="outside the coder alphabet"):
+        float_cross_entropy_bits(np.full_like(latent, 9), pri)
+    with pytest.raises(ValueError, match="shape"):
+        float_cross_entropy_bits(latent[:, :1], pri)  # (1, 1, 4) broadcasts over (3, 1, 4, 4)
+
+
 def test_int_cross_entropy_is_the_rate_the_coder_codes(monkeypatch):
     pair, latent, hyper = fixture_pair(seed=8, latent_channels=2)
     latent = random_latent(np.random.default_rng(3), (2, 4, 4))
@@ -1343,6 +1361,17 @@ def test_calibrate_rejects_latents_outside_the_alphabet(value):
     with pytest.raises(ValueError, match="outside the coder alphabet"):
         calibrate_shifts(fs, cal + [(latent, hyper)], grid=(8, 9), passes=1)
     assert [fs.junction_p(j) for j in fs.junctions()] == before
+
+
+def test_calibrate_refuses_a_grid_value_that_is_not_an_integer():
+    # int() turned grid value 7.9 into 7
+    fs, cal = calib_case()
+    before = [fs.junction_p(j) for j in fs.junctions()]
+    with pytest.raises(TypeError):
+        calibrate_shifts(fs, cal, grid=(7.9, 9), passes=1)
+    assert [fs.junction_p(j) for j in fs.junctions()] == before
+    rep = calibrate_shifts(fs, cal, grid=(np.int64(9),), passes=1)
+    assert all(entry["p"] == 9 for entry in rep.layers)
 
 
 def test_random_latent_within_alphabet():

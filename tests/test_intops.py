@@ -608,6 +608,8 @@ _BAD_ENTRIES = [
     ("+2^8", "9-bit range"),
     ("-2^8", "9-bit range"),
 ]
+# a latent of another channel count is refused where its StepDecoder is built
+_LATENT_CHANNELS = "latent has {c} channels, the stack codes {m}"
 _VALUES = {
     "int64 min": np.iinfo(np.int64).min,
     "+2^11": 2048,
@@ -648,11 +650,12 @@ def _entry_stack(kind=None):
 def test_stack_checks_each_input_where_it_enters(kind, msg):
     pair, latent, hyper = _entry_stack(kind)
     stack = pair.quant_stack
-    _refused(kind, msg, latent, lambda x: run_entropy_stack(x, hyper, stack))
+    msg_y = _LATENT_CHANNELS if kind == "channels" else msg
+    _refused(kind, msg_y, latent, lambda x: run_entropy_stack(x, hyper, stack))
     _refused(kind, msg, hyper, lambda x: run_entropy_stack(latent, x, stack))
     # a decoder's symbols are checked where they enter, each step's own
     steps = StepDecoder(hyper, stack, latent.shape)
-    at = (np.array([1]), np.array([2]))
+    at = (np.array([[1]]), np.array([[2]]))  # a decoder step's (P, 1) arrays
     _refused(kind, msg, latent, lambda x: steps.enter(at, x[:, at[0], at[1]]))
 
 
@@ -691,7 +694,7 @@ def test_int_roundtrip_refuses_what_the_stack_refuses(kind, msg):
 
     # a latent is refused as coder symbols before it reaches the stack
     ints = "symbols must be integers"
-    symbols = {"float": ints, "bool": ints, "channels": msg}
+    symbols = {"float": ints, "bool": ints, "channels": _LATENT_CHANNELS}
     msg_y = symbols.get(kind, "outside the coder alphabet")
     _refused(kind, msg_y, latent, lambda x: roundtrip(x, hyper))
     if kind == "channels":

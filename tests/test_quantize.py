@@ -26,7 +26,7 @@ from detq.quantize import (
     shifted_bound,
 )
 from detq.intops import requantize
-from detq.tensors import ConvLayerF
+from detq.tensors import ConvLayerF, ShapeError
 
 from oracles import (
     adjust_shift_for_bias_oracle,
@@ -455,7 +455,7 @@ def test_left_shift_bound_is_exact(left):
     spec = LayerQuantSpec(n_i=2, p_in=0, p_out=left, k=[0])
     assert spec.shift[0] == -left
     top = (2**31 - 1) >> left  # the largest bound the shift keeps within 2^31 - 1
-    w = np.ones((1, 1, 1, 1))
+    w = np.ones((1, 1, 1, 1), np.int64)
     lyr = QConvLayer(w_q=w, b_q=[top - 1], spec=spec)
     assert shifted_bound(lyr.w_q, lyr.b_q, spec)[0] == top << left  # 2^31 - 1 at left 0
     acc = qconv(np.ones((1, 1, 1), np.int64), lyr)
@@ -485,7 +485,7 @@ def test_qconv_layer_range_check_includes_int64_min():
     with pytest.raises(WeightRangeError, match="int16 range"):
         QConvLayer(w_q=np.full((1, 1, 1, 1), int64_min), b_q=[0], spec=spec)
     with pytest.raises(WeightRangeError, match="accumulator range"):
-        QConvLayer(w_q=np.zeros((1, 1, 1, 1)), b_q=[int64_min], spec=spec)
+        QConvLayer(w_q=np.zeros((1, 1, 1, 1), np.int64), b_q=[int64_min], spec=spec)
     with pytest.raises(WeightRangeError, match="int16 range"):
         QConvLayer(w_q=np.full((1, 1, 1, 1), -32768), b_q=[0], spec=spec)
     # held as int16, -32768 is in the dtype but not in the symmetric range
@@ -494,6 +494,50 @@ def test_qconv_layer_range_check_includes_int64_min():
         QConvLayer(w_q=w, b_q=[0], spec=spec)
     # no wraparound: abs of int16 -32768 is -32768 in int16
     assert accumulator_bound(w, np.zeros(1, np.int64), 2).tolist() == [32768]
+
+
+@pytest.mark.parametrize(
+    "w, b",
+    [
+        (np.full((1, 1, 1, 1), 1.7), [0]),  # was truncated to weight 1
+        (np.ones((1, 1, 1, 1), np.int64), np.array([2.9])),  # was truncated to bias 2
+        (np.ones((1, 1, 1, 1)), [0]),  # whole-valued, but float all the same
+        (np.ones((1, 1, 1, 1), bool), [0]),
+    ],
+    ids=["weight-1.7", "bias-2.9", "weight-1.0", "bool-weight"],
+)
+def test_qconv_layer_refuses_non_integer_arrays(w, b):
+    spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0])
+    with pytest.raises(ValueError, match="must be integer arrays"):
+        QConvLayer(w_q=w, b_q=b, spec=spec)
+
+
+@pytest.mark.parametrize(
+    "w_shape, b_len, message",
+    [
+        ((1, 2, 2, 1), 1, "kernel size must be odd, got 2"),
+        ((1, 3, 1, 1), 1, r"weights must be \(m, K, K, n\)"),
+        ((1, 1, 1, 1), 3, "bias must have length 1"),
+    ],
+    ids=["even-kernel", "non-square", "3-entry-bias"],
+)
+def test_qconv_layer_has_the_float_layer_geometry(w_shape, b_len, message):
+    # one rule for both layer types: tensors.check_layer_geometry
+    spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0] * w_shape[3])
+    with pytest.raises(ShapeError, match=message):
+        QConvLayer(w_q=np.zeros(w_shape, np.int64), b_q=np.zeros(b_len, np.int64), spec=spec)
+    with pytest.raises(ShapeError, match=message):
+        ConvLayerF(np.zeros(w_shape), np.zeros(b_len))
+
+
+def test_qconv_layer_checks_a_bias_before_narrowing_it():
+    # a uint64 bias of 2^64 - 1 used to be cast to int64 -1 and accepted
+    spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[0])
+    w = np.ones((1, 1, 1, 1), np.int64)
+    with pytest.raises(WeightRangeError, match="accumulator range"):
+        QConvLayer(w_q=w, b_q=np.array([2**64 - 1], np.uint64), spec=spec)
+    lyr = QConvLayer(w_q=w, b_q=np.array([7], np.uint64), spec=spec)
+    assert lyr.b_q.dtype == np.int64 and lyr.b_q.tolist() == [7]
 
 
 def test_int16_weights_bound_as_python_ints():
