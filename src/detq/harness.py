@@ -2,23 +2,25 @@
 
 Cross-device floating-point variance is modeled by accumulation-order
 variants (sequential, reversed, pairwise tree) executed in float32, and
-only there: EntropyStackF carries the order it sums in, and prior_fn binds
-a float variant's order to it.  conv_ordered_float sums a convolution's
-taps in all three orders through one loop, Higham's (1993) general
-summation: it keeps pending partial sums and replaces the last two by
-their sum, always for seq and rev, and for tree only while they hold as
+only there: EntropyStackF carries the order it sums in, and device_steps
+binds a float variant's order to it.  conv_ordered_float sums a
+convolution's taps in all three orders through one loop, Higham's (1993)
+general summation: it keeps pending partial sums and replaces the last two
+by their sum, always for seq and rev, and for tree only while they hold as
 many taps.  So it holds at most log2(T) + 1 partial sums beyond the
-im2col columns, not a (P, T, n) products tensor, and runs float priors
-at codec width.  The integer pipeline sums exactly, so it
-has no order, and the tests hold it to a per-tap reference that sums in
-each order.  Encode-on-A / decode-on-B experiments then show that float
-priors can break entropy decoding while integer priors round-trip exactly.
+im2col columns, and runs float priors at codec width.  The integer
+pipeline sums exactly, so it has no order, and the tests hold it to a
+per-tap reference that sums in each order.  Encode-on-A / decode-on-B
+experiments then show that float priors can break entropy decoding while
+integer priors round-trip exactly.
 
-A device in integer mode quantizes its raw latent and hyper latent with
-quantize.quantize_value, which rejects non-finite values; float mode
-feeds them to EntropyStackF as they are, whose entry checks that float32
-holds them.  The float reference oracle is
-intops.run_entropy_stack on an EntropyStackF.
+A simulated device is the pair (priors, enter) of one intops.StepDecoder
+(device_steps): a decoder's steps, and a whole latent's priors as its one
+step over every position (run_backend).  In integer mode it quantizes its
+raw latent and hyper latent with quantize.quantize_value, which rejects
+non-finite values; float mode feeds them to EntropyStackF as they are,
+whose entry checks that float32 holds them.  The float reference oracle
+is intops.run_entropy_stack on an EntropyStackF.
 
 Every experiment codes through one encoder (_encode) and one decoder
 (_decode) in one coding order (_coding_order): positions by step
@@ -26,15 +28,15 @@ t = x + K*y, then by y.  v1 is raster order, K = w.  A stack with a context
 model codes v2, K = R+1 for its context reach R: a step is an anti-diagonal
 whose priors read only earlier steps.  _decode takes its steps as one
 pair of functions, priors(at) and enter(at, symbols): a roundtrip passes
-DevicePriors.steps, which wires one intops.StepDecoder per stream to the
-device, and the failure demo passes two functions over its fixed field,
-whose one step is the whole grid.  The decoder enters each step's symbols
-once, and its StepDecoder computes each context output once, at its own
-step: every context layer masks its centre and every raster-later tap, so
-a window reads only positions of earlier steps, whose cached values are
-final; the same holds for the raster steps of a v1 stream.  Without a
-context model the whole field is one decoder step; a v1 stream of a
-context model decodes one position per step.
+the decoder device's, one per stream (device_steps), and the failure demo
+passes two functions over its fixed field, whose one step is the whole
+grid.  The decoder enters each step's symbols once, and its StepDecoder
+computes each context output once, at its own step: every context layer
+masks its centre and every raster-later tap, so a window reads only
+positions of earlier steps, whose cached values are final; the same holds
+for the raster steps of a v1 stream.  Without a context model the whole
+field is one decoder step; a v1 stream of a context model decodes one
+position per step.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -63,7 +64,6 @@ from .intops import (
     StepDecoder,
     check_topology,
     context_reach,
-    run_entropy_stack,
 )
 from .quantize import WeightRangeError, quantize_layer, quantize_value, round_half_away
 # rc_decode is not called here: it stays in this namespace because the
@@ -75,7 +75,6 @@ from .tensors import ConvLayerF, check_conv_input, im2col
 __all__ = [
     "ORDERS",
     "BackendVariant",
-    "DevicePriors",
     "InteropReport",
     "CalibrationReport",
     "LayerCfg",
@@ -84,7 +83,7 @@ __all__ = [
     "StackPair",
     "conv_ordered_float",
     "discretize_priors",
-    "prior_fn",
+    "device_steps",
     "run_backend",
     "field_tables",
     "roundtrip_experiment",
@@ -355,75 +354,38 @@ def make_stack_pair(fstack: EntropyStackF) -> StackPair:
     return StackPair(float_stack=fstack, quant_stack=fstack.quantize())
 
 
-def _quantize_for(chain, x):
-    """x quantized at the chain's input grid; x itself when the chain is
-    absent, which reads only its shape, or nothing."""
-    if not chain:
-        return x
-    spec = chain[0].spec
-    return quantize_value(x, spec.p_in, spec.n_i)
+def device_steps(stacks: StackPair, hyper, variant: BackendVariant, shape):
+    """A decoder's steps of a (c, h, w) latent on one simulated device, as
+    the pair (priors, enter) of one intops.StepDecoder, which runs the
+    hyperdecoder once, here: priors(at) gives the GmmParams of positions
+    at, and enter(at, symbols) enters their symbols.
 
-
-@dataclass(frozen=True)
-class DevicePriors:
-    """Priors one simulated device computes, as a function of the latent
-    canvas; prior_fn builds it.
-
-    hyper is the device's hyper latent, prepared for the stack: quantized
-    to the hyperdecoder's input grid in integer mode.  Calling the device
-    on a whole canvas gives the whole field's GmmParams
-    (intops.run_entropy_stack), and steps gives a decoder's steps; each
-    runs the hyperdecoder once.  Both pass the symbols they enter through
-    prepare and the priors they get through finish: prepare quantizes
-    symbols to the first context layer's grid in integer mode, and finish
-    discretizes float priors.
+    In integer mode the hyper latent and the symbols are quantized at
+    their first layer's input grid, where that subnetwork exists (without
+    it the stack reads only the latent's shape); float mode takes them as
+    they are and discretizes the priors.  Integer mode is bit-identical
+    across variants; float mode may differ at the ulp level between
+    accumulation orders, and those differences can survive discretization.
     """
+    if variant.mode == "float":
+        stack = replace(stacks.float_stack, order=variant.order)
+        steps = StepDecoder(hyper, stack, shape)
+        return lambda at: discretize_priors(steps.priors(at), stack.head_scale_exp), steps.enter
+    stack = stacks.quant_stack
 
-    stack: object
-    hyper: object
-    prepare: Callable
-    finish: Callable
+    def on_grid(chain, x):
+        return quantize_value(x, chain[0].spec.p_in, chain[0].spec.n_i) if chain else x
 
-    def __call__(self, canvas) -> GmmParams:
-        return self.finish(run_entropy_stack(self.prepare(canvas), self.hyper, self.stack))
-
-    def steps(self, shape):
-        """A decoder's steps of a (c, h, w) latent on this device, through
-        one intops.StepDecoder: the functions priors(at), the GmmParams of
-        positions at, and enter(at, symbols), which enters their symbols."""
-        steps = StepDecoder(self.hyper, self.stack, shape)
-        return (
-            lambda at: self.finish(steps.priors(at)),
-            lambda at, symbols: steps.enter(at, self.prepare(symbols)),
-        )
-
-
-def prior_fn(stacks: StackPair, hyper, variant: BackendVariant) -> DevicePriors:
-    """Priors one simulated device computes, as a function of the latent canvas.
-
-    Only the hyper latent's quantization runs here, in integer mode; the
-    hyperdecoder runs at the device's first use, where the hyper latent
-    enters the stack.  Integer mode is bit-identical across variants;
-    float mode may differ at the ulp level between accumulation orders,
-    and those differences can survive discretization.
-    """
-    if variant.mode == "int":
-        stack = stacks.quant_stack
-        return DevicePriors(
-            stack,
-            _quantize_for(stack.hyperdecoder, hyper),
-            lambda symbols: _quantize_for(stack.context, symbols),
-            lambda p: p,
-        )
-    stack = replace(stacks.float_stack, order=variant.order)
-    return DevicePriors(
-        stack, hyper, lambda symbols: symbols, lambda p: discretize_priors(p, stack.head_scale_exp)
-    )
+    steps = StepDecoder(on_grid(stack.hyperdecoder, hyper), stack, shape)
+    return steps.priors, lambda at, symbols: steps.enter(at, on_grid(stack.context, symbols))
 
 
 def run_backend(stacks: StackPair, latent, hyper, variant: BackendVariant) -> GmmParams:
-    """Priors of a whole latent as computed on one simulated device."""
-    return prior_fn(stacks, hyper, variant)(latent)
+    """Priors of a whole latent as computed on one simulated device: its
+    decoder's one step over every position, with every symbol entered."""
+    priors, enter = device_steps(stacks, hyper, variant, np.shape(latent))
+    enter(np.s_[:, :], latent)
+    return priors(np.s_[:, :])
 
 
 def _raster(a, at=np.s_[:, :]):
@@ -502,7 +464,7 @@ def _decode(stream: Bitstream, steps, reach):
     reach (None without a context model).
 
     steps is the pair (priors, enter) of a decoder of stream.shape, as
-    DevicePriors.steps gives it: priors(at) gives the priors of positions
+    device_steps gives it: priors(at) gives the priors of positions
     at from the symbols of the steps before, and enter(at, symbols) enters
     each step's (c, P, 1) symbols once, after its own step.  A step's
     priors come as prior rows in coding order, checked once; its tables
@@ -557,7 +519,7 @@ def roundtrip_experiment(
     stack = stacks.quant_stack
     reach = context_reach(stack) if stack.context else None
     stream, sent, rows = _encode(enc_params, latent, reach)
-    steps = prior_fn(stacks, hyper, dec_variant).steps(stream.shape)  # one StepDecoder
+    steps = device_steps(stacks, hyper, dec_variant, stream.shape)
     return _report(sent, rows, *_decode(stream, steps, reach))
 
 

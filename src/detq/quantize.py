@@ -107,11 +107,14 @@ def quantize_value(x, p: int, b: int):
     """clamp(round(x * 2^p), -(2^(b-1)-1), 2^(b-1)-1), half away from zero.
 
     The one activation quantizer.  Works elementwise: an int for a scalar,
-    an int64 array for an array.  Complex, non-finite or non-numeric
-    (text, bytes, boolean) input raises ValueError.
+    an int64 array for an array.  b and p follow the grid rule, b in
+    [2, 16] and p in [0, 15].  Complex, non-finite or non-numeric (text,
+    bytes, boolean) input raises ValueError.
     """
-    if b < 2:
-        raise ValueError("bit depth must be at least 2")
+    if not 2 <= b <= 16:
+        raise ValueError(f"bit depth must be at least 2 and at most 16, got {b}")
+    if not 0 <= p <= 15:
+        raise ValueError(f"exponent must lie in [0, 15], got {p}")
     x = np.asarray(x)
     if x.dtype.kind == "c":
         raise ValueError("activation must be real, got a complex array")
@@ -392,13 +395,12 @@ def quantize_layer(
         out = _scale_channels(w[:, cols], b[cols], k_new, p_in, n_i)
         w_q[:, cols], b_q[cols], wide[cols], w_sum[cols], fits[cols] = out
 
-    while (cols := np.flatnonzero(wide & (k > 0))).size:
-        # the K_MAX cap first, then one step at a time
-        lower(cols, np.minimum(k[cols] - 1, K_MAX))
-    # Rounding can push a channel a hair past the static budget; lower the
-    # shift until the worst-case accumulator provably fits.
-    while (cols := np.flatnonzero(~wide & (k > 0) & ((w_sum > eq14_budget) | ~fits))).size:
-        lower(cols, k[cols] - 1)
+    # A wide channel drops to the K_MAX cap first, then one step at a
+    # time; rounding can push a channel a hair past the static budget, so
+    # the shift also drops until the worst-case accumulator provably fits.
+    # A lower shift never makes a channel wide again.
+    while (cols := np.flatnonzero((k > 0) & (wide | (w_sum > eq14_budget) | ~fits))).size:
+        lower(cols, np.where(wide[cols], np.minimum(k[cols] - 1, K_MAX), k[cols] - 1))
     failed = np.flatnonzero(wide | ~fits)
     if failed.size:
         j = int(failed[0])

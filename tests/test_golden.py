@@ -29,7 +29,6 @@ from detq.harness import (
     make_stack_pair,
     roundtrip_experiment,
     run_backend,
-    prior_fn,
 )
 from detq.intops import context_reach, linear_softmax_field, run_entropy_stack
 from detq.manifest import load_quantized_model, save_quantized_model
@@ -122,8 +121,8 @@ def _case(name, tmp):
     canvas = latent.copy()
     canvas[:, 3:, :] = 0
     for mode in ("int", "float"):
-        params_of = prior_fn(pair, hyper, BackendVariant("d", "tree", mode))
-        out[f"decoder.{mode}"] = _sha(params_of(canvas).tobytes())
+        params = run_backend(pair, canvas, hyper, BackendVariant("d", "tree", mode))
+        out[f"decoder.{mode}"] = _sha(params.tobytes())
     return {f"{name}.{k}": v for k, v in out.items()}
 
 

@@ -17,12 +17,12 @@ from detq.harness import (
     boundary_failure_demo,
     calibrate_shifts,
     conv_ordered_float,
+    device_steps,
     discretize_priors,
     field_tables,
     float_cross_entropy_bits,
     int_cross_entropy_bits,
     make_stack_pair,
-    prior_fn,
     roundtrip_experiment,
     run_backend,
 )
@@ -266,11 +266,11 @@ def test_roundtrip_refuses_float_latents(mode):
 @pytest.mark.parametrize("mode", ["int", "float"])
 def test_complex_hyper_latent_is_refused(mode):
     # cast to float, 1 + 5j would lose its imaginary part; integer mode
-    # refuses it as prior_fn quantizes it, float mode where it enters the
-    # stack, at the device's first use
+    # refuses it as device_steps quantizes it, float mode where it enters
+    # the stack, as the decoder is built
     pair, latent, hyper = fixture_pair()
     with pytest.raises(ValueError, match="complex"):
-        prior_fn(pair, hyper + 5j, BackendVariant("a", "seq", mode))(latent)
+        run_backend(pair, latent, hyper + 5j, BackendVariant("a", "seq", mode))
 
 
 @pytest.mark.parametrize("dtype", ["U8", "S8", "bool"])
@@ -280,7 +280,7 @@ def test_non_numeric_hyper_latent_is_refused(mode, dtype):
     # as 0 and 1
     pair, latent, hyper = fixture_pair()
     with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)}"):
-        prior_fn(pair, hyper.astype(dtype), BackendVariant("a", "seq", mode))(latent)
+        run_backend(pair, latent, hyper.astype(dtype), BackendVariant("a", "seq", mode))
 
 
 @pytest.mark.parametrize("mode", ["int", "float"])
@@ -289,14 +289,14 @@ def test_position_priors_refuse_a_hyper_latent_on_another_grid(mode):
     # features, and at (3, 0) a bare IndexError
     rng = np.random.default_rng(24)
     pair = make_stack_pair(random_stack(rng))
-    params_of = prior_fn(pair, rng.normal(size=(2, 3, 3)), BackendVariant("d", "seq", mode))
+    hyper, device = rng.normal(size=(2, 3, 3)), BackendVariant("d", "seq", mode)
     canvas = random_latent(rng, (1, 4, 4))
     grid = r"\(3, 3\) under a latent of \(h, w\) \(4, 4\)"
     with pytest.raises(ShapeError, match=grid):
-        params_of(canvas)
+        run_backend(pair, canvas, hyper, device)
     # a decoder of the 4x4 latent is refused when it is built, before any step
     with pytest.raises(ShapeError, match=grid):
-        intops.StepDecoder(params_of.hyper, params_of.stack, canvas.shape)
+        device_steps(pair, hyper, device, canvas.shape)
 
 
 # --- priors of one position ------------------------------------------------
@@ -314,12 +314,12 @@ def two_layer_context_pair(rng, latent_channels, k2=5):
     return make_stack_pair(fs)
 
 
-def step_priors(params_of, shape):
+def step_priors(steps):
     """A decoder's steps on a device, as harness._decode takes them
-    (DevicePriors.steps): a function giving the priors of positions at
-    from what was entered before, and one entering the latent's symbols at
+    (device_steps): a function giving the priors of positions at from what
+    was entered before, and one entering the latent's symbols at
     positions."""
-    priors, enter = params_of.steps(shape)
+    priors, enter = steps
     return priors, lambda latent, at: enter(at, latent[(slice(None), *at)])
 
 
@@ -335,9 +335,9 @@ def test_position_priors_equal_whole_canvas_priors(mode, order, shape):
     # symbols at and after it are present too
     canvas = random_latent(rng, shape)
     hyper = rng.normal(size=(2, *shape[1:]))
-    params_of = prior_fn(pair, hyper, BackendVariant("d", order, mode))
-    full = params_of(canvas)
-    priors, enter = step_priors(params_of, shape)
+    device = BackendVariant("d", order, mode)
+    full = run_backend(pair, canvas, hyper, device)
+    priors, enter = step_priors(device_steps(pair, hyper, device, shape))
     steps = harness._schedule(Bitstream(math.prod(shape), shape, b""), 3)
     assert [(ys.item(), xs.item()) for ys, xs in steps] == list(np.ndindex(shape[1:]))
     for ys, xs in steps:
@@ -398,9 +398,9 @@ def test_band_priors_equal_whole_canvas_priors(context, c, h, w, seed):
     steps = wavefront_steps(latent.shape, reach)
     assert len(steps) <= (w - 1) + (reach + 1) * (h - 1) + 1
     for order, mode in DEVICES:
-        params_of = prior_fn(pair, hyper, BackendVariant("d", order, mode))
-        full = params_of(latent).fields
-        priors, enter = step_priors(params_of, latent.shape)
+        device = BackendVariant("d", order, mode)
+        full = run_backend(pair, latent, hyper, device).fields
+        priors, enter = step_priors(device_steps(pair, hyper, device, latent.shape))
         for ys, xs in steps:
             got = priors((ys, xs))
             assert ys.shape == xs.shape == (len(ys), 1)
@@ -454,8 +454,8 @@ def test_v2_roundtrip_exact_for_all_order_pairs(context, shape):
             stream = Bitstream.from_bytes(data)
             assert stream.version == 2 and stream.reach == reach
             for do in harness.ORDERS:
-                params_of = prior_fn(pair, hyper, BackendVariant("d", do))
-                got, rows = harness._decode(stream, params_of.steps(stream.shape), reach)
+                steps = device_steps(pair, hyper, BackendVariant("d", do), stream.shape)
+                got, rows = harness._decode(stream, steps, reach)
                 assert got == sent.tolist(), (eo, do)
                 np.testing.assert_array_equal(rows, in_order(enc.fields, at))
                 rep = roundtrip_experiment(
@@ -487,15 +487,15 @@ def test_decoder_refuses_a_stream_of_another_reach():
     pair = make_stack_pair(random_stack(rng))  # a 3x3 context: reach 1
     latent = random_latent(rng, (1, 4, 4))
     hyper = rng.normal(size=(2, 4, 4))
-    params_of = prior_fn(pair, hyper, BackendVariant("d"))
-    stream = harness._encode(params_of(latent), latent, 2)[0]
+    device = BackendVariant("d")
+    stream = harness._encode(run_backend(pair, latent, hyper, device), latent, 2)[0]
     with pytest.raises(StreamFormatError, match="reach 2"):
-        harness._decode(stream, params_of.steps(stream.shape), 1)
+        harness._decode(stream, device_steps(pair, hyper, device, stream.shape), 1)
     # a model without a context model has no wavefront order
     with pytest.raises(StreamFormatError, match="reach 2"):
-        harness._decode(stream, params_of.steps(stream.shape), None)
+        harness._decode(stream, device_steps(pair, hyper, device, stream.shape), None)
     # a reach-2 window holds a reach-1 one
-    got, _ = harness._decode(stream, params_of.steps(stream.shape), 2)
+    got, _ = harness._decode(stream, device_steps(pair, hyper, device, stream.shape), 2)
     assert got == in_order(latent, harness._coding_order(4, 4, 2)[:2]).tolist()
 
 
@@ -508,11 +508,11 @@ def test_decoder_refuses_a_stream_of_another_channel_count():
         rng = np.random.default_rng(3)
         pair = make_stack_pair(random_stack(rng, with_context=with_context))  # one channel
         latent = random_latent(rng, (1, 4, 4))
-        params_of = prior_fn(pair, rng.normal(size=(2, 4, 4)), BackendVariant("d"))
-        stream = harness._encode(params_of(latent), latent, reach)[0]
+        hyper, device = rng.normal(size=(2, 4, 4)), BackendVariant("d")
+        stream = harness._encode(run_backend(pair, latent, hyper, device), latent, reach)[0]
         two = Bitstream(stream.count, (2, 4, 4), stream.payload, reach)
         with pytest.raises(ShapeError, match="latent has 2 channels, the stack codes 1"):
-            harness._decode(two, params_of.steps(two.shape), reach)
+            harness._decode(two, device_steps(pair, hyper, device, two.shape), reach)
 
 
 @pytest.mark.parametrize("mode", ["int", "float"])
@@ -554,8 +554,8 @@ def test_v1_context_stream_decodes_through_the_raster_schedule():
             ([[y]], [[x]]) for y, x in zip(ys.tolist(), xs.tolist())
         ]
         assert list(zip(ys.tolist(), xs.tolist())) == list(np.ndindex(h, w))
-    dec = prior_fn(pair, hyper, BackendVariant("d", "tree"))
-    got, rows = harness._decode(stream, dec.steps(stream.shape), 1)
+    steps = device_steps(pair, hyper, BackendVariant("d", "tree"), stream.shape)
+    got, rows = harness._decode(stream, steps, 1)
     assert got == symbols.tolist()
     np.testing.assert_array_equal(rows, harness._raster(params.fields))
 
@@ -573,11 +573,11 @@ def test_float_mode_sums_in_the_variant_order(order, monkeypatch):
         return conv(x, layer, order)
 
     monkeypatch.setattr(harness, "conv_ordered_float", recording_conv)
-    params_of = prior_fn(pair, hyper, BackendVariant("d", order, "float"))
-    assert seen == set()  # the hyperdecoder runs where the device is used
-    priors, _ = step_priors(params_of, latent.shape)
+    device = BackendVariant("d", order, "float")
+    priors, _ = device_steps(pair, hyper, device, latent.shape)
+    assert seen == {order}  # the hyperdecoder runs as the decoder is built
     at = (np.array([[2]]), np.array([[1]]))
-    for run in (lambda: params_of(latent), lambda: priors(at)):
+    for run in (lambda: run_backend(pair, latent, hyper, device), lambda: priors(at)):
         seen.clear()
         run()
         assert seen == {order}
@@ -904,9 +904,9 @@ def test_ar_roundtrip_checks_each_steps_prior_rows_once(monkeypatch):
         return weights
 
     monkeypatch.setattr(intops, "linear_softmax_field", heavy)
-    dec = prior_fn(pair, hyper, BackendVariant("d", "tree"))
+    dec = device_steps(pair, hyper, BackendVariant("d", "tree"), stream.shape)
     with pytest.raises(ValueError, match="sum to 2\\^15"):
-        harness._decode(stream, dec.steps(stream.shape), reach)
+        harness._decode(stream, dec, reach)
 
 
 # --- roundtrips -----------------------------------------------------------
@@ -1116,14 +1116,14 @@ def test_position_steps_decode_a_no_context_stream_as_one_step(mode):
     pair = make_stack_pair(random_stack(rng, latent_channels=2, with_context=False))
     latent = random_latent(rng, (2, 4, 5))
     hyper = rng.normal(size=(2, 4, 5))
-    params_of = prior_fn(pair, hyper, BackendVariant("d", "tree", mode))
-    stream = harness._encode(params_of(latent), latent)[0]
+    device = BackendVariant("d", "tree", mode)
+    stream = harness._encode(run_backend(pair, latent, hyper, device), latent)[0]
     assert harness._schedule(stream, None) == [np.s_[:, :]]
-    got, rows = harness._decode(stream, params_of.steps(stream.shape), None)
+    got, rows = harness._decode(stream, device_steps(pair, hyper, device, stream.shape), None)
     np.testing.assert_array_equal(got, latent.transpose(1, 2, 0).ravel())
     assert rows.shape == (3, 3, latent.size)
     assert len(harness._schedule(stream, 0)) == 4 * 5
-    steps = harness._decode(stream, params_of.steps(stream.shape), 0)
+    steps = harness._decode(stream, device_steps(pair, hyper, device, stream.shape), 0)
     np.testing.assert_array_equal(steps[0], got)
     np.testing.assert_array_equal(steps[1], rows)
 

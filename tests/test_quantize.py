@@ -73,6 +73,22 @@ def test_quantize_value_refuses_bit_depth_below_2(b):
         quantize_value(1.0, 8, b)
 
 
+@pytest.mark.parametrize("b", [17, 64, 100])
+def test_quantize_value_refuses_bit_depth_above_16(b):
+    # at b = 100 the clamp 2^99 - 1 lies past int64, and 1e30 came back
+    # as -2^63; at 17 the grid rule is broken, though the value fits
+    with pytest.raises(ValueError, match="bit depth must be at least 2 and at most 16"):
+        quantize_value(1e30, 0, b)
+
+
+@pytest.mark.parametrize("p", [-1, 16, 2000, -2000])
+def test_quantize_value_refuses_an_exponent_outside_0_to_15(p):
+    # 2^2000 raised OverflowError and 2^-2000 ZeroDivisionError; -1 and 16
+    # quantized on a grid that no layer has
+    with pytest.raises(ValueError, match=r"exponent must lie in \[0, 15\]"):
+        quantize_value(1.0, p, 16)
+
+
 def test_quantize_value_rejects_complex():
     # cast to float64, 1 + 5j would quantize as 1 with only a ComplexWarning
     for bad in (np.array([1 + 5j]), 1 + 0j, np.zeros((1, 2, 2), np.complex64)):
