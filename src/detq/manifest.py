@@ -122,8 +122,19 @@ def _save(manifest_path, dtype: str, latent_channels: int, layers):
 
     layers yields (subnetwork, weights, bias, mask, cfg, extra) in SUBNETS
     order; cfg carries n_i, p_in and p_out, and extra holds any further
-    JSON fields of the layer entry.
+    JSON fields of the layer entry.  The blob is joined from the arrays'
+    own buffers where they already hold the blob dtype, as a quantized
+    layer's int16 weights do.  A manifest named as its own blob
+    (manifest_path.stem + ".bin") would overwrite it, and raises
+    ManifestError before anything is written.
     """
+    manifest_path = pathlib.Path(manifest_path)
+    blob_name = manifest_path.stem + ".bin"
+    if manifest_path.name == blob_name:
+        raise ManifestError(
+            f"manifest {manifest_path} would overwrite its own blob {blob_name}; "
+            "give it another suffix"
+        )
     w_dt, b_dt = _BLOB_DTYPES[dtype]
     subnets = {name: [] for name in SUBNETS}
     parts = []
@@ -133,8 +144,7 @@ def _save(manifest_path, dtype: str, latent_channels: int, layers):
             {"m": m, "k": k, "n": n, "mask": bool(mask), **extra}
             | {key: int(getattr(cfg, key)) for key in ("n_i", "p_in", "p_out")}
         )
-        parts += [w.astype(w_dt, copy=False).tobytes(), b.astype(b_dt, copy=False).tobytes()]
-    manifest_path = pathlib.Path(manifest_path)
+        parts += [np.ascontiguousarray(w, w_dt), np.ascontiguousarray(b, b_dt)]
     blob = b"".join(parts)
     doc = {
         "format": FORMAT,
@@ -143,7 +153,7 @@ def _save(manifest_path, dtype: str, latent_channels: int, layers):
         "n_a": ACCUM_BITS,
         "latent_channels": latent_channels,
         "subnetworks": subnets,
-        "blob": manifest_path.stem + ".bin",
+        "blob": blob_name,
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
     (manifest_path.parent / doc["blob"]).write_bytes(blob)

@@ -13,7 +13,8 @@ Each channel gets the same shift, weights and bias as it would
 quantized on its own.
 
 Quantized weights are held as int16, the type the paper's registers and
-the model blob give them; all arithmetic on them is int64 or float64.
+the model blob give them; their magnitudes are taken in int32 and all
+other arithmetic on them is int64 or float64.
 
 Rounding is half-away-from-zero everywhere.
 """
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensors import ConvLayerF, causal_mask, check_layer_geometry
+from .tensors import ConvLayerF, ShapeError, causal_mask, check_layer_geometry
 
 __all__ = [
     "K_MAX",
@@ -72,8 +73,8 @@ class WeightRangeError(ValueError):
 # to nearest is symmetric, so x - this for x < 0 is -(|x| + this).
 _BELOW_HALF = 0.5 - 2.0**-54
 
-# the unsigned dtype of each integer width
-_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+# exceeds reads arrays up to this size as a list
+_FEW_ENTRIES = 32
 
 
 def round_half_away(x, out=None):
@@ -85,12 +86,19 @@ def round_half_away(x, out=None):
 def exceeds(arr: np.ndarray, lim: int) -> bool:
     """Whether an integer array has an entry outside [-lim, lim].  An array
     of another dtype raises TypeError: its bytes read as an integer are
-    no magnitude."""
+    no magnitude.
+
+    Reads the array's max and min as Python ints, with no |arr| copy, so a
+    layer's weights are checked in place.  Up to _FEW_ENTRIES entries, as a
+    decoder step's symbols, are read as a list: Python's max and min over
+    it cost less than two numpy reductions.
+    """
     if arr.dtype.kind not in "iu":
         raise TypeError(f"exceeds takes an integer array, got dtype {arr.dtype}")
-    # abs of a signed minimum wraps to itself, which read as unsigned of
-    # the same width is its magnitude
-    return arr.size > 0 and int(np.abs(arr).view(_UNSIGNED[arr.itemsize]).max()) > lim
+    if arr.size <= _FEW_ENTRIES:
+        vals = arr.ravel().tolist()
+        return bool(vals) and (max(vals) > lim or min(vals) < -lim)
+    return int(arr.max()) > lim or int(arr.min()) < -lim
 
 
 def ceil_log2(x) -> int:
@@ -154,10 +162,10 @@ class LayerQuantSpec:
 
     n_i: input bit depth; p_in / p_out: activation shift exponents for this
     layer's input and the next layer's input; k: per-output-channel weight
-    shift exponents.  Requantization shifts channel j right by
-    k_j + p_in - p_out, at most MAX_RIGHT_SHIFT: it scales the accumulator
-    by scale, 2^-shift in float64, and rounds half away from zero, exact
-    at every shift.
+    shift exponents, a 1-D integer sequence.  Requantization shifts
+    channel j right by k_j + p_in - p_out, at most MAX_RIGHT_SHIFT: it
+    scales the accumulator by scale, 2^-shift in float64, and rounds half
+    away from zero, exact at every shift.
     """
 
     n_i: int
@@ -168,6 +176,12 @@ class LayerQuantSpec:
     def __post_init__(self):
         _check_grid(self.n_i, self.p_in, self.p_out)
         k = np.asarray(self.k)
+        # the int64 cast below would truncate a fractional shift and read
+        # a bool as 0 or 1
+        if k.ndim != 1 or k.dtype.kind not in "iu":
+            raise ValueError(
+                f"channel shifts must be a 1-D integer sequence, got {k.dtype}, shape {k.shape}"
+            )
         k_max = MAX_RIGHT_SHIFT - self.p_in + self.p_out
         if k.size and not (k.min() >= 0 and k.max() <= k_max):
             raise ValueError(f"channel shifts must lie in [0, {k_max}]")
@@ -191,11 +205,15 @@ def accumulator_bound(w_q, b_q, n_i: int) -> np.ndarray:
 
     w_q is (..., n) integers of any width, int16 as a layer holds them, and
     b_q is (n,).  The sign-matched extreme input attains the bound, and it
-    bounds every partial sum in every summation order.  int64 throughout:
-    |w| is taken in int64, where int16 -32768 has its magnitude.
+    bounds every partial sum in every summation order.  |w| is taken in
+    int32 for weights of 16 bits or fewer, half the copy int64 would take,
+    and in int64 for wider ones; either way int16 -32768 has its magnitude.
+    The sums and the bound are int64.
     """
     w = np.asarray(w_q)
-    w_sum = np.abs(w.reshape(-1, w.shape[-1]), dtype=np.int64).sum(axis=0)
+    w = w.reshape(-1, w.shape[-1])
+    abs_dt = np.int32 if w.dtype.kind in "iu" and w.dtype.itemsize <= 2 else np.int64
+    w_sum = np.abs(w, dtype=abs_dt).sum(axis=0, dtype=np.int64)
     x_max = (1 << (n_i - 1)) - 1
     return w_sum * x_max + np.abs(b_q)
 
@@ -236,6 +254,10 @@ class QConvLayer:
         if w.dtype.kind not in "iu" or b.dtype.kind not in "iu":
             raise ValueError(f"weights and bias must be integer arrays, got {w.dtype}, {b.dtype}")
         check_layer_geometry(w, b)
+        if self.spec.k.shape != b.shape:
+            # one shift would broadcast over every channel, and a saved
+            # model would not load
+            raise ShapeError(f"{self.spec.k.size} channel shifts for {b.size} output channels")
         # checked before the narrowing, which would wrap what lies outside
         acc_max = (1 << (ACCUM_BITS - 1)) - 1
         if exceeds(w, INT16_MAX):
@@ -294,7 +316,8 @@ def derive_weight_shift(w, n_i: int = 16):
     one = w.ndim == 1
     # one weight past 2^(ACCUM_BITS-n_i) makes the shift 0 on its own: the
     # clip moves no shift, and no column sum can overflow float64
-    a = np.minimum(np.abs(w.reshape(-1, 1) if one else w), 2.0 ** (ACCUM_BITS - n_i))
+    a = np.abs(w.reshape(-1, 1) if one else w)
+    np.minimum(a, 2.0 ** (ACCUM_BITS - n_i), out=a)
     s = a.sum(axis=0)
     frac, e = np.frexp(s)
     e = e.astype(np.int64)
@@ -340,17 +363,27 @@ def _scale_channels(w, b, k, p_in: int, n_i: int):
     after its scaling to one past the accumulator range, since the scaling
     and the casts could not hold larger values; a clipped channel fails
     its check all the same.
+
+    The weights take one float64 buffer of w's size, and every pass over
+    them but the int32 cast runs in place in it: it holds |w| 2^k, which
+    rounds half away from zero as trunc(|w| 2^k + _BELOW_HALF) (see
+    round_half_away), is clipped, gives the channel sums and maxima, and
+    takes w's signs back.  The float sums are exact: they add integers of
+    at most 2^15 over T rows, below 2^53 for any T < 2^38.
     """
     acc_max = (1 << (ACCUM_BITS - 1)) - 1
-    q = round_half_away(w * np.ldexp(1.0, k))
-    w_q = np.clip(q, -INT16_MAX - 1, INT16_MAX + 1, out=q).astype(np.int32)
+    q = np.abs(w)
+    np.multiply(q, np.ldexp(1.0, k), out=q)
+    np.trunc(np.add(q, _BELOW_HALF, out=q), out=q)
+    np.minimum(q, INT16_MAX + 1, out=q)
+    w_sum = q.sum(axis=0).astype(np.int64)
+    wide = q.max(axis=0, initial=0) > INT16_MAX
+    w_q = np.copysign(q, w, out=q).astype(np.int32)
     top = float(acc_max + 1)
     bq = round_half_away(np.clip(b, -top, top) * np.ldexp(1.0, k + p_in))
     b_q = np.clip(bq, -top, top).astype(np.int64)
-    a = np.abs(w_q)
-    w_sum = a.sum(axis=0, dtype=np.int64)
     fits = accumulator_bound(w_sum, b_q, n_i) <= acc_max
-    return w_q, b_q, a.max(axis=0, initial=0) > INT16_MAX, w_sum, fits
+    return w_q, b_q, wide, w_sum, fits
 
 
 def quantize_layer(

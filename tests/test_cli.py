@@ -61,6 +61,16 @@ def test_quantize_writes_model(model, tmp_path, capsys):
     assert len(q.gather) == 7
 
 
+def test_quantize_to_a_manifest_named_as_its_blob_is_input_error(model, tmp_path, capsys):
+    # --out q.bin printed "wrote q.bin" and exited 0, and verify then found
+    # the blob digest mismatched: the manifest had overwritten its blob
+    out = tmp_path / "q.bin"
+    assert main(["quantize", str(model), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "would overwrite its own blob q.bin" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.json"]
+
+
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 def test_quantize_to_a_path_that_cannot_be_written_is_input_error(model, tmp_path, where, capsys):
     # a missing directory used to end in a FileNotFoundError traceback

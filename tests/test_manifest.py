@@ -13,6 +13,7 @@ from detq.manifest import (
     save_float_model,
     save_quantized_model,
 )
+from detq.quantize import quantize_layer
 from detq.tensors import ConvLayerF, ShapeError
 
 from models import random_latent, random_stack
@@ -112,6 +113,51 @@ def test_load_keeps_no_more_than_the_blob(wide_model):
     assert abs(kept - blob) <= 0.1 * blob, (kept, blob)
     layers = [lyr for _, chain in stack.chains() for lyr in chain]
     assert sum(lyr.w_q.nbytes for lyr in layers) == 2 * sum(lyr.w_q.size for lyr in layers)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it traced past what was held
+    before it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_model_preparation_peaks_at_codec_width(tmp_path):
+    # quantizing the 1728x192 hyperdecoder layer held 3.00 times its float64
+    # weights, a save 2.1 times the blob (its tobytes copies) and a load 2.6
+    # times (an int64 |w| of the widest layer); in place they take about
+    # 1.5, 1.1 and 1.8 times
+    fs = random_stack(
+        np.random.default_rng(2027), latent_channels=32, hyper_channels=32, hidden=192, ctx_kernel=5
+    )
+    layer, cfg = fs.hyperdecoder[1], fs.hyper_cfg[1]
+    assert layer.weights.shape == (192, 3, 3, 192)
+    _, peak = _traced_peak(quantize_layer, layer, cfg.n_i, cfg.p_in, cfg.p_out)
+    assert peak <= 2.25 * layer.weights.astype(np.float64).nbytes, peak
+    path = tmp_path / "wide.json"
+    _, save_peak = _traced_peak(save_quantized_model, path, fs.quantize())
+    blob = path.with_suffix(".bin").stat().st_size
+    assert save_peak <= 1.6 * blob, (save_peak, blob)
+    _, load_peak = _traced_peak(load_quantized_model, path)
+    assert load_peak <= 2.2 * blob, (load_peak, blob)
+
+
+@pytest.mark.parametrize("save", [save_float_model, save_quantized_model])
+def test_a_manifest_named_as_its_own_blob_is_refused(tmp_path, fstack, save):
+    # q.bin's blob is q.bin: the manifest overwrote it, and the saved model
+    # failed its digest check
+    stack = fstack if save is save_float_model else fstack.quantize()
+    with pytest.raises(ManifestError, match="would overwrite its own blob q.bin"):
+        save(tmp_path / "q.bin", stack)
+    assert not list(tmp_path.iterdir())
 
 
 def test_save_is_deterministic(tmp_path, fstack):

@@ -165,6 +165,22 @@ def test_exceeds_matches_python_ints_at_the_dtype_extremes(dtype):
     assert not exceeds(np.zeros(0, dtype), 0)
 
 
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+@pytest.mark.parametrize("size", [31, 32, 33, 1000])
+def test_exceeds_reads_many_entries_like_a_few(dtype, size):
+    # a few entries are read as a list, more by numpy reductions: both at
+    # the dtype extremes, anywhere in a multi-dimensional array
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(size)
+    lims = {0, 1, info.max - 1, info.max, abs(info.min) - 1, abs(info.min), 2**64}
+    for extreme in (info.min, info.max, 0):
+        arr = np.zeros(size, dtype)
+        arr[rng.integers(size)] = extreme
+        arr = arr.reshape(1, -1, 1)
+        for lim in sorted(lims):
+            assert exceeds(arr, lim) == (abs(int(extreme)) > lim), (extreme, lim)
+
+
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.bool_])
 def test_exceeds_refuses_non_integer_arrays(dtype):
     # a float64 1.0 read as uint64 is 4607182418800017408
@@ -594,6 +610,28 @@ def test_spec_channel_shifts_are_read_only():
         spec.k[0] = 0
     k[0] = 0  # nor does the caller's array reach it
     assert list(spec.k) == [3, 5] and list(spec.shift) == [3, 5]
+
+
+@pytest.mark.parametrize(
+    "k",
+    [[0.9, 1.2, 2.7], [1.0, 2.0, 3.0], [True, False, True], [[1, 2, 3]], 4],
+    ids=["fractional", "float", "bool", "2-D", "scalar"],
+)
+def test_spec_refuses_shifts_that_are_not_a_1d_integer_sequence(k):
+    # the int64 cast took [0.9, 1.2, 2.7] as [0, 1, 2] and bools as 0 and 1,
+    # and a 2-D k made saving the model raise a bare TypeError
+    with pytest.raises(ValueError, match="channel shifts must be a 1-D integer sequence"):
+        LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=k)
+
+
+@pytest.mark.parametrize("shifts", [1, 8, 10])
+def test_qconv_layer_refuses_a_shift_count_other_than_its_channels(shifts):
+    # one shift broadcast over 9 channels: the layer ran, and the model it
+    # saved did not load
+    w, b = np.zeros((2, 1, 1, 9), np.int16), np.zeros(9, np.int64)
+    spec = LayerQuantSpec(n_i=16, p_in=8, p_out=8, k=[3] * shifts)
+    with pytest.raises(ShapeError, match=f"{shifts} channel shifts for 9 output channels"):
+        QConvLayer(w_q=w, b_q=b, spec=spec)
 
 
 # --- activation quantization of tensors ----------------------------------
