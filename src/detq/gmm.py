@@ -11,7 +11,10 @@ then channel, checked once where it is built.  The stack's head writes a
 decoder step's rows in that order, and build_cdf_table evaluates all rows
 in one vectorized pass, one table per row in row order, which is the order
 the range coder reads; the (3, 3, c, h, w) fields view serves whole-field
-readers and the canonical bytes.
+readers and the canonical bytes.  The build works in the layout the coder
+reads, (N rows, S symbols): the mixture CDF is written into the inner
+columns of the one (N, S+1) table array, and each row's frequencies are
+apportioned (apportion, along the last axis) and summed along the row.
 
 A CdfTable is one checked field of tables over one symbol range: an
 (N, S+1) int64 array checked once, in its constructor, whoever builds it.
@@ -184,17 +187,20 @@ def _mixture_cdf_q16(t_fp, weights, means, scales):
     # ties up, and the 1 taken off below zero rounds them down there; 2 _SPAN
     # den more in the numerator makes it z + _SPAN, z's index in the table,
     # which take's clip clamps to +-6.  t and mean are shifted on their own
-    # small arrays, so the full (components, boundaries, rows) field takes one
-    # add, one compare, one subtract and the division (_PARAM_LIMIT bounds each)
+    # small arrays, so the full (components, rows, boundaries) field takes one
+    # add, one compare, one subtract and the division (_PARAM_LIMIT bounds
+    # each), and goes once the lookup has read it
     t = t_fp << (GRID_FRAC_BITS + 1)
     mu = means << (GRID_FRAC_BITS + 1)
     num = t + (scales * (2 * _SPAN + 1) - mu)
     num -= t < mu
     num //= scales << 1
     phi = _phi_at(num)
+    del num
     # Phi <= 65535 and the weights sum to 2^15, so int32 holds the mixture
     phi *= np.asarray(weights, dtype=np.int32)
     mix = phi.sum(axis=0, dtype=np.int32)
+    del phi
     # (mix + 2^14 - 1 + the quotient's low bit) >> 15: ties to even
     odd = mix >> 15
     odd &= 1
@@ -286,31 +292,46 @@ class CdfTable:
 
 
 def apportion(base, rem, target: int):
-    """Largest-remainder rounding along axis 0.
+    """Largest-remainder rounding along the last axis.
 
-    base holds the floored shares and rem their remainders; the
-    target - sum(base) units still missing go one each to the largest
-    remainders, ties to the lower index.
+    base holds the floored shares and rem their remainders as non-negative
+    integers that order and tie as the remainders do (float remainders pass
+    their ranks); a row of n shares needs n * rem below 2^63.  The
+    target - sum(base) units a row misses, 0 to n, go one each to its
+    largest remainders, ties to the lower index.  A row missing more than
+    n units or fewer than none gets between 0 and n of them, so it still
+    misses target.
     """
-    n = len(rem)
-    rem = rem.reshape(n, -1)
-    order = np.argsort(-rem, axis=0, kind="stable")
-    # the first `left` places of each column's order win a unit; the inverse
-    # permutation, one scatter, carries that back to the entries
-    won = np.arange(n)[:, None] < (target - base.sum(axis=0)).reshape(-1)
-    extra = np.empty_like(won)
-    extra[order, np.arange(rem.shape[1])] = won
-    return base + extra.reshape(base.shape)
+    n = rem.shape[-1]
+    # keys i - n rem are unique in a row and order its shares by remainder,
+    # then index.  The `left` smallest win a unit: those below the key at
+    # place `left` of the row sorted, where a row missing all n units finds
+    # n, above every key; the places are read from the flat sorted array
+    keys = rem.reshape(-1, n) * -n
+    keys += np.arange(n)
+    ranked = np.empty((len(keys), n + 1), keys.dtype)
+    ranked[:, n] = n
+    ranked[:, :n] = keys
+    ranked[:, :n].sort()
+    at = target - np.add.reduce(base, -1, np.intp).reshape(-1, 1)
+    at += np.arange(0, ranked.size, n + 1).reshape(-1, 1)
+    bar = ranked.take(at, mode="clip")
+    del ranked
+    won = keys < bar
+    del keys
+    return base + won.reshape(base.shape)
 
 
 def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
     """Monotone integer CDF tables, one per row of params, in row order.
 
-    All elements are evaluated in one vectorized pass; symbols must lie
-    below 2^38 in magnitude (see _PARAM_LIMIT).  Tail mass beyond
-    [v_min, v_max] is folded into the boundary symbols; frequencies are
-    renormalized to total 2^16 with a floor of 1 per symbol via
-    largest-remainder apportionment.
+    All rows are evaluated in one vectorized pass, in the (N rows, S + 1)
+    layout the coder reads: the mixture CDF fills the inner columns of the
+    one table array, and each row's frequencies are apportioned and summed
+    along the row, on contiguous memory.  Symbols must lie below 2^38 in
+    magnitude (see _PARAM_LIMIT).  Tail mass beyond [v_min, v_max] is
+    folded into the boundary symbols; frequencies are renormalized to total
+    2^16 with a floor of 1 per symbol via largest-remainder apportionment.
     """
     if not -_SYMBOL_LIMIT < v_min <= v_max < _SYMBOL_LIMIT:
         raise ValueError("symbol range must be non-empty and below 2^38 in magnitude")
@@ -319,21 +340,28 @@ def build_cdf_table(params: GmmParams, v_min: int, v_max: int) -> CdfTable:
         raise ValueError(f"symbol range {s} exceeds the 2^16 frequency total")
     e = params.scale_exp
     half = 1 << (e - 1)
-    # the S - 1 inner boundaries; the outer two hold the folded tails, so the
-    # table's ends are 0 and 2^16 whatever the mixture, and are not evaluated
+    # the S - 1 inner boundaries; the outer two columns hold the folded
+    # tails, so the table's ends are 0 and 2^16 whatever the mixture, and
+    # are not evaluated
     lo = ((v_min + 1) << e) - half
     bounds = np.arange(lo, lo + ((s - 1) << e), 1 << e, dtype=np.int64)
-    # int64, so that raw * target, below 2^32 as each column of raw sums to
-    # 2^16, is computed wide
-    cum = np.empty((s + 1, params.rows.shape[-1]), dtype=np.int64)
-    cum[0] = 0
-    cum[-1] = CDF_TOTAL
-    cum[1:-1] = _mixture_cdf_q16(bounds[:, None], *params.rows[:, :, None])
+    # the table array, (N rows, S + 1): its inner columns take the mixture
+    # CDF, (components, rows, 1) parameters against the boundaries
+    mix = _mixture_cdf_q16(bounds, *params.rows[:, :, :, None])
+    cf = np.zeros((len(mix), s + 1), dtype=np.int64)
+    cf[:, s] = CDF_TOTAL
+    cf[:, 1:s] = mix
+    del mix
+    # each row's masses times target, in int64 as they reach 2^32 (a row's
+    # masses sum to 2^16): the floored shares and, in the table's own
+    # columns until the cumulative sum overwrites them, the remainders
     target = CDF_TOTAL - s
-    raw = cum[1:] - cum[:-1]
+    raw = cf[:, 1:] - cf[:, :-1]
     raw *= target
-    freq = apportion(raw >> 16, raw & (CDF_TOTAL - 1), target)
+    rem = np.bitwise_and(raw, CDF_TOTAL - 1, out=cf[:, 1:])
+    raw >>= 16
+    freq = apportion(raw, rem, target)
+    del raw, rem
     freq += 1
-    cf = np.zeros((s + 1, freq.shape[1]), dtype=np.int64)
-    np.cumsum(freq, axis=0, out=cf[1:])
-    return CdfTable(v_min, v_max, cf.T)
+    np.add.accumulate(freq, axis=1, out=cf[:, 1:])
+    return CdfTable(v_min, v_max, cf)

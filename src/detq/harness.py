@@ -336,9 +336,11 @@ def discretize_priors(priors: FloatPriors, scale_exp: int) -> GmmParams:
     means = round_half_away(means).astype(np.int64)
     scales = np.maximum(round_half_away(scales).astype(np.int64), sigma_min_for(scale_exp))
     # floor of 1 per component, the rest by largest remainder, as in the
-    # integer linearized softmax
+    # integer linearized softmax; the remainders' dense ranks order and tie
+    # exactly as the floats do
     base = np.floor(scaled).astype(np.int64)
-    weights = 1 + apportion(base, scaled - base, target)
+    rank = np.unique(scaled - base, return_inverse=True)[1].reshape(base.shape)
+    weights = 1 + apportion(base.T, rank.T, target).T
     return GmmParams(weights=weights, means=means, scales=scales, scale_exp=scale_exp)
 
 

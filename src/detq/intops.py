@@ -190,8 +190,8 @@ def linear_softmax_field(z: np.ndarray, scale_exp: int) -> np.ndarray:
         raise ShapeError("expected 3 mixture components on axis 0")
     target = (1 << 15) - 3
     n = np.maximum((1 << scale_exp) + z, 1)
-    denom = n.sum(axis=0)
-    return 1 + apportion(n * target // denom, n * target % denom, target)
+    base, rem = divmod(n * target, np.add.reduce(n, 0))
+    return 1 + apportion(base.T, rem.T, target).T
 
 
 def check_topology(chains, latent_channels: int):

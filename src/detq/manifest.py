@@ -127,6 +127,12 @@ def _save(manifest_path, dtype: str, latent_channels: int, layers):
     layer's int16 weights do.  A manifest named as its own blob
     (manifest_path.stem + ".bin") would overwrite it, and raises
     ManifestError before anything is written.
+
+    Both files are written as new files: an existing one is unlinked
+    first, not truncated, since a filesystem may flush a file truncated
+    to zero when it is closed (ext4's auto_da_alloc does).  So a symlink
+    at either path is replaced, not followed, a hard link to an old file
+    keeps the old bytes, and an old file's mode is not kept.
     """
     manifest_path = pathlib.Path(manifest_path)
     blob_name = manifest_path.stem + ".bin"
@@ -156,8 +162,10 @@ def _save(manifest_path, dtype: str, latent_channels: int, layers):
         "blob": blob_name,
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
-    (manifest_path.parent / doc["blob"]).write_bytes(blob)
-    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for path, data in ((manifest_path.parent / blob_name, blob), (manifest_path, text.encode())):
+        path.unlink(missing_ok=True)
+        path.write_bytes(data)
 
 
 def _load(manifest_path, dtype: str):

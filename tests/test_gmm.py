@@ -1,11 +1,13 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detq import gmm
@@ -399,9 +401,26 @@ def apportion_case(draw):
 @given(apportion_case())
 def test_apportion_matches_sort_by_remainder_then_index(case):
     base, rem, target = case
-    got = apportion(base, rem, target)
+    got = np.moveaxis(apportion(np.moveaxis(base, 0, -1), np.moveaxis(rem, 0, -1), target), -1, 0)
     np.testing.assert_array_equal(got, apportion_oracle(base, rem, target))
     assert got.shape == base.shape and np.all(got.sum(axis=0) == target)
+
+
+@given(st.data())
+def test_apportion_takes_float_remainders_as_their_ranks(data):
+    # discretize_priors passes the dense ranks of its float remainders,
+    # which order and tie as the floats do: eighths here, so ties are the
+    # rule, against the integer oracle on the eighths' numerators
+    rows, n = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 17))
+    size = rows * n
+    eighths = np.array(data.draw(st.lists(st.integers(0, 7), min_size=size, max_size=size)))
+    eighths = eighths.astype(np.int64).reshape(rows, n)
+    left = data.draw(st.lists(st.integers(0, n), min_size=rows, max_size=rows))
+    base = np.zeros((rows, n), dtype=np.int64)
+    base[:, 0] = 50 - np.array(left, dtype=np.int64)
+    rank = np.unique(eighths / 8, return_inverse=True)[1].reshape(rows, n)
+    got = apportion(base, rank, 50)
+    np.testing.assert_array_equal(got.T, apportion_oracle(base.T, eighths.T, 50))
 
 
 # --- CdfTable / build_cdf_table ------------------------------------------
@@ -549,6 +568,66 @@ def test_lookups_match_numpy_oracle(table, cums, as_array):
         assert got == cdf_lookup_oracle(cf, v_min, cum) and type(got) is int
     want = np.array([v_min, t.v_max] + cf, dtype="<i8").tobytes()
     assert t.tobytes() == want
+
+
+def test_build_peaks_below_six_tables_and_gives_row_major_tables():
+    # the build works in the (N, S+1) layout the coder reads and drops each
+    # full-field temporary once it is read: on a 1024-row field its traced
+    # peak stays within 5.5 times the table's bytes, and the table it
+    # returns is C-contiguous
+    rng = np.random.default_rng(11)
+    w1 = rng.integers(0, WEIGHT_TOTAL + 1, 1024)
+    w2 = rng.integers(0, WEIGHT_TOTAL - w1 + 1)
+    p = GmmParams(
+        weights=np.stack([w1, w2, WEIGHT_TOTAL - w1 - w2]),
+        means=rng.integers(-6 << 10, 6 << 10, (3, 1024)),
+        scales=rng.integers(sigma_min_for(10), 4 << 10, (3, 1024)),
+        scale_exp=10,
+    )
+    build_cdf_table(p, -8, 8)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        t = build_cdf_table(p, -8, 8)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert t.cf.flags.c_contiguous
+    assert peak <= 5.5 * t.cf.nbytes, peak / t.cf.nbytes
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 2100),
+    st.integers(0, 2**32 - 1),
+    st.integers(-12, 0),
+    st.integers(1, 40),
+)
+@example(1, 0, -8, 17)
+@example(4, 1, -8, 17)
+@example(1024, 2, -8, 17)
+@example(2048, 3, -8, 17)
+@example(2100, 4, -8, 17)
+def test_field_tables_equal_their_rows_built_one_at_a_time(n, seed, v_min, s):
+    # rows drawn from a few mixtures with zero or saturating means and a
+    # handful of scales: mirrored and empty bins tie a row's remainders
+    rng = np.random.default_rng(seed)
+    unit = 1 << 8
+    kinds = 1 + int(rng.integers(0, 4))
+    weights = np.array([[WEIGHT_TOTAL, 0, 0], [WEIGHT_TOTAL // 2] * 2 + [0], [10923, 10923, 10922]])
+    pool = (
+        weights[rng.integers(0, 3, kinds)].T,
+        rng.choice([0, 0, unit // 2, -unit, 40 * unit, -40 * unit], (3, kinds)),
+        rng.choice([16, 64, unit, 4 * unit], (3, kinds)),
+    )
+    pick = rng.integers(0, kinds, n)
+    p = GmmParams(*(a[:, pick] for a in pool), scale_exp=8)
+    v_max = v_min + s - 1
+    field = build_cdf_table(p, v_min, v_max)
+    rows = [build_cdf_table(p.take(np.array([i])), v_min, v_max).cf for i in range(n)]
+    np.testing.assert_array_equal(field.cf, np.concatenate(rows))
 
 
 def test_interval_inverse_of_symbol_lookup():

@@ -214,6 +214,39 @@ def test_discretize_priors_weights_positive_and_normalized():
     assert np.all(q.weights.sum(axis=0) == WEIGHT_TOTAL)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 4), min_size=3, max_size=3), min_size=1, max_size=12))
+def test_discretize_priors_apportions_tied_float_weights(parts):
+    # weights a / sum(a) for small a tie often, as [1, 1, 2] / 4 does: each
+    # element's floors take their missing units by largest float remainder,
+    # ties to the lower component, as a scalar oracle takes them
+    a = np.array(parts, dtype=np.float64).T.reshape(3, len(parts), 1, 1)
+    w = a / a.sum(axis=0)
+    pri = harness.FloatPriors(weights=w, means=np.zeros_like(w), scales=np.ones_like(w))
+    got = discretize_priors(pri, 10).weights
+    target = WEIGHT_TOTAL - 3
+    for j in range(len(parts)):
+        scaled = [float(w[k, j, 0, 0]) * target for k in range(3)]
+        base = [math.floor(x) for x in scaled]
+        rem = [x - b for x, b in zip(scaled, base)]
+        for k in sorted(range(3), key=lambda k: (-rem[k], k))[: target - sum(base)]:
+            base[k] += 1
+        assert [int(got[k, j, 0, 0]) for k in range(3)] == [1 + b for b in base]
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_discretize_priors_refuses_weights_that_do_not_sum_to_one(factor):
+    # the floors then miss more units than there are components, or fewer
+    # than none, and no apportionment makes the weights sum to 2^15
+    rng = np.random.default_rng(3)
+    fs = random_stack(rng)
+    pri = run_entropy_stack(np.zeros((1, 3, 3)), rng.normal(size=(2, 3, 3)), fs)
+    arrays = {f: np.array(getattr(pri, f), np.float64) for f in ("weights", "means", "scales")}
+    arrays["weights"] *= factor
+    with pytest.raises(ValueError, match="sum to 2\\^15"):
+        discretize_priors(harness.FloatPriors(**arrays), 10)
+
+
 @pytest.mark.parametrize("field", ["weights", "means", "scales"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
 def test_discretize_priors_rejects_non_finite_or_huge(field, bad):

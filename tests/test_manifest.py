@@ -1,4 +1,5 @@
 import gc
+import os
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,24 @@ def test_a_manifest_named_as_its_own_blob_is_refused(tmp_path, fstack, save):
     with pytest.raises(ManifestError, match="would overwrite its own blob q.bin"):
         save(tmp_path / "q.bin", stack)
     assert not list(tmp_path.iterdir())
+
+
+def test_a_save_over_a_model_writes_new_files(tmp_path, fstack):
+    # the old files are unlinked, not truncated and rewritten: hard links to
+    # them keep the old model, and the new one loads
+    path = tmp_path / "m.json"
+    save_quantized_model(path, fstack.quantize())
+    old = {name: (tmp_path / name).read_bytes() for name in ("m.json", "m.bin")}
+    for name in old:
+        os.link(tmp_path / name, tmp_path / f"old-{name}")
+    save_float_model(path, fstack)
+    for name, data in old.items():
+        assert (tmp_path / f"old-{name}").read_bytes() == data
+        assert (tmp_path / name).read_bytes() != data
+    back = load_float_model(path)
+    for (_, la, _), (_, lb, _) in zip(fstack.chains(), back.chains()):
+        for a, b in zip(la, lb):
+            np.testing.assert_array_equal(a.weights.astype(np.float32), b.weights)
 
 
 def test_save_is_deterministic(tmp_path, fstack):
